@@ -5,7 +5,7 @@
 //! The suite runs two serial and two distributed stencil workloads, a
 //! scheduler A/B case (persistent worker pool vs per-step thread
 //! respawn), and an execution-tier A/B case (tap interpreter vs bytecode
-//! VM vs shape-specialized row kernels), and records two kinds of metric
+//! VM vs the specialized row kernel), and records two kinds of metric
 //! per case:
 //!
 //! * **count** metrics (computed points, tiles, halo messages) — exact
@@ -54,7 +54,7 @@ struct CaseSpec {
     /// respawn — and record both walls plus the speedup. Serial only.
     pool_compare: bool,
     /// Run the case once per execution tier — interpreter, bytecode VM,
-    /// shape-specialized — on a single-thread whole-grid plan (pure
+    /// specialized — on a single-thread whole-grid plan (pure
     /// per-row compute, no tiling or threading noise), assert the
     /// outputs bit-identical, and record the walls plus the speedups.
     /// Serial only; mutually exclusive with `pool_compare`.

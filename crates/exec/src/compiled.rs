@@ -83,6 +83,21 @@ impl<T: Scalar> CompiledStencil<T> {
         })
     }
 
+    /// A stencil over a flat 1D buffer made of `terms` alone, for tests
+    /// that drive the row evaluators with arbitrary tap lists (`taps_nd`
+    /// and the footprint-derived counts are left empty).
+    #[cfg(test)]
+    pub(crate) fn from_terms(terms: Vec<CompiledTerm<T>>) -> CompiledStencil<T> {
+        CompiledStencil {
+            ndim: 1,
+            reach: Vec::new(),
+            max_dt: terms.iter().map(|t| t.dt).max().unwrap_or(0),
+            terms,
+            taps_distinct: 0,
+            flops: 0,
+        }
+    }
+
     /// Evaluate the update at the padded linear index `base`, reading from
     /// `states`, where `states[term.dt - 1]` is the buffer `dt` steps
     /// back.

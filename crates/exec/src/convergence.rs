@@ -67,9 +67,7 @@ pub fn run_until_converged<T: Scalar>(
     };
     let compiled = TieredStencil::compile(program, init, tier)?;
     let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-    let mut seeded = init.clone();
-    boundary::apply(&mut seeded, bc);
-    let mut ring: Vec<Grid<T>> = (0..window.window).map(|_| seeded.clone()).collect();
+    let mut ring = crate::driver::seeded_ring(init, bc, window.window);
     let mut history = Vec::new();
 
     for s in 0..max_steps {

@@ -78,6 +78,21 @@ impl RunStats {
     }
 }
 
+/// The time-window ring with every slot cold-started from `init` after
+/// `boundary_cond` was applied to it: one copy of the grid per slot, the
+/// seeded copy itself being the last.
+pub(crate) fn seeded_ring<T: Scalar>(
+    init: &Grid<T>,
+    boundary_cond: Boundary,
+    window: usize,
+) -> Vec<Grid<T>> {
+    let mut seeded = init.clone();
+    boundary::apply(&mut seeded, boundary_cond);
+    let mut ring: Vec<Grid<T>> = (1..window).map(|_| seeded.clone()).collect();
+    ring.push(seeded);
+    ring
+}
+
 /// Run `program.timesteps` updates starting from `init` (all window slots
 /// cold-started with `init`), with Dirichlet boundaries (halos keep their
 /// initial values). Returns the final state and run statistics.
@@ -129,9 +144,7 @@ pub fn run_program_tier<T: Scalar>(
     // bit-identical between repeated runs, and wall-clock isn't.
     msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
     let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-    let mut seeded = init.clone();
-    boundary::apply(&mut seeded, boundary_cond);
-    let mut ring: Vec<Grid<T>> = (0..window.window).map(|_| seeded.clone()).collect();
+    let mut ring = seeded_ring(init, boundary_cond, window.window);
 
     for s in 0..program.timesteps {
         let _step_span = msc_trace::span_arg("step", s as u64);

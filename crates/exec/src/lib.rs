@@ -21,10 +21,11 @@
 //!
 //! Orthogonally to the executor choice, the tiled path evaluates each
 //! row on one of three **execution tiers** (see [`tier`]): the tap
-//! interpreter (the oracle), the `msc-vm` bytecode register VM, or
-//! shape-specialized const-generic row kernels ([`specialized`]). All
-//! three are bit-identical by construction; `--exec-tier` / `ExecTier`
-//! picks one, with `Auto` preferring the fastest applicable tier.
+//! interpreter (the oracle), the `msc-vm` bytecode register VM, or the
+//! register-blocked row kernel ([`specialized`], one instantiation per
+//! vector ISA, picked at run time). All three are bit-identical by
+//! construction; `--exec-tier` / `ExecTier` picks one, and `Auto` is
+//! always the specialized tier.
 
 pub mod boundary;
 pub mod convergence;
@@ -46,7 +47,6 @@ pub use compiled::CompiledStencil;
 pub use boundary::Boundary;
 pub use convergence::{l2_diff, max_diff, run_until_converged, ConvergenceReport};
 pub use driver::{run_program, run_program_bc, run_program_tier, Executor, RunStats};
-pub use specialized::SpecializedStencil;
 pub use tier::{exec_tier, set_exec_tier, ActiveTier, ExecTier, TieredStencil};
 pub use grid::{Grid, Scalar};
 pub use temporal::{run_temporal_tiled, TemporalStats};

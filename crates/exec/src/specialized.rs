@@ -1,151 +1,329 @@
-//! Shape-specialized inner loops: monomorphized row kernels for the
-//! common star/box stencils.
+//! The specialized tier: one register-blocked row kernel for every
+//! linear stencil, instantiated once per vector ISA and picked at run
+//! time (DESIGN.md §12).
 //!
-//! The VM tier amortizes dispatch, but still walks a generic instruction
-//! list. For stencils whose per-term tap count is one of a fixed menu of
-//! shapes (every catalog benchmark qualifies), we can do better: a
-//! const-generic row kernel `accum_row::<T, NT>` where the tap count is a
-//! compile-time constant, so the tap loop fully unrolls and the remaining
-//! unit-stride point loop is exactly the shape LLVM auto-vectorizes. Each
-//! tap's row is pre-sliced to the output length, which both removes the
-//! bounds checks from the hot loop and proves the accesses disjoint
-//! enough to vectorize.
+//! A row is cut into blocks of `W` consecutive points, and a block's
+//! accumulators stay in vector registers across all taps of all terms:
 //!
-//! Evaluation order is the interpreter's, term by term:
-//! `acc = acc + coeff * src[..]` from zero, then `out += weight * acc` —
-//! so the tier is bit-identical to `CompiledStencil::apply_at`. The whole
-//! module is safe code (no `unsafe`): specialization changes loop shape,
-//! not the memory-safety story.
+//! ```text
+//! o[0..W] = 0
+//! for term:  acc[0..W] = 0
+//!            for (off, c) in taps:  acc[j] = acc[j] + c * src[base + i + j + off]
+//!            o[j] = o[j] + weight * acc[j]
+//! out[i..i+W] = o
+//! ```
+//!
+//! Per lane this is exactly `CompiledStencil::apply_at` — the same taps in
+//! the same order, two roundings per multiply-add (Rust never contracts
+//! `a + b * c` into an FMA, whatever ISA is enabled), the same `0 +
+//! weight * acc` seed — so the tier is bit-identical to the interpreter
+//! by construction. The `W / lanes` accumulator vectors are independent
+//! add chains that hide the add latency, `out` is stored once per block,
+//! and the tap count is an ordinary run-time loop bound: every stencil
+//! has a kernel.
+//!
+//! The kernel body is safe code. The one `unsafe` in this module is the
+//! call through the `#[target_feature]` wrapper in
+//! [`RowKernel::run_row`].
 
-use crate::compiled::CompiledStencil;
+use crate::compiled::CompiledTerm;
 use crate::grid::Scalar;
 
-/// A monomorphized row kernel: accumulate one term's weighted tap sum
-/// into `out` for a unit-stride row starting at flat index `base`.
-pub type RowFn<T> = fn(&[(isize, T)], T, &[T], usize, &mut [T]);
+/// Accumulator vectors per block: `W` is 16 / 32 / 64 f64 points on SSE2
+/// / AVX2 / AVX-512 and twice that in f32. Eight was the fastest of 2, 4,
+/// 8 and 16 on every ISA and both element types (table in DESIGN.md
+/// §12.1); a row's tail goes through blocks of `W/2`, `W/4`, … 1.
+const BLOCK_VECTORS: usize = 8;
 
-fn accum_row<T: Scalar, const NT: usize>(
-    taps: &[(isize, T)],
-    weight: T,
-    src: &[T],
+type KernelFn<T> = unsafe fn(&[CompiledTerm<T>], &[&[T]], usize, &mut [T]);
+
+/// All whole `W`-point blocks of `out[i..]`; returns where it stopped.
+#[inline(always)]
+fn blocks<T: Scalar, const W: usize>(
+    terms: &[CompiledTerm<T>],
+    states: &[&[T]],
+    base: usize,
+    out: &mut [T],
+    mut i: usize,
+) -> usize {
+    while i + W <= out.len() {
+        let at = (base + i) as isize;
+        let mut o = [T::default(); W];
+        for term in terms {
+            let src = states[term.dt - 1];
+            let mut acc = [T::default(); W];
+            for &(off, coeff) in &term.taps {
+                let start = (at + off) as usize;
+                // One bounds check per tap per block; the fixed-size view
+                // is what lets the lane loop below become vector code.
+                let lanes: &[T; W] = src[start..start + W]
+                    .try_into()
+                    .expect("slice has the block's length");
+                for (a, &x) in acc.iter_mut().zip(lanes) {
+                    *a = *a + coeff * x;
+                }
+            }
+            for (o, &a) in o.iter_mut().zip(&acc) {
+                *o = *o + term.weight * a;
+            }
+        }
+        out[i..i + W].copy_from_slice(&o);
+        i += W;
+    }
+    i
+}
+
+/// One row through blocks of `VECTOR_BYTES * BLOCK_VECTORS` bytes, then
+/// ever narrower ones for the tail. Every `if` is decided at
+/// monomorphization time.
+#[inline(always)]
+fn row<T: Scalar, const VECTOR_BYTES: usize>(
+    terms: &[CompiledTerm<T>],
+    states: &[&[T]],
     base: usize,
     out: &mut [T],
 ) {
-    debug_assert_eq!(taps.len(), NT);
-    let n = out.len();
-    // One exact-length slice per tap: `rows[k][i]` is the value of tap `k`
-    // at output point `i`. Fixed-size arrays keep the tap loop unrollable.
-    let rows: [&[T]; NT] = std::array::from_fn(|k| {
-        let start = (base as isize + taps[k].0) as usize;
-        &src[start..start + n]
-    });
-    let coeffs: [T; NT] = std::array::from_fn(|k| taps[k].1);
-    for i in 0..n {
-        let mut acc = T::default();
-        for k in 0..NT {
-            acc = acc + coeffs[k] * rows[k][i];
-        }
-        out[i] = out[i] + weight * acc;
+    let w = VECTOR_BYTES * BLOCK_VECTORS / std::mem::size_of::<T>();
+    let mut i = 0;
+    if w >= 128 {
+        i = blocks::<T, 128>(terms, states, base, out, i);
     }
-}
-
-/// The supported tap counts. Covers stars and boxes through radius 4 in
-/// 1D/2D and the full benchmark catalog (7, 9, 13, 27, 31, 121, 169, ...);
-/// anything else falls back to the VM tier.
-pub fn row_fn_for<T: Scalar>(n_taps: usize) -> Option<RowFn<T>> {
-    macro_rules! shapes {
-        ($($nt:literal),+ $(,)?) => {
-            match n_taps {
-                $( $nt => Some(accum_row::<T, $nt> as RowFn<T>), )+
-                _ => None,
-            }
-        };
+    if w >= 64 {
+        i = blocks::<T, 64>(terms, states, base, out, i);
     }
-    shapes!(1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 21, 25, 27, 31, 33, 49, 121, 125, 169)
+    if w >= 32 {
+        i = blocks::<T, 32>(terms, states, base, out, i);
+    }
+    if w >= 16 {
+        i = blocks::<T, 16>(terms, states, base, out, i);
+    }
+    i = blocks::<T, 8>(terms, states, base, out, i);
+    i = blocks::<T, 4>(terms, states, base, out, i);
+    i = blocks::<T, 2>(terms, states, base, out, i);
+    blocks::<T, 1>(terms, states, base, out, i);
 }
 
-struct SpecTerm<T> {
-    dt: usize,
-    weight: T,
-    taps: Vec<(isize, T)>,
-    row_fn: RowFn<T>,
+fn row_baseline<T: Scalar>(terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
+    row::<T, 16>(terms, states, base, out)
 }
 
-/// A stencil where every term has a monomorphized row kernel.
-pub struct SpecializedStencil<T> {
-    terms: Vec<SpecTerm<T>>,
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+fn row_avx2<T: Scalar>(terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
+    row::<T, 32>(terms, states, base, out)
 }
 
-impl<T: Scalar> SpecializedStencil<T> {
-    /// `None` when any term's tap count has no specialized shape — the
-    /// caller then stays on the VM tier.
-    pub fn try_from_compiled(c: &CompiledStencil<T>) -> Option<SpecializedStencil<T>> {
-        let mut terms = Vec::with_capacity(c.terms.len());
-        for t in &c.terms {
-            terms.push(SpecTerm {
-                dt: t.dt,
-                weight: t.weight,
-                taps: t.taps.clone(),
-                row_fn: row_fn_for::<T>(t.taps.len())?,
-            });
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+fn row_avx512<T: Scalar>(terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
+    row::<T, 64>(terms, states, base, out)
+}
+
+/// Every instantiation the running CPU can execute, narrowest first.
+/// Baseline is whatever the crate is built for (SSE2 on x86-64) and the
+/// only one under Miri and on other architectures.
+fn detected_kernels<T: Scalar>() -> Vec<(&'static str, KernelFn<T>)> {
+    #[allow(unused_mut)]
+    let mut kernels: Vec<(&str, KernelFn<T>)> = vec![("baseline", row_baseline::<T>)];
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        if is_x86_feature_detected!("avx2") {
+            kernels.push(("avx2", row_avx2::<T>));
         }
-        Some(SpecializedStencil { terms })
+        if is_x86_feature_detected!("avx512f") {
+            kernels.push(("avx512f", row_avx512::<T>));
+        }
+    }
+    kernels
+}
+
+/// The blocked row kernel of one ISA.
+pub struct RowKernel<T> {
+    /// Invariant: an element of [`detected_kernels`]. Private, and only
+    /// this module's tests ever pick anything but the widest.
+    run: KernelFn<T>,
+}
+
+impl<T: Scalar> RowKernel<T> {
+    /// The kernel of the widest ISA the running CPU has.
+    pub fn widest() -> RowKernel<T> {
+        let (_, run) = detected_kernels().pop().expect("baseline is always there");
+        RowKernel { run }
     }
 
-    /// Evaluate a unit-stride row: `out[i]` gets the update of the point
-    /// at flat index `base + i`. Bit-identical to calling
-    /// `CompiledStencil::apply_at` per point.
-    pub fn run_row(&self, states: &[&[T]], base: usize, out: &mut [T]) {
-        for o in out.iter_mut() {
-            *o = T::default();
-        }
-        for term in &self.terms {
-            (term.row_fn)(&term.taps, term.weight, states[term.dt - 1], base, out);
-        }
+    /// Evaluate a unit-stride row of the stencil `terms`: `out[i]` gets
+    /// the update of the point at flat index `base + i`, where
+    /// `states[dt - 1]` is the state `dt` steps back. Bit-identical to
+    /// calling `CompiledStencil::apply_at` per point.
+    #[inline]
+    pub fn run_row(&self, terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
+        // SAFETY: the kernels are safe functions whose only obligation is
+        // that the CPU supports their `#[target_feature]`; `run` only
+        // ever holds an element of `detected_kernels`, which lists a
+        // kernel after detecting exactly that feature.
+        unsafe { (self.run)(terms, states, base, out) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledStencil;
     use crate::grid::Grid;
     use msc_core::catalog::{benchmark, BenchmarkId};
     use msc_core::prelude::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn all_catalog_shapes_have_a_row_fn() {
-        for b in all_benchmarks() {
-            let p = b.program(&b.test_grid(), DType::F64, 2).unwrap();
-            let g: Grid<f64> = Grid::for_tensor(&p.grid);
-            let c = CompiledStencil::compile(&p, &g).unwrap();
-            assert!(
-                SpecializedStencil::try_from_compiled(&c).is_some(),
-                "no specialized shape for {}",
-                b.name
-            );
+    /// `(dt, weight, taps)`.
+    type Term = (usize, f64, Vec<(isize, f64)>);
+
+    /// The widest block any ISA uses for `T`, in points.
+    fn widest_block<T>() -> usize {
+        64 * BLOCK_VECTORS / std::mem::size_of::<T>()
+    }
+
+    fn stencil_1d<T: Scalar>(terms: Vec<Term>) -> CompiledStencil<T> {
+        let terms = terms
+            .into_iter()
+            .map(|(dt, weight, taps)| CompiledTerm {
+                dt,
+                weight: T::from_f64(weight),
+                taps: taps.into_iter().map(|(o, k)| (o, T::from_f64(k))).collect(),
+                taps_nd: Vec::new(),
+            })
+            .collect();
+        CompiledStencil::from_terms(terms)
+    }
+
+    /// The detected kernels, or only the baseline one: an AVX host still
+    /// runs the SSE2 instantiation when the test asks for it.
+    fn kernels<T: Scalar>(baseline_only: bool) -> Vec<(&'static str, RowKernel<T>)> {
+        let mut kernels = detected_kernels::<T>();
+        assert_eq!(kernels[0].0, "baseline");
+        if baseline_only {
+            kernels.truncate(1);
+        }
+        kernels
+            .into_iter()
+            .map(|(isa, run)| (isa, RowKernel { run }))
+            .collect()
+    }
+
+    /// Rows of every length `1..=2W+1` through each kernel under test,
+    /// every point compared bit for bit with `apply_at`.
+    fn check_rows<T: Scalar>(terms: &[Term], baseline_only: bool, seed: u64) {
+        let c = stencil_1d::<T>(terms.to_vec());
+        let reach = REACH as usize;
+        let max_len = 2 * widest_block::<T>() + 1;
+        let states: Vec<Grid<T>> = (0..c.max_dt as u64)
+            .map(|s| Grid::random(&[max_len + 2 * reach + 1], &[0], seed + s))
+            .collect();
+        let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
+        for (isa, kernel) in kernels::<T>(baseline_only) {
+            for len in 1..=max_len {
+                // Odd bases too: nothing may depend on alignment.
+                let base = reach + (len & 1);
+                let mut row = vec![T::from_f64(f64::NAN); len];
+                kernel.run_row(&c.terms, &states, base, &mut row);
+                for (i, got) in row.iter().enumerate() {
+                    let want = c.apply_at(&states, base + i);
+                    assert_eq!(
+                        got.to_f64().to_bits(),
+                        want.to_f64().to_bits(),
+                        "{isa}: {} taps, row of {len}, point {i}",
+                        c.terms[0].taps.len()
+                    );
+                }
+            }
+        }
+    }
+
+    const REACH: isize = 100;
+
+    /// `(weight, taps)` of one term with exactly `n_taps` taps.
+    fn term_of(n_taps: usize) -> impl Strategy<Value = (f64, Vec<(isize, f64)>)> {
+        let tap = (-REACH..=REACH, -1.0f64..1.0);
+        (-2.0f64..2.0, prop::collection::vec(tap, n_taps))
+    }
+
+    /// One to three terms reading successive time slots; the first has
+    /// `first_taps` taps, the others 1–200.
+    fn stencil_of(first_taps: usize) -> impl Strategy<Value = Vec<Term>> {
+        let more = prop::collection::vec((1usize..=200).prop_flat_map(term_of), 0..=2);
+        (term_of(first_taps), more).prop_map(|(first, more)| {
+            std::iter::once(first)
+                .chain(more)
+                .enumerate()
+                .map(|(k, (weight, taps))| (k + 1, weight, taps))
+                .collect()
+        })
+    }
+
+    fn kernel_matches_apply_at(baseline_only: bool, test_path: &str) {
+        let check = |(terms, seed): (Vec<Term>, u64)| {
+            check_rows::<f64>(&terms, baseline_only, seed);
+            check_rows::<f32>(&terms, baseline_only, seed);
+        };
+        let config = ProptestConfig::with_cases(8);
+        let random = ((1usize..=200).prop_flat_map(stencil_of), 0u64..1 << 32);
+        proptest::run_cases(test_path, &config, &random, check);
+        // Tap counts no catalog stencil has, every run.
+        for n_taps in [10, 12, 50, 122] {
+            let fixed = (stencil_of(n_taps), 0u64..1 << 32);
+            proptest::run_cases(test_path, &ProptestConfig::with_cases(1), &fixed, check);
         }
     }
 
     #[test]
-    fn unsupported_tap_count_falls_back() {
-        assert!(row_fn_for::<f64>(10).is_none());
-        assert!(row_fn_for::<f64>(0).is_none());
-        assert!(row_fn_for::<f64>(7).is_some());
+    #[cfg_attr(miri, ignore)] // hundreds of rows x hundreds of taps
+    fn blocked_kernel_matches_apply_at_on_every_detected_isa() {
+        kernel_matches_apply_at(false, "specialized::every_detected_isa");
     }
 
     #[test]
-    fn rows_are_bit_identical_to_apply_at() {
+    #[cfg_attr(miri, ignore)]
+    fn blocked_kernel_matches_apply_at_forced_baseline() {
+        kernel_matches_apply_at(true, "specialized::forced_baseline");
+    }
+
+    #[test]
+    fn zero_seeds_survive_negative_zero_products() {
+        // Every product is -0.0 (negative coefficient × +0.0). The
+        // interpreter's `0 + c*x` and `0 + w*acc` seeds turn that into
+        // +0.0; a kernel that started a chain from its first product
+        // would leave -0.0, which the benchmark oracle tells apart.
+        for weights in [[-0.5, -0.25], [0.5, 0.25], [-0.5, 0.25]] {
+            let terms = weights
+                .iter()
+                .enumerate()
+                .map(|(k, &w)| (k + 1, w, vec![(-1, -0.25), (0, -0.5), (1, -0.25)]))
+                .collect();
+            let c = stencil_1d::<f64>(terms);
+            let zeros = vec![0.0f64; 3 * widest_block::<f64>()];
+            let states = [zeros.as_slice(), zeros.as_slice()];
+            for (isa, kernel) in kernels::<f64>(false) {
+                let mut row = vec![f64::NAN; zeros.len() - 2];
+                kernel.run_row(&c.terms, &states, 1, &mut row);
+                for (i, got) in row.iter().enumerate() {
+                    assert_eq!(got.to_bits(), 0.0f64.to_bits(), "{isa} point {i}");
+                    assert_eq!(got.to_bits(), c.apply_at(&states, 1 + i).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn widest_kernel_matches_apply_at_on_a_grid_row() {
         let p = benchmark(BenchmarkId::S3d7ptStar)
             .program(&[12, 10, 16], DType::F64, 2)
             .unwrap();
         let a: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 41);
         let b: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
         let c = CompiledStencil::compile(&p, &a).unwrap();
-        let spec = SpecializedStencil::try_from_compiled(&c).unwrap();
         let states = [a.as_slice(), b.as_slice()];
         let base = a.layout().index(&[5, 4, 0]);
         let mut row = vec![0.0; 16];
-        spec.run_row(&states, base, &mut row);
+        RowKernel::widest().run_row(&c.terms, &states, base, &mut row);
         for (i, &got) in row.iter().enumerate() {
             let want = c.apply_at(&states, base + i);
             assert_eq!(got.to_bits(), want.to_bits(), "point {i}");

@@ -1,22 +1,22 @@
-//! Execution-tier selection: interpreter vs bytecode VM vs shape-
-//! specialized row kernels.
+//! Execution-tier selection: interpreter vs bytecode VM vs the
+//! register-blocked row kernel.
 //!
 //! The three tiers form a strict correctness hierarchy. The interpreter
 //! (`CompiledStencil::apply_at`) is the oracle; the VM replays its exact
 //! evaluation order row-by-row (see `msc_vm::compile_linear`); the
-//! specialized kernels do the same with a const-generic tap count. All
-//! three are bit-identical by construction, which the differential
-//! harness (`tests/tier_differential.rs`) enforces across the catalog.
+//! specialized kernel does the same a block of points at a time (see
+//! [`crate::specialized`]). All three are bit-identical by construction,
+//! which the differential harness (`tests/tier_differential.rs`) enforces
+//! across the catalog.
 //!
-//! Selection policy (`ExecTier::Auto`, the default):
+//! Selection policy:
 //!
-//! * every term's tap count has a specialized shape → **specialized**;
-//! * otherwise → **VM**;
-//! * the interpreter only runs when explicitly requested (or through the
-//!   `Executor::Reference` oracle path, which always interprets).
-//!
-//! An explicit `Specialized` request degrades to the VM when the shape
-//! isn't supported — same ladder, just skipping Auto's preference.
+//! * `Auto` (the default) and `Specialized` → **specialized**, always:
+//!   the blocked kernel takes any tap count, so no stencil is declined;
+//! * `Vm` → the **VM**, or the interpreter when the kernel overflows the
+//!   VM's register file or constant pool;
+//! * `Interp` → the **interpreter** (also what the `Executor::Reference`
+//!   oracle path always runs).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
@@ -27,19 +27,20 @@ use msc_vm::{LinearTerm, VmProgram, VmScratch};
 
 use crate::compiled::CompiledStencil;
 use crate::grid::{Grid, Scalar};
-use crate::specialized::SpecializedStencil;
+use crate::specialized::RowKernel;
 
 /// Requested execution tier (CLI `--exec-tier`, `RunOptions::tier`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// Specialized where the shape allows, VM otherwise.
+    /// The fastest tier: the specialized kernel, for every stencil.
     #[default]
     Auto,
     /// The tree-walking tap interpreter (the bit-exactness oracle).
     Interp,
     /// The bytecode register VM.
     Vm,
-    /// Monomorphized row kernels (falls back to the VM off-menu).
+    /// The register-blocked row kernel on the widest vector ISA the CPU
+    /// has (any tap count; never degrades).
     Specialized,
 }
 
@@ -106,17 +107,20 @@ pub struct TierScratch<T> {
     vm: Option<VmScratch<T>>,
 }
 
-/// A compiled stencil with all three execution tiers attached and one
-/// selected. Derefs to the interpreter's [`CompiledStencil`], so layout
+/// A compiled stencil with the requested execution tier resolved and
+/// attached. Derefs to the interpreter's [`CompiledStencil`], so layout
 /// queries (`max_dt`, `reach`, taps) and the SPM/reference paths keep
 /// working on the same object.
 pub struct TieredStencil<T> {
     interp: CompiledStencil<T>,
+    /// Lowered only for an explicit `ExecTier::Vm`: no other request can
+    /// end up on the VM.
     vm: Option<VmProgram<T>>,
-    specialized: Option<SpecializedStencil<T>>,
+    specialized: RowKernel<T>,
     active: ActiveTier,
-    /// Wall time spent lowering to bytecode + building the specialized
-    /// dispatch (feeds the `VmCompileNanos` counter).
+    /// Wall time spent attaching the tier — bytecode lowering under
+    /// `ExecTier::Vm`, ISA detection otherwise (feeds the
+    /// `VmCompileNanos` counter).
     pub compile_nanos: u64,
     vm_dispatches: AtomicU64,
     specialized_rows: AtomicU64,
@@ -129,57 +133,58 @@ impl<T> std::ops::Deref for TieredStencil<T> {
     }
 }
 
+/// Lower the tap lists to VM bytecode. `None` on register or const-pool
+/// overflow — kernels that large stay on the interpreter.
+fn lower_to_vm<T: Scalar>(interp: &CompiledStencil<T>) -> Option<VmProgram<T>> {
+    let linear: Vec<LinearTerm<T>> = interp
+        .terms
+        .iter()
+        .map(|t| LinearTerm {
+            slot: t.dt - 1,
+            weight: t.weight,
+            taps: t.taps.iter().map(|&(off, c)| (off as i64, c)).collect(),
+        })
+        .collect();
+    let prog = msc_vm::compile_linear(&linear).ok()?;
+    // Debug builds additionally audit the bytecode against the
+    // stencil's own footprint: every (slot, offset) the program can
+    // load must be one of the linearized taps, so a miscompile can
+    // never read outside the halo the layout guarantees.
+    #[cfg(debug_assertions)]
+    {
+        let allowed: std::collections::BTreeSet<(usize, i64)> = linear
+            .iter()
+            .flat_map(|t| t.taps.iter().map(move |&(off, _)| (t.slot, off)))
+            .collect();
+        if let Err(e) = prog.sanity_check(Some(&allowed)) {
+            panic!("VM bytecode escapes the stencil footprint: {e}");
+        }
+    }
+    Some(prog)
+}
+
 impl<T: Scalar> TieredStencil<T> {
-    /// Compile every tier and resolve `tier` to the one that will run.
+    /// Compile `program` and attach the tier `tier` resolves to.
     pub fn compile(program: &StencilProgram, grid: &Grid<T>, tier: ExecTier) -> Result<TieredStencil<T>> {
         let interp = CompiledStencil::compile(program, grid)?;
         Ok(Self::from_compiled(interp, tier))
     }
 
-    /// Attach tiers to an already-compiled stencil (the distributed
+    /// Attach a tier to an already-compiled stencil (the distributed
     /// driver compiles against per-rank local layouts).
     pub fn from_compiled(interp: CompiledStencil<T>, tier: ExecTier) -> TieredStencil<T> {
         let t0 = Instant::now();
-        let specialized = SpecializedStencil::try_from_compiled(&interp);
-        let linear: Vec<LinearTerm<T>> = interp
-            .terms
-            .iter()
-            .map(|t| LinearTerm {
-                slot: t.dt - 1,
-                weight: t.weight,
-                taps: t.taps.iter().map(|&(off, c)| (off as i64, c)).collect(),
-            })
-            .collect();
-        // Lowering only fails on register/const-pool overflow — kernels
-        // that large fall back to the interpreter.
-        let vm = msc_vm::compile_linear(&linear).ok();
-        // Debug builds additionally audit the bytecode against the
-        // stencil's own footprint: every (slot, offset) the program can
-        // load must be one of the linearized taps, so a miscompile can
-        // never read outside the halo the layout guarantees.
-        #[cfg(debug_assertions)]
-        if let Some(prog) = &vm {
-            let allowed: std::collections::BTreeSet<(usize, i64)> = linear
-                .iter()
-                .flat_map(|t| t.taps.iter().map(move |&(off, _)| (t.slot, off)))
-                .collect();
-            if let Err(e) = prog.sanity_check(Some(&allowed)) {
-                panic!("VM bytecode escapes the stencil footprint: {e}");
-            }
-        }
+        // The vector ISA is detected here, once per compiled stencil.
+        let specialized = RowKernel::widest();
+        let vm = match tier {
+            ExecTier::Vm => lower_to_vm(&interp),
+            _ => None,
+        };
         let active = match tier {
             ExecTier::Interp => ActiveTier::Interp,
             ExecTier::Vm if vm.is_some() => ActiveTier::Vm,
             ExecTier::Vm => ActiveTier::Interp,
-            ExecTier::Specialized | ExecTier::Auto => {
-                if specialized.is_some() {
-                    ActiveTier::Specialized
-                } else if vm.is_some() {
-                    ActiveTier::Vm
-                } else {
-                    ActiveTier::Interp
-                }
-            }
+            ExecTier::Specialized | ExecTier::Auto => ActiveTier::Specialized,
         };
         TieredStencil {
             interp,
@@ -223,11 +228,8 @@ impl<T: Scalar> TieredStencil<T> {
                 prog.run_row(states, base, out, scratch);
             }
             ActiveTier::Specialized => {
-                let spec = self
-                    .specialized
-                    .as_ref()
-                    .expect("active Specialized tier has kernels");
-                spec.run_row(states, base, out);
+                self.specialized
+                    .run_row(&self.interp.terms, states, base, out)
             }
         }
     }
@@ -288,24 +290,48 @@ mod tests {
     }
 
     #[test]
-    fn off_menu_shapes_fall_back_to_the_vm() {
-        // A 1D kernel with 10 taps — no specialized shape for 10.
+    fn any_tap_count_resolves_to_specialized_under_auto() {
+        // A 1D kernel with 10 taps — a count no catalog stencil has.
         let mut e = 0.1 * Expr::at("B", &[-5]);
         for off in -4i64..5 {
             e = e + 0.1 * Expr::at("B", &[off]);
         }
         let k = Kernel::new("k10", 1, e).unwrap();
-        let p = StencilProgram::builder("off_menu")
+        let p = StencilProgram::builder("ten_taps")
             .grid(SpNode::new("B", DType::F64, &[32], 5, 2).unwrap())
             .kernel(k)
             .timesteps(2)
             .build()
             .unwrap();
-        let g: Grid<f64> = Grid::for_tensor(&p.grid);
-        let c = TieredStencil::compile(&p, &g, ExecTier::Auto).unwrap();
-        assert_eq!(c.active(), ActiveTier::Vm);
-        let c = TieredStencil::compile(&p, &g, ExecTier::Specialized).unwrap();
-        assert_eq!(c.active(), ActiveTier::Vm, "explicit request degrades");
+        let g: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 5);
+        let states = [g.as_slice()];
+        let base = g.layout().index(&[0]);
+        let mut rows = Vec::new();
+        for (tier, active) in [
+            (ExecTier::Auto, ActiveTier::Specialized),
+            (ExecTier::Specialized, ActiveTier::Specialized),
+            (ExecTier::Vm, ActiveTier::Vm),
+            (ExecTier::Interp, ActiveTier::Interp),
+        ] {
+            let c = TieredStencil::compile(&p, &g, tier).unwrap();
+            assert_eq!(c.active(), active, "{tier:?}");
+            let mut row = vec![0.0f64; 32];
+            c.run_row(&states, base, &mut row, &mut c.scratch());
+            c.note_rows(1, row.len());
+            // Explicit `Vm` still runs the VM: it is what gets counted.
+            let (vm_dispatches, specialized_rows) = c.take_tier_counters();
+            assert_eq!(vm_dispatches > 0, active == ActiveTier::Vm, "{tier:?}");
+            assert_eq!(
+                specialized_rows > 0,
+                active == ActiveTier::Specialized,
+                "{tier:?}"
+            );
+            rows.push(row);
+        }
+        assert!(
+            rows.iter().all(|r| r == &rows[0]),
+            "tiers disagree on 10 taps"
+        );
     }
 
     #[test]

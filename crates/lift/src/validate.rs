@@ -6,7 +6,7 @@
 //! interpreter that evaluates the original C expression tree (the
 //! [`RExpr`] the affine pass preserved) with the C loop nest's
 //! ping-pong semantics. Every seed is checked on every execution tier
-//! (interp, bytecode VM, shape-specialized), so a validation pass
+//! (interp, bytecode VM, specialized), so a validation pass
 //! certifies the whole lowering stack, not just the lifter.
 //!
 //! Bit-exactness is achievable — not just approximable — because the

@@ -33,6 +33,32 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 static NEXT_HUB_ID: AtomicU64 = AtomicU64::new(0);
 
+/// A thread's cache of the buffers it registered, one per hub it has
+/// recorded into (keyed by hub id; a linear scan — a thread touches 1–2
+/// live hubs).
+pub(crate) type ThreadBufCache<B> = std::cell::RefCell<Vec<(u64, Arc<B>)>>;
+
+/// Run `f` on the calling thread's buffer in hub `hub_id`, registering
+/// one on first use. Registering is also when entries of dropped hubs
+/// leave the cache — the hub's registry held the other reference — so a
+/// thread that outlives many short-lived hubs (an `mscd` worker and its
+/// per-job hubs) keeps one buffer alive, not one per job.
+pub(crate) fn with_thread_buf<B>(
+    cache: &ThreadBufCache<B>,
+    hub_id: u64,
+    register: impl FnOnce() -> Arc<B>,
+    f: impl FnOnce(&B),
+) {
+    let mut cache = cache.borrow_mut();
+    if let Some((_, buf)) = cache.iter().find(|(id, _)| *id == hub_id) {
+        return f(buf);
+    }
+    cache.retain(|(_, buf)| Arc::strong_count(buf) > 1);
+    let buf = register();
+    f(&buf);
+    cache.push((hub_id, buf));
+}
+
 /// A flush hook: called with a reason string when `dump_on_error` fires.
 pub type FlushHook = Arc<dyn Fn(&str) + Send + Sync>;
 
@@ -395,6 +421,29 @@ mod tests {
             crate::counters::snapshot().get(Counter::TemporalBlocks),
             before_default
         );
+    }
+
+    #[test]
+    fn thread_caches_drop_the_buffers_of_dead_hubs() {
+        // One long-lived thread, 500 short-lived hubs — an mscd worker and
+        // its per-job hubs. A thread of its own, so the caches start empty.
+        std::thread::spawn(|| {
+            for job in 0..500 {
+                let hub = TelemetryHub::new();
+                hub.set_enabled(true);
+                let _g = install_thread_hub(Arc::clone(&hub));
+                drop(crate::span("job"));
+                crate::flight(FlightKind::Send, 0, 1, 7, job);
+                assert_eq!(hub.collect_spans().0.len(), 1);
+                assert_eq!(hub.snapshot_flight().len(), 1);
+            }
+            // At most the last hub's buffers (dead, but nothing has
+            // registered since) are still held.
+            assert!(crate::spans::cached_thread_bufs() <= 2);
+            assert!(crate::recorder::cached_thread_rings() <= 2);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -181,8 +181,8 @@ impl Registry {
 }
 
 thread_local! {
-    /// This thread's rings, one per hub it has recorded into.
-    static RING_CACHE: std::cell::RefCell<Vec<(u64, Arc<Ring>)>> =
+    /// This thread's rings, one per live hub it has recorded into.
+    static RING_CACHE: crate::hub::ThreadBufCache<Ring> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -215,15 +215,14 @@ pub(crate) fn push_flight(
         seq,
     };
     RING_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if let Some((_, ring)) = cache.iter().find(|(id, _)| *id == hub.id()) {
-            ring.push(rec);
-            return;
-        }
-        let ring = hub.flight.register();
-        ring.push(rec);
-        cache.push((hub.id(), ring));
+        crate::hub::with_thread_buf(c, hub.id(), || hub.flight.register(), |ring| ring.push(rec))
     });
+}
+
+/// Rings the calling thread's cache keeps alive.
+#[cfg(test)]
+pub(crate) fn cached_thread_rings() -> usize {
+    RING_CACHE.with(|c| c.borrow().len())
 }
 
 /// Append one record to the calling thread's ring in the current hub.

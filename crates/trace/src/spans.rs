@@ -165,9 +165,8 @@ impl Registry {
 }
 
 thread_local! {
-    /// This thread's buffers, one per hub it has recorded spans into
-    /// (keyed by hub id; a linear scan — a thread touches 1–2 hubs).
-    static BUF_CACHE: std::cell::RefCell<Vec<(u64, Arc<ThreadBuf>)>> =
+    /// This thread's buffers, one per live hub it has recorded spans into.
+    static BUF_CACHE: crate::hub::ThreadBufCache<ThreadBuf> =
         const { std::cell::RefCell::new(Vec::new()) };
     static CURRENT_RANK: std::cell::Cell<u32> = const { std::cell::Cell::new(NO_RANK) };
 }
@@ -176,15 +175,14 @@ thread_local! {
 /// buffer on first use.
 pub(crate) fn push_record(hub: &crate::TelemetryHub, rec: SpanRecord) {
     BUF_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if let Some((_, buf)) = cache.iter().find(|(id, _)| *id == hub.id()) {
-            buf.push(rec);
-            return;
-        }
-        let buf = hub.spans.register();
-        buf.push(rec);
-        cache.push((hub.id(), buf));
+        crate::hub::with_thread_buf(c, hub.id(), || hub.spans.register(), |buf| buf.push(rec))
     });
+}
+
+/// Buffers the calling thread's cache keeps alive.
+#[cfg(test)]
+pub(crate) fn cached_thread_bufs() -> usize {
+    BUF_CACHE.with(|c| c.borrow().len())
 }
 
 /// Tag every record made on the calling thread with `rank` from now on.

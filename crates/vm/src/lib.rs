@@ -22,7 +22,7 @@
 //!
 //! The crate is deliberately tiny and dependency-free (only `msc-core` for
 //! the IR types): no unsafe (enforced below), no atomics, no I/O. Tier
-//! selection, tracing, and the shape-specialized loops live one layer up
+//! selection, tracing, and the specialized row kernel live one layer up
 //! in `msc-exec`.
 
 #![forbid(unsafe_code)]

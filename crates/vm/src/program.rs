@@ -101,8 +101,7 @@ pub enum Op {
     ///
     /// Same multiply-then-add sequence per lane as the unfused ops, so
     /// bit-identity holds; the term's accumulator now lives entirely in a
-    /// local, and the output row is read and written once per term — the
-    /// same memory traffic as the shape-specialized kernels.
+    /// local, and the output row is read and written once per term.
     FmaChainW {
         dst: u16,
         acc: u16,

@@ -31,6 +31,10 @@ echo "== execution-tier differential (interp vs VM vs specialized) =="
 # Every catalog stencil must produce bit-identical grids on all three
 # row-evaluation tiers (DESIGN.md §12.3) — the interpreter is the oracle.
 cargo test -q -p msc-exec --test tier_differential --offline
+# The blocked row kernel against apply_at on random tap lists: one test
+# on every vector ISA this host reports, one pinned to the baseline
+# instantiation so the SSE2 path runs on AVX hosts too.
+cargo test -q -p msc-exec --lib --offline blocked_kernel_matches_apply_at
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -135,5 +139,11 @@ rm -rf "$tmps"
 
 echo "== bench smoke (trajectory schema + regression gate) =="
 scripts/bench.sh smoke
+
+echo "== BENCHMARK smoke (schema + bit-correctness of all five workloads) =="
+# Toy sizes, no timing claims: every solve is compared bit for bit with
+# the Reference oracle, so a kernel change that breaks a comparison fails
+# here before anyone measures it.
+bash benchmark/run.sh --smoke
 
 echo "verify: all green"

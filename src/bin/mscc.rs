@@ -1398,8 +1398,9 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             msc::trace::set_enabled(false);
         }
         // Resolved tier, reconstructed from what the run actually counted
-        // (Auto may have degraded, e.g. an off-menu shape falling back to
-        // the VM), not from what was requested.
+        // (an explicit `vm` request degrades to the interpreter when the
+        // kernel overflows the VM's register file; auto and specialized
+        // never degrade), not from what was requested.
         let tier = if stats.specialized_hits() > 0 {
             "specialized"
         } else if stats.vm_dispatches() > 0 {
