@@ -374,10 +374,13 @@ struct StepEnv<'a, T: Scalar, B> {
     reach: &'a [usize],
 }
 
-/// A freshly scattered window ring for `logical`'s subdomain.
+/// A freshly scattered window ring for `logical`'s subdomain: one copy of
+/// the sub-grid per slot, the scattered grid itself being the last.
 fn fresh_ring<T: Scalar + Wire, B>(env: &StepEnv<'_, T, B>, logical: usize) -> Vec<Grid<T>> {
     let local = scatter(env.seeded, env.decomp, logical);
-    (0..env.window.window).map(|_| local.clone()).collect()
+    let mut ring: Vec<Grid<T>> = (1..env.window.window).map(|_| local.clone()).collect();
+    ring.push(local);
+    ring
 }
 
 /// How a rank reacts to a failed step loop.

@@ -5,7 +5,7 @@
 
 use crate::boundary::Boundary;
 use crate::tier::TieredStencil;
-use crate::driver::Executor;
+use crate::driver::{Executor, Ring};
 use crate::grid::{Grid, Scalar};
 use crate::{boundary, reference, tiled};
 use msc_core::error::{MscError, Result};
@@ -59,6 +59,7 @@ pub fn run_until_converged<T: Scalar>(
             "convergence needs a positive tolerance and at least one step".into(),
         ));
     }
+    executor.check_covers(&init.shape)?;
     // Reference executor stays on the interpreter oracle; the tiled path
     // follows the process-wide tier default.
     let tier = match executor {
@@ -67,18 +68,17 @@ pub fn run_until_converged<T: Scalar>(
     };
     let compiled = TieredStencil::compile(program, init, tier)?;
     let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-    let mut ring = crate::driver::seeded_ring(init, bc, window.window);
+    let mut ring = Ring::new(init, bc, window.window);
     let mut history = Vec::new();
 
     for s in 0..max_steps {
         let t = compiled.max_dt + s;
         let out_slot = window.output_slot(t);
         let prev_slot = window.input_slot(t, 1).expect("window has t-1");
-        let prev = ring[prev_slot].clone();
-        let mut out = std::mem::replace(&mut ring[out_slot], Grid::zeros(&[1], &[0]));
+        let mut out = ring.take_output(out_slot);
         {
             let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                .map(|dt| &ring[window.input_slot(t, dt).expect("window fits")])
+                .map(|dt| ring.input(window.input_slot(t, dt).expect("window fits")))
                 .collect();
             match executor {
                 Executor::Reference => reference::step(&compiled, &inputs, &mut out),
@@ -91,13 +91,13 @@ pub fn run_until_converged<T: Scalar>(
             }
         }
         boundary::apply(&mut out, bc);
-        let residual = l2_diff(&out, &prev);
+        // `prev_slot` is an input of this step, never its output slot.
+        let residual = l2_diff(&out, ring.input(prev_slot));
         history.push(residual);
-        ring[out_slot] = out;
+        ring.put(out_slot, out);
         if residual < tol {
-            let state = ring.swap_remove(out_slot);
             return Ok(ConvergenceReport {
-                state,
+                state: ring.into_state(out_slot),
                 steps: s + 1,
                 final_residual: residual,
                 history,
@@ -108,7 +108,7 @@ pub fn run_until_converged<T: Scalar>(
     let last = window.output_slot(compiled.max_dt + max_steps - 1);
     let final_residual = *history.last().unwrap();
     Ok(ConvergenceReport {
-        state: ring.swap_remove(last),
+        state: ring.into_state(last),
         steps: max_steps,
         final_residual,
         history,

@@ -6,11 +6,12 @@ use crate::boundary::{self, Boundary};
 use crate::grid::{Grid, Scalar};
 use crate::tier::{exec_tier, ExecTier, TieredStencil};
 use crate::{reference, spm, tiled};
-use msc_core::error::Result;
+use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::ExecPlan;
 use msc_core::schedule::WindowPlan;
 use msc_trace::{Counter, CounterSet, Profile};
+use std::borrow::Cow;
 
 /// Which execution strategy to use for each timestep.
 #[derive(Debug, Clone)]
@@ -22,6 +23,26 @@ pub enum Executor {
     /// Tiled execution staged through a bounded scratchpad with DMA
     /// (Sunway style). The capacity is the per-core SPM size.
     Spm { plan: ExecPlan, spm_capacity: usize },
+}
+
+impl Executor {
+    /// A step must overwrite the whole interior of the grid it is given
+    /// (fresh [`Ring`] slots start with a zero interior, and a larger plan
+    /// would write out of bounds): a plan lowered for another grid is an
+    /// error before any step runs.
+    pub(crate) fn check_covers(&self, shape: &[usize]) -> Result<()> {
+        let plan = match self {
+            Executor::Reference => return Ok(()),
+            Executor::Tiled(plan) | Executor::Spm { plan, .. } => plan,
+        };
+        if plan.grid == shape {
+            return Ok(());
+        }
+        Err(MscError::InvalidConfig(format!(
+            "execution plan was lowered for grid {:?} but the state has shape {shape:?}",
+            plan.grid
+        )))
+    }
 }
 
 /// Aggregate statistics of a run.
@@ -78,19 +99,64 @@ impl RunStats {
     }
 }
 
-/// The time-window ring with every slot cold-started from `init` after
-/// `boundary_cond` was applied to it: one copy of the grid per slot, the
-/// seeded copy itself being the last.
-pub(crate) fn seeded_ring<T: Scalar>(
-    init: &Grid<T>,
-    boundary_cond: Boundary,
-    window: usize,
-) -> Vec<Grid<T>> {
-    let mut seeded = init.clone();
-    boundary::apply(&mut seeded, boundary_cond);
-    let mut ring: Vec<Grid<T>> = (1..window).map(|_| seeded.clone()).collect();
-    ring.push(seeded);
-    ring
+/// The sliding time window of paper Figure 5: `window = max_dt + 1` state
+/// slots, recycled round-robin. Every slot is cold-started from the same
+/// seed — `init` after `boundary_cond` was applied — so the slots *share*
+/// it until they are first written: under Dirichlet the seed is the
+/// caller's `init`, borrowed (the boundary is a no-op there); under
+/// Periodic it is the one wrapped copy.
+pub(crate) struct Ring<'a, T: Scalar> {
+    seed: Cow<'a, Grid<T>>,
+    /// `None`: never written, still reads as the seed.
+    slots: Vec<Option<Grid<T>>>,
+}
+
+impl<'a, T: Scalar> Ring<'a, T> {
+    pub(crate) fn new(init: &'a Grid<T>, boundary_cond: Boundary, window: usize) -> Self {
+        let seed = match boundary_cond {
+            Boundary::Dirichlet => Cow::Borrowed(init),
+            Boundary::Periodic => {
+                let mut wrapped = init.clone();
+                boundary::apply(&mut wrapped, boundary_cond);
+                Cow::Owned(wrapped)
+            }
+        };
+        Ring {
+            seed,
+            slots: vec![None; window],
+        }
+    }
+
+    /// The state held in `slot`.
+    pub(crate) fn input(&self, slot: usize) -> &Grid<T> {
+        self.slots[slot].as_ref().unwrap_or(&self.seed)
+    }
+
+    /// Take `slot`'s grid out to be overwritten by a step; [`Ring::put`]
+    /// brings the result back. A slot never written before yields a
+    /// zero-backed grid carrying only the seed's halo shell: every executor
+    /// overwrites the whole interior, and Dirichlet halos must keep their
+    /// initial values. Under Periodic the re-wrap after the step overwrites
+    /// the shell again; copying it there too (two cells per row) is the
+    /// price of one path.
+    pub(crate) fn take_output(&mut self, slot: usize) -> Grid<T> {
+        self.slots[slot]
+            .take()
+            .unwrap_or_else(|| self.seed.halo_shell())
+    }
+
+    pub(crate) fn put(&mut self, slot: usize, grid: Grid<T>) {
+        self.slots[slot] = Some(grid);
+    }
+
+    /// Move the state of `slot` out (a copy of the seed if no step ever
+    /// wrote it).
+    pub(crate) fn into_state(mut self, slot: usize) -> Grid<T> {
+        match self.slots[slot].take() {
+            Some(grid) => grid,
+            None => self.seed.into_owned(),
+        }
+    }
 }
 
 /// Run `program.timesteps` updates starting from `init` (all window slots
@@ -134,6 +200,7 @@ pub fn run_program_tier<T: Scalar>(
     // or the bytecode compiler. Nothing below this line runs on a denied
     // program.
     msc_lint::check_deny(program, None)?;
+    executor.check_covers(&init.shape)?;
     let tier = match executor {
         Executor::Reference | Executor::Spm { .. } => ExecTier::Interp,
         _ => tier,
@@ -144,7 +211,7 @@ pub fn run_program_tier<T: Scalar>(
     // bit-identical between repeated runs, and wall-clock isn't.
     msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
     let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-    let mut ring = seeded_ring(init, boundary_cond, window.window);
+    let mut ring = Ring::new(init, boundary_cond, window.window);
 
     for s in 0..program.timesteps {
         let _step_span = msc_trace::span_arg("step", s as u64);
@@ -152,12 +219,12 @@ pub fn run_program_tier<T: Scalar>(
         let t = compiled.max_dt + s;
         let out_slot = window.output_slot(t);
 
-        // Split the ring so the output slot is mutable while input slots
-        // stay shared.
-        let mut out = std::mem::replace(&mut ring[out_slot], Grid::zeros(&[1], &[0]));
+        // The output slot's grid leaves the ring while the step writes it,
+        // so the input slots can stay borrowed.
+        let mut out = ring.take_output(out_slot);
         {
             let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                .map(|dt| &ring[window.input_slot(t, dt).expect("window sized by max_dt")])
+                .map(|dt| ring.input(window.input_slot(t, dt).expect("window sized by max_dt")))
                 .collect();
             match executor {
                 Executor::Reference => {
@@ -176,7 +243,7 @@ pub fn run_program_tier<T: Scalar>(
             }
         }
         boundary::apply(&mut out, boundary_cond);
-        ring[out_slot] = out;
+        ring.put(out_slot, out);
         let (vm_d, spec_rows) = compiled.take_tier_counters();
         if vm_d > 0 {
             counters.bump(Counter::VmDispatches, vm_d);
@@ -198,7 +265,7 @@ pub fn run_program_tier<T: Scalar>(
     }
 
     let last = window.output_slot(compiled.max_dt + program.timesteps - 1);
-    Ok((ring.swap_remove(last), RunStats::from_counters(&counters)))
+    Ok((ring.into_state(last), RunStats::from_counters(&counters)))
 }
 
 #[cfg(test)]
@@ -292,6 +359,140 @@ mod tests {
         assert_eq!(sv.specialized_hits(), 0);
         assert!(ss.specialized_hits() > 0, "specialized tier must count rows");
         assert_eq!(ss.vm_dispatches(), 0);
+    }
+
+    /// The ring as it was before its slots shared the seed: every slot
+    /// its own copy of the wrapped `init`, each step a clone of the
+    /// recycled slot overwritten by the serial reference.
+    fn eager_ring_oracle(p: &StencilProgram, init: &Grid<f64>, bc: Boundary) -> Grid<f64> {
+        let c = TieredStencil::compile(p, init, ExecTier::Interp).unwrap();
+        let w = c.max_dt + 1;
+        let mut seeded = init.clone();
+        boundary::apply(&mut seeded, bc);
+        let mut ring = vec![seeded; w];
+        for s in 0..p.timesteps {
+            let t = c.max_dt + s;
+            let mut out = ring[t % w].clone();
+            let inputs: Vec<&Grid<f64>> = (1..=c.max_dt).map(|dt| &ring[(t - dt) % w]).collect();
+            reference::step(&c, &inputs, &mut out);
+            boundary::apply(&mut out, bc);
+            ring[t % w] = out;
+        }
+        ring.swap_remove((c.max_dt + p.timesteps - 1) % w)
+    }
+
+    fn bits(g: &Grid<f64>) -> Vec<u64> {
+        g.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The halo cells alone (`halo_shell` has its own test in `grid.rs`).
+    fn halo_bits(g: &Grid<f64>) -> Vec<u64> {
+        bits(&g.halo_shell())
+    }
+
+    /// One temporal dependency (2d9pt box at `t-1`) and two (3d7pt at
+    /// `t-1`, `t-2`).
+    fn programs_by_max_dt() -> [StencilProgram; 2] {
+        let b = benchmark(BenchmarkId::S2d9ptBox);
+        let single = StencilProgram::builder("single")
+            .grid_2d("B", DType::F64, [12, 10], 1, 2)
+            .kernel(b.kernel())
+            .combine(&[(1, 1.0, b.name)])
+            .timesteps(1)
+            .build()
+            .unwrap();
+        let double = benchmark(BenchmarkId::S3d7ptStar)
+            .program(&[8, 6, 10], DType::F64, 1)
+            .unwrap();
+        [single, double]
+    }
+
+    #[test]
+    fn shared_seed_ring_matches_the_eager_ring_bit_for_bit() {
+        for (max_dt, mut p) in (1..).zip(programs_by_max_dt()) {
+            let window = max_dt + 1;
+            let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 40 + max_dt as u64);
+            let before = init.clone();
+            let tile: Vec<usize> = p.grid.shape.iter().map(|&n| n / 2).collect();
+            let plan = tiled_plan(&p, &tile, 2);
+            let executors = [
+                Executor::Reference,
+                Executor::Tiled(plan.clone()),
+                Executor::Spm {
+                    plan,
+                    spm_capacity: 1 << 20,
+                },
+            ];
+            for steps in [0, 1, 2, 3, window + 2] {
+                // `build()` refuses a zero-step program; the driver must
+                // still hand back the seed for one.
+                p.timesteps = steps;
+                for bc in [Boundary::Dirichlet, Boundary::Periodic] {
+                    let expect = eager_ring_oracle(&p, &init, bc);
+                    for exec in &executors {
+                        let (got, st) =
+                            run_program_tier(&p, exec, &init, bc, ExecTier::Auto).unwrap();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&expect),
+                            "max_dt {max_dt}, {steps} steps, {bc:?}, {exec:?}"
+                        );
+                        assert_eq!(st.steps, steps);
+                        if bc == Boundary::Dirichlet {
+                            // Also when fewer steps ran than the window has
+                            // slots, so the result is a slot that began as
+                            // a zero-backed shell.
+                            assert_eq!(halo_bits(&got), halo_bits(&init));
+                        }
+                    }
+                }
+            }
+            assert_eq!(bits(&init), bits(&before), "a run must not touch `init`");
+        }
+    }
+
+    #[test]
+    fn ring_slots_borrow_the_seed_until_written() {
+        let init: Grid<f64> = Grid::random(&[6, 6], &[1, 1], 5);
+        let mut ring = Ring::new(&init, Boundary::Dirichlet, 3);
+        // Dirichlet: no copy at all, every cold slot *is* the caller's grid.
+        assert!((0..3).all(|s| std::ptr::eq(ring.input(s), &init)));
+        let mut out = ring.take_output(1);
+        assert_eq!(halo_bits(&out), halo_bits(&init));
+        out.for_each_interior(|pos| assert_eq!(out.get(pos), 0.0));
+        out.set(&[0, 0], 7.0);
+        ring.put(1, out);
+        assert_eq!(ring.input(1).get(&[0, 0]), 7.0);
+        assert!(std::ptr::eq(ring.input(0), &init));
+        // A written slot is recycled as it is, not re-seeded.
+        assert_eq!(ring.take_output(1).get(&[0, 0]), 7.0);
+
+        // Periodic: one wrapped copy, shared by every cold slot.
+        let ring = Ring::new(&init, Boundary::Periodic, 2);
+        let mut wrapped = init.clone();
+        boundary::apply(&mut wrapped, Boundary::Periodic);
+        assert!(std::ptr::eq(ring.input(0), ring.input(1)));
+        assert_eq!(bits(ring.input(0)), bits(&wrapped));
+        assert_eq!(bits(&ring.into_state(1)), bits(&wrapped));
+    }
+
+    #[test]
+    fn a_plan_lowered_for_another_grid_is_refused() {
+        let p = benchmark(BenchmarkId::S2d9ptStar)
+            .program(&[16, 16], DType::F64, 2)
+            .unwrap();
+        let plan = tiled_plan(&p, &[8, 8], 2);
+        let init: Grid<f64> = Grid::random(&[20, 16], &p.grid.halo, 1);
+        for exec in [
+            Executor::Tiled(plan.clone()),
+            Executor::Spm {
+                plan,
+                spm_capacity: 1 << 20,
+            },
+        ] {
+            let err = run_program(&p, &exec, &init).unwrap_err();
+            assert!(err.to_string().contains("lowered for grid"), "{err}");
+        }
     }
 
     #[test]

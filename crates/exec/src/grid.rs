@@ -133,6 +133,39 @@ impl<T: Scalar> Grid<T> {
         }
     }
 
+    /// A grid of this layout holding this grid's halo cells and a zero
+    /// interior: what a time-window slot starts as when a step is about to
+    /// overwrite its whole interior anyway.
+    pub(crate) fn halo_shell(&self) -> Grid<T> {
+        let mut shell = Grid::zeros(&self.shape, &self.halo);
+        let last = self.ndim() - 1;
+        let (row, h) = (self.padded[last], self.halo[last]);
+        // Padded rows in storage order: a row with any outer coordinate in
+        // the halo is halo throughout, any other only at its two ends.
+        let mut idx = vec![0usize; last];
+        for base in (0..self.data.len()).step_by(row.max(1)) {
+            let outer_halo = (0..last).any(|d| {
+                idx[d] < self.halo[d] || idx[d] >= self.halo[d] + self.shape[d]
+            });
+            let spans = if outer_halo {
+                [base..base + row, 0..0]
+            } else {
+                [base..base + h, base + row - h..base + row]
+            };
+            for span in spans {
+                shell.data[span.clone()].copy_from_slice(&self.data[span]);
+            }
+            for d in (0..last).rev() {
+                idx[d] += 1;
+                if idx[d] < self.padded[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+        shell
+    }
+
     /// Number of spatial dimensions.
     pub fn ndim(&self) -> usize {
         self.shape.len()
@@ -274,6 +307,22 @@ mod tests {
         assert_eq!(g.get_rel(&[0, 0], &[-1, 0]), 0.0);
         // Halo beyond (2,2) clamps to interior (2,2).
         assert_eq!(g.get_rel(&[2, 2], &[1, 1]), 8.0);
+    }
+
+    #[test]
+    fn halo_shell_keeps_the_halo_and_blanks_the_interior() {
+        for (shape, halo) in [
+            (vec![5], vec![2]),
+            (vec![4, 3], vec![1, 2]),
+            (vec![3, 4, 5], vec![1, 1, 1]),
+            (vec![3, 2, 4], vec![2, 0, 1]),
+            (vec![2, 3], vec![0, 0]),
+        ] {
+            let g: Grid<f32> = Grid::random(&shape, &halo, 11);
+            let mut expect = g.clone();
+            g.for_each_interior(|pos| expect.set(pos, 0.0));
+            assert_eq!(g.halo_shell(), expect, "shape {shape:?} halo {halo:?}");
+        }
     }
 
     #[test]

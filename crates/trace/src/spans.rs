@@ -6,12 +6,15 @@
 //! all buffers through the hub's registry. Buffers saturate rather than
 //! wrap: once full, new spans are counted as dropped instead of
 //! overwriting records a concurrent collector might be reading. 16 Ki
-//! records per thread (512 KiB) is far beyond what the instrumented
-//! call sites produce per run; drops are reported in the profile so
-//! saturation is visible, not silent.
+//! records per thread is far beyond what the instrumented call sites
+//! produce per run; drops are reported in the profile so saturation is
+//! visible, not silent. The slots are allocated but not written until a
+//! record lands in them, so a hub that lives for one short job pays for
+//! the records it makes, not for the capacity.
 
 use crate::counters::enabled;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -73,26 +76,39 @@ impl Default for SpanRecord {
 }
 
 struct ThreadBuf {
-    slots: Box<[UnsafeCell<SpanRecord>]>,
+    /// Left uninitialised until written: a short-lived hub (one per `mscd`
+    /// job) records a handful of spans, and clearing all `CAPACITY` slots
+    /// up front cost more than the job's own bookkeeping.
+    slots: Box<[UnsafeCell<MaybeUninit<SpanRecord>>]>,
     /// Number of finalized records. Only the owning thread stores to it;
     /// collectors load with `Acquire` and read `slots[..len]`, which the
-    /// owner never rewrites (saturating, not circular).
+    /// owner has initialised and never rewrites (saturating, not
+    /// circular).
     len: AtomicUsize,
     dropped: AtomicU64,
     thread: u32,
 }
 
-// Collectors only read slots below `len` (released by the single
-// writer), so cross-thread access is data-race-free by construction.
+// SAFETY: collectors only read slots below `len` (initialised, then
+// released by the single writer), so cross-thread access is
+// data-race-free by construction; `SpanRecord` is `Copy + Send`.
 unsafe impl Sync for ThreadBuf {}
+// SAFETY: as above; the buffer owns nothing thread-bound.
 unsafe impl Send for ThreadBuf {}
+
+/// `n` record slots whose memory is allocated but not written.
+fn uninit_slots(n: usize) -> Box<[UnsafeCell<MaybeUninit<SpanRecord>>]> {
+    let raw = Box::into_raw(Box::<[SpanRecord]>::new_uninit_slice(n));
+    // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the two
+    // slice types share layout and allocation size; wrapping an
+    // uninitialised slot in a cell asserts nothing about its contents.
+    unsafe { Box::from_raw(raw as *mut [UnsafeCell<MaybeUninit<SpanRecord>>]) }
+}
 
 impl ThreadBuf {
     fn new(thread: u32) -> ThreadBuf {
         ThreadBuf {
-            slots: (0..CAPACITY)
-                .map(|_| UnsafeCell::new(SpanRecord::EMPTY))
-                .collect(),
+            slots: uninit_slots(CAPACITY),
             len: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
             thread,
@@ -105,7 +121,10 @@ impl ThreadBuf {
         rec.rank = current_rank();
         let n = self.len.load(Ordering::Relaxed);
         if n < self.slots.len() {
-            unsafe { *self.slots[n].get() = rec };
+            // SAFETY: only the owning thread writes, and only at index
+            // `len`, which no collector reads before the release store
+            // below publishes it.
+            unsafe { (*self.slots[n].get()).write(rec) };
             self.len.store(n + 1, Ordering::Release);
         } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -146,7 +165,10 @@ impl Registry {
         for buf in self.bufs.lock().unwrap().iter() {
             let n = buf.len.load(Ordering::Acquire);
             for slot in &buf.slots[..n] {
-                out.push(unsafe { *slot.get() });
+                // SAFETY: slots below the acquired `len` were initialised
+                // by `push` before its release store and are never
+                // rewritten while counted.
+                out.push(unsafe { (*slot.get()).assume_init() });
             }
             dropped += buf.dropped.load(Ordering::Relaxed);
         }
@@ -456,6 +478,53 @@ mod tests {
         flow_recv("halo", 1);
         let (recs, _) = collect_spans();
         assert!(recs.is_empty());
+    }
+
+    /// An `mscd` worker: one thread, a fresh enabled hub per job, one span
+    /// in each. Every span reads back, and a whole job (hub, buffer, span,
+    /// collect) costs less than half of just clearing a buffer's worth of
+    /// slots, which `ThreadBuf::new` used to do on top. Both sides are
+    /// measured here, so the bound follows the machine and the build
+    /// profile (4-5x headroom in debug, 10x in release), and each is the
+    /// best of three rounds, so one descheduled round does not decide it.
+    #[test]
+    fn short_lived_hubs_do_not_pay_for_unwritten_slots() {
+        const HUBS: usize = 1000;
+        let _g = crate::testutil::GLOBAL_TEST_LOCK.lock().unwrap();
+        fn best_of_three(mut round: impl FnMut()) -> std::time::Duration {
+            (0..3)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    round();
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap()
+        }
+        std::thread::spawn(|| {
+            let lazy = best_of_three(|| {
+                for job in 0..HUBS {
+                    let hub = crate::TelemetryHub::new();
+                    hub.set_enabled(true);
+                    let _g = crate::hub::install_thread_hub(Arc::clone(&hub));
+                    drop(span_arg("job", job as u64));
+                    let (recs, dropped) = hub.collect_spans();
+                    assert_eq!((recs.len(), dropped), (1, 0));
+                    assert_eq!((recs[0].name, recs[0].arg), ("job", job as u64));
+                }
+            });
+            let eager = best_of_three(|| {
+                for _ in 0..HUBS {
+                    std::hint::black_box(vec![SpanRecord::EMPTY; CAPACITY]);
+                }
+            });
+            assert!(
+                lazy < eager / 2,
+                "{HUBS} hubs took {lazy:?}; clearing their slots alone takes {eager:?}"
+            );
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -35,6 +35,11 @@ cargo test -q -p msc-exec --test tier_differential --offline
 # on every vector ISA this host reports, one pinned to the baseline
 # instantiation so the SSE2 path runs on AVX hosts too.
 cargo test -q -p msc-exec --lib --offline blocked_kernel_matches_apply_at
+# The shared-seed time-window ring against the eager one-copy-per-slot
+# ring it replaced (steps x boundary x executor x max_dt, halo bits,
+# `init` untouched), and the halo-shell copy its fresh slots start from.
+cargo test -q -p msc-exec --lib --offline -- grid::tests::halo_shell \
+  driver::tests::shared_seed_ring driver::tests::ring_slots
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
