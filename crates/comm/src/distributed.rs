@@ -22,7 +22,7 @@ use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_core::schedule::WindowPlan;
 use msc_exec::boundary::{self, Boundary};
-use msc_exec::{tiled, Grid, Scalar, TieredStencil};
+use msc_exec::{Executor, Grid, Scalar, TieredStencil};
 use msc_trace::{Counter, CounterSet, FlightKind, Hist, HistSet, Profile};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -223,10 +223,10 @@ pub struct RunOptions {
     /// to the sequential schedule (same tile partition, same per-tile
     /// arithmetic); on by default.
     pub overlap: bool,
-    /// Execution tier for every rank's tiled compute (`Auto` resolves to
-    /// the specialized row kernels where the shape allows, else the
-    /// bytecode VM). All tiers are bit-identical, so chaos replays and
-    /// checkpoint restarts are tier-agnostic.
+    /// Execution tier for every rank's compute, direct or SPM-staged
+    /// (`Auto` is always the specialized row kernel). All tiers are
+    /// bit-identical, so chaos replays and checkpoint restarts are
+    /// tier-agnostic.
     pub tier: msc_exec::ExecTier,
     /// Hot-spare ranks launched idle beside the compute ranks. When the
     /// membership layer declares a compute rank dead, a spare adopts its
@@ -360,14 +360,14 @@ enum RankOutcome<T> {
 /// bundled so the compute and recovery helpers stay readable.
 struct StepEnv<'a, T: Scalar, B> {
     program: &'a StencilProgram,
-    plan: &'a ExecPlan,
+    /// The per-rank executor: the sub-grid plan, SPM-staged or direct.
+    executor: &'a Executor,
     decomp: &'a CartDecomp,
     seeded: &'a Grid<T>,
     compiled: &'a TieredStencil<T>,
     window: &'a WindowPlan,
     exchanger: &'a B,
     opts: &'a RunOptions,
-    spm_capacity: Option<usize>,
     store: Option<&'a CheckpointStore>,
     membership: Option<&'a Arc<Membership>>,
     sub: &'a [usize],
@@ -604,10 +604,11 @@ fn compute_steps<T: Scalar + Wire, B: crate::backend::HaloBackend>(
     hists: &mut HistSet,
 ) -> Result<()> {
     let opts = env.opts;
-    let (program, plan, window, compiled) = (env.program, env.plan, env.window, env.compiled);
+    let (program, executor, window, compiled) =
+        (env.program, env.executor, env.window, env.compiled);
     // Boundary/interior split for communication overlap, recomputed per
     // attempt: after adoption this rank's neighbour set changed.
-    let tiles = plan.tiles();
+    let tiles = executor.tiles();
     let (boundary_tiles, interior_tiles) = split_tiles(&tiles, env.decomp, ctx.rank);
 
     for s in start..program.timesteps {
@@ -629,59 +630,17 @@ fn compute_steps<T: Scalar + Wire, B: crate::backend::HaloBackend>(
                 // messages) → complete. The wait inside
                 // `exchange_finish` still lands in the HaloWait
                 // histogram via `ctx.wait`.
-                match env.spm_capacity {
-                    None => {
-                        tiled::step_tiles(compiled, plan, &inputs, &mut out, &boundary_tiles);
-                        let pending = env.exchanger.exchange_begin(ctx, &out, out_slot)?;
-                        let t0 = Instant::now();
-                        tiled::step_tiles(compiled, plan, &inputs, &mut out, &interior_tiles);
-                        let overlap_ns = t0.elapsed().as_nanos() as u64;
-                        counters.bump(Counter::OverlapNanos, overlap_ns);
-                        counters.bump(Counter::TilesExecuted, tiles.len() as u64);
-                        msc_trace::record(Counter::OverlapNanos, overlap_ns);
-                        msc_trace::record(Counter::TilesExecuted, tiles.len() as u64);
-                        env.exchanger
-                            .exchange_finish(ctx, &mut out, out_slot, pending)?;
-                    }
-                    Some(cap) => {
-                        let mut st = msc_exec::spm::step_tiles(
-                            compiled,
-                            plan,
-                            &inputs,
-                            &mut out,
-                            cap,
-                            &boundary_tiles,
-                        )?;
-                        let pending = env.exchanger.exchange_begin(ctx, &out, out_slot)?;
-                        let t0 = Instant::now();
-                        st.merge(&msc_exec::spm::step_tiles(
-                            compiled,
-                            plan,
-                            &inputs,
-                            &mut out,
-                            cap,
-                            &interior_tiles,
-                        )?);
-                        let overlap_ns = t0.elapsed().as_nanos() as u64;
-                        counters.bump(Counter::OverlapNanos, overlap_ns);
-                        counters.merge(&st.counters());
-                        msc_trace::record(Counter::OverlapNanos, overlap_ns);
-                        msc_trace::record_set(&st.counters());
-                        env.exchanger
-                            .exchange_finish(ctx, &mut out, out_slot, pending)?;
-                    }
-                }
+                counters.merge(&executor.step(compiled, &inputs, &mut out, &boundary_tiles)?);
+                let pending = env.exchanger.exchange_begin(ctx, &out, out_slot)?;
+                let t0 = Instant::now();
+                counters.merge(&executor.step(compiled, &inputs, &mut out, &interior_tiles)?);
+                let overlap_ns = t0.elapsed().as_nanos() as u64;
+                counters.bump(Counter::OverlapNanos, overlap_ns);
+                msc_trace::record(Counter::OverlapNanos, overlap_ns);
+                env.exchanger
+                    .exchange_finish(ctx, &mut out, out_slot, pending)?;
             } else {
-                match env.spm_capacity {
-                    None => {
-                        let n = tiled::step(compiled, plan, &inputs, &mut out);
-                        counters.bump(Counter::TilesExecuted, n as u64);
-                    }
-                    Some(cap) => {
-                        let st = msc_exec::spm::step(compiled, plan, &inputs, &mut out, cap)?;
-                        counters.merge(&st.counters());
-                    }
-                }
+                counters.merge(&executor.step(compiled, &inputs, &mut out, &tiles)?);
                 // Publish the new state's halo to the neighbours
                 // before anyone (including us) reads it next step.
                 if exchanging {
@@ -690,15 +649,6 @@ fn compute_steps<T: Scalar + Wire, B: crate::backend::HaloBackend>(
             }
         }
         ring[out_slot] = out;
-        let (vm_d, spec_rows) = compiled.take_tier_counters();
-        if vm_d > 0 {
-            counters.bump(Counter::VmDispatches, vm_d);
-            msc_trace::record(Counter::VmDispatches, vm_d);
-        }
-        if spec_rows > 0 {
-            counters.bump(Counter::SpecializedHits, spec_rows);
-            msc_trace::record(Counter::SpecializedHits, spec_rows);
-        }
         // Snapshot after the step (and its exchange) fully completed,
         // so a restart resumes with halos as fresh as the original run
         // had them. The same cadence drives disk checkpoints and the
@@ -905,6 +855,10 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
             plan.grid, sub
         )));
     }
+    let executor = match spm_capacity {
+        None => Executor::Tiled(plan),
+        Some(spm_capacity) => Executor::Spm { plan, spm_capacity },
+    };
     if let Some(hb) = &opts.heartbeat {
         hb.validate().map_err(MscError::InvalidConfig)?;
     }
@@ -942,7 +896,7 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
             heartbeat: heartbeat.clone(),
         };
         let n_phys = n_logical + if resilient { opts.spare_ranks } else { 0 };
-        let plan = &plan;
+        let executor = &executor;
         let store_ref = store.as_ref();
         let membership_ref = membership.as_ref();
         let (sub_ref, reach_ref, decomp_ref) = (&sub, &reach, &decomp);
@@ -950,32 +904,23 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
             n_phys,
             world_cfg,
             |ctx: RankCtx<T>| -> Result<RankOutcome<T>> {
-                // SPM compute relinearizes taps against tile-local
-                // layouts and stays on the interpreter; the plain tiled
-                // path runs the requested tier.
-                let tier = if spm_capacity.is_some() {
-                    msc_exec::ExecTier::Interp
-                } else {
-                    opts.tier
-                };
                 // Compilation is shape-driven and every rank (spares
                 // included) owns an identically-shaped subdomain, so a
                 // zero probe compiles the same kernels real data would.
                 let probe: Grid<T> = Grid::zeros(sub_ref, reach_ref);
-                let compiled = TieredStencil::compile(program, &probe, tier)?;
+                let compiled = TieredStencil::compile(program, &probe, opts.tier)?;
                 let window = WindowPlan::for_max_dt(compiled.max_dt)?;
                 // Tracer only — per-rank counter sets stay deterministic.
                 msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
                 let env = StepEnv {
                     program,
-                    plan,
+                    executor,
                     decomp: decomp_ref,
                     seeded,
                     compiled: &compiled,
                     window: &window,
                     exchanger,
                     opts,
-                    spm_capacity,
                     store: store_ref,
                     membership: membership_ref,
                     sub: sub_ref,
@@ -1113,6 +1058,8 @@ pub fn run_distributed_until_converged<T: Scalar + Wire>(
             plan.grid, sub
         )));
     }
+    let executor = Executor::Tiled(plan);
+    let tiles = executor.tiles();
     let exchanger = HaloExchange::new(decomp.clone());
     let mut seeded = init.clone();
     boundary::apply(&mut seeded, bc);
@@ -1140,7 +1087,7 @@ pub fn run_distributed_until_converged<T: Scalar + Wire>(
                     let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
                         .map(|dt| window.input_slot(t, dt).map(|slot| &ring[slot]))
                         .collect::<Result<_>>()?;
-                    tiled::step(&compiled, &plan, &inputs, &mut out);
+                    executor.step(&compiled, &inputs, &mut out, &tiles)?;
                 }
                 // Local squared update, reduced globally.
                 let mut local_sq = 0.0;

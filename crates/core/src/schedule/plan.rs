@@ -102,11 +102,7 @@ impl ExecPlan {
     /// stencil with per-dimension `radius` (the paper assigns tiles
     /// overlapped halo regions so tasks are independent).
     pub fn tile_elems_with_halo(&self, radius: &[usize]) -> usize {
-        self.tile
-            .iter()
-            .zip(radius)
-            .map(|(&t, &r)| t + 2 * r)
-            .product()
+        spm_buffer_elems(&self.tile, radius).0
     }
 
     /// Ratio of halo-included footprint to interior tile volume — the
@@ -159,6 +155,23 @@ impl ExecPlan {
         }
         out
     }
+}
+
+/// Elements of the two buffers an SPM-staged sweep keeps per worker for a
+/// `tile`: the read buffer (the tile plus `reach` on every side) and the
+/// write buffer (the tile).
+pub fn spm_buffer_elems(tile: &[usize], reach: &[usize]) -> (usize, usize) {
+    let read = tile.iter().zip(reach).map(|(&t, &r)| t + 2 * r).product();
+    (read, tile.iter().product())
+}
+
+/// Bytes of scratchpad one worker of an SPM-staged sweep occupies: one
+/// read and one write buffer of `elem`-byte elements, both doubled when
+/// DMA is double-buffered. The executor's capacity check, lint L401 and
+/// both tuners size the SPM with this one formula.
+pub fn spm_staging_bytes(tile: &[usize], reach: &[usize], elem: usize, double_buffer: bool) -> usize {
+    let (read, write) = spm_buffer_elems(tile, reach);
+    (read + write) * elem * if double_buffer { 2 } else { 1 }
 }
 
 /// One tile task: interior-coordinate origin and (clamped) extent.

@@ -16,8 +16,8 @@ pub struct CompiledTerm<T> {
     pub weight: T,
     /// `(linear_offset, coefficient)` pairs over the padded buffer.
     pub taps: Vec<(isize, T)>,
-    /// The same taps with their multi-dimensional offsets, kept for
-    /// relinearization against other layouts (SPM tile buffers).
+    /// The same taps with their multi-dimensional offsets, the source
+    /// [`CompiledStencil::relinearized`] recomputes `taps` from.
     pub taps_nd: Vec<(Vec<i64>, T)>,
 }
 
@@ -37,6 +37,16 @@ pub struct CompiledStencil<T> {
     flops: usize,
 }
 
+/// Linear offset of the relative multi-dimensional `offset` in a row-major
+/// buffer with `strides` — the one place a tap becomes a flat displacement.
+pub(crate) fn linear_offset(offset: &[i64], strides: &[usize]) -> isize {
+    offset
+        .iter()
+        .zip(strides)
+        .map(|(&o, &s)| o as isize * s as isize)
+        .sum()
+}
+
 impl<T: Scalar> CompiledStencil<T> {
     /// Compile `program` against the layout of `grid` (strides/halo must
     /// match every state buffer the stencil reads).
@@ -44,43 +54,62 @@ impl<T: Scalar> CompiledStencil<T> {
         let stencil = &program.stencil;
         let mut terms = Vec::with_capacity(stencil.terms.len());
         for term in &stencil.terms {
-            let kernel = stencil.kernel(&term.kernel)?;
-            let op = kernel.to_op()?;
-            let taps = op
-                .taps
-                .iter()
-                .map(|t| {
-                    let lin: isize = t
-                        .offset
-                        .iter()
-                        .zip(&grid.strides)
-                        .map(|(&o, &s)| o as isize * s as isize)
-                        .sum();
-                    (lin, T::from_f64(t.coeff))
-                })
-                .collect();
-            let taps_nd = op
-                .taps
-                .iter()
-                .map(|t| (t.offset.clone(), T::from_f64(t.coeff)))
-                .collect();
+            let op = stencil.kernel(&term.kernel)?.to_op()?;
             terms.push(CompiledTerm {
                 dt: term.dt,
                 weight: T::from_f64(term.weight),
-                taps,
-                taps_nd,
+                taps: Vec::new(),
+                taps_nd: op
+                    .taps
+                    .iter()
+                    .map(|t| (t.offset.clone(), T::from_f64(t.coeff)))
+                    .collect(),
             });
         }
         let footprint = Footprint::of_stencil(stencil)?;
         let stats = StencilStats::of(stencil, program.grid.dtype)?;
-        Ok(CompiledStencil {
+        let unplaced = CompiledStencil {
             ndim: stencil.ndim(),
             reach: stencil.reach(),
             max_dt: stencil.max_dt(),
             terms,
             taps_distinct: footprint.distinct_points(),
             flops: stats.flops_per_point().round() as usize,
-        })
+        };
+        Ok(unplaced.relinearized(&grid.strides))
+    }
+
+    /// The same stencil against a row-major buffer with `strides`: every
+    /// term's `taps` are its `taps_nd` linearized for that layout. This is
+    /// how a staged sweep retargets the taps to its tile-local buffers.
+    pub fn relinearized(&self, strides: &[usize]) -> CompiledStencil<T> {
+        let mut placed = self.clone();
+        for term in &mut placed.terms {
+            term.taps = term
+                .taps_nd
+                .iter()
+                .map(|(off, c)| (linear_offset(off, strides), *c))
+                .collect();
+        }
+        placed
+    }
+
+    /// One stencil per term, each reading its state as `states[0]`: what
+    /// lets SPM staging pass the terms one after another through a single
+    /// read buffer.
+    pub(crate) fn split_terms(&self) -> Vec<CompiledStencil<T>> {
+        self.terms
+            .iter()
+            .map(|term| CompiledStencil {
+                max_dt: 1,
+                terms: vec![CompiledTerm {
+                    dt: 1,
+                    ..term.clone()
+                }],
+                reach: self.reach.clone(),
+                ..*self
+            })
+            .collect()
     }
 
     /// A stencil over a flat 1D buffer made of `terms` alone, for tests
@@ -170,6 +199,33 @@ mod tests {
         assert!(offs.contains(&sz) && offs.contains(&-sz));
         assert!(offs.contains(&sy) && offs.contains(&-sy));
         assert!(offs.contains(&1) && offs.contains(&-1));
+    }
+
+    #[test]
+    fn relinearized_retargets_every_term_and_keeps_the_rest() {
+        let p = program();
+        let g: Grid<f64> = Grid::for_tensor(&p.grid);
+        let c = CompiledStencil::compile(&p, &g).unwrap();
+        // A tile-local buffer of 6 x 6 x 10 cells.
+        let local = c.relinearized(&[60, 10, 1]);
+        for (term, was) in local.terms.iter().zip(&c.terms) {
+            let offs: Vec<isize> = term.taps.iter().map(|t| t.0).collect();
+            for o in [0, 60, -60, 10, -10, 1, -1] {
+                assert!(offs.contains(&o), "{offs:?} lacks {o}");
+            }
+            assert_eq!(term.taps.len(), was.taps.len());
+            assert_eq!((term.dt, term.weight), (was.dt, was.weight));
+        }
+        assert_eq!(local.relinearized(&g.strides).terms[1].taps, c.terms[1].taps);
+        // Split for one-read-buffer staging: every term reads `states[0]`.
+        let split = local.split_terms();
+        assert_eq!(split.len(), 2);
+        for (one, term) in split.iter().zip(&local.terms) {
+            assert_eq!((one.max_dt, one.terms.len(), one.terms[0].dt), (1, 1, 1));
+            assert_eq!(one.terms[0].taps, term.taps);
+            assert_eq!(one.terms[0].weight, term.weight);
+            assert_eq!(one.reach, c.reach);
+        }
     }
 
     #[test]

@@ -3,14 +3,11 @@
 //! residual norms and a driver that runs until the update falls below a
 //! tolerance.
 
-use crate::boundary::Boundary;
-use crate::tier::TieredStencil;
-use crate::driver::{Executor, Ring};
+use crate::boundary::{self, Boundary};
+use crate::driver::{admit, Executor, Ring};
 use crate::grid::{Grid, Scalar};
-use crate::{boundary, reference, tiled};
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
-use msc_core::schedule::WindowPlan;
 
 /// Norms over the interior difference of two grids.
 pub fn l2_diff<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
@@ -59,16 +56,9 @@ pub fn run_until_converged<T: Scalar>(
             "convergence needs a positive tolerance and at least one step".into(),
         ));
     }
-    executor.check_covers(&init.shape)?;
-    // Reference executor stays on the interpreter oracle; the tiled path
-    // follows the process-wide tier default.
-    let tier = match executor {
-        Executor::Reference | Executor::Spm { .. } => crate::tier::ExecTier::Interp,
-        _ => crate::tier::exec_tier(),
-    };
-    let compiled = TieredStencil::compile(program, init, tier)?;
-    let window = WindowPlan::for_max_dt(compiled.max_dt)?;
+    let (compiled, window) = admit(program, init, crate::tier::exec_tier())?;
     let mut ring = Ring::new(init, bc, window.window);
+    let tiles = executor.tiles();
     let mut history = Vec::new();
 
     for s in 0..max_steps {
@@ -80,15 +70,7 @@ pub fn run_until_converged<T: Scalar>(
             let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
                 .map(|dt| ring.input(window.input_slot(t, dt).expect("window fits")))
                 .collect();
-            match executor {
-                Executor::Reference => reference::step(&compiled, &inputs, &mut out),
-                Executor::Tiled(plan) => {
-                    tiled::step(&compiled, plan, &inputs, &mut out);
-                }
-                Executor::Spm { plan, spm_capacity } => {
-                    crate::spm::step(&compiled, plan, &inputs, &mut out, *spm_capacity)?;
-                }
-            }
+            executor.step(&compiled, &inputs, &mut out, &tiles)?;
         }
         boundary::apply(&mut out, bc);
         // `prev_slot` is an input of this step, never its output slot.

@@ -6,9 +6,9 @@ use crate::boundary::{self, Boundary};
 use crate::grid::{Grid, Scalar};
 use crate::tier::{exec_tier, ExecTier, TieredStencil};
 use crate::{reference, spm, tiled};
-use msc_core::error::{MscError, Result};
+use msc_core::error::Result;
 use msc_core::prelude::*;
-use msc_core::schedule::plan::ExecPlan;
+use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_core::schedule::WindowPlan;
 use msc_trace::{Counter, CounterSet, Profile};
 use std::borrow::Cow;
@@ -26,22 +26,51 @@ pub enum Executor {
 }
 
 impl Executor {
-    /// A step must overwrite the whole interior of the grid it is given
-    /// (fresh [`Ring`] slots start with a zero interior, and a larger plan
-    /// would write out of bounds): a plan lowered for another grid is an
-    /// error before any step runs.
-    pub(crate) fn check_covers(&self, shape: &[usize]) -> Result<()> {
-        let plan = match self {
-            Executor::Reference => return Ok(()),
-            Executor::Tiled(plan) | Executor::Spm { plan, .. } => plan,
-        };
-        if plan.grid == shape {
-            return Ok(());
+    /// The tiles of one whole step (none for the serial reference).
+    pub fn tiles(&self) -> Vec<TileRange> {
+        match self {
+            Executor::Reference => Vec::new(),
+            Executor::Tiled(plan) | Executor::Spm { plan, .. } => plan.tiles(),
         }
-        Err(MscError::InvalidConfig(format!(
-            "execution plan was lowered for grid {:?} but the state has shape {shape:?}",
-            plan.grid
-        )))
+    }
+
+    /// Compute `tiles` of one timestep into `out` from `inputs`
+    /// (`inputs[dt - 1]` is the state `dt` steps back) and return what the
+    /// step counted: tiles, DMA traffic and SPM peak under `Spm`, and the
+    /// rows the stencil's tier evaluated. The same numbers go to the
+    /// tracer. `tiles` must be distinct cells of the plan's tiling — all of
+    /// [`Executor::tiles`], or a part of them when a caller interleaves
+    /// the step with something else — and the plan must have been lowered
+    /// for `out`'s shape; the serial reference ignores `tiles` and
+    /// computes the whole interior on the interpreter.
+    pub fn step<T: Scalar>(
+        &self,
+        compiled: &TieredStencil<T>,
+        inputs: &[&Grid<T>],
+        out: &mut Grid<T>,
+        tiles: &[TileRange],
+    ) -> Result<CounterSet> {
+        let mut counters = CounterSet::new();
+        match self {
+            Executor::Reference => {
+                reference::step(compiled, inputs, out);
+                counters.set(Counter::TilesExecuted, 1);
+            }
+            Executor::Tiled(plan) => {
+                let _span = msc_trace::span("tiled_step");
+                tiled::step_tiles(compiled, plan, inputs, out, tiles)?;
+                counters.set(Counter::TilesExecuted, tiles.len() as u64);
+            }
+            Executor::Spm { plan, spm_capacity } => {
+                let _span = msc_trace::span("spm_step");
+                counters = spm::step_tiles(compiled, plan, inputs, out, *spm_capacity, tiles)?;
+            }
+        }
+        let (vm_dispatches, specialized_rows) = compiled.take_tier_counters();
+        counters.set(Counter::VmDispatches, vm_dispatches);
+        counters.set(Counter::SpecializedHits, specialized_rows);
+        msc_trace::record_set(&counters);
+        Ok(counters)
     }
 }
 
@@ -184,10 +213,25 @@ pub fn run_program_bc<T: Scalar>(
     run_program_tier(program, executor, init, boundary_cond, exec_tier())
 }
 
-/// Like [`run_program_bc`] with an explicit execution tier. The
-/// `Reference` executor always interprets (it is the oracle the other
-/// tiers are differenced against), as does the SPM executor (its tap
-/// lists are relinearized against tile-local layouts).
+/// The front door of every stencil-program run: the lint gate
+/// (target-independent passes — an unchecked-built program with an
+/// insufficient halo or window must reach neither the time loop nor the
+/// bytecode compiler), then compilation on `tier` against `init`'s layout
+/// and the window the stencil's deepest dependency needs.
+pub(crate) fn admit<T: Scalar>(
+    program: &StencilProgram,
+    init: &Grid<T>,
+    tier: ExecTier,
+) -> Result<(TieredStencil<T>, WindowPlan)> {
+    msc_lint::check_deny(program, None)?;
+    let compiled = TieredStencil::compile(program, init, tier)?;
+    let window = WindowPlan::for_max_dt(compiled.max_dt)?;
+    Ok((compiled, window))
+}
+
+/// Like [`run_program_bc`] with an explicit execution tier, honoured by
+/// every executor but `Reference`, which always interprets (it is the
+/// oracle the tiers are differenced against).
 pub fn run_program_tier<T: Scalar>(
     program: &StencilProgram,
     executor: &Executor,
@@ -195,23 +239,14 @@ pub fn run_program_tier<T: Scalar>(
     boundary_cond: Boundary,
     tier: ExecTier,
 ) -> Result<(Grid<T>, RunStats)> {
-    // Lint gate (target-independent passes): an unchecked-built program
-    // with an insufficient halo or window must not reach the time loop —
-    // or the bytecode compiler. Nothing below this line runs on a denied
-    // program.
-    msc_lint::check_deny(program, None)?;
-    executor.check_covers(&init.shape)?;
-    let tier = match executor {
-        Executor::Reference | Executor::Spm { .. } => ExecTier::Interp,
-        _ => tier,
-    };
-    let compiled = TieredStencil::compile(program, init, tier)?;
+    let (compiled, window) = admit(program, init, tier)?;
     let mut counters = CounterSet::new();
     // Compile time goes to the global tracer only: `RunStats` must stay
     // bit-identical between repeated runs, and wall-clock isn't.
     msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
-    let window = WindowPlan::for_max_dt(compiled.max_dt)?;
     let mut ring = Ring::new(init, boundary_cond, window.window);
+    let tiles = executor.tiles();
+    let points: u64 = program.grid.shape.iter().product::<usize>() as u64;
 
     for s in 0..program.timesteps {
         let _step_span = msc_trace::span_arg("step", s as u64);
@@ -226,36 +261,12 @@ pub fn run_program_tier<T: Scalar>(
             let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
                 .map(|dt| ring.input(window.input_slot(t, dt).expect("window sized by max_dt")))
                 .collect();
-            match executor {
-                Executor::Reference => {
-                    reference::step(&compiled, &inputs, &mut out);
-                    counters.bump(Counter::TilesExecuted, 1);
-                    msc_trace::record(Counter::TilesExecuted, 1);
-                }
-                Executor::Tiled(plan) => {
-                    let tiles = tiled::step(&compiled, plan, &inputs, &mut out) as u64;
-                    counters.bump(Counter::TilesExecuted, tiles);
-                }
-                Executor::Spm { plan, spm_capacity } => {
-                    let s = spm::step(&compiled, plan, &inputs, &mut out, *spm_capacity)?;
-                    counters.merge(&s.counters());
-                }
-            }
+            counters.merge(&executor.step(&compiled, &inputs, &mut out, &tiles)?);
         }
         boundary::apply(&mut out, boundary_cond);
         ring.put(out_slot, out);
-        let (vm_d, spec_rows) = compiled.take_tier_counters();
-        if vm_d > 0 {
-            counters.bump(Counter::VmDispatches, vm_d);
-            msc_trace::record(Counter::VmDispatches, vm_d);
-        }
-        if spec_rows > 0 {
-            counters.bump(Counter::SpecializedHits, spec_rows);
-            msc_trace::record(Counter::SpecializedHits, spec_rows);
-        }
         counters.bump(Counter::Steps, 1);
         msc_trace::record(Counter::Steps, 1);
-        let points: u64 = program.grid.shape.iter().product::<usize>() as u64;
         counters.bump(Counter::ComputedPoints, points);
         msc_trace::record(Counter::ComputedPoints, points);
         msc_trace::record_hist(
@@ -283,41 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_step_tiled_equals_reference_bitwise_fp64() {
-        let p = benchmark(BenchmarkId::S3d7ptStar)
-            .program(&[12, 12, 12], DType::F64, 6)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 77);
-        let (a, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let plan = tiled_plan(&p, &[4, 6, 12], 4);
-        let (b, st) = run_program(&p, &Executor::Tiled(plan), &init).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert_eq!(st.steps, 6);
-    }
-
-    #[test]
-    fn spm_execution_is_bit_identical_too() {
-        let p = benchmark(BenchmarkId::S2d9ptStar)
-            .program(&[20, 20], DType::F64, 5)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 123);
-        let (a, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let plan = tiled_plan(&p, &[5, 10], 4);
-        let (b, st) = run_program(
-            &p,
-            &Executor::Spm {
-                plan,
-                spm_capacity: 1 << 20,
-            },
-            &init,
-        )
-        .unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert!(st.dma_get_bytes > 0);
-        assert!(st.spm_peak_bytes > 0);
-    }
-
-    #[test]
     fn paper_error_bounds_hold_for_all_benchmarks() {
         // §5.1: relative error < 1e-10 (fp64) and < 1e-5 (fp32) against
         // serial codes, over a multi-step run.
@@ -333,32 +309,6 @@ mod tests {
                 verify_against_reference::<f32>(&p, &Executor::Tiled(plan), 5).unwrap();
             assert!(e32 < 1e-5, "{}: fp32 err {e32}", b.name);
         }
-    }
-
-    #[test]
-    fn explicit_tiers_are_bit_identical_and_counted() {
-        let p = benchmark(BenchmarkId::S3d7ptStar)
-            .program(&[12, 12, 12], DType::F64, 4)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 9);
-        let plan = tiled_plan(&p, &[6, 6, 12], 2);
-        let exec = Executor::Tiled(plan);
-        let (oracle, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let run = |tier| {
-            run_program_tier(&p, &exec, &init, Boundary::Dirichlet, tier).unwrap()
-        };
-        let (gi, si) = run(ExecTier::Interp);
-        let (gv, sv) = run(ExecTier::Vm);
-        let (gs, ss) = run(ExecTier::Specialized);
-        assert_eq!(gi.as_slice(), oracle.as_slice());
-        assert_eq!(gv.as_slice(), oracle.as_slice());
-        assert_eq!(gs.as_slice(), oracle.as_slice());
-        assert_eq!(si.vm_dispatches(), 0);
-        assert_eq!(si.specialized_hits(), 0);
-        assert!(sv.vm_dispatches() > 0, "VM tier must count dispatches");
-        assert_eq!(sv.specialized_hits(), 0);
-        assert!(ss.specialized_hits() > 0, "specialized tier must count rows");
-        assert_eq!(ss.vm_dispatches(), 0);
     }
 
     /// The ring as it was before its slots shared the seed: every slot

@@ -16,6 +16,15 @@ pub trait Scalar: msc_vm::VmScalar + std::fmt::Debug {}
 impl Scalar for f64 {}
 impl Scalar for f32 {}
 
+/// Row-major strides of a dense buffer of `shape`, and its length.
+pub(crate) fn dense_strides(shape: &[usize]) -> (Vec<usize>, usize) {
+    let mut strides = vec![1usize; shape.len()];
+    for d in (0..shape.len().saturating_sub(1)).rev() {
+        strides[d] = strides[d + 1] * shape[d + 1];
+    }
+    (strides, shape.iter().product())
+}
+
 /// Layout metadata of a grid, detached from its storage — cheap to move
 /// into worker threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,6 +44,12 @@ impl GridLayout {
             .zip(&self.strides)
             .map(|((&p, &h), &s)| (p + h) * s)
             .sum()
+    }
+
+    /// Linear index of a *padded* coordinate (halo included).
+    #[inline]
+    pub fn padded_index(&self, pos: &[usize]) -> usize {
+        pos.iter().zip(&self.strides).map(|(&p, &s)| p * s).sum()
     }
 
     pub fn ndim(&self) -> usize {
@@ -66,11 +81,7 @@ impl<T: Scalar> Grid<T> {
     pub fn zeros(shape: &[usize], halo: &[usize]) -> Grid<T> {
         assert_eq!(shape.len(), halo.len(), "shape/halo rank mismatch");
         let padded: Vec<usize> = shape.iter().zip(halo).map(|(&s, &h)| s + 2 * h).collect();
-        let mut strides = vec![1usize; padded.len()];
-        for d in (0..padded.len().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * padded[d + 1];
-        }
-        let n: usize = padded.iter().product();
+        let (strides, n) = dense_strides(&padded);
         Grid {
             shape: shape.to_vec(),
             halo: halo.to_vec(),

@@ -6,26 +6,36 @@
 //! fp32 and 1e-10 for fp64 against serial codes) is measured rather than
 //! assumed.
 //!
-//! Three executors share one compiled representation:
+//! Two things compute a timestep, and they share no loop nest:
 //!
-//! * [`mod@reference`] — the naive serial loop nest, the ground truth;
-//! * [`tiled`] — the scheduled executor: tiles from the kernel's
-//!   [`msc_core::ExecPlan`], round-robin task striping over worker
-//!   threads (the paper's `mod(task_id, 64) == my_id` mapping);
-//! * [`spm`] — the Sunway-style executor that stages every tile through a
-//!   bounded scratchpad buffer with explicit DMA get/put, validating SPM
-//!   capacity and counting DMA traffic.
+//! * [`mod@reference`] — the naive serial loop nest over
+//!   `CompiledStencil::apply_at`, the ground truth everything else is
+//!   compared with bit for bit;
+//! * the **sweep core** (`sweep`, DESIGN.md §18) — one row loop over a
+//!   tile, one copier between a grid and a tile-local buffer, one place
+//!   where the output grid is split among the plan's worker threads. The
+//!   schedule primitives of paper Figure 4 are *staging* policies over
+//!   it: [`tiled`] evaluates rows straight from the grids (`tile`),
+//!   [`spm`] stages every tile through a bounded scratchpad with
+//!   explicit DMA get/put, validating SPM capacity and counting DMA
+//!   traffic (`cache_read` / `cache_write` / `compute_at`), and
+//!   [`temporal`] advances a staged tile several steps before writing
+//!   back (time blocking). [`varcoeff`] hands the same sweep its own row
+//!   closure.
 //!
-//! All executors run the temporal combination through the sliding time
-//! window ring of [`driver`].
+//! [`Executor::step`] is the one dispatch from an [`Executor`] to a
+//! step; all executors run the temporal combination through the sliding
+//! time window ring of [`driver`].
 //!
-//! Orthogonally to the executor choice, the tiled path evaluates each
-//! row on one of three **execution tiers** (see [`tier`]): the tap
-//! interpreter (the oracle), the `msc-vm` bytecode register VM, or the
-//! register-blocked row kernel ([`specialized`], one instantiation per
-//! vector ISA, picked at run time). All three are bit-identical by
-//! construction; `--exec-tier` / `ExecTier` picks one, and `Auto` is
-//! always the specialized tier.
+//! Orthogonally to the staging, every row is evaluated by
+//! `TieredStencil::run_row` on one of three **execution tiers** (see
+//! [`tier`]): the tap interpreter (the oracle), the `msc-vm` bytecode
+//! register VM, or the register-blocked row kernel ([`specialized`], one
+//! instantiation per vector ISA, picked at run time). A staging retargets
+//! the taps to its buffers once (`CompiledStencil::relinearized`), so
+//! every staging × tier pair exists by construction, and all of them are
+//! bit-identical; `--exec-tier` / `ExecTier` picks the tier, and `Auto`
+//! is always the specialized tier.
 
 pub mod boundary;
 pub mod convergence;
@@ -37,6 +47,7 @@ pub mod pool;
 pub mod reference;
 pub mod spm;
 pub mod specialized;
+mod sweep;
 pub mod temporal;
 pub mod tier;
 pub mod varcoeff;
@@ -49,6 +60,6 @@ pub use convergence::{l2_diff, max_diff, run_until_converged, ConvergenceReport}
 pub use driver::{run_program, run_program_bc, run_program_tier, Executor, RunStats};
 pub use tier::{exec_tier, set_exec_tier, ActiveTier, ExecTier, TieredStencil};
 pub use grid::{Grid, Scalar};
-pub use temporal::{run_temporal_tiled, TemporalStats};
+pub use temporal::{run_temporal_tiled, run_temporal_tiled_tier, TemporalStats};
 pub use varcoeff::CompiledVarStencil;
 pub use verify::{max_rel_error, verify_against_reference};

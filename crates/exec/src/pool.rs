@@ -10,9 +10,8 @@
 //! deque order, or a steal — produces the same bits. Only scheduling
 //! changes here.
 //!
-//! This module is also the single audited home of the `SendPtr` raw
-//! pointer wrapper and the worker-count clamp that the four executors
-//! used to copy independently.
+//! This module is also the home of the `SendPtr` raw pointer wrapper and
+//! the worker-count clamp; `sweep` is their one user.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,11 +22,11 @@ use msc_trace::Counter;
 
 /// Raw mutable pointer that may cross threads.
 ///
-/// Safety contract (audited here, relied on by every executor): workers
-/// write **disjoint** index sets of the pointee buffer — the tile set
-/// partitions the interior (verified by `msc_core::schedule::plan`
-/// tests), and each tile is processed by exactly one worker. No worker
-/// reads cells another worker writes within one job.
+/// Safety contract: workers write **disjoint** index sets of the pointee
+/// buffer, and no worker reads cells another worker writes within one
+/// job. The wrapper only carries the pointer across threads; the one
+/// place that dereferences it for tile writes, and shows the disjointness,
+/// is `sweep::TileRows::for_each`.
 pub struct SendPtr<T>(pub *mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}

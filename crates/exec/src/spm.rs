@@ -13,309 +13,117 @@
 //! executor *validates the SPM capacity constraint* and *counts DMA
 //! traffic*, which the timing simulator charges against the DMA model.
 
-use crate::compiled::CompiledStencil;
-use crate::grid::{Grid, GridLayout, Scalar};
-use crate::pool::{self, SendPtr};
+use crate::grid::{dense_strides, Grid, Scalar};
+use crate::sweep::{copy_box, for_each_row, sweep, Frame};
+use crate::tier::TieredStencil;
 use msc_core::error::{MscError, Result};
-use msc_core::schedule::plan::{ExecPlan, TileRange};
+use msc_core::schedule::plan::{spm_staging_bytes, ExecPlan, TileRange};
 use msc_trace::{Counter, CounterSet};
 
-/// DMA / SPM accounting for one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpmStats {
-    /// Bytes moved main memory → SPM.
-    pub dma_get_bytes: u64,
-    /// Bytes moved SPM → main memory.
-    pub dma_put_bytes: u64,
-    /// Number of DMA row transfers issued (each row is contiguous).
-    pub dma_rows: u64,
-    /// Largest simultaneous SPM footprint of any worker, bytes.
-    pub spm_peak_bytes: usize,
-    /// Tiles executed.
-    pub tiles: u64,
-}
-
-impl SpmStats {
-    /// Fold another step fragment in (sums traffic, maxes the peak).
-    pub fn merge(&mut self, other: &SpmStats) {
-        self.dma_get_bytes += other.dma_get_bytes;
-        self.dma_put_bytes += other.dma_put_bytes;
-        self.dma_rows += other.dma_rows;
-        self.spm_peak_bytes = self.spm_peak_bytes.max(other.spm_peak_bytes);
-        self.tiles += other.tiles;
-    }
-
-    /// The same numbers in the shared trace-counter vocabulary.
-    pub fn counters(&self) -> CounterSet {
-        let mut c = CounterSet::new();
-        c.set(Counter::DmaGetBytes, self.dma_get_bytes);
-        c.set(Counter::DmaPutBytes, self.dma_put_bytes);
-        c.set(Counter::DmaRows, self.dma_rows);
-        c.set(Counter::SpmPeakBytes, self.spm_peak_bytes as u64);
-        c.set(Counter::TilesExecuted, self.tiles);
-        c
-    }
-}
-
-/// Per-worker SPM emulation: owns one read buffer and one write buffer
-/// ("global" scope in the paper — allocated once, reused across tiles and
-/// temporal terms).
-struct SpmWorker<T> {
-    read_buf: Vec<T>,
-    write_buf: Vec<T>,
-    buf_strides: Vec<usize>,
-    reach: Vec<usize>,
-}
-
-impl<T: Scalar> SpmWorker<T> {
-    fn new(plan: &ExecPlan, reach: &[usize]) -> SpmWorker<T> {
-        let buf_shape: Vec<usize> = plan
-            .tile
-            .iter()
-            .zip(reach)
-            .map(|(&t, &r)| t + 2 * r)
-            .collect();
-        let mut buf_strides = vec![1usize; buf_shape.len()];
-        for d in (0..buf_shape.len().saturating_sub(1)).rev() {
-            buf_strides[d] = buf_strides[d + 1] * buf_shape[d + 1];
-        }
-        let buf_len: usize = buf_shape.iter().product();
-        SpmWorker {
-            read_buf: vec![T::default(); buf_len],
-            write_buf: vec![T::default(); plan.tile.iter().product()],
-            buf_strides,
-            reach: reach.to_vec(),
-        }
-    }
-
-    fn spm_bytes(&self) -> usize {
-        let elem = std::mem::size_of::<T>();
-        (self.read_buf.len() + self.write_buf.len()) * elem
-    }
-
-    /// DMA get: copy tile+halo of one state into the read buffer, row by
-    /// row. Returns (bytes, rows).
-    fn dma_get(&mut self, layout: &GridLayout, state: &[T], tile: &TileRange) -> (u64, u64) {
-        let ndim = layout.ndim();
-        let copy_extent: Vec<usize> = tile
-            .extent
-            .iter()
-            .zip(&self.reach)
-            .map(|(&e, &r)| e + 2 * r)
-            .collect();
-        let row_len = copy_extent[ndim - 1];
-        let mut bytes = 0u64;
-        let mut rows = 0u64;
-        let mut c = vec![0usize; ndim];
-        loop {
-            let src: usize = (0..ndim)
-                .map(|d| {
-                    (tile.origin[d] + layout.halo[d] - self.reach[d] + c[d]) * layout.strides[d]
-                })
-                .sum();
-            let dst: usize = (0..ndim).map(|d| c[d] * self.buf_strides[d]).sum();
-            self.read_buf[dst..dst + row_len].copy_from_slice(&state[src..src + row_len]);
-            bytes += (row_len * std::mem::size_of::<T>()) as u64;
-            rows += 1;
-            // Odometer over dims 0..ndim-1 (last dim is the row).
-            let mut d = ndim - 1;
-            loop {
-                if d == 0 {
-                    return (bytes, rows);
-                }
-                d -= 1;
-                c[d] += 1;
-                if c[d] < copy_extent[d] {
-                    break;
-                }
-                c[d] = 0;
-            }
-        }
-    }
-
-    /// Accumulate one temporal term from the read buffer into the write
-    /// buffer (`write += weight * Σ taps`; `first` resets the buffer).
-    fn accumulate(
-        &mut self,
-        taps_nd: &[(Vec<i64>, T)],
-        weight: T,
-        tile: &TileRange,
-        first: bool,
-    ) {
-        let ndim = self.buf_strides.len();
-        let taps: Vec<(isize, T)> = taps_nd
-            .iter()
-            .map(|(off, c)| {
-                let lin: isize = off
-                    .iter()
-                    .zip(&self.buf_strides)
-                    .map(|(&o, &s)| o as isize * s as isize)
-                    .sum();
-                (lin, *c)
-            })
-            .collect();
-
-        let mut out_strides = vec![1usize; ndim];
-        for d in (0..ndim - 1).rev() {
-            out_strides[d] = out_strides[d + 1] * tile.extent[d + 1];
-        }
-
-        let mut c = vec![0usize; ndim];
-        loop {
-            c[ndim - 1] = 0;
-            let buf_base: usize = (0..ndim)
-                .map(|d| (c[d] + self.reach[d]) * self.buf_strides[d])
-                .sum();
-            let out_base: usize = (0..ndim).map(|d| c[d] * out_strides[d]).sum();
-            for i in 0..tile.extent[ndim - 1] {
-                let mut acc = T::default();
-                for &(off, coeff) in &taps {
-                    acc = acc + coeff * self.read_buf[((buf_base + i) as isize + off) as usize];
-                }
-                let v = weight * acc;
-                self.write_buf[out_base + i] = if first {
-                    v
-                } else {
-                    self.write_buf[out_base + i] + v
-                };
-            }
-            let mut d = ndim - 1;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                c[d] += 1;
-                if c[d] < tile.extent[d] {
-                    break;
-                }
-                c[d] = 0;
-            }
-        }
-    }
-
-    /// DMA put: copy the write buffer back to the output grid.
-    fn dma_put(&self, layout: &GridLayout, out_ptr: *mut T, tile: &TileRange) -> (u64, u64) {
-        let ndim = layout.ndim();
-        let row_len = tile.extent[ndim - 1];
-        let mut out_strides = vec![1usize; ndim];
-        for d in (0..ndim - 1).rev() {
-            out_strides[d] = out_strides[d + 1] * tile.extent[d + 1];
-        }
-        let mut bytes = 0u64;
-        let mut rows = 0u64;
-        let mut c = vec![0usize; ndim];
-        loop {
-            let dst: usize = (0..ndim)
-                .map(|d| (tile.origin[d] + layout.halo[d] + c[d]) * layout.strides[d])
-                .sum();
-            let src: usize = (0..ndim).map(|d| c[d] * out_strides[d]).sum();
-            // SAFETY: rows of distinct tiles are disjoint in the output.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self.write_buf.as_ptr().add(src),
-                    out_ptr.add(dst),
-                    row_len,
-                );
-            }
-            bytes += (row_len * std::mem::size_of::<T>()) as u64;
-            rows += 1;
-            let mut d = ndim - 1;
-            loop {
-                if d == 0 {
-                    return (bytes, rows);
-                }
-                d -= 1;
-                c[d] += 1;
-                if c[d] < tile.extent[d] {
-                    break;
-                }
-                c[d] = 0;
-            }
-        }
-    }
-}
-
-/// Perform one SPM-staged timestep. `spm_capacity` is the per-core SPM
-/// size (64 KB on Sunway); exceeding it is a compile-time error in real
-/// MSC and an `Err` here.
-pub fn step<T: Scalar>(
-    stencil: &CompiledStencil<T>,
-    plan: &ExecPlan,
-    states: &[&Grid<T>],
-    out: &mut Grid<T>,
-    spm_capacity: usize,
-) -> Result<SpmStats> {
-    let _span = msc_trace::span("spm_step");
-    let tiles = plan.tiles();
-    let total = step_tiles(stencil, plan, states, out, spm_capacity, &tiles)?;
-    msc_trace::record_set(&total.counters());
-    Ok(total)
-}
-
-/// SPM-stage exactly the given tiles (a subset of the plan's partition).
-/// Used by the distributed driver to run the boundary and interior waves
-/// of a step separately; does **not** publish the counters globally — the
-/// caller merges the returned fragments and owns the step's `record_set`.
-pub fn step_tiles<T: Scalar>(
-    stencil: &CompiledStencil<T>,
+/// SPM-stage exactly `tiles` (cells of `plan`'s tiling) of one timestep.
+/// `spm_capacity` is the per-core SPM size (64 KB on Sunway); exceeding
+/// it is a compile-time error in real MSC and an `Err` here.
+///
+/// Each worker owns one read buffer (the tile plus the stencil's reach)
+/// and one write buffer (the tile), allocated once and reused across
+/// tiles and temporal terms ("global" scope in the paper). Term `k`'s
+/// rows are evaluated on the stencil's tier as `0 + weight * acc`; the
+/// first term's land in the write buffer directly, later ones are added
+/// to it — the same value, bit for bit, as the reference's running sum
+/// (DESIGN.md §18.2).
+pub(crate) fn step_tiles<T: Scalar>(
+    stencil: &TieredStencil<T>,
     plan: &ExecPlan,
     states: &[&Grid<T>],
     out: &mut Grid<T>,
     spm_capacity: usize,
     tiles: &[TileRange],
-) -> Result<SpmStats> {
-    let probe: SpmWorker<T> = SpmWorker::new(plan, &stencil.reach);
-    // Double-buffered streaming keeps two copies of each buffer alive so
-    // the DMA of tile k+1 overlaps the compute of tile k.
-    let needed = probe.spm_bytes() * if plan.double_buffer { 2 } else { 1 };
+) -> Result<CounterSet> {
+    let elem = std::mem::size_of::<T>();
+    let reach = &stencil.reach;
+    let needed = spm_staging_bytes(&plan.tile, reach, elem, plan.double_buffer);
     if needed > spm_capacity {
         return Err(MscError::InvalidConfig(format!(
             "SPM buffers need {needed} bytes but capacity is {spm_capacity}; shrink the tile"
         )));
     }
-    drop(probe);
-
+    let read_shape: Vec<usize> = plan
+        .tile
+        .iter()
+        .zip(reach)
+        .map(|(t, r)| t + 2 * r)
+        .collect();
+    let (read_strides, read_len) = dense_strides(&read_shape);
+    let (write_strides, write_len) = dense_strides(&plan.tile);
+    let terms = stencil.staged_terms(&read_strides);
     let layout = out.layout();
-    let state_slices: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
-    let ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
-    let total = std::sync::Mutex::new(SpmStats::default());
+    let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
 
-    pool::run_tile_job(plan.n_threads, tiles.len(), &|q| {
-        let _ws = msc_trace::span("spm_worker");
-        // Capture the whole SendPtr (not just its field) so the closure
-        // inherits its Send/Sync, not the raw pointer's.
-        let ptr = &ptr;
-        let mut worker: SpmWorker<T> = SpmWorker::new(plan, &stencil.reach);
-        let mut stats = SpmStats {
-            spm_peak_bytes: worker.spm_bytes(),
-            ..SpmStats::default()
-        };
-        for i in q.by_ref() {
-            let tile = &tiles[i];
-            for (ti, term) in stencil.terms.iter().enumerate() {
-                let (gb, gr) = worker.dma_get(&layout, state_slices[term.dt - 1], tile);
-                worker.accumulate(&term.taps_nd, term.weight, tile, ti == 0);
-                stats.dma_get_bytes += gb;
-                stats.dma_rows += gr;
+    let shares = sweep(plan, tiles, out, "spm_worker", |work| {
+        let mut read_buf = vec![T::default(); read_len];
+        let mut write_buf = vec![T::default(); write_len];
+        let mut term_row = vec![T::default(); plan.tile[plan.ndim - 1]];
+        let mut scratch: Vec<_> = terms.iter().map(|t| t.scratch()).collect();
+        let mut stats = CounterSet::new();
+        let peak = spm_staging_bytes(&plan.tile, reach, elem, false);
+        stats.set(Counter::SpmPeakBytes, peak as u64);
+        for (_, mut rows) in work {
+            let (lo, hi) = rows.bounds();
+            let get_lo: Vec<usize> = lo.iter().zip(reach).map(|(l, r)| l - r).collect();
+            let get_hi: Vec<usize> = hi.iter().zip(reach).map(|(h, r)| h + r).collect();
+            let get_row_bytes = ((rows.row_len() + 2 * reach[plan.ndim - 1]) * elem) as u64;
+            let read = Frame {
+                origin: &get_lo,
+                strides: &read_strides,
+            };
+            let write = Frame {
+                origin: &lo,
+                strides: &write_strides,
+            };
+            for (k, term) in terms.iter().enumerate() {
+                // DMA get: the tile and its halo of the state this term reads.
+                let state = states[stencil.terms[k].dt - 1];
+                let got = copy_box(state, &layout, &mut read_buf, &read, &get_lo, &get_hi);
+                stats.bump(Counter::DmaGetBytes, got * get_row_bytes);
+                stats.bump(Counter::DmaRows, got);
+                for_each_row(&lo, &hi, |pos| {
+                    let w = write.index(pos);
+                    let acc = &mut write_buf[w..w + rows.row_len()];
+                    let base = read.index(pos);
+                    if k == 0 {
+                        term.run_row(&[&read_buf], base, acc, &mut scratch[k]);
+                    } else {
+                        let v = &mut term_row[..acc.len()];
+                        term.run_row(&[&read_buf], base, v, &mut scratch[k]);
+                        for (a, &v) in acc.iter_mut().zip(&*v) {
+                            *a = *a + v;
+                        }
+                    }
+                });
             }
-            let (pb, pr) = worker.dma_put(&layout, ptr.get(), tile);
-            stats.dma_put_bytes += pb;
-            stats.dma_rows += pr;
-            stats.tiles += 1;
+            let put = rows.put(&write_buf, &write);
+            stats.bump(Counter::DmaPutBytes, put * (rows.row_len() * elem) as u64);
+            stats.bump(Counter::DmaRows, put);
+            stats.bump(Counter::TilesExecuted, 1);
+            stencil.note_rows(put * terms.len() as u64, rows.row_len());
         }
-        total.lock().unwrap().merge(&stats);
-    });
-    Ok(total.into_inner().unwrap())
+        stats
+    })?;
+    let mut total = CounterSet::new();
+    for share in &shares {
+        total.merge(share);
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
+    use crate::driver::{Executor, RunStats};
+    use crate::tier::ExecTier;
     use msc_core::catalog::{all_benchmarks, benchmark, BenchmarkId};
     use msc_core::prelude::*;
-    use msc_core::schedule::{preset_for, Schedule, Target};
+    use msc_core::schedule::{preset_for, BufferScope, Schedule, Target};
 
     fn plan_for(ndim: usize, grid: &[usize], tile: &[usize], threads: usize) -> ExecPlan {
         let mut s = Schedule::default();
@@ -324,50 +132,49 @@ mod tests {
         ExecPlan::lower(&s, ndim, grid).unwrap()
     }
 
-    #[test]
-    fn spm_matches_reference() {
-        let p = benchmark(BenchmarkId::S3d7ptStar)
-            .program(&[16, 16, 16], DType::F64, 1)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 21);
-        let c = CompiledStencil::compile(&p, &init).unwrap();
-        let mut ref_out = init.clone();
-        reference::step(&c, &[&init, &init], &mut ref_out);
-        let plan = plan_for(3, &[16, 16, 16], &[4, 4, 16], 4);
-        let mut out = init.clone();
-        let stats = step(&c, &plan, &[&init, &init], &mut out, 64 * 1024).unwrap();
-        assert_eq!(out.as_slice(), ref_out.as_slice());
-        assert_eq!(stats.tiles, 16);
+    /// `program` on an all-`init` window, compiled for the default tier.
+    fn setup(id: BenchmarkId, grid: &[usize], seed: u64) -> (Grid<f64>, TieredStencil<f64>) {
+        let p = benchmark(id).program(grid, DType::F64, 1).unwrap();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, seed);
+        let c = TieredStencil::compile(&p, &init, ExecTier::Auto).unwrap();
+        (init, c)
+    }
+
+    /// One whole SPM-staged step through the executor's front door.
+    fn step(
+        c: &TieredStencil<f64>,
+        plan: &ExecPlan,
+        init: &Grid<f64>,
+        out: &mut Grid<f64>,
+        spm_capacity: usize,
+    ) -> Result<RunStats> {
+        let exec = Executor::Spm {
+            plan: plan.clone(),
+            spm_capacity,
+        };
+        let counters = exec.step(c, &[init, init], out, &plan.tiles())?;
+        Ok(RunStats::from_counters(&counters))
     }
 
     #[test]
     fn spm_overflow_is_rejected() {
-        let p = benchmark(BenchmarkId::S3d7ptStar)
-            .program(&[64, 64, 64], DType::F64, 1)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 1);
-        let c = CompiledStencil::compile(&p, &init).unwrap();
+        let (init, c) = setup(BenchmarkId::S3d7ptStar, &[64, 64, 64], 1);
         // Whole-grid tile: 66^3 + 64^3 doubles >> 64 KB.
         let plan = plan_for(3, &[64, 64, 64], &[64, 64, 64], 1);
         let mut out = init.clone();
-        let r = step(&c, &plan, &[&init, &init], &mut out, 64 * 1024);
-        assert!(r.is_err());
+        assert!(step(&c, &plan, &init, &mut out, 64 * 1024).is_err());
     }
 
     #[test]
     fn streaming_doubles_spm_footprint() {
         // A tile that fits single-buffered must be rejected when stream()
         // doubles the footprint beyond capacity.
-        let p = benchmark(BenchmarkId::S3d7ptStar)
-            .program(&[16, 16, 16], DType::F64, 1)
-            .unwrap();
-        let init: Grid<f64> = Grid::zeros(&p.grid.shape, &p.grid.halo);
-        let c = CompiledStencil::compile(&p, &init).unwrap();
+        let (init, c) = setup(BenchmarkId::S3d7ptStar, &[16, 16, 16], 3);
         let mut base = Schedule::default();
         base.tile(&[4, 4, 16])
             .parallel("xo", 2)
-            .cache_read("B", "br", msc_core::schedule::BufferScope::Global)
-            .cache_write("bw", msc_core::schedule::BufferScope::Global)
+            .cache_read("B", "br", BufferScope::Global)
+            .cache_write("bw", BufferScope::Global)
             .compute_at("br", "zo")
             .compute_at("bw", "zo");
         let plan_single = ExecPlan::lower(&base, 3, &[16, 16, 16]).unwrap();
@@ -375,14 +182,13 @@ mod tests {
         streamed.stream();
         let plan_double = ExecPlan::lower(&streamed, 3, &[16, 16, 16]).unwrap();
 
-        let worker: SpmWorker<f64> = SpmWorker::new(&plan_single, &c.reach);
-        let cap = worker.spm_bytes() + 128; // fits once, not twice
+        let cap = spm_staging_bytes(&plan_single.tile, &c.reach, 8, false) + 128; // fits once, not twice
         let mut out = init.clone();
-        assert!(step(&c, &plan_single, &[&init, &init], &mut out, cap).is_ok());
-        assert!(step(&c, &plan_double, &[&init, &init], &mut out, cap).is_err());
+        assert!(step(&c, &plan_single, &init, &mut out, cap).is_ok());
+        assert!(step(&c, &plan_double, &init, &mut out, cap).is_err());
         // Streaming still computes correctly when capacity allows.
         let mut o2 = init.clone();
-        step(&c, &plan_double, &[&init, &init], &mut o2, 1 << 20).unwrap();
+        step(&c, &plan_double, &init, &mut o2, 1 << 20).unwrap();
         assert_eq!(out.as_slice(), o2.as_slice());
     }
 
@@ -393,51 +199,40 @@ mod tests {
         for b in all_benchmarks() {
             let grid = b.default_grid();
             let p = b.program(&grid, DType::F64, 1).unwrap();
-            let init: Grid<f64> = Grid::zeros(&p.grid.shape, &p.grid.halo);
-            let c = CompiledStencil::compile(&p, &init).unwrap();
             let sched = preset_for(b.ndim, b.points(), Target::SunwayCG);
             let plan = ExecPlan::lower(&sched, b.ndim, &grid).unwrap();
-            let worker: SpmWorker<f64> = SpmWorker::new(&plan, &c.reach);
-            assert!(
-                worker.spm_bytes() <= 64 * 1024,
-                "{}: {} bytes",
-                b.name,
-                worker.spm_bytes()
-            );
+            let bytes = spm_staging_bytes(&plan.tile, &p.stencil.reach(), 8, false);
+            assert!(bytes <= 64 * 1024, "{}: {bytes} bytes", b.name);
         }
     }
 
     #[test]
     fn dma_traffic_accounts_halo_overhead() {
-        let p = benchmark(BenchmarkId::S3d7ptStar)
-            .program(&[8, 8, 8], DType::F64, 1)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 2);
-        let c = CompiledStencil::compile(&p, &init).unwrap();
+        let (init, c) = setup(BenchmarkId::S3d7ptStar, &[8, 8, 8], 2);
         let plan = plan_for(3, &[8, 8, 8], &[4, 4, 8], 1);
         let mut out = init.clone();
-        let stats = step(&c, &plan, &[&init, &init], &mut out, 64 * 1024).unwrap();
+        let stats = step(&c, &plan, &init, &mut out, 64 * 1024).unwrap();
         // Get: 4 tiles x 2 terms x (6*6*10) doubles; put: 512 doubles.
+        assert_eq!(stats.tiles_executed, 4);
         assert_eq!(stats.dma_get_bytes, 4 * 2 * 6 * 6 * 10 * 8);
         assert_eq!(stats.dma_put_bytes, 8 * 8 * 8 * 8);
-        assert!(stats.dma_get_bytes > stats.dma_put_bytes);
+        // One transfer per row: 4 x 2 x 6*6 rows in, 8*8 rows out.
+        assert_eq!(stats.dma_rows, 4 * 2 * 6 * 6 + 8 * 8);
+        assert_eq!(stats.spm_peak_bytes, (6 * 6 * 10 + 4 * 4 * 8) * 8);
+        // Both terms of every row ran on the requested tier.
+        assert_eq!(stats.specialized_hits(), 2 * 8 * 8);
     }
 
     #[test]
     fn threaded_spm_equals_serial_spm() {
-        let p = benchmark(BenchmarkId::S2d9ptBox)
-            .program(&[24, 24], DType::F64, 1)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 9);
-        let c = CompiledStencil::compile(&p, &init).unwrap();
+        let (init, c) = setup(BenchmarkId::S2d9ptBox, &[24, 24], 9);
         let plan1 = plan_for(2, &[24, 24], &[6, 12], 1);
         let plan4 = plan_for(2, &[24, 24], &[6, 12], 4);
         let mut o1 = init.clone();
         let mut o4 = init.clone();
-        let s1 = step(&c, &plan1, &[&init, &init], &mut o1, 1 << 20).unwrap();
-        let s4 = step(&c, &plan4, &[&init, &init], &mut o4, 1 << 20).unwrap();
+        let s1 = step(&c, &plan1, &init, &mut o1, 1 << 20).unwrap();
+        let s4 = step(&c, &plan4, &init, &mut o4, 1 << 20).unwrap();
         assert_eq!(o1.as_slice(), o4.as_slice());
-        assert_eq!(s1.dma_get_bytes, s4.dma_get_bytes);
-        assert_eq!(s1.tiles, s4.tiles);
+        assert_eq!(s1, s4);
     }
 }

@@ -1,0 +1,423 @@
+//! The sweep core (DESIGN.md §18): what every tiled sweep — direct,
+//! SPM-staged, time-blocked, variable-coefficient — shares. One row
+//! odometer over a box ([`for_each_row`]), one box copier between
+//! buffers ([`copy_box`]), one place where the output grid is split into
+//! disjoint rows for the workers ([`TileRows`], the crate's only `unsafe`
+//! tile-write site) and one wrapper around [`pool::run_tile_job`]
+//! ([`sweep`]). The staging policies (`tiled`, `spm`, `temporal`) and
+//! `varcoeff` are closures over these and hold no loop nest or pointer of
+//! their own.
+//!
+//! All boxes are half-open `[lo, hi)` in *padded* grid coordinates (halo
+//! included), so one coordinate names the same cell in the grid and in
+//! any tile-local buffer.
+
+use crate::grid::{Grid, GridLayout, Scalar};
+use crate::pool::{self, SendPtr};
+use msc_core::error::{MscError, Result};
+use msc_core::schedule::plan::{ExecPlan, TileRange};
+use std::marker::PhantomData;
+use std::sync::Mutex;
+
+/// Where a tile-local buffer keeps the cells of a box: the padded
+/// coordinate stored at its index 0 and its row-major strides.
+pub(crate) struct Frame<'a> {
+    pub origin: &'a [usize],
+    pub strides: &'a [usize],
+}
+
+impl Frame<'_> {
+    #[inline]
+    pub fn index(&self, pos: &[usize]) -> usize {
+        pos.iter()
+            .zip(self.origin)
+            .zip(self.strides)
+            .map(|((&p, &o), &s)| (p - o) * s)
+            .sum()
+    }
+}
+
+/// Visit the start of every unit-stride row of the box `[lo, hi)`,
+/// outermost dimension slowest. An empty box has no rows.
+pub(crate) fn for_each_row(lo: &[usize], hi: &[usize], mut f: impl FnMut(&[usize])) {
+    if lo.iter().zip(hi).any(|(l, h)| l >= h) {
+        return;
+    }
+    let mut pos = lo.to_vec();
+    loop {
+        f(&pos);
+        // Odometer over every dimension but the last (the row itself).
+        let mut d = lo.len() - 1;
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            pos[d] += 1;
+            if pos[d] < hi[d] {
+                break;
+            }
+            pos[d] = lo[d];
+        }
+    }
+}
+
+/// Copy the box `[lo, hi)` of a grid's buffer into the local buffer laid
+/// out by `frame`, row by row. Returns the number of rows moved — one DMA
+/// transfer each in the SPM accounting.
+pub(crate) fn copy_box<T: Copy>(
+    grid: &[T],
+    layout: &GridLayout,
+    local: &mut [T],
+    frame: &Frame,
+    lo: &[usize],
+    hi: &[usize],
+) -> u64 {
+    let len = hi[hi.len() - 1].saturating_sub(lo[lo.len() - 1]);
+    let mut rows = 0;
+    for_each_row(lo, hi, |pos| {
+        let (g, l) = (layout.padded_index(pos), frame.index(pos));
+        local[l..l + len].copy_from_slice(&grid[g..g + len]);
+        rows += 1;
+    });
+    rows
+}
+
+/// The output grid of one sweep while its workers write it.
+struct SharedOut<'a, T> {
+    ptr: SendPtr<T>,
+    len: usize,
+    layout: GridLayout,
+    _exclusive: PhantomData<&'a mut [T]>,
+}
+
+/// The interior rows of one tile of the output grid. [`sweep`] hands one
+/// out per tile it was given, to the worker that drew the tile.
+pub(crate) struct TileRows<'a, T> {
+    out: &'a SharedOut<'a, T>,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+}
+
+impl<T> TileRows<'_, T> {
+    /// The tile's box `[lo, hi)` in padded coordinates.
+    pub fn bounds(&self) -> (Vec<usize>, Vec<usize>) {
+        (self.lo.clone(), self.hi.clone())
+    }
+
+    pub fn row_len(&self) -> usize {
+        self.hi[self.hi.len() - 1] - self.lo[self.lo.len() - 1]
+    }
+
+    /// Visit every output row of the tile as `f(pos, base, row)`: the
+    /// padded coordinate of the row's first cell, its flat index in the
+    /// grid buffer, and the row itself. Returns the number of rows.
+    pub fn for_each(&mut self, mut f: impl FnMut(&[usize], usize, &mut [T])) -> u64 {
+        let len = self.row_len();
+        let mut rows = 0;
+        for_each_row(&self.lo, &self.hi, |pos| {
+            let base = self.out.layout.padded_index(pos);
+            assert!(base + len <= self.out.len, "tile row leaves the grid");
+            // SAFETY: `SharedOut` was made from the `&mut Grid` that
+            // `sweep` holds for as long as any `TileRows` lives, so nothing
+            // outside this sweep touches the buffer, and `base + len` was
+            // just checked against its length. Inside the sweep, this row
+            // belongs to this tile alone: `sweep` admitted the tile list
+            // only after `check_lattice` showed every tile to be a distinct
+            // cell of the plan's tile lattice (cells are pairwise disjoint
+            // boxes), the pool hands each tile index to exactly one worker,
+            // that worker gets the tile's only `TileRows`, and `&mut self`
+            // keeps two visits of it from overlapping. The rows of one
+            // visit are disjoint by construction of the odometer, and `row`
+            // does not outlive the call to `f`.
+            let row = unsafe { std::slice::from_raw_parts_mut(self.out.ptr.get().add(base), len) };
+            f(pos, base, row);
+            rows += 1;
+        });
+        rows
+    }
+
+    /// Write the tile back from the local buffer `src` (the DMA put of a
+    /// staged sweep). Returns the number of rows moved.
+    pub fn put(&mut self, src: &[T], from: &Frame) -> u64
+    where
+        T: Copy,
+    {
+        self.for_each(|pos, _, row| {
+            let s = from.index(pos);
+            row.copy_from_slice(&src[s..s + row.len()]);
+        })
+    }
+}
+
+/// One worker's share of a sweep: the tiles it draws from the pool, each
+/// with its output rows.
+pub(crate) struct TileWork<'w, 'a, T> {
+    queue: &'w mut dyn Iterator<Item = usize>,
+    tiles: &'a [TileRange],
+    out: &'a SharedOut<'a, T>,
+}
+
+impl<'a, T> Iterator for TileWork<'_, 'a, T> {
+    type Item = (&'a TileRange, TileRows<'a, T>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let tile = &self.tiles[self.queue.next()?];
+        let lo: Vec<usize> = tile
+            .origin
+            .iter()
+            .zip(&self.out.layout.halo)
+            .map(|(o, h)| o + h)
+            .collect();
+        let hi = lo.iter().zip(&tile.extent).map(|(l, e)| l + e).collect();
+        let out = self.out;
+        Some((tile, TileRows { out, lo, hi }))
+    }
+}
+
+/// Every tile must be a cell of `plan`'s tile lattice over `shape`, and no
+/// cell may appear twice: distinct cells are disjoint boxes inside the
+/// interior, which is what lets workers write them concurrently. A plan
+/// lowered for another grid fails here, before anything is written.
+fn check_lattice(plan: &ExecPlan, shape: &[usize], tiles: &[TileRange]) -> Result<()> {
+    if plan.grid != shape {
+        return Err(MscError::InvalidConfig(format!(
+            "execution plan was lowered for grid {:?} but the state has shape {shape:?}",
+            plan.grid
+        )));
+    }
+    let ndim = shape.len();
+    let mut seen = vec![false; plan.num_tiles()];
+    for t in tiles {
+        let on_lattice = (0..ndim).all(|d| {
+            t.origin[d] % plan.tile[d] == 0
+                && t.origin[d] < shape[d]
+                && t.extent[d] == plan.tile[d].min(shape[d] - t.origin[d])
+        });
+        let cell = (0..ndim).fold(0, |cell, d| {
+            cell * plan.tiles_along(d) + t.origin[d] / plan.tile[d]
+        });
+        if !on_lattice || std::mem::replace(&mut seen[cell], true) {
+            return Err(MscError::InvalidConfig(format!(
+                "tile {:?}+{:?} is not a distinct cell of the plan's {:?} tiling",
+                t.origin, t.extent, plan.tile
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Run `tiles` of `plan` over the plan's worker threads, writing `out`.
+/// `worker` runs once per worker thread: it builds whatever buffers the
+/// staging needs, drains its [`TileWork`], and returns its share of the
+/// accounting; the shares come back in no particular order. The worker
+/// span is opened only when there is more than one worker.
+pub(crate) fn sweep<T: Scalar, R: Send>(
+    plan: &ExecPlan,
+    tiles: &[TileRange],
+    out: &mut Grid<T>,
+    worker_span: &'static str,
+    worker: impl Fn(TileWork<'_, '_, T>) -> R + Sync,
+) -> Result<Vec<R>> {
+    check_lattice(plan, &out.shape, tiles)?;
+    let layout = out.layout();
+    let buf = out.as_mut_slice();
+    let shared = SharedOut {
+        ptr: SendPtr::new(buf.as_mut_ptr()),
+        len: buf.len(),
+        layout,
+        _exclusive: PhantomData,
+    };
+    let parallel = pool::worker_count(plan.n_threads, tiles.len()) > 1;
+    let shares = Mutex::new(Vec::new());
+    pool::run_tile_job(plan.n_threads, tiles.len(), &|queue| {
+        let _span = parallel.then(|| msc_trace::span(worker_span));
+        let share = worker(TileWork {
+            queue,
+            tiles,
+            out: &shared,
+        });
+        shares
+            .lock()
+            .expect("a sweep worker panicked while reporting")
+            .push(share);
+    });
+    Ok(shares
+        .into_inner()
+        .expect("a sweep worker panicked while reporting"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::{run_program_tier, Executor};
+    use crate::temporal::run_temporal_tiled_tier;
+    use crate::tier::ExecTier;
+    use crate::Boundary;
+    use msc_core::catalog::{benchmark, BenchmarkId};
+    use msc_core::prelude::*;
+    use msc_core::schedule::Schedule;
+
+    fn plan_for(grid: &[usize], tile: &[usize], threads: usize) -> ExecPlan {
+        let mut s = Schedule::default();
+        s.tile(tile);
+        s.parallel("xo", threads);
+        ExecPlan::lower(&s, grid.len(), grid).unwrap()
+    }
+
+    fn rows_of(lo: &[usize], hi: &[usize]) -> Vec<Vec<usize>> {
+        let mut seen = Vec::new();
+        for_each_row(lo, hi, |pos| seen.push(pos.to_vec()));
+        seen
+    }
+
+    #[test]
+    fn rows_come_outermost_slowest_and_empty_boxes_have_none() {
+        assert_eq!(rows_of(&[3], &[9]), [[3]]);
+        assert_eq!(rows_of(&[1, 5], &[3, 8]), [[1, 5], [2, 5]]);
+        assert_eq!(
+            rows_of(&[0, 2, 1], &[2, 4, 7]),
+            [[0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1]]
+        );
+        assert!(rows_of(&[1, 5], &[1, 8]).is_empty());
+        assert!(rows_of(&[1, 5], &[3, 5]).is_empty());
+        assert!(rows_of(&[4], &[2]).is_empty());
+    }
+
+    #[test]
+    fn a_box_survives_the_trip_through_a_local_buffer() {
+        // Grid -> local frame (copy_box) -> another grid's tile (put).
+        let src: Grid<f64> = Grid::random(&[6, 8], &[1, 2], 3);
+        let mut dst: Grid<f64> = Grid::zeros(&[6, 8], &[1, 2]);
+        let plan = plan_for(&[6, 8], &[3, 4], 2);
+        let (strides, len) = crate::grid::dense_strides(&[5, 8]);
+        let layout = src.layout();
+        let moved = sweep(&plan, &plan.tiles(), &mut dst, "test_worker", |work| {
+            let mut local = vec![0.0; len];
+            let mut moved = 0;
+            for (_, mut rows) in work {
+                let (lo, hi) = rows.bounds();
+                // Stage one cell more than the tile on every side.
+                let get_lo: Vec<usize> = lo.iter().map(|l| l - 1).collect();
+                let get_hi: Vec<usize> = hi.iter().map(|h| h + 1).collect();
+                let frame = Frame {
+                    origin: &get_lo,
+                    strides: &strides,
+                };
+                moved += copy_box(src.as_slice(), &layout, &mut local, &frame, &get_lo, &get_hi);
+                moved += rows.put(&local, &frame);
+            }
+            moved
+        })
+        .unwrap();
+        // 4 tiles x (5 rows in + 3 rows out).
+        assert_eq!(moved.iter().sum::<u64>(), 4 * (5 + 3));
+        dst.for_each_interior(|pos| assert_eq!(dst.get(pos), src.get(pos), "{pos:?}"));
+        // The halo of `dst` was nobody's tile.
+        assert_eq!(dst.interior_sum(), dst.as_slice().iter().sum::<f64>());
+    }
+
+    #[test]
+    fn every_cell_of_every_tile_is_written_exactly_once() {
+        for (grid, tile, threads) in [
+            (vec![7usize], vec![3usize], 2),
+            (vec![5, 9], vec![2, 4], 3),
+            (vec![4, 3, 6], vec![2, 3, 4], 4),
+        ] {
+            let halo = vec![1; grid.len()];
+            let mut out: Grid<f64> = Grid::zeros(&grid, &halo);
+            let plan = plan_for(&grid, &tile, threads);
+            let tiles = plan.tiles();
+            let counts = sweep(&plan, &tiles, &mut out, "test_worker", |work| {
+                let mut tiles = 0;
+                for (tile, mut rows) in work {
+                    assert_eq!(rows.row_len(), tile.extent[tile.extent.len() - 1]);
+                    rows.for_each(|_, base, row| {
+                        for (i, cell) in row.iter_mut().enumerate() {
+                            // +1 per visit, plus a fingerprint of where the
+                            // row believes it is.
+                            *cell += 1.0 + (base + i) as f64 * 1e-6;
+                        }
+                    });
+                    tiles += 1;
+                }
+                tiles
+            })
+            .unwrap();
+            assert_eq!(counts.iter().sum::<usize>(), tiles.len());
+            let layout = out.layout();
+            out.for_each_interior(|pos| {
+                let expect = 1.0 + layout.index(pos) as f64 * 1e-6;
+                assert_eq!(out.get(pos), expect, "{grid:?} at {pos:?}");
+            });
+            assert_eq!(out.interior_sum(), out.as_slice().iter().sum::<f64>());
+        }
+    }
+
+    #[test]
+    fn tiles_that_could_overlap_are_refused_before_any_write() {
+        let plan = plan_for(&[8, 8], &[4, 4], 2);
+        let tiles = plan.tiles();
+        let mut out: Grid<f64> = Grid::zeros(&[8, 8], &[1, 1]);
+        let attempt = |plan: &ExecPlan, tiles: &[TileRange], out: &mut Grid<f64>| {
+            sweep(plan, tiles, out, "test_worker", |work| {
+                for (_, mut rows) in work {
+                    rows.for_each(|_, _, row| row.fill(1.0));
+                }
+            })
+            .map(|_| ())
+        };
+        // The same cell twice.
+        let twice = [tiles[0].clone(), tiles[1].clone(), tiles[0].clone()];
+        let err = attempt(&plan, &twice, &mut out).unwrap_err();
+        assert!(err.to_string().contains("not a distinct cell"), "{err}");
+        // A box off the lattice, and one larger than a cell.
+        for (origin, extent) in [([2, 0], [4, 4]), ([0, 0], [4, 8]), ([8, 0], [4, 4])] {
+            let odd = TileRange {
+                task_id: 0,
+                origin: origin.to_vec(),
+                extent: extent.to_vec(),
+            };
+            assert!(attempt(&plan, &[odd], &mut out).is_err());
+        }
+        // A plan lowered for another grid.
+        let mut other: Grid<f64> = Grid::zeros(&[8, 12], &[1, 1]);
+        let err = attempt(&plan, &tiles, &mut other).unwrap_err();
+        assert!(err.to_string().contains("lowered for grid"), "{err}");
+        assert!(out.as_slice().iter().chain(other.as_slice()).all(|&v| v == 0.0));
+        // A part of the tiling is fine.
+        attempt(&plan, &tiles[1..3], &mut out).unwrap();
+        assert_eq!(out.interior_sum(), 32.0);
+    }
+
+    #[test]
+    fn every_staging_matches_the_reference_through_the_one_write_site() {
+        // Small enough for Miri: direct, SPM and time-block sweeps of a
+        // two-thread 2D run, bit for bit against the serial oracle.
+        let b = benchmark(BenchmarkId::S2d9ptBox);
+        let p = StencilProgram::builder(b.name)
+            .grid_2d("B", DType::F64, [6, 10], b.radius, 2)
+            .kernel(b.kernel())
+            .combine(&[(1, -0.75, b.name)])
+            .timesteps(3)
+            .build()
+            .unwrap();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 17);
+        let plan = plan_for(&[6, 10], &[3, 4], 2);
+        let run = |exec: &Executor| {
+            let tier = ExecTier::Specialized;
+            run_program_tier(&p, exec, &init, Boundary::Dirichlet, tier).unwrap().0
+        };
+        let bits = |g: &Grid<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let oracle = bits(&run(&Executor::Reference));
+        assert_eq!(bits(&run(&Executor::Tiled(plan.clone()))), oracle);
+        let spm = Executor::Spm {
+            plan: plan.clone(),
+            spm_capacity: 64 * 1024,
+        };
+        assert_eq!(bits(&run(&spm)), oracle);
+        let (blocked, _) =
+            run_temporal_tiled_tier(&p, &plan, 2, &init, ExecTier::Specialized).unwrap();
+        assert_eq!(bits(&blocked), oracle);
+    }
+}

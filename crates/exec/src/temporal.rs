@@ -1,19 +1,22 @@
-//! Overlapped temporal tiling (paper §2.1, refs [16, 21]): each staged
-//! tile advances `tt` timesteps locally before writing back, recomputing
-//! a shrinking (trapezoid) halo region redundantly so tiles stay
-//! independent. The grid is traversed once per `tt` steps instead of once
-//! per step — the classic trade of redundant flops for memory traffic.
+//! Time-block staging — overlapped temporal tiling (paper §2.1, refs
+//! [16, 21]): each staged tile advances `tt` timesteps locally before
+//! writing back, recomputing a shrinking (trapezoid) halo region
+//! redundantly so tiles stay independent. The grid is traversed once per
+//! `tt` steps instead of once per step — the classic trade of redundant
+//! flops for memory traffic.
 //!
 //! Restrictions: a single temporal dependency (`dt = 1`) and Dirichlet
 //! boundaries — multi-`dt` stencils would need several in-flight local
 //! states per tile.
 
 use crate::compiled::CompiledStencil;
-use crate::grid::{Grid, GridLayout, Scalar};
-use crate::pool::{self, SendPtr};
+use crate::grid::{dense_strides, Grid, GridLayout, Scalar};
+use crate::sweep::{copy_box, for_each_row, sweep, Frame};
+use crate::tier::{exec_tier, ExecTier, TieredStencil};
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
+use msc_trace::Counter;
 
 /// Statistics of a temporally tiled run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -26,117 +29,70 @@ pub struct TemporalStats {
     pub redundancy: f64,
 }
 
-/// Per-dimension staged range and per-step compute regions of one tile.
-struct TileGeometry {
-    /// Staged range in padded coordinates `[ps, pe)` per dim.
-    ps: Vec<usize>,
-    pe: Vec<usize>,
-    /// Local buffer strides.
-    strides: Vec<usize>,
-    len: usize,
+/// The trapezoid of one tile over a block of `depth` local steps, per
+/// dimension and in padded coordinates.
+struct Trapezoid<'a> {
+    tile: &'a TileRange,
+    layout: &'a GridLayout,
+    reach: &'a [usize],
+    depth: usize,
 }
 
-impl TileGeometry {
-    fn new(tile: &TileRange, layout: &GridLayout, reach: &[usize], tt: usize) -> TileGeometry {
-        let ndim = layout.ndim();
-        let mut ps = vec![0usize; ndim];
-        let mut pe = vec![0usize; ndim];
-        for d in 0..ndim {
-            let h = layout.halo[d];
-            let lo = (tile.origin[d] + h).saturating_sub(tt * reach[d] + reach[d]);
-            let hi = (tile.origin[d] + tile.extent[d] + h + tt * reach[d] + reach[d])
-                .min(layout.padded[d]);
-            ps[d] = lo;
-            pe[d] = hi;
-        }
-        let shape: Vec<usize> = (0..ndim).map(|d| pe[d] - ps[d]).collect();
-        let mut strides = vec![1usize; ndim];
-        for d in (0..ndim.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * shape[d + 1];
-        }
-        let len = shape.iter().product();
-        TileGeometry {
-            ps,
-            pe,
-            strides,
-            len,
-        }
-    }
-
-    /// Compute region for local step `s` (1-based) of `tt`, in padded
-    /// coordinates: the tile grown by `(tt - s) * reach`, clamped to the
-    /// interior.
-    fn compute_region(
+impl Trapezoid<'_> {
+    /// The tile grown by `grow` reaches on every side, clamped to
+    /// `[floor, ceil)` of each dimension.
+    fn grown(
         &self,
-        tile: &TileRange,
-        layout: &GridLayout,
-        reach: &[usize],
-        tt: usize,
-        s: usize,
+        grow: usize,
+        clamp: impl Fn(usize) -> (usize, usize),
     ) -> (Vec<usize>, Vec<usize>) {
-        let ndim = layout.ndim();
-        let grow = tt - s;
-        let mut lo = vec![0usize; ndim];
-        let mut hi = vec![0usize; ndim];
-        for d in 0..ndim {
-            let h = layout.halo[d];
-            lo[d] = (tile.origin[d] + h).saturating_sub(grow * reach[d]).max(h);
-            hi[d] = (tile.origin[d] + tile.extent[d] + h + grow * reach[d])
-                .min(h + layout.shape[d]);
-        }
-        (lo, hi)
+        (0..self.layout.ndim())
+            .map(|d| {
+                let (floor, ceil) = clamp(d);
+                let lo = self.tile.origin[d] + self.layout.halo[d];
+                let hi = lo + self.tile.extent[d];
+                let g = grow * self.reach[d];
+                (lo.saturating_sub(g).max(floor), (hi + g).min(ceil))
+            })
+            .unzip()
+    }
+
+    /// The box staged into the local buffers: everything local step 1
+    /// reads, clamped to the padded grid.
+    fn staged(&self) -> (Vec<usize>, Vec<usize>) {
+        self.grown(self.depth + 1, |d| (0, self.layout.padded[d]))
+    }
+
+    /// The box local step `s` (1-based) computes: the tile grown by the
+    /// steps still to come, clamped to the interior.
+    fn computed(&self, s: usize) -> (Vec<usize>, Vec<usize>) {
+        let l = self.layout;
+        self.grown(self.depth - s, |d| (l.halo[d], l.halo[d] + l.shape[d]))
     }
 }
 
-/// Copy a padded-coordinate box between the global buffer and a local
-/// buffer (`to_local` selects direction).
-fn copy_box<T: Scalar>(
-    global: &mut [T],
-    local: &mut [T],
-    layout: &GridLayout,
-    geo: &TileGeometry,
-    lo: &[usize],
-    hi: &[usize],
-    to_local: bool,
-) {
-    let ndim = layout.ndim();
-    let row = hi[ndim - 1] - lo[ndim - 1];
-    if row == 0 {
-        return;
-    }
-    let mut c = lo.to_vec();
-    loop {
-        let g: usize = (0..ndim).map(|d| c[d] * layout.strides[d]).sum();
-        let l: usize = (0..ndim).map(|d| (c[d] - geo.ps[d]) * geo.strides[d]).sum();
-        if to_local {
-            local[l..l + row].copy_from_slice(&global[g..g + row]);
-        } else {
-            global[g..g + row].copy_from_slice(&local[l..l + row]);
-        }
-        let mut d = ndim - 1;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            c[d] += 1;
-            if c[d] < hi[d] {
-                break;
-            }
-            c[d] = lo[d];
-        }
-    }
-}
-
-/// Run `program` with overlapped temporal tiling of depth `tt`. Returns
-/// the final state (bit-identical to [`crate::driver::run_program`]) and
-/// the redundancy accounting.
+/// Run `program` with overlapped temporal tiling of depth `tt` on the
+/// process-wide default execution tier. Returns the final state
+/// (bit-identical to [`crate::driver::run_program`]) and the redundancy
+/// accounting.
 pub fn run_temporal_tiled<T: Scalar>(
     program: &StencilProgram,
     plan: &ExecPlan,
     tt: usize,
     init: &Grid<T>,
 ) -> Result<(Grid<T>, TemporalStats)> {
+    run_temporal_tiled_tier(program, plan, tt, init, exec_tier())
+}
+
+/// Like [`run_temporal_tiled`] with an explicit execution tier.
+pub fn run_temporal_tiled_tier<T: Scalar>(
+    program: &StencilProgram,
+    plan: &ExecPlan,
+    tt: usize,
+    init: &Grid<T>,
+    tier: ExecTier,
+) -> Result<(Grid<T>, TemporalStats)> {
+    msc_lint::check_deny(program, None)?;
     let compiled = CompiledStencil::compile(program, init)?;
     if compiled.max_dt != 1 {
         return Err(MscError::UnsupportedExpr(
@@ -146,15 +102,15 @@ pub fn run_temporal_tiled<T: Scalar>(
     if tt == 0 {
         return Err(MscError::InvalidConfig("time tile must be >= 1".into()));
     }
-    let reach = compiled.reach.clone();
+    let reach = &compiled.reach;
     let layout = init.layout();
-    let ndim = layout.ndim();
-    let taps = compiled.terms[0]
-        .taps_nd
-        .iter()
-        .map(|(off, c)| (off.clone(), *c))
-        .collect::<Vec<_>>();
-    let weight = compiled.terms[0].weight;
+    // One local layout for the whole run — the largest box any tile of
+    // any block stages — so the taps are relinearized once.
+    let local_shape: Vec<usize> = (plan.tile.iter().zip(&layout.shape).zip(reach))
+        .map(|((&t, &n), &r)| t.min(n) + 2 * (tt + 1) * r)
+        .collect();
+    let (local_strides, local_len) = dense_strides(&local_shape);
+    let stencil = TieredStencil::from_compiled(compiled.relinearized(&local_strides), tier);
 
     let tiles = plan.tiles();
     let mut cur = init.clone();
@@ -165,191 +121,59 @@ pub fn run_temporal_tiled<T: Scalar>(
     while remaining > 0 {
         let _block_span = msc_trace::span("temporal_block");
         let block = tt.min(remaining);
-        let computed = std::sync::atomic::AtomicU64::new(0);
-        {
-            let src = cur.as_slice();
-            let dst_ptr = SendPtr::new(next.as_mut_slice().as_mut_ptr());
-            let layout_ref = &layout;
-            let tiles_ref = &tiles;
-            let reach_ref = &reach;
-            let taps_ref = &taps;
-            let computed_ref = &computed;
-
-            let work = |q: &mut pool::TileQueue| {
-                let _ws = msc_trace::span("temporal_worker");
-                let dst_ptr = &dst_ptr;
-                let mut local_a: Vec<T> = Vec::new();
-                let mut local_b: Vec<T> = Vec::new();
-                let mut done = 0u64;
-                for ti in q.by_ref() {
-                    let tile = &tiles_ref[ti];
-                    let geo = TileGeometry::new(tile, layout_ref, reach_ref, block);
-                    local_a.clear();
-                    local_a.resize(geo.len, T::default());
-                    local_b.clear();
-                    local_b.resize(geo.len, T::default());
-                    // Stage: copy the whole extended box into BOTH
-                    // ping-pong buffers (untouched cells — the physical
-                    // halo — must be readable in every local step).
-                    let ps = geo.ps.clone();
-                    let pe = geo.pe.clone();
-                    // SAFETY: staging reads from the shared `src`.
-                    {
-                        // Read-only copy: use a local shim over src.
-                        let mut c = ps.clone();
-                        let row = pe[ndim - 1] - ps[ndim - 1];
-                        loop {
-                            let g: usize =
-                                (0..ndim).map(|d| c[d] * layout_ref.strides[d]).sum();
-                            let l: usize = (0..ndim)
-                                .map(|d| (c[d] - geo.ps[d]) * geo.strides[d])
-                                .sum();
-                            local_a[l..l + row].copy_from_slice(&src[g..g + row]);
-                            local_b[l..l + row].copy_from_slice(&src[g..g + row]);
-                            let mut d = ndim - 1;
-                            let mut finished = false;
-                            loop {
-                                if d == 0 {
-                                    finished = true;
-                                    break;
-                                }
-                                d -= 1;
-                                c[d] += 1;
-                                if c[d] < pe[d] {
-                                    break;
-                                }
-                                c[d] = ps[d];
-                            }
-                            if finished {
-                                break;
-                            }
-                        }
-                    }
-
-                    // Local taps against the buffer strides.
-                    let local_taps: Vec<(isize, T)> = taps_ref
-                        .iter()
-                        .map(|(off, c)| {
-                            let lin: isize = off
-                                .iter()
-                                .zip(&geo.strides)
-                                .map(|(&o, &s)| o as isize * s as isize)
-                                .sum();
-                            (lin, *c)
-                        })
-                        .collect();
-
-                    // Ping-pong local steps over shrinking regions.
-                    for s in 1..=block {
-                        let (lo, hi) =
-                            geo.compute_region(tile, layout_ref, reach_ref, block, s);
-                        if (0..ndim).any(|d| lo[d] >= hi[d]) {
-                            continue;
-                        }
-                        let (read, write) = if s % 2 == 1 {
-                            (&local_a, &mut local_b)
-                        } else {
-                            (&local_b, &mut local_a)
-                        };
-                        let row = hi[ndim - 1] - lo[ndim - 1];
-                        let mut c = lo.clone();
-                        loop {
-                            let base: usize = (0..ndim)
-                                .map(|d| (c[d] - geo.ps[d]) * geo.strides[d])
-                                .sum();
-                            for i in 0..row {
-                                let mut acc = T::default();
-                                for &(off, coeff) in &local_taps {
-                                    acc = acc
-                                        + coeff * read[((base + i) as isize + off) as usize];
-                                }
-                                write[base + i] = weight * acc;
-                            }
-                            done += row as u64;
-                            let mut d = ndim - 1;
-                            let mut finished = false;
-                            loop {
-                                if d == 0 {
-                                    finished = true;
-                                    break;
-                                }
-                                d -= 1;
-                                c[d] += 1;
-                                if c[d] < hi[d] {
-                                    break;
-                                }
-                                c[d] = lo[d];
-                            }
-                            if finished {
-                                break;
-                            }
-                        }
-                    }
-
-                    // Write back the tile interior from the final buffer.
-                    let final_buf = if block % 2 == 1 { &local_b } else { &local_a };
-                    let lo: Vec<usize> = (0..ndim)
-                        .map(|d| tile.origin[d] + layout_ref.halo[d])
-                        .collect();
-                    let hi: Vec<usize> = (0..ndim)
-                        .map(|d| lo[d] + tile.extent[d])
-                        .collect();
-                    let row = hi[ndim - 1] - lo[ndim - 1];
-                    let mut c = lo.clone();
-                    loop {
-                        let g: usize = (0..ndim).map(|d| c[d] * layout_ref.strides[d]).sum();
-                        let l: usize = (0..ndim)
-                            .map(|d| (c[d] - geo.ps[d]) * geo.strides[d])
-                            .sum();
-                        // SAFETY: tile interiors are disjoint.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                final_buf.as_ptr().add(l),
-                                dst_ptr.get().add(g),
-                                row,
-                            );
-                        }
-                        let mut d = ndim - 1;
-                        let mut finished = false;
-                        loop {
-                            if d == 0 {
-                                finished = true;
-                                break;
-                            }
-                            d -= 1;
-                            c[d] += 1;
-                            if c[d] < hi[d] {
-                                break;
-                            }
-                            c[d] = lo[d];
-                        }
-                        if finished {
-                            break;
-                        }
-                    }
+        let src = cur.as_slice();
+        let shares = sweep(plan, &tiles, &mut next, "temporal_worker", |work| {
+            // `state` holds the tile's latest local step, `next` receives
+            // the one being computed.
+            let mut state = vec![T::default(); local_len];
+            let mut next = vec![T::default(); local_len];
+            let mut scratch = stencil.scratch();
+            let mut done = 0u64;
+            for (tile, mut rows) in work {
+                let trapezoid = Trapezoid {
+                    tile,
+                    layout: &layout,
+                    reach,
+                    depth: block,
+                };
+                // Stage the whole box into both buffers: cells no local
+                // step computes (the physical halo) are read by every one.
+                let (lo, hi) = trapezoid.staged();
+                let local = Frame {
+                    origin: &lo,
+                    strides: &local_strides,
+                };
+                copy_box(src, &layout, &mut state, &local, &lo, &hi);
+                next.copy_from_slice(&state);
+                for s in 1..=block {
+                    let (lo, hi) = trapezoid.computed(s);
+                    let len = hi[hi.len() - 1].saturating_sub(lo[lo.len() - 1]);
+                    for_each_row(&lo, &hi, |pos| {
+                        let base = local.index(pos);
+                        stencil.run_row(&[&state], base, &mut next[base..base + len], &mut scratch);
+                        done += len as u64;
+                    });
+                    std::mem::swap(&mut state, &mut next);
                 }
-                computed_ref.fetch_add(done, std::sync::atomic::Ordering::Relaxed);
-            };
-
-            pool::run_tile_job(plan.n_threads, tiles.len(), &work);
-        }
+                rows.put(&state, &local);
+            }
+            done
+        })?;
+        // `next` (the old cur) is overwritten tile by tile in the next
+        // block; its halo already matches (Dirichlet, never written).
         std::mem::swap(&mut cur, &mut next);
-        // `next` (the old cur) will be fully overwritten tile-by-tile in
-        // the next block; its halo already matches (Dirichlet, never
-        // written).
-        let block_points = computed.load(std::sync::atomic::Ordering::Relaxed);
+        let block_points: u64 = shares.iter().sum();
         stats.blocks += 1;
         stats.steps += block;
         stats.computed_points += block_points;
-        msc_trace::record(msc_trace::Counter::TemporalBlocks, 1);
-        msc_trace::record(msc_trace::Counter::Steps, block as u64);
-        msc_trace::record(msc_trace::Counter::ComputedPoints, block_points);
+        msc_trace::record(Counter::TemporalBlocks, 1);
+        msc_trace::record(Counter::Steps, block as u64);
+        msc_trace::record(Counter::ComputedPoints, block_points);
         remaining -= block;
     }
 
     let ideal = (program.timesteps as u64) * init.interior_len() as u64;
     stats.redundancy = stats.computed_points as f64 / ideal as f64;
-    let _ = copy_box::<T>; // retained for symmetry / external use
     Ok((cur, stats))
 }
 
@@ -360,11 +184,7 @@ mod tests {
     use msc_core::catalog::{benchmark, BenchmarkId};
     use msc_core::schedule::Schedule;
 
-    fn single_dep_program(
-        id: BenchmarkId,
-        grid: &[usize],
-        steps: usize,
-    ) -> StencilProgram {
+    fn single_dep_program(id: BenchmarkId, grid: &[usize], steps: usize) -> StencilProgram {
         let b = benchmark(id);
         let mut builder = StencilProgram::builder(b.name)
             .kernel(b.kernel())
@@ -398,16 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn temporal_tiling_is_bit_identical_3d_star() {
-        let p = single_dep_program(BenchmarkId::S3d13ptStar, &[14, 14, 14], 5);
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 6);
-        let (reference, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let plan = plan_for(3, &[14, 14, 14], &[7, 7, 14], 4);
-        let (out, _) = run_temporal_tiled(&p, &plan, 3, &init).unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
-    }
-
-    #[test]
     fn redundancy_grows_with_time_tile_depth() {
         let p = single_dep_program(BenchmarkId::S2d9ptBox, &[32, 32], 8);
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 1);
@@ -427,6 +237,31 @@ mod tests {
         let init: Grid<f64> = Grid::zeros(&p.grid.shape, &p.grid.halo);
         let plan = plan_for(2, &[16, 16], &[8, 8], 1);
         assert!(run_temporal_tiled(&p, &plan, 2, &init).is_err());
+    }
+
+    #[test]
+    fn the_front_door_refuses_what_run_program_refuses() {
+        // An unchecked-built program whose halo is narrower than its reach
+        // is a lint deny, not a slice-index panic inside a tile.
+        let b = benchmark(BenchmarkId::S2d9ptStar); // reach 2
+        let narrow = StencilProgram::builder("narrow")
+            .grid_2d("B", DType::F64, [16, 16], 1, 2)
+            .kernel(b.kernel())
+            .combine(&[(1, 1.0, b.name)])
+            .timesteps(2)
+            .build_unchecked()
+            .unwrap();
+        let init: Grid<f64> = Grid::zeros(&narrow.grid.shape, &narrow.grid.halo);
+        let plan = plan_for(2, &[16, 16], &[8, 8], 2);
+        let err = run_temporal_tiled(&narrow, &plan, 2, &init).unwrap_err();
+        assert!(err.to_string().contains("lint rejected"), "{err}");
+
+        // A plan lowered for another grid is a typed error as well.
+        let p = single_dep_program(BenchmarkId::S2d9ptStar, &[16, 16], 2);
+        let init: Grid<f64> = Grid::zeros(&p.grid.shape, &p.grid.halo);
+        let other = plan_for(2, &[16, 24], &[8, 8], 2);
+        let err = run_temporal_tiled(&p, &other, 2, &init).unwrap_err();
+        assert!(err.to_string().contains("lowered for grid"), "{err}");
     }
 
     #[test]

@@ -201,6 +201,23 @@ impl<T: Scalar> TieredStencil<T> {
         self.active
     }
 
+    /// One stencil per term on this stencil's tier, against a buffer with
+    /// `strides`, each reading its state as `states[0]`: how SPM staging
+    /// evaluates the terms one after another through a single read buffer.
+    pub(crate) fn staged_terms(&self, strides: &[usize]) -> Vec<TieredStencil<T>> {
+        let tier = match self.active {
+            ActiveTier::Interp => ExecTier::Interp,
+            ActiveTier::Vm => ExecTier::Vm,
+            ActiveTier::Specialized => ExecTier::Specialized,
+        };
+        let staged = self.interp.relinearized(strides);
+        staged
+            .split_terms()
+            .into_iter()
+            .map(|term| Self::from_compiled(term, tier))
+            .collect()
+    }
+
     /// Per-worker scratch; allocate once per worker, not per row.
     pub fn scratch(&self) -> TierScratch<T> {
         TierScratch {

@@ -1,143 +1,48 @@
-//! The scheduled executor: tiles from the kernel's `ExecPlan`, executed by
-//! a pool of worker threads with the paper's round-robin task striping
-//! (`mod(task_id, n_threads) == my_id`, Figure 4(d)).
+//! Direct staging — the `tile` primitive alone (paper Figure 4(b)-(d)):
+//! every row of a tile is evaluated straight from the input grids into
+//! the output grid, on the stencil's execution tier. Tiles are dealt to
+//! the plan's worker threads by the pool.
 
-use crate::grid::{Grid, GridLayout, Scalar};
-use crate::pool::{self, SendPtr};
-use crate::tier::{TierScratch, TieredStencil};
+use crate::grid::{Grid, Scalar};
+use crate::sweep::sweep;
+use crate::tier::TieredStencil;
+use msc_core::error::Result;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
-use msc_trace::Counter;
 
-/// Compute one tile into `out_ptr` (the padded output buffer), row by
-/// row through the active execution tier.
-fn compute_tile<T: Scalar>(
-    stencil: &TieredStencil<T>,
-    states: &[&[T]],
-    out: &GridLayout,
-    out_ptr: *mut T,
-    tile: &TileRange,
-    scratch: &mut TierScratch<T>,
-) {
-    let ndim = out.ndim();
-    let inner_extent = tile.extent[ndim - 1];
-    let mut pos = tile.origin.clone();
-    let mut rows = 0u64;
-    'tile: loop {
-        pos[ndim - 1] = tile.origin[ndim - 1];
-        let base = out.index(&pos);
-        // SAFETY: this unit-stride row lies inside this tile, and tiles
-        // partition the interior — no other worker touches these cells.
-        let row = unsafe { std::slice::from_raw_parts_mut(out_ptr.add(base), inner_extent) };
-        stencil.run_row(states, base, row, scratch);
-        rows += 1;
-        let mut d = ndim - 1;
-        loop {
-            if d == 0 {
-                break 'tile;
-            }
-            d -= 1;
-            pos[d] += 1;
-            if pos[d] < tile.origin[d] + tile.extent[d] {
-                break;
-            }
-            pos[d] = tile.origin[d];
-        }
-    }
-    stencil.note_rows(rows, inner_extent);
-}
-
-/// Perform one timestep using the plan's tiling and threading.
-///
-/// Returns the number of tiles executed.
-pub fn step<T: Scalar>(
-    stencil: &TieredStencil<T>,
-    plan: &ExecPlan,
-    states: &[&Grid<T>],
-    out: &mut Grid<T>,
-) -> usize {
-    let _span = msc_trace::span("tiled_step");
-    let tiles = plan.tiles();
-    let n = step_tiles(stencil, plan, states, out, &tiles);
-    msc_trace::record(Counter::TilesExecuted, n as u64);
-    n
-}
-
-/// Execute exactly the given tiles (a subset of the plan's partition)
-/// with the plan's threading. Used by the distributed driver to run the
-/// boundary and interior waves of a step separately; does **not** record
-/// `TilesExecuted` — the caller owns the counter for the whole step.
-///
-/// Returns the number of tiles executed.
-pub fn step_tiles<T: Scalar>(
+/// Compute exactly `tiles` (cells of `plan`'s tiling) of one timestep:
+/// one `run_row` call per tile row.
+pub(crate) fn step_tiles<T: Scalar>(
     stencil: &TieredStencil<T>,
     plan: &ExecPlan,
     states: &[&Grid<T>],
     out: &mut Grid<T>,
     tiles: &[TileRange],
-) -> usize {
-    let state_slices: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
-    let layout = out.layout();
-    let ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
-    let parallel = pool::worker_count(plan.n_threads, tiles.len()) > 1;
-
-    pool::run_tile_job(plan.n_threads, tiles.len(), &|q| {
-        let _ws = parallel.then(|| msc_trace::span("tile_worker"));
+) -> Result<()> {
+    let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
+    sweep(plan, tiles, out, "tile_worker", |work| {
         let mut scratch = stencil.scratch();
-        for i in q.by_ref() {
-            compute_tile(stencil, &state_slices, &layout, ptr.get(), &tiles[i], &mut scratch);
+        for (_, mut rows) in work {
+            let n = rows.for_each(|_, base, row| stencil.run_row(&states, base, row, &mut scratch));
+            stencil.note_rows(n, rows.row_len());
         }
-    });
-    tiles.len()
+    })?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::verify::max_rel_error;
-    use msc_core::catalog::{all_benchmarks, benchmark, BenchmarkId};
+    use crate::tier::ExecTier;
+    use msc_core::catalog::{benchmark, BenchmarkId};
     use msc_core::prelude::*;
     use msc_core::schedule::Schedule;
-    use crate::tier::ExecTier;
 
     fn plan_for(p: &StencilProgram, tile: &[usize], threads: usize) -> ExecPlan {
         let mut s = Schedule::default();
         s.tile(tile);
         s.parallel("xo", threads);
         ExecPlan::lower(&s, p.grid.ndim(), &p.grid.shape).unwrap()
-    }
-
-    #[test]
-    fn tiled_matches_reference_3d() {
-        let p = benchmark(BenchmarkId::S3d13ptStar)
-            .program(&[16, 16, 16], DType::F64, 1)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 7);
-        let c = TieredStencil::compile(&p, &init, ExecTier::Auto).unwrap();
-        let mut ref_out = init.clone();
-        reference::step(&c, &[&init, &init], &mut ref_out);
-        let plan = plan_for(&p, &[4, 8, 16], 4);
-        let mut tiled_out = init.clone();
-        let n = step(&c, &plan, &[&init, &init], &mut tiled_out);
-        assert_eq!(n, plan.num_tiles());
-        assert_eq!(max_rel_error(&tiled_out, &ref_out), 0.0);
-    }
-
-    #[test]
-    fn tiled_matches_reference_all_benchmarks_single_step() {
-        for b in all_benchmarks() {
-            let grid = b.test_grid();
-            let p = b.program(&grid, DType::F64, 1).unwrap();
-            let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 11);
-            let c = TieredStencil::compile(&p, &init, ExecTier::Auto).unwrap();
-            let mut ref_out = init.clone();
-            reference::step(&c, &[&init, &init], &mut ref_out);
-            let tile: Vec<usize> = grid.iter().map(|&g| (g / 3).max(1)).collect();
-            let plan = plan_for(&p, &tile, 8);
-            let mut t_out = init.clone();
-            step(&c, &plan, &[&init, &init], &mut t_out);
-            assert_eq!(max_rel_error(&t_out, &ref_out), 0.0, "{}", b.name);
-        }
     }
 
     #[test]
@@ -151,7 +56,7 @@ mod tests {
         for threads in [1, 2, 7, 64] {
             let plan = plan_for(&p, &[8, 8], threads);
             let mut out = init.clone();
-            step(&c, &plan, &[&init, &init], &mut out);
+            step_tiles(&c, &plan, &[&init, &init], &mut out, &plan.tiles()).unwrap();
             outs.push(out);
         }
         for o in &outs[1..] {
@@ -171,7 +76,7 @@ mod tests {
         reference::step(&c, &[&init, &init], &mut ref_out);
         let plan = plan_for(&p, &[3, 4], 3);
         let mut out = init.clone();
-        step(&c, &plan, &[&init, &init], &mut out);
+        step_tiles(&c, &plan, &[&init, &init], &mut out, &plan.tiles()).unwrap();
         assert_eq!(out.as_slice(), ref_out.as_slice());
     }
 }

@@ -5,11 +5,12 @@
 //! require more than one input grid, along with their coefficient
 //! grids").
 
-
+use crate::compiled::linear_offset;
 use crate::grid::{Grid, GridLayout, Scalar};
+use crate::sweep::sweep;
 use msc_core::error::{MscError, Result};
 use msc_core::expr::{Expr, VarCoeff};
-use msc_core::schedule::plan::{ExecPlan, TileRange};
+use msc_core::schedule::plan::ExecPlan;
 
 /// A compiled coefficient reference.
 #[derive(Debug, Clone)]
@@ -52,12 +53,7 @@ impl<T: Scalar> CompiledVarStencil<T> {
             for (d, &o) in t.offset.iter().enumerate() {
                 reach[d] = reach[d].max(o.unsigned_abs() as usize);
             }
-            let lin: isize = t
-                .offset
-                .iter()
-                .zip(&layout.strides)
-                .map(|(&o, &s)| o as isize * s as isize)
-                .sum();
+            let lin = linear_offset(&t.offset, &layout.strides);
             let coeff = match &t.coeff {
                 VarCoeff::Const(c) => CoeffRef::Const(T::from_f64(*c)),
                 VarCoeff::Tensor {
@@ -75,14 +71,9 @@ impl<T: Scalar> CompiledVarStencil<T> {
                             coeff_names.push(name.clone());
                             coeff_names.len() - 1
                         });
-                    let clin: isize = offset
-                        .iter()
-                        .zip(&layout.strides)
-                        .map(|(&o, &s)| o as isize * s as isize)
-                        .sum();
                     CoeffRef::Grid {
                         idx,
-                        lin: clin,
+                        lin: linear_offset(offset, &layout.strides),
                         scale: T::from_f64(*scale),
                     }
                 }
@@ -187,59 +178,30 @@ impl<T: Scalar> CompiledVarStencil<T> {
         }
     }
 
-    /// One tiled, multi-threaded sweep.
+    /// One tiled, multi-threaded sweep; returns the number of tiles. A
+    /// `plan` lowered for another grid than `out`'s is an error.
     pub fn step_tiled(
         &self,
         plan: &ExecPlan,
         input: &Grid<T>,
         coeffs: &[&Grid<T>],
         out: &mut Grid<T>,
-    ) -> usize {
-        use crate::pool::{self, SendPtr};
-
+    ) -> Result<usize> {
         let _span = msc_trace::span("varcoeff_step");
         let tiles = plan.tiles();
-        let layout = out.layout();
         let coeff_slices: Vec<&[T]> = coeffs.iter().map(|g| g.as_slice()).collect();
         let in_slice = input.as_slice();
-        let ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
-
-        let run_tile = |tile: &TileRange, ptr: &SendPtr<T>| {
-            let ndim = layout.ndim();
-            let inner = tile.extent[ndim - 1];
-            let mut pos = tile.origin.clone();
-            loop {
-                pos[ndim - 1] = tile.origin[ndim - 1];
-                let base = layout.index(&pos);
-                for i in 0..inner {
-                    let v = self.apply_at(in_slice, &coeff_slices, base + i);
-                    // SAFETY: tiles are disjoint.
-                    unsafe { *ptr.get().add(base + i) = v };
-                }
-                let mut d = ndim - 1;
-                loop {
-                    if d == 0 {
-                        return;
+        sweep(plan, &tiles, out, "varcoeff_worker", |work| {
+            for (_, mut rows) in work {
+                rows.for_each(|_, base, row| {
+                    for (i, o) in row.iter_mut().enumerate() {
+                        *o = self.apply_at(in_slice, &coeff_slices, base + i);
                     }
-                    d -= 1;
-                    pos[d] += 1;
-                    if pos[d] < tile.origin[d] + tile.extent[d] {
-                        break;
-                    }
-                    pos[d] = tile.origin[d];
-                }
+                });
             }
-        };
-
-        let parallel = pool::worker_count(plan.n_threads, tiles.len()) > 1;
-        pool::run_tile_job(plan.n_threads, tiles.len(), &|q| {
-            let _ws = parallel.then(|| msc_trace::span("varcoeff_worker"));
-            for i in q.by_ref() {
-                run_tile(&tiles[i], &ptr);
-            }
-        });
+        })?;
         msc_trace::record(msc_trace::Counter::TilesExecuted, tiles.len() as u64);
-        tiles.len()
+        Ok(tiles.len())
     }
 }
 
@@ -307,9 +269,14 @@ mod tests {
         s.parallel("xo", 3);
         let plan = ExecPlan::lower(&s, 2, &[16, 16]).unwrap();
         let mut b = u.clone();
-        let n = c.step_tiled(&plan, &u, &[&k], &mut b);
+        let n = c.step_tiled(&plan, &u, &[&k], &mut b).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
         assert_eq!(n, 8);
+
+        // A plan lowered for another grid is a typed error, not a panic.
+        let other = ExecPlan::lower(&s, 2, &[16, 24]).unwrap();
+        let err = c.step_tiled(&other, &u, &[&k], &mut b).unwrap_err();
+        assert!(err.to_string().contains("lowered for grid"), "{err}");
     }
 
     #[test]

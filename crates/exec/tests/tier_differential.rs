@@ -1,82 +1,115 @@
-//! Differential test harness for the execution tiers (ISSUE 6 satellite):
-//! every catalog benchmark — plus a long-row 2d121pt and a tap count no
-//! catalog stencil has — runs the interpreter, the bytecode VM, and the
-//! specialized tier for several steps on random-seeded grids, and the
-//! outputs must be **bit-identical** — same style as the pool
-//! determinism suite, but across tiers instead of thread counts.
+//! Differential test harness for the sweep core: the full product of
+//! **staging** {direct, SPM, time-block `tt` ∈ {1, 3}} × **execution
+//! tier** {interpreter, bytecode VM, specialized} × the catalog (plus a
+//! long-row 2d121pt, a tap count no catalog stencil has, and a program
+//! whose result is a signed zero) × {f32, f64} runs for several steps on
+//! random-seeded grids, and every cell must be **bit-identical**
+//! (`to_bits`, so `-0.0` is not `+0.0`) to `Executor::Reference`.
 //!
-//! The reference executor (serial interpreter) is the oracle; the tiled
-//! interpreter run proves the tiling itself is exact, and the VM /
-//! specialized runs prove each lowering preserves the interpreter's
-//! evaluation order exactly (order of taps, order of terms, two-rounding
-//! multiply-add).
+//! The reference executor (serial interpreter) is the oracle; it shares
+//! no code with the sweeps. A cell that passes proves that its staging
+//! writes every point exactly once and that its tier keeps the
+//! interpreter's evaluation order (order of taps, order of terms,
+//! two-rounding multiply-add, the `0 + weight * acc` seed).
 
-use msc_core::catalog::{all_benchmarks, benchmark, BenchmarkId};
+use msc_core::catalog::{all_benchmarks, benchmark, Benchmark, BenchmarkId};
 use msc_core::prelude::*;
 use msc_core::schedule::Schedule;
 use msc_exec::{
-    run_program, run_program_tier, Boundary, ExecTier, Executor, Grid, RunStats, Scalar,
+    run_program, run_program_tier, run_temporal_tiled_tier, Boundary, ExecTier, Executor, Grid,
+    RunStats, Scalar,
 };
 
 const STEPS: usize = 4; // ≥ 3 per the issue; 4 exercises the ring twice
 
-fn tiled_plan(p: &StencilProgram, threads: usize) -> Executor {
+const TIERS: [ExecTier; 3] = [ExecTier::Interp, ExecTier::Vm, ExecTier::Specialized];
+
+/// Half-grid tiles on four threads: interior and remainder tiles, and
+/// every tile borders another worker's.
+fn half_tiles(p: &StencilProgram) -> ExecPlan {
     let mut s = Schedule::default();
     let tile: Vec<usize> = p.grid.shape.iter().map(|&g| (g / 2).max(1)).collect();
     s.tile(&tile);
-    s.parallel("xo", threads);
-    let plan = ExecPlan::lower(&s, p.grid.ndim(), &p.grid.shape).unwrap();
-    Executor::Tiled(plan)
+    s.parallel("xo", 4);
+    ExecPlan::lower(&s, p.grid.ndim(), &p.grid.shape).unwrap()
 }
 
-fn run_tier<T: Scalar>(
-    p: &StencilProgram,
-    init: &Grid<T>,
-    tier: ExecTier,
-) -> (Grid<T>, RunStats) {
-    run_program_tier(p, &tiled_plan(p, 4), init, Boundary::Dirichlet, tier).unwrap()
+/// A grid's values as bit patterns (widening f32 keeps every bit,
+/// including the sign of zero).
+fn bits<T: Scalar>(g: &Grid<T>) -> Vec<u64> {
+    g.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
 }
 
-/// Run `p` on the serial oracle and on every tier; all grids must be
-/// bit-identical and the counters must prove the requested tier ran.
-fn assert_tiers_agree<T: Scalar>(name: &str, p: &StencilProgram, seed: u64) {
-    let init: Grid<T> = Grid::random(&p.grid.shape, &p.grid.halo, seed);
-    let (oracle, _) = run_program(p, &Executor::Reference, &init).unwrap();
-    let (interp, si) = run_tier(p, &init, ExecTier::Interp);
-    let (vm, sv) = run_tier(p, &init, ExecTier::Vm);
-    let (spec, ss) = run_tier(p, &init, ExecTier::Specialized);
+/// The counters must prove the requested tier — and only it — ran.
+fn assert_tier_ran(cell: &str, tier: ExecTier, stats: &RunStats) {
+    assert_eq!(stats.vm_dispatches() > 0, tier == ExecTier::Vm, "{cell}");
+    assert_eq!(
+        stats.specialized_hits() > 0,
+        tier == ExecTier::Specialized,
+        "{cell}"
+    );
+}
 
-    assert_eq!(
-        interp.as_slice(),
-        oracle.as_slice(),
-        "{name}: tiled interpreter differs from serial oracle"
-    );
-    assert_eq!(
-        vm.as_slice(),
-        oracle.as_slice(),
-        "{name}: VM tier differs from interpreter"
-    );
-    assert_eq!(
-        spec.as_slice(),
-        oracle.as_slice(),
-        "{name}: specialized tier differs from interpreter"
-    );
+/// Run `p` from `init` on the serial oracle and on every staging × tier
+/// cell it is eligible for (time-block needs a single `t-1` dependency).
+fn assert_matrix<T: Scalar>(name: &str, p: &StencilProgram, init: &Grid<T>) {
+    let oracle = bits(&run_program(p, &Executor::Reference, init).unwrap().0);
+    let plan = half_tiles(p);
+    let executors = [
+        ("direct", Executor::Tiled(plan.clone())),
+        (
+            "spm",
+            Executor::Spm {
+                plan: plan.clone(),
+                spm_capacity: 1 << 24,
+            },
+        ),
+    ];
+    for tier in TIERS {
+        for (staging, exec) in &executors {
+            let cell = format!("{name}: {staging} x {tier:?}");
+            let (out, stats) =
+                run_program_tier(p, exec, init, Boundary::Dirichlet, tier).unwrap();
+            assert!(bits(&out) == oracle, "{cell} differs from the serial oracle");
+            assert_tier_ran(&cell, tier, &stats);
+        }
+        if p.stencil.max_dt() == 1 {
+            for tt in [1, 3] {
+                let (out, stats) = run_temporal_tiled_tier(p, &plan, tt, init, tier).unwrap();
+                assert!(
+                    bits(&out) == oracle,
+                    "{name}: time-block tt={tt} x {tier:?} differs from the serial oracle"
+                );
+                assert_eq!(stats.steps, p.timesteps);
+            }
+        }
+    }
+}
 
-    assert_eq!(si.vm_dispatches(), 0, "{name}");
-    assert_eq!(si.specialized_hits(), 0, "{name}");
-    assert!(sv.vm_dispatches() > 0, "{name}: VM tier did not run");
-    assert_eq!(sv.specialized_hits(), 0, "{name}");
-    assert!(
-        ss.specialized_hits() > 0,
-        "{name}: specialized tier did not run"
-    );
-    assert_eq!(ss.vm_dispatches(), 0, "{name}");
+fn random<T: Scalar>(p: &StencilProgram, seed: u64) -> Grid<T> {
+    Grid::random(&p.grid.shape, &p.grid.halo, seed)
+}
+
+/// `b`'s kernel with the single dependency `weight * K[t-1]` — the form
+/// time-block staging accepts.
+fn single_dep(b: &Benchmark, grid: &[usize], weight: f64) -> StencilProgram {
+    StencilProgram::builder(b.name)
+        .grid(SpNode::new("B", DType::F64, grid, b.radius, 2).unwrap())
+        .kernel(b.kernel())
+        .combine(&[(1, weight, b.name)])
+        .timesteps(STEPS)
+        .build()
+        .unwrap()
 }
 
 fn differential_catalog<T: Scalar>(seed: u64) {
     for b in all_benchmarks() {
-        let p = b.program(&b.test_grid(), DType::F64, STEPS).unwrap();
-        assert_tiers_agree::<T>(b.name, &p, seed);
+        let grid = b.test_grid();
+        // The paper's two-dependency form (direct, SPM) and the
+        // single-dependency form (also time-block).
+        let p = b.program(&grid, DType::F64, STEPS).unwrap();
+        assert_matrix::<T>(b.name, &p, &random(&p, seed));
+        assert_matrix::<T>(b.name, &single_dep(&b, &grid, 1.0), &random(&p, seed + 1));
     }
 }
 
@@ -114,26 +147,42 @@ fn twelve_taps() -> StencilProgram {
 
 #[test]
 #[cfg_attr(miri, ignore)]
-fn all_tiers_bit_identical_beyond_the_catalog() {
+fn every_cell_bit_identical_beyond_the_catalog() {
     for (name, p) in [
         ("2d121pt x203", dense_long_rows()),
         ("twelve_taps", twelve_taps()),
     ] {
-        assert_tiers_agree::<f64>(name, &p, 1212);
-        assert_tiers_agree::<f32>(name, &p, 1213);
+        assert_matrix::<f64>(name, &p, &random(&p, 1212));
+        assert_matrix::<f32>(name, &p, &random(&p, 1213));
     }
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // full catalog × 3 tiers × 4 steps is too slow under Miri
-fn all_tiers_bit_identical_across_catalog_f64() {
+#[cfg_attr(miri, ignore)] // the full product is too slow under Miri
+fn every_cell_bit_identical_across_catalog_f64() {
     differential_catalog::<f64>(20260808);
 }
 
 #[test]
 #[cfg_attr(miri, ignore)]
-fn all_tiers_bit_identical_across_catalog_f32() {
+fn every_cell_bit_identical_across_catalog_f32() {
     differential_catalog::<f32>(4242);
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_negative_weight_on_a_zero_field_yields_positive_zero_in_every_cell() {
+    // One term, weight -1, all-zero field: every tap sum is +0, so
+    // `weight * acc` is -0 — and the reference stores `0 + weight * acc`,
+    // which is +0. A staging that stores the product without the seed
+    // returns 0x8000000000000000 here; `==` on floats cannot see it.
+    let b = benchmark(BenchmarkId::S2d9ptStar);
+    let p = single_dep(&b, &[20, 20], -1.0);
+    let zeros: Grid<f64> = Grid::zeros(&p.grid.shape, &p.grid.halo);
+    assert_matrix("signed zero", &p, &zeros);
+    assert_matrix("signed zero", &p, &Grid::<f32>::zeros(&p.grid.shape, &p.grid.halo));
+    let (oracle, _) = run_program(&p, &Executor::Reference, &zeros).unwrap();
+    assert!(bits(&oracle).iter().all(|&b| b == 0), "oracle must be +0");
 }
 
 #[test]
@@ -151,10 +200,10 @@ fn auto_tier_matches_oracle_with_periodic_boundaries() {
             Boundary::Periodic,
         )
         .unwrap();
+        let exec = Executor::Tiled(half_tiles(&p));
         let (auto, stats) =
-            run_program_tier(&p, &tiled_plan(&p, 4), &init, Boundary::Periodic, ExecTier::Auto)
-                .unwrap();
-        assert_eq!(auto.as_slice(), oracle.as_slice(), "{}", b.name);
+            run_program_tier(&p, &exec, &init, Boundary::Periodic, ExecTier::Auto).unwrap();
+        assert!(bits(&auto) == bits(&oracle), "{}", b.name);
         assert!(
             stats.specialized_hits() > 0,
             "{}: Auto should pick the specialized tier for catalog shapes",

@@ -6,7 +6,7 @@ use crate::code::LintCode;
 use crate::diag::{Diagnostic, Report};
 use msc_core::dsl::StencilProgram;
 use msc_core::footprint::Footprint;
-use msc_core::schedule::plan::ExecPlan;
+use msc_core::schedule::plan::{spm_buffer_elems, spm_staging_bytes, ExecPlan};
 use msc_core::schedule::Target;
 use msc_machine::{matrix_processor, sunway_cg, xeon_server, MachineModel};
 
@@ -68,10 +68,9 @@ pub fn run(
     }
 
     // SPM staging capacity: only meaningful when a cache-less target is
-    // known. The formula mirrors `msc-exec`'s `SpmWorker::new` exactly
-    // (read buffer = ∏(tile+2·reach), write buffer = ∏tile, doubled when
-    // streaming), so a program that passes here cannot hit the runtime
-    // "SPM buffers need N bytes" error.
+    // known. `spm_staging_bytes` is the function `msc-exec`'s SPM staging
+    // checks its capacity with, so a program that passes here cannot hit
+    // the runtime "SPM buffers need N bytes" error.
     let Some(target) = target else { return };
     let machine = machine_for(target);
     let Some(spm) = machine.spm_bytes() else { return };
@@ -87,17 +86,8 @@ pub fn run(
         let Ok(plan) = ExecPlan::lower(sched, grid.ndim(), &grid.shape) else {
             continue;
         };
-        let read: usize = plan
-            .tile
-            .iter()
-            .zip(&reach)
-            .map(|(&t, &r)| t + 2 * r)
-            .product();
-        let write: usize = plan.tile.iter().product();
-        let mut needed = (read + write) * elem;
-        if plan.double_buffer {
-            needed *= 2;
-        }
+        let (read, write) = spm_buffer_elems(&plan.tile, &reach);
+        let needed = spm_staging_bytes(&plan.tile, &reach, elem, plan.double_buffer);
         let ctx = format!("kernel `{}` schedule", kernel.name);
         if needed > spm {
             report.push(Diagnostic::new(

@@ -8,6 +8,7 @@ use crate::single_node::sweep_tiles;
 use msc_core::analysis::StencilStats;
 use msc_core::error::Result;
 use msc_core::schedule::{ExecPlan, Schedule, Target};
+use msc_core::schedule::plan::{spm_buffer_elems, spm_staging_bytes};
 use msc_machine::model::{MachineModel, Precision};
 use msc_sim::{simulate_step, StepInputs};
 
@@ -57,19 +58,13 @@ fn spm_fits(
         return false;
     }
     let tt = sched.time_tile.max(1);
-    let read: usize = sched
-        .tile_factors
-        .iter()
-        .zip(reach)
-        .map(|(&t, &r)| t + 2 * r * tt)
-        .product::<usize>()
-        * elem;
-    let write: usize = sched.tile_factors.iter().product::<usize>() * elem;
-    // Temporal tiling needs ping-pong extended buffers; streaming doubles
-    // everything again.
-    let mut total = if tt > 1 { 2 * read + write } else { read + write };
-    if sched.double_buffer {
-        total *= 2;
+    let tile = &sched.tile_factors;
+    let reach: Vec<usize> = reach.iter().map(|&r| r * tt).collect();
+    let mut total = spm_staging_bytes(tile, &reach, elem, sched.double_buffer);
+    if tt > 1 {
+        // Temporal tiling ping-pongs a second extended read buffer.
+        let (read, _) = spm_buffer_elems(tile, &reach);
+        total += read * elem * if sched.double_buffer { 2 } else { 1 };
     }
     total <= spm
 }

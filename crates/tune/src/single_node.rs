@@ -6,6 +6,7 @@
 use msc_core::analysis::StencilStats;
 use msc_core::error::{MscError, Result};
 use msc_core::schedule::{preset_for_grid, ExecPlan, Schedule, Target};
+use msc_core::schedule::plan::spm_staging_bytes;
 use msc_machine::model::{MachineModel, Precision};
 use msc_sim::{simulate_step, StepInputs};
 
@@ -45,15 +46,7 @@ fn spm_ok(
     let Some(spm) = machine.spm_bytes() else {
         return true;
     };
-    let read: usize = tile
-        .iter()
-        .zip(reach)
-        .map(|(&t, &r)| t + 2 * r)
-        .product::<usize>()
-        * elem;
-    let write: usize = tile.iter().product::<usize>() * elem;
-    let factor = if double_buffer { 2 } else { 1 };
-    (read + write) * factor <= spm
+    spm_staging_bytes(tile, reach, elem, double_buffer) <= spm
 }
 
 /// Sweep tile assignments for a stencil on `grid`, returning the best

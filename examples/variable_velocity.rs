@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let steps = 70;
     for _ in 0..steps {
         // tmp = 2*cur + K*lap(cur); next = tmp - prev.
-        stencil.step_tiled(&plan, &cur, &coeffs, &mut tmp);
+        stencil.step_tiled(&plan, &cur, &coeffs, &mut tmp)?;
         let prev_slice = prev.as_slice().to_vec();
         for (o, p) in tmp.as_mut_slice().iter_mut().zip(prev_slice) {
             *o -= p;
@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut a = u0.clone();
     let mut b = u0.clone();
     stencil.step_reference(&cur, &coeffs, &mut a);
-    stencil.step_tiled(&plan, &cur, &coeffs, &mut b);
+    stencil.step_tiled(&plan, &cur, &coeffs, &mut b)?;
     assert_eq!(a.as_slice(), b.as_slice());
     println!("tiled and serial variable-coefficient sweeps agree bitwise");
     Ok(())

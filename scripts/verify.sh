@@ -27,10 +27,16 @@ for tier in interp vm specialized; do
     "spare_adopts_killed_rank_${tier}_tier"
 done
 
-echo "== execution-tier differential (interp vs VM vs specialized) =="
-# Every catalog stencil must produce bit-identical grids on all three
-# row-evaluation tiers (DESIGN.md §12.3) — the interpreter is the oracle.
+echo "== execution-tier differential (staging x tier x dtype matrix) =="
+# Every catalog stencil must produce grids bit-identical (to_bits) to the
+# serial reference in every cell of {direct, SPM, time-block} x {interp,
+# VM, specialized} x {f32, f64}, signed zeros included (DESIGN.md §12.3,
+# §18.2) — the interpreter is the oracle.
 cargo test -q -p msc-exec --test tier_differential --offline
+# The sweep core's own tests: every tile cell written exactly once,
+# overlapping tile lists refused, the one unsafe write site (CI also runs
+# these under Miri).
+cargo test -q -p msc-exec --lib --offline sweep::
 # The blocked row kernel against apply_at on random tap lists: one test
 # on every vector ISA this host reports, one pinned to the baseline
 # instantiation so the SSE2 path runs on AVX hosts too.
@@ -44,8 +50,8 @@ cargo test -q -p msc-exec --lib --offline -- grid::tests::halo_shell \
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== examples & benches compile =="
-cargo build --workspace --examples --benches --offline
+echo "== examples compile =="
+cargo build --workspace --examples --offline
 
 echo "== stencil verifier (mscc check) =="
 # Every shipped example must lint clean; every deny fixture must be
