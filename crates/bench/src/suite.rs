@@ -2,11 +2,9 @@
 //! results are committed at the repo root (`BENCH_0006.json`) so the
 //! project's performance history rides along with its code history.
 //!
-//! The suite runs two serial and two distributed stencil workloads, a
-//! scheduler A/B case (persistent worker pool vs per-step thread
-//! respawn), and an execution-tier A/B case (tap interpreter vs bytecode
-//! VM vs the specialized row kernel), and records two kinds of metric
-//! per case:
+//! The suite runs two serial and two distributed stencil workloads and an
+//! execution-tier A/B case (tap interpreter vs bytecode VM vs the
+//! specialized row kernel), and records two kinds of metric per case:
 //!
 //! * **count** metrics (computed points, tiles, halo messages) — exact
 //!   and deterministic; any change between two recordings is a
@@ -19,8 +17,7 @@
 //! trusted, and [`scale_times`] produces a deliberately slowed copy so
 //! the regression gate can prove it fires (`mscc bench --doctor`).
 
-use crate::results::Json;
-use msc_comm::run_distributed;
+use msc_comm::{run_distributed_resilient, RunOptions};
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::MscError;
 use msc_core::error::Result;
@@ -30,6 +27,7 @@ use msc_core::schedule::Schedule;
 use msc_exec::driver::{run_program, run_program_tier, Executor};
 use msc_exec::{Boundary, ExecTier, Grid};
 use msc_trace::Hist;
+use msc_trace::Json;
 use std::time::Instant;
 
 /// Schema version of the trajectory document; bump on layout changes.
@@ -50,14 +48,11 @@ struct CaseSpec {
     steps: usize,
     /// `None` runs serially; `Some` runs distributed over this grid.
     procs: Option<&'static [usize]>,
-    /// Run the case twice — persistent worker pool vs per-step thread
-    /// respawn — and record both walls plus the speedup. Serial only.
-    pool_compare: bool,
     /// Run the case once per execution tier — interpreter, bytecode VM,
     /// specialized — on a single-thread whole-grid plan (pure
     /// per-row compute, no tiling or threading noise), assert the
     /// outputs bit-identical, and record the walls plus the speedups.
-    /// Serial only; mutually exclusive with `pool_compare`.
+    /// Serial only.
     tier_compare: bool,
 }
 
@@ -71,7 +66,6 @@ const SUITE: &[CaseSpec] = &[
         quick_grid: &[32, 32],
         steps: 8,
         procs: None,
-        pool_compare: false,
         tier_compare: false,
     },
     CaseSpec {
@@ -81,7 +75,6 @@ const SUITE: &[CaseSpec] = &[
         quick_grid: &[16, 16, 16],
         steps: 4,
         procs: None,
-        pool_compare: false,
         tier_compare: false,
     },
     CaseSpec {
@@ -91,7 +84,6 @@ const SUITE: &[CaseSpec] = &[
         quick_grid: &[32, 32],
         steps: 8,
         procs: Some(&[2, 2]),
-        pool_compare: false,
         tier_compare: false,
     },
     CaseSpec {
@@ -101,17 +93,6 @@ const SUITE: &[CaseSpec] = &[
         quick_grid: &[16, 16, 16],
         steps: 4,
         procs: Some(&[2, 2, 1]),
-        pool_compare: false,
-        tier_compare: false,
-    },
-    CaseSpec {
-        name: "s3d7pt_star_pool_vs_respawn",
-        bench: BenchmarkId::S3d7ptStar,
-        grid: &[12, 12, 12],
-        quick_grid: &[8, 8, 8],
-        steps: 100,
-        procs: None,
-        pool_compare: true,
         tier_compare: false,
     },
     CaseSpec {
@@ -125,7 +106,6 @@ const SUITE: &[CaseSpec] = &[
         quick_grid: &[32, 32, 32],
         steps: 8,
         procs: None,
-        pool_compare: false,
         tier_compare: true,
     },
 ];
@@ -162,38 +142,7 @@ fn run_case(spec: &CaseSpec, quick: bool) -> Result<Json> {
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
     let mut metrics = Vec::new();
     let wall_ns;
-    if spec.pool_compare {
-        // A/B the schedulers on the identical program: persistent pool
-        // first, then the legacy per-step respawn path. Only scheduling
-        // differs, so the counts are shared and the outputs bit-identical
-        // (enforced by crates/exec/tests/pool_determinism.rs).
-        let exec = Executor::Tiled(sub_plan(grid)?);
-        msc_exec::pool::set_persistent(true);
-        let t0 = Instant::now();
-        let (_, stats) = run_program(&p, &exec, &init)?;
-        let pool_ns = t0.elapsed().as_nanos() as f64;
-        msc_exec::pool::set_persistent(false);
-        let t1 = Instant::now();
-        let respawn = run_program(&p, &exec, &init);
-        let respawn_ns = t1.elapsed().as_nanos() as f64;
-        msc_exec::pool::set_persistent(true);
-        respawn?;
-        wall_ns = pool_ns;
-        metrics.push(metric("wall_ns", "time", pool_ns));
-        metrics.push(metric("respawn_wall_ns", "time", respawn_ns));
-        metrics.push(metric("pool_speedup", "time", respawn_ns / pool_ns));
-        metrics.push(metric(
-            "computed_points",
-            "count",
-            stats.computed_points() as f64,
-        ));
-        metrics.push(metric(
-            "tiles_executed",
-            "count",
-            stats.tiles_executed as f64,
-        ));
-        metrics.push(metric("steps", "count", stats.steps as f64));
-    } else if spec.tier_compare {
+    if spec.tier_compare {
         // A/B/C the execution tiers on the identical program and plan.
         // The tiers are bit-identical by construction (ISSUE 6), and the
         // recording refuses to exist unless that holds right here too —
@@ -248,7 +197,14 @@ fn run_case(spec: &CaseSpec, quick: bool) -> Result<Json> {
             }
             Some(procs) => {
                 let t0 = Instant::now();
-                let (_, stats) = run_distributed(&p, procs, &init, sub_plan)?;
+                let (_, stats) = run_distributed_resilient(
+                    &p,
+                    procs,
+                    &init,
+                    Boundary::Dirichlet,
+                    &RunOptions::default(),
+                    sub_plan,
+                )?;
                 wall_ns = t0.elapsed().as_nanos() as f64;
                 metrics.push(metric("wall_ns", "time", wall_ns));
                 metrics.push(metric("halo_messages", "count", stats.messages as f64));
@@ -318,7 +274,7 @@ pub struct RecoverySmoke {
 /// of the recovery machinery alongside the regression-gate self-test,
 /// surfacing the recovery counters and the detection-latency histogram.
 pub fn recovery_smoke() -> Result<RecoverySmoke> {
-    use msc_comm::{run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions};
+    use msc_comm::{FaultPlan, HeartbeatConfig};
     let p = benchmark(BenchmarkId::S2d9ptBox).program(&[32, 32], DType::F64, 6)?;
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
     let (reference, _) = run_program(&p, &Executor::Reference, &init)?;
@@ -705,7 +661,7 @@ mod tests {
         validate(&back).unwrap();
         assert_eq!(
             back.get("cases").and_then(Json::as_arr).map(|c| c.len()),
-            Some(6)
+            Some(5)
         );
         // The tier-compare case must carry its speedup metrics.
         let cases = back.get("cases").and_then(Json::as_arr).unwrap();

@@ -11,7 +11,9 @@
 //! * [`FullNeighborExchange`] — GCL-style: one phase exchanging with all
 //!   `3^d − 1` neighbours, including explicit edge/corner messages.
 //!
-//! Both are verified bit-identical against single-node execution.
+//! Both are verified bit-identical against single-node execution;
+//! [`Backend`] (the `backend` field of `RunOptions`) names the one a
+//! distributed run uses.
 
 use crate::decomp::CartDecomp;
 use crate::error::CommError;
@@ -20,6 +22,15 @@ use crate::region::Region;
 use crate::runtime::{RankCtx, RecvRequest, Wire};
 use msc_exec::{Grid, Scalar};
 use msc_trace::Counter;
+
+/// The shipped halo libraries, as selected by `RunOptions::backend`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// [`HaloExchange`]: dimension-ordered, asynchronous, face-only.
+    DimOrdered,
+    /// [`FullNeighborExchange`]: GCL-style, all `3^d − 1` neighbours.
+    FullNeighbor,
+}
 
 /// In-flight state of a split-phase halo exchange, between
 /// [`HaloBackend::exchange_begin`] and [`HaloBackend::exchange_finish`].

@@ -7,6 +7,7 @@
 //! same program, for any process grid — including runs where a rank is
 //! killed mid-flight and healed online by a hot spare.
 
+use crate::backend::{Backend, FullNeighborExchange, HaloBackend};
 use crate::checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
 use crate::decomp::CartDecomp;
 use crate::error::CommError;
@@ -41,8 +42,7 @@ pub struct CommStats {
     pub steps: usize,
     pub ranks: usize,
     /// How many times the run was restarted from a checkpoint (or from
-    /// the initial state) after a detected rank failure. Zero for plain
-    /// drivers; only [`run_distributed_resilient`] can restart.
+    /// the initial state) after a detected rank failure.
     pub restarts: usize,
     /// How many dead ranks were healed *online* — a hot spare adopted
     /// the subdomain from a buddy snapshot while survivors rolled back
@@ -121,37 +121,11 @@ fn scatter<T: Scalar>(global: &Grid<T>, decomp: &CartDecomp, rank: usize) -> Gri
     local
 }
 
-/// Run `program` over a `procs` Cartesian process grid, starting from the
-/// global `init` grid, with Dirichlet boundaries. `make_plan` builds the
-/// per-rank execution plan for the sub-grid shape. Returns the gathered
-/// global result and stats.
-pub fn run_distributed<T: Scalar + Wire>(
-    program: &StencilProgram,
-    procs: &[usize],
-    init: &Grid<T>,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    run_distributed_bc(program, procs, init, Boundary::Dirichlet, make_plan)
-}
-
-/// Like [`run_distributed`] with an explicit boundary condition. Under
-/// periodic boundaries the process grid becomes a torus: boundary ranks
-/// exchange with the opposite side (single-process dimensions wrap onto
-/// themselves through self-messages).
-pub fn run_distributed_bc<T: Scalar + Wire>(
-    program: &StencilProgram,
-    procs: &[usize],
-    init: &Grid<T>,
-    bc: Boundary,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    let decomp = build_decomp(program, procs, bc)?;
-    let exchanger = HaloExchange::new(decomp);
-    run_distributed_with(program, init, bc, &exchanger, make_plan)
-}
-
 /// Build and validate the decomposition for a program/process-grid pair.
-pub fn build_decomp(program: &StencilProgram, procs: &[usize], bc: Boundary) -> Result<CartDecomp> {
+/// Under periodic boundaries the process grid becomes a torus: boundary
+/// ranks exchange with the opposite side (single-process dimensions wrap
+/// onto themselves through self-messages).
+fn build_decomp(program: &StencilProgram, procs: &[usize], bc: Boundary) -> Result<CartDecomp> {
     let reach = program.stencil.reach();
     // The grid's halo must equal the stencil reach for scatter/gather
     // coordinates to line up.
@@ -168,42 +142,18 @@ pub fn build_decomp(program: &StencilProgram, procs: &[usize], bc: Boundary) -> 
     Ok(decomp)
 }
 
-/// Run with a caller-supplied halo-exchange backend (the paper's
-/// pluggable-library design: swap MSC's asynchronous exchanger for a
-/// GCL-style one without touching the driver).
-pub fn run_distributed_with<T: Scalar + Wire, B: crate::backend::HaloBackend>(
-    program: &StencilProgram,
-    init: &Grid<T>,
-    bc: Boundary,
-    exchanger: &B,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    run_distributed_exec(program, init, bc, exchanger, None, make_plan)
-}
-
-/// Like [`run_distributed_with`], with each rank staging its tiles
-/// through a bounded SPM when `spm_capacity` is given (the full
-/// large-scale Sunway code path: DMA-staged tiles + asynchronous halo
-/// exchange).
-pub fn run_distributed_exec<T: Scalar + Wire, B: crate::backend::HaloBackend>(
-    program: &StencilProgram,
-    init: &Grid<T>,
-    bc: Boundary,
-    exchanger: &B,
-    spm_capacity: Option<usize>,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, CommStats)> {
-    // Legacy entry point: no chaos, no checkpoints, no restarts.
-    let opts = RunOptions {
-        max_restarts: 0,
-        ..RunOptions::default()
-    };
-    run_distributed_opts(program, init, bc, exchanger, spm_capacity, &opts, make_plan)
-}
-
-/// Fault-tolerance options for [`run_distributed_resilient`].
+/// Options of [`run_distributed_resilient`]: fault tolerance, the halo
+/// library, and how each rank executes its tiles.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
+    /// The halo-exchange library every rank publishes its state through
+    /// (paper Table 1, "pluggable library"); both are bit-identical to
+    /// the single-node run.
+    pub backend: Backend,
+    /// `Some(bytes)`: every rank stages its tiles through a bounded SPM of
+    /// this capacity with explicit DMA (the full large-scale Sunway code
+    /// path); `None`: tiles are computed straight from the grids.
+    pub spm_capacity: Option<usize>,
     /// Seeded chaos plan injected into every rank's channel layer; also
     /// switches the runtime's ack/retransmit reliability protocol on.
     pub chaos: Option<Arc<FaultPlan>>,
@@ -256,6 +206,8 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> RunOptions {
         RunOptions {
+            backend: Backend::DimOrdered,
+            spm_capacity: None,
             chaos: None,
             reliability: ReliabilityConfig::default(),
             checkpoint_dir: None,
@@ -304,10 +256,14 @@ fn split_tiles(
     (boundary, interior)
 }
 
-/// Fault-tolerant distributed run: chaos injection, reliable halo
-/// delivery, periodic checkpoints, hot-spare online recovery, and
-/// restart-on-failure as the last resort. With default options it
-/// behaves exactly like [`run_distributed_bc`].
+/// The one way into a distributed run: `program` over a `procs` Cartesian
+/// process grid, starting from the global `init` grid under boundary
+/// condition `bc`; `make_plan` builds the per-rank execution plan for the
+/// sub-grid shape. Returns the gathered global result and stats. With
+/// default options this is a plain fault-free run; `opts` adds chaos
+/// injection, reliable halo delivery, periodic checkpoints, hot-spare
+/// online recovery, and restart-on-failure as the last resort, and picks
+/// the halo library and SPM staging.
 pub fn run_distributed_resilient<T: Scalar + Wire>(
     program: &StencilProgram,
     procs: &[usize],
@@ -319,8 +275,24 @@ pub fn run_distributed_resilient<T: Scalar + Wire>(
     // Lint gate (target-independent passes) before any rank spawns.
     msc_lint::check_deny(program, None)?;
     let decomp = build_decomp(program, procs, bc)?;
-    let exchanger = HaloExchange::new(decomp);
-    run_distributed_opts(program, init, bc, &exchanger, None, opts, make_plan)
+    match opts.backend {
+        Backend::DimOrdered => run_ranks(
+            program,
+            init,
+            bc,
+            &HaloExchange::new(decomp),
+            opts,
+            make_plan,
+        ),
+        Backend::FullNeighbor => run_ranks(
+            program,
+            init,
+            bc,
+            &FullNeighborExchange::new(decomp),
+            opts,
+            make_plan,
+        ),
+    }
 }
 
 /// Is this error a communication fault a restart could heal (a killed or
@@ -426,7 +398,7 @@ fn plan_recovery<T: Wire>(
 /// Survivor-side rollback to a recovery record: enter the new epoch,
 /// hand the dead rank's buddy snapshot to its adopter if we hold it,
 /// and rewind our own ring to the agreed generation.
-fn rollback<T: Scalar + Wire, B: crate::backend::HaloBackend>(
+fn rollback<T: Scalar + Wire, B: HaloBackend>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T, B>,
     rec: &FailureRecord,
@@ -473,7 +445,7 @@ fn rollback<T: Scalar + Wire, B: crate::backend::HaloBackend>(
 
 /// Spare-side adoption: take over the dead rank's logical identity and
 /// obtain its window ring from the recovery source.
-fn adopt_state<T: Scalar + Wire, B: crate::backend::HaloBackend>(
+fn adopt_state<T: Scalar + Wire, B: HaloBackend>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T, B>,
     m: &Membership,
@@ -567,7 +539,7 @@ fn buddy_replicate<T: Scalar + Wire, B>(
     counters: &mut CounterSet,
 ) -> Result<()>
 where
-    B: crate::backend::HaloBackend,
+    B: HaloBackend,
 {
     snaps.store_own(gen, ring);
     m.note_local(ctx.rank, gen);
@@ -594,7 +566,7 @@ where
 /// checkpoints with retention GC, and buddy replication. Any error is
 /// classified by the caller — online recovery where possible, restart
 /// otherwise.
-fn compute_steps<T: Scalar + Wire, B: crate::backend::HaloBackend>(
+fn compute_steps<T: Scalar + Wire, B: HaloBackend>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T, B>,
     ring: &mut [Grid<T>],
@@ -699,7 +671,7 @@ fn compute_steps<T: Scalar + Wire, B: crate::backend::HaloBackend>(
 /// (or stand-down), compute ranks run the step loop; failures loop
 /// through classification → rollback → recompute until the world
 /// finishes or the error escapes to the restart machinery.
-fn rank_body<T: Scalar + Wire, B: crate::backend::HaloBackend>(
+fn rank_body<T: Scalar + Wire, B: HaloBackend>(
     mut ctx: RankCtx<T>,
     env: &StepEnv<'_, T, B>,
     resume: Option<u64>,
@@ -822,20 +794,19 @@ fn rank_body<T: Scalar + Wire, B: crate::backend::HaloBackend>(
     }
 }
 
-/// The full driver: every public `run_distributed*` entry point funnels
-/// here. One attempt spawns the world (compute ranks plus hot spares),
-/// runs the time loop with optional SPM staging, chaos injection, and
-/// periodic disk + buddy checkpoints; a rank death in a membership
-/// world heals online (spare adoption + global rollback), and a failed
-/// attempt (typed communication error — never a panic) is retried from
-/// the latest complete checkpoint up to `opts.max_restarts` times.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
+/// The rank loop behind [`run_distributed_resilient`], generic over the
+/// halo library. One attempt spawns the world (compute ranks plus hot
+/// spares), runs the time loop with optional SPM staging, chaos
+/// injection, and periodic disk + buddy checkpoints; a rank death in a
+/// membership world heals online (spare adoption + global rollback), and
+/// a failed attempt (typed communication error — never a panic) is
+/// retried from the latest complete checkpoint up to `opts.max_restarts`
+/// times.
+fn run_ranks<T: Scalar + Wire, B: HaloBackend>(
     program: &StencilProgram,
     init: &Grid<T>,
     bc: Boundary,
     exchanger: &B,
-    spm_capacity: Option<usize>,
     opts: &RunOptions,
     make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
 ) -> Result<(Grid<T>, CommStats)> {
@@ -855,7 +826,7 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
             plan.grid, sub
         )));
     }
-    let executor = match spm_capacity {
+    let executor = match opts.spm_capacity {
         None => Executor::Tiled(plan),
         Some(spm_capacity) => Executor::Spm { plan, spm_capacity },
     };
@@ -1029,116 +1000,38 @@ pub fn run_distributed_opts<T: Scalar + Wire, B: crate::backend::HaloBackend>(
     }
 }
 
-/// Distributed iterate-to-convergence: every rank advances its sub-grid,
-/// exchanges halos, and the step-to-step RMS update is reduced globally
-/// with [`crate::collectives::allreduce`]; all ranks stop together once
-/// it falls below `tol`. Returns the gathered state, the step count, and
-/// the final residual.
-pub fn run_distributed_until_converged<T: Scalar + Wire>(
-    program: &StencilProgram,
-    procs: &[usize],
-    init: &Grid<T>,
-    bc: Boundary,
-    tol: f64,
-    max_steps: usize,
-    make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
-) -> Result<(Grid<T>, usize, f64)> {
-    use crate::collectives::{allreduce, ReduceOp};
-    if tol <= 0.0 || max_steps == 0 {
-        return Err(MscError::InvalidConfig(
-            "convergence needs a positive tolerance and at least one step".into(),
-        ));
-    }
-    let decomp = build_decomp(program, procs, bc)?;
-    let sub = decomp.sub_extent();
-    let plan = make_plan(&sub)?;
-    if plan.grid != sub {
-        return Err(MscError::InvalidConfig(format!(
-            "plan grid {:?} != sub-grid {:?}",
-            plan.grid, sub
-        )));
-    }
-    let executor = Executor::Tiled(plan);
-    let tiles = executor.tiles();
-    let exchanger = HaloExchange::new(decomp.clone());
-    let mut seeded = init.clone();
-    boundary::apply(&mut seeded, bc);
-    let seeded_ref = &seeded;
-    let global_points: f64 = program.grid.shape.iter().product::<usize>() as f64;
-    let reach = program.stencil.reach();
-
-    let rank_results: Vec<Result<(Vec<T>, usize, f64)>> = World::try_run(
-        decomp.n_ranks(),
-        |mut ctx| -> Result<(Vec<T>, usize, f64)> {
-            let local_init = scatter(seeded_ref, &decomp, ctx.rank);
-            let compiled = TieredStencil::compile(program, &local_init, msc_exec::exec_tier())?;
-            let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-            let mut ring: Vec<Grid<T>> = (0..window.window).map(|_| local_init.clone()).collect();
-            let mut steps = 0;
-            let mut rms = f64::INFINITY;
-
-            for s in 0..max_steps {
-                let t = compiled.max_dt + s;
-                let out_slot = window.output_slot(t);
-                let prev_slot = window.input_slot(t, 1)?;
-                let prev = ring[prev_slot].clone();
-                let mut out = std::mem::replace(&mut ring[out_slot], Grid::zeros(&[1], &[0]));
-                {
-                    let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                        .map(|dt| window.input_slot(t, dt).map(|slot| &ring[slot]))
-                        .collect::<Result<_>>()?;
-                    executor.step(&compiled, &inputs, &mut out, &tiles)?;
-                }
-                // Local squared update, reduced globally.
-                let mut local_sq = 0.0;
-                out.for_each_interior(|pos| {
-                    let d = out.get(pos).to_f64() - prev.get(pos).to_f64();
-                    local_sq += d * d;
-                });
-                let total = allreduce(&mut ctx, local_sq, ReduceOp::Sum, t as u64)?;
-                rms = (total / global_points).sqrt();
-                steps = s + 1;
-                let done = rms < tol || s + 1 == max_steps;
-                if !done {
-                    exchanger.exchange(&mut ctx, &mut out, out_slot)?;
-                }
-                ring[out_slot] = out;
-                if done {
-                    break;
-                }
-            }
-            let last = window.output_slot(compiled.max_dt + steps - 1);
-            let interior = Region::new(decomp.reach.clone(), sub.clone()).pack(&ring[last]);
-            ctx.finalize();
-            Ok((interior, steps, rms))
-        },
-    )
-    .map_err(MscError::from)?;
-
-    let mut global: Grid<T> = seeded.clone();
-    let mut steps = 0;
-    let mut rms = f64::INFINITY;
-    for (rank, res) in rank_results.into_iter().enumerate() {
-        let (interior, s, r) = res?;
-        steps = s;
-        rms = r;
-        let origin = decomp.origin_of(rank);
-        let dst = Region::new(
-            origin.iter().zip(&reach).map(|(&o, &r)| o + r).collect(),
-            sub.clone(),
-        );
-        dst.unpack(&mut global, &interior);
-    }
-    boundary::apply(&mut global, bc);
-    Ok((global, steps, rms))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use msc_core::catalog::{all_benchmarks, benchmark, BenchmarkId};
     use msc_core::schedule::Schedule;
-    use msc_exec::driver::{run_program, Executor};
+    use msc_exec::driver::{run_program, run_program_tier, Executor};
+    use msc_exec::ExecTier;
+
+    /// The door with `simple_plan`, unwrapped.
+    fn run(
+        p: &StencilProgram,
+        procs: &[usize],
+        init: &Grid<f64>,
+        bc: Boundary,
+        opts: &RunOptions,
+    ) -> (Grid<f64>, CommStats) {
+        run_distributed_resilient(p, procs, init, bc, opts, simple_plan).unwrap()
+    }
+
+    /// The serial reference under `bc`.
+    fn reference(p: &StencilProgram, init: &Grid<f64>, bc: Boundary) -> Grid<f64> {
+        run_program_tier(p, &Executor::Reference, init, bc, ExecTier::Auto)
+            .unwrap()
+            .0
+    }
+
+    fn full_neighbor() -> RunOptions {
+        RunOptions {
+            backend: Backend::FullNeighbor,
+            ..RunOptions::default()
+        }
+    }
 
     fn simple_plan(sub: &[usize]) -> Result<ExecPlan> {
         let mut s = Schedule::default();
@@ -1155,7 +1048,13 @@ mod tests {
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let (multi, stats) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
+        let (multi, stats) = run(
+            &p,
+            &[2, 2],
+            &init,
+            Boundary::Dirichlet,
+            &RunOptions::default(),
+        );
         assert_eq!(single.as_slice(), multi.as_slice());
         assert_eq!(stats.ranks, 4);
         assert!(stats.messages > 0);
@@ -1168,7 +1067,13 @@ mod tests {
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 7);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let (multi, _) = run_distributed(&p, &[2, 1, 3], &init, simple_plan).unwrap();
+        let (multi, _) = run(
+            &p,
+            &[2, 1, 3],
+            &init,
+            Boundary::Dirichlet,
+            &RunOptions::default(),
+        );
         assert_eq!(single.as_slice(), multi.as_slice());
     }
 
@@ -1186,7 +1091,13 @@ mod tests {
                 2 => vec![2, 2],
                 _ => vec![2, 2, 1],
             };
-            let (multi, _) = run_distributed(&p, &procs, &init, simple_plan).unwrap();
+            let (multi, _) = run(
+                &p,
+                &procs,
+                &init,
+                Boundary::Dirichlet,
+                &RunOptions::default(),
+            );
             assert_eq!(single.as_slice(), multi.as_slice(), "{}", b.name);
         }
     }
@@ -1195,23 +1106,16 @@ mod tests {
     fn distributed_spm_execution_is_bit_identical() {
         // The full Sunway path: SPM-staged tiles on every rank + halo
         // exchange, still bitwise equal to the serial single-node run.
-        use msc_exec::Boundary;
         let p = benchmark(BenchmarkId::S3d7ptStar)
             .program(&[12, 12, 16], DType::F64, 4)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 44);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let decomp = build_decomp(&p, &[2, 1, 2], Boundary::Dirichlet).unwrap();
-        let backend = HaloExchange::new(decomp);
-        let (multi, stats) = run_distributed_exec(
-            &p,
-            &init,
-            Boundary::Dirichlet,
-            &backend,
-            Some(1 << 20),
-            simple_plan,
-        )
-        .unwrap();
+        let opts = RunOptions {
+            spm_capacity: Some(1 << 20),
+            ..RunOptions::default()
+        };
+        let (multi, stats) = run(&p, &[2, 1, 2], &init, Boundary::Dirichlet, &opts);
         assert_eq!(single.as_slice(), multi.as_slice());
         // The per-rank SPM executors' DMA traffic must survive the
         // gather: these used to be silently dropped.
@@ -1227,8 +1131,14 @@ mod tests {
             .program(&[16, 16], DType::F64, 5)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
-        let (_, stats) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
-        // Only halo traffic flows in run_distributed, so the unified
+        let (_, stats) = run(
+            &p,
+            &[2, 2],
+            &init,
+            Boundary::Dirichlet,
+            &RunOptions::default(),
+        );
+        // Only halo traffic flows in a fault-free run, so the unified
         // counter must agree with the legacy message count.
         assert_eq!(stats.halo_messages(), stats.messages);
         assert!(stats.halo_bytes() > 0);
@@ -1246,73 +1156,23 @@ mod tests {
 
     #[test]
     fn distributed_spm_overflow_propagates_as_error() {
-        use msc_exec::Boundary;
         let p = benchmark(BenchmarkId::S3d7ptStar)
             .program(&[16, 16, 16], DType::F64, 2)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 1);
-        let decomp = build_decomp(&p, &[1, 1, 1], Boundary::Dirichlet).unwrap();
-        let backend = HaloExchange::new(decomp);
-        let r = run_distributed_exec(
+        let opts = RunOptions {
+            spm_capacity: Some(128), // absurdly small SPM
+            ..RunOptions::default()
+        };
+        let r = run_distributed_resilient(
             &p,
+            &[1, 1, 1],
             &init,
             Boundary::Dirichlet,
-            &backend,
-            Some(128), // absurdly small SPM
+            &opts,
             simple_plan,
         );
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn distributed_convergence_matches_single_node() {
-        use msc_exec::convergence::run_until_converged;
-        use msc_exec::Boundary;
-        let b = benchmark(BenchmarkId::S2d9ptBox);
-        let p = b.program(&[24, 24], DType::F64, 1).unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
-        let single = run_until_converged(
-            &p,
-            &Executor::Reference,
-            &init,
-            Boundary::Dirichlet,
-            1e-5,
-            2000,
-        )
-        .unwrap();
-        let (multi, steps, rms) = run_distributed_until_converged(
-            &p,
-            &[2, 2],
-            &init,
-            Boundary::Dirichlet,
-            1e-5,
-            2000,
-            simple_plan,
-        )
-        .unwrap();
-        assert!(single.converged);
-        assert_eq!(steps, single.steps, "step counts must agree");
-        assert!(rms < 1e-5);
-        assert_eq!(single.state.as_slice(), multi.as_slice());
-    }
-
-    #[test]
-    fn distributed_convergence_respects_max_steps() {
-        let b = benchmark(BenchmarkId::S2d9ptStar);
-        let p = b.program(&[16, 16], DType::F64, 1).unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 5);
-        let (_, steps, rms) = run_distributed_until_converged(
-            &p,
-            &[2, 2],
-            &init,
-            msc_exec::Boundary::Dirichlet,
-            1e-300,
-            6,
-            simple_plan,
-        )
-        .unwrap();
-        assert_eq!(steps, 6);
-        assert!(rms > 0.0);
     }
 
     #[test]
@@ -1322,44 +1182,55 @@ mod tests {
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let (multi, stats) = run_distributed(&p, &[1, 1], &init, simple_plan).unwrap();
+        let (multi, stats) = run(
+            &p,
+            &[1, 1],
+            &init,
+            Boundary::Dirichlet,
+            &RunOptions::default(),
+        );
         assert_eq!(single.as_slice(), multi.as_slice());
         assert_eq!(stats.messages, 0);
     }
 
     #[test]
     fn periodic_distributed_matches_periodic_single_node() {
-        use msc_exec::driver::run_program_bc;
         let p = benchmark(BenchmarkId::S2d9ptBox)
             .program(&[12, 18], DType::F64, 4)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 77);
-        let (single, _) =
-            run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
-        let (multi, _) =
-            run_distributed_bc(&p, &[2, 3], &init, Boundary::Periodic, simple_plan).unwrap();
+        let single = reference(&p, &init, Boundary::Periodic);
+        let (multi, _) = run(
+            &p,
+            &[2, 3],
+            &init,
+            Boundary::Periodic,
+            &RunOptions::default(),
+        );
         assert_eq!(single.as_slice(), multi.as_slice());
     }
 
     #[test]
     fn periodic_single_process_dimension_wraps_through_self_messages() {
-        use msc_exec::driver::run_program_bc;
         let p = benchmark(BenchmarkId::S3d7ptStar)
             .program(&[8, 8, 12], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 9);
-        let (single, _) =
-            run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let single = reference(&p, &init, Boundary::Periodic);
         // procs = [1, 1, 2]: dims 0 and 1 wrap onto the same rank.
-        let (multi, stats) =
-            run_distributed_bc(&p, &[1, 1, 2], &init, Boundary::Periodic, simple_plan).unwrap();
+        let (multi, stats) = run(
+            &p,
+            &[1, 1, 2],
+            &init,
+            Boundary::Periodic,
+            &RunOptions::default(),
+        );
         assert_eq!(single.as_slice(), multi.as_slice());
         assert!(stats.messages > 0);
     }
 
     #[test]
     fn periodic_averaging_conserves_mass() {
-        use msc_exec::driver::run_program_bc;
         // On a torus, a unit-coefficient-sum stencil loses nothing at the
         // boundary: the interior sum is invariant.
         let p = benchmark(BenchmarkId::S2d9ptStar)
@@ -1371,7 +1242,7 @@ mod tests {
             msc_exec::boundary::apply(&mut g, Boundary::Periodic);
             g.interior_sum()
         };
-        let (out, _) = run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let out = reference(&p, &init, Boundary::Periodic);
         let after = out.interior_sum();
         assert!(
             (before - after).abs() / before.abs() < 1e-12,
@@ -1381,18 +1252,13 @@ mod tests {
 
     #[test]
     fn gcl_style_backend_is_bit_identical_for_box_stencils() {
-        use crate::backend::FullNeighborExchange;
-        use msc_exec::Boundary;
         // 2d121pt has reach 5: corners really matter.
         let p = benchmark(BenchmarkId::S2d121ptBox)
             .program(&[30, 40], DType::F64, 4)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 17);
         let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-        let decomp = build_decomp(&p, &[2, 2], Boundary::Dirichlet).unwrap();
-        let backend = FullNeighborExchange::new(decomp);
-        let (multi, stats) =
-            run_distributed_with(&p, &init, Boundary::Dirichlet, &backend, simple_plan).unwrap();
+        let (multi, stats) = run(&p, &[2, 2], &init, Boundary::Dirichlet, &full_neighbor());
         assert_eq!(single.as_slice(), multi.as_slice());
         // 2x2 grid: each rank has 3 neighbours (2 faces + 1 corner), so
         // 4 ranks x 3 msgs x (steps-1) rounds.
@@ -1401,35 +1267,29 @@ mod tests {
 
     #[test]
     fn gcl_style_backend_works_on_periodic_torus() {
-        use crate::backend::FullNeighborExchange;
-        use msc_exec::driver::run_program_bc;
-        use msc_exec::Boundary;
         let p = benchmark(BenchmarkId::S2d9ptBox)
             .program(&[12, 12], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 51);
-        let (single, _) =
-            run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
-        let decomp = build_decomp(&p, &[2, 2], Boundary::Periodic).unwrap();
-        let backend = FullNeighborExchange::new(decomp);
-        let (multi, _) =
-            run_distributed_with(&p, &init, Boundary::Periodic, &backend, simple_plan).unwrap();
+        let single = reference(&p, &init, Boundary::Periodic);
+        let (multi, _) = run(&p, &[2, 2], &init, Boundary::Periodic, &full_neighbor());
         assert_eq!(single.as_slice(), multi.as_slice());
     }
 
     #[test]
     fn backends_agree_with_each_other() {
-        use crate::backend::FullNeighborExchange;
-        use msc_exec::Boundary;
         let p = benchmark(BenchmarkId::S3d13ptStar)
             .program(&[12, 12, 12], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 8);
-        let (a, sa) = run_distributed(&p, &[2, 2, 1], &init, simple_plan).unwrap();
-        let decomp = build_decomp(&p, &[2, 2, 1], Boundary::Dirichlet).unwrap();
-        let backend = FullNeighborExchange::new(decomp);
-        let (b, sb) =
-            run_distributed_with(&p, &init, Boundary::Dirichlet, &backend, simple_plan).unwrap();
+        let (a, sa) = run(
+            &p,
+            &[2, 2, 1],
+            &init,
+            Boundary::Dirichlet,
+            &RunOptions::default(),
+        );
+        let (b, sb) = run(&p, &[2, 2, 1], &init, Boundary::Dirichlet, &full_neighbor());
         assert_eq!(a.as_slice(), b.as_slice());
         // The GCL-style backend sends more messages (explicit corners).
         assert!(
@@ -1442,13 +1302,12 @@ mod tests {
 
     #[test]
     fn dirichlet_and_periodic_differ() {
-        use msc_exec::driver::run_program_bc;
         let p = benchmark(BenchmarkId::S2d9ptBox)
             .program(&[10, 10], DType::F64, 3)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 21);
-        let (a, _) = run_program_bc(&p, &Executor::Reference, &init, Boundary::Dirichlet).unwrap();
-        let (b, _) = run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let a = reference(&p, &init, Boundary::Dirichlet);
+        let b = reference(&p, &init, Boundary::Periodic);
         assert_ne!(a.as_slice(), b.as_slice());
     }
 
@@ -1458,7 +1317,10 @@ mod tests {
             .program(&[10, 10], DType::F64, 2)
             .unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
-        assert!(run_distributed(&p, &[3, 1], &init, simple_plan).is_err());
+        let opts = RunOptions::default();
+        let r =
+            run_distributed_resilient(&p, &[3, 1], &init, Boundary::Dirichlet, &opts, simple_plan);
+        assert!(r.is_err());
     }
 
     #[test]

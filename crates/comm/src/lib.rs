@@ -21,8 +21,12 @@
 //!   duplicates, reordering, bit corruption, rank kills);
 //! * [`checkpoint`] — periodic window-ring snapshots the resilient
 //!   driver restarts from after a rank failure;
-//! * [`distributed`] — a full multi-rank stencil driver used to validate
-//!   that large-scale execution is bit-identical to single-node runs,
+//! * [`backend`] — the pluggable halo libraries behind one trait;
+//! * [`distributed`] — the full multi-rank stencil driver. Its one entry
+//!   point is [`run_distributed_resilient`]: every capability (halo
+//!   library, SPM staging, tier, chaos, checkpoints, spares) is a field
+//!   of [`RunOptions`], and every run passes the lint gate before a rank
+//!   spawns. Large-scale execution is bit-identical to single-node runs,
 //!   even under injected faults.
 
 pub mod backend;
@@ -36,15 +40,11 @@ pub mod halo;
 pub mod region;
 pub mod runtime;
 
-pub use backend::{FullNeighborExchange, HaloBackend};
+pub use backend::{Backend, FullNeighborExchange, HaloBackend};
 pub use checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
 pub use collectives::{allreduce, barrier, broadcast, ReduceOp};
 pub use decomp::CartDecomp;
-pub use distributed::{
-    build_decomp, run_distributed, run_distributed_bc, run_distributed_exec,
-    run_distributed_opts, run_distributed_resilient, run_distributed_until_converged,
-    run_distributed_with, CommStats, RunOptions,
-};
+pub use distributed::{run_distributed_resilient, CommStats, RunOptions};
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan, KillSpec};
 pub use halo::HaloExchange;

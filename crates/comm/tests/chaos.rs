@@ -7,18 +7,16 @@
 //! All fault schedules are seed-driven and deterministic, so these tests
 //! are exact, not statistical.
 
-use msc_comm::{
-    build_decomp, run_distributed, run_distributed_opts, run_distributed_resilient,
-    FaultPlan, FullNeighborExchange, HaloExchange, ReliabilityConfig, RunOptions,
-};
+use msc_comm::{run_distributed_resilient, Backend, FaultPlan, ReliabilityConfig, RunOptions};
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
 use msc_core::prelude::*;
 use msc_core::schedule::plan::ExecPlan;
 use msc_core::schedule::Schedule;
-use msc_exec::driver::{run_program, Executor};
-use msc_exec::{Boundary, Grid};
+use msc_exec::driver::{run_program, run_program_tier, Executor};
+use msc_exec::{Boundary, ExecTier, Grid};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,7 +74,15 @@ fn chaotic_run_is_bit_identical_to_fault_free() {
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
     let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-    let (plain, _) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
+    let (plain, _) = run_distributed_resilient(
+        &p,
+        &[2, 2],
+        &init,
+        Boundary::Dirichlet,
+        &RunOptions::default(),
+        simple_plan,
+    )
+    .unwrap();
     let (chaotic, stats) = run_distributed_resilient(
         &p,
         &[2, 2],
@@ -103,18 +109,13 @@ fn chaotic_gcl_backend_is_bit_identical_too() {
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 7);
     let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-    let decomp = build_decomp(&p, &[2, 2], Boundary::Dirichlet).unwrap();
-    let backend = FullNeighborExchange::new(decomp);
-    let (chaotic, stats) = run_distributed_opts(
-        &p,
-        &init,
-        Boundary::Dirichlet,
-        &backend,
-        None,
-        &chaos_opts(2024),
-        simple_plan,
-    )
-    .unwrap();
+    let opts = RunOptions {
+        backend: Backend::FullNeighbor,
+        ..chaos_opts(2024)
+    };
+    let (chaotic, stats) =
+        run_distributed_resilient(&p, &[2, 2], &init, Boundary::Dirichlet, &opts, simple_plan)
+            .unwrap();
     assert_eq!(single.as_slice(), chaotic.as_slice());
     assert!(stats.faults_injected() > 0);
 }
@@ -247,13 +248,18 @@ fn kill_with_exhausted_restart_budget_is_a_typed_error() {
 fn periodic_chaos_run_matches_periodic_single_node() {
     // Torus topology + chaos: wraparound self-messages go through the
     // same injector and reliability protocol.
-    use msc_exec::driver::run_program_bc;
     let p = benchmark(BenchmarkId::S2d9ptBox)
         .program(&[12, 12], DType::F64, 3)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 51);
-    let (single, _) =
-        run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+    let (single, _) = run_program_tier(
+        &p,
+        &Executor::Reference,
+        &init,
+        Boundary::Periodic,
+        ExecTier::Auto,
+    )
+    .unwrap();
     let (multi, _) = run_distributed_resilient(
         &p,
         &[2, 2],
@@ -267,14 +273,14 @@ fn periodic_chaos_run_matches_periodic_single_node() {
 }
 
 #[test]
-fn resilient_defaults_degenerate_to_plain_run() {
-    // With no chaos and no checkpoints the resilient entry point is the
-    // plain driver: same bits, same message count, no protocol overhead.
+fn default_options_are_a_plain_run() {
+    // With no chaos and no checkpoints the door is the plain driver: the
+    // reference's bits, halo messages only, no protocol overhead.
     let p = benchmark(BenchmarkId::S2d9ptBox)
         .program(&[16, 16], DType::F64, 5)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
-    let (plain, plain_stats) = run_distributed(&p, &[2, 2], &init, simple_plan).unwrap();
+    let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
     let (res, res_stats) = run_distributed_resilient(
         &p,
         &[2, 2],
@@ -284,8 +290,8 @@ fn resilient_defaults_degenerate_to_plain_run() {
         simple_plan,
     )
     .unwrap();
-    assert_eq!(plain.as_slice(), res.as_slice());
-    assert_eq!(plain_stats.messages, res_stats.messages);
+    assert_eq!(single.as_slice(), res.as_slice());
+    assert_eq!(res_stats.halo_messages(), res_stats.messages);
     assert_eq!(res_stats.faults_injected(), 0);
     assert_eq!(res_stats.retransmits(), 0);
     assert_eq!(res_stats.restarts, 0);
@@ -389,19 +395,54 @@ fn spm_staged_chaos_run_is_bit_identical() {
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 44);
     let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
-    let decomp = build_decomp(&p, &[2, 1, 2], Boundary::Dirichlet).unwrap();
-    let backend = HaloExchange::new(decomp);
-    let (multi, stats) = run_distributed_opts(
-        &p,
-        &init,
-        Boundary::Dirichlet,
-        &backend,
-        Some(1 << 20),
-        &chaos_opts(4321),
-        simple_plan,
-    )
-    .unwrap();
+    let opts = RunOptions {
+        spm_capacity: Some(1 << 20),
+        ..chaos_opts(4321)
+    };
+    let (multi, stats) =
+        run_distributed_resilient(&p, &[2, 1, 2], &init, Boundary::Dirichlet, &opts, simple_plan)
+            .unwrap();
     assert_eq!(single.as_slice(), multi.as_slice());
     assert!(stats.faults_injected() > 0);
     assert!(stats.dma_get_bytes() > 0, "SPM path must still run");
+}
+
+#[test]
+fn the_lint_gate_covers_every_backend_and_staging() {
+    // An unchecked-built program whose halo is narrower than its reach
+    // used to reach the rank loop through the backend/SPM entry point,
+    // which had no lint gate. Those two are options of the one door now,
+    // so the typed MSC-L deny comes back before `make_plan` is asked for
+    // a plan — i.e. before any rank is spawned.
+    let b = benchmark(BenchmarkId::S2d9ptStar); // reach 2
+    let narrow = StencilProgram::builder("narrow")
+        .grid_2d("B", DType::F64, [16, 16], 1, 2)
+        .kernel(b.kernel())
+        .combine(&[(1, 1.0, b.name)])
+        .timesteps(2)
+        .build_unchecked()
+        .unwrap();
+    let init: Grid<f64> = Grid::zeros(&narrow.grid.shape, &narrow.grid.halo);
+    let opts = RunOptions {
+        backend: Backend::FullNeighbor,
+        spm_capacity: Some(1 << 20),
+        ..RunOptions::default()
+    };
+    let plans_made = AtomicUsize::new(0);
+    let err = run_distributed_resilient(
+        &narrow,
+        &[2, 2],
+        &init,
+        Boundary::Dirichlet,
+        &opts,
+        |sub| {
+            plans_made.fetch_add(1, Ordering::Relaxed);
+            simple_plan(sub)
+        },
+    )
+    .unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("lint rejected"), "{msg}");
+    assert!(msg.contains("MSC-L101"), "{msg}");
+    assert_eq!(plans_made.load(Ordering::Relaxed), 0, "the rank loop ran");
 }

@@ -6,6 +6,7 @@
 use crate::boundary::{self, Boundary};
 use crate::driver::{admit, Executor, Ring};
 use crate::grid::{Grid, Scalar};
+use crate::tier::ExecTier;
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 
@@ -56,7 +57,7 @@ pub fn run_until_converged<T: Scalar>(
             "convergence needs a positive tolerance and at least one step".into(),
         ));
     }
-    let (compiled, window) = admit(program, init, crate::tier::exec_tier())?;
+    let (compiled, window) = admit(program, init, ExecTier::Auto)?;
     let mut ring = Ring::new(init, bc, window.window);
     let tiles = executor.tiles();
     let mut history = Vec::new();

@@ -4,7 +4,7 @@
 
 use crate::boundary::{self, Boundary};
 use crate::grid::{Grid, Scalar};
-use crate::tier::{exec_tier, ExecTier, TieredStencil};
+use crate::tier::{ExecTier, TieredStencil};
 use crate::{reference, spm, tiled};
 use msc_core::error::Result;
 use msc_core::prelude::*;
@@ -188,29 +188,14 @@ impl<'a, T: Scalar> Ring<'a, T> {
     }
 }
 
-/// Run `program.timesteps` updates starting from `init` (all window slots
-/// cold-started with `init`), with Dirichlet boundaries (halos keep their
-/// initial values). Returns the final state and run statistics.
+/// [`run_program_tier`] with Dirichlet boundaries (halos keep their
+/// initial values) on [`ExecTier::Auto`].
 pub fn run_program<T: Scalar>(
     program: &StencilProgram,
     executor: &Executor,
     init: &Grid<T>,
 ) -> Result<(Grid<T>, RunStats)> {
-    run_program_bc(program, executor, init, Boundary::Dirichlet)
-}
-
-/// Like [`run_program`] with an explicit boundary condition: periodic
-/// runs re-wrap the halo of every freshly computed state. Runs on the
-/// process-wide default execution tier ([`set_exec_tier`]).
-///
-/// [`set_exec_tier`]: crate::tier::set_exec_tier
-pub fn run_program_bc<T: Scalar>(
-    program: &StencilProgram,
-    executor: &Executor,
-    init: &Grid<T>,
-    boundary_cond: Boundary,
-) -> Result<(Grid<T>, RunStats)> {
-    run_program_tier(program, executor, init, boundary_cond, exec_tier())
+    run_program_tier(program, executor, init, Boundary::Dirichlet, ExecTier::Auto)
 }
 
 /// The front door of every stencil-program run: the lint gate
@@ -229,9 +214,11 @@ pub(crate) fn admit<T: Scalar>(
     Ok((compiled, window))
 }
 
-/// Like [`run_program_bc`] with an explicit execution tier, honoured by
-/// every executor but `Reference`, which always interprets (it is the
-/// oracle the tiers are differenced against).
+/// Run `program.timesteps` updates starting from `init` (all window slots
+/// cold-started with `init`) and return the final state and run
+/// statistics. Periodic runs re-wrap the halo of every freshly computed
+/// state. `tier` is honoured by every executor but `Reference`, which
+/// always interprets (it is the oracle the tiers are differenced against).
 pub fn run_program_tier<T: Scalar>(
     program: &StencilProgram,
     executor: &Executor,

@@ -36,6 +36,14 @@
 //! every staging × tier pair exists by construction, and all of them are
 //! bit-identical; `--exec-tier` / `ExecTier` picks the tier, and `Auto`
 //! is always the specialized tier.
+//!
+//! Nothing about a run is ambient: [`run_program_tier`] is the full form
+//! (executor, boundary, tier as arguments) and [`run_program`] its
+//! Dirichlet / `Auto` default; [`run_temporal_tiled_tier`] and
+//! [`run_temporal_tiled`] pair up the same way, and
+//! [`run_until_converged`] runs on `Auto`. All of them pass the lint gate
+//! first. The one process-wide setting is the worker-count cap of
+//! [`pool`] (`mscc --pool-threads`).
 
 pub mod boundary;
 pub mod convergence;
@@ -57,8 +65,8 @@ pub mod verify;
 pub use compiled::CompiledStencil;
 pub use boundary::Boundary;
 pub use convergence::{l2_diff, max_diff, run_until_converged, ConvergenceReport};
-pub use driver::{run_program, run_program_bc, run_program_tier, Executor, RunStats};
-pub use tier::{exec_tier, set_exec_tier, ActiveTier, ExecTier, TieredStencil};
+pub use driver::{run_program, run_program_tier, Executor, RunStats};
+pub use tier::{ActiveTier, ExecTier, TieredStencil};
 pub use grid::{Grid, Scalar};
 pub use temporal::{run_temporal_tiled, run_temporal_tiled_tier, TemporalStats};
 pub use varcoeff::CompiledVarStencil;

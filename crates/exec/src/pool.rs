@@ -1,21 +1,20 @@
 //! Persistent worker pool shared by every executor (paper §5, Figure
-//! 4(d) generalized): instead of respawning a thread scope on every
-//! timestep, each driver thread owns one condvar-parked pool that lives
-//! for the whole run, and tiles are distributed through chunked
-//! work-stealing deques instead of static `task_id % n_threads` striping.
+//! 4(d) generalized): each driver thread owns one condvar-parked pool
+//! that lives for the whole run, and tiles are distributed through
+//! chunked work-stealing deques.
 //!
 //! Bit-identity argument: the tile partition (`ExecPlan::tiles`) and the
 //! per-tile arithmetic order are untouched; every tile writes a disjoint
-//! set of output cells, so *any* tile→thread assignment — static stripes,
-//! deque order, or a steal — produces the same bits. Only scheduling
-//! changes here.
+//! set of output cells, so *any* tile→thread assignment — deque order or
+//! a steal — produces the same bits. Only scheduling happens here.
 //!
 //! This module is also the home of the `SendPtr` raw pointer wrapper and
 //! the worker-count clamp; `sweep` is their one user.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use msc_trace::Counter;
@@ -48,33 +47,13 @@ pub fn worker_count(plan_threads: usize, n_tasks: usize) -> usize {
     plan_threads.min(n_tasks).max(1).min(max_threads())
 }
 
-/// `true` → jobs run on the persistent thread-local pool; `false` →
-/// every job respawns a scoped thread per worker with static striping
-/// (the legacy behaviour, kept for the pool-vs-respawn benchmark).
-static PERSISTENT: AtomicBool = AtomicBool::new(true);
-/// Upper bound on workers per job (`usize::MAX` = plan decides).
+/// Upper bound on workers per job (`usize::MAX` = plan decides): the
+/// one process-wide run setting (`mscc --pool-threads`).
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-/// Configure the pool from a `--pool-threads` style knob: `0` disables
-/// the persistent pool (per-step respawn), any other value enables it
-/// and caps the per-job worker count.
-pub fn set_pool_threads(n: usize) {
-    if n == 0 {
-        PERSISTENT.store(false, Ordering::Relaxed);
-        MAX_THREADS.store(usize::MAX, Ordering::Relaxed);
-    } else {
-        PERSISTENT.store(true, Ordering::Relaxed);
-        MAX_THREADS.store(n, Ordering::Relaxed);
-    }
-}
-
-/// Enable or disable the persistent pool without touching the width cap.
-pub fn set_persistent(on: bool) {
-    PERSISTENT.store(on, Ordering::Relaxed);
-}
-
-pub fn persistent() -> bool {
-    PERSISTENT.load(Ordering::Relaxed)
+/// Cap the per-job worker count at `n`.
+pub fn set_pool_threads(n: NonZeroUsize) {
+    MAX_THREADS.store(n.get(), Ordering::Relaxed);
 }
 
 fn max_threads() -> usize {
@@ -117,13 +96,7 @@ fn build_deques(n_tasks: usize, workers: usize) -> Vec<Deque> {
 enum QueueImpl<'a> {
     /// Single worker: plain `0..n` in task order.
     Serial { next: usize, end: usize },
-    /// Legacy respawn mode: static `task_id % n_threads` striping.
-    Strided {
-        next: usize,
-        stride: usize,
-        end: usize,
-    },
-    /// Pool mode: pop own deque, steal from the others when dry.
+    /// Several workers: pop own deque, steal from the others when dry.
     Stealing {
         cur: (usize, usize),
         deques: &'a [Deque],
@@ -156,15 +129,6 @@ impl Iterator for TileQueue<'_> {
                 if *next < *end {
                     *next += 1;
                     Some(*next - 1)
-                } else {
-                    None
-                }
-            }
-            QueueImpl::Strided { next, stride, end } => {
-                if *next < *end {
-                    let i = *next;
-                    *next += *stride;
-                    Some(i)
                 } else {
                     None
                 }
@@ -230,47 +194,22 @@ pub fn run_tile_job(plan_threads: usize, n_tasks: usize, body: &(dyn Fn(&mut Til
     let trace_on = msc_trace::enabled();
     let finished: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
 
-    if persistent() {
-        let deques = build_deques(n_tasks, n);
-        let worker_body = |slot: usize| {
-            let mut q = TileQueue {
-                worker: slot,
-                imp: QueueImpl::Stealing {
-                    cur: (0, 0),
-                    deques: &deques,
-                    steals: 0,
-                },
-            };
-            body(&mut q);
-            if trace_on {
-                finished[slot].store(msc_trace::spans::now_ns(), Ordering::Relaxed);
-            }
+    let deques = build_deques(n_tasks, n);
+    let worker_body = |slot: usize| {
+        let mut q = TileQueue {
+            worker: slot,
+            imp: QueueImpl::Stealing {
+                cur: (0, 0),
+                deques: &deques,
+                steals: 0,
+            },
         };
-        with_local_pool(n - 1, |pool| pool.run(n - 1, &worker_body));
-    } else {
-        crossbeam::thread::scope(|scope| {
-            for my_id in 0..n {
-                let finished = &finished;
-                let hub = msc_trace::current_hub();
-                scope.spawn(move |_| {
-                    let _hub_guard = msc_trace::install_thread_hub(hub);
-                    let mut q = TileQueue {
-                        worker: my_id,
-                        imp: QueueImpl::Strided {
-                            next: my_id,
-                            stride: n,
-                            end: n_tasks,
-                        },
-                    };
-                    body(&mut q);
-                    if trace_on {
-                        finished[my_id].store(msc_trace::spans::now_ns(), Ordering::Relaxed);
-                    }
-                });
-            }
-        })
-        .expect("tile worker panicked");
-    }
+        body(&mut q);
+        if trace_on {
+            finished[slot].store(msc_trace::spans::now_ns(), Ordering::Relaxed);
+        }
+    };
+    with_local_pool(n - 1, |pool| pool.run(n - 1, &worker_body));
 
     // Imbalance at the implicit end-of-step barrier: how long each
     // worker idled waiting for the slowest one.
@@ -526,22 +465,6 @@ mod tests {
         });
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "task {i}");
-        }
-    }
-
-    #[test]
-    fn pool_respawn_mode_executes_every_task_exactly_once() {
-        let was = persistent();
-        set_persistent(false);
-        let hits: Vec<AtomicU64> = (0..13).map(|_| AtomicU64::new(0)).collect();
-        run_tile_job(3, 13, &|q| {
-            for i in q.by_ref() {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        set_persistent(was);
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1);
         }
     }
 

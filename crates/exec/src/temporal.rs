@@ -12,7 +12,7 @@
 use crate::compiled::CompiledStencil;
 use crate::grid::{dense_strides, Grid, GridLayout, Scalar};
 use crate::sweep::{copy_box, for_each_row, sweep, Frame};
-use crate::tier::{exec_tier, ExecTier, TieredStencil};
+use crate::tier::{ExecTier, TieredStencil};
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
@@ -71,8 +71,8 @@ impl Trapezoid<'_> {
     }
 }
 
-/// Run `program` with overlapped temporal tiling of depth `tt` on the
-/// process-wide default execution tier. Returns the final state
+/// Run `program` with overlapped temporal tiling of depth `tt` on
+/// [`ExecTier::Auto`]. Returns the final state
 /// (bit-identical to [`crate::driver::run_program`]) and the redundancy
 /// accounting.
 pub fn run_temporal_tiled<T: Scalar>(
@@ -81,7 +81,7 @@ pub fn run_temporal_tiled<T: Scalar>(
     tt: usize,
     init: &Grid<T>,
 ) -> Result<(Grid<T>, TemporalStats)> {
-    run_temporal_tiled_tier(program, plan, tt, init, exec_tier())
+    run_temporal_tiled_tier(program, plan, tt, init, ExecTier::Auto)
 }
 
 /// Like [`run_temporal_tiled`] with an explicit execution tier.

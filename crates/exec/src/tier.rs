@@ -18,7 +18,7 @@
 //! * `Interp` → the **interpreter** (also what the `Executor::Reference`
 //!   oracle path always runs).
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use msc_core::error::Result;
@@ -80,24 +80,6 @@ impl ActiveTier {
             ActiveTier::Vm => "vm",
             ActiveTier::Specialized => "specialized",
         }
-    }
-}
-
-/// Process-wide default tier, used by entry points that predate tier
-/// threading (`run_program`/`run_program_bc`). Same pattern as
-/// `pool::set_persistent`.
-static DEFAULT_TIER: AtomicU8 = AtomicU8::new(ExecTier::Auto as u8);
-
-pub fn set_exec_tier(tier: ExecTier) {
-    DEFAULT_TIER.store(tier as u8, Ordering::Relaxed);
-}
-
-pub fn exec_tier() -> ExecTier {
-    match DEFAULT_TIER.load(Ordering::Relaxed) {
-        x if x == ExecTier::Interp as u8 => ExecTier::Interp,
-        x if x == ExecTier::Vm as u8 => ExecTier::Vm,
-        x if x == ExecTier::Specialized as u8 => ExecTier::Specialized,
-        _ => ExecTier::Auto,
     }
 }
 
@@ -379,12 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn global_default_round_trips() {
-        // Serialize against other tests via the set/read/restore dance.
-        let was = exec_tier();
-        set_exec_tier(ExecTier::Vm);
-        assert_eq!(exec_tier(), ExecTier::Vm);
-        set_exec_tier(was);
+    fn tier_names_parse() {
         assert_eq!(ExecTier::parse("specialized"), Some(ExecTier::Specialized));
         assert_eq!(ExecTier::parse("bogus"), None);
     }

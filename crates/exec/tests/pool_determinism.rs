@@ -45,24 +45,3 @@ fn pool_reuse_over_100_steps_is_bit_identical() {
         assert_eq!(stats.steps, 100);
     }
 }
-
-#[test]
-#[cfg_attr(miri, ignore)] // exercises OS threads over many steps
-fn respawn_mode_matches_pool_mode() {
-    // The legacy per-step-spawn scheduler (pool disabled) and the
-    // persistent pool must produce identical bits — only scheduling
-    // differs.
-    let grid = [16, 16];
-    let p = benchmark(BenchmarkId::S2d9ptBox)
-        .program(&grid, DType::F64, 25)
-        .unwrap();
-    let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 99);
-    let exec = Executor::Tiled(plan(&grid, &[4, 8], 4));
-
-    msc_exec::pool::set_persistent(true);
-    let (pooled, _) = run_program(&p, &exec, &init).unwrap();
-    msc_exec::pool::set_persistent(false);
-    let (respawned, _) = run_program(&p, &exec, &init).unwrap();
-    msc_exec::pool::set_persistent(true);
-    assert_eq!(pooled.as_slice(), respawned.as_slice());
-}

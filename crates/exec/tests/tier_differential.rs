@@ -193,11 +193,12 @@ fn auto_tier_matches_oracle_with_periodic_boundaries() {
     for b in all_benchmarks() {
         let p = b.program(&b.test_grid(), DType::F64, STEPS).unwrap();
         let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 99);
-        let (oracle, _) = msc_exec::run_program_bc(
+        let (oracle, _) = run_program_tier(
             &p,
             &Executor::Reference,
             &init,
             Boundary::Periodic,
+            ExecTier::Interp,
         )
         .unwrap();
         let exec = Executor::Tiled(half_tiles(&p));

@@ -3,6 +3,7 @@
 //! JSON (hand-rolled — the workspace builds offline with no serde).
 
 use crate::code::LintCode;
+use msc_trace::json::quoted;
 
 /// Diagnostic severity, rustc-style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -69,12 +70,12 @@ impl Diagnostic {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"code\":{},\"severity\":{},\"family\":{},\"message\":{},\"context\":{},\"help\":{}}}",
-            json_str(self.code.as_str()),
-            json_str(self.severity.as_str()),
-            json_str(self.code.family()),
-            json_str(&self.message),
-            json_str(&self.context),
-            json_str(&self.help),
+            quoted(self.code.as_str()),
+            quoted(self.severity.as_str()),
+            quoted(self.code.family()),
+            quoted(&self.message),
+            quoted(&self.context),
+            quoted(&self.help),
         )
     }
 }
@@ -156,7 +157,7 @@ impl Report {
     /// Machine-readable JSON for `mscc check --json`.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        s.push_str(&format!("\"tool\":\"msc-lint\",\"program\":{}", json_str(&self.program)));
+        s.push_str(&format!("\"tool\":\"msc-lint\",\"program\":{}", quoted(&self.program)));
         s.push_str(",\"diagnostics\":[");
         for (i, d) in self.diags.iter().enumerate() {
             if i > 0 {
@@ -171,24 +172,6 @@ impl Report {
         ));
         s
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 
 use crate::cache::CompileCache;
 use crate::proto::{BusyReason, JobDone, Request, Response, ServiceStats, Submission, PROTO_VERSION};
-use msc_bench::results::Json;
+use msc_trace::Json;
 use msc_core::schedule::{preset_for_grid, ExecPlan, Target};
 use msc_exec::driver::{run_program, Executor};
 use msc_exec::Grid;

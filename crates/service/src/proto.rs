@@ -9,7 +9,7 @@
 //! Both sides are version-checked loosely: unknown fields are ignored,
 //! unknown `op`/`kind` tags are errors, so additive evolution is safe.
 
-use msc_bench::results::Json;
+use msc_trace::Json;
 use msc_core::schedule::Target;
 
 /// Protocol revision, sent by the server in every `pong`.

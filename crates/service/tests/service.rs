@@ -3,7 +3,7 @@
 //! admission control, per-session telemetry isolation, and graceful
 //! shutdown.
 
-use msc_bench::results::Json;
+use msc_trace::Json;
 use msc_service::{
     BusyReason, Client, Daemon, Request, Response, ServiceConfig, Submission,
 };

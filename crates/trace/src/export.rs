@@ -6,6 +6,7 @@
 //! and diffed across runs.
 
 use crate::counters::Counter;
+use crate::json::quoted;
 use crate::profile::Profile;
 use crate::spans::{SpanKind, NO_RANK};
 use std::collections::BTreeMap;
@@ -122,7 +123,7 @@ pub fn chrome_json(p: &Profile) -> String {
     let _ = write!(
         out,
         "    {{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"args\": {{\"name\": {}}}}}",
-        json_string(if p.label.is_empty() { "msc" } else { &p.label })
+        quoted(if p.label.is_empty() { "msc" } else { &p.label })
     );
 
     // One process-name metadata row per rank present in the timeline.
@@ -139,7 +140,7 @@ pub fn chrome_json(p: &Profile) -> String {
             out,
             ",\n    {{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"args\": {{\"name\": {}}}}}",
             pid_of_rank(*r),
-            json_string(&format!("rank {r}"))
+            quoted(&format!("rank {r}"))
         );
     }
 
@@ -153,7 +154,7 @@ pub fn chrome_json(p: &Profile) -> String {
                 let _ = write!(
                     out,
                     "    {{\"name\": {}, \"cat\": \"msc\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": {}, \"tid\": {}}}",
-                    json_string(s.name),
+                    quoted(s.name),
                     json_f64(ts_us),
                     json_f64(dur_us),
                     pid,
@@ -164,7 +165,7 @@ pub fn chrome_json(p: &Profile) -> String {
                 let _ = write!(
                     out,
                     "    {{\"name\": {}, \"cat\": \"msc\", \"ph\": \"i\", \"ts\": {}, \"s\": \"t\", \"pid\": {}, \"tid\": {}}}",
-                    json_string(s.name),
+                    quoted(s.name),
                     json_f64(ts_us),
                     pid,
                     s.thread
@@ -174,7 +175,7 @@ pub fn chrome_json(p: &Profile) -> String {
                 let _ = write!(
                     out,
                     "    {{\"name\": {}, \"cat\": \"flow\", \"ph\": \"s\", \"id\": {}, \"ts\": {}, \"pid\": {}, \"tid\": {}}}",
-                    json_string(s.name),
+                    quoted(s.name),
                     s.arg,
                     json_f64(ts_us),
                     pid,
@@ -185,7 +186,7 @@ pub fn chrome_json(p: &Profile) -> String {
                 let _ = write!(
                     out,
                     "    {{\"name\": {}, \"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", \"id\": {}, \"ts\": {}, \"pid\": {}, \"tid\": {}}}",
-                    json_string(s.name),
+                    quoted(s.name),
                     s.arg,
                     json_f64(ts_us),
                     pid,
@@ -204,7 +205,7 @@ pub fn chrome_json(p: &Profile) -> String {
         let _ = write!(
             out,
             ",\n    {{\"name\": {}, \"cat\": \"hist\", \"ph\": \"C\", \"ts\": 0, \"pid\": 0, \"args\": {{\"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}}}",
-            json_string(&format!("hist:{}", h.name())),
+            quoted(&format!("hist:{}", h.name())),
             hist.p50(),
             hist.p90(),
             hist.p99(),
@@ -223,7 +224,7 @@ pub fn chrome_json(p: &Profile) -> String {
             out.push_str(",\n");
         }
         first_counter = false;
-        let _ = write!(out, "    {}: {}", json_string(c.name()), v);
+        let _ = write!(out, "    {}: {}", quoted(c.name()), v);
     }
     if p.dropped_spans > 0 {
         if !first_counter {
@@ -232,27 +233,6 @@ pub fn chrome_json(p: &Profile) -> String {
         let _ = write!(out, "    \"dropped_spans\": {}", p.dropped_spans);
     }
     out.push_str("\n  }\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping (control chars, quote, backslash).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -373,12 +353,6 @@ mod tests {
         assert_eq!(pid_of_rank(NO_RANK), 0);
         assert_eq!(pid_of_rank(0), 1);
         assert_eq!(pid_of_rank(3), 4);
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

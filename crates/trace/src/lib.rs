@@ -18,7 +18,11 @@
 //! * [`profile`] / [`export`] — [`Profile`] snapshots that merge across
 //!   threads and ranks, rendered as a human-readable table
 //!   ([`Profile::to_table`]) or chrome://tracing JSON
-//!   ([`Profile::to_chrome_json`]).
+//!   ([`Profile::to_chrome_json`]);
+//! * [`json`] — the workspace's one JSON value, parser and string
+//!   escaper ([`Json`]): this crate is the leaf every emitter and every
+//!   reader (validators here, `mscc top`, the `mscd` protocol, the bench
+//!   trajectory) can reach.
 //!
 //! Observability v2 (DESIGN.md §8) adds:
 //!
@@ -55,6 +59,7 @@ pub mod counters;
 pub mod export;
 pub mod histogram;
 pub mod hub;
+pub mod json;
 pub mod openmetrics;
 pub mod profile;
 pub mod ranks;
@@ -70,6 +75,7 @@ pub use counters::{
 };
 pub use histogram::{record_hist, reset_hists, snapshot_hists, Hist, HistSet, Histogram};
 pub use hub::{current_hub, default_hub, install_thread_hub, HubGuard, TelemetryHub};
+pub use json::Json;
 pub use profile::Profile;
 pub use ranks::{RankSample, MAX_RANKS, OVERFLOW_RANK};
 pub use recorder::{

@@ -252,7 +252,7 @@ pub fn flight_json(reason: &str, records: &[FlightRecord]) -> String {
     let _ = writeln!(
         out,
         "    \"reason\": {},",
-        crate::export::json_string(reason)
+        crate::json::quoted(reason)
     );
     let _ = writeln!(out, "    \"event_count\": {},", records.len());
     out.push_str("    \"events\": [");
@@ -268,7 +268,7 @@ pub fn flight_json(reason: &str, records: &[FlightRecord]) -> String {
             "      {{\"t_ns\": {}, \"rank\": {}, \"kind\": {}, \"src\": {}, \"dst\": {}, \"tag\": {}, \"seq\": {}}}",
             r.t_ns,
             rank,
-            crate::export::json_string(r.kind.name()),
+            crate::json::quoted(r.kind.name()),
             r.src,
             r.dst,
             r.tag,

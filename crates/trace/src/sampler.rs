@@ -373,8 +373,8 @@ fn render_jsonl(input: RenderInput<'_>) -> String {
     let _ = write!(
         out,
         "{{\"schema\":{},\"seq\":{seq},\"reason\":{},\"t_ns\":{t_ns},\"dt_ns\":{dt_ns}",
-        crate::export::json_string(METRICS_SCHEMA),
-        crate::export::json_string(reason),
+        crate::json::quoted(METRICS_SCHEMA),
+        crate::json::quoted(reason),
     );
 
     out.push_str(",\"counters\":{");
@@ -449,12 +449,12 @@ fn render_jsonl(input: RenderInput<'_>) -> String {
         let _ = write!(
             out,
             "{{\"kind\":{},\"rank\":{},\"value\":{},\"threshold\":{},\"t_ns\":{},\"message\":{}}}",
-            crate::export::json_string(a.kind.name()),
+            crate::json::quoted(a.kind.name()),
             a.rank,
             jf(a.value),
             jf(a.threshold),
             a.t_ns,
-            crate::export::json_string(&a.message),
+            crate::json::quoted(&a.message),
         );
     }
     out.push_str("]}");

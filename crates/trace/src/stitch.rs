@@ -14,6 +14,7 @@
 //!
 //! [`FlowEnd`]: crate::spans::SpanKind::FlowEnd
 
+use crate::json::Json;
 use crate::profile::Profile;
 use crate::spans::{SpanKind, NO_RANK};
 use std::collections::BTreeMap;
@@ -185,10 +186,10 @@ pub struct ChromeSummary {
 /// Returns a [`ChromeSummary`] or a message pinpointing the first
 /// structural violation.
 pub fn validate_chrome_json(json: &str) -> Result<ChromeSummary, String> {
-    let doc = json::parse(json)?;
+    let doc = Json::parse(json)?;
     let events = doc
         .get("traceEvents")
-        .and_then(|v| v.as_array())
+        .and_then(Json::as_arr)
         .ok_or("missing traceEvents array")?;
 
     let mut summary = ChromeSummary {
@@ -301,227 +302,6 @@ pub fn validate_chrome_json(json: &str) -> Result<ChromeSummary, String> {
     ranks.sort_unstable();
     summary.ranks = ranks;
     Ok(summary)
-}
-
-/// A deliberately small recursive-descent JSON parser: just enough to
-/// structurally validate our own exports without external dependencies.
-/// Numbers parse as f64 (adequate: validation compares, never computes).
-mod json {
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(src: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(_) => self.number(),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                self.pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (input is a &str, so
-                        // boundaries are valid).
-                        let s = &self.bytes[self.pos..];
-                        let ch = std::str::from_utf8(&s[..s.len().min(4)])
-                            .or_else(|e| std::str::from_utf8(&s[..e.valid_up_to()]))
-                            .map_err(|_| "invalid utf8")?
-                            .chars()
-                            .next()
-                            .ok_or("invalid utf8")?;
-                        out.push(ch);
-                        self.pos += ch.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            let start = self.pos;
-            while self.bytes.get(self.pos).is_some_and(|b| {
-                matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! Property tests for [`msc_bench::results::Json::parse`]: the parser
+//! Property tests for [`msc_trace::Json::parse`]: the parser
 //! sits behind every tool that re-reads our own emitted files (bench
 //! trajectories, sampler streams, flight recordings, the service
 //! protocol), where a torn write or a bad disk can hand it *anything*.
 //! The contract is `Err`, never a panic or abort, on arbitrary input.
 
-use msc_bench::results::Json;
+use msc_trace::Json;
 use proptest::prelude::*;
 
 /// Valid documents covering every construct the emitter produces:

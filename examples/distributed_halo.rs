@@ -16,13 +16,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (single, _) = run_program(&program, &Executor::Reference, &init)?;
 
-    let (multi, stats) = run_distributed(&program, &[2, 3], &init, |sub| {
-        let mut s = Schedule::default();
-        let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
-        s.tile(&tile);
-        s.parallel("xo", 2);
-        ExecPlan::lower(&s, sub.len(), sub)
-    })?;
+    let (multi, stats) = run_distributed_resilient(
+        &program,
+        &[2, 3],
+        &init,
+        Boundary::Dirichlet,
+        &RunOptions::default(),
+        |sub| {
+            let mut s = Schedule::default();
+            let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
+            s.tile(&tile);
+            s.parallel("xo", 2);
+            ExecPlan::lower(&s, sub.len(), sub)
+        },
+    )?;
 
     println!(
         "{} ranks exchanged {} messages over {} steps",

@@ -6,6 +6,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== names that must not come back =="
+# One way in per layer (DESIGN.md §9.1, §13.4): the legacy distributed
+# doors, the boundary-only run_program variant and the two process-global
+# run knobs were deleted, not deprecated. This grep only sees the
+# workspace: benchmark/ is its own workspace, so `bash benchmark/run.sh
+# --smoke` below is the only gate that proves an API purge left the
+# benchmark buildable.
+if grep -rnE 'run_distributed_(bc|with|exec|opts|until_converged)|run_program_bc|set_exec_tier|set_persistent' crates src; then
+  echo "a deleted entry point or process-global run knob is back" >&2
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --workspace --release --offline
 

@@ -33,12 +33,12 @@
 //! process grid `2x1[x1...]` unless `--procs` is given); the result is
 //! always verified bit-exactly against the serial reference.
 
-use msc::bench::results::Json;
 use msc::bench::suite;
 use msc::comm::{run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions};
 use msc::core::analysis::StencilStats;
 use msc::core::schedule::ExecPlan;
 use msc::prelude::*;
+use msc::trace::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -70,10 +70,8 @@ execution:
       --simulate           print the predicted time on the target machine model
       --stats              print static kernel statistics
       --autoschedule       pick tiles/stream/tile_time automatically
-      --pool-threads N     cap the persistent worker pool at N threads;
-                           0 disables the pool and respawns worker threads
-                           every step (the pre-pool scheduler). Default:
-                           pool on, width decided by the plan
+      --pool-threads N     cap the persistent worker pool at N threads
+                           (N >= 1). Default: width decided by the plan
 
 distributed:
       --procs PxQ[xR]      run over a process grid (e.g. 2x2), verified
@@ -192,7 +190,7 @@ struct Args {
     spare_ranks: usize,
     heartbeat_ms: Option<u64>,
     flight_dir: Option<PathBuf>,
-    pool_threads: Option<usize>,
+    pool_threads: Option<std::num::NonZeroUsize>,
     exec_tier: msc::exec::ExecTier,
     metrics_file: Option<PathBuf>,
     metrics_interval_ms: Option<u64>,
@@ -646,12 +644,14 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Cli, String> {
                 ))?;
             }
             "--pool-threads" => {
+                let n: usize = argv
+                    .next()
+                    .ok_or("missing thread count after --pool-threads")?
+                    .parse()
+                    .map_err(|_| "bad thread count after --pool-threads".to_string())?;
                 pool_threads = Some(
-                    argv.next()
-                        .ok_or("missing thread count after --pool-threads")?
-                        .parse()
-                        .map_err(|_| "bad thread count after --pool-threads".to_string())?,
-                )
+                    std::num::NonZeroUsize::new(n).ok_or("--pool-threads must be at least 1")?,
+                );
             }
             "-h" | "--help" => return Ok(Cli::Help),
             other if input.is_none() && !other.starts_with('-') => {
@@ -1152,10 +1152,6 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         msc::exec::pool::set_pool_threads(n);
     }
 
-    // Tier selection for every execution path in this invocation; the
-    // distributed branch also carries it explicitly through RunOptions.
-    msc::exec::set_exec_tier(args.exec_tier);
-
     println!(
         "compiled `{}`: {}D grid {:?}, {} kernels, window {}, {} timesteps, target {}",
         program.name,
@@ -1392,7 +1388,13 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             msc::trace::set_enabled(true);
         }
         let t0 = std::time::Instant::now();
-        let (out, stats) = run_program(&program, &Executor::Tiled(plan), &init)?;
+        let (out, stats) = msc::exec::run_program_tier(
+            &program,
+            &Executor::Tiled(plan),
+            &init,
+            Boundary::Dirichlet,
+            args.exec_tier,
+        )?;
         let dt = t0.elapsed();
         if tracing {
             msc::trace::set_enabled(false);

@@ -79,11 +79,11 @@ pub mod top;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use msc_codegen::compile_to_source;
-    pub use msc_comm::{run_distributed, run_distributed_bc};
+    pub use msc_comm::{run_distributed_resilient, RunOptions};
     pub use msc_core::prelude::*;
     pub use msc_core::schedule::{preset_for_grid, BufferScope, Target};
-    pub use msc_exec::driver::{run_program, run_program_bc, Executor, RunStats};
-    pub use msc_exec::Boundary;
+    pub use msc_exec::driver::{run_program, run_program_tier, Executor, RunStats};
+    pub use msc_exec::{Boundary, ExecTier};
     pub use msc_exec::{max_rel_error, Grid};
     pub use msc_lint::{check_deny, lint_program, LintCode};
     pub use msc_machine::model::Precision;

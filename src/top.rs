@@ -17,7 +17,7 @@
 //! re-read), and treats only malformed *interior* lines as corruption —
 //! fatal in strict mode, skipped otherwise.
 
-use msc_bench::results::Json;
+use msc_trace::Json;
 use std::path::Path;
 
 /// One racy read of a metrics stream: every complete sample, plus

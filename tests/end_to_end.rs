@@ -54,9 +54,14 @@ fn every_benchmark_distributes_bit_identically() {
             2 => vec![2, 2],
             _ => vec![1, 2, 2],
         };
-        let (multi, stats) = run_distributed(&program, &procs, &init, |sub| {
-            Ok(tiled_plan(sub.len(), sub, 2))
-        })
+        let (multi, stats) = run_distributed_resilient(
+            &program,
+            &procs,
+            &init,
+            Boundary::Dirichlet,
+            &RunOptions::default(),
+            |sub| Ok(tiled_plan(sub.len(), sub, 2)),
+        )
         .unwrap();
         assert_eq!(single.as_slice(), multi.as_slice(), "{}", b.name);
         assert!(stats.messages > 0, "{}", b.name);

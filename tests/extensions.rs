@@ -67,8 +67,14 @@ proptest! {
         let mut seeded = init.clone();
         msc::exec::boundary::apply(&mut seeded, Boundary::Periodic);
         let before = seeded.interior_sum();
-        let (out, _) =
-            run_program_bc(&p, &Executor::Reference, &init, Boundary::Periodic).unwrap();
+        let (out, _) = run_program_tier(
+            &p,
+            &Executor::Reference,
+            &init,
+            Boundary::Periodic,
+            ExecTier::Auto,
+        )
+        .unwrap();
         let after = out.interior_sum();
         prop_assert!((before - after).abs() / before.abs().max(1.0) < 1e-10);
     }

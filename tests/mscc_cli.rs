@@ -363,11 +363,11 @@ fn check_json_is_machine_readable() {
         .expect("mscc runs");
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let doc = msc::bench::results::Json::parse(&stdout).expect("valid JSON on stdout");
+    let doc = msc::trace::Json::parse(&stdout).expect("valid JSON on stdout");
     assert_eq!(doc.get("tool").and_then(|v| v.as_str()), Some("msc-lint"));
     assert!(doc.get("deny_count").and_then(|v| v.as_f64()).unwrap() >= 1.0);
     let diags = match doc.get("diagnostics") {
-        Some(msc::bench::results::Json::Arr(items)) => items,
+        Some(msc::trace::Json::Arr(items)) => items,
         other => panic!("diagnostics must be an array, got {other:?}"),
     };
     assert!(diags.iter().any(|d| {
@@ -444,10 +444,10 @@ fn lift_json_reports_structured_l5xx_diagnostics() {
         .expect("mscc runs");
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let doc = msc::bench::results::Json::parse(&stdout).expect("valid JSON on stdout");
+    let doc = msc::trace::Json::parse(&stdout).expect("valid JSON on stdout");
     assert_eq!(doc.get("tool").and_then(|v| v.as_str()), Some("msc-lint"));
     let diags = match doc.get("diagnostics") {
-        Some(msc::bench::results::Json::Arr(items)) => items,
+        Some(msc::trace::Json::Arr(items)) => items,
         other => panic!("diagnostics must be an array, got {other:?}"),
     };
     assert!(diags.iter().any(|d| {
@@ -546,15 +546,21 @@ fn exec_tier_selects_the_vm_and_reports_it() {
 }
 
 #[test]
-fn bad_exec_tier_is_a_clean_error() {
-    let out = mscc()
-        .arg(dsl("wave2d.msc"))
-        .args(["--exec-tier", "warp"])
-        .output()
-        .expect("mscc runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown exec tier"), "{err}");
+fn bad_run_option_values_are_clean_errors() {
+    for (flag, value, want) in [
+        ("--exec-tier", "warp", "unknown exec tier"),
+        // There is one scheduler; 0 no longer means "respawn per step".
+        ("--pool-threads", "0", "--pool-threads must be at least 1"),
+    ] {
+        let out = mscc()
+            .arg(dsl("wave2d.msc"))
+            .args(["--run", flag, value])
+            .output()
+            .expect("mscc runs");
+        assert!(!out.status.success(), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{flag} {value}: {err}");
+    }
 }
 
 #[test]

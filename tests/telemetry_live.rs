@@ -6,7 +6,7 @@
 //! (c) per-rank rows showing both ranks stepping — while the run itself
 //! still heals and verifies bit-identical against the serial reference.
 
-use msc::bench::results::Json;
+use msc::trace::Json;
 use msc::comm::{run_distributed_resilient, FaultPlan, RunOptions};
 use msc::prelude::*;
 use msc::trace::{openmetrics, Sampler, SamplerConfig, TelemetryHub};

@@ -95,13 +95,20 @@ fn distributed_stats_survive_with_tracing_disabled() {
     msc::trace::reset();
     let p = program();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 11);
-    let (_, stats) = run_distributed(&p, &[2, 1, 2], &init, |sub| {
-        let mut s = msc::core::schedule::Schedule::default();
-        let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
-        s.tile(&tile);
-        s.parallel("xo", 2);
-        msc::core::schedule::ExecPlan::lower(&s, sub.len(), sub)
-    })
+    let (_, stats) = run_distributed_resilient(
+        &p,
+        &[2, 1, 2],
+        &init,
+        Boundary::Dirichlet,
+        &RunOptions::default(),
+        |sub| {
+            let mut s = msc::core::schedule::Schedule::default();
+            let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
+            s.tile(&tile);
+            s.parallel("xo", 2);
+            msc::core::schedule::ExecPlan::lower(&s, sub.len(), sub)
+        },
+    )
     .unwrap();
     // CommStats ride on per-rank counter sets, not the global tracer:
     // halo traffic is visible even though tracing is off...
