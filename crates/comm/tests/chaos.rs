@@ -7,7 +7,9 @@
 //! All fault schedules are seed-driven and deterministic, so these tests
 //! are exact, not statistical.
 
-use msc_comm::{run_distributed_resilient, Backend, FaultPlan, ReliabilityConfig, RunOptions};
+use msc_comm::{
+    run_distributed_resilient, Backend, FaultAction, FaultPlan, ReliabilityConfig, RunOptions,
+};
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
 use msc_core::prelude::*;
@@ -122,15 +124,43 @@ fn chaotic_gcl_backend_is_bit_identical_too() {
 
 #[test]
 fn same_seed_same_fault_schedule_different_seed_differs() {
-    // Determinism of the injector at the system level: two runs with the
-    // same seed inject exactly the same number of faults; a different
-    // seed gives a different schedule (counted over the same traffic).
+    // Determinism of the injector at the system level. What a run
+    // *counts* is not deterministic: a receiver that polls before a frame
+    // has arrived asks for it again, the retransmit re-rolls its fate
+    // with `attempt > 0`, and how often that happens depends on how
+    // loaded the machine is. What is deterministic is the fate of every
+    // first transmission — a pure function of the seed and the frame's
+    // identity — so that is what two runs of the same traffic are
+    // compared on: every ordered pair of the 2 x 2 world, the tags of a
+    // 2D exchange (`slot << 8 | dim << 1 | dir`, three window slots) and
+    // more sequence numbers than 5 steps consume.
+    let first_transmissions = |seed: u64| -> Vec<FaultAction> {
+        let plan = lossy_plan(seed);
+        let mut fates = Vec::new();
+        for (src, dst) in (0..4).flat_map(|s| (0..4).map(move |d| (s, d))) {
+            for tag in (0..3).flat_map(|slot| (0..4).map(move |face| slot << 8 | face)) {
+                fates.extend((0..32).map(|seq| plan.decide(src, dst, tag, seq, 0)));
+            }
+        }
+        fates
+    };
+    let a = first_transmissions(11);
+    assert_eq!(
+        a,
+        first_transmissions(11),
+        "same seed must give the same schedule"
+    );
+    assert_ne!(a, first_transmissions(12), "different seeds should differ");
+    assert!(a.iter().any(|&fate| fate != FaultAction::Deliver));
+
+    // And the runtime heals either schedule to the same bits, having
+    // injected something both times.
     let p = benchmark(BenchmarkId::S2d9ptStar)
         .program(&[12, 12], DType::F64, 5)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
     let run = |seed: u64| {
-        let (_, stats) = run_distributed_resilient(
+        let (out, stats) = run_distributed_resilient(
             &p,
             &[2, 2],
             &init,
@@ -139,17 +169,12 @@ fn same_seed_same_fault_schedule_different_seed_differs() {
             simple_plan,
         )
         .unwrap();
-        stats.faults_injected()
+        assert!(stats.faults_injected() > 0, "seed {seed} injected nothing");
+        out
     };
-    let a1 = run(11);
-    let a2 = run(11);
-    let b = run(12);
-    assert_eq!(a1, a2, "same seed must give the same schedule");
-    assert!(a1 > 0);
-    // First-transmission traffic is identical, so a differing injection
-    // count demonstrates a differing schedule. (Equal counts with a
-    // different pattern are possible in principle; these seeds differ.)
-    assert_ne!(a1, b, "different seeds should differ on this workload");
+    let healed = run(11);
+    assert_eq!(healed.as_slice(), run(11).as_slice());
+    assert_eq!(healed.as_slice(), run(12).as_slice());
 }
 
 #[test]

@@ -16,9 +16,20 @@ pub struct CompiledTerm<T> {
     pub weight: T,
     /// `(linear_offset, coefficient)` pairs over the padded buffer.
     pub taps: Vec<(isize, T)>,
+    /// The leading edge: the largest linear offset in `taps`. A sweep in
+    /// storage order reaches every cache line of the state through this
+    /// tap first (each smaller offset re-reads a line it brought in some
+    /// rows earlier), so it is the one address stream worth prefetching
+    /// (DESIGN.md §12.5).
+    pub lead: isize,
     /// The same taps with their multi-dimensional offsets, the source
     /// [`CompiledStencil::relinearized`] recomputes `taps` from.
     pub taps_nd: Vec<(Vec<i64>, T)>,
+}
+
+/// The value of [`CompiledTerm::lead`] for `taps`.
+pub(crate) fn leading_edge<T>(taps: &[(isize, T)]) -> isize {
+    taps.iter().map(|tap| tap.0).max().unwrap_or(0)
 }
 
 /// A fully compiled temporal stencil.
@@ -59,6 +70,7 @@ impl<T: Scalar> CompiledStencil<T> {
                 dt: term.dt,
                 weight: T::from_f64(term.weight),
                 taps: Vec::new(),
+                lead: 0,
                 taps_nd: op
                     .taps
                     .iter()
@@ -90,6 +102,7 @@ impl<T: Scalar> CompiledStencil<T> {
                 .iter()
                 .map(|(off, c)| (linear_offset(off, strides), *c))
                 .collect();
+            term.lead = leading_edge(&term.taps);
         }
         placed
     }
@@ -215,6 +228,8 @@ mod tests {
             }
             assert_eq!(term.taps.len(), was.taps.len());
             assert_eq!((term.dt, term.weight), (was.dt, was.weight));
+            // The leading edge is the +x tap in either layout.
+            assert_eq!((term.lead, was.lead), (60, g.strides[0] as isize));
         }
         assert_eq!(local.relinearized(&g.strides).terms[1].taps, c.terms[1].taps);
         // Split for one-read-buffer staging: every term reads `states[0]`.

@@ -25,6 +25,46 @@ pub(crate) fn dense_strides(shape: &[usize]) -> (Vec<usize>, usize) {
     (strides, shape.iter().product())
 }
 
+/// A fresh buffer of at least this many bytes is populated by
+/// [`populate`]. 32 MiB is glibc's largest `mmap` threshold: above it a
+/// zeroed allocation is always a new anonymous mapping with no page behind
+/// it, below it the allocator may hand back memory that is already there.
+const POPULATE_MIN_BYTES: usize = 32 << 20;
+
+/// Back the freshly allocated, still all-zero `buf` with memory in one
+/// system call instead of one page fault per 4 KiB on first write
+/// (DESIGN.md §17.3). A no-op on small buffers, off Linux and under Miri;
+/// the bits of `buf` are the same either way.
+fn populate<T>(buf: &mut [T]) {
+    let bytes = std::mem::size_of_val(buf);
+    if bytes < POPULATE_MIN_BYTES {
+        return;
+    }
+    #[cfg(all(target_os = "linux", not(miri)))]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_POPULATE_WRITE: c_int = 23;
+        // A multiple of every page size Linux runs with (4, 16, 64 KiB).
+        const ALIGN: usize = 64 << 10;
+        let start = buf.as_mut_ptr().cast::<u8>();
+        let skip = start.addr().next_multiple_of(ALIGN) - start.addr();
+        let len = (bytes - skip) & !(ALIGN - 1);
+        // SAFETY: `[start + skip, start + skip + len)` is page-aligned and
+        // lies inside `buf` (which is far longer than `ALIGN`, so `skip`
+        // fits), and this function holds `buf` exclusively.
+        // MADV_POPULATE_WRITE only does what a write to each page would —
+        // allocate it, zeroed, and map it writable — and changes no byte a
+        // load can see, so `buf` stays the valid `[T]` it was. The result
+        // is ignored on purpose: on any failure (EINVAL before Linux 5.14,
+        // ENOMEM under a memory limit) nothing was changed and the pages
+        // fault in one by one, as they did before this call existed.
+        unsafe { madvise(start.wrapping_add(skip).cast(), len, MADV_POPULATE_WRITE) };
+    }
+}
+
 /// Layout metadata of a grid, detached from its storage — cheap to move
 /// into worker threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,6 +189,9 @@ impl<T: Scalar> Grid<T> {
     /// overwrite its whole interior anyway.
     pub(crate) fn halo_shell(&self) -> Grid<T> {
         let mut shell = Grid::zeros(&self.shape, &self.halo);
+        // Rows shorter than a page put a halo cell in every page, so the
+        // copies below would fault the whole slot in, one page at a time.
+        populate(&mut shell.data);
         let last = self.ndim() - 1;
         let (row, h) = (self.padded[last], self.halo[last]);
         // Padded rows in storage order: a row with any outer coordinate in
@@ -320,20 +363,65 @@ mod tests {
         assert_eq!(g.get_rel(&[2, 2], &[1, 1]), 8.0);
     }
 
+    /// `halo_shell` against a clone with its interior set to `+0.0`, bit
+    /// for bit (`-0.0 == 0.0`, so `==` on the grids would not do).
+    fn check_halo_shell<T: Scalar>(shape: &[usize], halo: &[usize]) {
+        let g: Grid<T> = Grid::random(shape, halo, 11);
+        let mut expect = g.clone();
+        g.for_each_interior(|pos| expect.set(pos, T::default()));
+        let shell = g.halo_shell();
+        assert_eq!(shell.layout(), g.layout());
+        let bits = |g: &Grid<T>| -> Vec<u64> {
+            g.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+        };
+        assert!(
+            bits(&shell) == bits(&expect),
+            "shape {shape:?} halo {halo:?}"
+        );
+        shell.for_each_interior(|pos| assert_eq!(shell.get(pos).to_f64().to_bits(), 0));
+    }
+
     #[test]
     fn halo_shell_keeps_the_halo_and_blanks_the_interior() {
+        // All far below `POPULATE_MIN_BYTES`: nothing is pre-faulted.
         for (shape, halo) in [
             (vec![5], vec![2]),
+            (vec![1], vec![0]),
             (vec![4, 3], vec![1, 2]),
             (vec![3, 4, 5], vec![1, 1, 1]),
             (vec![3, 2, 4], vec![2, 0, 1]),
             (vec![2, 3], vec![0, 0]),
         ] {
-            let g: Grid<f32> = Grid::random(&shape, &halo, 11);
-            let mut expect = g.clone();
-            g.for_each_interior(|pos| expect.set(pos, 0.0));
-            assert_eq!(g.halo_shell(), expect, "shape {shape:?} halo {halo:?}");
+            check_halo_shell::<f32>(&shape, &halo);
+            check_halo_shell::<f64>(&shape, &halo);
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 34 MB
+    fn a_pre_faulted_halo_shell_has_the_same_bits() {
+        // Just past the gate, with rows shorter than a page (every page
+        // holds halo cells, as in stream3d) and longer than one.
+        let elems = POPULATE_MIN_BYTES / std::mem::size_of::<f32>();
+        for (shape, halo) in [([128, 128, 500], [1, 1, 1]), ([64, 2, 65600], [0, 0, 2])] {
+            let padded: usize = shape.iter().zip(&halo).map(|(s, h)| s + 2 * h).product();
+            assert!((elems..elems + elems / 50).contains(&padded), "{padded}");
+            check_halo_shell::<f32>(&shape, &halo);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 4 x 32 MB
+    fn populate_leaves_every_byte_zero_whatever_the_alignment() {
+        // Buffers around the gate, starting at even and odd addresses.
+        for skip in [0, 4096 - 1] {
+            for len in [POPULATE_MIN_BYTES - 1, POPULATE_MIN_BYTES + 4096 + 1] {
+                let mut buf = vec![0u8; skip + len];
+                populate(&mut buf[skip..]);
+                assert!(buf.iter().all(|&b| b == 0), "skip {skip} len {len}");
+            }
+        }
+        populate::<f64>(&mut []);
     }
 
     #[test]

@@ -22,12 +22,19 @@
 //! and the tap count is an ordinary run-time loop bound: every stencil
 //! has a kernel.
 //!
-//! The kernel body is safe code. The one `unsafe` in this module is the
-//! call through the `#[target_feature]` wrapper in
-//! [`RowKernel::run_row`].
+//! Every kernel exists twice: as above, and with software prefetch of
+//! each stream's leading edge (`prefetch_block`) for stencils whose step
+//! streams more bytes than a cache keeps (`prefetch_pays`). Which one
+//! runs is fixed when the [`RowKernel`] is made, so the plain loop carries
+//! no trace of the other.
+//!
+//! The kernel body is safe code. The two `unsafe` in this module are the
+//! call through the `#[target_feature]` wrapper in [`RowKernel::run_row`]
+//! and the prefetch instruction in `prefetch_block`.
 
 use crate::compiled::CompiledTerm;
 use crate::grid::Scalar;
+use std::mem::size_of;
 
 /// Accumulator vectors per block: `W` is 16 / 32 / 64 f64 points on SSE2
 /// / AVX2 / AVX-512 and twice that in f32. Eight was the fastest of 2, 4,
@@ -35,11 +42,60 @@ use crate::grid::Scalar;
 /// §12.1); a row's tail goes through blocks of `W/2`, `W/4`, … 1.
 const BLOCK_VECTORS: usize = 8;
 
+/// How far ahead of the block being computed the prefetching kernels ask
+/// for memory. 1-2 KiB was the fastest of 0.25-32 KiB on the 256^3 3d7pt
+/// sweep (table in DESIGN.md §12.5): far enough to cover a DRAM access,
+/// near enough that the line is still in L1/L2 when the block arrives.
+const PREFETCH_AHEAD_BYTES: usize = 2048;
+
+/// A step that streams at least this many bytes — `max_dt` states in, one
+/// out — finds none of them in cache when the next step comes round, and
+/// only then do the prefetches pay for their issue slots: 1.3x at 412 MB
+/// and 1.17x at 105 MB, nothing at 53 MB and 25 MB, 5-10 % slower at
+/// 7 MB and below (table in DESIGN.md §12.5).
+pub(crate) const PREFETCH_MIN_STEP_BYTES: usize = 64 << 20;
+
+/// Whether a stencil reading `max_dt` states of `padded_len` elements of
+/// `T` gets the prefetching kernels. Decided once per compiled stencil,
+/// from sizes alone.
+pub(crate) fn prefetch_pays<T>(max_dt: usize, padded_len: usize) -> bool {
+    let step_bytes = max_dt
+        .saturating_add(1)
+        .saturating_mul(padded_len)
+        .saturating_mul(size_of::<T>());
+    cfg!(all(target_arch = "x86_64", not(miri))) && step_bytes >= PREFETCH_MIN_STEP_BYTES
+}
+
+/// Ask the memory system for the cache lines under the `W` elements
+/// [`PREFETCH_AHEAD_BYTES`] past `block`. `block` may point anywhere, in
+/// or out of an allocation: callers form it with `wrapping_add`.
+#[inline(always)]
+fn prefetch_block<T, const W: usize>(block: *const T) {
+    let ahead = block.cast::<i8>().wrapping_add(PREFETCH_AHEAD_BYTES);
+    for line in 0..W * size_of::<T>() / 64 {
+        let p = ahead.wrapping_add(64 * line);
+        // SAFETY: PREFETCHT0 is a hint. It is part of SSE, which every
+        // x86-64 CPU has; it reads and writes no memory the program can
+        // observe; and on an address that is unmapped, protected or past
+        // the end of its buffer it does nothing at all — it cannot fault.
+        // `p` is never dereferenced, so it need not point into anything.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p)
+        };
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        let _ = p;
+    }
+}
+
 type KernelFn<T> = unsafe fn(&[CompiledTerm<T>], &[&[T]], usize, &mut [T]);
 
 /// All whole `W`-point blocks of `out[i..]`; returns where it stopped.
+/// With `PREFETCH`, a block of at least a cache line first asks for the
+/// lines it will need [`PREFETCH_AHEAD_BYTES`] from now: under every
+/// term's leading-edge tap, and under `out`.
 #[inline(always)]
-fn blocks<T: Scalar, const W: usize>(
+fn blocks<T: Scalar, const W: usize, const PREFETCH: bool>(
     terms: &[CompiledTerm<T>],
     states: &[&[T]],
     base: usize,
@@ -48,6 +104,13 @@ fn blocks<T: Scalar, const W: usize>(
 ) -> usize {
     while i + W <= out.len() {
         let at = (base + i) as isize;
+        if PREFETCH {
+            for term in terms {
+                let src = states[term.dt - 1].as_ptr();
+                prefetch_block::<T, W>(src.wrapping_offset(at + term.lead));
+            }
+            prefetch_block::<T, W>(out.as_ptr().wrapping_add(i));
+        }
         let mut o = [T::default(); W];
         for term in terms {
             let src = states[term.dt - 1];
@@ -77,78 +140,113 @@ fn blocks<T: Scalar, const W: usize>(
 /// ever narrower ones for the tail. Every `if` is decided at
 /// monomorphization time.
 #[inline(always)]
-fn row<T: Scalar, const VECTOR_BYTES: usize>(
+fn row<T: Scalar, const VECTOR_BYTES: usize, const PREFETCH: bool>(
     terms: &[CompiledTerm<T>],
     states: &[&[T]],
     base: usize,
     out: &mut [T],
 ) {
-    let w = VECTOR_BYTES * BLOCK_VECTORS / std::mem::size_of::<T>();
+    let w = VECTOR_BYTES * BLOCK_VECTORS / size_of::<T>();
     let mut i = 0;
     if w >= 128 {
-        i = blocks::<T, 128>(terms, states, base, out, i);
+        i = blocks::<T, 128, PREFETCH>(terms, states, base, out, i);
     }
     if w >= 64 {
-        i = blocks::<T, 64>(terms, states, base, out, i);
+        i = blocks::<T, 64, PREFETCH>(terms, states, base, out, i);
     }
     if w >= 32 {
-        i = blocks::<T, 32>(terms, states, base, out, i);
+        i = blocks::<T, 32, PREFETCH>(terms, states, base, out, i);
     }
     if w >= 16 {
-        i = blocks::<T, 16>(terms, states, base, out, i);
+        i = blocks::<T, 16, PREFETCH>(terms, states, base, out, i);
     }
-    i = blocks::<T, 8>(terms, states, base, out, i);
-    i = blocks::<T, 4>(terms, states, base, out, i);
-    i = blocks::<T, 2>(terms, states, base, out, i);
-    blocks::<T, 1>(terms, states, base, out, i);
+    i = blocks::<T, 8, PREFETCH>(terms, states, base, out, i);
+    i = blocks::<T, 4, PREFETCH>(terms, states, base, out, i);
+    i = blocks::<T, 2, PREFETCH>(terms, states, base, out, i);
+    blocks::<T, 1, PREFETCH>(terms, states, base, out, i);
 }
 
-fn row_baseline<T: Scalar>(terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
-    row::<T, 16>(terms, states, base, out)
+fn row_baseline<T: Scalar, const PREFETCH: bool>(
+    terms: &[CompiledTerm<T>],
+    states: &[&[T]],
+    base: usize,
+    out: &mut [T],
+) {
+    row::<T, 16, PREFETCH>(terms, states, base, out)
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
-fn row_avx2<T: Scalar>(terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
-    row::<T, 32>(terms, states, base, out)
+fn row_avx2<T: Scalar, const PREFETCH: bool>(
+    terms: &[CompiledTerm<T>],
+    states: &[&[T]],
+    base: usize,
+    out: &mut [T],
+) {
+    row::<T, 32, PREFETCH>(terms, states, base, out)
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
-fn row_avx512<T: Scalar>(terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
-    row::<T, 64>(terms, states, base, out)
+fn row_avx512<T: Scalar, const PREFETCH: bool>(
+    terms: &[CompiledTerm<T>],
+    states: &[&[T]],
+    base: usize,
+    out: &mut [T],
+) {
+    row::<T, 64, PREFETCH>(terms, states, base, out)
 }
 
 /// Every instantiation the running CPU can execute, narrowest first.
 /// Baseline is whatever the crate is built for (SSE2 on x86-64) and the
 /// only one under Miri and on other architectures.
-fn detected_kernels<T: Scalar>() -> Vec<(&'static str, KernelFn<T>)> {
+fn detected_kernels<T: Scalar, const PREFETCH: bool>() -> Vec<(&'static str, KernelFn<T>)> {
     #[allow(unused_mut)]
-    let mut kernels: Vec<(&str, KernelFn<T>)> = vec![("baseline", row_baseline::<T>)];
+    let mut kernels: Vec<(&str, KernelFn<T>)> = vec![("baseline", row_baseline::<T, PREFETCH>)];
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         if is_x86_feature_detected!("avx2") {
-            kernels.push(("avx2", row_avx2::<T>));
+            kernels.push(("avx2", row_avx2::<T, PREFETCH>));
         }
         if is_x86_feature_detected!("avx512f") {
-            kernels.push(("avx512f", row_avx512::<T>));
+            kernels.push(("avx512f", row_avx512::<T, PREFETCH>));
         }
     }
     kernels
 }
 
-/// The blocked row kernel of one ISA.
+/// The blocked row kernel of one ISA, with or without prefetch.
 pub struct RowKernel<T> {
-    /// Invariant: an element of [`detected_kernels`]. Private, and only
-    /// this module's tests ever pick anything but the widest.
+    /// Invariant: the element of [`detected_kernels`] named `isa`.
+    /// Private, and only this module's tests ever pick anything but the
+    /// widest.
     run: KernelFn<T>,
+    isa: &'static str,
+    prefetch: bool,
 }
 
 impl<T: Scalar> RowKernel<T> {
-    /// The kernel of the widest ISA the running CPU has.
-    pub fn widest() -> RowKernel<T> {
-        let (_, run) = detected_kernels().pop().expect("baseline is always there");
-        RowKernel { run }
+    /// The kernel of the widest ISA the running CPU has; `prefetch` is
+    /// what `prefetch_pays` said about the buffers it will read.
+    pub fn widest(prefetch: bool) -> RowKernel<T> {
+        let mut kernels = if prefetch {
+            detected_kernels::<T, true>()
+        } else {
+            detected_kernels::<T, false>()
+        };
+        let (isa, run) = kernels.pop().expect("baseline is always there");
+        RowKernel { run, isa, prefetch }
+    }
+
+    /// The vector ISA the kernel was instantiated for: `baseline`, `avx2`
+    /// or `avx512f`.
+    pub fn isa(&self) -> &'static str {
+        self.isa
+    }
+
+    /// Whether this is the prefetching instantiation.
+    pub fn prefetch(&self) -> bool {
+        self.prefetch
     }
 
     /// Evaluate a unit-stride row of the stencil `terms`: `out[i]` gets
@@ -168,7 +266,7 @@ impl<T: Scalar> RowKernel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompiledStencil;
+    use crate::compiled::{leading_edge, CompiledStencil};
     use crate::grid::Grid;
     use msc_core::catalog::{benchmark, BenchmarkId};
     use msc_core::prelude::*;
@@ -188,6 +286,7 @@ mod tests {
             .map(|(dt, weight, taps)| CompiledTerm {
                 dt,
                 weight: T::from_f64(weight),
+                lead: leading_edge(&taps),
                 taps: taps.into_iter().map(|(o, k)| (o, T::from_f64(k))).collect(),
                 taps_nd: Vec::new(),
             })
@@ -195,31 +294,41 @@ mod tests {
         CompiledStencil::from_terms(terms)
     }
 
-    /// The detected kernels, or only the baseline one: an AVX host still
-    /// runs the SSE2 instantiation when the test asks for it.
-    fn kernels<T: Scalar>(baseline_only: bool) -> Vec<(&'static str, RowKernel<T>)> {
-        let mut kernels = detected_kernels::<T>();
-        assert_eq!(kernels[0].0, "baseline");
-        if baseline_only {
-            kernels.truncate(1);
+    /// The detected kernels, plain and prefetching, or only the baseline
+    /// pair: an AVX host still runs the SSE2 instantiation when the test
+    /// asks for it.
+    fn kernels<T: Scalar>(baseline_only: bool) -> Vec<RowKernel<T>> {
+        let mut kernels = Vec::new();
+        for (prefetch, detected) in [
+            (false, detected_kernels::<T, false>()),
+            (true, detected_kernels::<T, true>()),
+        ] {
+            assert_eq!(detected[0].0, "baseline");
+            let n = if baseline_only { 1 } else { detected.len() };
+            let picked = detected.into_iter().take(n);
+            kernels.extend(picked.map(|(isa, run)| RowKernel { run, isa, prefetch }));
         }
         kernels
-            .into_iter()
-            .map(|(isa, run)| (isa, RowKernel { run }))
-            .collect()
     }
 
     /// Rows of every length `1..=2W+1` through each kernel under test,
-    /// every point compared bit for bit with `apply_at`.
+    /// every point compared bit for bit with `apply_at`. The leading tap
+    /// of the longest row's last point reads the final element of every
+    /// state buffer, and `out` is exactly the row, so the prefetches of the
+    /// last blocks aim past every allocation.
     fn check_rows<T: Scalar>(terms: &[Term], baseline_only: bool, seed: u64) {
         let c = stencil_1d::<T>(terms.to_vec());
         let reach = REACH as usize;
         let max_len = 2 * widest_block::<T>() + 1;
-        let states: Vec<Grid<T>> = (0..c.max_dt as u64)
-            .map(|s| Grid::random(&[max_len + 2 * reach + 1], &[0], seed + s))
+        let states: Vec<Grid<T>> = (0..c.max_dt)
+            .map(|s| {
+                let readers = c.terms.iter().filter(|t| t.dt == s + 1);
+                let lead = readers.map(|t| t.lead.max(0) as usize).max().unwrap_or(0);
+                Grid::random(&[reach + 1 + max_len + lead], &[0], seed + s as u64)
+            })
             .collect();
         let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
-        for (isa, kernel) in kernels::<T>(baseline_only) {
+        for kernel in kernels::<T>(baseline_only) {
             for len in 1..=max_len {
                 // Odd bases too: nothing may depend on alignment.
                 let base = reach + (len & 1);
@@ -230,7 +339,9 @@ mod tests {
                     assert_eq!(
                         got.to_f64().to_bits(),
                         want.to_f64().to_bits(),
-                        "{isa}: {} taps, row of {len}, point {i}",
+                        "{} prefetch {}: {} taps, row of {len}, point {i}",
+                        kernel.isa(),
+                        kernel.prefetch(),
                         c.terms[0].taps.len()
                     );
                 }
@@ -301,11 +412,16 @@ mod tests {
             let c = stencil_1d::<f64>(terms);
             let zeros = vec![0.0f64; 3 * widest_block::<f64>()];
             let states = [zeros.as_slice(), zeros.as_slice()];
-            for (isa, kernel) in kernels::<f64>(false) {
+            for kernel in kernels::<f64>(false) {
                 let mut row = vec![f64::NAN; zeros.len() - 2];
                 kernel.run_row(&c.terms, &states, 1, &mut row);
                 for (i, got) in row.iter().enumerate() {
-                    assert_eq!(got.to_bits(), 0.0f64.to_bits(), "{isa} point {i}");
+                    assert_eq!(
+                        got.to_bits(),
+                        0.0f64.to_bits(),
+                        "{} point {i}",
+                        kernel.isa()
+                    );
                     assert_eq!(got.to_bits(), c.apply_at(&states, 1 + i).to_bits());
                 }
             }
@@ -323,10 +439,32 @@ mod tests {
         let states = [a.as_slice(), b.as_slice()];
         let base = a.layout().index(&[5, 4, 0]);
         let mut row = vec![0.0; 16];
-        RowKernel::widest().run_row(&c.terms, &states, base, &mut row);
-        for (i, &got) in row.iter().enumerate() {
-            let want = c.apply_at(&states, base + i);
-            assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
+        for prefetch in [false, true] {
+            let kernel = RowKernel::widest(prefetch);
+            assert_eq!(kernel.prefetch(), prefetch);
+            kernel.run_row(&c.terms, &states, base, &mut row);
+            for (i, &got) in row.iter().enumerate() {
+                let want = c.apply_at(&states, base + i);
+                assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
+            }
+            row.fill(0.0);
         }
+    }
+
+    #[test]
+    fn prefetch_is_decided_from_the_bytes_a_step_streams() {
+        let on = cfg!(all(target_arch = "x86_64", not(miri)));
+        // stream3d: three 137 MB slots of 258^3 f64, from sizes alone.
+        assert_eq!(prefetch_pays::<f64>(2, 258 * 258 * 258), on);
+        assert_eq!(prefetch_pays::<f32>(2, 258 * 258 * 258), on);
+        // One byte under the line, and on it.
+        let line = PREFETCH_MIN_STEP_BYTES / 8 / 2;
+        assert!(!prefetch_pays::<f64>(1, line - 1));
+        assert_eq!(prefetch_pays::<f64>(1, line), on);
+        // 16^3, halo2r's 64^3, dense2d's 1024^2 halo 5, 128^3: cache-resident.
+        for padded_len in [18 * 18 * 18, 66 * 66 * 66, 1034 * 1034, 130 * 130 * 130] {
+            assert!(!prefetch_pays::<f64>(2, padded_len), "{padded_len}");
+        }
+        assert!(!prefetch_pays::<f64>(usize::MAX, 0));
     }
 }

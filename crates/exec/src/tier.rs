@@ -27,7 +27,7 @@ use msc_vm::{LinearTerm, VmProgram, VmScratch};
 
 use crate::compiled::CompiledStencil;
 use crate::grid::{Grid, Scalar};
-use crate::specialized::RowKernel;
+use crate::specialized::{prefetch_pays, RowKernel};
 
 /// Requested execution tier (CLI `--exec-tier`, `RunOptions::tier`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,18 +146,26 @@ fn lower_to_vm<T: Scalar>(interp: &CompiledStencil<T>) -> Option<VmProgram<T>> {
 }
 
 impl<T: Scalar> TieredStencil<T> {
-    /// Compile `program` and attach the tier `tier` resolves to.
+    /// Compile `program` against the layout of `grid` and attach the tier
+    /// `tier` resolves to. The states are whole grids like `grid`, so
+    /// their size decides whether the row kernel prefetches.
     pub fn compile(program: &StencilProgram, grid: &Grid<T>, tier: ExecTier) -> Result<TieredStencil<T>> {
         let interp = CompiledStencil::compile(program, grid)?;
-        Ok(Self::from_compiled(interp, tier))
+        let prefetch = prefetch_pays::<T>(interp.max_dt, grid.as_slice().len());
+        Ok(Self::attach(interp, tier, prefetch))
     }
 
-    /// Attach a tier to an already-compiled stencil (the distributed
-    /// driver compiles against per-rank local layouts).
+    /// Attach a tier to a stencil relinearized for tile-local buffers:
+    /// those are sized to stay in cache, so the row kernel never
+    /// prefetches.
     pub fn from_compiled(interp: CompiledStencil<T>, tier: ExecTier) -> TieredStencil<T> {
+        Self::attach(interp, tier, false)
+    }
+
+    fn attach(interp: CompiledStencil<T>, tier: ExecTier, prefetch: bool) -> TieredStencil<T> {
         let t0 = Instant::now();
         // The vector ISA is detected here, once per compiled stencil.
-        let specialized = RowKernel::widest();
+        let specialized = RowKernel::widest(prefetch);
         let vm = match tier {
             ExecTier::Vm => lower_to_vm(&interp),
             _ => None,
@@ -181,6 +189,19 @@ impl<T: Scalar> TieredStencil<T> {
 
     pub fn active(&self) -> ActiveTier {
         self.active
+    }
+
+    /// What evaluates the rows, for run banners: `vm tier`, or
+    /// `specialized tier, avx512f, prefetch on`.
+    pub fn describe(&self) -> String {
+        let kernel = &self.specialized;
+        match self.active {
+            ActiveTier::Specialized => {
+                let prefetch = if kernel.prefetch() { "on" } else { "off" };
+                format!("specialized tier, {}, prefetch {prefetch}", kernel.isa())
+            }
+            tier => format!("{} tier", tier.name()),
+        }
     }
 
     /// One stencil per term on this stencil's tier, against a buffer with
@@ -358,6 +379,28 @@ mod tests {
         let (c, _, _) = tiered(ExecTier::Specialized);
         c.note_rows(7, 64);
         assert_eq!(c.take_tier_counters(), (0, 7));
+    }
+
+    #[test]
+    fn only_whole_grid_stencils_may_prefetch() {
+        // 10 x 8 x 12 is far below the line: off, and said so.
+        let (mut c, a, _) = tiered(ExecTier::Auto);
+        assert!(!c.specialized.prefetch());
+        assert_eq!(
+            c.describe(),
+            format!("specialized tier, {}, prefetch off", c.specialized.isa())
+        );
+        assert_eq!(tiered(ExecTier::Vm).0.describe(), "vm tier");
+        assert_eq!(tiered(ExecTier::Interp).0.describe(), "interp tier");
+        // As if the grid had been huge: the stencil prefetches, what is
+        // staged from it through tile-local buffers still does not.
+        c.specialized = RowKernel::widest(true);
+        assert!(c.describe().ends_with("prefetch on"), "{}", c.describe());
+        for term in c.staged_terms(&[60, 10, 1]) {
+            assert!(!term.specialized.prefetch());
+        }
+        let local = TieredStencil::from_compiled(c.relinearized(&a.strides), ExecTier::Auto);
+        assert!(!local.specialized.prefetch());
     }
 
     #[test]

@@ -49,14 +49,21 @@ cargo test -q -p msc-exec --test tier_differential --offline
 # overlapping tile lists refused, the one unsafe write site (CI also runs
 # these under Miri).
 cargo test -q -p msc-exec --lib --offline sweep::
-# The blocked row kernel against apply_at on random tap lists: one test
-# on every vector ISA this host reports, one pinned to the baseline
-# instantiation so the SSE2 path runs on AVX hosts too.
+# The blocked row kernel against apply_at on random tap lists, plain and
+# prefetching (DESIGN.md §12.5): one test on every vector ISA this host
+# reports, one pinned to the baseline instantiation so the SSE2 path runs
+# on AVX hosts too; then who gets the prefetching kernel (sizes alone;
+# never a tile-local staging).
 cargo test -q -p msc-exec --lib --offline blocked_kernel_matches_apply_at
+cargo test -q -p msc-exec --lib --offline -- prefetch_is_decided \
+  only_whole_grid_stencils_may_prefetch
 # The shared-seed time-window ring against the eager one-copy-per-slot
 # ring it replaced (steps x boundary x executor x max_dt, halo bits,
-# `init` untouched), and the halo-shell copy its fresh slots start from.
+# `init` untouched), and the halo-shell copy its fresh slots start from,
+# below and above the size where the slot is populated by one madvise
+# (DESIGN.md §17.3).
 cargo test -q -p msc-exec --lib --offline -- grid::tests::halo_shell \
+  grid::tests::a_pre_faulted_halo_shell grid::tests::populate \
   driver::tests::shared_seed_ring driver::tests::ring_slots
 
 echo "== clippy =="

@@ -1399,26 +1399,22 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         if tracing {
             msc::trace::set_enabled(false);
         }
-        // Resolved tier, reconstructed from what the run actually counted
-        // (an explicit `vm` request degrades to the interpreter when the
-        // kernel overflows the VM's register file; auto and specialized
-        // never degrade), not from what was requested.
-        let tier = if stats.specialized_hits() > 0 {
-            "specialized"
-        } else if stats.vm_dispatches() > 0 {
-            "vm"
-        } else {
-            "interp"
-        };
+        // What evaluated the rows: the resolved tier (an explicit `vm`
+        // request degrades to the interpreter when the kernel overflows
+        // the VM's register file; auto and specialized never degrade) and,
+        // on the specialized tier, the row kernel's ISA and whether it
+        // prefetches. All of it is a function of the CPU, the program and
+        // the grid's size, so compiling again gives what the run used.
+        let tier = msc::exec::TieredStencil::compile(&program, &init, args.exec_tier)?.describe();
         println!(
-            "ran {} steps in {:.1} ms ({} tiles, {tier} tier); interior checksum {:.6e}",
+            "ran {} steps in {:.1} ms ({} tiles, {tier}); interior checksum {:.6e}",
             stats.steps,
             dt.as_secs_f64() * 1e3,
             stats.tiles_executed,
             out.interior_sum()
         );
         if tracing {
-            let prof = msc::trace::Profile::capture(program.name.clone());
+            let prof = msc::trace::Profile::capture(format!("{} ({tier})", program.name));
             if args.profile {
                 print!("{}", prof.to_table());
             }

@@ -24,6 +24,13 @@ fn compiles_run_verifies_and_emits() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("compiled `wave2d`"));
+    // The banner names what evaluated the rows; a grid this small is
+    // cache-resident, so the row kernel does not prefetch.
+    assert!(stdout.contains(" tiles, specialized tier, "), "{stdout}");
+    assert!(
+        stdout.contains(", prefetch off); interior checksum"),
+        "{stdout}"
+    );
     assert!(stdout.contains("verified vs serial reference: max rel err 0.00e0"));
     assert!(stdout.contains("simulated on"));
     assert!(dir.join("main.c").exists());
