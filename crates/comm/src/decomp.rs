@@ -1,9 +1,9 @@
 //! Cartesian domain decomposition (paper §4.4, Figure 6): the global grid
-//! is divided evenly over an MPI process grid; every sub-tensor carries a
-//! halo and is dissected into the outer halo region (received), the inner
-//! halo regions (sent), and the inner region.
+//! is divided evenly over an MPI process grid and every sub-tensor carries
+//! a halo. Which boxes of it are sent and received is the halo plan's
+//! business ([`crate::plan`]); this module only knows who sits where.
 
-use crate::region::Region;
+use msc_core::dsl::{proc_grid_defects, ProcGridDefect};
 use msc_core::error::{MscError, Result};
 
 /// Cartesian decomposition of a global grid over a process grid.
@@ -30,21 +30,19 @@ impl CartDecomp {
                 got: procs.len().min(reach.len()),
             });
         }
-        for (d, ((&g, &p), &r)) in global.iter().zip(procs).zip(reach).enumerate() {
-            if p == 0 {
-                return Err(MscError::InvalidConfig(format!("zero procs in dim {d}")));
-            }
-            if g % p != 0 {
-                return Err(MscError::InvalidConfig(format!(
-                    "global extent {g} not divisible by {p} procs in dim {d}"
-                )));
-            }
-            if g / p < r {
-                return Err(MscError::InvalidConfig(format!(
-                    "sub-extent {} smaller than halo {r} in dim {d}",
-                    g / p
-                )));
-            }
+        if let Some(d) = procs.iter().position(|&p| p == 0) {
+            return Err(MscError::InvalidConfig(format!("zero procs in dim {d}")));
+        }
+        // The rule itself lives in `msc-core`, shared with lint L403/L404.
+        if let Some(defect) = proc_grid_defects(global, procs, reach).next() {
+            return Err(MscError::InvalidConfig(match defect {
+                ProcGridDefect::Indivisible { dim, extent, procs } => {
+                    format!("global extent {extent} not divisible by {procs} procs in dim {dim}")
+                }
+                ProcGridDefect::TooNarrow { dim, sub, reach } => {
+                    format!("sub-extent {sub} smaller than halo {reach} in dim {dim}")
+                }
+            }));
         }
         Ok(CartDecomp {
             global: global.to_vec(),
@@ -115,21 +113,34 @@ impl CartDecomp {
             .collect()
     }
 
-    /// Neighbour rank along `dim` in direction `dir` (±1); `None` at the
-    /// (non-periodic) domain boundary.
-    pub fn neighbor(&self, rank: usize, dim: usize, dir: i64) -> Option<usize> {
+    /// Neighbour rank at a multi-dimensional `offset` (one of −1, 0, +1
+    /// per dimension); `None` where the offset leaves the process grid
+    /// through a non-periodic side.
+    pub fn neighbor_at(&self, rank: usize, offset: &[i64]) -> Option<usize> {
         let mut coords = self.coords_of(rank);
-        let p = self.procs[dim] as i64;
-        let c = coords[dim] as i64 + dir;
-        let c = if self.periodic[dim] {
-            (c % p + p) % p
-        } else if c < 0 || c >= p {
-            return None;
-        } else {
-            c
-        };
-        coords[dim] = c as usize;
+        for (d, &o) in offset.iter().enumerate() {
+            if o == 0 {
+                continue;
+            }
+            let p = self.procs[d] as i64;
+            let c = coords[d] as i64 + o;
+            let c = if self.periodic[d] {
+                (c % p + p) % p
+            } else if c < 0 || c >= p {
+                return None;
+            } else {
+                c
+            };
+            coords[d] = c as usize;
+        }
         Some(self.rank_of(&coords))
+    }
+
+    /// Face neighbour along `dim` in direction `dir` (±1).
+    pub fn neighbor(&self, rank: usize, dim: usize, dir: i64) -> Option<usize> {
+        let mut offset = vec![0; self.ndim()];
+        offset[dim] = dir;
+        self.neighbor_at(rank, &offset)
     }
 
     /// Number of face neighbours of a rank.
@@ -138,62 +149,6 @@ impl CartDecomp {
             .flat_map(|d| [(d, -1), (d, 1)])
             .filter(|&(d, dir)| self.neighbor(rank, d, dir).is_some())
             .count()
-    }
-
-    /// Extent of dimension `dd` for an exchange of dimension `dim` under
-    /// dimension-ordered exchange: dims already exchanged (`dd < dim`)
-    /// span the full padded range so corner data propagates (required for
-    /// box stencils); later dims span the interior only.
-    fn exch_span(&self, dim: usize, dd: usize) -> (usize, usize) {
-        let sub = self.sub_extent();
-        let h = self.reach[dd];
-        if dd < dim {
-            (0, sub[dd] + 2 * h)
-        } else {
-            (h, sub[dd])
-        }
-    }
-
-    /// Inner halo region (data to *send*) for the face of `dim` in
-    /// direction `dir`, in local padded coordinates.
-    pub fn send_region(&self, dim: usize, dir: i64) -> Region {
-        let sub = self.sub_extent();
-        let h = self.reach[dim];
-        let mut start = vec![0usize; self.ndim()];
-        let mut extent = vec![0usize; self.ndim()];
-        for dd in 0..self.ndim() {
-            let (s, e) = self.exch_span(dim, dd);
-            start[dd] = s;
-            extent[dd] = e;
-        }
-        if dir > 0 {
-            start[dim] = self.reach[dim] + sub[dim] - h;
-        } else {
-            start[dim] = self.reach[dim];
-        }
-        extent[dim] = h;
-        Region::new(start, extent)
-    }
-
-    /// Outer halo region (data to *receive*) for the face of `dim` in
-    /// direction `dir`, in local padded coordinates.
-    pub fn recv_region(&self, dim: usize, dir: i64) -> Region {
-        let sub = self.sub_extent();
-        let h = self.reach[dim];
-        let mut start = vec![0usize; self.ndim()];
-        let mut extent = vec![0usize; self.ndim()];
-        for dd in 0..self.ndim() {
-            let (s, e) = self.exch_span(dim, dd);
-            start[dd] = s;
-            extent[dd] = e;
-        }
-        if dir > 0 {
-            start[dim] = self.reach[dim] + sub[dim];
-        } else {
-            start[dim] = 0;
-        }
-        extent[dim] = h;
-        Region::new(start, extent)
     }
 
     /// Buddy rank for diskless checkpoint replication: each rank ships
@@ -206,16 +161,6 @@ impl CartDecomp {
     /// exactly the correlated-failure domain a buddy must sit outside.
     pub fn buddy_of(&self, rank: usize) -> usize {
         (rank + 1) % self.n_ranks()
-    }
-
-    /// Bytes a rank sends per exchange round per live state, for an
-    /// element of `elem_bytes` (feeds the network model and the tuner).
-    pub fn send_bytes_per_rank(&self, rank: usize, elem_bytes: usize) -> usize {
-        (0..self.ndim())
-            .flat_map(|d| [(d, -1i64), (d, 1)])
-            .filter(|&(d, dir)| self.neighbor(rank, d, dir).is_some())
-            .map(|(d, dir)| self.send_region(d, dir).len() * elem_bytes)
-            .sum()
     }
 }
 
@@ -259,42 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn send_recv_regions_are_mirrors() {
-        // What rank A sends in dim d, dir +1 must be shaped like what its
-        // +1 neighbour receives in dim d, dir -1.
-        let d = CartDecomp::new(&[12, 8], &[2, 2], &[2, 1]).unwrap();
-        for dim in 0..2 {
-            for dir in [-1i64, 1] {
-                let s = d.send_region(dim, dir);
-                let r = d.recv_region(dim, -dir);
-                assert_eq!(s.extent, r.extent, "dim {dim} dir {dir}");
-            }
-        }
-    }
-
-    #[test]
-    fn send_region_is_interior_recv_is_halo() {
-        let d = d2x2();
-        let s = d.send_region(0, 1);
-        // Last interior row: padded coord 4 (halo 1 + sub 4 - 1).
-        assert_eq!(s.start[0], 4);
-        assert_eq!(s.extent[0], 1);
-        let r = d.recv_region(0, 1);
-        assert_eq!(r.start[0], 5); // outer halo row
-    }
-
-    #[test]
-    fn dimension_ordered_exchange_covers_corners() {
-        // Exchanging dim 1 after dim 0: the dim-1 faces span the full
-        // padded dim-0 range, carrying corner data.
-        let d = d2x2();
-        let s = d.send_region(1, 1);
-        assert_eq!(s.start[0], 0);
-        assert_eq!(s.extent[0], 6); // full padded range of dim 0
-        assert_eq!(s.extent[1], 1);
-    }
-
-    #[test]
     fn validation_errors() {
         assert!(CartDecomp::new(&[10, 10], &[3, 1], &[1, 1]).is_err()); // indivisible
         assert!(CartDecomp::new(&[8, 8], &[8, 1], &[2, 2]).is_err()); // sub < halo
@@ -315,13 +224,5 @@ mod tests {
         }
         assert_eq!(rank, 0, "buddy chain must close into one cycle");
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn send_bytes_count_faces() {
-        let d = d2x2();
-        // Rank 0: two faces; dim-0 face = 1x4 interior elems, dim-1 face
-        // = 6x1 padded-x elems.
-        assert_eq!(d.send_bytes_per_rank(0, 8), (4 + 6) * 8);
     }
 }

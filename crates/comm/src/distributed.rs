@@ -7,12 +7,11 @@
 //! same program, for any process grid — including runs where a rank is
 //! killed mid-flight and healed online by a hot spare.
 
-use crate::backend::{Backend, FullNeighborExchange, HaloBackend};
 use crate::checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
 use crate::decomp::CartDecomp;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
-use crate::halo::HaloExchange;
+use crate::plan::{Backend, HaloPlan};
 use crate::region::Region;
 use crate::runtime::{
     FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource,
@@ -33,8 +32,9 @@ use std::time::{Duration, Instant};
 ///
 /// Like [`msc_exec::driver::RunStats`], this is a thin view over the
 /// trace counter vocabulary: each rank accumulates a [`CounterSet`]
-/// (halo messages/bytes from the exchanger, DMA and tile counters from
-/// the executors) and the gather loop merges them all into `counters`.
+/// (halo messages/bytes from the halo plan's executor, DMA and tile
+/// counters from the tile executors) and the gather loop merges them all
+/// into `counters`.
 /// The headline fields stay as plain members for ergonomic access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommStats {
@@ -146,9 +146,9 @@ fn build_decomp(program: &StencilProgram, procs: &[usize], bc: Boundary) -> Resu
 /// library, and how each rank executes its tiles.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// The halo-exchange library every rank publishes its state through
-    /// (paper Table 1, "pluggable library"); both are bit-identical to
-    /// the single-node run.
+    /// How every rank's halo plan cuts the halo into messages (paper
+    /// Table 1, "pluggable library"); both are bit-identical to the
+    /// single-node run.
     pub backend: Backend,
     /// `Some(bytes)`: every rank stages its tiles through a bounded SPM of
     /// this capacity with explicit DMA (the full large-scale Sunway code
@@ -224,36 +224,19 @@ impl Default for RunOptions {
 }
 
 /// Partition the plan's tiles into (boundary, interior) for this rank:
-/// a tile is **boundary** iff it owns at least one cell of the inner
-/// halo band that some neighbour will receive — i.e. for some dim `d`
-/// with `reach[d] > 0`, the tile intersects the band of width `reach[d]`
-/// against a face that has a neighbour. Corner/edge blocks are covered
-/// because a diagonal neighbour only exists where the face neighbours
-/// do. The halo exchange may be initiated as soon as the boundary tiles
+/// a tile is **boundary** iff some message of the halo plan packs one of
+/// its cells. The exchange may be initiated as soon as the boundary tiles
 /// have been computed; interior tiles touch none of the packed cells.
 fn split_tiles(
     tiles: &[TileRange],
-    decomp: &CartDecomp,
-    rank: usize,
+    halo: &HaloPlan,
+    reach: &[usize],
 ) -> (Vec<TileRange>, Vec<TileRange>) {
-    let sub = decomp.sub_extent();
-    let mut boundary = Vec::new();
-    let mut interior = Vec::new();
-    for tile in tiles {
-        let is_boundary = (0..decomp.ndim()).any(|d| {
-            let r = decomp.reach[d];
-            r > 0
-                && ((decomp.neighbor(rank, d, -1).is_some() && tile.origin[d] < r)
-                    || (decomp.neighbor(rank, d, 1).is_some()
-                        && tile.origin[d] + tile.extent[d] > sub[d] - r))
-        });
-        if is_boundary {
-            boundary.push(tile.clone());
-        } else {
-            interior.push(tile.clone());
-        }
-    }
-    (boundary, interior)
+    tiles.iter().cloned().partition(|tile| {
+        // Tiles are in interior coordinates, the plan's boxes in padded.
+        let start = tile.origin.iter().zip(reach).map(|(&o, &r)| o + r);
+        halo.sends_from(&Region::new(start.collect(), tile.extent.clone()))
+    })
 }
 
 /// The one way into a distributed run: `program` over a `procs` Cartesian
@@ -275,24 +258,7 @@ pub fn run_distributed_resilient<T: Scalar + Wire>(
     // Lint gate (target-independent passes) before any rank spawns.
     msc_lint::check_deny(program, None)?;
     let decomp = build_decomp(program, procs, bc)?;
-    match opts.backend {
-        Backend::DimOrdered => run_ranks(
-            program,
-            init,
-            bc,
-            &HaloExchange::new(decomp),
-            opts,
-            make_plan,
-        ),
-        Backend::FullNeighbor => run_ranks(
-            program,
-            init,
-            bc,
-            &FullNeighborExchange::new(decomp),
-            opts,
-            make_plan,
-        ),
-    }
+    run_ranks(program, init, bc, decomp, opts, make_plan)
 }
 
 /// Is this error a communication fault a restart could heal (a killed or
@@ -330,7 +296,7 @@ enum RankOutcome<T> {
 
 /// Immutable per-attempt surroundings of the per-rank step loop,
 /// bundled so the compute and recovery helpers stay readable.
-struct StepEnv<'a, T: Scalar, B> {
+struct StepEnv<'a, T: Scalar> {
     program: &'a StencilProgram,
     /// The per-rank executor: the sub-grid plan, SPM-staged or direct.
     executor: &'a Executor,
@@ -338,7 +304,6 @@ struct StepEnv<'a, T: Scalar, B> {
     seeded: &'a Grid<T>,
     compiled: &'a TieredStencil<T>,
     window: &'a WindowPlan,
-    exchanger: &'a B,
     opts: &'a RunOptions,
     store: Option<&'a CheckpointStore>,
     membership: Option<&'a Arc<Membership>>,
@@ -348,7 +313,7 @@ struct StepEnv<'a, T: Scalar, B> {
 
 /// A freshly scattered window ring for `logical`'s subdomain: one copy of
 /// the sub-grid per slot, the scattered grid itself being the last.
-fn fresh_ring<T: Scalar + Wire, B>(env: &StepEnv<'_, T, B>, logical: usize) -> Vec<Grid<T>> {
+fn fresh_ring<T: Scalar + Wire>(env: &StepEnv<'_, T>, logical: usize) -> Vec<Grid<T>> {
     let local = scatter(env.seeded, env.decomp, logical);
     let mut ring: Vec<Grid<T>> = (1..env.window.window).map(|_| local.clone()).collect();
     ring.push(local);
@@ -398,9 +363,9 @@ fn plan_recovery<T: Wire>(
 /// Survivor-side rollback to a recovery record: enter the new epoch,
 /// hand the dead rank's buddy snapshot to its adopter if we hold it,
 /// and rewind our own ring to the agreed generation.
-fn rollback<T: Scalar + Wire, B: HaloBackend>(
+fn rollback<T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
-    env: &StepEnv<'_, T, B>,
+    env: &StepEnv<'_, T>,
     rec: &FailureRecord,
     snaps: &BuddySnapshots<T>,
 ) -> Result<(Vec<Grid<T>>, usize)> {
@@ -445,9 +410,9 @@ fn rollback<T: Scalar + Wire, B: HaloBackend>(
 
 /// Spare-side adoption: take over the dead rank's logical identity and
 /// obtain its window ring from the recovery source.
-fn adopt_state<T: Scalar + Wire, B: HaloBackend>(
+fn adopt_state<T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
-    env: &StepEnv<'_, T, B>,
+    env: &StepEnv<'_, T>,
     m: &Membership,
     rec: &FailureRecord,
     snaps: &mut BuddySnapshots<T>,
@@ -529,18 +494,15 @@ fn spare_standby<T: Wire>(
 /// checkpoint generation in membership worlds. Every rank reaches this
 /// point at the same step, and the send is non-blocking, so the shift
 /// cannot deadlock.
-fn buddy_replicate<T: Scalar + Wire, B>(
+fn buddy_replicate<T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
-    env: &StepEnv<'_, T, B>,
+    env: &StepEnv<'_, T>,
     m: &Membership,
     ring: &[Grid<T>],
     snaps: &mut BuddySnapshots<T>,
     gen: u64,
     counters: &mut CounterSet,
-) -> Result<()>
-where
-    B: HaloBackend,
-{
+) -> Result<()> {
     snaps.store_own(gen, ring);
     m.note_local(ctx.rank, gen);
     let buddy = env.decomp.buddy_of(ctx.rank);
@@ -561,14 +523,52 @@ where
     Ok(())
 }
 
+/// Split the window ring into this step's output slot (mutable) and its
+/// input slots (shared, in `dt` order) in one pass. The ring stays a
+/// `Vec<Grid<T>>` rather than `msc_exec::driver::Ring`: disk checkpoints
+/// and buddy snapshots serialise every slot, so every slot must be
+/// materialised, which is exactly what `Ring`'s borrowed seed avoids.
+fn borrow_step<'r, T: Scalar>(
+    ring: &'r mut [Grid<T>],
+    out_slot: usize,
+    input_slots: &[usize],
+) -> Result<(&'r mut Grid<T>, Vec<&'r Grid<T>>)> {
+    let slots = ring.len();
+    let mut out = None;
+    let mut inputs: Vec<Option<&Grid<T>>> = vec![None; input_slots.len()];
+    for (slot, grid) in ring.iter_mut().enumerate() {
+        if slot == out_slot {
+            out = Some(grid);
+        } else {
+            let grid = &*grid;
+            for (input, _) in inputs
+                .iter_mut()
+                .zip(input_slots)
+                .filter(|(_, &s)| s == slot)
+            {
+                *input = Some(grid);
+            }
+        }
+    }
+    // A window plan that reads the slot it writes (or names a slot the
+    // ring does not have) leaves a hole here.
+    match (out, inputs.into_iter().collect::<Option<Vec<_>>>()) {
+        (Some(out), Some(inputs)) => Ok((out, inputs)),
+        _ => Err(MscError::InvalidConfig(format!(
+            "window ring of {slots} slots cannot serve output slot {out_slot} with input \
+             slots {input_slots:?}"
+        ))),
+    }
+}
+
 /// One attempt of the time loop for one rank, from step `start` to the
 /// end: overlapped (or sequential) tile compute, halo exchange, disk
 /// checkpoints with retention GC, and buddy replication. Any error is
 /// classified by the caller — online recovery where possible, restart
 /// otherwise.
-fn compute_steps<T: Scalar + Wire, B: HaloBackend>(
+fn compute_steps<T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
-    env: &StepEnv<'_, T, B>,
+    env: &StepEnv<'_, T>,
     ring: &mut [Grid<T>],
     start: usize,
     snaps: &mut BuddySnapshots<T>,
@@ -578,10 +578,12 @@ fn compute_steps<T: Scalar + Wire, B: HaloBackend>(
     let opts = env.opts;
     let (program, executor, window, compiled) =
         (env.program, env.executor, env.window, env.compiled);
-    // Boundary/interior split for communication overlap, recomputed per
-    // attempt: after adoption this rank's neighbour set changed.
+    // The halo plan and the boundary/interior split it implies, rebuilt
+    // per attempt: after adoption this rank has a new identity and with
+    // it new neighbours.
+    let halo = HaloPlan::new(env.decomp, ctx.rank, opts.backend);
     let tiles = executor.tiles();
-    let (boundary_tiles, interior_tiles) = split_tiles(&tiles, env.decomp, ctx.rank);
+    let (boundary_tiles, interior_tiles) = split_tiles(&tiles, &halo, env.reach);
 
     for s in start..program.timesteps {
         // Rank-tagged step span (arg = step index) feeding the
@@ -590,37 +592,32 @@ fn compute_steps<T: Scalar + Wire, B: HaloBackend>(
         let step_t0 = Instant::now();
         let t = compiled.max_dt + s;
         let out_slot = window.output_slot(t);
-        let mut out = std::mem::replace(&mut ring[out_slot], Grid::zeros(&[1], &[0]));
+        let input_slots: Vec<usize> = (1..=compiled.max_dt)
+            .map(|dt| window.input_slot(t, dt))
+            .collect::<Result<_>>()?;
+        let (out, inputs) = borrow_step(ring, out_slot, &input_slots)?;
         let exchanging = s + 1 < program.timesteps;
-        {
-            let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                .map(|dt| window.input_slot(t, dt).map(|slot| &ring[slot]))
-                .collect::<Result<_>>()?;
-            if exchanging && opts.overlap {
-                // Overlapped schedule: boundary wave → initiate the
-                // exchange → interior wave (concurrent with the
-                // messages) → complete. The wait inside
-                // `exchange_finish` still lands in the HaloWait
-                // histogram via `ctx.wait`.
-                counters.merge(&executor.step(compiled, &inputs, &mut out, &boundary_tiles)?);
-                let pending = env.exchanger.exchange_begin(ctx, &out, out_slot)?;
-                let t0 = Instant::now();
-                counters.merge(&executor.step(compiled, &inputs, &mut out, &interior_tiles)?);
-                let overlap_ns = t0.elapsed().as_nanos() as u64;
-                counters.bump(Counter::OverlapNanos, overlap_ns);
-                msc_trace::record(Counter::OverlapNanos, overlap_ns);
-                env.exchanger
-                    .exchange_finish(ctx, &mut out, out_slot, pending)?;
-            } else {
-                counters.merge(&executor.step(compiled, &inputs, &mut out, &tiles)?);
-                // Publish the new state's halo to the neighbours
-                // before anyone (including us) reads it next step.
-                if exchanging {
-                    env.exchanger.exchange(ctx, &mut out, out_slot)?;
-                }
+        if exchanging && opts.overlap {
+            // Overlapped schedule: boundary wave → initiate the exchange →
+            // interior wave (concurrent with the messages) → complete. The
+            // wait inside `finish` still lands in the HaloWait histogram
+            // via `ctx.wait`.
+            counters.merge(&executor.step(compiled, &inputs, out, &boundary_tiles)?);
+            let pending = halo.begin(ctx, out, out_slot)?;
+            let t0 = Instant::now();
+            counters.merge(&executor.step(compiled, &inputs, out, &interior_tiles)?);
+            let overlap_ns = t0.elapsed().as_nanos() as u64;
+            counters.bump(Counter::OverlapNanos, overlap_ns);
+            msc_trace::record(Counter::OverlapNanos, overlap_ns);
+            halo.finish(ctx, out, out_slot, pending)?;
+        } else {
+            counters.merge(&executor.step(compiled, &inputs, out, &tiles)?);
+            // Publish the new state's halo to the neighbours before
+            // anyone (including us) reads it next step.
+            if exchanging {
+                halo.exchange(ctx, out, out_slot)?;
             }
         }
-        ring[out_slot] = out;
         // Snapshot after the step (and its exchange) fully completed,
         // so a restart resumes with halos as fresh as the original run
         // had them. The same cadence drives disk checkpoints and the
@@ -671,9 +668,9 @@ fn compute_steps<T: Scalar + Wire, B: HaloBackend>(
 /// (or stand-down), compute ranks run the step loop; failures loop
 /// through classification → rollback → recompute until the world
 /// finishes or the error escapes to the restart machinery.
-fn rank_body<T: Scalar + Wire, B: HaloBackend>(
+fn rank_body<T: Scalar + Wire>(
     mut ctx: RankCtx<T>,
-    env: &StepEnv<'_, T, B>,
+    env: &StepEnv<'_, T>,
     resume: Option<u64>,
 ) -> Result<RankOutcome<T>> {
     let slot = ctx.slot();
@@ -794,19 +791,18 @@ fn rank_body<T: Scalar + Wire, B: HaloBackend>(
     }
 }
 
-/// The rank loop behind [`run_distributed_resilient`], generic over the
-/// halo library. One attempt spawns the world (compute ranks plus hot
-/// spares), runs the time loop with optional SPM staging, chaos
-/// injection, and periodic disk + buddy checkpoints; a rank death in a
-/// membership world heals online (spare adoption + global rollback), and
-/// a failed attempt (typed communication error — never a panic) is
-/// retried from the latest complete checkpoint up to `opts.max_restarts`
-/// times.
-fn run_ranks<T: Scalar + Wire, B: HaloBackend>(
+/// The rank loop behind [`run_distributed_resilient`]. One attempt spawns
+/// the world (compute ranks plus hot spares), runs the time loop with
+/// optional SPM staging, chaos injection, and periodic disk + buddy
+/// checkpoints; a rank death in a membership world heals online (spare
+/// adoption + global rollback), and a failed attempt (typed communication
+/// error — never a panic) is retried from the latest complete checkpoint
+/// up to `opts.max_restarts` times.
+fn run_ranks<T: Scalar + Wire>(
     program: &StencilProgram,
     init: &Grid<T>,
     bc: Boundary,
-    exchanger: &B,
+    decomp: CartDecomp,
     opts: &RunOptions,
     make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
 ) -> Result<(Grid<T>, CommStats)> {
@@ -817,7 +813,6 @@ fn run_ranks<T: Scalar + Wire, B: HaloBackend>(
         .as_ref()
         .map(|h| msc_trace::install_thread_hub(Arc::clone(h)));
     let reach = program.stencil.reach();
-    let decomp = exchanger.decomp().clone();
     let sub = decomp.sub_extent();
     let plan = make_plan(&sub)?;
     if plan.grid != sub {
@@ -890,7 +885,6 @@ fn run_ranks<T: Scalar + Wire, B: HaloBackend>(
                     seeded,
                     compiled: &compiled,
                     window: &window,
-                    exchanger,
                     opts,
                     store: store_ref,
                     membership: membership_ref,
@@ -1039,6 +1033,80 @@ mod tests {
         s.tile(&tile);
         s.parallel("xo", 2);
         ExecPlan::lower(&s, sub.len(), sub)
+    }
+
+    /// The rule `split_tiles` used before the plan existed, kept as the
+    /// oracle: a tile is boundary iff, along some dimension with a halo,
+    /// it reaches into the band of width `reach` against a face that has
+    /// a neighbour.
+    fn touches_a_neighboured_face(tile: &TileRange, decomp: &CartDecomp, rank: usize) -> bool {
+        let sub = decomp.sub_extent();
+        (0..decomp.ndim()).any(|d| {
+            let r = decomp.reach[d];
+            r > 0
+                && ((decomp.neighbor(rank, d, -1).is_some() && tile.origin[d] < r)
+                    || (decomp.neighbor(rank, d, 1).is_some()
+                        && tile.origin[d] + tile.extent[d] > sub[d] - r))
+        })
+    }
+
+    #[test]
+    fn split_tiles_by_plan_query_equals_the_face_rule() {
+        let check = |global: &[usize], procs: &[usize], reach: &[usize], periodic: bool| {
+            let decomp = CartDecomp::new(global, procs, reach)
+                .unwrap()
+                .with_periodicity(&vec![periodic; global.len()])
+                .unwrap();
+            // A 4-per-dimension tile lattice: tiles strictly inside the
+            // sub-grid, on a face, on an edge and in a corner.
+            let sub = decomp.sub_extent();
+            let mut sched = Schedule::default();
+            sched.tile(&sub.iter().map(|&x| x / 4).collect::<Vec<_>>());
+            let tiles = Executor::Tiled(ExecPlan::lower(&sched, sub.len(), &sub).unwrap()).tiles();
+            assert_eq!(tiles.len(), 4usize.pow(sub.len() as u32));
+            for rank in 0..decomp.n_ranks() {
+                for backend in [Backend::DimOrdered, Backend::FullNeighbor] {
+                    let halo = HaloPlan::new(&decomp, rank, backend);
+                    let (boundary, interior) = split_tiles(&tiles, &halo, reach);
+                    let (want_b, want_i): (Vec<_>, Vec<_>) = tiles
+                        .iter()
+                        .cloned()
+                        .partition(|t| touches_a_neighboured_face(t, &decomp, rank));
+                    assert_eq!(boundary, want_b, "{decomp:?} rank {rank} {backend:?}");
+                    assert_eq!(interior, want_i, "{decomp:?} rank {rank} {backend:?}");
+                }
+            }
+        };
+        // 3x3 and 3x3x3 process grids have interior, face, edge and corner
+        // ranks; the torus gives every rank every neighbour; the last has
+        // a dimension nothing reaches into.
+        check(&[24, 24], &[3, 3], &[1, 2], false);
+        check(&[24, 24], &[3, 3], &[2, 1], true);
+        check(&[24, 24, 24], &[3, 3, 3], &[1, 1, 2], false);
+        check(&[16, 16, 16], &[2, 1, 2], &[1, 1, 1], true);
+        check(&[24, 24], &[3, 3], &[0, 2], false);
+    }
+
+    #[test]
+    fn a_step_borrows_its_slots_from_the_ring_without_a_placeholder() {
+        let mut ring: Vec<Grid<f64>> = (0..3).map(|i| Grid::random(&[4], &[1], i)).collect();
+        let want: Vec<Vec<f64>> = ring.iter().map(|g| g.as_slice().to_vec()).collect();
+        let (out, inputs) = borrow_step(&mut ring, 1, &[0, 2]).unwrap();
+        assert_eq!(out.as_slice(), want[1]);
+        assert_eq!(inputs[0].as_slice(), want[0]);
+        assert_eq!(inputs[1].as_slice(), want[2]);
+        // The same slot may feed two terms.
+        let (_, inputs) = borrow_step(&mut ring, 0, &[2, 2]).unwrap();
+        assert!(std::ptr::eq(inputs[0], inputs[1]));
+        // Reading the slot being written, or a slot the ring lacks, is a
+        // typed error — it used to read a 1-cell placeholder grid.
+        for (out_slot, input_slots) in [(1, [0, 1]), (0, [1, 3]), (3, [0, 1])] {
+            let r = borrow_step(&mut ring, out_slot, &input_slots);
+            assert!(
+                matches!(r, Err(MscError::InvalidConfig(_))),
+                "{out_slot} {input_slots:?}"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub enum CommError {
     RankDead { rank: usize },
     /// A payload arrived whose checksum does not match (only reachable
     /// with the reliability protocol disabled; under it, corrupt frames
-    /// are dropped and retransmitted transparently).
+    /// are dropped and retransmitted transparently), or whose length is
+    /// not that of the halo box it was posted for.
     Corrupt { src: usize, tag: u64 },
     /// The chaos plan killed this rank at the given exchange round.
     Killed { rank: usize, exchange: u64 },
@@ -58,7 +59,7 @@ impl fmt::Display for CommError {
             ),
             CommError::RankDead { rank } => write!(f, "rank {rank} is dead (endpoint hung up)"),
             CommError::Corrupt { src, tag } => {
-                write!(f, "corrupt payload from (src {src}, tag {tag}): checksum mismatch")
+                write!(f, "corrupt payload from (src {src}, tag {tag}): checksum or length mismatch")
             }
             CommError::Killed { rank, exchange } => {
                 write!(f, "chaos plan killed rank {rank} at exchange {exchange}")

@@ -10,44 +10,46 @@
 //! received through a message, exactly as in MPI.
 //!
 //! * [`region`] — rectangular sub-regions of a padded grid (pack/unpack);
-//! * [`decomp`] — Cartesian domain decomposition: sub-grids, neighbour
-//!   ranks, inner (send) and outer (receive) halo regions, with
-//!   dimension-ordered exchange so box-stencil corners propagate;
+//! * [`decomp`] — Cartesian domain decomposition: sub-grids, rank
+//!   coordinates and neighbour ranks (faces and diagonals, periodic or
+//!   not);
 //! * [`runtime`] — the message-passing world: `isend`, `irecv`,
 //!   `wait`, tags, out-of-order delivery buffering, plus the
 //!   ack/retransmit reliability protocol and typed [`CommError`]s;
-//! * [`halo`] — the halo-exchange operation built from the above;
+//! * [`plan`] — the halo exchange: one per-rank message table
+//!   ([`HaloPlan`]: peer, inner-halo box to send, outer-halo box to
+//!   receive, tags, grouped into ordered phases) and the one loop that
+//!   runs it; [`Backend`] only chooses how the table is filled —
+//!   dimension-ordered faces whose phase order carries the corners, or
+//!   GCL-style explicit messages to all `3^n − 1` neighbours;
 //! * [`fault`] — deterministic seed-driven chaos injection (drops,
 //!   duplicates, reordering, bit corruption, rank kills);
 //! * [`checkpoint`] — periodic window-ring snapshots the resilient
 //!   driver restarts from after a rank failure;
-//! * [`backend`] — the pluggable halo libraries behind one trait;
 //! * [`distributed`] — the full multi-rank stencil driver. Its one entry
 //!   point is [`run_distributed_resilient`]: every capability (halo
-//!   library, SPM staging, tier, chaos, checkpoints, spares) is a field
+//!   layout, SPM staging, tier, chaos, checkpoints, spares) is a field
 //!   of [`RunOptions`], and every run passes the lint gate before a rank
 //!   spawns. Large-scale execution is bit-identical to single-node runs,
 //!   even under injected faults.
 
-pub mod backend;
 pub mod checkpoint;
 pub mod collectives;
 pub mod decomp;
 pub mod distributed;
 pub mod error;
 pub mod fault;
-pub mod halo;
+pub mod plan;
 pub mod region;
 pub mod runtime;
 
-pub use backend::{Backend, FullNeighborExchange, HaloBackend};
 pub use checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
 pub use collectives::{allreduce, barrier, broadcast, ReduceOp};
 pub use decomp::CartDecomp;
 pub use distributed::{run_distributed_resilient, CommStats, RunOptions};
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan, KillSpec};
-pub use halo::HaloExchange;
+pub use plan::{Backend, HaloPlan};
 pub use region::Region;
 pub use runtime::{
     FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource,

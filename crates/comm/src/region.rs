@@ -31,6 +31,14 @@ impl Region {
         self.len() == 0
     }
 
+    /// Do the two boxes share at least one cell?
+    pub fn intersects(&self, other: &Region) -> bool {
+        (0..self.ndim()).all(|d| {
+            let end = (self.start[d] + self.extent[d]).min(other.start[d] + other.extent[d]);
+            self.start[d].max(other.start[d]) < end
+        })
+    }
+
     /// Visit the linear index of the first element of each contiguous row
     /// of the region, together with the row length.
     fn for_each_row(&self, strides: &[usize], mut f: impl FnMut(usize, usize)) {
@@ -71,7 +79,9 @@ impl Region {
     }
 
     /// Copy a flat buffer into the region of `grid`. Panics if the buffer
-    /// length does not match the region size.
+    /// length does not match the region size: callers check payloads that
+    /// arrived over a channel first (the halo executor turns a mis-sized
+    /// one into `CommError::Corrupt`).
     pub fn unpack<T: Scalar>(&self, grid: &mut Grid<T>, buf: &[T]) {
         assert_eq!(buf.len(), self.len(), "unpack size mismatch");
         let strides = grid.strides.clone();
@@ -121,6 +131,15 @@ mod tests {
     fn unpack_checks_length() {
         let mut g = seq_grid();
         Region::new(vec![0, 0], vec![2, 2]).unpack(&mut g, &[1.0]);
+    }
+
+    #[test]
+    fn boxes_intersect_only_when_every_dimension_overlaps() {
+        let a = Region::new(vec![1, 1], vec![2, 3]); // rows 1..3, cols 1..4
+        assert!(a.intersects(&Region::new(vec![2, 3], vec![4, 4])));
+        assert!(!a.intersects(&Region::new(vec![3, 1], vec![2, 2]))); // touches in dim 0
+        assert!(!a.intersects(&Region::new(vec![1, 4], vec![2, 1]))); // touches in dim 1
+        assert!(!a.intersects(&Region::new(vec![2, 2], vec![0, 1]))); // empty, inside
     }
 
     #[test]

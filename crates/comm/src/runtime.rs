@@ -14,11 +14,11 @@
 
 use crate::error::CommError;
 use crate::fault::{splitmix, FaultAction, FaultPlan};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use msc_trace::{Counter, CounterSet, FlightKind, Hist, HistSet};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -499,6 +499,8 @@ pub struct RankCtx<T> {
     pub n_ranks: usize,
     /// Physical slot of this thread (== initial `rank`).
     slot: usize,
+    /// Every rank's inbox, shared by all ranks (`mpsc::Sender` is `Sync`
+    /// since Rust 1.72).
     senders: Arc<Vec<Sender<Frame<T>>>>,
     inbox: Receiver<Frame<T>>,
     /// Unexpected-message queue: data frames that arrived before their
@@ -1384,7 +1386,7 @@ impl World {
         let mut senders = Vec::with_capacity(n_ranks);
         let mut receivers = Vec::with_capacity(n_ranks);
         for _ in 0..n_ranks {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -1396,7 +1398,7 @@ impl World {
 
         let mut results: HashMap<usize, R> = HashMap::new();
         let mut poisoned: Option<(usize, String)> = None;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (rank, inbox) in receivers.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
@@ -1409,7 +1411,7 @@ impl World {
                 // Rank threads inherit the launching thread's telemetry
                 // hub so a sessioned run keeps all ranks in one session.
                 let hub = msc_trace::current_hub();
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let _hub_guard = msc_trace::install_thread_hub(hub);
                     // Tag this thread's spans, flows, and flight records
                     // with the rank id so cross-rank traces stitch.
@@ -1474,8 +1476,7 @@ impl World {
                     }
                 }
             }
-        })
-        .expect("scope itself never fails: rank panics are caught per-thread");
+        });
         if let Some((rank, message)) = poisoned {
             return Err(CommError::WorldPoisoned { rank, message });
         }

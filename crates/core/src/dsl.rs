@@ -220,6 +220,55 @@ impl ProgramBuilder {
     }
 }
 
+/// Why a process grid cannot decompose a global grid along one dimension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProcGridDefect {
+    /// `extent` is not a multiple of `procs`: sub-grids would differ in
+    /// size (the paper's Tables 7/8 configurations all divide evenly).
+    Indivisible {
+        dim: usize,
+        extent: usize,
+        procs: usize,
+    },
+    /// The per-rank sub-extent is smaller than the halo a neighbour must
+    /// be sent: the inner halo band would reach past the rank's own cells.
+    TooNarrow {
+        dim: usize,
+        sub: usize,
+        reach: usize,
+    },
+}
+
+/// The process-grid rule, stated once for the linter (MSC-L403/L404,
+/// before any rank spawns) and the runtime decomposition: along every
+/// dimension the extent divides evenly over the processes and each
+/// sub-extent is at least the stencil reach. Yields at most one defect per
+/// dimension, in dimension order; a zero process count is a structural
+/// error both callers reject themselves, so such a dimension is skipped.
+pub fn proc_grid_defects<'a>(
+    extents: &'a [usize],
+    procs: &'a [usize],
+    reach: &'a [usize],
+) -> impl Iterator<Item = ProcGridDefect> + 'a {
+    extents.iter().zip(procs).zip(reach).enumerate().filter_map(
+        |(dim, ((&extent, &procs), &reach))| {
+            if procs == 0 {
+                None
+            } else if !extent.is_multiple_of(procs) {
+                Some(ProcGridDefect::Indivisible { dim, extent, procs })
+            } else if extent / procs < reach {
+                Some(ProcGridDefect::TooNarrow {
+                    dim,
+                    sub: extent / procs,
+                    reach,
+                })
+            } else {
+                None
+            }
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +371,31 @@ mod tests {
             .mpi_grid(&[4, 4])
             .build_unchecked();
         assert!(matches!(r, Err(MscError::DimMismatch { .. })));
+    }
+
+    #[test]
+    fn process_grid_rule_names_one_defect_per_bad_dimension() {
+        // dim 0 fine, dim 1 indivisible, dim 2 divisible but narrower than
+        // the reach, dim 3 zero procs (skipped: a structural error).
+        let defects: Vec<_> =
+            proc_grid_defects(&[8, 10, 8, 8], &[2, 3, 8, 0], &[1, 1, 2, 1]).collect();
+        assert_eq!(
+            defects,
+            vec![
+                ProcGridDefect::Indivisible {
+                    dim: 1,
+                    extent: 10,
+                    procs: 3
+                },
+                ProcGridDefect::TooNarrow {
+                    dim: 2,
+                    sub: 1,
+                    reach: 2
+                },
+            ]
+        );
+        // A sub-extent exactly as wide as the reach is allowed.
+        assert_eq!(proc_grid_defects(&[8, 8], &[4, 1], &[2, 2]).count(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::code::LintCode;
 use crate::diag::{Diagnostic, Report};
-use msc_core::dsl::StencilProgram;
+use msc_core::dsl::{proc_grid_defects, ProcGridDefect, StencilProgram};
 use msc_core::footprint::Footprint;
 use msc_core::schedule::plan::{spm_buffer_elems, spm_staging_bytes, ExecPlan};
 use msc_core::schedule::Target;
@@ -31,39 +31,34 @@ pub fn run(
 ) {
     let grid = &program.grid;
 
-    // Static mirror of `CartDecomp::new`: a bad process grid is known
-    // before any rank spawns.
+    // The process-grid rule `CartDecomp::new` enforces at run entry,
+    // reported before any rank spawns.
     if let Some(mpi) = &program.mpi_grid {
-        let reach = fp.required_halo();
-        for d in 0..grid.ndim().min(mpi.len()) {
-            let g = grid.shape[d];
-            let p = mpi[d];
-            if p == 0 {
-                continue; // rejected structurally by the builder
-            }
-            if !g.is_multiple_of(p) {
-                report.push(Diagnostic::new(
+        for defect in proc_grid_defects(&grid.shape, mpi, &fp.required_halo()) {
+            let (code, message, help) = match defect {
+                ProcGridDefect::Indivisible { dim, extent, procs } => (
                     LintCode::MpiGridIndivisible,
                     format!(
-                        "global extent {g} in dim {d} is not divisible by the \
-                         {p}-way process grid"
+                        "global extent {extent} in dim {dim} is not divisible by the \
+                         {procs}-way process grid"
                     ),
-                    format!("mpi grid of `{}`", program.name),
-                    "choose a process count that divides the extent".to_string(),
-                ));
-            } else if g / p < reach[d] {
-                report.push(Diagnostic::new(
+                    "choose a process count that divides the extent",
+                ),
+                ProcGridDefect::TooNarrow { dim, sub, reach } => (
                     LintCode::MpiSubgridTooNarrow,
                     format!(
-                        "per-rank sub-extent {} in dim {d} is smaller than the \
-                         halo exchange depth {}",
-                        g / p,
-                        reach[d]
+                        "per-rank sub-extent {sub} in dim {dim} is smaller than the \
+                         halo exchange depth {reach}"
                     ),
-                    format!("mpi grid of `{}`", program.name),
-                    "use fewer ranks along this dimension".to_string(),
-                ));
-            }
+                    "use fewer ranks along this dimension",
+                ),
+            };
+            report.push(Diagnostic::new(
+                code,
+                message,
+                format!("mpi grid of `{}`", program.name),
+                help.to_string(),
+            ));
         }
     }
 

@@ -9,12 +9,13 @@ cd "$(dirname "$0")/.."
 echo "== names that must not come back =="
 # One way in per layer (DESIGN.md §9.1, §13.4): the legacy distributed
 # doors, the boundary-only run_program variant and the two process-global
-# run knobs were deleted, not deprecated. This grep only sees the
-# workspace: benchmark/ is its own workspace, so `bash benchmark/run.sh
-# --smoke` below is the only gate that proves an API purge left the
-# benchmark buildable.
-if grep -rnE 'run_distributed_(bc|with|exec|opts|until_converged)|run_program_bc|set_exec_tier|set_persistent' crates src; then
-  echo "a deleted entry point or process-global run knob is back" >&2
+# run knobs were deleted, not deprecated; so were the two halo libraries
+# the halo plan replaced (DESIGN.md §7) and the crossbeam shim. This grep
+# only sees the workspace: benchmark/ is its own workspace, so `bash
+# benchmark/run.sh --smoke` below is the only gate that proves an API
+# purge left the benchmark buildable.
+if grep -rnE 'run_distributed_(bc|with|exec|opts|until_converged)|run_program_bc|set_exec_tier|set_persistent|HaloBackend|FullNeighborExchange|HaloExchange|PendingInner|crossbeam' crates src tests examples Cargo.toml; then
+  echo "a deleted entry point, run knob, halo library or shim is back" >&2
   exit 1
 fi
 
