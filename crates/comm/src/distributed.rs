@@ -155,7 +155,9 @@ pub struct RunOptions {
     /// path); `None`: tiles are computed straight from the grids.
     pub spm_capacity: Option<usize>,
     /// Seeded chaos plan injected into every rank's channel layer; also
-    /// switches the runtime's ack/retransmit reliability protocol on.
+    /// switches the runtime's ack/retransmit reliability protocol and
+    /// per-frame payload checksums on (without one nothing can damage a
+    /// payload, and frames carry no checksum).
     pub chaos: Option<Arc<FaultPlan>>,
     /// Reliability-protocol tunables (polls, backoff, retry budget).
     pub reliability: ReliabilityConfig,

@@ -5,12 +5,18 @@
 //!
 //! On top of the raw channels sits a **reliability protocol** sized for
 //! the chaos runtime (see [`crate::fault`]): every data frame carries a
-//! per-`(src → dst)` sequence number and a payload checksum; receivers
-//! acknowledge and deduplicate frames, and a receive that stalls sends
-//! bounded, backed-off retransmit requests back to the source. Injected
-//! drops, duplicates, reorderings, and bit flips therefore heal
-//! transparently, while genuine failures surface as typed
-//! [`CommError`] values instead of panics or deadlocks.
+//! per-`(src → dst)` sequence number and, in a world with a fault plan,
+//! a payload checksum; receivers acknowledge and deduplicate frames, and
+//! a receive that stalls sends bounded, backed-off retransmit requests
+//! back to the source. Injected drops, duplicates, reorderings, and bit
+//! flips therefore heal transparently, while genuine failures surface as
+//! typed [`CommError`] values instead of panics or deadlocks.
+//!
+//! A payload is an owned `Vec<T>` moved through an in-process channel:
+//! the one thing that can alter it on the way is the injector's
+//! [`FaultAction::Corrupt`]. Whether frames are checksummed is therefore
+//! decided once per world, in [`World::try_run_with`], from the presence
+//! of a fault plan — a world without one hashes nothing.
 
 use crate::error::CommError;
 use crate::fault::{splitmix, FaultAction, FaultPlan};
@@ -64,12 +70,30 @@ impl Wire for f32 {
     }
 }
 
+/// Frame checksum: element `i` feeds lane `i % LANES` of `LANES`
+/// independent splitmix chains (one chain would serialise on its
+/// multiply latency), seeded from `tag`/`seq` and the lane index; the
+/// lanes and the length are folded at the end. Every update is a
+/// bijection of its lane and every fold a bijection of the running hash,
+/// so a change to any single element always changes the result.
 fn checksum<T: Wire>(tag: u64, seq: u64, payload: &[T]) -> u64 {
-    let mut h = splitmix(tag ^ seq.rotate_left(17));
-    for v in payload {
-        h = splitmix(h ^ v.wire_bits());
+    const LANES: usize = 8;
+    let seed = splitmix(tag ^ seq.rotate_left(17));
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| splitmix(seed ^ i as u64));
+    // Whole blocks first: the fixed-width inner loop is what lets the
+    // eight chains overlap (one loop over `chunks` measured 2x slower).
+    let mut blocks = payload.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (lane, v) in lanes.iter_mut().zip(block) {
+            *lane = splitmix(*lane ^ v.wire_bits());
+        }
     }
-    splitmix(h ^ payload.len() as u64)
+    for (lane, v) in lanes.iter_mut().zip(blocks.remainder()) {
+        *lane = splitmix(*lane ^ v.wire_bits());
+    }
+    lanes
+        .iter()
+        .fold(payload.len() as u64, |h, lane| splitmix(h ^ lane))
 }
 
 /// Frame body: data, a delivery acknowledgement, a retransmit request
@@ -89,7 +113,9 @@ enum Body<T> {
 /// the sender's *logical* rank; `epoch` is the membership epoch the
 /// frame was sent under — receivers drop frames from older epochs (they
 /// describe a timeline that a recovery rolled back) and buffer frames
-/// from newer ones until they catch up.
+/// from newer ones until they catch up. `checksum` covers the payload as
+/// sent; it is `Some` on the data frames of a world with a fault plan
+/// (the injector can flip a payload bit) and `None` everywhere else.
 #[derive(Debug, Clone)]
 struct Frame<T> {
     src: usize,
@@ -97,8 +123,31 @@ struct Frame<T> {
     tag: u64,
     seq: u64,
     attempt: u32,
-    checksum: u64,
+    checksum: Option<u64>,
     body: Body<T>,
+}
+
+/// Duplicate suppression for one source's data stream: every sequence
+/// number below `next` has been delivered, plus the out-of-order ones in
+/// `ahead`. An in-order stream keeps `ahead` empty.
+#[derive(Debug, Clone, Default)]
+struct Delivered {
+    next: u64,
+    ahead: BTreeSet<u64>,
+}
+
+impl Delivered {
+    /// Record `seq`; `false` if it had been delivered before.
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq != self.next {
+            return seq > self.next && self.ahead.insert(seq);
+        }
+        self.next += 1;
+        while self.ahead.remove(&self.next) {
+            self.next += 1;
+        }
+        true
+    }
 }
 
 /// A posted receive: resolved by [`RankCtx::wait`] and friends.
@@ -453,7 +502,10 @@ impl Membership {
 /// for resilient runs — the shared membership layer.
 #[derive(Debug, Clone, Default)]
 pub struct WorldConfig {
-    /// Seeded fault injector applied to every data frame.
+    /// Seeded fault injector applied to every data frame. Its presence
+    /// also makes the world's frames checked: payload checksums are
+    /// computed and verified exactly when there is a plan that could
+    /// corrupt one.
     pub fault: Option<Arc<FaultPlan>>,
     pub reliability: ReliabilityConfig,
     /// Force the ack/retransmit protocol on (`Some(true)`) or off
@@ -509,7 +561,7 @@ pub struct RankCtx<T> {
     /// Next sequence number per destination stream.
     next_seq: Vec<u64>,
     /// Delivered sequence numbers per source (duplicate suppression).
-    delivered: Vec<HashSet<u64>>,
+    delivered: Vec<Delivered>,
     /// Sent-but-unacknowledged data frames per destination — the
     /// retransmit buffer (pruned as acks drain in).
     unacked: Vec<Vec<Frame<T>>>,
@@ -518,6 +570,8 @@ pub struct RankCtx<T> {
     fault: Option<Arc<FaultPlan>>,
     cfg: ReliabilityConfig,
     reliable: bool,
+    /// Data frames carry a checksum: true iff the world has a fault plan.
+    checked: bool,
     /// Halo-exchange rounds entered (drives kill injection).
     exchanges: u64,
     shared: Arc<WorldShared>,
@@ -604,7 +658,7 @@ impl<T: Wire> RankCtx<T> {
             tag,
             seq,
             attempt: 0,
-            checksum: checksum(tag, seq, &payload),
+            checksum: self.checked.then(|| checksum(tag, seq, &payload)),
             body: Body::Data(payload),
         };
         if self.reliable {
@@ -689,9 +743,7 @@ impl<T: Wire> RankCtx<T> {
         for buf in &mut self.unacked {
             buf.clear();
         }
-        for set in &mut self.delivered {
-            set.clear();
-        }
+        self.delivered.fill(Delivered::default());
         for seq in &mut self.next_seq {
             *seq = 0;
         }
@@ -735,17 +787,8 @@ impl<T: Wire> RankCtx<T> {
             if dst == self.rank {
                 continue;
             }
-            let beat = Frame {
-                src: self.rank,
-                epoch: self.epoch,
-                tag: 0,
-                seq: 0,
-                attempt: 0,
-                checksum: 0,
-                body: Body::Heartbeat,
-            };
             // A dead destination is the detector's business, not ours.
-            let _ = self.raw_send(dst, beat);
+            let _ = self.raw_send(dst, self.control(0, 0, Body::Heartbeat));
             self.counters.bump(Counter::HeartbeatsSent, 1);
             msc_trace::record(Counter::HeartbeatsSent, 1);
         }
@@ -893,6 +936,7 @@ impl<T: Wire> RankCtx<T> {
         let mut poll = self.cfg.poll;
         let mut attempts = 0u32;
         let mut resends = 0usize;
+        let mut waited = Duration::ZERO;
         loop {
             self.poll_epoch()?;
             if let Some(pos) = self
@@ -909,13 +953,16 @@ impl<T: Wire> RankCtx<T> {
                 let Body::Data(payload) = m.body else {
                     unreachable!("stash holds data")
                 };
-                self.note_wait_done(start, resends);
+                self.note_wait_done(waited, resends);
                 return Ok((idx, payload));
             }
             self.flush_delayed();
             let step = self.poll_step(poll, self.cfg.plain_deadline, start);
             match self.inbox.recv_timeout(step) {
-                Ok(frame) => self.process_frame(frame)?,
+                Ok(frame) => {
+                    waited = start.elapsed();
+                    self.process_frame(frame)?
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     self.maybe_heartbeat();
                     let srcs: HashSet<usize> = reqs.iter().map(|r| r.src).collect();
@@ -943,16 +990,7 @@ impl<T: Wire> RankCtx<T> {
                                 first_tag,
                                 0,
                             );
-                            let nudge = Frame {
-                                src: self.rank,
-                                epoch: self.epoch,
-                                tag: 0,
-                                seq: 0,
-                                attempt: 0,
-                                checksum: 0,
-                                body: Body::Resend,
-                            };
-                            if let Err(e) = self.raw_send(src, nudge) {
+                            if let Err(e) = self.raw_send(src, self.control(0, 0, Body::Resend)) {
                                 return Err(self.promote_dead(e));
                             }
                             resends += 1;
@@ -995,9 +1033,11 @@ impl<T: Wire> RankCtx<T> {
     }
 
     /// Successful wait bookkeeping: halo-wait histogram sample, plus the
-    /// recovery-delay histogram when retransmits were needed.
-    fn note_wait_done(&mut self, start: Instant, resends: usize) {
-        let waited = start.elapsed().as_nanos() as u64;
+    /// recovery-delay histogram when retransmits were needed. `waited`
+    /// ends when the completing frame left the inbox, so checking it is
+    /// not booked as waiting.
+    fn note_wait_done(&mut self, waited: Duration, resends: usize) {
+        let waited = waited.as_nanos() as u64;
         self.hists.add(Hist::HaloWaitNanos, waited);
         msc_trace::record_hist(Hist::HaloWaitNanos, waited);
         if resends > 0 {
@@ -1041,9 +1081,10 @@ impl<T: Wire> RankCtx<T> {
             let step = self.poll_step(poll, deadline, start);
             match self.inbox.recv_timeout(step) {
                 Ok(frame) => {
+                    let waited = start.elapsed();
                     self.process_frame(frame)?;
                     if let Some(payload) = self.take_stashed(req.src, req.tag) {
-                        self.note_wait_done(start, resends);
+                        self.note_wait_done(waited, resends);
                         return Ok(payload);
                     }
                 }
@@ -1074,16 +1115,7 @@ impl<T: Wire> RankCtx<T> {
                             req.tag,
                             0,
                         );
-                        let nudge = Frame {
-                            src: self.rank,
-                            epoch: self.epoch,
-                            tag: 0,
-                            seq: 0,
-                            attempt: 0,
-                            checksum: 0,
-                            body: Body::Resend,
-                        };
-                        if let Err(e) = self.raw_send(req.src, nudge) {
+                        if let Err(e) = self.raw_send(req.src, self.control(0, 0, Body::Resend)) {
                             return Err(self.promote_dead(e));
                         }
                         resends += 1;
@@ -1168,7 +1200,10 @@ impl<T: Wire> RankCtx<T> {
                 Ok(())
             }
             Body::Data(ref payload) => {
-                if frame.checksum != checksum(frame.tag, frame.seq, payload) {
+                if frame
+                    .checksum
+                    .is_some_and(|sum| sum != checksum(frame.tag, frame.seq, payload))
+                {
                     msc_trace::flight(
                         FlightKind::Corrupt,
                         frame.src as u32,
@@ -1180,18 +1215,7 @@ impl<T: Wire> RankCtx<T> {
                         // Damaged in flight: drop it and nudge the source
                         // for a clean copy (best effort — our own poll
                         // timeout re-requests if this nudge is lost).
-                        let _ = self.raw_send(
-                            frame.src,
-                            Frame {
-                                src: self.rank,
-                                epoch: self.epoch,
-                                tag: 0,
-                                seq: 0,
-                                attempt: 0,
-                                checksum: 0,
-                                body: Body::Resend,
-                            },
-                        );
+                        let _ = self.raw_send(frame.src, self.control(0, 0, Body::Resend));
                         return Ok(());
                     }
                     let _ = msc_trace::dump_on_error("corrupt");
@@ -1204,18 +1228,8 @@ impl<T: Wire> RankCtx<T> {
                     // Acknowledge receipt so the sender can prune its
                     // retransmit buffer (best effort: an exited sender
                     // no longer cares).
-                    let _ = self.raw_send(
-                        frame.src,
-                        Frame {
-                            src: self.rank,
-                            epoch: self.epoch,
-                            tag: frame.tag,
-                            seq: frame.seq,
-                            attempt: 0,
-                            checksum: 0,
-                            body: Body::Ack,
-                        },
-                    );
+                    let ack = self.control(frame.tag, frame.seq, Body::Ack);
+                    let _ = self.raw_send(frame.src, ack);
                 }
                 // Idempotent delivery: duplicates (injected or from
                 // over-eager retransmission) are dropped here.
@@ -1295,6 +1309,20 @@ impl<T: Wire> RankCtx<T> {
             tag,
             seq,
         );
+    }
+
+    /// A control frame (ack, retransmit request, heartbeat): no payload,
+    /// so nothing to retry or check.
+    fn control(&self, tag: u64, seq: u64, body: Body<T>) -> Frame<T> {
+        Frame {
+            src: self.rank,
+            epoch: self.epoch,
+            tag,
+            seq,
+            attempt: 0,
+            checksum: None,
+            body,
+        }
     }
 
     fn raw_send(&self, dst: usize, frame: Frame<T>) -> Result<(), CommError> {
@@ -1383,6 +1411,9 @@ impl World {
     {
         assert!(n_ranks > 0, "world needs at least one rank");
         let reliable = cfg.reliable.unwrap_or(cfg.fault.is_some());
+        // The injector's `Corrupt` is the only thing here that can alter
+        // a payload in flight, so only its worlds checksum their frames.
+        let checked = cfg.fault.is_some();
         let mut senders = Vec::with_capacity(n_ranks);
         let mut receivers = Vec::with_capacity(n_ranks);
         for _ in 0..n_ranks {
@@ -1426,12 +1457,13 @@ impl World {
                         inbox,
                         stash: Vec::new(),
                         next_seq: vec![0; n_ranks],
-                        delivered: vec![HashSet::new(); n_ranks],
+                        delivered: vec![Delivered::default(); n_ranks],
                         unacked: vec![Vec::new(); n_ranks],
                         delayed: Vec::new(),
                         fault,
                         cfg: reliability,
                         reliable,
+                        checked,
                         exchanges: 0,
                         shared,
                         departed_marked: false,
@@ -1499,6 +1531,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ring_pass() {
@@ -1743,6 +1776,185 @@ mod tests {
             let want: usize = (0..3).filter(|&r| r != rank).map(|r| r + 1).sum();
             assert_eq!(*s, want);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any single-bit flip of any element, another tag, another seq,
+        /// or one element fewer changes the checksum — f64 and f32, every
+        /// length around the lane count and the remainder path.
+        #[test]
+        fn checksum_sees_every_single_change(
+            bits in prop::collection::vec(0u64..u64::MAX, 0..=67),
+            tag in 0u64..u64::MAX,
+            seq in 0u64..1 << 40,
+        ) {
+            fn check<T: Wire>(tag: u64, seq: u64, payload: &[T], width: u32) {
+                let sum = checksum(tag, seq, payload);
+                let mut damaged = payload.to_vec();
+                for i in 0..payload.len() {
+                    for bit in 0..width {
+                        damaged[i].flip_bit(bit);
+                        assert_ne!(checksum(tag, seq, &damaged), sum, "element {i} bit {bit}");
+                        damaged[i].flip_bit(bit);
+                    }
+                }
+                assert_eq!(checksum(tag, seq, &damaged), sum);
+                assert_ne!(checksum(tag ^ 1, seq, payload), sum, "tag");
+                assert_ne!(checksum(tag, seq + 1, payload), sum, "seq");
+                if let Some((_, shorter)) = payload.split_last() {
+                    assert_ne!(checksum(tag, seq, shorter), sum, "truncated");
+                }
+            }
+            let wide: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let narrow: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b as u32)).collect();
+            check(tag, seq, &wide, 64);
+            check(tag, seq, &narrow, 32);
+        }
+    }
+
+    /// Payload element that counts how often the runtime hashes it.
+    #[derive(Clone)]
+    struct Counted(u64);
+    static HASHED: AtomicU64 = AtomicU64::new(0);
+
+    impl Wire for Counted {
+        fn wire_bits(&self) -> u64 {
+            HASHED.fetch_add(1, Ordering::Relaxed);
+            self.0
+        }
+        fn flip_bit(&mut self, bit: u32) {
+            self.0 ^= 1 << (bit % 64);
+        }
+    }
+
+    #[test]
+    fn a_world_without_a_fault_plan_hashes_nothing() {
+        const FACE: usize = 64;
+        const ROUNDS: u64 = 3;
+        // Both ranks swap a face per round. Returns the hash calls made.
+        let swap_faces = |fault: Option<Arc<FaultPlan>>| {
+            let cfg = WorldConfig {
+                fault,
+                // No retransmit request may fire while a peer is merely
+                // slow to be scheduled: a re-sent frame is hashed again.
+                reliability: ReliabilityConfig {
+                    poll: Duration::from_secs(30),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let before = HASHED.load(Ordering::Relaxed);
+            World::try_run_with(2, cfg, |mut ctx: RankCtx<Counted>| {
+                let peer = 1 - ctx.rank;
+                for round in 0..ROUNDS {
+                    ctx.isend(peer, round, vec![Counted(round); FACE]).unwrap();
+                    let req = ctx.irecv(peer, round);
+                    assert_eq!(ctx.wait(req).unwrap().len(), FACE);
+                }
+            })
+            .unwrap();
+            HASHED.load(Ordering::Relaxed) - before
+        };
+        assert_eq!(swap_faces(None), 0);
+        // A plan that injects nothing still means a channel that could:
+        // every element is hashed once by the sender, once by the receiver.
+        let elements = 2 * ROUNDS * FACE as u64;
+        assert_eq!(swap_faces(Some(Arc::new(FaultPlan::new(9)))), 2 * elements);
+    }
+
+    #[test]
+    fn checked_and_unchecked_worlds_move_the_same_messages() {
+        use crate::decomp::CartDecomp;
+        use crate::distributed::{run_distributed_resilient, RunOptions};
+        use crate::plan::{Backend, HaloPlan};
+        use msc_core::catalog::{benchmark, BenchmarkId};
+        use msc_core::prelude::DType;
+        use msc_core::schedule::{ExecPlan, Schedule};
+        use msc_exec::boundary::Boundary;
+        use msc_exec::Grid;
+
+        let plans = || [None, Some(Arc::new(FaultPlan::new(9)))];
+
+        // One halo exchange of the same plan on each kind of world.
+        let decomp = CartDecomp::new(&[8, 8], &[2, 2], &[1, 1]).unwrap();
+        let exchanged = plans().map(|fault| {
+            let cfg = WorldConfig {
+                fault,
+                ..Default::default()
+            };
+            World::try_run_with(4, cfg, |mut ctx: RankCtx<f64>| {
+                let mut g: Grid<f64> = Grid::random(&decomp.sub_extent(), &decomp.reach, 7);
+                let plan = HaloPlan::new(&decomp, ctx.rank, Backend::DimOrdered);
+                plan.exchange(&mut ctx, &mut g, 0).unwrap();
+                ctx.finalize();
+                let bits: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
+                let halo = [Counter::HaloMessages, Counter::HaloBytes].map(|c| ctx.counters.get(c));
+                (bits, halo, ctx.sent_msgs)
+            })
+            .unwrap()
+        });
+        assert!(exchanged[0] == exchanged[1]);
+        assert_eq!(
+            exchanged[0][0].2, 2,
+            "a corner rank of a 2x2 grid sends two faces"
+        );
+
+        // A whole distributed program on each.
+        let p = benchmark(BenchmarkId::S2d9ptBox)
+            .program(&[12, 12], DType::F64, 4)
+            .unwrap();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 55);
+        let ran = plans().map(|chaos| {
+            let opts = RunOptions {
+                chaos,
+                ..RunOptions::default()
+            };
+            // Each rank sweeps its sub-grid as one tile.
+            let (out, stats) =
+                run_distributed_resilient(&p, &[2, 2], &init, Boundary::Dirichlet, &opts, |sub| {
+                    ExecPlan::lower(&Schedule::default(), sub.len(), sub)
+                })
+                .unwrap();
+            let bits: Vec<u64> = out.as_slice().iter().map(|v| v.to_bits()).collect();
+            (
+                bits,
+                stats.halo_messages(),
+                stats.halo_bytes(),
+                stats.messages,
+            )
+        });
+        assert!(ran[0] == ran[1]);
+        assert!(ran[0].1 > 0 && ran[0].1 == ran[0].3);
+    }
+
+    #[test]
+    fn an_in_order_stream_keeps_no_delivery_history() {
+        const FRAMES: u64 = 100_000;
+        World::run(2, |mut ctx: RankCtx<u64>| {
+            if ctx.rank == 0 {
+                for i in 0..FRAMES {
+                    ctx.isend(1, 0, vec![i]).unwrap();
+                }
+            } else {
+                for i in 0..FRAMES {
+                    let req = ctx.irecv(0, 0);
+                    assert_eq!(ctx.wait(req).unwrap(), [i]);
+                }
+                assert_eq!(ctx.delivered[0].next, FRAMES);
+                assert!(ctx.delivered[0].ahead.is_empty());
+            }
+        });
+        // Out of order: a gap parks the later numbers until it closes;
+        // anything at or below the watermark, or parked, is a duplicate.
+        let mut d = Delivered::default();
+        assert!(d.insert(0) && d.insert(2) && d.insert(3));
+        assert_eq!((d.next, d.ahead.len()), (1, 2));
+        assert!(!d.insert(0) && !d.insert(2));
+        assert!(d.insert(1));
+        assert_eq!((d.next, d.ahead.len()), (4, 0));
+        assert!(!d.insert(1) && !d.insert(3));
     }
 
     #[test]

@@ -27,8 +27,19 @@ cargo test -q --workspace --offline
 
 echo "== chaos suite (fixed seeds) =="
 # Fault-injected runs must stay bit-identical to fault-free references;
-# seeds are fixed so failures reproduce exactly.
+# seeds are fixed so failures reproduce exactly. crates/comm/tests/
+# {chaos,recovery,counter_audit}.rs are the pin for the checked channel
+# (a world with a fault plan): a PR that claims the wire is unchanged
+# must not edit them. By name: the checksum property test, the test that
+# a world without a fault plan hashes nothing, and the dedup watermark.
 cargo test -q -p msc-comm --test chaos --offline
+for t in checksum_sees_every_single_change \
+    a_world_without_a_fault_plan_hashes_nothing \
+    an_in_order_stream_keeps_no_delivery_history; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p msc-comm --lib --offline "runtime::tests::$t" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
 
 echo "== online recovery suite (tier x chaos matrix) =="
 # A rank killed mid-run must be healed in place by a hot spare from its

@@ -29,9 +29,12 @@
 //! ```
 //!
 //! `--profile` and `--trace` imply `--run`; both may be combined.
-//! `--chaos` and `--checkpoint-every` imply a distributed run (default
-//! process grid `2x1[x1...]` unless `--procs` is given); the result is
-//! always verified bit-exactly against the serial reference.
+//! A source with an `mpi P Q [R]` clause runs (`--run`) over that process
+//! grid; `--chaos` and `--checkpoint-every` imply a distributed run of any
+//! source. The process grid is `--procs`, else the `mpi` clause, else
+//! `2x1[x1...]`; every rank sweeps its sub-grid under the source's own
+//! schedule, and the result is always verified bit-exactly against the
+//! serial reference.
 
 use msc::bench::suite;
 use msc::comm::{run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions};
@@ -75,7 +78,9 @@ execution:
 
 distributed:
       --procs PxQ[xR]      run over a process grid (e.g. 2x2), verified
-                           bit-exactly against the serial reference
+                           bit-exactly against the serial reference;
+                           overrides the source's `mpi` clause, which is
+                           what --run uses otherwise
       --chaos SEED:SPEC    seeded fault injection (drop=,dup=,delay=,
                            corrupt=, kill=RANK@N); implies distributed
       --checkpoint-every K write a checkpoint every K steps
@@ -1243,21 +1248,24 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // A source that names an `mpi` grid is a distributed program; any of
+    // the distributed flags makes one of any source.
     let distributed = args.procs.is_some()
+        || (args.run && program.mpi_grid.is_some())
         || args.chaos.is_some()
         || args.checkpoint_every > 0
         || args.spare_ranks > 0
         || args.heartbeat_ms.is_some();
     if distributed {
         let ndim = program.grid.ndim();
-        let procs = match &args.procs {
-            Some(p) if p.len() == ndim => p.clone(),
-            Some(p) => {
+        let procs = match (&args.procs, &program.mpi_grid) {
+            (Some(p), _) if p.len() != ndim => {
                 return Err(
                     format!("--procs has {} dims but the grid is {}D", p.len(), ndim).into(),
                 )
             }
-            None => {
+            (Some(p), _) | (None, Some(p)) => p.clone(),
+            (None, None) => {
                 let mut p = vec![1; ndim];
                 p[0] = 2;
                 p
@@ -1301,6 +1309,7 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             msc::trace::set_enabled(true);
         }
         let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
+        let sched = effective_schedule(&program, target);
         let t0 = std::time::Instant::now();
         let (out, stats) = run_distributed_resilient(
             &program,
@@ -1308,20 +1317,34 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             &init,
             Boundary::Dirichlet,
             &opts,
+            // Every rank sweeps its sub-grid under the program's own
+            // schedule; one that does not fit there gives way to halves.
             |sub| {
-                let mut s = msc::core::schedule::Schedule::default();
-                let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
-                s.tile(&tile);
-                s.parallel("xo", 2);
-                ExecPlan::lower(&s, sub.len(), sub)
+                ExecPlan::lower(&sched, sub.len(), sub).or_else(|e| {
+                    println!(
+                        "note: the schedule does not lower over the {sub:?} sub-grid ({e}); \
+                         each rank tiles its sub-grid in halves instead"
+                    );
+                    let mut s = msc::core::schedule::Schedule::default();
+                    let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
+                    s.tile(&tile);
+                    s.parallel("xo", 2);
+                    ExecPlan::lower(&s, sub.len(), sub)
+                })
             },
         )?;
         let dt = t0.elapsed();
         if tracing {
             msc::trace::set_enabled(false);
         }
+        // Which channel the frames crossed and why: the runtime checksums
+        // them exactly when the world has a fault plan.
+        let frames = match &opts.chaos {
+            Some(plan) => format!("frames checked: fault plan {}", plan.seed),
+            None => "frames unchecked: no fault plan".to_string(),
+        };
         println!(
-            "distributed run over {} ranks {:?}: {} steps in {:.1} ms; {} halo msgs, \
+            "distributed run over {} ranks {:?} ({frames}): {} steps in {:.1} ms; {} halo msgs, \
              {} faults injected, {} retransmits, {} restarts, {} recoveries, \
              {} checkpoint bytes; interior checksum {:.6e}",
             stats.ranks,

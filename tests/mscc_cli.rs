@@ -110,8 +110,75 @@ fn chaos_run_heals_and_verifies_bit_exactly() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("distributed run over 4 ranks"), "{stdout}");
+    // The banner names the channel: a fault plan means checked frames.
+    assert!(
+        stdout.contains("(frames checked: fault plan 42)"),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("verified vs serial reference: bit-identical"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_source_naming_an_mpi_grid_runs_over_it_under_its_own_schedule() {
+    let dir = std::env::temp_dir().join("mscc_cli_mpi_clause");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let source = dir.join("two_ranks.msc");
+    std::fs::write(
+        &source,
+        "stencil two_ranks {
+            grid B: f64[32, 16] halo 1 window 2;
+            kernel S = 0.2*B[-1,0] + 0.2*B[1,0] + 0.2*B[0,-1] + 0.2*B[0,1] + 0.2*B[0,0];
+            combine res[t] = 1.0*S[t-1];
+            schedule { tile 8 16; reorder xo yo xi yi; parallel xo 1; }
+            mpi 2 1;
+            run 6;
+            target cpu;
+        }",
+    )
+    .unwrap();
+    let run = |extra: &[&str]| {
+        let out = mscc()
+            .arg(&source)
+            .arg("-o")
+            .arg(&dir)
+            .arg("--run")
+            .args(extra)
+            .output()
+            .expect("mscc runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        assert!(
+            stdout.contains("verified vs serial reference: bit-identical"),
+            "{stdout}"
+        );
+        stdout
+    };
+    // No --procs: the `mpi 2 1` clause is the process grid, no fault plan
+    // means unchecked frames, and `tile 8 16` lowers over the 16x16
+    // sub-grid, so no fallback note.
+    let stdout = run(&[]);
+    assert!(
+        stdout.contains("distributed run over 2 ranks [2, 1] (frames unchecked: no fault plan)"),
+        "{stdout}"
+    );
+    assert!(
+        !stdout.contains("note: the schedule does not lower"),
+        "{stdout}"
+    );
+    // --procs overrides the clause; on 8x8 sub-grids `tile 8 16` does not
+    // lower, which the run says before falling back.
+    let stdout = run(&["--procs", "4x2"]);
+    assert!(
+        stdout.contains("distributed run over 8 ranks [4, 2]"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("note: the schedule does not lower over the [8, 8] sub-grid"),
         "{stdout}"
     );
     let _ = std::fs::remove_dir_all(&dir);
