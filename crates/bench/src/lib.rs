@@ -6,10 +6,14 @@
 //! thin wrappers that print them, and the integration tests assert the
 //! paper-shape properties (who wins, by roughly what factor, where the
 //! crossovers fall). EXPERIMENTS.md records paper-vs-measured values.
+//!
+//! Everything here runs against `msc-sim`: it reproduces the paper's
+//! tables and is never evidence of host speed. Host performance is
+//! measured by the repository's one benchmark, `benchmark/`
+//! (`BENCHMARK.json`, `bash benchmark/run.sh`).
 
 pub mod experiments;
 pub mod results;
-pub mod suite;
 pub mod table;
 
 pub use experiments::*;

@@ -19,6 +19,8 @@ pub mod primitives;
 pub mod window;
 
 pub use plan::ExecPlan;
-pub use presets::{preset_for, preset_for_grid, table5_reorder, table5_tile, Target};
+pub use presets::{
+    effective_schedule, preset_for, preset_for_grid, table5_reorder, table5_tile, Target,
+};
 pub use primitives::{BufferScope, Schedule};
 pub use window::WindowPlan;

@@ -2,6 +2,7 @@
 //! Table 5 ("The parameter settings of 2D/3D stencils using MSC on a
 //! single Sunway (a CG) / Matrix (32 cores) processor").
 
+use crate::dsl::StencilProgram;
 use crate::schedule::primitives::{BufferScope, Schedule};
 
 /// Code-generation / execution target (paper: `st.build("sunway")`).
@@ -100,6 +101,19 @@ pub fn preset_for_grid(ndim: usize, points: usize, target: Target, grid: &[usize
     s
 }
 
+/// The schedule `program` compiles and runs under on `target`: its first
+/// kernel's own schedule if that names tiles or `parallel`, else the
+/// Table 5 preset clamped to the grid. The one statement of that rule —
+/// `mscc`, `mscd` and the OpenMP code generator all call it.
+pub fn effective_schedule(program: &StencilProgram, target: Target) -> Schedule {
+    let k = &program.stencil.kernels[0];
+    if k.schedule.tile_factors.is_empty() && k.schedule.parallel.is_none() {
+        preset_for_grid(k.ndim, k.points(), target, &program.grid.shape)
+    } else {
+        k.schedule.clone()
+    }
+}
+
 fn finish_preset(s: &mut Schedule, ndim: usize, target: Target) {
     if target.needs_spm() {
         s.cache_read("B", "buffer_read", BufferScope::Global)
@@ -158,6 +172,33 @@ mod tests {
         let s = preset_for(3, 7, Target::Matrix);
         assert!(!s.uses_spm());
         assert_eq!(s.n_threads(), 32);
+    }
+
+    #[test]
+    fn a_kernels_own_schedule_wins_over_the_preset() {
+        use crate::catalog::{benchmark, BenchmarkId};
+        use crate::dtype::DType;
+        let mut p = benchmark(BenchmarkId::S3d7ptStar)
+            .program(&[16, 16, 16], DType::F64, 1)
+            .unwrap();
+        for k in &mut p.stencil.kernels {
+            k.schedule = Schedule::default();
+        }
+        // Nothing named: the Table 5 preset, clamped to the 16^3 grid.
+        assert_eq!(
+            effective_schedule(&p, Target::Matrix),
+            preset_for_grid(3, 7, Target::Matrix, &[16, 16, 16])
+        );
+        // `parallel` alone is a schedule of the kernel's own.
+        p.stencil.kernels[0].schedule.parallel("xo", 3);
+        assert_eq!(
+            effective_schedule(&p, Target::Matrix),
+            p.stencil.kernels[0].schedule
+        );
+        let mut own = Schedule::default();
+        own.tile(&[4, 4, 16]);
+        p.stencil.kernels[0].schedule = own.clone();
+        assert_eq!(effective_schedule(&p, Target::SunwayCG), own);
     }
 
     #[test]

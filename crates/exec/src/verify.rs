@@ -26,6 +26,15 @@ pub fn max_rel_error<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
     worst
 }
 
+/// Whether two grids hold the same bits, halo included: `-0.0` is not
+/// `+0.0` and a NaN equals itself, which `==` on floats gets wrong both
+/// ways. What "bit-identical to the serial reference" means.
+pub fn same_bits<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> bool {
+    let bits = |v: &T| v.to_f64().to_bits();
+    let (a_bits, b_bits) = (a.as_slice().iter().map(bits), b.as_slice().iter().map(bits));
+    a.shape == b.shape && a.halo == b.halo && a_bits.eq(b_bits)
+}
+
 /// Run `program` under `executor` and under the serial reference from the
 /// same initial grid, returning the maximum relative error.
 pub fn verify_against_reference<T: Scalar>(
@@ -78,6 +87,30 @@ mod tests {
         let b: Grid<f64> = Grid::zeros(&[1], &[0]);
         a.set(&[0], 1e-8);
         assert!((max_rel_error(&a, &b) - 1e-8).abs() < 1e-20);
+    }
+
+    #[test]
+    fn same_bits_tells_signed_zeros_apart_and_matches_equal_nans() {
+        let mut a: Grid<f64> = Grid::zeros(&[2, 2], &[1, 1]);
+        let mut b = a.clone();
+        assert!(same_bits(&a, &b));
+        // Equal to `==` and to max_rel_error, different bits.
+        b.set(&[1, 1], -0.0);
+        assert_eq!(a.as_slice(), b.as_slice());
+        assert_eq!(max_rel_error(&a, &b), 0.0);
+        assert!(!same_bits(&a, &b));
+        // The same NaN payload on both sides: unequal to `==`, same bits.
+        a.set(&[1, 1], f64::NAN);
+        b.set(&[1, 1], f64::NAN);
+        assert_ne!(a.as_slice(), b.as_slice());
+        assert!(same_bits(&a, &b));
+        b.set(&[1, 1], f64::from_bits(f64::NAN.to_bits() | 1));
+        assert!(!same_bits(&a, &b));
+        // A different halo width is a different grid.
+        assert!(!same_bits(
+            &Grid::<f32>::zeros(&[2, 2], &[1, 1]),
+            &Grid::<f32>::zeros(&[2, 2], &[0, 0])
+        ));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::cache::CompileCache;
 use crate::proto::{BusyReason, JobDone, Request, Response, ServiceStats, Submission, PROTO_VERSION};
 use msc_trace::Json;
-use msc_core::schedule::{preset_for_grid, ExecPlan, Target};
+use msc_core::schedule::{effective_schedule, ExecPlan, Target};
 use msc_exec::driver::{run_program, Executor};
 use msc_exec::Grid;
 use msc_trace::{install_thread_hub, Sampler, SamplerConfig, TelemetryHub};
@@ -409,12 +409,7 @@ fn job_body(
 
     let (mut steps, mut tiles) = (None, None);
     if sub.run {
-        let k = &program.stencil.kernels[0];
-        let sched = if k.schedule.tile_factors.is_empty() && k.schedule.parallel.is_none() {
-            preset_for_grid(k.ndim, k.points(), target, &program.grid.shape)
-        } else {
-            k.schedule.clone()
-        };
+        let sched = effective_schedule(&program, target);
         let plan = ExecPlan::lower(&sched, program.grid.ndim(), &program.grid.shape)
             .map_err(|e| Response::Error { message: e.to_string() })?;
         let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);

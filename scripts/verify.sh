@@ -18,6 +18,14 @@ if grep -rnE 'run_distributed_(bc|with|exec|opts|until_converged)|run_program_bc
   echo "a deleted entry point, run knob, halo library or shim is back" >&2
   exit 1
 fi
+# One flag table, one benchmark (DESIGN.md §8.4): the old trajectory
+# recorder, its script and its subcommand, and mscc's per-subcommand parse
+# functions and help sentinel. Each alternative carries a bracket so this
+# line does not find itself.
+if grep -rnE 'suite[:]:|mscc[ ]bench|scripts/bench\.sh|BENCH_[F]ILE|check_vm_[s]peedup|parse_[a-z]+_args|__[h]elp__' crates src tests scripts .github README.md DESIGN.md; then
+  echo "the retired benchmark suite or a hand-rolled mscc parser is back" >&2
+  exit 1
+fi
 
 echo "== build (release) =="
 cargo build --workspace --release --offline
@@ -146,6 +154,10 @@ tmpm=$(mktemp -d)
 test -s "$tmpm/metrics.om"
 grep -q comm_fault "$tmpm/metrics.jsonl"
 rm -rf "$tmpm"
+# Observing a run must stay near-free: the sampler-overhead budget is a
+# claim about optimised builds, so the test that holds it is ignored in
+# debug builds and runs here.
+cargo test -q --release --offline --test telemetry_live
 
 echo "== compile-and-run service (mscd smoke) =="
 # Start mscd, prove the compile cache (the second identical submission
@@ -178,9 +190,6 @@ grep -q 'mscd alive' "$tmps/ping.out"
 ./target/release/mscc submit --socket "$tmps/mscd.sock" --shutdown
 wait "$mscd_pid"
 rm -rf "$tmps"
-
-echo "== bench smoke (trajectory schema + regression gate) =="
-scripts/bench.sh smoke
 
 echo "== BENCHMARK smoke (schema + bit-correctness of all five workloads) =="
 # Toy sizes, no timing claims: every solve is compared bit for bit with

@@ -5,25 +5,16 @@
 //! and printing a simulated performance report:
 //!
 //! ```text
-//! mscc stencil.msc                      # emit code for the file's target
-//! mscc stencil.msc -o outdir            # choose the output directory
-//! mscc stencil.msc --target matrix      # override the target
-//! mscc stencil.msc --run                # execute functionally, print stats
-//! mscc stencil.msc --simulate           # predicted time on the target model
-//! mscc stencil.msc --stats              # static kernel statistics
-//! mscc stencil.msc --autoschedule       # pick tiles/stream/tile_time automatically
-//! mscc stencil.msc --run --dump out.grid  # save the final state (MSCGRID1 format)
-//! mscc stencil.msc --profile            # run under tracing, print the profile table
-//! mscc stencil.msc --trace out.json     # run under tracing, write chrome://tracing JSON
-//! mscc stencil.msc --procs 2x2          # distributed run over a 2x2 process grid
-//! mscc stencil.msc --procs 2x2 --trace out.json
-//!                                       # ...stitched cross-rank trace + straggler report
-//! mscc stencil.msc --procs 2x2 --chaos 42:drop=0.05,dup=0.02,corrupt=0.01
-//!                                       # ...with seeded fault injection
+//! mscc stencil.msc -o outdir            # emit code for the file's target
+//! mscc stencil.msc --run                # execute, verify, print stats
+//! mscc stencil.msc --simulate --stats   # predicted time, static kernel statistics
+//! mscc stencil.msc --profile --trace out.json
+//!                                       # run under tracing: table + chrome://tracing JSON
 //! mscc stencil.msc --procs 2x2 --chaos 1:kill=1@3 --checkpoint-every 2
-//!                                       # kill a rank, restart from checkpoint
-//! mscc bench --out BENCH_0006.json      # record the benchmark trajectory
-//! mscc bench --diff OLD.json NEW.json   # exit nonzero on perf regression
+//!                                       # distributed: kill a rank, restart from checkpoint
+//! mscc check stencil.msc --json         # the static verifier only
+//! mscc lift nest.c --emit-msc           # lift a C loop nest to stencil IR
+//! mscc top metrics.jsonl --once         # per-rank view of a metrics stream
 //! mscc serve --workers 4                # run the mscd compile-and-run daemon
 //! mscc submit stencil.msc --run         # send a program to a running mscd
 //! ```
@@ -33,693 +24,454 @@
 //! grid; `--chaos` and `--checkpoint-every` imply a distributed run of any
 //! source. The process grid is `--procs`, else the `mpi` clause, else
 //! `2x1[x1...]`; every rank sweeps its sub-grid under the source's own
-//! schedule, and the result is always verified bit-exactly against the
-//! serial reference.
+//! schedule, and every run, serial or distributed, must match the serial
+//! reference bit for bit or `mscc` exits nonzero.
+//!
+//! Every flag of every subcommand is one row of one table ([`COMPILE`],
+//! [`SUBS`]): its spellings and metavar, what follows it, the [`Opts`]
+//! field the value lands in, and its help text. [`parse`] is the only
+//! reader of the command line and [`help`] prints the same rows, so a flag
+//! is accepted, validated and documented in one place; run options land
+//! directly in [`RunOptions`]. `mscc --help` is the flag reference.
 
-use msc::bench::suite;
 use msc::comm::{run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions};
 use msc::core::analysis::StencilStats;
-use msc::core::schedule::ExecPlan;
+use msc::core::schedule::{effective_schedule, ExecPlan, Schedule};
+use msc::exec::verify::same_bits;
 use msc::prelude::*;
+use msc::service::ServiceConfig;
 use msc::trace::Json;
-use std::path::PathBuf;
+use std::num::NonZeroUsize;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Grouped flag reference. Every flag the parser accepts must appear
-/// here — `tests/mscc_cli.rs::help_documents_every_flag` enforces it.
-const HELP: &str = "\
-mscc — MSC stencil compiler driver
+type Outcome = Result<(), Box<dyn std::error::Error>>;
 
-usage:
-  mscc <file.msc> [options]    compile a stencil (and optionally run it)
-  mscc check <file.msc> [options]  run the static stencil verifier only
-  mscc lift <file.c> [options]  lift a restricted C loop nest to stencil IR
-  mscc bench [options]         record or check the benchmark trajectory
-  mscc top METRICS.jsonl [options]  live per-rank view of a metrics stream
-  mscc serve [options]         run the mscd compile-and-run daemon
-  mscc submit <file.msc> [options]  send a program to a running mscd
-
-input / output:
-  -o, --out DIR            output directory for the generated C package
-      --target NAME        code generation target: sunway | matrix | cpu
-      --dump PATH          save the final state to PATH (MSCGRID1 format)
-
-execution:
-      --run                execute functionally and print run statistics
-      --exec-tier TIER     row evaluation tier: auto | interp | vm | specialized
-                           (default auto — fastest applicable; every tier is
-                           bit-identical to the interpreter)
-      --simulate           print the predicted time on the target machine model
-      --stats              print static kernel statistics
-      --autoschedule       pick tiles/stream/tile_time automatically
-      --pool-threads N     cap the persistent worker pool at N threads
-                           (N >= 1). Default: width decided by the plan
-
-distributed:
-      --procs PxQ[xR]      run over a process grid (e.g. 2x2), verified
-                           bit-exactly against the serial reference;
-                           overrides the source's `mpi` clause, which is
-                           what --run uses otherwise
-      --chaos SEED:SPEC    seeded fault injection (drop=,dup=,delay=,
-                           corrupt=, kill=RANK@N); implies distributed
-      --checkpoint-every K write a checkpoint every K steps
-      --checkpoint-dir DIR checkpoint directory (default: temp dir)
-      --spare-ranks N      launch N hot-spare ranks; a dead rank is healed
-                           online (spare adopts its subdomain from the
-                           buddy snapshot) instead of restarting the
-                           world; implies distributed
-      --heartbeat-ms MS    liveness beacon interval in ms (failure
-                           detection timeout is 4x MS; default 50);
-                           implies distributed and the membership layer
-
-observability:
-      --profile            run under tracing; print the counter and latency-
-                           histogram tables (distributed runs also print the
-                           per-step straggler report)
-      --trace OUT.json     run under tracing; write chrome://tracing JSON
-                           (distributed runs stitch all ranks into one
-                           timeline with send->recv flow arrows)
-      --flight-dir DIR     dump the always-on flight recorder to DIR as JSON
-                           when a communication fault or restart fires
-      --metrics-file PATH  sample live metrics during the run: one JSONL
-                           line per interval appended to PATH (schema
-                           msc-metrics-v1) plus an OpenMetrics snapshot
-                           atomically rewritten at PATH's .om sibling;
-                           the stream is flushed on exit and on faults,
-                           and the online stall detector raises alerts
-      --metrics-interval-ms MS
-                           sampling interval in ms (default 250;
-                           requires --metrics-file)
-
-top subcommand (mscc top):
-      --once               render one snapshot and exit (no tail-follow)
-      --strict             validate the stream while rendering: schema
-                           tag, monotone seq and counters, well-formed
-                           OpenMetrics sibling; exit nonzero on violation
-      --interval-ms MS     redraw interval while following (default 500)
-
-check subcommand (mscc check):
-      --json               emit machine-readable JSON diagnostics on stdout
-                           (exit code still reflects deny-level findings;
-                           --target selects the capacity lints as above)
-
-lift subcommand (mscc lift):
-      --emit-msc           print the lifted program as `.msc` DSL source
-      --run                execute the lifted program (serial reference)
-                           and print run statistics
-      --json               emit machine-readable JSON diagnostics on stdout
-                           (same schema and deny-gated exit code as
-                           `mscc check`; MSC-L5xx codes report lift
-                           failures, and a successful lift is additionally
-                           validated bit-for-bit against direct
-                           interpretation of the C nest on every
-                           execution tier)
-
-serve subcommand (mscc serve):
-      --socket PATH        Unix socket to listen on (default: mscd.sock in
-                           the system temp directory)
-      --workers N          job worker threads (default 2)
-      --max-queue N        admission bound on queued jobs (default 16); a
-                           full queue answers a typed busy/queue response
-                           instead of blocking the client
-      --tenant-quota N     per-tenant in-flight bound, queued + running
-                           (default 4); at quota a tenant gets busy/quota
-                           while other tenants still get through
-      --metrics-dir DIR    give every job its own telemetry session sampled
-                           into DIR/job_<id>.jsonl (+ OpenMetrics sibling)
-      --pool-threads N     helper threads each worker pre-warms in its
-                           persistent execution pool (0 = grow on demand)
-
-submit subcommand (mscc submit):
-      --socket PATH        daemon socket to connect to (same default)
-      --tenant NAME        tenant identity for admission control
-                           (default `default`)
-      --run                also execute the program functionally and report
-                           steps/tiles and this job's telemetry counters
-      --target NAME        override the code generation target
-      --sleep-ms MS        artificial delay before the job body (a load
-                           knob for admission-control testing)
-      --ping               liveness probe instead of a submission
-      --stats              print service-wide counters instead of a
-                           submission
-      --shutdown           ask the daemon to finish queued jobs and exit
-
-bench subcommand (mscc bench):
-      --quick              small grids — CI smoke mode
-      --out FILE           write the recording to FILE (default BENCH_0006.json)
-      --validate FILE      schema-check a recording and exit
-      --diff OLD NEW       compare two recordings; exit nonzero on regression
-      --threshold PCT      time-metric regression threshold in percent (default 15)
-      --counts-only        diff only deterministic count metrics
-      --doctor IN OUT      write a 20%-slowed copy of IN (regression-gate self-test)
-
-  -h, --help               show this help
-";
-
-struct Args {
-    input: PathBuf,
-    outdir: Option<PathBuf>,
+/// Everything a command line can set, for all subcommands: each table
+/// row names the field its flag lands in, and each `drive_*` reads the
+/// fields its own rows set.
+#[derive(Default)]
+struct Opts {
+    /// The one positional argument.
+    input: Option<PathBuf>,
     target: Option<Target>,
     run: bool,
-    simulate: bool,
     stats: bool,
+    json: bool,
+    outdir: Option<PathBuf>,
+    simulate: bool,
     autoschedule: bool,
     dump: Option<PathBuf>,
     profile: bool,
     trace: Option<PathBuf>,
     procs: Option<Vec<usize>>,
-    chaos: Option<String>,
-    checkpoint_every: usize,
-    checkpoint_dir: Option<PathBuf>,
-    spare_ranks: usize,
-    heartbeat_ms: Option<u64>,
     flight_dir: Option<PathBuf>,
-    pool_threads: Option<std::num::NonZeroUsize>,
-    exec_tier: msc::exec::ExecTier,
+    pool_threads: Option<NonZeroUsize>,
     metrics_file: Option<PathBuf>,
     metrics_interval_ms: Option<u64>,
-}
-
-struct TopArgs {
-    input: PathBuf,
+    /// The run options themselves: the tier (serial runs read it too),
+    /// fault plan, checkpointing, spares and heartbeat.
+    dist: RunOptions,
+    emit_msc: bool,
     once: bool,
     strict: bool,
-    interval_ms: u64,
-}
-
-struct BenchArgs {
-    quick: bool,
-    out: PathBuf,
-    validate: Option<PathBuf>,
-    diff: Option<(PathBuf, PathBuf)>,
-    doctor: Option<(PathBuf, PathBuf)>,
-    threshold: f64,
-    counts_only: bool,
-}
-
-struct CheckArgs {
-    input: PathBuf,
-    json: bool,
-    target: Option<Target>,
-}
-
-struct LiftArgs {
-    input: PathBuf,
-    emit_msc: bool,
-    run: bool,
-    json: bool,
-}
-
-struct ServeArgs {
-    socket: Option<PathBuf>,
-    workers: usize,
-    max_queue: usize,
-    tenant_quota: usize,
-    metrics_dir: Option<PathBuf>,
-    pool_threads: usize,
-}
-
-/// What a `mscc submit` invocation asks the daemon for.
-enum SubmitOp {
-    Job(PathBuf),
-    Ping,
-    Stats,
-    Shutdown,
-}
-
-struct SubmitArgs {
-    socket: Option<PathBuf>,
-    op: SubmitOp,
-    tenant: String,
-    run: bool,
-    target: Option<Target>,
+    interval_ms: Option<u64>,
+    /// `serve` reads all of it, `submit` the socket.
+    service: ServiceConfig,
+    tenant: Option<String>,
     sleep_ms: u64,
+    ping: bool,
+    shutdown: bool,
 }
 
-enum Cli {
-    Compile(Box<Args>),
-    Check(CheckArgs),
-    Lift(LiftArgs),
-    Bench(BenchArgs),
-    Top(TopArgs),
-    Serve(ServeArgs),
-    Submit(SubmitArgs),
-    Help,
-}
-
-fn parse_cli() -> Result<Cli, String> {
-    let mut argv = std::env::args().skip(1).peekable();
-    if argv.peek().map(String::as_str) == Some("bench") {
-        argv.next();
-        return parse_bench_args(argv).map(Cli::Bench);
-    }
-    if argv.peek().map(String::as_str) == Some("check") {
-        argv.next();
-        return parse_check_args(argv).map(Cli::Check);
-    }
-    if argv.peek().map(String::as_str) == Some("lift") {
-        argv.next();
-        return parse_lift_args(argv).map(Cli::Lift);
-    }
-    if argv.peek().map(String::as_str) == Some("top") {
-        argv.next();
-        return parse_top_args(argv).map(Cli::Top);
-    }
-    if argv.peek().map(String::as_str) == Some("serve") {
-        argv.next();
-        return parse_serve_args(argv).map(Cli::Serve);
-    }
-    if argv.peek().map(String::as_str) == Some("submit") {
-        argv.next();
-        return parse_submit_args(argv).map(Cli::Submit);
-    }
-    parse_args(argv)
-}
-
-fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs, String> {
-    let mut s = ServeArgs {
-        socket: None,
-        workers: 2,
-        max_queue: 16,
-        tenant_quota: 4,
-        metrics_dir: None,
-        pool_threads: 0,
-    };
-    let count = |argv: &mut dyn Iterator<Item = String>, flag: &str| {
-        argv.next()
-            .ok_or(format!("missing count after {flag}"))?
-            .parse::<usize>()
-            .map_err(|_| format!("bad count after {flag}"))
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--socket" => {
-                s.socket = Some(PathBuf::from(
-                    argv.next().ok_or("missing path after --socket")?,
-                ))
-            }
-            "--workers" => {
-                s.workers = count(&mut argv, "--workers")?;
-                if s.workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
-            "--max-queue" => s.max_queue = count(&mut argv, "--max-queue")?,
-            "--tenant-quota" => s.tenant_quota = count(&mut argv, "--tenant-quota")?,
-            "--metrics-dir" => {
-                s.metrics_dir = Some(PathBuf::from(
-                    argv.next().ok_or("missing directory after --metrics-dir")?,
-                ))
-            }
-            "--pool-threads" => s.pool_threads = count(&mut argv, "--pool-threads")?,
-            "-h" | "--help" => return Err("__help__".into()),
-            other => return Err(format!("unexpected serve argument `{other}`")),
-        }
-    }
-    Ok(s)
-}
-
-fn parse_submit_args(mut argv: impl Iterator<Item = String>) -> Result<SubmitArgs, String> {
-    let mut input = None;
-    let mut socket = None;
-    let mut tenant = "default".to_string();
-    let mut run = false;
-    let mut target = None;
-    let mut sleep_ms = 0u64;
-    let (mut ping, mut stats, mut shutdown) = (false, false, false);
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--socket" => {
-                socket = Some(PathBuf::from(
-                    argv.next().ok_or("missing path after --socket")?,
-                ))
-            }
-            "--tenant" => tenant = argv.next().ok_or("missing name after --tenant")?,
-            "--run" => run = true,
-            "--target" => {
-                let t = argv.next().ok_or("missing target name")?;
-                target = Some(parse_target(&t)?);
-            }
-            "--sleep-ms" => {
-                sleep_ms = argv
-                    .next()
-                    .ok_or("missing interval after --sleep-ms")?
-                    .parse()
-                    .map_err(|_| "bad interval after --sleep-ms".to_string())?;
-            }
-            "--ping" => ping = true,
-            "--stats" => stats = true,
-            "--shutdown" => shutdown = true,
-            "-h" | "--help" => return Err("__help__".into()),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(PathBuf::from(other))
-            }
-            other => return Err(format!("unexpected submit argument `{other}`")),
-        }
-    }
-    let op = match (ping, stats, shutdown, input) {
-        (true, false, false, None) => SubmitOp::Ping,
-        (false, true, false, None) => SubmitOp::Stats,
-        (false, false, true, None) => SubmitOp::Shutdown,
-        (false, false, false, Some(file)) => SubmitOp::Job(file),
-        (false, false, false, None) => {
-            return Err("no input file (try --ping, --stats, --shutdown, or --help)".into())
-        }
-        _ => return Err("--ping/--stats/--shutdown are exclusive and take no file".into()),
-    };
-    Ok(SubmitArgs {
-        socket,
-        op,
-        tenant,
-        run,
-        target,
-        sleep_ms,
-    })
-}
-
-fn parse_top_args(mut argv: impl Iterator<Item = String>) -> Result<TopArgs, String> {
-    let mut input = None;
-    let mut once = false;
-    let mut strict = false;
-    let mut interval_ms = 500u64;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--once" => once = true,
-            "--strict" => strict = true,
-            "--interval-ms" => {
-                interval_ms = argv
-                    .next()
-                    .ok_or("missing interval after --interval-ms")?
-                    .parse()
-                    .map_err(|_| "bad interval after --interval-ms".to_string())?;
-                if interval_ms == 0 {
-                    return Err("--interval-ms must be at least 1".into());
-                }
-            }
-            "-h" | "--help" => return Err("__help__".into()),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(PathBuf::from(other))
-            }
-            other => return Err(format!("unexpected top argument `{other}`")),
-        }
-    }
-    Ok(TopArgs {
-        input: input.ok_or("no metrics file (try --help)")?,
-        once,
-        strict,
-        interval_ms,
-    })
-}
-
-fn parse_check_args(mut argv: impl Iterator<Item = String>) -> Result<CheckArgs, String> {
-    let mut input = None;
-    let mut json = false;
-    let mut target = None;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--target" => {
-                let t = argv.next().ok_or("missing target name")?;
-                target = Some(parse_target(&t)?);
-            }
-            "-h" | "--help" => return Err("__help__".into()),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(PathBuf::from(other))
-            }
-            other => return Err(format!("unexpected check argument `{other}`")),
-        }
-    }
-    Ok(CheckArgs {
-        input: input.ok_or("no input file (try --help)")?,
-        json,
-        target,
-    })
-}
-
-fn parse_lift_args(mut argv: impl Iterator<Item = String>) -> Result<LiftArgs, String> {
-    let mut input = None;
-    let mut emit_msc = false;
-    let mut run = false;
-    let mut json = false;
-    for a in argv.by_ref() {
-        match a.as_str() {
-            "--emit-msc" => emit_msc = true,
-            "--run" => run = true,
-            "--json" => json = true,
-            "-h" | "--help" => return Err("__help__".into()),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(PathBuf::from(other))
-            }
-            other => return Err(format!("unexpected lift argument `{other}`")),
-        }
-    }
-    Ok(LiftArgs {
-        input: input.ok_or("no input file (try --help)")?,
-        emit_msc,
-        run,
-        json,
-    })
-}
-
-fn parse_target(name: &str) -> Result<Target, String> {
-    match name {
-        "sunway" => Ok(Target::SunwayCG),
-        "matrix" => Ok(Target::Matrix),
-        "cpu" => Ok(Target::Cpu),
-        other => Err(format!("unknown target `{other}`")),
+impl Opts {
+    fn input(&self) -> &Path {
+        self.input
+            .as_deref()
+            .expect("parse() refuses a command line without its required positional")
     }
 }
 
-fn parse_bench_args(mut argv: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
-    let mut b = BenchArgs {
-        quick: false,
-        out: PathBuf::from(suite::BENCH_FILE),
-        validate: None,
-        diff: None,
-        doctor: None,
-        threshold: suite::DEFAULT_THRESHOLD,
-        counts_only: false,
-    };
-    let path = |argv: &mut dyn Iterator<Item = String>, flag: &str| {
-        argv.next()
-            .map(PathBuf::from)
-            .ok_or(format!("missing path after {flag}"))
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => b.quick = true,
-            "--out" => b.out = path(&mut argv, "--out")?,
-            "--validate" => b.validate = Some(path(&mut argv, "--validate")?),
-            "--diff" => b.diff = Some((path(&mut argv, "--diff")?, path(&mut argv, "--diff")?)),
-            "--doctor" => {
-                b.doctor = Some((path(&mut argv, "--doctor")?, path(&mut argv, "--doctor")?))
-            }
-            "--threshold" => {
-                let pct: f64 = argv
-                    .next()
-                    .ok_or("missing percent after --threshold")?
-                    .parse()
-                    .map_err(|_| "bad percent after --threshold".to_string())?;
-                if !(0.0..=100.0).contains(&pct) {
-                    return Err("--threshold must be within 0..=100".into());
-                }
-                b.threshold = pct / 100.0;
-            }
-            "--counts-only" => b.counts_only = true,
-            "-h" | "--help" => return Err("__help__".into()),
-            other => return Err(format!("unexpected bench argument `{other}`")),
-        }
-    }
-    Ok(b)
+/// What follows a flag on the command line, and the setter that lands it.
+/// The last three kinds have one home each.
+enum Kind {
+    Switch(fn(&mut Opts)),
+    Path(fn(&mut Opts, PathBuf)),
+    /// A whole number of at least the given minimum.
+    Count(usize, fn(&mut Opts, usize)),
+    /// Milliseconds, at least the given minimum.
+    Millis(u64, fn(&mut Opts, u64)),
+    /// Free text; the setter says what was wrong with it.
+    Text(fn(&mut Opts, &str) -> Result<(), String>),
+    /// `sunway | matrix | cpu`, into [`Opts::target`].
+    Target,
+    /// An execution tier, into [`RunOptions::tier`].
+    Tier,
+    /// `PxQ[xR]`, into [`Opts::procs`].
+    Procs,
+}
+use Kind as K;
+
+fn at_least<T>(v: &str, min: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let n = v.parse().ok().filter(|n| *n >= min);
+    n.ok_or_else(|| format!("expected a whole number of at least {min}"))
 }
 
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Cli, String> {
-    let mut input = None;
-    let mut outdir = None;
-    let mut target = None;
-    let mut run = false;
-    let mut simulate = false;
-    let mut stats = false;
-    let mut autoschedule = false;
-    let mut dump = None;
-    let mut profile = false;
-    let mut trace = None;
-    let mut procs = None;
-    let mut chaos = None;
-    let mut checkpoint_every = 0usize;
-    let mut checkpoint_dir = None;
-    let mut spare_ranks = 0usize;
-    let mut heartbeat_ms = None;
-    let mut flight_dir = None;
-    let mut pool_threads = None;
-    let mut exec_tier = msc::exec::ExecTier::Auto;
-    let mut metrics_file = None;
-    let mut metrics_interval_ms = None;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "-o" | "--out" => {
-                outdir = Some(PathBuf::from(
-                    argv.next().ok_or("missing directory after -o")?,
-                ))
+impl Kind {
+    /// Parse `v` as this kind and store it; `Err` says what was expected.
+    fn land(&self, o: &mut Opts, v: &str) -> Result<(), String> {
+        match *self {
+            K::Switch(set) => set(o),
+            K::Path(set) => set(o, v.into()),
+            K::Count(min, set) => set(o, at_least(v, min)?),
+            K::Millis(min, set) => set(o, at_least(v, min)?),
+            K::Text(set) => set(o, v)?,
+            K::Target => {
+                let all = [Target::SunwayCG, Target::Matrix, Target::Cpu];
+                let named = all.into_iter().find(|t| t.as_str() == v);
+                o.target = Some(named.ok_or("expected sunway, matrix or cpu")?);
             }
-            "--target" => {
-                let t = argv.next().ok_or("missing target name")?;
-                target = Some(parse_target(&t)?);
+            K::Tier => {
+                o.dist.tier = msc::exec::ExecTier::parse(v)
+                    .ok_or("expected auto, interp, vm or specialized")?;
             }
-            "--run" => run = true,
-            "--simulate" => simulate = true,
-            "--stats" => stats = true,
-            "--autoschedule" => autoschedule = true,
-            "--dump" => {
-                dump = Some(PathBuf::from(
-                    argv.next().ok_or("missing path after --dump")?,
-                ))
-            }
-            "--profile" => profile = true,
-            "--trace" => {
-                trace = Some(PathBuf::from(
-                    argv.next().ok_or("missing path after --trace")?,
-                ))
-            }
-            "--procs" => {
-                let spec = argv.next().ok_or("missing process grid after --procs")?;
+            K::Procs => {
                 let grid: Result<Vec<usize>, _> =
-                    spec.split('x').map(|p| p.trim().parse::<usize>()).collect();
-                let grid = grid.map_err(|_| format!("bad process grid `{spec}` (try 2x2)"))?;
-                if grid.is_empty() || grid.contains(&0) {
-                    return Err(format!("bad process grid `{spec}`"));
-                }
-                procs = Some(grid);
+                    v.split('x').map(|p| at_least(p.trim(), 1)).collect();
+                o.procs = Some(grid.map_err(|_| "expected positive extents like 2x2")?);
             }
-            "--chaos" => chaos = Some(argv.next().ok_or("missing spec after --chaos")?),
-            "--checkpoint-every" => {
-                checkpoint_every = argv
-                    .next()
-                    .ok_or("missing step count after --checkpoint-every")?
-                    .parse()
-                    .map_err(|_| "bad step count after --checkpoint-every".to_string())?;
-            }
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(PathBuf::from(
-                    argv.next()
-                        .ok_or("missing directory after --checkpoint-dir")?,
-                ))
-            }
-            "--spare-ranks" => {
-                spare_ranks = argv
-                    .next()
-                    .ok_or("missing rank count after --spare-ranks")?
-                    .parse()
-                    .map_err(|_| "bad rank count after --spare-ranks".to_string())?;
-            }
-            "--heartbeat-ms" => {
-                let ms: u64 = argv
-                    .next()
-                    .ok_or("missing interval after --heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "bad interval after --heartbeat-ms".to_string())?;
-                if ms == 0 {
-                    return Err("--heartbeat-ms must be at least 1".into());
-                }
-                heartbeat_ms = Some(ms);
-            }
-            "--flight-dir" => {
-                flight_dir = Some(PathBuf::from(
-                    argv.next().ok_or("missing directory after --flight-dir")?,
-                ))
-            }
-            "--metrics-file" => {
-                metrics_file = Some(PathBuf::from(
-                    argv.next().ok_or("missing path after --metrics-file")?,
-                ))
-            }
-            "--metrics-interval-ms" => {
-                metrics_interval_ms = Some(
-                    argv.next()
-                        .ok_or("missing interval after --metrics-interval-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad interval after --metrics-interval-ms".to_string())?,
-                );
-            }
-            "--exec-tier" => {
-                let t = argv.next().ok_or("missing tier after --exec-tier")?;
-                exec_tier = msc::exec::ExecTier::parse(&t).ok_or(format!(
-                    "unknown exec tier `{t}` (try auto, interp, vm, specialized)"
-                ))?;
-            }
-            "--pool-threads" => {
-                let n: usize = argv
-                    .next()
-                    .ok_or("missing thread count after --pool-threads")?
-                    .parse()
-                    .map_err(|_| "bad thread count after --pool-threads".to_string())?;
-                pool_threads = Some(
-                    std::num::NonZeroUsize::new(n).ok_or("--pool-threads must be at least 1")?,
-                );
-            }
-            "-h" | "--help" => return Ok(Cli::Help),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(PathBuf::from(other))
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
+        }
+        Ok(())
+    }
+}
+
+struct Flag {
+    /// The flag as the help shows it: every spelling (a short one first,
+    /// comma-separated), then the metavar if a value follows.
+    spec: &'static str,
+    kind: Kind,
+    help: &'static str,
+}
+
+impl Flag {
+    fn names(&self) -> impl Iterator<Item = &'static str> {
+        self.spec.split([',', ' ']).filter(|w| w.starts_with('-'))
+    }
+
+    /// What the help and the error messages call the value.
+    fn meta(&self) -> &'static str {
+        let last = self.spec.rsplit(' ').next();
+        last.filter(|w| !w.starts_with('-')).unwrap_or("")
+    }
+}
+
+const fn flag(spec: &'static str, kind: Kind, help: &'static str) -> Flag {
+    Flag { spec, kind, help }
+}
+
+struct Group {
+    title: &'static str,
+    flags: &'static [Flag],
+}
+
+struct Sub {
+    /// The first argument that selects it; empty for the compile command,
+    /// which is what `mscc` does when no subcommand is named.
+    name: &'static str,
+    /// The positional argument: what to call it, and whether it must be
+    /// there.
+    positional: Option<(&'static str, bool)>,
+    about: &'static str,
+    drive: fn(Opts) -> Outcome,
+    groups: &'static [Group],
+}
+
+impl Sub {
+    fn label(&self) -> &'static str {
+        if self.name.is_empty() {
+            "compile"
+        } else {
+            self.name
         }
     }
-    if metrics_interval_ms.is_some() && metrics_file.is_none() {
-        return Err("--metrics-interval-ms requires --metrics-file".into());
+}
+
+// The table, one flag per row: spec, kind and setter, then the help text.
+#[rustfmt::skip]
+static COMPILE: Sub = Sub {
+    name: "", positional: Some(("<file.msc>", true)), drive,
+    about: "compile a stencil (and optionally run it)",
+    groups: &[
+        Group { title: "input / output", flags: &[
+            flag("-o, --out DIR", K::Path(|o, p| o.outdir = Some(p)),
+                 "output directory for the generated C package"),
+            flag("--target NAME", K::Target,
+                 "code generation target: sunway | matrix | cpu"),
+            flag("--dump PATH", K::Path(|o, p| o.dump = Some(p)),
+                 "save the final state to PATH (MSCGRID1 format)"),
+        ] },
+        Group { title: "execution", flags: &[
+            flag("--run", K::Switch(|o| o.run = true),
+                 "execute functionally and print run statistics"),
+            flag("--exec-tier TIER", K::Tier,
+                 "row evaluation tier: auto | interp | vm | specialized (default auto - fastest \
+                  applicable; every tier is bit-identical to the interpreter)"),
+            flag("--simulate", K::Switch(|o| o.simulate = true),
+                 "print the predicted time on the target machine model"),
+            flag("--stats", K::Switch(|o| o.stats = true),
+                 "print static kernel statistics"),
+            flag("--autoschedule", K::Switch(|o| o.autoschedule = true),
+                 "pick tiles/stream/tile_time automatically"),
+            flag("--pool-threads N", K::Count(1, |o, n| o.pool_threads = NonZeroUsize::new(n)),
+                 "cap the persistent worker pool at N threads (N >= 1). Default: width decided \
+                  by the plan"),
+        ] },
+        Group { title: "distributed", flags: &[
+            flag("--procs PxQ[xR]", K::Procs,
+                 "run over a process grid (e.g. 2x2), verified bit-exactly against the serial \
+                  reference; overrides the source's `mpi` clause, which is what --run uses \
+                  otherwise"),
+            flag("--chaos SEED:SPEC",
+                 K::Text(|o, s| FaultPlan::parse(s).map(|plan| o.dist.chaos = Some(Arc::new(plan)))),
+                 "seeded fault injection (drop=,dup=,delay=, corrupt=, kill=RANK@N); implies \
+                  distributed"),
+            flag("--checkpoint-every K", K::Count(0, |o, k| o.dist.checkpoint_every = k),
+                 "write a checkpoint every K steps"),
+            flag("--checkpoint-dir DIR", K::Path(|o, p| o.dist.checkpoint_dir = Some(p)),
+                 "checkpoint directory (default: one of this run's own under the temp dir, \
+                  removed afterwards)"),
+            flag("--spare-ranks N", K::Count(0, |o, n| o.dist.spare_ranks = n),
+                 "launch N hot-spare ranks; a dead rank is healed online (spare adopts its \
+                  subdomain from the buddy snapshot) instead of restarting the world; implies \
+                  distributed"),
+            flag("--heartbeat-ms MS",
+                 K::Millis(1, |o, ms| {
+                     let hb = HeartbeatConfig::from_millis(ms);
+                     o.dist.heartbeat = Some(hb.expect("an interval of at least 1 ms is valid"));
+                 }),
+                 "liveness beacon interval in ms, at least 1 (failure detection timeout is 4x MS; \
+                  default 50); implies distributed and the membership layer"),
+        ] },
+        Group { title: "observability", flags: &[
+            flag("--profile", K::Switch(|o| o.profile = true),
+                 "run under tracing; print the counter and latency-histogram tables (distributed \
+                  runs also print the per-step straggler report)"),
+            flag("--trace OUT.json", K::Path(|o, p| o.trace = Some(p)),
+                 "run under tracing; write chrome://tracing JSON (distributed runs stitch all \
+                  ranks into one timeline with send->recv flow arrows)"),
+            flag("--flight-dir DIR", K::Path(|o, p| o.flight_dir = Some(p)),
+                 "dump the always-on flight recorder to DIR as JSON when a communication fault \
+                  or restart fires"),
+            flag("--metrics-file PATH", K::Path(|o, p| o.metrics_file = Some(p)),
+                 "sample live metrics during the run: one JSONL line per interval appended to \
+                  PATH (schema msc-metrics-v1) plus an OpenMetrics snapshot atomically rewritten \
+                  at PATH's .om sibling; the stream is flushed on exit and on faults, and the \
+                  online stall detector raises alerts"),
+            flag("--metrics-interval-ms MS", K::Millis(0, |o, ms| o.metrics_interval_ms = Some(ms)),
+                 "sampling interval in ms (default 250; requires --metrics-file)"),
+        ] },
+    ],
+};
+
+#[rustfmt::skip]
+static SUBS: &[Sub] = &[
+    Sub {
+        name: "check", positional: Some(("<file.msc>", true)), drive: drive_check,
+        about: "run the static stencil verifier only",
+        groups: &[Group { title: "check subcommand (mscc check)", flags: &[
+            flag("--json", K::Switch(|o| o.json = true),
+                 "emit machine-readable JSON diagnostics on stdout (the exit code still reflects \
+                  deny-level findings)"),
+            flag("--target NAME", K::Target,
+                 "select the capacity lints of this target instead of the source's own"),
+        ] }],
+    },
+    Sub {
+        name: "lift", positional: Some(("<file.c>", true)), drive: drive_lift,
+        about: "lift a restricted C loop nest to stencil IR",
+        groups: &[Group { title: "lift subcommand (mscc lift)", flags: &[
+            flag("--emit-msc", K::Switch(|o| o.emit_msc = true),
+                 "print the lifted program as `.msc` DSL source"),
+            flag("--run", K::Switch(|o| o.run = true),
+                 "execute the lifted program (serial reference) and print run statistics"),
+            flag("--json", K::Switch(|o| o.json = true),
+                 "emit machine-readable JSON diagnostics on stdout (same schema and deny-gated \
+                  exit code as `mscc check`; MSC-L5xx codes report lift failures, and a \
+                  successful lift is additionally validated bit-for-bit against direct \
+                  interpretation of the C nest on every execution tier)"),
+        ] }],
+    },
+    Sub {
+        name: "top", positional: Some(("METRICS.jsonl", true)), drive: drive_top,
+        about: "live per-rank view of a metrics stream",
+        groups: &[Group { title: "top subcommand (mscc top)", flags: &[
+            flag("--once", K::Switch(|o| o.once = true),
+                 "render one snapshot and exit (no tail-follow)"),
+            flag("--strict", K::Switch(|o| o.strict = true),
+                 "validate the stream while rendering: schema tag, monotone seq and counters, \
+                  well-formed OpenMetrics sibling; exit nonzero on violation"),
+            flag("--interval-ms MS", K::Millis(1, |o, ms| o.interval_ms = Some(ms)),
+                 "redraw interval while following, at least 1 (default 500)"),
+        ] }],
+    },
+    Sub {
+        name: "serve", positional: None, drive: drive_serve,
+        about: "run the mscd compile-and-run daemon",
+        groups: &[Group { title: "serve subcommand (mscc serve)", flags: &[
+            flag("--socket PATH", K::Path(|o, p| o.service.socket = p),
+                 "Unix socket to listen on (default: mscd.sock in the system temp directory)"),
+            flag("--workers N", K::Count(1, |o, n| o.service.workers = n),
+                 "job worker threads, at least 1 (default 2)"),
+            flag("--max-queue N", K::Count(0, |o, n| o.service.max_queue = n),
+                 "admission bound on queued jobs (default 16); a full queue answers a typed \
+                  busy/queue response instead of blocking the client"),
+            flag("--tenant-quota N", K::Count(0, |o, n| o.service.tenant_quota = n),
+                 "per-tenant in-flight bound, queued + running (default 4); at quota a tenant \
+                  gets busy/quota while other tenants still get through"),
+            flag("--metrics-dir DIR", K::Path(|o, p| o.service.metrics_dir = Some(p)),
+                 "give every job its own telemetry session sampled into DIR/job_<id>.jsonl \
+                  (+ OpenMetrics sibling)"),
+            flag("--pool-threads N", K::Count(0, |o, n| o.service.pool_threads = n),
+                 "helper threads each worker pre-warms in its persistent execution pool \
+                  (0 = grow on demand)"),
+        ] }],
+    },
+    Sub {
+        name: "submit", positional: Some(("<file.msc>", false)), drive: drive_submit,
+        about: "send a program to a running mscd",
+        groups: &[Group { title: "submit subcommand (mscc submit)", flags: &[
+            flag("--socket PATH", K::Path(|o, p| o.service.socket = p),
+                 "daemon socket to connect to (same default)"),
+            flag("--tenant NAME", K::Text(|o, s| { o.tenant = Some(s.into()); Ok(()) }),
+                 "tenant identity for admission control (default `default`)"),
+            flag("--run", K::Switch(|o| o.run = true),
+                 "also execute the program functionally and report steps/tiles and this job's \
+                  telemetry counters"),
+            flag("--target NAME", K::Target,
+                 "override the code generation target"),
+            flag("--sleep-ms MS", K::Millis(0, |o, ms| o.sleep_ms = ms),
+                 "artificial delay before the job body (a load knob for admission-control \
+                  testing)"),
+            flag("--ping", K::Switch(|o| o.ping = true),
+                 "liveness probe instead of a submission"),
+            flag("--stats", K::Switch(|o| o.stats = true),
+                 "print service-wide counters instead of a submission"),
+            flag("--shutdown", K::Switch(|o| o.shutdown = true),
+                 "ask the daemon to finish queued jobs and exit"),
+        ] }],
+    },
+];
+
+const ASKS_FOR_HELP: &str = "-h, --help";
+/// Where the text of a help row starts.
+const TEXT_COL: usize = 27;
+
+fn all_subs() -> impl Iterator<Item = &'static Sub> {
+    std::iter::once(&COMPILE).chain(SUBS)
+}
+
+/// The one reader of the command line: the first argument picks the
+/// subcommand, then every flag lands through its table row. `Ok(None)`
+/// means help was asked for.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<(&'static Sub, Opts)>, String> {
+    let mut argv = argv.into_iter().peekable();
+    let sub = match argv.peek().and_then(|a| SUBS.iter().find(|s| s.name == a)) {
+        Some(named) => {
+            argv.next();
+            named
+        }
+        None => &COMPILE,
+    };
+    let mut o = Opts::default();
+    while let Some(arg) = argv.next() {
+        if ASKS_FOR_HELP.split(", ").any(|h| h == arg) {
+            return Ok(None);
+        }
+        let mut flags = sub.groups.iter().flat_map(|g| g.flags);
+        let Some(flag) = flags.find(|f| f.names().any(|n| n == arg)) else {
+            if sub.positional.is_some() && o.input.is_none() && !arg.starts_with('-') {
+                o.input = Some(arg.into());
+                continue;
+            }
+            return Err(format!("unexpected {} argument `{arg}`", sub.label()));
+        };
+        let meta = flag.meta();
+        let missing = || format!("missing {meta} after {arg}");
+        let value = match flag.kind {
+            K::Switch(_) => String::new(),
+            _ => argv.next().ok_or_else(missing)?,
+        };
+        let landed = flag.kind.land(&mut o, &value);
+        landed.map_err(|why| format!("bad {meta} `{value}` after {arg} ({why})"))?;
     }
-    Ok(Cli::Compile(Box::new(Args {
-        input: input.ok_or("no input file (try --help)")?,
-        outdir,
-        target,
-        // Tracing flags are about observing a run, so they imply one.
-        run: run || profile || trace.is_some(),
-        simulate,
-        stats,
-        autoschedule,
-        dump,
-        profile,
-        trace,
-        procs,
-        chaos,
-        checkpoint_every,
-        checkpoint_dir,
-        spare_ranks,
-        heartbeat_ms,
-        flight_dir,
-        pool_threads,
-        exec_tier,
-        metrics_file,
-        metrics_interval_ms,
-    })))
+    match sub.positional {
+        Some((what, true)) if o.input.is_none() => Err(format!("no {what} given (try --help)")),
+        _ => Ok(Some((sub, o))),
+    }
+}
+
+/// The help screen, generated from the table: the usage lines, then every
+/// group's flags with their text wrapped to 80 columns.
+fn help() -> String {
+    let mut h = String::from("mscc — MSC stencil compiler driver\n\nusage:\n");
+    for s in all_subs() {
+        let what = s.positional.map_or("", |(what, _)| what);
+        let words = ["mscc", s.name, what, "[options]"];
+        let words: Vec<&str> = words.into_iter().filter(|w| !w.is_empty()).collect();
+        h += &format!("  {:<34}{}\n", words.join(" "), s.about);
+    }
+    for g in all_subs().flat_map(|s| s.groups) {
+        h += &format!("\n{}:\n", g.title);
+        for f in g.flags {
+            help_row(&mut h, f.spec, f.help);
+        }
+    }
+    h += "\n";
+    help_row(&mut h, ASKS_FOR_HELP, "show this help");
+    h
+}
+
+/// One flag of the help screen: its spec, then its text from column
+/// [`TEXT_COL`] on, wrapped at 80.
+fn help_row(h: &mut String, spec: &str, text: &str) {
+    let indent = if spec.starts_with("--") { 6 } else { 2 };
+    let mut line = format!("{:indent$}{spec}", "");
+    let mut flush = |line: &mut String| {
+        *h += line;
+        *h += "\n";
+        line.clear();
+    };
+    if line.len() + 2 > TEXT_COL {
+        flush(&mut line);
+    }
+    for word in text.split_whitespace() {
+        if line.len() > TEXT_COL && line.len() + 1 + word.len() > 80 {
+            flush(&mut line);
+        }
+        if line.len() < TEXT_COL {
+            line = format!("{line:<TEXT_COL$}");
+        } else {
+            line.push(' ');
+        }
+        line += word;
+    }
+    flush(&mut line);
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_cli() {
-        Ok(c) => c,
-        Err(e) if e == "__help__" => {
-            print!("{HELP}");
+    let outcome = match parse(std::env::args().skip(1)) {
+        Ok(None) => {
+            print!("{}", help());
             return ExitCode::SUCCESS;
         }
-        Err(e) => {
-            eprintln!("mscc: {e}");
-            return ExitCode::FAILURE;
-        }
+        Ok(Some((sub, opts))) => (sub.drive)(opts),
+        Err(e) => Err(e.into()),
     };
-    let result = match cli {
-        Cli::Help => {
-            print!("{HELP}");
-            return ExitCode::SUCCESS;
-        }
-        Cli::Compile(args) => drive(*args),
-        Cli::Check(args) => drive_check(args),
-        Cli::Lift(args) => drive_lift(args),
-        Cli::Bench(args) => drive_bench(args),
-        Cli::Top(args) => drive_top(args),
-        Cli::Serve(args) => drive_serve(args),
-        Cli::Submit(args) => drive_submit(args),
-    };
-    match result {
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("mscc: {e}");
@@ -728,107 +480,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn load_recording(path: &PathBuf) -> Result<Json, Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()).into())
-}
-
-fn drive_bench(args: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = &args.validate {
-        let doc = load_recording(path)?;
-        suite::validate(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "{}: valid trajectory recording (schema v{})",
-            path.display(),
-            suite::SCHEMA_VERSION
-        );
-        return Ok(());
-    }
-    if let Some((old_path, new_path)) = &args.diff {
-        let old = load_recording(old_path)?;
-        let new = load_recording(new_path)?;
-        let regs = suite::diff(&old, &new, args.threshold, args.counts_only)?;
-        if regs.is_empty() {
-            println!(
-                "no regressions: {} vs {} (threshold {:.0}%{})",
-                old_path.display(),
-                new_path.display(),
-                args.threshold * 100.0,
-                if args.counts_only {
-                    ", counts only"
-                } else {
-                    ""
-                }
-            );
-            return Ok(());
-        }
-        for r in &regs {
-            eprintln!("regression: {r}");
-        }
-        return Err(format!("{} regression(s) found", regs.len()).into());
-    }
-    if let Some((input, out)) = &args.doctor {
-        let doc = load_recording(input)?;
-        suite::validate(&doc).map_err(|e| format!("{}: {e}", input.display()))?;
-        // End-to-end resilience self-test: kill a rank mid-run and demand
-        // a bit-exact online heal before certifying the rig healthy.
-        let smoke = suite::recovery_smoke()?;
-        println!(
-            "recovery smoke: {} recoveries, {} restarts, {} buddy bytes; \
-             detection latency p50 {:.1} us / p99 {:.1} us",
-            smoke.recoveries,
-            smoke.restarts,
-            smoke.buddy_bytes,
-            smoke.detect_p50_ns as f64 / 1e3,
-            smoke.detect_p99_ns as f64 / 1e3,
-        );
-        // Observability must stay near-free: gate the metrics sampler's
-        // wall-clock cost on the run it observes.
-        let so = suite::sampler_overhead()?;
-        println!(
-            "sampler overhead: {:.1} ms bare vs {:.1} ms sampled at 100 ms \
-             ({} sample(s), +{:.2}% wall, budget {:.0}%)",
-            so.base_ns as f64 / 1e6,
-            so.sampled_ns as f64 / 1e6,
-            so.samples,
-            so.overhead_frac * 100.0,
-            suite::SAMPLER_OVERHEAD_BUDGET * 100.0,
-        );
-        if !so.within_budget {
-            return Err(format!(
-                "metrics sampler overhead {:.2}% exceeds the {:.0}% budget",
-                so.overhead_frac * 100.0,
-                suite::SAMPLER_OVERHEAD_BUDGET * 100.0
-            )
-            .into());
-        }
-        let slowed = suite::scale_times(&doc, 1.2);
-        std::fs::write(out, format!("{slowed}\n"))
-            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-        println!(
-            "wrote 20%-slowed copy of {} to {} (regression-gate self-test input)",
-            input.display(),
-            out.display()
-        );
-        return Ok(());
-    }
-    let doc = suite::run_suite(args.quick)?;
-    suite::validate(&doc).map_err(|e| format!("recorded document invalid: {e}"))?;
-    std::fs::write(&args.out, format!("{doc}\n"))
-        .map_err(|e| format!("cannot write {}: {e}", args.out.display()))?;
-    let cases = doc
-        .get("cases")
-        .and_then(Json::as_arr)
-        .map_or(0, |c| c.len());
-    println!(
-        "recorded {} benchmark case(s) to {} (schema v{}, {} mode)",
-        cases,
-        args.out.display(),
-        suite::SCHEMA_VERSION,
-        if args.quick { "quick" } else { "full" }
-    );
-    Ok(())
+fn read_source(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
 /// `mscc top`: tail-follow a sampler JSONL stream and redraw a per-rank
@@ -836,66 +489,60 @@ fn drive_bench(args: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// `--once` it renders a single snapshot — the mode CI uses together
 /// with `--strict`, which re-validates the whole stream and its
 /// OpenMetrics sibling on every pass.
-fn drive_top(args: TopArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn drive_top(o: Opts) -> Outcome {
     use msc::top;
+    let input = o.input();
     let mut last_rendered = String::new();
     // In --once mode a read can race the sampler mid-append; retry a few
     // times before concluding the stream really has no complete samples.
     let mut once_retries = 50u32;
     loop {
-        let read = top::read_stream(&args.input, args.strict)?;
-        if args.strict {
-            top::strict_check_stream(&args.input, &read.docs)?;
+        let read = top::read_stream(input, o.strict)?;
+        if o.strict {
+            top::strict_check_stream(input, &read.docs)?;
         }
-        if args.once && read.docs.is_empty() && read.partial_tail && once_retries > 0 {
+        if o.once && read.docs.is_empty() && read.partial_tail && once_retries > 0 {
             once_retries -= 1;
             std::thread::sleep(std::time::Duration::from_millis(10));
             continue;
         }
-        let rendered = top::render_top(&args.input, &read.docs);
+        let rendered = top::render_top(input, &read.docs);
         if rendered != last_rendered {
-            if !args.once {
+            if !o.once {
                 // Home + clear: redraw in place while following.
                 print!("\x1b[H\x1b[2J");
             }
             print!("{rendered}");
             last_rendered = rendered;
         }
-        if args.once {
+        if o.once {
             if read.docs.is_empty() {
-                return Err(format!("{}: no complete samples yet", args.input.display()).into());
+                return Err(format!("{}: no complete samples yet", input.display()).into());
             }
             return Ok(());
         }
-        std::thread::sleep(std::time::Duration::from_millis(args.interval_ms));
+        std::thread::sleep(std::time::Duration::from_millis(
+            o.interval_ms.unwrap_or(500),
+        ));
     }
 }
 
 /// `mscc serve`: run the mscd daemon in the foreground until a wire
 /// `shutdown` request arrives (queued jobs finish first).
-fn drive_serve(args: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use msc::service::{Daemon, ServiceConfig};
-    let defaults = ServiceConfig::default();
-    let cfg = ServiceConfig {
-        socket: args.socket.unwrap_or(defaults.socket),
-        workers: args.workers,
-        max_queue: args.max_queue,
-        tenant_quota: args.tenant_quota,
-        metrics_dir: args.metrics_dir,
-        pool_threads: args.pool_threads,
-    };
+fn drive_serve(o: Opts) -> Outcome {
+    let cfg = o.service;
+    let (max_queue, tenant_quota) = (cfg.max_queue, cfg.tenant_quota);
     let metrics = cfg
         .metrics_dir
         .as_ref()
         .map(|d| format!(", metrics under {}", d.display()))
         .unwrap_or_default();
-    let daemon = Daemon::start(cfg)?;
+    let daemon = msc::service::Daemon::start(cfg)?;
     println!(
-        "mscd listening on {} ({} worker(s), queue depth {}, {} job(s)/tenant{metrics})",
+        "mscd listening on {} ({} worker(s), queue depth {max_queue}, \
+         {tenant_quota} job(s)/tenant{metrics})",
         daemon.socket().display(),
         daemon.stats().workers,
-        args.max_queue,
-        args.tenant_quota,
     );
     let stats = daemon.join();
     println!(
@@ -912,26 +559,25 @@ fn drive_serve(args: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `mscc submit`: one synchronous request to a running mscd. Exit code
 /// is nonzero for denied, busy, and failed jobs — scripts can gate on it.
-fn drive_submit(args: SubmitArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use msc::service::{Client, Request, Response, ServiceConfig, Submission};
-    let socket = args.socket.unwrap_or(ServiceConfig::default().socket);
-    let mut client = Client::connect(&socket)?;
-    let request = match &args.op {
-        SubmitOp::Ping => Request::Ping,
-        SubmitOp::Stats => Request::Stats,
-        SubmitOp::Shutdown => Request::Shutdown,
-        SubmitOp::Job(file) => {
-            let source = std::fs::read_to_string(file)
-                .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-            Request::Submit(Submission {
-                tenant: args.tenant.clone(),
-                source,
-                target: args.target,
-                run: args.run,
-                sleep_ms: args.sleep_ms,
-            })
+fn drive_submit(o: Opts) -> Outcome {
+    use msc::service::{Client, Request, Response, Submission};
+    let request = match (o.ping, o.stats, o.shutdown, &o.input) {
+        (true, false, false, None) => Request::Ping,
+        (false, true, false, None) => Request::Stats,
+        (false, false, true, None) => Request::Shutdown,
+        (false, false, false, Some(file)) => Request::Submit(Submission {
+            tenant: o.tenant.unwrap_or_else(|| "default".to_string()),
+            source: read_source(file)?,
+            target: o.target,
+            run: o.run,
+            sleep_ms: o.sleep_ms,
+        }),
+        (false, false, false, None) => {
+            return Err("no input file (try --ping, --stats, --shutdown, or --help)".into())
         }
+        _ => return Err("--ping/--stats/--shutdown are exclusive and take no file".into()),
     };
+    let mut client = Client::connect(&o.service.socket)?;
     match client.call(&request)? {
         Response::Pong { version, jobs_done } => {
             println!("mscd alive: protocol v{version}, {jobs_done} job(s) done");
@@ -1004,13 +650,11 @@ fn drive_submit(args: SubmitArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// `mscc check`: parse without the builder's hard halo/window validation
 /// so *every* defect surfaces as a structured lint, then run the
 /// verifier. Exit code is nonzero iff a deny-level diagnostic fired.
-fn drive_check(args: CheckArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let source = std::fs::read_to_string(&args.input)
-        .map_err(|e| format!("cannot read {}: {e}", args.input.display()))?;
-    let parsed = msc::core::parse::parse_unchecked(&source)?;
-    let target = args.target.or(parsed.target);
+fn drive_check(o: Opts) -> Outcome {
+    let parsed = msc::core::parse::parse_unchecked(&read_source(o.input())?)?;
+    let target = o.target.or(parsed.target);
     let report = msc::lint::lint_program(&parsed.program, target);
-    if args.json {
+    if o.json {
         println!("{}", report.to_json());
     } else if report.is_clean() {
         println!(
@@ -1038,14 +682,10 @@ fn drive_check(args: CheckArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// against direct interpretation of the original nest on every
 /// execution tier. Exit code is nonzero iff a deny-level diagnostic
 /// fired (MSC-L5xx lift failures included).
-fn drive_lift(args: LiftArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let source = std::fs::read_to_string(&args.input)
-        .map_err(|e| format!("cannot read {}: {e}", args.input.display()))?;
-    let fallback = args
-        .input
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("lifted");
+fn drive_lift(o: Opts) -> Outcome {
+    let source = read_source(o.input())?;
+    let stem = o.input().file_stem();
+    let fallback = stem.and_then(|s| s.to_str()).unwrap_or("lifted");
     let outcome = msc::lift::lift_source(&source, fallback);
     let (mut report, lifted) = (outcome.report, outcome.lifted);
     let mut validation = None;
@@ -1061,7 +701,7 @@ fn drive_lift(args: LiftArgs) -> Result<(), Box<dyn std::error::Error>> {
         .as_ref()
         .map_or(fallback, |l| l.program.name.as_str())
         .to_string();
-    if args.json {
+    if o.json {
         println!("{}", report.to_json());
     } else if report.is_clean() {
         let v = validation
@@ -1084,19 +724,13 @@ fn drive_lift(args: LiftArgs) -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
     let lifted = lifted.expect("a deny-free lift report implies a lifted program");
-    if args.emit_msc {
+    if o.emit_msc {
         print!("{}", msc::core::parse::to_msc_source(&lifted.program, None));
     }
-    if args.run {
+    if o.run {
         let grid = &lifted.program.grid;
-        let init: msc::exec::Grid<f64> = msc::exec::Grid::random(&grid.shape, &grid.halo, 42);
-        let (out, stats) = msc::exec::run_program_tier(
-            &lifted.program,
-            &msc::exec::driver::Executor::Reference,
-            &init,
-            msc::exec::Boundary::Dirichlet,
-            msc::exec::ExecTier::Auto,
-        )?;
+        let init: Grid<f64> = Grid::random(&grid.shape, &grid.halo, 42);
+        let (out, stats) = run_program(&lifted.program, &Executor::Reference, &init)?;
         println!(
             "ran `{name}`: {} step(s), {} tile(s), interior sum {:.6e}",
             stats.steps,
@@ -1107,12 +741,28 @@ fn drive_lift(args: LiftArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
-    let source = std::fs::read_to_string(&args.input)
-        .map_err(|e| format!("cannot read {}: {e}", args.input.display()))?;
-    let parsed = msc::core::parse::parse_unchecked(&source)?;
+/// The compile command: lint, compile, and whatever of autoschedule /
+/// stats / simulate / run the flags ask for, then the code package.
+fn drive(mut o: Opts) -> Outcome {
+    if o.metrics_interval_ms.is_some() && o.metrics_file.is_none() {
+        return Err("--metrics-interval-ms requires --metrics-file".into());
+    }
+    // Tracing flags are about observing a run, so they imply one.
+    let tracing = o.profile || o.trace.is_some();
+    let run = o.run || tracing;
+    let parsed = msc::core::parse::parse_unchecked(&read_source(o.input())?)?;
     let mut program = parsed.program;
-    let target = args.target.or(parsed.target).unwrap_or(Target::Cpu);
+    let target = o.target.or(parsed.target).unwrap_or(Target::Cpu);
+    let machine = match target {
+        Target::SunwayCG => msc::machine::presets::sunway_cg(),
+        Target::Matrix => msc::machine::presets::matrix_processor(),
+        Target::Cpu => msc::machine::presets::xeon_server(),
+    };
+    let prec = if program.grid.dtype == DType::F32 {
+        Precision::Fp32
+    } else {
+        Precision::Fp64
+    };
 
     // The lint gate runs before anything else: deny-level findings stop
     // the build with every defect listed (the library entry points
@@ -1130,30 +780,27 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     // the sampler observes exactly this invocation. Installed before the
     // flight-dir handling below, which then scopes to the same session.
     let mut sampler = None;
-    let mut hub_guard = None;
-    let session_hub = if let Some(path) = &args.metrics_file {
+    let mut _hub_guard = None;
+    if let Some(path) = &o.metrics_file {
         let cfg =
-            msc::trace::SamplerConfig::from_millis(args.metrics_interval_ms.unwrap_or(250), path)?;
+            msc::trace::SamplerConfig::from_millis(o.metrics_interval_ms.unwrap_or(250), path)?;
         let hub = msc::trace::TelemetryHub::new();
         hub.set_enabled(true);
-        hub_guard = Some(msc::trace::install_thread_hub(Arc::clone(&hub)));
+        _hub_guard = Some(msc::trace::install_thread_hub(Arc::clone(&hub)));
         sampler = Some(
             msc::trace::Sampler::start(Arc::clone(&hub), cfg)
                 .map_err(|e| format!("cannot start metrics sampler: {e}"))?,
         );
-        Some(hub)
-    } else {
-        None
-    };
-    let _hub_guard = hub_guard;
+        o.dist.hub = Some(hub);
+    }
 
-    if let Some(dir) = &args.flight_dir {
+    if let Some(dir) = &o.flight_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         msc::trace::set_flight_dump_dir(Some(dir.clone()));
     }
 
-    if let Some(n) = args.pool_threads {
+    if let Some(n) = o.pool_threads {
         msc::exec::pool::set_pool_threads(n);
     }
 
@@ -1168,12 +815,7 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         target.as_str()
     );
 
-    if args.autoschedule {
-        let machine = match target {
-            Target::SunwayCG => msc::machine::presets::sunway_cg(),
-            Target::Matrix => msc::machine::presets::matrix_processor(),
-            Target::Cpu => msc::machine::presets::xeon_server(),
-        };
+    if o.autoschedule {
         let stats = StencilStats::of(&program.stencil, program.grid.dtype)?;
         let auto = msc::tune::auto_schedule(
             &program.grid.shape,
@@ -1182,11 +824,7 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             program.stencil.kernels[0].points(),
             &machine,
             target,
-            if program.grid.dtype == DType::F32 {
-                Precision::Fp32
-            } else {
-                Precision::Fp64
-            },
+            prec,
         )?;
         for d in &auto.decisions {
             println!("autoschedule: {d}");
@@ -1203,9 +841,8 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    if args.stats {
-        let dtype = program.grid.dtype;
-        let s = StencilStats::of(&program.stencil, dtype)?;
+    if o.stats {
+        let s = StencilStats::of(&program.stencil, program.grid.dtype)?;
         println!(
             "per point: {} reads ({} B), {} B written, {} flops; reach {:?}",
             s.points,
@@ -1216,25 +853,18 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if args.simulate {
-        let machine = match target {
-            Target::SunwayCG => msc::machine::presets::sunway_cg(),
-            Target::Matrix => msc::machine::presets::matrix_processor(),
-            Target::Cpu => msc::machine::presets::xeon_server(),
-        };
-        let sched = effective_schedule(&program, target);
-        let plan = ExecPlan::lower(&sched, program.grid.ndim(), &program.grid.shape)?;
+    let sched = effective_schedule(&program, target);
+    let (ndim, shape) = (program.grid.ndim(), &program.grid.shape);
+
+    if o.simulate {
+        let plan = ExecPlan::lower(&sched, ndim, shape)?;
         let stats = StencilStats::of(&program.stencil, program.grid.dtype)?;
         let rep = simulate_step(
             &StepInputs {
                 stats,
                 reach: program.stencil.reach(),
                 plan: &plan,
-                prec: if program.grid.dtype == DType::F32 {
-                    Precision::Fp32
-                } else {
-                    Precision::Fp64
-                },
+                prec,
             },
             &machine,
         );
@@ -1250,212 +880,187 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
 
     // A source that names an `mpi` grid is a distributed program; any of
     // the distributed flags makes one of any source.
-    let distributed = args.procs.is_some()
-        || (args.run && program.mpi_grid.is_some())
-        || args.chaos.is_some()
-        || args.checkpoint_every > 0
-        || args.spare_ranks > 0
-        || args.heartbeat_ms.is_some();
-    if distributed {
-        let ndim = program.grid.ndim();
-        let procs = match (&args.procs, &program.mpi_grid) {
-            (Some(p), _) if p.len() != ndim => {
-                return Err(
-                    format!("--procs has {} dims but the grid is {}D", p.len(), ndim).into(),
-                )
-            }
-            (Some(p), _) | (None, Some(p)) => p.clone(),
-            (None, None) => {
-                let mut p = vec![1; ndim];
-                p[0] = 2;
-                p
+    let distributed = o.procs.is_some()
+        || (run && program.mpi_grid.is_some())
+        || o.dist.chaos.is_some()
+        || o.dist.checkpoint_every > 0
+        || o.dist.spare_ranks > 0
+        || o.dist.heartbeat.is_some();
+    if distributed || run {
+        let init: Grid<f64> = Grid::random(shape, &program.grid.halo, 42);
+        let trace_on = |on: bool| {
+            if tracing {
+                if on {
+                    msc::trace::reset();
+                }
+                msc::trace::set_enabled(on);
             }
         };
-        let mut opts = RunOptions {
-            tier: args.exec_tier,
-            hub: session_hub.clone(),
-            ..RunOptions::default()
-        };
-        if let Some(spec) = &args.chaos {
-            opts.chaos = Some(Arc::new(FaultPlan::parse(spec)?));
-        }
-        if args.checkpoint_every > 0 {
-            let dir = args.checkpoint_dir.clone().unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("mscc_ckpt_{}", program.name))
-            });
-            // Snapshots from an earlier invocation must never be resumed.
-            let _ = std::fs::remove_dir_all(&dir);
-            opts.checkpoint_dir = Some(dir);
-            opts.checkpoint_every = args.checkpoint_every;
-        }
-        opts.spare_ranks = args.spare_ranks;
-        if let Some(ms) = args.heartbeat_ms {
-            opts.heartbeat = Some(HeartbeatConfig::from_millis(ms)?);
-        }
-        if opts.spare_ranks > 0 || opts.heartbeat.is_some() {
-            let hb = opts.heartbeat.clone().unwrap_or_default();
-            println!(
-                "resilience policy: {} spare rank(s), heartbeat every {} ms, \
-                 failure detection after {} ms, keeping {} buddy generation(s)",
-                opts.spare_ranks,
-                hb.every.as_millis(),
-                hb.detect.as_millis(),
-                opts.checkpoint_keep,
+        // Each branch runs under tracing if asked, and hands the shared
+        // tail its result, its banner, its profile and what to call the
+        // trace file.
+        let (out, banner, profile, trace_name) = if distributed {
+            let procs = match (&o.procs, &program.mpi_grid) {
+                (Some(p), _) if p.len() != ndim => {
+                    return Err(
+                        format!("--procs has {} dims but the grid is {}D", p.len(), ndim).into(),
+                    )
+                }
+                (Some(p), _) | (None, Some(p)) => p.clone(),
+                (None, None) => {
+                    let mut p = vec![1; ndim];
+                    p[0] = 2;
+                    p
+                }
+            };
+            // Unless one was named, a checkpoint directory of this process's
+            // own, gone with it: two runs of one program at once must not
+            // resume each other's snapshots.
+            let own_ckpt = o.dist.checkpoint_every > 0 && o.dist.checkpoint_dir.is_none();
+            if o.dist.checkpoint_every > 0 {
+                let dir = o.dist.checkpoint_dir.get_or_insert_with(|| {
+                    let own = format!("mscc_ckpt_{}_{}", program.name, std::process::id());
+                    std::env::temp_dir().join(own)
+                });
+                // Nor may snapshots from an earlier invocation ever be resumed.
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            if o.dist.spare_ranks > 0 || o.dist.heartbeat.is_some() {
+                let hb = o.dist.heartbeat.clone().unwrap_or_default();
+                println!(
+                    "resilience policy: {} spare rank(s), heartbeat every {} ms, \
+                     failure detection after {} ms, keeping {} buddy generation(s)",
+                    o.dist.spare_ranks,
+                    hb.every.as_millis(),
+                    hb.detect.as_millis(),
+                    o.dist.checkpoint_keep,
+                );
+            }
+            trace_on(true);
+            let t0 = std::time::Instant::now();
+            let ran = run_distributed_resilient(
+                &program,
+                &procs,
+                &init,
+                Boundary::Dirichlet,
+                &o.dist,
+                // Every rank sweeps its sub-grid under the program's own
+                // schedule; one that does not fit there gives way to halves.
+                |sub| {
+                    ExecPlan::lower(&sched, sub.len(), sub).or_else(|e| {
+                        println!(
+                            "note: the schedule does not lower over the {sub:?} sub-grid ({e}); \
+                             each rank tiles its sub-grid in halves instead"
+                        );
+                        let mut s = Schedule::default();
+                        let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
+                        s.tile(&tile);
+                        s.parallel("xo", 2);
+                        ExecPlan::lower(&s, sub.len(), sub)
+                    })
+                },
             );
-        }
-        let tracing = args.profile || args.trace.is_some();
-        if tracing {
-            msc::trace::reset();
-            msc::trace::set_enabled(true);
-        }
-        let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
-        let sched = effective_schedule(&program, target);
-        let t0 = std::time::Instant::now();
-        let (out, stats) = run_distributed_resilient(
-            &program,
-            &procs,
-            &init,
-            Boundary::Dirichlet,
-            &opts,
-            // Every rank sweeps its sub-grid under the program's own
-            // schedule; one that does not fit there gives way to halves.
-            |sub| {
-                ExecPlan::lower(&sched, sub.len(), sub).or_else(|e| {
-                    println!(
-                        "note: the schedule does not lower over the {sub:?} sub-grid ({e}); \
-                         each rank tiles its sub-grid in halves instead"
-                    );
-                    let mut s = msc::core::schedule::Schedule::default();
-                    let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
-                    s.tile(&tile);
-                    s.parallel("xo", 2);
-                    ExecPlan::lower(&s, sub.len(), sub)
-                })
-            },
-        )?;
-        let dt = t0.elapsed();
-        if tracing {
-            msc::trace::set_enabled(false);
-        }
-        // Which channel the frames crossed and why: the runtime checksums
-        // them exactly when the world has a fault plan.
-        let frames = match &opts.chaos {
-            Some(plan) => format!("frames checked: fault plan {}", plan.seed),
-            None => "frames unchecked: no fault plan".to_string(),
-        };
-        println!(
-            "distributed run over {} ranks {:?} ({frames}): {} steps in {:.1} ms; {} halo msgs, \
-             {} faults injected, {} retransmits, {} restarts, {} recoveries, \
-             {} checkpoint bytes; interior checksum {:.6e}",
-            stats.ranks,
-            procs,
-            stats.steps,
-            dt.as_secs_f64() * 1e3,
-            stats.messages,
-            stats.faults_injected(),
-            stats.retransmits(),
-            stats.restarts,
-            stats.recoveries,
-            stats.checkpoint_bytes(),
-            out.interior_sum()
-        );
-        let (reference, _) = run_program(&program, &Executor::Reference, &init)?;
-        if out.as_slice() != reference.as_slice() {
-            return Err(format!(
-                "distributed result differs from serial reference (max rel err {:.2e})",
-                max_rel_error(&out, &reference)
-            )
-            .into());
-        }
-        println!("verified vs serial reference: bit-identical");
-        if tracing {
+            let dt = t0.elapsed();
+            if let (true, Some(dir)) = (own_ckpt, &o.dist.checkpoint_dir) {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            let (out, stats) = ran?;
+            trace_on(false);
+            // Which channel the frames crossed and why: the runtime checksums
+            // them exactly when the world has a fault plan.
+            let frames = match &o.dist.chaos {
+                Some(plan) => format!("frames checked: fault plan {}", plan.seed),
+                None => "frames unchecked: no fault plan".to_string(),
+            };
+            let banner = format!(
+                "distributed run over {} ranks {:?} ({frames}): {} steps in {:.1} ms; {} halo msgs, \
+                 {} faults injected, {} retransmits, {} restarts, {} recoveries, \
+                 {} checkpoint bytes; interior checksum {:.6e}",
+                stats.ranks,
+                procs,
+                stats.steps,
+                dt.as_secs_f64() * 1e3,
+                stats.messages,
+                stats.faults_injected(),
+                stats.retransmits(),
+                stats.restarts,
+                stats.recoveries,
+                stats.checkpoint_bytes(),
+                out.interior_sum()
+            );
             // CommStats carries the authoritative counters and latency
             // histograms (merged across ranks by the driver); the global
             // capture contributes the rank-tagged span timeline recorded
             // by the worker threads. Stitched together they are one
             // cross-rank profile.
-            let mut prof = stats.profile(format!("{} (distributed)", program.name));
-            let spans = msc::trace::Profile::capture(String::new()).spans;
-            prof.spans = spans;
-            let report = msc::trace::straggler_report(&prof);
-            print!("{}", msc::trace::render_straggler_report(&report));
-            if args.profile {
+            let profile = tracing.then(|| {
+                let mut prof = stats.profile(format!("{} (distributed)", program.name));
+                prof.spans = msc::trace::Profile::capture(String::new()).spans;
+                prof
+            });
+            let trace_name = format!("stitched chrome://tracing profile ({} ranks)", stats.ranks);
+            (out, banner, profile, trace_name)
+        } else {
+            let plan = ExecPlan::lower(&sched, ndim, shape)?;
+            trace_on(true);
+            let t0 = std::time::Instant::now();
+            let (out, stats) = run_program_tier(
+                &program,
+                &Executor::Tiled(plan),
+                &init,
+                Boundary::Dirichlet,
+                o.dist.tier,
+            )?;
+            let dt = t0.elapsed();
+            trace_on(false);
+            // What evaluated the rows: the resolved tier (an explicit `vm`
+            // request degrades to the interpreter when the kernel overflows
+            // the VM's register file; auto and specialized never degrade) and,
+            // on the specialized tier, the row kernel's ISA and whether it
+            // prefetches. All of it is a function of the CPU, the program and
+            // the grid's size, so compiling again gives what the run used.
+            let tier = msc::exec::TieredStencil::compile(&program, &init, o.dist.tier)?.describe();
+            let banner = format!(
+                "ran {} steps in {:.1} ms ({} tiles, {tier}); interior checksum {:.6e}",
+                stats.steps,
+                dt.as_secs_f64() * 1e3,
+                stats.tiles_executed,
+                out.interior_sum()
+            );
+            let profile =
+                tracing.then(|| msc::trace::Profile::capture(format!("{} ({tier})", program.name)));
+            (out, banner, profile, "chrome://tracing profile".to_string())
+        };
+        println!("{banner}");
+        let (reference, _) = run_program(&program, &Executor::Reference, &init)?;
+        if !same_bits(&out, &reference) {
+            return Err(format!(
+                "result differs from the serial reference (max rel err {:.2e})",
+                max_rel_error(&out, &reference)
+            )
+            .into());
+        }
+        println!("verified vs serial reference: bit-identical");
+        if let Some(prof) = profile {
+            if distributed {
+                let report = msc::trace::straggler_report(&prof);
+                print!("{}", msc::trace::render_straggler_report(&report));
+            }
+            if o.profile {
                 print!("{}", prof.to_table());
             }
-            if let Some(path) = &args.trace {
+            if let Some(path) = &o.trace {
                 std::fs::write(path, prof.to_chrome_json())
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                println!(
-                    "wrote stitched chrome://tracing profile ({} ranks) to {}",
-                    stats.ranks,
-                    path.display()
-                );
+                println!("wrote {trace_name} to {}", path.display());
             }
             // A metrics session still owes its final flush; resetting
             // the hub here would zero the sampler's last sample.
-            if session_hub.is_none() {
+            if o.dist.hub.is_none() {
                 msc::trace::reset();
             }
         }
-        if let Some(path) = &args.dump {
-            msc::exec::io::save(&out, path)?;
-            println!("dumped final state to {}", path.display());
-        }
-    } else if args.run {
-        let tracing = args.profile || args.trace.is_some();
-        let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
-        let sched = effective_schedule(&program, target);
-        let plan = ExecPlan::lower(&sched, program.grid.ndim(), &program.grid.shape)?;
-        if tracing {
-            msc::trace::reset();
-            msc::trace::set_enabled(true);
-        }
-        let t0 = std::time::Instant::now();
-        let (out, stats) = msc::exec::run_program_tier(
-            &program,
-            &Executor::Tiled(plan),
-            &init,
-            Boundary::Dirichlet,
-            args.exec_tier,
-        )?;
-        let dt = t0.elapsed();
-        if tracing {
-            msc::trace::set_enabled(false);
-        }
-        // What evaluated the rows: the resolved tier (an explicit `vm`
-        // request degrades to the interpreter when the kernel overflows
-        // the VM's register file; auto and specialized never degrade) and,
-        // on the specialized tier, the row kernel's ISA and whether it
-        // prefetches. All of it is a function of the CPU, the program and
-        // the grid's size, so compiling again gives what the run used.
-        let tier = msc::exec::TieredStencil::compile(&program, &init, args.exec_tier)?.describe();
-        println!(
-            "ran {} steps in {:.1} ms ({} tiles, {tier}); interior checksum {:.6e}",
-            stats.steps,
-            dt.as_secs_f64() * 1e3,
-            stats.tiles_executed,
-            out.interior_sum()
-        );
-        if tracing {
-            let prof = msc::trace::Profile::capture(format!("{} ({tier})", program.name));
-            if args.profile {
-                print!("{}", prof.to_table());
-            }
-            if let Some(path) = &args.trace {
-                std::fs::write(path, prof.to_chrome_json())
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                println!("wrote chrome://tracing profile to {}", path.display());
-            }
-            if session_hub.is_none() {
-                msc::trace::reset();
-            }
-        }
-        let (reference, _) = run_program(&program, &Executor::Reference, &init)?;
-        println!(
-            "verified vs serial reference: max rel err {:.2e}",
-            max_rel_error(&out, &reference)
-        );
-        if let Some(path) = &args.dump {
+        if let Some(path) = &o.dump {
             msc::exec::io::save(&out, path)?;
             println!("dumped final state to {}", path.display());
         }
@@ -1475,9 +1080,8 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let dir = args
-        .outdir
-        .unwrap_or_else(|| PathBuf::from(format!("{}_{}", program.name, target.as_str())));
+    let default_dir = || PathBuf::from(format!("{}_{}", program.name, target.as_str()));
+    let dir = o.outdir.unwrap_or_else(default_dir);
     let pkg = compile_to_source(&program, target)?;
     pkg.write_to(&dir)?;
     println!(
@@ -1489,13 +1093,250 @@ fn drive(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The kernel's own schedule if any primitives were given, else the
-/// Table 5 preset clamped to the grid.
-fn effective_schedule(program: &StencilProgram, target: Target) -> msc::core::schedule::Schedule {
-    let k = &program.stencil.kernels[0];
-    if k.schedule.tile_factors.is_empty() && k.schedule.parallel.is_none() {
-        preset_for_grid(k.ndim, k.points(), target, &program.grid.shape)
-    } else {
-        k.schedule.clone()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    fn accepted(words: &[&str]) -> (&'static Sub, Opts) {
+        match parse(argv(words)) {
+            Ok(Some(parsed)) => parsed,
+            Ok(None) => panic!("{words:?} asked for help"),
+            Err(e) => panic!("{words:?} refused: {e}"),
+        }
+    }
+
+    fn refused(words: &[&str]) -> String {
+        match parse(argv(words)) {
+            Err(e) => e,
+            Ok(_) => panic!("{words:?} accepted"),
+        }
+    }
+
+    /// The subcommand's name and positional: the shortest line it accepts
+    /// (for `submit`, once one of its flags says what to send).
+    fn base(sub: &Sub) -> Vec<&'static str> {
+        let positional = sub.positional.map(|(what, _)| what);
+        [Some(sub.name), positional]
+            .into_iter()
+            .flatten()
+            .filter(|w| !w.is_empty())
+            .collect()
+    }
+
+    /// A value the kind accepts; `None` for a switch.
+    fn sample(kind: &Kind) -> Option<String> {
+        Some(match kind {
+            K::Switch(_) => return None,
+            K::Path(_) => "some/path".to_string(),
+            K::Count(min, _) => min.to_string(),
+            K::Millis(min, _) => min.to_string(),
+            // A fault plan, and as good a tenant name as any.
+            K::Text(_) => "7:drop=0.1".to_string(),
+            K::Target => "cpu".to_string(),
+            K::Tier => "vm".to_string(),
+            K::Procs => "2x3".to_string(),
+        })
+    }
+
+    /// Every (subcommand, flag, spelling) of the table.
+    fn every_spelling() -> impl Iterator<Item = (&'static Sub, &'static Flag, &'static str)> {
+        all_subs().flat_map(|s| {
+            let flags = s.groups.iter().flat_map(|g| g.flags);
+            flags.flat_map(move |f| f.names().map(move |n| (s, f, n)))
+        })
+    }
+
+    #[test]
+    fn every_flag_of_every_subcommand_parses_a_valid_sample() {
+        let mut seen = 0;
+        for (sub, flag, name) in every_spelling() {
+            let value = sample(&flag.kind);
+            let mut line = base(sub);
+            line.push(name);
+            line.extend(value.as_deref());
+            let (picked, _) = accepted(&line);
+            assert!(std::ptr::eq(picked, sub), "{line:?} ran {}", picked.label());
+            seen += 1;
+        }
+        assert!(seen > 0, "the table has no flags");
+    }
+
+    #[test]
+    fn a_value_flag_at_the_end_of_the_line_is_missing_its_value() {
+        for (sub, flag, name) in every_spelling() {
+            if sample(&flag.kind).is_none() {
+                assert_eq!(flag.meta(), "", "{name} is a switch with a metavar");
+                continue;
+            }
+            let mut line = base(sub);
+            line.push(name);
+            let meta = flag.meta();
+            assert!(!meta.is_empty(), "{name} takes a value but names none");
+            assert_eq!(refused(&line), format!("missing {meta} after {name}"));
+        }
+    }
+
+    #[test]
+    fn a_kind_with_a_grammar_refuses_what_does_not_fit_it() {
+        for (sub, flag, name) in every_spelling() {
+            let wrong: &[&str] = match flag.kind {
+                K::Switch(_) | K::Path(_) | K::Text(_) => continue,
+                K::Count(0, _) | K::Millis(0, _) => &["x", "-1", "1.5", ""],
+                K::Count(..) | K::Millis(..) => &["x", "0"],
+                K::Target | K::Tier => &["x", ""],
+                K::Procs => &["x", "", "2x", "2x0", "0"],
+            };
+            for value in wrong {
+                let mut line = base(sub);
+                line.extend([name, value]);
+                let e = refused(&line);
+                let shape = format!("bad {} `{value}` after {name} (expected ", flag.meta());
+                assert!(e.starts_with(&shape), "{line:?}: {e}");
+            }
+        }
+        // Free text is refused by its own setter, in the same shape.
+        let e = refused(&["a.msc", "--chaos", "not-a-spec"]);
+        assert!(
+            e.starts_with("bad SEED:SPEC `not-a-spec` after --chaos (chaos spec "),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn help_after_any_subcommand_takes_the_one_path() {
+        for sub in all_subs() {
+            for help in ["-h", "--help"] {
+                let mut line = base(sub);
+                line.push(help);
+                assert!(matches!(parse(argv(&line)), Ok(None)), "{line:?}");
+                // Before the positional too: asking for help needs no file.
+                let line = [sub.name, help];
+                let line: Vec<&str> = line.into_iter().filter(|w| !w.is_empty()).collect();
+                assert!(matches!(parse(argv(&line)), Ok(None)), "{line:?}");
+            }
+        }
+        // Arguments are read in order: a bad one before `--help` wins.
+        assert_eq!(
+            refused(&["--bogus", "--help"]),
+            "unexpected compile argument `--bogus`"
+        );
+    }
+
+    #[test]
+    fn the_help_screen_is_the_table() {
+        let help = help();
+        for (_, flag, name) in every_spelling() {
+            // Every spelling opens a row of its own or follows a comma in one.
+            assert!(
+                help.contains(&format!("  {name}")) || help.contains(&format!(", {name}")),
+                "help does not document `{name}`:\n{help}"
+            );
+            assert!(help.contains(flag.spec), "no row for `{}`", flag.spec);
+        }
+        for sub in all_subs() {
+            assert!(
+                help.contains(sub.about),
+                "no usage line for {}",
+                sub.label()
+            );
+        }
+        assert!(help.contains("  -h, --help"));
+        for line in help.lines() {
+            assert!(line.chars().count() <= 80, "wider than 80 columns: {line}");
+            assert_eq!(line, line.trim_end(), "trailing blanks: {line:?}");
+        }
+    }
+
+    #[test]
+    fn positionals_and_strays_have_one_error_shape_each() {
+        for sub in all_subs() {
+            let named: Vec<&str> = base(sub).into_iter().take(1).collect();
+            match sub.positional {
+                Some((what, true)) => {
+                    let line = if sub.name.is_empty() { vec![] } else { named };
+                    assert_eq!(refused(&line), format!("no {what} given (try --help)"));
+                }
+                // `submit` may go without (drive_submit wants --ping or the
+                // like then) and `serve` takes none.
+                Some((_, false)) => drop(accepted(&named)),
+                None => {
+                    let e = refused(&[sub.name, "stray"]);
+                    assert_eq!(e, format!("unexpected {} argument `stray`", sub.name));
+                }
+            }
+            if sub.positional.is_some() {
+                let mut line = base(sub);
+                line.push("second");
+                let e = refused(&line);
+                assert_eq!(e, format!("unexpected {} argument `second`", sub.label()));
+            }
+            let mut line = base(sub);
+            line.push("--no-such-flag");
+            let e = refused(&line);
+            let want = format!("unexpected {} argument `--no-such-flag`", sub.label());
+            assert_eq!(e, want);
+        }
+        // A subcommand's flags are its own: `--once` belongs to `top`.
+        assert_eq!(
+            refused(&["a.msc", "--once"]),
+            "unexpected compile argument `--once`"
+        );
+        // Only the first argument can name a subcommand.
+        assert_eq!(
+            refused(&["a.msc", "check"]),
+            "unexpected compile argument `check`"
+        );
+    }
+
+    #[test]
+    fn run_options_land_where_the_run_reads_them() {
+        let (_, o) = accepted(&[
+            "a.msc",
+            "--procs",
+            "2x3",
+            "--chaos",
+            "9:kill=1@3",
+            "--checkpoint-every",
+            "2",
+            "--checkpoint-dir",
+            "ck",
+            "--spare-ranks",
+            "1",
+            "--heartbeat-ms",
+            "5",
+            "--exec-tier",
+            "vm",
+            "--pool-threads",
+            "3",
+            "-o",
+            "short",
+            "--out",
+            "long",
+        ]);
+        assert_eq!(o.procs, Some(vec![2, 3]));
+        assert_eq!(o.dist.chaos.as_ref().map(|plan| plan.seed), Some(9));
+        assert_eq!(o.dist.checkpoint_every, 2);
+        assert_eq!(o.dist.checkpoint_dir, Some(PathBuf::from("ck")));
+        assert_eq!(o.dist.spare_ranks, 1);
+        let hb = o.dist.heartbeat.expect("--heartbeat-ms sets the heartbeat");
+        assert_eq!((hb.every.as_millis(), hb.detect.as_millis()), (5, 20));
+        assert_eq!(o.dist.tier, msc::exec::ExecTier::Vm);
+        assert_eq!(o.pool_threads, NonZeroUsize::new(3));
+        // Both spellings are one flag; the later one wins.
+        assert_eq!(o.outdir, Some(PathBuf::from("long")));
+        // Nothing given: the library's own defaults, not a second set.
+        let (_, o) = accepted(&["serve"]);
+        let d = ServiceConfig::default();
+        assert_eq!(
+            (o.service.socket, o.service.workers, o.service.max_queue),
+            (d.socket, d.workers, d.max_queue)
+        );
+        let (_, o) = accepted(&["serve", "--workers", "3", "--pool-threads", "0"]);
+        assert_eq!((o.service.workers, o.service.pool_threads), (3, 0));
+        assert_eq!(o.pool_threads, None);
     }
 }

@@ -5,6 +5,8 @@
 //! (b) an OpenMetrics sibling that passes the strict validator, and
 //! (c) per-rank rows showing both ranks stepping — while the run itself
 //! still heals and verifies bit-identical against the serial reference.
+//! The second test holds the sampler to its overhead budget (optimised
+//! builds only).
 
 use msc::trace::Json;
 use msc::comm::{run_distributed_resilient, FaultPlan, RunOptions};
@@ -148,4 +150,69 @@ fn chaos_kill_run_emits_valid_metrics_and_alert() {
     assert!(doc.samples.contains_key("msc_by_rank_steps{rank=\"1\"}"));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Observing a run must stay near-free (DESIGN.md §14.2): the same
+/// 48^3 x 400-step sweep under tracing, bare and then watched by a 100 ms
+/// sampler, five rounds back to back. Both arms trace into hubs of their
+/// own, so the sampler thread is the only difference. The statistic is the
+/// smallest paired difference: what the sampler costs is in every round,
+/// what the host was doing meanwhile is not, so the lower envelope keeps
+/// the first and sheds the second (as BENCHMARK.json's lower decile
+/// does). A claim about optimised builds, so debug builds skip it;
+/// `scripts/verify.sh` and CI run it with `--release`.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn a_sampler_costs_its_run_under_two_percent() {
+    use msc::core::catalog::{benchmark, BenchmarkId};
+    use std::time::{Duration, Instant};
+    const ROUNDS: usize = 5;
+    const BUDGET: f64 = 0.02;
+    // Under this a difference is scheduler noise on a ~100 ms run.
+    const FLOOR: Duration = Duration::from_millis(5);
+
+    // Long enough to span several sampling intervals: over a run of a
+    // few ms the gate would read the sampler's start and stop, not its
+    // drag.
+    let grid = [48, 48, 48];
+    let p = benchmark(BenchmarkId::S3d7ptStar)
+        .program(&grid, DType::F64, 400)
+        .unwrap();
+    let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
+    let exec = Executor::Tiled(sub_plan(&grid).unwrap());
+    let dir = std::env::temp_dir().join(format!("msc_sampler_cost_{}", std::process::id()));
+
+    let run_once = |sampled: bool| -> (Duration, u64) {
+        let hub = TelemetryHub::new();
+        hub.set_enabled(true);
+        let _session = msc::trace::install_thread_hub(Arc::clone(&hub));
+        let sampler = sampled.then(|| {
+            let cfg = SamplerConfig::from_millis(100, dir.join("metrics.jsonl")).unwrap();
+            Sampler::start(Arc::clone(&hub), cfg).unwrap()
+        });
+        let t0 = Instant::now();
+        run_program(&p, &exec, &init).unwrap();
+        let wall = t0.elapsed();
+        (wall, sampler.map_or(0, |s| s.stop().samples))
+    };
+
+    let mut rounds = Vec::new();
+    for _ in 0..ROUNDS {
+        let (bare, _) = run_once(false);
+        let (sampled, samples) = run_once(true);
+        assert!(samples >= 2, "the sampler must have watched the run");
+        rounds.push((bare, sampled));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let (bare, sampled) = rounds
+        .iter()
+        .min_by_key(|(bare, sampled)| sampled.saturating_sub(*bare))
+        .unwrap();
+    let extra = sampled.saturating_sub(*bare);
+    assert!(
+        extra < FLOOR || extra.as_secs_f64() < BUDGET * bare.as_secs_f64(),
+        "the sampler cost {extra:?} of a {bare:?} run in its best of {ROUNDS} rounds \
+         (budget {:.0} %, floor {FLOOR:?}): {rounds:?}",
+        BUDGET * 100.0
+    );
 }
