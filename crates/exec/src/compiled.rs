@@ -107,22 +107,68 @@ impl<T: Scalar> CompiledStencil<T> {
         placed
     }
 
+    /// `term` as a stencil of its own, reading its state as `states[0]`.
+    fn alone(&self, term: &CompiledTerm<T>) -> CompiledStencil<T> {
+        CompiledStencil {
+            max_dt: 1,
+            terms: vec![CompiledTerm {
+                dt: 1,
+                ..term.clone()
+            }],
+            reach: self.reach.clone(),
+            ..*self
+        }
+    }
+
     /// One stencil per term, each reading its state as `states[0]`: what
     /// lets SPM staging pass the terms one after another through a single
     /// read buffer.
     pub(crate) fn split_terms(&self) -> Vec<CompiledStencil<T>> {
-        self.terms
-            .iter()
-            .map(|term| CompiledStencil {
-                max_dt: 1,
-                terms: vec![CompiledTerm {
-                    dt: 1,
-                    ..term.clone()
-                }],
-                reach: self.reach.clone(),
-                ..*self
-            })
-            .collect()
+        self.terms.iter().map(|term| self.alone(term)).collect()
+    }
+
+    /// The stencil's kernel on its own — one term reading `states[0]`
+    /// with weight 1 — when every term applies the same taps (coefficients
+    /// compared by bit pattern): the image a step can compute once per
+    /// state instead of once per term (DESIGN.md §12.6). `None` when the
+    /// terms name different kernels.
+    pub(crate) fn kernel_image(&self) -> Option<CompiledStencil<T>> {
+        let (first, rest) = self.terms.split_first()?;
+        let bits = |tap: &(Vec<i64>, T)| tap.1.to_f64().to_bits();
+        let same_kernel = |term: &CompiledTerm<T>| {
+            let taps = term.taps_nd.iter().zip(&first.taps_nd);
+            term.taps_nd.len() == first.taps_nd.len()
+                && taps
+                    .into_iter()
+                    .all(|(a, b)| a.0 == b.0 && bits(a) == bits(b))
+        };
+        rest.iter().all(same_kernel).then(|| {
+            let mut image = self.alone(first);
+            image.terms[0].weight = T::from_f64(1.0);
+            image
+        })
+    }
+
+    /// The temporal combination as a stencil over kernel images: term `k`
+    /// keeps its weight and reads `states[k]`, the image of the state it
+    /// named, through the one tap `1.0 * image[0]`. Its rows are the
+    /// interpreter's `out = out + weight * acc` with `acc` read back from
+    /// memory (DESIGN.md §12.6), evaluated like any other row.
+    pub(crate) fn image_mix(&self) -> CompiledStencil<T> {
+        let one = T::from_f64(1.0);
+        let image_of = |(k, term): (usize, &CompiledTerm<T>)| CompiledTerm {
+            dt: k + 1,
+            weight: term.weight,
+            taps: vec![(0, one)],
+            lead: 0,
+            taps_nd: vec![(vec![0; self.ndim], one)],
+        };
+        CompiledStencil {
+            max_dt: self.terms.len(),
+            terms: self.terms.iter().enumerate().map(image_of).collect(),
+            reach: vec![0; self.ndim],
+            ..*self
+        }
     }
 
     /// A stencil over a flat 1D buffer made of `terms` alone, for tests

@@ -3,8 +3,8 @@
 //! residual norms and a driver that runs until the update falls below a
 //! tolerance.
 
-use crate::boundary::{self, Boundary};
-use crate::driver::{admit, Executor, Ring};
+use crate::boundary::Boundary;
+use crate::driver::{Executor, TimeLoop};
 use crate::grid::{Grid, Scalar};
 use crate::tier::ExecTier;
 use msc_core::error::{MscError, Result};
@@ -57,45 +57,23 @@ pub fn run_until_converged<T: Scalar>(
             "convergence needs a positive tolerance and at least one step".into(),
         ));
     }
-    let (compiled, window) = admit(program, init, ExecTier::Auto)?;
-    let mut ring = Ring::new(init, bc, window.window);
-    let tiles = executor.tiles();
+    let mut run = TimeLoop::admit(program, executor, init, bc, ExecTier::Auto)?;
     let mut history = Vec::new();
-
-    for s in 0..max_steps {
-        let t = compiled.max_dt + s;
-        let out_slot = window.output_slot(t);
-        let prev_slot = window.input_slot(t, 1).expect("window has t-1");
-        let mut out = ring.take_output(out_slot);
-        {
-            let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                .map(|dt| ring.input(window.input_slot(t, dt).expect("window fits")))
-                .collect();
-            executor.step(&compiled, &inputs, &mut out, &tiles)?;
-        }
-        boundary::apply(&mut out, bc);
-        // `prev_slot` is an input of this step, never its output slot.
-        let residual = l2_diff(&out, ring.input(prev_slot));
+    while history.len() < max_steps {
+        let stepped = run.step()?;
+        let residual = l2_diff(stepped.state, stepped.previous);
         history.push(residual);
-        ring.put(out_slot, out);
         if residual < tol {
-            return Ok(ConvergenceReport {
-                state: ring.into_state(out_slot),
-                steps: s + 1,
-                final_residual: residual,
-                history,
-                converged: true,
-            });
+            break;
         }
     }
-    let last = window.output_slot(compiled.max_dt + max_steps - 1);
-    let final_residual = *history.last().unwrap();
+    let final_residual = *history.last().expect("max_steps is at least one");
     Ok(ConvergenceReport {
-        state: ring.into_state(last),
-        steps: max_steps,
+        state: run.into_state(),
+        steps: history.len(),
         final_residual,
+        converged: final_residual < tol,
         history,
-        converged: false,
     })
 }
 

@@ -3,10 +3,12 @@
 //! executor.
 
 use crate::boundary::{self, Boundary};
+use crate::compiled::CompiledTerm;
 use crate::grid::{Grid, Scalar};
 use crate::tier::{ExecTier, TieredStencil};
+use crate::tiled::ImageOf;
 use crate::{reference, spm, tiled};
-use msc_core::error::Result;
+use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_core::schedule::WindowPlan;
@@ -66,12 +68,18 @@ impl Executor {
                 counters = spm::step_tiles(compiled, plan, inputs, out, *spm_capacity, tiles)?;
             }
         }
-        let (vm_dispatches, specialized_rows) = compiled.take_tier_counters();
-        counters.set(Counter::VmDispatches, vm_dispatches);
-        counters.set(Counter::SpecializedHits, specialized_rows);
-        msc_trace::record_set(&counters);
-        Ok(counters)
+        Ok(publish(compiled, counters))
     }
+}
+
+/// Close a step's account: the rows `stencil`'s tier evaluated join
+/// `counters`, and the set goes to the tracer.
+fn publish<T: Scalar>(stencil: &TieredStencil<T>, mut counters: CounterSet) -> CounterSet {
+    let (vm_dispatches, specialized_rows) = stencil.take_tier_counters();
+    counters.set(Counter::VmDispatches, vm_dispatches);
+    counters.set(Counter::SpecializedHits, specialized_rows);
+    msc_trace::record_set(&counters);
+    counters
 }
 
 /// Aggregate statistics of a run.
@@ -128,16 +136,28 @@ impl RunStats {
     }
 }
 
-/// The sliding time window of paper Figure 5: `window = max_dt + 1` state
+/// What a window slot holds.
+#[derive(Clone)]
+enum Slot<T> {
+    /// Never written: reads as the seed.
+    Cold,
+    /// A state.
+    State(Grid<T>),
+    /// The kernel's image of a state (DESIGN.md §12.6); its halo is
+    /// whatever the slot held before.
+    Image(Grid<T>),
+}
+
+/// The sliding time window of paper Figure 5: `window = max_dt + 1`
 /// slots, recycled round-robin. Every slot is cold-started from the same
 /// seed — `init` after `boundary_cond` was applied — so the slots *share*
 /// it until they are first written: under Dirichlet the seed is the
 /// caller's `init`, borrowed (the boundary is a no-op there); under
-/// Periodic it is the one wrapped copy.
+/// Periodic it is the one wrapped copy. A written slot holds a state, or
+/// in a run that reuses kernel images, a state's image.
 pub(crate) struct Ring<'a, T: Scalar> {
     seed: Cow<'a, Grid<T>>,
-    /// `None`: never written, still reads as the seed.
-    slots: Vec<Option<Grid<T>>>,
+    slots: Vec<Slot<T>>,
 }
 
 impl<'a, T: Scalar> Ring<'a, T> {
@@ -152,13 +172,25 @@ impl<'a, T: Scalar> Ring<'a, T> {
         };
         Ring {
             seed,
-            slots: vec![None; window],
+            slots: vec![Slot::Cold; window],
         }
     }
 
     /// The state held in `slot`.
     pub(crate) fn input(&self, slot: usize) -> &Grid<T> {
-        self.slots[slot].as_ref().unwrap_or(&self.seed)
+        match &self.slots[slot] {
+            Slot::Cold => &self.seed,
+            Slot::State(grid) => grid,
+            Slot::Image(_) => unreachable!("window slot {slot} holds a kernel image, not a state"),
+        }
+    }
+
+    /// The kernel image held in `slot`.
+    fn image(&self, slot: usize) -> &Grid<T> {
+        match &self.slots[slot] {
+            Slot::Image(grid) => grid,
+            _ => unreachable!("window slot {slot} holds no kernel image"),
+        }
     }
 
     /// Take `slot`'s grid out to be overwritten by a step; [`Ring::put`]
@@ -169,21 +201,38 @@ impl<'a, T: Scalar> Ring<'a, T> {
     /// the shell again; copying it there too (two cells per row) is the
     /// price of one path.
     pub(crate) fn take_output(&mut self, slot: usize) -> Grid<T> {
-        self.slots[slot]
-            .take()
-            .unwrap_or_else(|| self.seed.halo_shell())
+        match std::mem::replace(&mut self.slots[slot], Slot::Cold) {
+            Slot::Cold => self.seed.halo_shell(),
+            Slot::State(grid) | Slot::Image(grid) => grid,
+        }
+    }
+
+    /// The grids of two slots at once, for a step that writes an image and
+    /// a state. One slot cannot be both.
+    fn take_outputs(&mut self, image: usize, state: usize) -> Result<(Grid<T>, Grid<T>)> {
+        if image == state {
+            return Err(MscError::InvalidConfig(format!(
+                "window slot {image} cannot take a kernel image and the new state in one step"
+            )));
+        }
+        Ok((self.take_output(image), self.take_output(state)))
     }
 
     pub(crate) fn put(&mut self, slot: usize, grid: Grid<T>) {
-        self.slots[slot] = Some(grid);
+        self.slots[slot] = Slot::State(grid);
+    }
+
+    fn put_image(&mut self, slot: usize, grid: Grid<T>) {
+        self.slots[slot] = Slot::Image(grid);
     }
 
     /// Move the state of `slot` out (a copy of the seed if no step ever
     /// wrote it).
     pub(crate) fn into_state(mut self, slot: usize) -> Grid<T> {
-        match self.slots[slot].take() {
-            Some(grid) => grid,
-            None => self.seed.into_owned(),
+        match std::mem::replace(&mut self.slots[slot], Slot::Cold) {
+            Slot::Cold => self.seed.into_owned(),
+            Slot::State(grid) => grid,
+            Slot::Image(_) => unreachable!("window slot {slot} holds a kernel image, not a state"),
         }
     }
 }
@@ -198,20 +247,190 @@ pub fn run_program<T: Scalar>(
     run_program_tier(program, executor, init, Boundary::Dirichlet, ExecTier::Auto)
 }
 
-/// The front door of every stencil-program run: the lint gate
-/// (target-independent passes — an unchecked-built program with an
-/// insufficient halo or window must reach neither the time loop nor the
-/// bytecode compiler), then compilation on `tier` against `init`'s layout
-/// and the window the stencil's deepest dependency needs.
-pub(crate) fn admit<T: Scalar>(
-    program: &StencilProgram,
-    init: &Grid<T>,
-    tier: ExecTier,
-) -> Result<(TieredStencil<T>, WindowPlan)> {
-    msc_lint::check_deny(program, None)?;
-    let compiled = TieredStencil::compile(program, init, tier)?;
-    let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-    Ok((compiled, window))
+/// What one step of a [`TimeLoop`] left in the window.
+pub(crate) struct Stepped<'r, T> {
+    /// What the step counted, `Steps` and `ComputedPoints` included.
+    pub counters: CounterSet,
+    /// The state the step computed, boundary applied.
+    pub state: &'r Grid<T>,
+    /// The state one step back.
+    pub previous: &'r Grid<T>,
+}
+
+/// The time loop of a run: the admitted stencil, the window ring and how
+/// far the run has come. [`TimeLoop::step`] is the one place a ring is
+/// advanced: it computes the next state from the window, applies the
+/// boundary and recycles the slot nothing reads any more. When the
+/// stencil's terms share one kernel ([`TieredStencil::kernel_image`]) and
+/// the staging is [`Executor::Tiled`], the window holds the newest state
+/// and the kernel's images of the older ones, and a step sweeps the kernel
+/// once (DESIGN.md §12.6); otherwise it holds `max_dt + 1` states and a
+/// step evaluates every term.
+pub(crate) struct TimeLoop<'a, T: Scalar> {
+    compiled: TieredStencil<T>,
+    executor: &'a Executor,
+    tiles: Vec<TileRange>,
+    boundary_cond: Boundary,
+    window: WindowPlan,
+    ring: Ring<'a, T>,
+    points: u64,
+    steps: usize,
+    /// The slot of the newest state; before the first step, a cold one.
+    newest: usize,
+}
+
+impl<'a, T: Scalar> TimeLoop<'a, T> {
+    /// The front door of every stencil-program run: the lint gate
+    /// (target-independent passes — an unchecked-built program with an
+    /// insufficient halo or window must reach neither the time loop nor
+    /// the bytecode compiler), then compilation on `tier` against `init`'s
+    /// layout, and a window of the stencil's deepest dependency plus one,
+    /// all slots cold-started with `init`.
+    pub(crate) fn admit(
+        program: &StencilProgram,
+        executor: &'a Executor,
+        init: &'a Grid<T>,
+        boundary_cond: Boundary,
+        tier: ExecTier,
+    ) -> Result<TimeLoop<'a, T>> {
+        msc_lint::check_deny(program, None)?;
+        let compiled = TieredStencil::compile(program, init, tier)?;
+        let window = WindowPlan::for_max_dt(compiled.max_dt)?;
+        // Compile time goes to the global tracer only: `RunStats` must stay
+        // bit-identical between repeated runs, and wall-clock isn't.
+        msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
+        Ok(TimeLoop {
+            ring: Ring::new(init, boundary_cond, window.window),
+            compiled,
+            executor,
+            tiles: executor.tiles(),
+            boundary_cond,
+            window,
+            points: program.grid.shape.iter().product::<usize>() as u64,
+            steps: 0,
+            newest: 0,
+        })
+    }
+
+    /// As if the rule had declined to reuse kernel images.
+    #[cfg(test)]
+    pub(crate) fn recomputing(mut self) -> Self {
+        self.compiled = self.compiled.recomputing();
+        self
+    }
+
+    /// Advance the window by one timestep.
+    pub(crate) fn step(&mut self) -> Result<Stepped<'_, T>> {
+        let _step_span = msc_trace::span_arg("step", self.steps as u64);
+        let step_t0 = std::time::Instant::now();
+        let t = self.compiled.max_dt + self.steps;
+        let reuse = self.compiled.kernel_image().is_some();
+        let (mut counters, previous) = match self.executor {
+            Executor::Tiled(plan) if reuse => self.step_reusing(plan, t)?,
+            _ => self.step_recomputing(t)?,
+        };
+        self.steps += 1;
+        counters.bump(Counter::Steps, 1);
+        msc_trace::record(Counter::Steps, 1);
+        counters.bump(Counter::ComputedPoints, self.points);
+        msc_trace::record(Counter::ComputedPoints, self.points);
+        msc_trace::record_hist(
+            msc_trace::Hist::StepWallNanos,
+            step_t0.elapsed().as_nanos() as u64,
+        );
+        Ok(Stepped {
+            counters,
+            state: self.ring.input(self.newest),
+            previous: self.ring.input(previous),
+        })
+    }
+
+    /// Every term evaluated from its state: `max_dt` states in, the slot
+    /// of the state that just left the window out. Returns the step's
+    /// counters and the slot of the state one step back.
+    fn step_recomputing(&mut self, t: usize) -> Result<(CounterSet, usize)> {
+        let input_slot = |dt| {
+            self.window
+                .input_slot(t, dt)
+                .expect("window sized by max_dt")
+        };
+        let out_slot = self.window.output_slot(t);
+        // The output slot's grid leaves the ring while the step writes it,
+        // so the input slots can stay borrowed.
+        let mut out = self.ring.take_output(out_slot);
+        let inputs: Vec<&Grid<T>> = (1..=self.compiled.max_dt)
+            .map(|dt| self.ring.input(input_slot(dt)))
+            .collect();
+        let counters = self
+            .executor
+            .step(&self.compiled, &inputs, &mut out, &self.tiles)?;
+        boundary::apply(&mut out, self.boundary_cond);
+        self.ring.put(out_slot, out);
+        self.newest = out_slot;
+        Ok((counters, input_slot(1)))
+    }
+
+    /// One sweep of the kernel, then the combination of images (DESIGN.md
+    /// §12.6). `A_u`, the image of state `u - 1`, is written in step `u`
+    /// to slot `u % window`, over state `u - 2`, which nothing reads any
+    /// more; every `A_u` with `u <= max_dt` is the image of the seed and
+    /// is kept once, as `A_max_dt`. State `t` is combined into slot
+    /// `(t + 2) % window`: that is where the oldest image a term may
+    /// still read lives, `A_(t + 1 - max_dt)`, which becomes the new state
+    /// in place (during the first `max_dt - 1` steps the slot is cold
+    /// instead).
+    fn step_reusing(&mut self, plan: &ExecPlan, t: usize) -> Result<(CounterSet, usize)> {
+        let image = self
+            .compiled
+            .kernel_image()
+            .expect("the caller saw a kernel image");
+        let (depth, window) = (self.compiled.max_dt, self.window.window);
+        let slot_of_image = |u: usize| u.max(depth) % window;
+        let (image_slot, state_slot, prev_slot) = (t % window, (t + 2) % window, (t + 1) % window);
+        let (mut fresh, mut next) = self.ring.take_outputs(image_slot, state_slot)?;
+        {
+            let ring = &self.ring;
+            let image_of = |term: &CompiledTerm<T>| match slot_of_image(t + 1 - term.dt) {
+                slot if slot == image_slot => ImageOf::Fresh,
+                slot if slot == state_slot => ImageOf::Dying,
+                slot => ImageOf::Held(ring.image(slot).as_slice()),
+            };
+            let terms: Vec<ImageOf<'_, T>> = self.compiled.terms.iter().map(image_of).collect();
+            let _span = msc_trace::span("tiled_step");
+            let prev = ring.input(prev_slot);
+            tiled::step_tiles_reusing(
+                image,
+                &terms,
+                plan,
+                prev,
+                &mut fresh,
+                &mut next,
+                &self.tiles,
+            )?;
+        }
+        boundary::apply(&mut next, self.boundary_cond);
+        self.ring.put_image(image_slot, fresh);
+        self.ring.put(state_slot, next);
+        self.newest = state_slot;
+        let mut counters = CounterSet::new();
+        counters.set(Counter::TilesExecuted, self.tiles.len() as u64);
+        Ok((publish(&image.kernel, counters), prev_slot))
+    }
+
+    /// Take `steps` steps and hand back the final state and what the run
+    /// counted.
+    pub(crate) fn run(mut self, steps: usize) -> Result<(Grid<T>, RunStats)> {
+        let mut counters = CounterSet::new();
+        for _ in 0..steps {
+            counters.merge(&self.step()?.counters);
+        }
+        Ok((self.into_state(), RunStats::from_counters(&counters)))
+    }
+
+    /// The newest state (a copy of the seed if no step was taken).
+    pub(crate) fn into_state(self) -> Grid<T> {
+        self.ring.into_state(self.newest)
+    }
 }
 
 /// Run `program.timesteps` updates starting from `init` (all window slots
@@ -226,44 +445,7 @@ pub fn run_program_tier<T: Scalar>(
     boundary_cond: Boundary,
     tier: ExecTier,
 ) -> Result<(Grid<T>, RunStats)> {
-    let (compiled, window) = admit(program, init, tier)?;
-    let mut counters = CounterSet::new();
-    // Compile time goes to the global tracer only: `RunStats` must stay
-    // bit-identical between repeated runs, and wall-clock isn't.
-    msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
-    let mut ring = Ring::new(init, boundary_cond, window.window);
-    let tiles = executor.tiles();
-    let points: u64 = program.grid.shape.iter().product::<usize>() as u64;
-
-    for s in 0..program.timesteps {
-        let _step_span = msc_trace::span_arg("step", s as u64);
-        let step_t0 = std::time::Instant::now();
-        let t = compiled.max_dt + s;
-        let out_slot = window.output_slot(t);
-
-        // The output slot's grid leaves the ring while the step writes it,
-        // so the input slots can stay borrowed.
-        let mut out = ring.take_output(out_slot);
-        {
-            let inputs: Vec<&Grid<T>> = (1..=compiled.max_dt)
-                .map(|dt| ring.input(window.input_slot(t, dt).expect("window sized by max_dt")))
-                .collect();
-            counters.merge(&executor.step(&compiled, &inputs, &mut out, &tiles)?);
-        }
-        boundary::apply(&mut out, boundary_cond);
-        ring.put(out_slot, out);
-        counters.bump(Counter::Steps, 1);
-        msc_trace::record(Counter::Steps, 1);
-        counters.bump(Counter::ComputedPoints, points);
-        msc_trace::record(Counter::ComputedPoints, points);
-        msc_trace::record_hist(
-            msc_trace::Hist::StepWallNanos,
-            step_t0.elapsed().as_nanos() as u64,
-        );
-    }
-
-    let last = window.output_slot(compiled.max_dt + program.timesteps - 1);
-    Ok((ring.into_state(last), RunStats::from_counters(&counters)))
+    TimeLoop::admit(program, executor, init, boundary_cond, tier)?.run(program.timesteps)
 }
 
 #[cfg(test)]
@@ -272,6 +454,7 @@ mod tests {
     use crate::verify::{max_rel_error, verify_against_reference};
     use msc_core::catalog::{all_benchmarks, benchmark, BenchmarkId};
     use msc_core::schedule::Schedule;
+    use proptest::prelude::*;
 
     fn tiled_plan(p: &StencilProgram, tile: &[usize], threads: usize) -> ExecPlan {
         let mut s = Schedule::default();
@@ -411,6 +594,103 @@ mod tests {
         assert!(std::ptr::eq(ring.input(0), ring.input(1)));
         assert_eq!(bits(ring.input(0)), bits(&wrapped));
         assert_eq!(bits(&ring.into_state(1)), bits(&wrapped));
+    }
+
+    #[test]
+    fn one_slot_cannot_take_the_image_and_the_state_of_a_step() {
+        // Two `&mut Grid` are two grids, so the sweep cannot be handed one
+        // buffer twice; the one place an image and a state could collide
+        // is a slot index, and that is a typed error.
+        let init: Grid<f64> = Grid::random(&[6, 6], &[1, 1], 5);
+        let mut ring = Ring::new(&init, Boundary::Dirichlet, 3);
+        let err = ring.take_outputs(1, 1).unwrap_err();
+        assert!(matches!(err, MscError::InvalidConfig(_)), "{err}");
+        assert!(std::ptr::eq(ring.input(1), &init), "nothing was taken");
+        let (mut image, state) = ring.take_outputs(0, 2).unwrap();
+        image.set(&[0, 0], 3.0);
+        ring.put_image(0, image);
+        ring.put(2, state);
+        // The ring knows which is which.
+        assert_eq!(ring.image(0).get(&[0, 0]), 3.0);
+        assert_eq!(halo_bits(ring.input(2)), halo_bits(&init));
+        assert!(std::ptr::eq(ring.input(1), &init));
+        // A recycled image slot comes back as it is, like a state's.
+        assert_eq!(ring.take_output(0).get(&[0, 0]), 3.0);
+    }
+
+    /// Random programs for the image step: a 1-D or 2-D kernel of 1-6
+    /// taps within reach 2, two or three terms over `t-1..t-3` in any
+    /// order (a `dt` may repeat), weights of either sign.
+    fn arb_program() -> impl Strategy<Value = StencilProgram> {
+        let tap = ((-2i64..=2, -2i64..=2), -1.0f64..1.0);
+        let taps = prop::collection::vec(tap, 1..=6);
+        let terms = prop::collection::vec((1usize..=3, -2.0f64..2.0), 2..=3);
+        (
+            1usize..=2,
+            6usize..=14,
+            8usize..=30,
+            taps,
+            terms,
+            0usize..=5,
+        )
+            .prop_map(|(ndim, rows, cols, mut taps, terms, steps)| {
+                let shape = [rows, cols];
+                let shape = &shape[2 - ndim..];
+                taps.sort_by_key(|tap| tap.0);
+                taps.dedup_by_key(|tap| tap.0);
+                let offset = |(y, x): (i64, i64)| [y, x][2 - ndim..].to_vec();
+                let mut sum = taps.iter().map(|&(off, c)| c * Expr::at("B", &offset(off)));
+                let first = sum.next().expect("at least one tap");
+                let kernel = Kernel::new("K", ndim, sum.fold(first, |sum, tap| sum + tap)).unwrap();
+                let named: Vec<(usize, f64, &str)> =
+                    terms.iter().map(|&(dt, w)| (dt, w, "K")).collect();
+                let mut p = StencilProgram::builder("arb")
+                    .grid(SpNode::new("B", DType::F64, shape, 2, 4).unwrap())
+                    .kernel(kernel)
+                    .combine(&named)
+                    .build()
+                    .unwrap();
+                // `Stencil::new` sorted the terms by `dt`: put them back.
+                for (term, &(dt, weight)) in p.stencil.terms.iter_mut().zip(&terms) {
+                    (term.dt, term.weight) = (dt, weight);
+                }
+                p.timesteps = steps;
+                p
+            })
+    }
+
+    fn reference_recomputed_and_reused_agree<T: Scalar>(p: &StencilProgram, seed: u64) {
+        let init: Grid<T> = Grid::random(&p.grid.shape, &p.grid.halo, seed);
+        let tile: Vec<usize> = p.grid.shape.iter().map(|&n| n / 2).collect();
+        let exec = Executor::Tiled(tiled_plan(p, &tile, 3));
+        let bits = |g: Grid<T>| -> Vec<u64> {
+            g.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+        };
+        for bc in [Boundary::Dirichlet, Boundary::Periodic] {
+            let admit = |exec| TimeLoop::admit(p, exec, &init, bc, ExecTier::Auto).unwrap();
+            let oracle = bits(admit(&Executor::Reference).run(p.timesteps).unwrap().0);
+            let recomputed = bits(admit(&exec).recomputing().run(p.timesteps).unwrap().0);
+            let reused = bits(admit(&exec).run(p.timesteps).unwrap().0);
+            assert!(
+                recomputed == oracle,
+                "recomputing, {bc:?}: {:?}",
+                p.stencil.terms
+            );
+            assert!(reused == oracle, "reusing, {bc:?}: {:?}", p.stencil.terms);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn reference_recomputed_and_reused_runs_agree_bit_for_bit(
+            p in arb_program(),
+            seed in 0u64..1 << 32,
+        ) {
+            reference_recomputed_and_reused_agree::<f64>(&p, seed);
+            reference_recomputed_and_reused_agree::<f32>(&p, seed);
+        }
     }
 
     #[test]

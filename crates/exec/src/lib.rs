@@ -25,7 +25,15 @@
 //!
 //! [`Executor::step`] is the one dispatch from an [`Executor`] to a
 //! step; all executors run the temporal combination through the sliding
-//! time window ring of [`driver`].
+//! time window ring of [`driver`], which one time loop advances for
+//! [`run_program_tier`] and [`run_until_converged`] alike. When every
+//! term of the stencil applies the same kernel (`a*S[t-1] + b*S[t-2]`,
+//! the paper's shape) a directly staged step does not evaluate `S` once
+//! per term: the window holds the newest state and the kernel's *images*
+//! of the older ones, a step sweeps `S` once and combines images, in the
+//! same number of slots and with the same bits (DESIGN.md §12.6) — unless
+//! the step streams from DRAM through so few taps that the image's own
+//! memory traffic costs more than the flops it saves.
 //!
 //! Orthogonally to the staging, every row is evaluated by
 //! `TieredStencil::run_row` on one of three **execution tiers** (see
@@ -59,6 +67,8 @@ pub mod specialized;
 mod sweep;
 pub mod temporal;
 pub mod tier;
+#[cfg(test)]
+mod tier_differential;
 pub mod varcoeff;
 pub mod tiled;
 pub mod verify;

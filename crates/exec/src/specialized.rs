@@ -55,15 +55,21 @@ const PREFETCH_AHEAD_BYTES: usize = 2048;
 /// 7 MB and below (table in DESIGN.md §12.5).
 pub(crate) const PREFETCH_MIN_STEP_BYTES: usize = 64 << 20;
 
+/// The bytes one step streams: `max_dt` states of `padded_len` elements
+/// of `T` in, one out.
+pub(crate) fn step_bytes<T>(max_dt: usize, padded_len: usize) -> usize {
+    max_dt
+        .saturating_add(1)
+        .saturating_mul(padded_len)
+        .saturating_mul(size_of::<T>())
+}
+
 /// Whether a stencil reading `max_dt` states of `padded_len` elements of
 /// `T` gets the prefetching kernels. Decided once per compiled stencil,
 /// from sizes alone.
 pub(crate) fn prefetch_pays<T>(max_dt: usize, padded_len: usize) -> bool {
-    let step_bytes = max_dt
-        .saturating_add(1)
-        .saturating_mul(padded_len)
-        .saturating_mul(size_of::<T>());
-    cfg!(all(target_arch = "x86_64", not(miri))) && step_bytes >= PREFETCH_MIN_STEP_BYTES
+    cfg!(all(target_arch = "x86_64", not(miri)))
+        && step_bytes::<T>(max_dt, padded_len) >= PREFETCH_MIN_STEP_BYTES
 }
 
 /// Ask the memory system for the cache lines under the `W` elements

@@ -59,7 +59,7 @@ pub(crate) fn step_tiles<T: Scalar>(
     let layout = out.layout();
     let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
 
-    let shares = sweep(plan, tiles, out, "spm_worker", |work| {
+    let shares = sweep(plan, tiles, [out], "spm_worker", |work| {
         let mut read_buf = vec![T::default(); read_len];
         let mut write_buf = vec![T::default(); write_len];
         let mut term_row = vec![T::default(); plan.tile[plan.ndim - 1]];

@@ -1,10 +1,12 @@
 //! The sweep core (DESIGN.md §18): what every tiled sweep — direct,
 //! SPM-staged, time-blocked, variable-coefficient — shares. One row
 //! odometer over a box ([`for_each_row`]), one box copier between
-//! buffers ([`copy_box`]), one place where the output grid is split into
-//! disjoint rows for the workers ([`TileRows`], the crate's only `unsafe`
-//! tile-write site) and one wrapper around [`pool::run_tile_job`]
-//! ([`sweep`]). The staging policies (`tiled`, `spm`, `temporal`) and
+//! buffers ([`copy_box`]), one place where the output grids are split
+//! into disjoint rows for the workers ([`TileRows`], the crate's only
+//! `unsafe` tile-write site) and one wrapper around
+//! [`pool::run_tile_job`] ([`sweep`]). A sweep writes `N` grids of one
+//! layout: one for every staging, two for the kernel-image step of
+//! `tiled` (DESIGN.md §12.6). The staging policies (`tiled`, `spm`, `temporal`) and
 //! `varcoeff` are closures over these and hold no loop nest or pointer of
 //! their own.
 //!
@@ -83,23 +85,25 @@ pub(crate) fn copy_box<T: Copy>(
     rows
 }
 
-/// The output grid of one sweep while its workers write it.
-struct SharedOut<'a, T> {
-    ptr: SendPtr<T>,
+/// The `N` output grids of one sweep — one layout, `N` buffers — while its
+/// workers write them.
+struct SharedOut<'a, T, const N: usize> {
+    ptrs: [SendPtr<T>; N],
     len: usize,
     layout: GridLayout,
-    _exclusive: PhantomData<&'a mut [T]>,
+    _exclusive: PhantomData<[&'a mut [T]; N]>,
 }
 
-/// The interior rows of one tile of the output grid. [`sweep`] hands one
-/// out per tile it was given, to the worker that drew the tile.
-pub(crate) struct TileRows<'a, T> {
-    out: &'a SharedOut<'a, T>,
+/// The interior rows of one tile, in each of the sweep's output grids.
+/// [`sweep`] hands one out per tile it was given, to the worker that drew
+/// the tile.
+pub(crate) struct TileRows<'a, T, const N: usize> {
+    out: &'a SharedOut<'a, T, N>,
     lo: Vec<usize>,
     hi: Vec<usize>,
 }
 
-impl<T> TileRows<'_, T> {
+impl<T, const N: usize> TileRows<'_, T, N> {
     /// The tile's box `[lo, hi)` in padded coordinates.
     pub fn bounds(&self) -> (Vec<usize>, Vec<usize>) {
         (self.lo.clone(), self.hi.clone())
@@ -109,41 +113,46 @@ impl<T> TileRows<'_, T> {
         self.hi[self.hi.len() - 1] - self.lo[self.lo.len() - 1]
     }
 
-    /// Visit every output row of the tile as `f(pos, base, row)`: the
+    /// Visit every output row of the tile as `f(pos, base, rows)`: the
     /// padded coordinate of the row's first cell, its flat index in the
-    /// grid buffer, and the row itself. Returns the number of rows.
-    pub fn for_each(&mut self, mut f: impl FnMut(&[usize], usize, &mut [T])) -> u64 {
+    /// grid buffers, and that row of every output grid, in the order the
+    /// grids were given to [`sweep`]. Returns the number of rows visited.
+    pub fn for_each(&mut self, mut f: impl FnMut(&[usize], usize, [&mut [T]; N])) -> u64 {
         let len = self.row_len();
         let mut rows = 0;
         for_each_row(&self.lo, &self.hi, |pos| {
             let base = self.out.layout.padded_index(pos);
             assert!(base + len <= self.out.len, "tile row leaves the grid");
-            // SAFETY: `SharedOut` was made from the `&mut Grid` that
+            // SAFETY: `SharedOut` was made from the `&mut Grid`s that
             // `sweep` holds for as long as any `TileRows` lives, so nothing
-            // outside this sweep touches the buffer, and `base + len` was
-            // just checked against its length. Inside the sweep, this row
-            // belongs to this tile alone: `sweep` admitted the tile list
-            // only after `check_lattice` showed every tile to be a distinct
-            // cell of the plan's tile lattice (cells are pairwise disjoint
-            // boxes), the pool hands each tile index to exactly one worker,
-            // that worker gets the tile's only `TileRows`, and `&mut self`
-            // keeps two visits of it from overlapping. The rows of one
-            // visit are disjoint by construction of the odometer, and `row`
-            // does not outlive the call to `f`.
-            let row = unsafe { std::slice::from_raw_parts_mut(self.out.ptr.get().add(base), len) };
-            f(pos, base, row);
+            // outside this sweep touches the buffers; being `N` exclusive
+            // borrows they are `N` different buffers, each `out.len` long
+            // (`sweep` refused grids of another layout), and `base + len`
+            // was just checked against that length. Inside the sweep, this
+            // row of each buffer belongs to this tile alone: `sweep`
+            // admitted the tile list only after `check_lattice` showed
+            // every tile to be a distinct cell of the plan's tile lattice
+            // (cells are pairwise disjoint boxes), the pool hands each tile
+            // index to exactly one worker, that worker gets the tile's only
+            // `TileRows`, and `&mut self` keeps two visits of it from
+            // overlapping. The rows of one visit are disjoint by
+            // construction of the odometer, and they do not outlive the
+            // call to `f`.
+            let each = |ptr: &SendPtr<T>| unsafe {
+                std::slice::from_raw_parts_mut(ptr.get().add(base), len)
+            };
+            f(pos, base, self.out.ptrs.each_ref().map(each));
             rows += 1;
         });
         rows
     }
+}
 
+impl<T: Copy> TileRows<'_, T, 1> {
     /// Write the tile back from the local buffer `src` (the DMA put of a
     /// staged sweep). Returns the number of rows moved.
-    pub fn put(&mut self, src: &[T], from: &Frame) -> u64
-    where
-        T: Copy,
-    {
-        self.for_each(|pos, _, row| {
+    pub fn put(&mut self, src: &[T], from: &Frame) -> u64 {
+        self.for_each(|pos, _, [row]| {
             let s = from.index(pos);
             row.copy_from_slice(&src[s..s + row.len()]);
         })
@@ -152,14 +161,14 @@ impl<T> TileRows<'_, T> {
 
 /// One worker's share of a sweep: the tiles it draws from the pool, each
 /// with its output rows.
-pub(crate) struct TileWork<'w, 'a, T> {
+pub(crate) struct TileWork<'w, 'a, T, const N: usize> {
     queue: &'w mut dyn Iterator<Item = usize>,
     tiles: &'a [TileRange],
-    out: &'a SharedOut<'a, T>,
+    out: &'a SharedOut<'a, T, N>,
 }
 
-impl<'a, T> Iterator for TileWork<'_, 'a, T> {
-    type Item = (&'a TileRange, TileRows<'a, T>);
+impl<'a, T, const N: usize> Iterator for TileWork<'_, 'a, T, N> {
+    type Item = (&'a TileRange, TileRows<'a, T, N>);
 
     fn next(&mut self) -> Option<Self::Item> {
         let tile = &self.tiles[self.queue.next()?];
@@ -207,24 +216,34 @@ fn check_lattice(plan: &ExecPlan, shape: &[usize], tiles: &[TileRange]) -> Resul
     Ok(())
 }
 
-/// Run `tiles` of `plan` over the plan's worker threads, writing `out`.
-/// `worker` runs once per worker thread: it builds whatever buffers the
-/// staging needs, drains its [`TileWork`], and returns its share of the
-/// accounting; the shares come back in no particular order. The worker
-/// span is opened only when there is more than one worker.
-pub(crate) fn sweep<T: Scalar, R: Send>(
+/// Run `tiles` of `plan` over the plan's worker threads, writing `outs`:
+/// grids of one layout (anything else is refused before a cell is
+/// written), each tile's rows handed out in all of them. `worker` runs
+/// once per worker thread: it builds whatever buffers the staging needs,
+/// drains its [`TileWork`], and returns its share of the accounting; the
+/// shares come back in no particular order. The worker span is opened
+/// only when there is more than one worker.
+pub(crate) fn sweep<T: Scalar, R: Send, const N: usize>(
     plan: &ExecPlan,
     tiles: &[TileRange],
-    out: &mut Grid<T>,
+    outs: [&mut Grid<T>; N],
     worker_span: &'static str,
-    worker: impl Fn(TileWork<'_, '_, T>) -> R + Sync,
+    worker: impl Fn(TileWork<'_, '_, T, N>) -> R + Sync,
 ) -> Result<Vec<R>> {
-    check_lattice(plan, &out.shape, tiles)?;
-    let layout = out.layout();
-    let buf = out.as_mut_slice();
+    let layout = outs[0].layout();
+    check_lattice(plan, &layout.shape, tiles)?;
+    if let Some(odd) = outs
+        .iter()
+        .find(|g| g.shape != layout.shape || g.halo != layout.halo)
+    {
+        return Err(MscError::InvalidConfig(format!(
+            "a sweep writes grids of one layout, not {:?}+{:?} beside {:?}+{:?}",
+            layout.shape, layout.halo, odd.shape, odd.halo
+        )));
+    }
     let shared = SharedOut {
-        ptr: SendPtr::new(buf.as_mut_ptr()),
-        len: buf.len(),
+        len: outs[0].as_slice().len(),
+        ptrs: outs.map(|g| SendPtr::new(g.as_mut_slice().as_mut_ptr())),
         layout,
         _exclusive: PhantomData,
     };
@@ -292,7 +311,7 @@ mod tests {
         let plan = plan_for(&[6, 8], &[3, 4], 2);
         let (strides, len) = crate::grid::dense_strides(&[5, 8]);
         let layout = src.layout();
-        let moved = sweep(&plan, &plan.tiles(), &mut dst, "test_worker", |work| {
+        let moved = sweep(&plan, &plan.tiles(), [&mut dst], "test_worker", |work| {
             let mut local = vec![0.0; len];
             let mut moved = 0;
             for (_, mut rows) in work {
@@ -328,11 +347,11 @@ mod tests {
             let mut out: Grid<f64> = Grid::zeros(&grid, &halo);
             let plan = plan_for(&grid, &tile, threads);
             let tiles = plan.tiles();
-            let counts = sweep(&plan, &tiles, &mut out, "test_worker", |work| {
+            let counts = sweep(&plan, &tiles, [&mut out], "test_worker", |work| {
                 let mut tiles = 0;
                 for (tile, mut rows) in work {
                     assert_eq!(rows.row_len(), tile.extent[tile.extent.len() - 1]);
-                    rows.for_each(|_, base, row| {
+                    rows.for_each(|_, base, [row]| {
                         for (i, cell) in row.iter_mut().enumerate() {
                             // +1 per visit, plus a fingerprint of where the
                             // row believes it is.
@@ -355,14 +374,58 @@ mod tests {
     }
 
     #[test]
+    fn a_tile_gets_its_rows_in_every_output_grid_of_the_one_layout() {
+        let plan = plan_for(&[5, 9], &[2, 4], 3);
+        let tiles = plan.tiles();
+        let mut up: Grid<f64> = Grid::zeros(&[5, 9], &[1, 2]);
+        let mut down = up.clone();
+        let fingerprint = |rows: &mut TileRows<'_, f64, 2>| {
+            rows.for_each(|_, base, [up, down]| {
+                assert_eq!(up.len(), down.len());
+                for (i, (u, d)) in up.iter_mut().zip(down).enumerate() {
+                    *u += (base + i) as f64;
+                    *d -= (base + i) as f64;
+                }
+            })
+        };
+        sweep(&plan, &tiles, [&mut up, &mut down], "test_worker", |work| {
+            for (_, mut rows) in work {
+                fingerprint(&mut rows);
+            }
+        })
+        .unwrap();
+        let layout = up.layout();
+        up.for_each_interior(|pos| {
+            let at = layout.index(pos) as f64;
+            assert_eq!((up.get(pos), down.get(pos)), (at, -at), "{pos:?}");
+        });
+        assert_eq!(up.interior_sum(), up.as_slice().iter().sum::<f64>());
+        assert_eq!(down.interior_sum(), down.as_slice().iter().sum::<f64>());
+        // The same shape under another halo is another layout: refused
+        // before any write, since a row's flat index is taken from one.
+        let before = up.clone();
+        let mut wide: Grid<f64> = Grid::zeros(&[5, 9], &[2, 2]);
+        let err = sweep(&plan, &tiles, [&mut up, &mut wide], "test_worker", |work| {
+            for (_, mut rows) in work {
+                fingerprint(&mut rows);
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, MscError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("grids of one layout"), "{err}");
+        assert_eq!(up.as_slice(), before.as_slice());
+        assert!(wide.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
     fn tiles_that_could_overlap_are_refused_before_any_write() {
         let plan = plan_for(&[8, 8], &[4, 4], 2);
         let tiles = plan.tiles();
         let mut out: Grid<f64> = Grid::zeros(&[8, 8], &[1, 1]);
         let attempt = |plan: &ExecPlan, tiles: &[TileRange], out: &mut Grid<f64>| {
-            sweep(plan, tiles, out, "test_worker", |work| {
+            sweep(plan, tiles, [out], "test_worker", |work| {
                 for (_, mut rows) in work {
-                    rows.for_each(|_, _, row| row.fill(1.0));
+                    rows.for_each(|_, _, [row]| row.fill(1.0));
                 }
             })
             .map(|_| ())

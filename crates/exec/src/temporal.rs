@@ -122,7 +122,7 @@ pub fn run_temporal_tiled_tier<T: Scalar>(
         let _block_span = msc_trace::span("temporal_block");
         let block = tt.min(remaining);
         let src = cur.as_slice();
-        let shares = sweep(plan, &tiles, &mut next, "temporal_worker", |work| {
+        let shares = sweep(plan, &tiles, [&mut next], "temporal_worker", |work| {
             // `state` holds the tile's latest local step, `next` receives
             // the one being computed.
             let mut state = vec![T::default(); local_len];

@@ -6,7 +6,7 @@
 //! evaluation order row-by-row (see `msc_vm::compile_linear`); the
 //! specialized kernel does the same a block of points at a time (see
 //! [`crate::specialized`]). All three are bit-identical by construction,
-//! which the differential harness (`tests/tier_differential.rs`) enforces
+//! which the differential harness (`src/tier_differential.rs`) enforces
 //! across the catalog.
 //!
 //! Selection policy:
@@ -27,7 +27,8 @@ use msc_vm::{LinearTerm, VmProgram, VmScratch};
 
 use crate::compiled::CompiledStencil;
 use crate::grid::{Grid, Scalar};
-use crate::specialized::{prefetch_pays, RowKernel};
+use crate::specialized::{prefetch_pays, step_bytes, RowKernel, PREFETCH_MIN_STEP_BYTES};
+use crate::tiled::MAX_IMAGE_TERMS;
 
 /// Requested execution tier (CLI `--exec-tier`, `RunOptions::tier`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,6 +90,80 @@ pub struct TierScratch<T> {
     vm: Option<VmScratch<T>>,
 }
 
+/// A step that streams from DRAM pays for the kernel image as one more
+/// stream (written, then read back by the combination), and the flops it
+/// saves have to cover that: with fewer taps per term than this, such a
+/// step recomputes. Placed by the table in DESIGN.md §12.6.
+pub(crate) const IMAGE_MIN_STREAMED_TAPS: usize = 16;
+
+/// Why a step evaluates the kernel once per term instead of reusing the
+/// image it computed a step ago (DESIGN.md §12.6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Recomputed {
+    /// There is no older state whose image could be reused.
+    OneDependency,
+    /// The terms apply different taps, so no image serves them all.
+    DifferentKernels,
+    /// One step streams `step_mb` MB from DRAM through only `taps` taps
+    /// per term.
+    Streams { step_mb: usize, taps: usize },
+    /// More terms than a step gathers images for.
+    ManyTerms(usize),
+    /// The stencil was retargeted to tile-local buffers, which no time
+    /// loop keeps from step to step.
+    Staged,
+    /// A test said so.
+    #[cfg(test)]
+    Forced,
+}
+
+impl std::fmt::Display for Recomputed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Recomputed::OneDependency => write!(f, "one time dependency"),
+            Recomputed::DifferentKernels => write!(f, "terms name different kernels"),
+            Recomputed::Streams { step_mb, taps } => {
+                write!(f, "{step_mb} MB/step through {taps} taps")
+            }
+            Recomputed::ManyTerms(n) => write!(f, "{n} terms"),
+            Recomputed::Staged => write!(f, "staged through tile-local buffers"),
+            #[cfg(test)]
+            Recomputed::Forced => write!(f, "forced"),
+        }
+    }
+}
+
+/// What a time loop that reuses kernel images evaluates per row
+/// (DESIGN.md §12.6), on the stencil's own tier.
+pub(crate) struct KernelImage<T> {
+    /// The kernel alone: one term, weight 1, reading `states[0]`.
+    pub kernel: TieredStencil<T>,
+    /// The temporal combination over images: term `k` reads `states[k]`.
+    pub mix: TieredStencil<T>,
+}
+
+/// The kernel of `interp` as a stencil of its own when a step should
+/// reuse its image, or why not. Decided from the terms and the bytes a
+/// step streams alone.
+fn reusable_kernel<T: Scalar>(
+    interp: &CompiledStencil<T>,
+    step_bytes: usize,
+) -> std::result::Result<CompiledStencil<T>, Recomputed> {
+    if interp.terms.iter().all(|t| t.dt == interp.terms[0].dt) {
+        return Err(Recomputed::OneDependency);
+    }
+    let image = interp.kernel_image().ok_or(Recomputed::DifferentKernels)?;
+    if interp.terms.len() > MAX_IMAGE_TERMS {
+        return Err(Recomputed::ManyTerms(interp.terms.len()));
+    }
+    let taps = image.terms[0].taps.len();
+    if step_bytes >= PREFETCH_MIN_STEP_BYTES && taps < IMAGE_MIN_STREAMED_TAPS {
+        let step_mb = step_bytes / 1_000_000;
+        return Err(Recomputed::Streams { step_mb, taps });
+    }
+    Ok(image)
+}
+
 /// A compiled stencil with the requested execution tier resolved and
 /// attached. Derefs to the interpreter's [`CompiledStencil`], so layout
 /// queries (`max_dt`, `reach`, taps) and the SPM/reference paths keep
@@ -100,6 +175,9 @@ pub struct TieredStencil<T> {
     vm: Option<VmProgram<T>>,
     specialized: RowKernel<T>,
     active: ActiveTier,
+    /// The kernel alone on the same tier, when the time loop should keep
+    /// its images instead of the older states; else why it does not.
+    image: std::result::Result<Box<KernelImage<T>>, Recomputed>,
     /// Wall time spent attaching the tier — bytecode lowering under
     /// `ExecTier::Vm`, ISA detection otherwise (feeds the
     /// `VmCompileNanos` counter).
@@ -149,10 +227,25 @@ impl<T: Scalar> TieredStencil<T> {
     /// Compile `program` against the layout of `grid` and attach the tier
     /// `tier` resolves to. The states are whole grids like `grid`, so
     /// their size decides whether the row kernel prefetches.
+    /// So does whether a step reuses the kernel's image
+    /// ([`reusable_kernel`]).
     pub fn compile(program: &StencilProgram, grid: &Grid<T>, tier: ExecTier) -> Result<TieredStencil<T>> {
         let interp = CompiledStencil::compile(program, grid)?;
-        let prefetch = prefetch_pays::<T>(interp.max_dt, grid.as_slice().len());
-        Ok(Self::attach(interp, tier, prefetch))
+        let padded_len = grid.as_slice().len();
+        let prefetch = prefetch_pays::<T>(interp.max_dt, padded_len);
+        let image =
+            reusable_kernel(&interp, step_bytes::<T>(interp.max_dt, padded_len)).map(|kernel| {
+                Box::new(KernelImage {
+                    kernel: Self::attach(kernel, tier, prefetch),
+                    mix: Self::attach(interp.image_mix(), tier, false),
+                })
+            });
+        let mut stencil = Self::attach(interp, tier, prefetch);
+        if let Ok(image) = &image {
+            stencil.compile_nanos += image.kernel.compile_nanos + image.mix.compile_nanos;
+        }
+        stencil.image = image;
+        Ok(stencil)
     }
 
     /// Attach a tier to a stencil relinearized for tile-local buffers:
@@ -181,6 +274,7 @@ impl<T: Scalar> TieredStencil<T> {
             vm,
             specialized,
             active,
+            image: Err(Recomputed::Staged),
             compile_nanos: t0.elapsed().as_nanos() as u64,
             vm_dispatches: AtomicU64::new(0),
             specialized_rows: AtomicU64::new(0),
@@ -191,17 +285,38 @@ impl<T: Scalar> TieredStencil<T> {
         self.active
     }
 
-    /// What evaluates the rows, for run banners: `vm tier`, or
-    /// `specialized tier, avx512f, prefetch on`.
+    /// What evaluates the rows and how often, for run banners: `vm tier,
+    /// kernel image reused`, or `specialized tier, avx512f, prefetch on,
+    /// kernel recomputed (412 MB/step through 7 taps)`. The image clause
+    /// is what [`Executor::Tiled`](crate::Executor::Tiled) does in the
+    /// time loop of [`run_program_tier`](crate::run_program_tier); every
+    /// other staging recomputes.
     pub fn describe(&self) -> String {
         let kernel = &self.specialized;
-        match self.active {
+        let tier = match self.active {
             ActiveTier::Specialized => {
                 let prefetch = if kernel.prefetch() { "on" } else { "off" };
                 format!("specialized tier, {}, prefetch {prefetch}", kernel.isa())
             }
             tier => format!("{} tier", tier.name()),
+        };
+        match &self.image {
+            Ok(_) => format!("{tier}, kernel image reused"),
+            Err(why) => format!("{tier}, kernel recomputed ({why})"),
         }
+    }
+
+    /// What a step evaluates when it should compute the kernel's image
+    /// once and combine images, `None` when it evaluates every term.
+    pub(crate) fn kernel_image(&self) -> Option<&KernelImage<T>> {
+        self.image.as_deref().ok()
+    }
+
+    /// As if the rule had declined: today's step, whatever the program.
+    #[cfg(test)]
+    pub(crate) fn recomputing(mut self) -> TieredStencil<T> {
+        self.image = Err(Recomputed::Forced);
+        self
     }
 
     /// One stencil per term on this stencil's tier, against a buffer with
@@ -388,19 +503,111 @@ mod tests {
         assert!(!c.specialized.prefetch());
         assert_eq!(
             c.describe(),
-            format!("specialized tier, {}, prefetch off", c.specialized.isa())
+            format!(
+                "specialized tier, {}, prefetch off, kernel image reused",
+                c.specialized.isa()
+            )
         );
-        assert_eq!(tiered(ExecTier::Vm).0.describe(), "vm tier");
-        assert_eq!(tiered(ExecTier::Interp).0.describe(), "interp tier");
+        assert_eq!(
+            tiered(ExecTier::Vm).0.describe(),
+            "vm tier, kernel image reused"
+        );
+        assert_eq!(
+            tiered(ExecTier::Interp).0.describe(),
+            "interp tier, kernel image reused"
+        );
         // As if the grid had been huge: the stencil prefetches, what is
         // staged from it through tile-local buffers still does not.
         c.specialized = RowKernel::widest(true);
-        assert!(c.describe().ends_with("prefetch on"), "{}", c.describe());
+        assert!(c.describe().contains(", prefetch on, "), "{}", c.describe());
         for term in c.staged_terms(&[60, 10, 1]) {
             assert!(!term.specialized.prefetch());
         }
         let local = TieredStencil::from_compiled(c.relinearized(&a.strides), ExecTier::Auto);
         assert!(!local.specialized.prefetch());
+    }
+
+    #[test]
+    fn kernel_images_are_decided_from_the_terms_and_the_bytes_a_step_streams() {
+        let p = program();
+        let g: Grid<f64> = Grid::for_tensor(&p.grid);
+        let seven = CompiledStencil::compile(&p, &g).unwrap();
+        let dense = benchmark(BenchmarkId::S2d121ptBox)
+            .program(&[24, 24], DType::F64, 2)
+            .unwrap();
+        let dense =
+            CompiledStencil::compile(&dense, &Grid::<f64>::for_tensor(&dense.grid)).unwrap();
+        // The kernel alone: one term, weight 1, reading `states[0]`.
+        let image = reusable_kernel(&seven, 0).unwrap();
+        assert_eq!((image.max_dt, image.terms.len()), (1, 1));
+        assert_eq!((image.terms[0].dt, image.terms[0].weight), (1, 1.0));
+        assert_eq!(image.terms[0].taps, seven.terms[0].taps);
+        // A cache-sized step reuses whatever the tap count; a step that
+        // streams from DRAM only with enough taps per term to pay for the
+        // image's trip through memory. stream3d: 3 x 137 MB, 7 taps.
+        let stream3d = step_bytes::<f64>(2, 258 * 258 * 258);
+        assert!(reusable_kernel(&seven, PREFETCH_MIN_STEP_BYTES - 1).is_ok());
+        let why = reusable_kernel(&seven, stream3d).unwrap_err();
+        assert_eq!(
+            why,
+            Recomputed::Streams {
+                step_mb: 412,
+                taps: 7
+            }
+        );
+        assert_eq!(why.to_string(), "412 MB/step through 7 taps");
+        assert!(reusable_kernel(&dense, stream3d).is_ok());
+        assert!(seven.terms[0].taps.len() < IMAGE_MIN_STREAMED_TAPS);
+        assert!(dense.terms[0].taps.len() >= IMAGE_MIN_STREAMED_TAPS);
+        // One state to read: nothing was computed a step ago.
+        let mut single = seven.clone();
+        single.terms.truncate(1);
+        assert_eq!(
+            reusable_kernel(&single, 0).unwrap_err(),
+            Recomputed::OneDependency
+        );
+        single.terms.push(single.terms[0].clone());
+        assert_eq!(
+            reusable_kernel(&single, 0).unwrap_err(),
+            Recomputed::OneDependency
+        );
+        // More terms than a mix gathers rows for.
+        let mut many = seven.clone();
+        many.terms = (0..=MAX_IMAGE_TERMS)
+            .map(|k| many.terms[k % 2].clone())
+            .collect();
+        let why = reusable_kernel(&many, 0).unwrap_err();
+        assert_eq!(why, Recomputed::ManyTerms(MAX_IMAGE_TERMS + 1));
+        many.terms.pop();
+        assert!(reusable_kernel(&many, 0).is_ok());
+        // Coefficients are compared by bit pattern: -0.0 is another kernel.
+        let mut other = seven.clone();
+        for term in &mut other.terms {
+            term.taps_nd[0].1 = 0.0;
+        }
+        assert!(reusable_kernel(&other, 0).is_ok());
+        other.terms[0].taps_nd[0].1 = -0.0;
+        assert_eq!(
+            reusable_kernel(&other, 0).unwrap_err(),
+            Recomputed::DifferentKernels
+        );
+        // What `compile` attaches runs on the stencil's own tier, and a
+        // stencil retargeted to tile-local buffers keeps no image.
+        for tier in [ExecTier::Interp, ExecTier::Vm, ExecTier::Specialized] {
+            let (c, a, _) = tiered(tier);
+            let image = c.kernel_image().unwrap();
+            assert_eq!(
+                (image.kernel.active(), image.mix.active()),
+                (c.active(), c.active())
+            );
+            assert!(c.recomputing().kernel_image().is_none());
+            let (c, _, _) = tiered(tier);
+            let local = TieredStencil::from_compiled(c.relinearized(&a.strides), tier);
+            assert!(local.kernel_image().is_none());
+            assert!(local
+                .describe()
+                .ends_with("(staged through tile-local buffers)"));
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Direct staging — the `tile` primitive alone (paper Figure 4(b)-(d)):
 //! every row of a tile is evaluated straight from the input grids into
 //! the output grid, on the stencil's execution tier. Tiles are dealt to
-//! the plan's worker threads by the pool.
+//! the plan's worker threads by the pool. A row is either the whole
+//! stencil ([`step_tiles`]) or, in a time loop that keeps kernel images
+//! (DESIGN.md §12.6), the kernel alone followed by the combination of
+//! images ([`step_tiles_reusing`]).
 
 use crate::grid::{Grid, Scalar};
 use crate::sweep::sweep;
-use crate::tier::TieredStencil;
+use crate::tier::{KernelImage, TieredStencil};
 use msc_core::error::Result;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 
@@ -19,11 +22,73 @@ pub(crate) fn step_tiles<T: Scalar>(
     tiles: &[TileRange],
 ) -> Result<()> {
     let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
-    sweep(plan, tiles, out, "tile_worker", |work| {
+    sweep(plan, tiles, [out], "tile_worker", |work| {
         let mut scratch = stencil.scratch();
         for (_, mut rows) in work {
-            let n = rows.for_each(|_, base, row| stencil.run_row(&states, base, row, &mut scratch));
+            let n =
+                rows.for_each(|_, base, [row]| stencil.run_row(&states, base, row, &mut scratch));
             stencil.note_rows(n, rows.row_len());
+        }
+    })?;
+    Ok(())
+}
+
+/// Where the combination finds the kernel image a term reads
+/// (DESIGN.md §12.6).
+pub(crate) enum ImageOf<'a, T> {
+    /// The image this step computes: the row just evaluated.
+    Fresh,
+    /// The oldest image, which the new state overwrites in place.
+    Dying,
+    /// The image held by another window slot.
+    Held(&'a [T]),
+}
+
+/// The most terms a combination of kernel images may have: what a step
+/// reads per row is gathered on the stack.
+pub(crate) const MAX_IMAGE_TERMS: usize = 8;
+
+/// The kernel-image step (DESIGN.md §12.6) over `tiles`. Per tile row,
+/// one `run_row` of `image.kernel` — the stencil's kernel alone, weight 1
+/// — writes the image of `prev` (the state one step back) into `fresh`,
+/// then one `run_row` of `image.mix` combines the images `terms` name, in
+/// the program's term order, into the same row of `next`. Where a term
+/// reads the dying image that row of `next` *is* its image, so the mix
+/// reads a copy of it.
+pub(crate) fn step_tiles_reusing<T: Scalar>(
+    image: &KernelImage<T>,
+    terms: &[ImageOf<'_, T>],
+    plan: &ExecPlan,
+    prev: &Grid<T>,
+    fresh: &mut Grid<T>,
+    next: &mut Grid<T>,
+    tiles: &[TileRange],
+) -> Result<()> {
+    assert!(
+        terms.len() <= MAX_IMAGE_TERMS,
+        "the rule admits no more terms"
+    );
+    let KernelImage { kernel, mix } = image;
+    let prev = [prev.as_slice()];
+    sweep(plan, tiles, [fresh, next], "tile_worker", |work| {
+        let (mut scratch, mut mix_scratch) = (kernel.scratch(), mix.scratch());
+        let mut dying = vec![T::default(); plan.tile[plan.ndim - 1]];
+        for (_, mut rows) in work {
+            let n = rows.for_each(|_, base, [fresh, next]| {
+                kernel.run_row(&prev, base, fresh, &mut scratch);
+                let dying = &mut dying[..next.len()];
+                dying.copy_from_slice(next);
+                let mut images: [&[T]; MAX_IMAGE_TERMS] = [&[]; MAX_IMAGE_TERMS];
+                for (image, of) in images.iter_mut().zip(terms) {
+                    *image = match of {
+                        ImageOf::Fresh => fresh,
+                        ImageOf::Dying => dying,
+                        ImageOf::Held(grid) => &grid[base..base + next.len()],
+                    };
+                }
+                mix.run_row(&images[..terms.len()], 0, next, &mut mix_scratch);
+            });
+            kernel.note_rows(n, rows.row_len());
         }
     })?;
     Ok(())

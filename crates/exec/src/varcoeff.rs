@@ -191,9 +191,9 @@ impl<T: Scalar> CompiledVarStencil<T> {
         let tiles = plan.tiles();
         let coeff_slices: Vec<&[T]> = coeffs.iter().map(|g| g.as_slice()).collect();
         let in_slice = input.as_slice();
-        sweep(plan, &tiles, out, "varcoeff_worker", |work| {
+        sweep(plan, &tiles, [out], "varcoeff_worker", |work| {
             for (_, mut rows) in work {
-                rows.for_each(|_, base, row| {
+                rows.for_each(|_, base, [row]| {
                     for (i, o) in row.iter_mut().enumerate() {
                         *o = self.apply_at(in_slice, &coeff_slices, base + i);
                     }

@@ -63,8 +63,37 @@ echo "== execution-tier differential (staging x tier x dtype matrix) =="
 # Every catalog stencil must produce grids bit-identical (to_bits) to the
 # serial reference in every cell of {direct, SPM, time-block} x {interp,
 # VM, specialized} x {f32, f64}, signed zeros included (DESIGN.md §12.3,
-# §18.2) — the interpreter is the oracle.
-cargo test -q -p msc-exec --test tier_differential --offline
+# §18.2) — the interpreter is the oracle. Direct staging runs every cell
+# under both boundaries, with kernel images by rule and forced off.
+cargo test -q -p msc-exec --lib --offline tier_differential::
+# Kernel-image reuse (DESIGN.md §12.6), by exact name, one test each: the
+# hand programs (term orders, depths, skipped dt, 0..2*depth+3 steps)
+# by rule and forced onto the recomputing step; the decline for different
+# kernels; signed zeros, infinities and NaN payloads through an image;
+# thread counts; the property test over random programs; the decision
+# rule; the ring's typed refusal; the sweep's second output grid.
+for t in tier_differential::kernel_image_reuse_matches_recomputing_on_hand_programs \
+    tier_differential::terms_naming_different_kernels_decline_kernel_images \
+    tier_differential::kernel_images_carry_signed_zeros_infinities_and_nan_payloads \
+    tier_differential::kernel_image_reuse_is_the_same_on_any_thread_count \
+    driver::tests::reference_recomputed_and_reused_runs_agree_bit_for_bit \
+    driver::tests::one_slot_cannot_take_the_image_and_the_state_of_a_step \
+    tier::tests::kernel_images_are_decided_from_the_terms_and_the_bytes_a_step_streams \
+    sweep::tests::a_tile_gets_its_rows_in_every_output_grid_of_the_one_layout; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p msc-exec --lib --offline "$t" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
+# The sweep core holds the crate's only tile-write `unsafe` (one
+# expression, however many grids a sweep writes), and nothing under
+# cfg(miri) may warn: the Miri job builds with it.
+test "$(grep -l 'from_raw_parts_mut' crates/exec/src/*.rs)" = crates/exec/src/sweep.rs
+test "$(grep -c 'from_raw_parts_mut' crates/exec/src/sweep.rs)" = 1
+out=$(RUSTFLAGS="--cfg miri" cargo check -p msc-exec --lib --tests --offline 2>&1)
+if grep '^warning' <<<"$out"; then
+  echo "msc-exec warns under cfg(miri)" >&2
+  exit 1
+fi
 # The sweep core's own tests: every tile cell written exactly once,
 # overlapping tile lists refused, the one unsafe write site (CI also runs
 # these under Miri).

@@ -1017,8 +1017,10 @@ fn drive(mut o: Opts) -> Outcome {
             // request degrades to the interpreter when the kernel overflows
             // the VM's register file; auto and specialized never degrade) and,
             // on the specialized tier, the row kernel's ISA and whether it
-            // prefetches. All of it is a function of the CPU, the program and
-            // the grid's size, so compiling again gives what the run used.
+            // prefetches; then whether a step reused the kernel's image of
+            // the older states or why it evaluated every term. All of it is
+            // a function of the CPU, the program and the grid's size, so
+            // compiling again gives what the run used.
             let tier = msc::exec::TieredStencil::compile(&program, &init, o.dist.tier)?.describe();
             let banner = format!(
                 "ran {} steps in {:.1} ms ({} tiles, {tier}); interior checksum {:.6e}",

@@ -24,11 +24,14 @@ fn compiles_run_verifies_and_emits() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("compiled `wave2d`"));
-    // The banner names what evaluated the rows; a grid this small is
-    // cache-resident, so the row kernel does not prefetch.
+    // The banner names what evaluated the rows and how often; a grid this
+    // small is cache-resident, so the row kernel does not prefetch, and
+    // the leapfrog's two terms are two kernels, so no image serves both.
     assert!(stdout.contains(" tiles, specialized tier, "), "{stdout}");
     assert!(
-        stdout.contains(", prefetch off); interior checksum"),
+        stdout.contains(
+            ", prefetch off, kernel recomputed (terms name different kernels)); interior checksum"
+        ),
         "{stdout}"
     );
     assert!(stdout.contains("verified vs serial reference: bit-identical"));
@@ -119,6 +122,56 @@ fn chaos_run_heals_and_verifies_bit_exactly() {
         stdout.contains("verified vs serial reference: bit-identical"),
         "{stdout}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_run_banner_and_profile_say_whether_kernel_images_are_reused() {
+    let dir = std::env::temp_dir().join("mscc_cli_kernel_image");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // The shape of benchmark/inputs/dense2d.msc: one box kernel combined
+    // over two time dependencies.
+    let taps: Vec<String> = (-2..=2)
+        .flat_map(|y| (-2..=2).map(move |x| format!("0.04*B[{y},{x}]")))
+        .collect();
+    let source = |combine: &str, window: usize| {
+        format!(
+            "stencil boxed {{
+                grid B: f64[64, 64] halo 2 window {window};
+                kernel K = {};
+                combine res[t] = {combine};
+                schedule {{ tile 16 64; reorder xo yo xi yi; parallel xo 2; }}
+                run 5;
+                target cpu;
+            }}",
+            taps.join(" + ")
+        )
+    };
+    for (combine, window, said) in [
+        ("0.6*K[t-1] + 0.4*K[t-2]", 3, "kernel image reused"),
+        ("1.0*K[t-1]", 2, "kernel recomputed (one time dependency)"),
+    ] {
+        let path = dir.join("boxed.msc");
+        std::fs::write(&path, source(combine, window)).unwrap();
+        let out = mscc()
+            .arg(&path)
+            .arg("-o")
+            .arg(&dir)
+            .args(["--run", "--profile"])
+            .output()
+            .expect("mscc runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}");
+        let banner = format!(", prefetch off, {said}); interior checksum");
+        assert!(stdout.contains(&banner), "{stdout}");
+        let header = stdout.lines().find(|l| l.starts_with("== profile: boxed ("));
+        assert!(header.is_some_and(|l| l.ends_with(&format!(", {said}) =="))), "{stdout}");
+        assert!(
+            stdout.contains("verified vs serial reference: bit-identical"),
+            "{stdout}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
