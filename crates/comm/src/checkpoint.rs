@@ -15,11 +15,18 @@
 //! ckpt_s<step>_r<rank>_w<slot>.grid   one MSCGRID1 file per window slot
 //! ckpt_s<step>_r<rank>.ok            marker: this rank's step-s files are complete
 //! ```
+//!
+//! The marker's text is `<slots> <layout>`: how many slot files there are
+//! and what they hold ([`RingLayout`]: `states`, or the newest state and
+//! kernel `images`). The grid files carry no tag of their own — which slot
+//! plays which role follows from the step and the layout — so a run
+//! refuses to read a generation written under the other layout. A marker
+//! from before the word existed reads as `states`.
 
 use msc_core::error::{MscError, Result};
 use msc_exec::grid::{Grid, Scalar};
-use msc_exec::io;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use msc_exec::{io, RingLayout};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// A directory of step-stamped grid snapshots shared by all ranks of a
@@ -28,6 +35,9 @@ use std::path::{Path, PathBuf};
 pub struct CheckpointStore {
     dir: PathBuf,
     n_ranks: usize,
+    /// What the windows of the run using this store hold, if it is a run:
+    /// a store opened only to look at a directory has no say.
+    layout: Option<RingLayout>,
 }
 
 impl CheckpointStore {
@@ -43,7 +53,16 @@ impl CheckpointStore {
         Ok(CheckpointStore {
             dir: dir.to_path_buf(),
             n_ranks,
+            layout: None,
         })
+    }
+
+    /// The store of a run whose time loops keep windows of `layout`: its
+    /// markers say so, and it loads no generation written under the other
+    /// layout.
+    pub fn holding(mut self, layout: RingLayout) -> CheckpointStore {
+        self.layout = Some(layout);
+        self
     }
 
     pub fn dir(&self) -> &Path {
@@ -61,14 +80,16 @@ impl CheckpointStore {
     /// Snapshot one rank's window of grids for step `step` (the number
     /// of fully completed timesteps). Returns the bytes written. The
     /// marker is written last, after every grid file is in place.
-    pub fn save_rank<T: Scalar>(
+    pub fn save_rank<'g, T: Scalar>(
         &self,
         step: u64,
         rank: usize,
-        window: &[Grid<T>],
+        window: impl IntoIterator<Item = &'g Grid<T>>,
     ) -> Result<u64> {
         let mut bytes = 0u64;
-        for (slot, grid) in window.iter().enumerate() {
+        let mut slots = 0;
+        for (slot, grid) in window.into_iter().enumerate() {
+            slots += 1;
             let final_path = self.grid_path(step, rank, slot);
             let tmp_path = final_path.with_extension("grid.tmp");
             io::save(grid, &tmp_path)?;
@@ -90,19 +111,40 @@ impl CheckpointStore {
                 ))
             })?;
         }
-        std::fs::write(self.marker_path(step, rank), format!("{}\n", window.len())).map_err(
-            |e| MscError::InvalidConfig(format!("cannot write checkpoint marker: {e}")),
-        )?;
+        let marker = match self.layout {
+            Some(layout) => format!("{slots} {}\n", layout.name()),
+            None => format!("{slots}\n"),
+        };
+        std::fs::write(self.marker_path(step, rank), marker)
+            .map_err(|e| MscError::InvalidConfig(format!("cannot write checkpoint marker: {e}")))?;
         Ok(bytes)
     }
 
-    /// Load one rank's window back from the checkpoint of step `step`.
+    /// Load one rank's window back from the checkpoint of step `step`. A
+    /// run's store ([`CheckpointStore::holding`]) refuses a generation
+    /// whose marker names the other layout: its slots would be read in the
+    /// wrong roles.
     pub fn load_rank<T: Scalar>(
         &self,
         step: u64,
         rank: usize,
         n_slots: usize,
     ) -> Result<Vec<Grid<T>>> {
+        if let Some(layout) = self.layout {
+            let marker = self.marker_path(step, rank);
+            let text = std::fs::read_to_string(&marker).map_err(|e| {
+                MscError::InvalidConfig(format!("cannot read {}: {e}", marker.display()))
+            })?;
+            let saved = text.split_whitespace().nth(1).unwrap_or("states");
+            if saved != layout.name() {
+                return Err(MscError::InvalidConfig(format!(
+                    "checkpoint {} holds window {saved}, this run's time loop keeps {}: resume \
+                     under the staging that wrote it or clear the directory",
+                    marker.display(),
+                    layout.name()
+                )));
+            }
+        }
         (0..n_slots)
             .map(|slot| io::load(&self.grid_path(step, rank, slot)))
             .collect()
@@ -112,33 +154,13 @@ impl CheckpointStore {
     /// the step a restart may resume from. `None` if no complete
     /// checkpoint has been taken yet.
     pub fn latest_complete(&self) -> Option<u64> {
-        let entries = std::fs::read_dir(&self.dir).ok()?;
-        let mut ranks_seen: HashMap<u64, usize> = HashMap::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            // Parse `ckpt_s<step>_r<rank>.ok`.
-            let Some(rest) = name.strip_prefix("ckpt_s") else { continue };
-            let Some(rest) = rest.strip_suffix(".ok") else { continue };
-            let Some((step_str, _rank_str)) = rest.split_once("_r") else { continue };
-            if let Ok(step) = step_str.parse::<u64>() {
-                *ranks_seen.entry(step).or_insert(0) += 1;
-            }
-        }
-        ranks_seen
-            .into_iter()
-            .filter(|&(_, n)| n >= self.n_ranks)
-            .map(|(step, _)| step)
-            .max()
+        self.complete_steps().last().copied()
     }
 
     /// Every step for which all `n_ranks` markers exist, ascending.
     fn complete_steps(&self) -> Vec<u64> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut ranks_seen: HashMap<u64, usize> = HashMap::new();
-        for entry in entries.flatten() {
+        let mut ranks_seen: BTreeMap<u64, usize> = BTreeMap::new();
+        for entry in std::fs::read_dir(&self.dir).into_iter().flatten().flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             let Some(rest) = name.strip_prefix("ckpt_s") else { continue };
@@ -148,13 +170,11 @@ impl CheckpointStore {
                 *ranks_seen.entry(step).or_insert(0) += 1;
             }
         }
-        let mut steps: Vec<u64> = ranks_seen
+        ranks_seen
             .into_iter()
             .filter(|&(_, n)| n >= self.n_ranks)
             .map(|(step, _)| step)
-            .collect();
-        steps.sort_unstable();
-        steps
+            .collect()
     }
 
     /// Garbage-collect old generations: keep the newest `keep` complete
@@ -170,8 +190,7 @@ impl CheckpointStore {
         let Some(&newest) = complete.last() else {
             return 0;
         };
-        let kept: BTreeSet<u64> = complete.iter().rev().take(keep.max(1)).copied().collect();
-        let cutoff = *kept.iter().next().unwrap();
+        let cutoff = complete[complete.len().saturating_sub(keep.max(1))];
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return 0;
         };
@@ -244,8 +263,11 @@ impl<T: Scalar> BuddySnapshots<T> {
     }
 
     /// Snapshot this rank's own ring for generation `gen`.
-    pub fn store_own(&mut self, gen: u64, window: &[Grid<T>]) {
-        self.own.insert(gen, window.to_vec());
+    pub fn store_own<'g>(&mut self, gen: u64, window: impl IntoIterator<Item = &'g Grid<T>>)
+    where
+        T: 'g,
+    {
+        self.own.insert(gen, window.into_iter().cloned().collect());
         while self.own.len() > self.keep {
             self.own.pop_first();
         }
@@ -274,7 +296,8 @@ impl<T: Scalar> BuddySnapshots<T> {
 /// lattices, concatenated in slot order. Every rank of a [`super::decomp::CartDecomp`]
 /// has the same sub-extent and halo, so the receiver can reconstruct
 /// the ring from the payload plus its own local shape.
-pub fn ring_to_wire<T: Scalar>(window: &[Grid<T>]) -> Vec<T> {
+pub fn ring_to_wire<'g, T: Scalar>(window: impl IntoIterator<Item = &'g Grid<T>>) -> Vec<T> {
+    let window: Vec<&Grid<T>> = window.into_iter().collect();
     let mut out = Vec::with_capacity(window.iter().map(|g| g.as_slice().len()).sum());
     for grid in window {
         out.extend_from_slice(grid.as_slice());
@@ -289,31 +312,20 @@ pub fn wire_to_ring<T: Scalar>(
     halo: &[usize],
     slots: usize,
 ) -> Result<Vec<Grid<T>>> {
-    let mut ring = Vec::with_capacity(slots);
-    let mut offset = 0usize;
-    for _ in 0..slots {
-        let mut grid = Grid::<T>::zeros(shape, halo);
-        let len = grid.as_slice().len();
-        let Some(chunk) = payload.get(offset..offset + len) else {
-            return Err(MscError::InvalidConfig(format!(
-                "buddy snapshot payload too short: {} elems for {} slots of {} each",
-                payload.len(),
-                slots,
-                len
-            )));
-        };
-        grid.as_mut_slice().copy_from_slice(chunk);
-        offset += len;
-        ring.push(grid);
-    }
-    if offset != payload.len() {
+    let blank = Grid::<T>::zeros(shape, halo);
+    let len = blank.as_slice().len();
+    if payload.len() != slots * len {
         return Err(MscError::InvalidConfig(format!(
-            "buddy snapshot payload too long: {} elems, expected {}",
-            payload.len(),
-            offset
+            "buddy snapshot payload of {} elems is not {slots} slots of {len} each",
+            payload.len()
         )));
     }
-    Ok(ring)
+    let filled = |chunk: &[T]| {
+        let mut grid = blank.clone();
+        grid.as_mut_slice().copy_from_slice(chunk);
+        grid
+    };
+    Ok(payload.chunks_exact(len).map(filled).collect())
 }
 
 #[cfg(test)]
@@ -339,6 +351,39 @@ mod tests {
         assert_eq!(store.latest_complete(), Some(10));
         let back: Vec<Grid<f64>> = store.load_rank(10, 0, 2).unwrap();
         assert_eq!(back, window);
+        store.clear().unwrap();
+    }
+
+    #[test]
+    fn a_runs_store_reads_only_the_layout_it_holds() {
+        let store = tmp_store("layout", 1);
+        let window: Vec<Grid<f64>> = vec![Grid::random(&[4, 4], &[1, 1], 3); 3];
+        let marker = store.dir().join("ckpt_s2_r0.ok");
+        // A store opened to look at a directory writes no word and reads
+        // anything; a marker without the word (every one written before
+        // windows could hold images) says states.
+        store.save_rank(2, 0, &window).unwrap();
+        assert_eq!(std::fs::read_to_string(&marker).unwrap(), "3\n");
+        let states = store.clone().holding(RingLayout::States);
+        let images = store.clone().holding(RingLayout::Images);
+        assert_eq!(states.load_rank::<f64>(2, 0, 3).unwrap(), window);
+        let err = images.load_rank::<f64>(2, 0, 3).unwrap_err().to_string();
+        assert!(
+            err.contains("window states") && err.contains("keeps images"),
+            "{err}"
+        );
+        // A run's store names its layout, beside the same slot files.
+        images.save_rank(2, 0, &window).unwrap();
+        assert_eq!(std::fs::read_to_string(&marker).unwrap(), "3 images\n");
+        assert_eq!(images.load_rank::<f64>(2, 0, 3).unwrap(), window);
+        assert_eq!(store.load_rank::<f64>(2, 0, 3).unwrap(), window);
+        let err = states.load_rank::<f64>(2, 0, 3).unwrap_err().to_string();
+        assert!(
+            err.contains("window images") && err.contains("keeps states"),
+            "{err}"
+        );
+        // No marker, no say: the generation is not complete.
+        assert!(states.load_rank::<f64>(4, 0, 3).is_err());
         store.clear().unwrap();
     }
 

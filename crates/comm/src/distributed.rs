@@ -1,6 +1,9 @@
 //! Full distributed execution: every MPI rank (thread) owns a sub-grid,
-//! computes its tiles locally, and exchanges halos through the runtime —
-//! the complete large-scale code path MSC generates (paper §4.4).
+//! steps the single node's time loop ([`TimeLoop`]) over it, and
+//! exchanges halos through the runtime from inside each step — the
+//! complete large-scale code path MSC generates (paper §4.4). Nothing
+//! here advances a window: checkpoints, buddy snapshots, rollback and
+//! adoption move the loop's slots out and in (DESIGN.md §13.5).
 //!
 //! The headline property, tested here and in the integration suite: a
 //! distributed run is **bit-identical** to the single-node run of the
@@ -20,10 +23,10 @@ use crate::runtime::{
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
-use msc_core::schedule::WindowPlan;
 use msc_exec::boundary::{self, Boundary};
-use msc_exec::{Executor, Grid, Scalar, TieredStencil};
+use msc_exec::{Executor, Grid, Scalar, TimeLoop};
 use msc_trace::{Counter, CounterSet, FlightKind, Hist, HistSet, Profile};
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -225,20 +228,14 @@ impl Default for RunOptions {
     }
 }
 
-/// Partition the plan's tiles into (boundary, interior) for this rank:
-/// a tile is **boundary** iff some message of the halo plan packs one of
-/// its cells. The exchange may be initiated as soon as the boundary tiles
-/// have been computed; interior tiles touch none of the packed cells.
-fn split_tiles(
-    tiles: &[TileRange],
-    halo: &HaloPlan,
-    reach: &[usize],
-) -> (Vec<TileRange>, Vec<TileRange>) {
-    tiles.iter().cloned().partition(|tile| {
-        // Tiles are in interior coordinates, the plan's boxes in padded.
-        let start = tile.origin.iter().zip(reach).map(|(&o, &r)| o + r);
-        halo.sends_from(&Region::new(start.collect(), tile.extent.clone()))
-    })
+/// Is `tile` a **boundary** tile of this rank: does some message of the
+/// halo plan pack one of its cells? The exchange may be initiated as soon
+/// as the boundary tiles have been computed; interior tiles touch none of
+/// the packed cells.
+fn is_boundary(tile: &TileRange, halo: &HaloPlan, reach: &[usize]) -> bool {
+    // Tiles are in interior coordinates, the plan's boxes in padded.
+    let start = tile.origin.iter().zip(reach).map(|(&o, &r)| o + r);
+    halo.sends_from(&Region::new(start.collect(), tile.extent.clone()))
 }
 
 /// The one way into a distributed run: `program` over a `procs` Cartesian
@@ -278,22 +275,35 @@ fn is_restartable(e: &MscError) -> bool {
 const BUDDY_TAG: u64 = 1 << 62;
 const ADOPT_TAG: u64 = 1 << 61;
 
-/// What one physical slot produced. A slot that dies (chaos kill) or
-/// stands by unused (idle spare) retires with its stats; every logical
-/// subdomain must be covered by exactly one `Computed` outcome.
-enum RankOutcome<T> {
-    Computed {
-        logical: usize,
-        interior: Vec<T>,
-        sent: u64,
-        counters: CounterSet,
-        hists: HistSet,
-    },
-    Retired {
-        sent: u64,
-        counters: CounterSet,
-        hists: HistSet,
-    },
+/// What one physical slot produced: its stats, and the logical subdomain
+/// it finished with that subdomain's interior — `None` for a slot that
+/// died (chaos kill) or stood by unused (idle spare). Every logical
+/// subdomain must be covered by exactly one outcome.
+struct RankOutcome<T> {
+    computed: Option<(usize, Vec<T>)>,
+    sent: u64,
+    counters: CounterSet,
+    hists: HistSet,
+}
+
+impl<T: Wire> RankOutcome<T> {
+    /// Close a slot's account: the protocol counters of `ctx` join what
+    /// the step loop counted.
+    fn of(
+        ctx: &RankCtx<T>,
+        mut counters: CounterSet,
+        mut hists: HistSet,
+        computed: Option<(usize, Vec<T>)>,
+    ) -> RankOutcome<T> {
+        counters.merge(&ctx.counters);
+        hists.merge(&ctx.hists);
+        RankOutcome {
+            computed,
+            sent: ctx.sent_msgs,
+            counters,
+            hists,
+        }
+    }
 }
 
 /// Immutable per-attempt surroundings of the per-rank step loop,
@@ -304,22 +314,26 @@ struct StepEnv<'a, T: Scalar> {
     executor: &'a Executor,
     decomp: &'a CartDecomp,
     seeded: &'a Grid<T>,
-    compiled: &'a TieredStencil<T>,
-    window: &'a WindowPlan,
     opts: &'a RunOptions,
     store: Option<&'a CheckpointStore>,
     membership: Option<&'a Arc<Membership>>,
-    sub: &'a [usize],
-    reach: &'a [usize],
 }
 
-/// A freshly scattered window ring for `logical`'s subdomain: one copy of
-/// the sub-grid per slot, the scattered grid itself being the last.
-fn fresh_ring<T: Scalar + Wire>(env: &StepEnv<'_, T>, logical: usize) -> Vec<Grid<T>> {
-    let local = scatter(env.seeded, env.decomp, logical);
-    let mut ring: Vec<Grid<T>> = (1..env.window.window).map(|_| local.clone()).collect();
-    ring.push(local);
-    ring
+/// The time loop of `logical`'s subdomain at the initial state: the
+/// scattered sub-grid is the seed every window slot starts from. The loop
+/// applies no boundary of its own — the exchange hooked into each step
+/// publishes the new state's halo, and a periodic process grid is a torus.
+fn rank_loop<'a, T: Scalar + Wire>(
+    env: &StepEnv<'a, T>,
+    logical: usize,
+) -> Result<TimeLoop<'a, T>> {
+    TimeLoop::admit(
+        env.program,
+        env.executor,
+        Cow::Owned(scatter(env.seeded, env.decomp, logical)),
+        Boundary::Dirichlet,
+        env.opts.tier,
+    )
 }
 
 /// How a rank reacts to a failed step loop.
@@ -364,62 +378,68 @@ fn plan_recovery<T: Wire>(
 
 /// Survivor-side rollback to a recovery record: enter the new epoch,
 /// hand the dead rank's buddy snapshot to its adopter if we hold it,
-/// and rewind our own ring to the agreed generation.
-fn rollback<T: Scalar + Wire>(
+/// and rewind our own window to the agreed generation.
+fn rollback<'a, T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
-    env: &StepEnv<'_, T>,
+    env: &StepEnv<'a, T>,
     rec: &FailureRecord,
     snaps: &BuddySnapshots<T>,
-) -> Result<(Vec<Grid<T>>, usize)> {
+    run: &mut TimeLoop<'a, T>,
+) -> Result<()> {
     ctx.enter_epoch(rec.epoch);
-    if let RecoverySource::Buddy { gen } = rec.source {
-        if ctx.rank == env.decomp.buddy_of(rec.logical) && ctx.rank != rec.logical {
-            let payload = snaps.held(gen).ok_or_else(|| {
-                MscError::InvalidConfig(format!(
-                    "buddy copy of rank {} gen {gen} vanished before handoff",
-                    rec.logical
-                ))
-            })?;
-            ctx.isend(rec.logical, ADOPT_TAG | gen, payload.to_vec())?;
-        }
-    }
     match rec.source {
         RecoverySource::Buddy { gen } => {
+            let vanished = |what: String| {
+                MscError::InvalidConfig(format!("{what} gen {gen} vanished before rollback"))
+            };
+            if ctx.rank == env.decomp.buddy_of(rec.logical) && ctx.rank != rec.logical {
+                let copy = snaps.held(gen);
+                let copy =
+                    copy.ok_or_else(|| vanished(format!("rank {}'s buddy copy", rec.logical)))?;
+                ctx.isend(rec.logical, ADOPT_TAG | gen, copy.to_vec())?;
+            }
             // The membership layer only picks a generation every
             // survivor noted, so our own copy must still be retained.
-            let ring = snaps
+            let own = snaps
                 .own(gen)
-                .ok_or_else(|| {
-                    MscError::InvalidConfig(format!(
-                        "own snapshot gen {gen} vanished before rollback"
-                    ))
-                })?
-                .to_vec();
-            Ok((ring, gen as usize))
+                .ok_or_else(|| vanished("own snapshot".into()))?;
+            run.restore(own.to_vec(), gen as usize)
         }
         RecoverySource::Disk { gen } => {
-            let st = env.store.ok_or_else(|| {
-                MscError::InvalidConfig("disk recovery without a checkpoint store".into())
-            })?;
-            Ok((
-                st.load_rank(gen, ctx.rank, env.window.window)?,
-                gen as usize,
-            ))
+            let slots = load_from_disk(env, gen, ctx.rank, run)?;
+            run.restore(slots, gen as usize)
         }
-        RecoverySource::Initial => Ok((fresh_ring(env, ctx.rank), 0)),
+        RecoverySource::Initial => {
+            *run = rank_loop(env, ctx.rank)?;
+            Ok(())
+        }
     }
 }
 
-/// Spare-side adoption: take over the dead rank's logical identity and
-/// obtain its window ring from the recovery source.
-fn adopt_state<T: Scalar + Wire>(
-    ctx: &mut RankCtx<T>,
+/// `logical`'s window slots at generation `gen` from the disk store, as
+/// `run` can restore them.
+fn load_from_disk<T: Scalar + Wire>(
     env: &StepEnv<'_, T>,
+    gen: u64,
+    logical: usize,
+    run: &TimeLoop<'_, T>,
+) -> Result<Vec<Grid<T>>> {
+    let st = env.store.ok_or_else(|| {
+        MscError::InvalidConfig("disk recovery without a checkpoint store".into())
+    })?;
+    st.load_rank(gen, logical, run.slots().len())
+}
+
+/// Spare-side adoption: take over the dead rank's logical identity and
+/// bring its time loop to the recovery source's generation.
+fn adopt_state<'a, T: Scalar + Wire>(
+    ctx: &mut RankCtx<T>,
+    env: &StepEnv<'a, T>,
     m: &Membership,
     rec: &FailureRecord,
     snaps: &mut BuddySnapshots<T>,
     counters: &mut CounterSet,
-) -> Result<(Vec<Grid<T>>, usize)> {
+) -> Result<TimeLoop<'a, T>> {
     ctx.adopt(rec.logical);
     ctx.enter_epoch(rec.epoch);
     counters.bump(Counter::RankRecoveries, 1);
@@ -432,29 +452,25 @@ fn adopt_state<T: Scalar + Wire>(
         rec.source.gen(),
         rec.epoch,
     );
-    match rec.source {
+    let mut run = rank_loop(env, rec.logical)?;
+    let (slots, gen) = match rec.source {
         RecoverySource::Buddy { gen } => {
             let holder = env.decomp.buddy_of(rec.logical);
             let req = ctx.irecv(holder, ADOPT_TAG | gen);
             let payload = ctx.wait(req)?;
-            let ring = wire_to_ring(&payload, env.sub, env.reach, env.window.window)?;
-            // Seed our own snapshot store so a later failure can rewind
-            // this subdomain without re-pulling from the buddy.
-            snaps.store_own(gen, &ring);
-            m.note_local(rec.logical, gen);
-            Ok((ring, gen as usize))
+            let like = run.state();
+            let slots = wire_to_ring(&payload, &like.shape, &like.halo, run.slots().len())?;
+            (slots, gen)
         }
-        RecoverySource::Disk { gen } => {
-            let st = env.store.ok_or_else(|| {
-                MscError::InvalidConfig("disk recovery without a checkpoint store".into())
-            })?;
-            let ring = st.load_rank(gen, rec.logical, env.window.window)?;
-            snaps.store_own(gen, &ring);
-            m.note_local(rec.logical, gen);
-            Ok((ring, gen as usize))
-        }
-        RecoverySource::Initial => Ok((fresh_ring(env, rec.logical), 0)),
-    }
+        RecoverySource::Disk { gen } => (load_from_disk(env, gen, rec.logical, &run)?, gen),
+        RecoverySource::Initial => return Ok(run),
+    };
+    // Seed our own snapshot store so a later failure can rewind this
+    // subdomain without re-pulling from the buddy or the disk.
+    snaps.store_own(gen, &slots);
+    m.note_local(rec.logical, gen);
+    run.restore(slots, gen as usize)?;
+    Ok(run)
 }
 
 /// An idle hot spare: service the fabric until the world finishes, a
@@ -491,7 +507,7 @@ fn spare_standby<T: Wire>(
     }
 }
 
-/// Replicate this rank's window ring to its buddy and collect the
+/// Replicate this rank's window slots to its buddy and collect the
 /// predecessor's — the diskless checkpoint ring shift, run at every
 /// checkpoint generation in membership worlds. Every rank reaches this
 /// point at the same step, and the send is non-blocking, so the shift
@@ -500,18 +516,18 @@ fn buddy_replicate<T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T>,
     m: &Membership,
-    ring: &[Grid<T>],
+    slots: &[&Grid<T>],
     snaps: &mut BuddySnapshots<T>,
     gen: u64,
     counters: &mut CounterSet,
 ) -> Result<()> {
-    snaps.store_own(gen, ring);
+    snaps.store_own(gen, slots.iter().copied());
     m.note_local(ctx.rank, gen);
     let buddy = env.decomp.buddy_of(ctx.rank);
     if buddy == ctx.rank {
         return Ok(()); // single-rank worlds have nobody to replicate to
     }
-    let wire = ring_to_wire(ring);
+    let wire = ring_to_wire(slots.iter().copied());
     let bytes = (wire.len() * std::mem::size_of::<T>()) as u64;
     ctx.isend(buddy, BUDDY_TAG | gen, wire)?;
     counters.bump(Counter::BuddyBytes, bytes);
@@ -525,101 +541,55 @@ fn buddy_replicate<T: Scalar + Wire>(
     Ok(())
 }
 
-/// Split the window ring into this step's output slot (mutable) and its
-/// input slots (shared, in `dt` order) in one pass. The ring stays a
-/// `Vec<Grid<T>>` rather than `msc_exec::driver::Ring`: disk checkpoints
-/// and buddy snapshots serialise every slot, so every slot must be
-/// materialised, which is exactly what `Ring`'s borrowed seed avoids.
-fn borrow_step<'r, T: Scalar>(
-    ring: &'r mut [Grid<T>],
-    out_slot: usize,
-    input_slots: &[usize],
-) -> Result<(&'r mut Grid<T>, Vec<&'r Grid<T>>)> {
-    let slots = ring.len();
-    let mut out = None;
-    let mut inputs: Vec<Option<&Grid<T>>> = vec![None; input_slots.len()];
-    for (slot, grid) in ring.iter_mut().enumerate() {
-        if slot == out_slot {
-            out = Some(grid);
-        } else {
-            let grid = &*grid;
-            for (input, _) in inputs
-                .iter_mut()
-                .zip(input_slots)
-                .filter(|(_, &s)| s == slot)
-            {
-                *input = Some(grid);
-            }
-        }
-    }
-    // A window plan that reads the slot it writes (or names a slot the
-    // ring does not have) leaves a hole here.
-    match (out, inputs.into_iter().collect::<Option<Vec<_>>>()) {
-        (Some(out), Some(inputs)) => Ok((out, inputs)),
-        _ => Err(MscError::InvalidConfig(format!(
-            "window ring of {slots} slots cannot serve output slot {out_slot} with input \
-             slots {input_slots:?}"
-        ))),
-    }
-}
-
-/// One attempt of the time loop for one rank, from step `start` to the
-/// end: overlapped (or sequential) tile compute, halo exchange, disk
-/// checkpoints with retention GC, and buddy replication. Any error is
-/// classified by the caller — online recovery where possible, restart
-/// otherwise.
+/// One attempt of the time loop for one rank, from where `run` stands to
+/// the end: every step the one of [`TimeLoop`] with the halo exchange
+/// hooked in, then disk checkpoints with retention GC and buddy
+/// replication. Any error is classified by the caller — online recovery
+/// where possible, restart otherwise.
 fn compute_steps<T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T>,
-    ring: &mut [Grid<T>],
-    start: usize,
+    run: &mut TimeLoop<'_, T>,
     snaps: &mut BuddySnapshots<T>,
     counters: &mut CounterSet,
     hists: &mut HistSet,
 ) -> Result<()> {
-    let opts = env.opts;
-    let (program, executor, window, compiled) =
-        (env.program, env.executor, env.window, env.compiled);
+    let (opts, program) = (env.opts, env.program);
     // The halo plan and the boundary/interior split it implies, rebuilt
     // per attempt: after adoption this rank has a new identity and with
-    // it new neighbours.
+    // it new neighbours. Without overlap every tile is in front of the
+    // exchange.
     let halo = HaloPlan::new(env.decomp, ctx.rank, opts.backend);
-    let tiles = executor.tiles();
-    let (boundary_tiles, interior_tiles) = split_tiles(&tiles, &halo, env.reach);
+    run.split_tiles(|tile| !opts.overlap || is_boundary(tile, &halo, &env.decomp.reach));
 
-    for s in start..program.timesteps {
-        // Rank-tagged step span (arg = step index) feeding the
-        // straggler report, plus the step-wall histogram.
-        let _step_span = msc_trace::span_arg(msc_trace::stitch::STEP_SPAN, s as u64);
+    while run.steps() < program.timesteps {
+        let s = run.steps();
         let step_t0 = Instant::now();
-        let t = compiled.max_dt + s;
-        let out_slot = window.output_slot(t);
-        let input_slots: Vec<usize> = (1..=compiled.max_dt)
-            .map(|dt| window.input_slot(t, dt))
-            .collect::<Result<_>>()?;
-        let (out, inputs) = borrow_step(ring, out_slot, &input_slots)?;
-        let exchanging = s + 1 < program.timesteps;
-        if exchanging && opts.overlap {
-            // Overlapped schedule: boundary wave → initiate the exchange →
-            // interior wave (concurrent with the messages) → complete. The
-            // wait inside `finish` still lands in the HaloWait histogram
-            // via `ctx.wait`.
-            counters.merge(&executor.step(compiled, &inputs, out, &boundary_tiles)?);
-            let pending = halo.begin(ctx, out, out_slot)?;
-            let t0 = Instant::now();
-            counters.merge(&executor.step(compiled, &inputs, out, &interior_tiles)?);
-            let overlap_ns = t0.elapsed().as_nanos() as u64;
-            counters.bump(Counter::OverlapNanos, overlap_ns);
-            msc_trace::record(Counter::OverlapNanos, overlap_ns);
-            halo.finish(ctx, out, out_slot, pending)?;
+        let stepped = if s + 1 < program.timesteps {
+            // Boundary wave → initiate the exchange → interior wave
+            // (concurrent with the messages) → complete: the new state's
+            // halo is published before anyone (including us) reads it next
+            // step. The wait inside `finish` still lands in the HaloWait
+            // histogram via `ctx.wait`.
+            let mut posted = None;
+            run.step_with(&mut |state, slot| {
+                match posted.take() {
+                    None => posted = Some((halo.begin(ctx, state, slot)?, Instant::now())),
+                    Some((pending, t0)) => {
+                        if opts.overlap {
+                            let overlap_ns = t0.elapsed().as_nanos() as u64;
+                            counters.bump(Counter::OverlapNanos, overlap_ns);
+                            msc_trace::record(Counter::OverlapNanos, overlap_ns);
+                        }
+                        halo.finish(ctx, state, slot, pending)?;
+                    }
+                }
+                Ok(())
+            })?
         } else {
-            counters.merge(&executor.step(compiled, &inputs, out, &tiles)?);
-            // Publish the new state's halo to the neighbours before
-            // anyone (including us) reads it next step.
-            if exchanging {
-                halo.exchange(ctx, out, out_slot)?;
-            }
-        }
+            run.step()?
+        };
+        counters.merge(&stepped.counters);
         // Snapshot after the step (and its exchange) fully completed,
         // so a restart resumes with halos as fresh as the original run
         // had them. The same cadence drives disk checkpoints and the
@@ -631,7 +601,7 @@ fn compute_steps<T: Scalar + Wire>(
             let gen = (s + 1) as u64;
             if let Some(st) = env.store {
                 let t0 = Instant::now();
-                let bytes = st.save_rank(gen, ctx.rank, ring)?;
+                let bytes = st.save_rank(gen, ctx.rank, run.slots())?;
                 let nanos = t0.elapsed().as_nanos() as u64;
                 counters.bump(Counter::CheckpointBytes, bytes);
                 counters.bump(Counter::CheckpointNanos, nanos);
@@ -650,18 +620,16 @@ fn compute_steps<T: Scalar + Wire>(
                 let _ = st.gc(opts.checkpoint_keep);
             }
             if let Some(m) = env.membership {
-                buddy_replicate(ctx, env, m, ring, snaps, gen, counters)?;
+                buddy_replicate(ctx, env, m, &run.slots(), snaps, gen, counters)?;
             }
         }
         let wall = step_t0.elapsed().as_nanos() as u64;
         hists.add(Hist::StepWallNanos, wall);
-        msc_trace::record_hist(Hist::StepWallNanos, wall);
-        // Feed the live telemetry plane: the per-rank table (the
-        // sampler's stall detector compares these step fronts across
-        // ranks) and the session step counter — in a sessioned hub,
-        // `steps` counts rank-steps, i.e. aggregate step throughput.
+        // Feed the live telemetry plane's per-rank table: the sampler's
+        // stall detector compares these step fronts across ranks. (The
+        // time loop counted the step; in a sessioned hub `steps` counts
+        // rank-steps, i.e. aggregate step throughput.)
         msc_trace::note_rank_step(ctx.rank as u32, s as u64);
-        msc_trace::record(Counter::Steps, 1);
     }
     Ok(())
 }
@@ -683,45 +651,32 @@ fn rank_body<T: Scalar + Wire>(
     // we still hold.
     let mut snaps: BuddySnapshots<T> = BuddySnapshots::new(KEEP_GENS);
 
-    let mut ring: Vec<Grid<T>>;
-    let mut start: usize;
     let is_spare = env.membership.is_some_and(|m| slot >= m.n_logical());
-    if is_spare {
+    let mut run = if is_spare {
         let m = env.membership.expect("spare slots imply membership");
         match spare_standby(&mut ctx, m, env.store) {
             None => {
                 ctx.finalize();
-                counters.merge(&ctx.counters);
-                hists.merge(&ctx.hists);
-                return Ok(RankOutcome::Retired {
-                    sent: ctx.sent_msgs,
-                    counters,
-                    hists,
-                });
+                return Ok(RankOutcome::of(&ctx, counters, hists, None));
             }
-            Some(rec) => {
-                let (r, s) = adopt_state(&mut ctx, env, m, &rec, &mut snaps, &mut counters)?;
-                ring = r;
-                start = s;
-            }
+            Some(rec) => adopt_state(&mut ctx, env, m, &rec, &mut snaps, &mut counters)?,
         }
     } else {
-        ring = fresh_ring(env, ctx.rank);
-        start = 0;
-        if let (Some(st), Some(step)) = (env.store, resume) {
+        let mut run = rank_loop(env, ctx.rank)?;
+        if let Some(step) = resume {
             // Every rank resumes from the same checkpoint step, decided
             // once per attempt before the world spawned.
-            ring = st.load_rank(step, ctx.rank, env.window.window)?;
-            start = step as usize;
+            let slots = load_from_disk(env, step, ctx.rank, &run)?;
+            run.restore(slots, step as usize)?;
         }
-    }
+        run
+    };
 
     loop {
         let err = match compute_steps(
             &mut ctx,
             env,
-            &mut ring,
-            start,
+            &mut run,
             &mut snaps,
             &mut counters,
             &mut hists,
@@ -748,24 +703,15 @@ fn rank_body<T: Scalar + Wire>(
                 }
                 match late {
                     None => {
-                        let last = env
-                            .window
-                            .output_slot(env.compiled.max_dt + env.program.timesteps - 1);
+                        let state = run.state();
                         let interior =
-                            Region::new(env.reach.to_vec(), env.sub.to_vec()).pack(&ring[last]);
+                            Region::new(state.halo.clone(), state.shape.clone()).pack(state);
                         // Keep servicing the fabric until every rank is
                         // done, then fold protocol counters into the
                         // rank's stats.
                         ctx.finalize();
-                        counters.merge(&ctx.counters);
-                        hists.merge(&ctx.hists);
-                        return Ok(RankOutcome::Computed {
-                            logical: ctx.rank,
-                            interior,
-                            sent: ctx.sent_msgs,
-                            counters,
-                            hists,
-                        });
+                        let computed = Some((ctx.rank, interior));
+                        return Ok(RankOutcome::of(&ctx, counters, hists, computed));
                     }
                     Some(e) => e,
                 }
@@ -776,19 +722,9 @@ fn rank_body<T: Scalar + Wire>(
             Reaction::Retire => {
                 // Deliberately no `finalize`: dropping the endpoint is
                 // what lets the survivors' failure detectors fire.
-                counters.merge(&ctx.counters);
-                hists.merge(&ctx.hists);
-                return Ok(RankOutcome::Retired {
-                    sent: ctx.sent_msgs,
-                    counters,
-                    hists,
-                });
+                return Ok(RankOutcome::of(&ctx, counters, hists, None));
             }
-            Reaction::Rollback(rec) => {
-                let (r, s) = rollback(&mut ctx, env, &rec, &snaps)?;
-                ring = r;
-                start = s;
-            }
+            Reaction::Rollback(rec) => rollback(&mut ctx, env, &rec, &snaps, &mut run)?,
         }
     }
 }
@@ -835,13 +771,18 @@ fn run_ranks<T: Scalar + Wire>(
     // off, every recovery path below is a no-op and the runtime stays
     // byte-for-byte on its plain code paths.
     let resilient = opts.spare_ranks > 0 || opts.heartbeat.is_some();
-    let heartbeat = if resilient {
-        Some(opts.heartbeat.clone().unwrap_or_default())
-    } else {
-        None
-    };
+    let heartbeat = resilient.then(|| opts.heartbeat.clone().unwrap_or_default());
     let store = match &opts.checkpoint_dir {
-        Some(dir) if opts.checkpoint_every > 0 => Some(CheckpointStore::new(dir, n_logical)?),
+        Some(dir) if opts.checkpoint_every > 0 => {
+            // Every rank admits this program over this sub-grid shape, so
+            // one loop over a blank sub-grid says what all their windows
+            // will hold.
+            let blank = Cow::Owned(Grid::<T>::zeros(&sub, &reach));
+            let layout =
+                TimeLoop::admit(program, &executor, blank, Boundary::Dirichlet, opts.tier)?
+                    .layout();
+            Some(CheckpointStore::new(dir, n_logical)?.holding(layout))
+        }
         _ => None,
     };
     // Seed with wrapped halos so step 0 reads correct periodic images.
@@ -864,38 +805,20 @@ fn run_ranks<T: Scalar + Wire>(
             heartbeat: heartbeat.clone(),
         };
         let n_phys = n_logical + if resilient { opts.spare_ranks } else { 0 };
-        let executor = &executor;
-        let store_ref = store.as_ref();
-        let membership_ref = membership.as_ref();
-        let (sub_ref, reach_ref, decomp_ref) = (&sub, &reach, &decomp);
-        let run = World::try_run_with(
-            n_phys,
-            world_cfg,
-            |ctx: RankCtx<T>| -> Result<RankOutcome<T>> {
-                // Compilation is shape-driven and every rank (spares
-                // included) owns an identically-shaped subdomain, so a
-                // zero probe compiles the same kernels real data would.
-                let probe: Grid<T> = Grid::zeros(sub_ref, reach_ref);
-                let compiled = TieredStencil::compile(program, &probe, opts.tier)?;
-                let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-                // Tracer only — per-rank counter sets stay deterministic.
-                msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
-                let env = StepEnv {
-                    program,
-                    executor,
-                    decomp: decomp_ref,
-                    seeded,
-                    compiled: &compiled,
-                    window: &window,
-                    opts,
-                    store: store_ref,
-                    membership: membership_ref,
-                    sub: sub_ref,
-                    reach: reach_ref,
-                };
-                rank_body(ctx, &env, resume)
-            },
-        );
+        let env = StepEnv {
+            program,
+            executor: &executor,
+            decomp: &decomp,
+            seeded,
+            opts,
+            store: store.as_ref(),
+            membership: membership.as_ref(),
+        };
+        // Every rank compiles the stencil against its own sub-grid when it
+        // admits its time loop; a spare does when it adopts one.
+        let run = World::try_run_with(n_phys, world_cfg, |ctx: RankCtx<T>| {
+            rank_body(ctx, &env, resume)
+        });
         // Count online recoveries whether or not the attempt survived:
         // each is a real adoption event.
         if let Some(m) = &membership {
@@ -921,39 +844,23 @@ fn run_ranks<T: Scalar + Wire>(
                     let mut covered = vec![false; n_logical];
                     let mut duplicated = false;
                     for res in rank_results {
-                        match res? {
-                            RankOutcome::Computed {
-                                logical,
-                                interior,
-                                sent,
-                                counters,
-                                hists,
-                            } => {
-                                stats.messages += sent;
-                                stats.counters.merge(&counters);
-                                stats.hists.merge(&hists);
-                                if covered[logical] {
-                                    duplicated = true;
-                                    continue;
-                                }
-                                covered[logical] = true;
-                                let origin = decomp.origin_of(logical);
-                                let dst = Region::new(
-                                    origin.iter().zip(&reach).map(|(&o, &r)| o + r).collect(),
-                                    sub.clone(),
-                                );
-                                dst.unpack(&mut global, &interior);
-                            }
-                            RankOutcome::Retired {
-                                sent,
-                                counters,
-                                hists,
-                            } => {
-                                stats.messages += sent;
-                                stats.counters.merge(&counters);
-                                stats.hists.merge(&hists);
-                            }
+                        let slot = res?;
+                        stats.messages += slot.sent;
+                        stats.counters.merge(&slot.counters);
+                        stats.hists.merge(&slot.hists);
+                        let Some((logical, interior)) = slot.computed else {
+                            continue;
+                        };
+                        if std::mem::replace(&mut covered[logical], true) {
+                            duplicated = true;
+                            continue;
                         }
+                        let origin = decomp.origin_of(logical);
+                        let dst = Region::new(
+                            origin.iter().zip(&reach).map(|(&o, &r)| o + r).collect(),
+                            sub.clone(),
+                        );
+                        dst.unpack(&mut global, &interior);
                     }
                     if covered.iter().all(|&c| c) && !duplicated {
                         // Steps and rank count are run-global, not
@@ -1037,7 +944,7 @@ mod tests {
         ExecPlan::lower(&s, sub.len(), sub)
     }
 
-    /// The rule `split_tiles` used before the plan existed, kept as the
+    /// The rule `is_boundary` used before the plan existed, kept as the
     /// oracle: a tile is boundary iff, along some dimension with a halo,
     /// it reaches into the band of width `reach` against a face that has
     /// a neighbour.
@@ -1053,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn split_tiles_by_plan_query_equals_the_face_rule() {
+    fn boundary_tiles_by_plan_query_equal_the_face_rule() {
         let check = |global: &[usize], procs: &[usize], reach: &[usize], periodic: bool| {
             let decomp = CartDecomp::new(global, procs, reach)
                 .unwrap()
@@ -1069,7 +976,10 @@ mod tests {
             for rank in 0..decomp.n_ranks() {
                 for backend in [Backend::DimOrdered, Backend::FullNeighbor] {
                     let halo = HaloPlan::new(&decomp, rank, backend);
-                    let (boundary, interior) = split_tiles(&tiles, &halo, reach);
+                    let (boundary, interior): (Vec<_>, Vec<_>) = tiles
+                        .iter()
+                        .cloned()
+                        .partition(|t| is_boundary(t, &halo, reach));
                     let (want_b, want_i): (Vec<_>, Vec<_>) = tiles
                         .iter()
                         .cloned()
@@ -1087,28 +997,6 @@ mod tests {
         check(&[24, 24, 24], &[3, 3, 3], &[1, 1, 2], false);
         check(&[16, 16, 16], &[2, 1, 2], &[1, 1, 1], true);
         check(&[24, 24], &[3, 3], &[0, 2], false);
-    }
-
-    #[test]
-    fn a_step_borrows_its_slots_from_the_ring_without_a_placeholder() {
-        let mut ring: Vec<Grid<f64>> = (0..3).map(|i| Grid::random(&[4], &[1], i)).collect();
-        let want: Vec<Vec<f64>> = ring.iter().map(|g| g.as_slice().to_vec()).collect();
-        let (out, inputs) = borrow_step(&mut ring, 1, &[0, 2]).unwrap();
-        assert_eq!(out.as_slice(), want[1]);
-        assert_eq!(inputs[0].as_slice(), want[0]);
-        assert_eq!(inputs[1].as_slice(), want[2]);
-        // The same slot may feed two terms.
-        let (_, inputs) = borrow_step(&mut ring, 0, &[2, 2]).unwrap();
-        assert!(std::ptr::eq(inputs[0], inputs[1]));
-        // Reading the slot being written, or a slot the ring lacks, is a
-        // typed error — it used to read a 1-cell placeholder grid.
-        for (out_slot, input_slots) in [(1, [0, 1]), (0, [1, 3]), (3, [0, 1])] {
-            let r = borrow_step(&mut ring, out_slot, &input_slots);
-            assert!(
-                matches!(r, Err(MscError::InvalidConfig(_))),
-                "{out_slot} {input_slots:?}"
-            );
-        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   duplicates, reordering, bit corruption, rank kills);
 //! * [`checkpoint`] — periodic window-ring snapshots the resilient
 //!   driver restarts from after a rank failure;
-//! * [`distributed`] — the full multi-rank stencil driver. Its one entry
+//! * [`distributed`] — the full multi-rank stencil driver: every rank
+//!   drives the single node's time loop (`msc_exec::TimeLoop`) over its
+//!   sub-grid with the halo exchange hooked into each step. Its one entry
 //!   point is [`run_distributed_resilient`]: every capability (halo
 //!   layout, SPM staging, tier, chaos, checkpoints, spares) is a field
 //!   of [`RunOptions`], and every run passes the lint gate before a rank

@@ -14,7 +14,7 @@ use msc_core::error::Result;
 use msc_core::prelude::*;
 use msc_core::schedule::plan::ExecPlan;
 use msc_core::schedule::Schedule;
-use msc_exec::{Boundary, Grid};
+use msc_exec::{run_program_tier, Boundary, ExecTier, Executor, Grid, TieredStencil};
 use msc_trace::Counter;
 use std::sync::Mutex;
 
@@ -121,4 +121,82 @@ fn checkpoint_bytes_match_files_on_disk() {
     assert_eq!(stats.checkpoint_bytes(), disk_bytes);
     assert!(stats.counters.get(Counter::CheckpointNanos) > 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The 2d9pt star kernel over `t-1` and `t-2` on 8x8: the catalog program
+/// (`recomputed: false`), or with the `t-2` term naming a kernel of the
+/// same footprint and other coefficients — the rule's decline for terms
+/// that name different kernels, and the only way to put a direct-staged
+/// run on the recomputing step from outside the crate.
+fn two_dependency_program(recomputed: bool) -> StencilProgram {
+    let b = benchmark(BenchmarkId::S2d9ptStar);
+    if !recomputed {
+        return b.program(&[8, 8], DType::F64, 4).unwrap();
+    }
+    #[rustfmt::skip]
+    let arms = [[0, 0], [-2, 0], [-1, 0], [1, 0], [2, 0], [0, -2], [0, -1], [0, 1], [0, 2]];
+    let mut taps = arms.iter().map(|off| 0.11 * Expr::at("B", off));
+    let first = taps.next().unwrap();
+    let other = Kernel::new("other", 2, taps.fold(first, |sum, tap| sum + tap)).unwrap();
+    StencilProgram::builder("two_kernels")
+        .grid_2d("B", DType::F64, [8, 8], b.radius, 3)
+        .kernel(b.kernel())
+        .kernel(other)
+        .combine(&[(1, 0.6, b.name), (2, 0.4, "other")])
+        .timesteps(4)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn reusing_kernel_images_counts_what_recomputing_counts_on_ranks_and_on_one_node() {
+    let _g = BANK_LOCK.lock().unwrap();
+    let counted = |recomputed: bool| {
+        let p = two_dependency_program(recomputed);
+        let sub: Grid<f64> = Grid::zeros(&[4, 8], &p.grid.halo);
+        let said = TieredStencil::compile(&p, &sub, ExecTier::Auto)
+            .unwrap()
+            .describe();
+        let clause = match recomputed {
+            true => ", kernel recomputed (terms name different kernels)",
+            false => ", kernel image reused",
+        };
+        assert!(said.ends_with(clause), "{said}");
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 77);
+        let opts = RunOptions::default();
+        let (ranks, stats) = run_distributed_resilient(
+            &p,
+            &[RANKS, 1],
+            &init,
+            Boundary::Dirichlet,
+            &opts,
+            plan_halves,
+        )
+        .unwrap();
+        // One node under the ranks' tile shape: the same tiles, rows and
+        // points, in one sweep instead of two per rank.
+        let mut s = Schedule::default();
+        s.tile(&[2, 4]);
+        let whole = Executor::Tiled(ExecPlan::lower(&s, 2, &p.grid.shape).unwrap());
+        let (node, node_stats) =
+            run_program_tier(&p, &whole, &init, Boundary::Dirichlet, ExecTier::Auto).unwrap();
+        assert_eq!(ranks.as_slice(), node.as_slice());
+        let on_ranks = [
+            Counter::TilesExecuted,
+            Counter::ComputedPoints,
+            Counter::SpecializedHits,
+            Counter::HaloMessages,
+            Counter::HaloBytes,
+        ]
+        .map(|c| stats.counters.get(c));
+        assert!(on_ranks.iter().all(|&n| n > 0), "{on_ranks:?}");
+        let on_node = [
+            node_stats.tiles_executed,
+            node_stats.computed_points(),
+            node_stats.specialized_hits(),
+        ];
+        assert_eq!(on_ranks[..3], on_node, "recomputed: {recomputed}");
+        on_ranks
+    };
+    assert_eq!(counted(false), counted(true));
 }

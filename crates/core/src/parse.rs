@@ -388,16 +388,11 @@ impl Parser {
                     "target" => {
                         self.expect_keyword("target")?;
                         let t = self.expect_ident()?;
-                        target = Some(match t.as_str() {
-                            "sunway" => Target::SunwayCG,
-                            "matrix" => Target::Matrix,
-                            "cpu" => Target::Cpu,
-                            other => {
-                                return Err(MscError::InvalidConfig(format!(
-                                    "unknown target `{other}` (expected sunway/matrix/cpu)"
-                                )))
-                            }
-                        });
+                        target = Some(Target::from_name(&t).ok_or_else(|| {
+                            MscError::InvalidConfig(format!(
+                                "unknown target `{t}` (expected sunway/matrix/cpu)"
+                            ))
+                        })?);
                         self.expect_sym(';')?;
                     }
                     _ => return Err(self.err("expected a program item")),

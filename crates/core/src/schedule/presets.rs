@@ -31,6 +31,14 @@ impl Target {
         matches!(self, Target::SunwayCG)
     }
 
+    /// The target [`Target::as_str`] names: what a source's `target`
+    /// clause, an `mscd` request and `mscc --target` all accept.
+    pub fn from_name(name: &str) -> Option<Target> {
+        [Target::SunwayCG, Target::Matrix, Target::Cpu]
+            .into_iter()
+            .find(|t| t.as_str() == name)
+    }
+
     /// The string accepted by `build()` in the paper's Listing 2.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -128,6 +136,15 @@ fn finish_preset(s: &mut Schedule, ndim: usize, target: Target) {
 mod tests {
     use super::*;
     use crate::schedule::legality;
+
+    #[test]
+    fn a_target_is_found_by_the_name_it_prints() {
+        for target in [Target::SunwayCG, Target::Matrix, Target::Cpu] {
+            assert_eq!(Target::from_name(target.as_str()), Some(target));
+        }
+        assert_eq!(Target::from_name("Sunway"), None);
+        assert_eq!(Target::from_name(""), None);
+    }
 
     #[test]
     fn table5_sunway_tiles() {

@@ -9,6 +9,7 @@ use crate::grid::{Grid, Scalar};
 use crate::tier::ExecTier;
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
+use std::borrow::Cow;
 
 /// Norms over the interior difference of two grids.
 pub fn l2_diff<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
@@ -57,7 +58,7 @@ pub fn run_until_converged<T: Scalar>(
             "convergence needs a positive tolerance and at least one step".into(),
         ));
     }
-    let mut run = TimeLoop::admit(program, executor, init, bc, ExecTier::Auto)?;
+    let mut run = TimeLoop::admit(program, executor, Cow::Borrowed(init), bc, ExecTier::Auto)?;
     let mut history = Vec::new();
     while history.len() < max_steps {
         let stepped = run.step()?;

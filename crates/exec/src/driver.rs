@@ -150,22 +150,22 @@ enum Slot<T> {
 
 /// The sliding time window of paper Figure 5: `window = max_dt + 1`
 /// slots, recycled round-robin. Every slot is cold-started from the same
-/// seed — `init` after `boundary_cond` was applied — so the slots *share*
-/// it until they are first written: under Dirichlet the seed is the
-/// caller's `init`, borrowed (the boundary is a no-op there); under
-/// Periodic it is the one wrapped copy. A written slot holds a state, or
-/// in a run that reuses kernel images, a state's image.
+/// seed — the initial state after `boundary_cond` was applied — so the
+/// slots *share* it until they are first written: a borrowed seed under
+/// Dirichlet is the caller's grid itself (the boundary is a no-op there);
+/// under Periodic it is the one wrapped copy. A written slot holds a
+/// state, or in a run that reuses kernel images, a state's image.
 pub(crate) struct Ring<'a, T: Scalar> {
     seed: Cow<'a, Grid<T>>,
     slots: Vec<Slot<T>>,
 }
 
 impl<'a, T: Scalar> Ring<'a, T> {
-    pub(crate) fn new(init: &'a Grid<T>, boundary_cond: Boundary, window: usize) -> Self {
+    pub(crate) fn new(seed: Cow<'a, Grid<T>>, boundary_cond: Boundary, window: usize) -> Self {
         let seed = match boundary_cond {
-            Boundary::Dirichlet => Cow::Borrowed(init),
+            Boundary::Dirichlet => seed,
             Boundary::Periodic => {
-                let mut wrapped = init.clone();
+                let mut wrapped = seed.into_owned();
                 boundary::apply(&mut wrapped, boundary_cond);
                 Cow::Owned(wrapped)
             }
@@ -248,7 +248,7 @@ pub fn run_program<T: Scalar>(
 }
 
 /// What one step of a [`TimeLoop`] left in the window.
-pub(crate) struct Stepped<'r, T> {
+pub struct Stepped<'r, T> {
     /// What the step counted, `Steps` and `ComputedPoints` included.
     pub counters: CounterSet,
     /// The state the step computed, boundary applied.
@@ -257,19 +257,45 @@ pub(crate) struct Stepped<'r, T> {
     pub previous: &'r Grid<T>,
 }
 
-/// The time loop of a run: the admitted stencil, the window ring and how
-/// far the run has come. [`TimeLoop::step`] is the one place a ring is
-/// advanced: it computes the next state from the window, applies the
-/// boundary and recycles the slot nothing reads any more. When the
-/// stencil's terms share one kernel ([`TieredStencil::kernel_image`]) and
-/// the staging is [`Executor::Tiled`], the window holds the newest state
-/// and the kernel's images of the older ones, and a step sweeps the kernel
-/// once (DESIGN.md §12.6); otherwise it holds `max_dt + 1` states and a
-/// step evaluates every term.
-pub(crate) struct TimeLoop<'a, T: Scalar> {
+/// What the window slots of a [`TimeLoop`] hold besides the newest state:
+/// the older states, or the kernel's images of them (DESIGN.md §12.6). A
+/// snapshot of one layout cannot be read as the other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RingLayout {
+    States,
+    Images,
+}
+
+impl RingLayout {
+    pub fn name(self) -> &'static str {
+        match self {
+            RingLayout::States => "states",
+            RingLayout::Images => "images",
+        }
+    }
+}
+
+/// What [`TimeLoop::step_with`] runs on the state a step is computing and
+/// its window slot.
+pub type StepHook<'h, T> = &'h mut dyn FnMut(&mut Grid<T>, usize) -> Result<()>;
+
+/// The time loop of a run, on one node and on every rank of a distributed
+/// one: the admitted stencil, the window ring and how far the run has
+/// come. [`TimeLoop::step`] is the one place a ring is advanced: it
+/// computes the next state from the window, applies the boundary and
+/// recycles the slot nothing reads any more. When the stencil's terms
+/// share one kernel ([`TieredStencil::describe`] says so) and the staging
+/// is [`Executor::Tiled`], the window holds the newest state and the
+/// kernel's images of the older ones, and a step sweeps the kernel once
+/// (DESIGN.md §12.6); otherwise it holds `max_dt + 1` states and a step
+/// evaluates every term.
+pub struct TimeLoop<'a, T: Scalar> {
     compiled: TieredStencil<T>,
     executor: &'a Executor,
+    /// The tiles of a step, the `front` first of them being those a
+    /// [`TimeLoop::step_with`] hook waits for.
     tiles: Vec<TileRange>,
+    front: usize,
     boundary_cond: Boundary,
     window: WindowPlan,
     ring: Ring<'a, T>,
@@ -283,30 +309,32 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
     /// The front door of every stencil-program run: the lint gate
     /// (target-independent passes — an unchecked-built program with an
     /// insufficient halo or window must reach neither the time loop nor
-    /// the bytecode compiler), then compilation on `tier` against `init`'s
+    /// the bytecode compiler), then compilation on `tier` against `seed`'s
     /// layout, and a window of the stencil's deepest dependency plus one,
-    /// all slots cold-started with `init`.
-    pub(crate) fn admit(
+    /// all slots cold-started with `seed`: the caller's initial grid,
+    /// borrowed, or a grid the loop owns (a rank's scattered sub-grid).
+    pub fn admit(
         program: &StencilProgram,
         executor: &'a Executor,
-        init: &'a Grid<T>,
+        seed: Cow<'a, Grid<T>>,
         boundary_cond: Boundary,
         tier: ExecTier,
     ) -> Result<TimeLoop<'a, T>> {
         msc_lint::check_deny(program, None)?;
-        let compiled = TieredStencil::compile(program, init, tier)?;
+        let compiled = TieredStencil::compile(program, &seed, tier)?;
         let window = WindowPlan::for_max_dt(compiled.max_dt)?;
         // Compile time goes to the global tracer only: `RunStats` must stay
         // bit-identical between repeated runs, and wall-clock isn't.
         msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
         Ok(TimeLoop {
-            ring: Ring::new(init, boundary_cond, window.window),
+            points: seed.interior_len() as u64,
+            ring: Ring::new(seed, boundary_cond, window.window),
             compiled,
             executor,
             tiles: executor.tiles(),
+            front: 0,
             boundary_cond,
             window,
-            points: program.grid.shape.iter().product::<usize>() as u64,
             steps: 0,
             newest: 0,
         })
@@ -319,15 +347,64 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         self
     }
 
+    /// The plan a step sweeps once, keeping kernel images, if it does.
+    fn reusing(&self) -> Option<&'a ExecPlan> {
+        match self.executor {
+            Executor::Tiled(plan) if self.compiled.kernel_image().is_some() => Some(plan),
+            _ => None,
+        }
+    }
+
+    pub fn layout(&self) -> RingLayout {
+        match self.reusing() {
+            Some(_) => RingLayout::Images,
+            None => RingLayout::States,
+        }
+    }
+
+    /// How many steps the window has come from the seed.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// The newest state (the seed if no step was taken).
+    pub fn state(&self) -> &Grid<T> {
+        self.ring.input(self.newest)
+    }
+
+    /// Order a step's tiles so that those `in_front` come first:
+    /// [`TimeLoop::step_with`] runs its hook between the two groups.
+    pub fn split_tiles(&mut self, in_front: impl FnMut(&TileRange) -> bool) {
+        let (mut front, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.tiles)
+            .into_iter()
+            .partition(in_front);
+        self.front = front.len();
+        front.extend(rest);
+        self.tiles = front;
+    }
+
     /// Advance the window by one timestep.
-    pub(crate) fn step(&mut self) -> Result<Stepped<'_, T>> {
+    pub fn step(&mut self) -> Result<Stepped<'_, T>> {
+        self.advance(0, &mut |_, _| Ok(()))
+    }
+
+    /// [`TimeLoop::step`] with `hook` run twice: when the front tiles
+    /// ([`TimeLoop::split_tiles`]) are done, so that what depends on them
+    /// alone — a rank's halo exchange — can start while the rest are
+    /// swept, and again when the whole state is, boundary applied. A
+    /// failing hook fails the step, and the window is then only good for
+    /// [`TimeLoop::restore`].
+    pub fn step_with(&mut self, hook: StepHook<'_, T>) -> Result<Stepped<'_, T>> {
+        self.advance(self.front, hook)
+    }
+
+    fn advance(&mut self, front: usize, hook: StepHook<'_, T>) -> Result<Stepped<'_, T>> {
         let _step_span = msc_trace::span_arg("step", self.steps as u64);
         let step_t0 = std::time::Instant::now();
         let t = self.compiled.max_dt + self.steps;
-        let reuse = self.compiled.kernel_image().is_some();
-        let (mut counters, previous) = match self.executor {
-            Executor::Tiled(plan) if reuse => self.step_reusing(plan, t)?,
-            _ => self.step_recomputing(t)?,
+        let (mut counters, previous) = match self.reusing() {
+            Some(plan) => self.step_reusing(plan, t, front, hook)?,
+            None => self.step_recomputing(t, front, hook)?,
         };
         self.steps += 1;
         counters.bump(Counter::Steps, 1);
@@ -348,7 +425,12 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
     /// Every term evaluated from its state: `max_dt` states in, the slot
     /// of the state that just left the window out. Returns the step's
     /// counters and the slot of the state one step back.
-    fn step_recomputing(&mut self, t: usize) -> Result<(CounterSet, usize)> {
+    fn step_recomputing(
+        &mut self,
+        t: usize,
+        front: usize,
+        hook: StepHook<'_, T>,
+    ) -> Result<(CounterSet, usize)> {
         let input_slot = |dt| {
             self.window
                 .input_slot(t, dt)
@@ -361,65 +443,132 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         let inputs: Vec<&Grid<T>> = (1..=self.compiled.max_dt)
             .map(|dt| self.ring.input(input_slot(dt)))
             .collect();
-        let counters = self
-            .executor
-            .step(&self.compiled, &inputs, &mut out, &self.tiles)?;
-        boundary::apply(&mut out, self.boundary_cond);
+        let counters = in_two_parts(
+            (&mut out, out_slot),
+            self.tiles.split_at(front),
+            self.boundary_cond,
+            |out, tiles| self.executor.step(&self.compiled, &inputs, out, tiles),
+            hook,
+        )?;
         self.ring.put(out_slot, out);
         self.newest = out_slot;
         Ok((counters, input_slot(1)))
     }
 
+    /// Where a reusing run keeps `A_u`, the kernel's image of state
+    /// `u - 1`: every `A_u` with `u <= max_dt` is the image of the seed
+    /// and is kept once, as `A_max_dt`.
+    fn slot_of_image(&self, u: usize) -> usize {
+        u.max(self.compiled.max_dt) % self.window.window
+    }
+
     /// One sweep of the kernel, then the combination of images (DESIGN.md
-    /// §12.6). `A_u`, the image of state `u - 1`, is written in step `u`
-    /// to slot `u % window`, over state `u - 2`, which nothing reads any
-    /// more; every `A_u` with `u <= max_dt` is the image of the seed and
-    /// is kept once, as `A_max_dt`. State `t` is combined into slot
-    /// `(t + 2) % window`: that is where the oldest image a term may
-    /// still read lives, `A_(t + 1 - max_dt)`, which becomes the new state
-    /// in place (during the first `max_dt - 1` steps the slot is cold
-    /// instead).
-    fn step_reusing(&mut self, plan: &ExecPlan, t: usize) -> Result<(CounterSet, usize)> {
+    /// §12.6). `A_u` is written in step `u` to slot `u % window`, over
+    /// state `u - 2`, which nothing reads any more. State `t` is combined
+    /// into slot `(t + 2) % window`: that is where the oldest image a term
+    /// may still read lives, `A_(t + 1 - max_dt)`, which becomes the new
+    /// state in place (during the first `max_dt - 1` steps the slot is
+    /// cold instead). Every slot's role is a function of `t` and the
+    /// window alone, which is what lets [`TimeLoop::restore`] tag a
+    /// snapshot's slots.
+    fn step_reusing(
+        &mut self,
+        plan: &ExecPlan,
+        t: usize,
+        front: usize,
+        hook: StepHook<'_, T>,
+    ) -> Result<(CounterSet, usize)> {
         let image = self
             .compiled
             .kernel_image()
             .expect("the caller saw a kernel image");
-        let (depth, window) = (self.compiled.max_dt, self.window.window);
-        let slot_of_image = |u: usize| u.max(depth) % window;
+        let window = self.window.window;
         let (image_slot, state_slot, prev_slot) = (t % window, (t + 2) % window, (t + 1) % window);
         let (mut fresh, mut next) = self.ring.take_outputs(image_slot, state_slot)?;
-        {
+        let counters = {
             let ring = &self.ring;
-            let image_of = |term: &CompiledTerm<T>| match slot_of_image(t + 1 - term.dt) {
+            let image_of = |term: &CompiledTerm<T>| match self.slot_of_image(t + 1 - term.dt) {
                 slot if slot == image_slot => ImageOf::Fresh,
                 slot if slot == state_slot => ImageOf::Dying,
                 slot => ImageOf::Held(ring.image(slot).as_slice()),
             };
             let terms: Vec<ImageOf<'_, T>> = self.compiled.terms.iter().map(image_of).collect();
-            let _span = msc_trace::span("tiled_step");
             let prev = ring.input(prev_slot);
-            tiled::step_tiles_reusing(
-                image,
-                &terms,
-                plan,
-                prev,
-                &mut fresh,
-                &mut next,
-                &self.tiles,
-            )?;
-        }
-        boundary::apply(&mut next, self.boundary_cond);
+            in_two_parts(
+                (&mut next, state_slot),
+                self.tiles.split_at(front),
+                self.boundary_cond,
+                |next, tiles| {
+                    let _span = msc_trace::span("tiled_step");
+                    tiled::step_tiles_reusing(image, &terms, plan, prev, &mut fresh, next, tiles)?;
+                    let mut counters = CounterSet::new();
+                    counters.set(Counter::TilesExecuted, tiles.len() as u64);
+                    Ok(publish(&image.kernel, counters))
+                },
+                hook,
+            )?
+        };
         self.ring.put_image(image_slot, fresh);
         self.ring.put(state_slot, next);
         self.newest = state_slot;
-        let mut counters = CounterSet::new();
-        counters.set(Counter::TilesExecuted, self.tiles.len() as u64);
-        Ok((publish(&image.kernel, counters), prev_slot))
+        Ok((counters, prev_slot))
+    }
+
+    /// Slots out: the grid of every window slot, in slot order — a slot no
+    /// step has written yet as the seed. Together with [`TimeLoop::steps`]
+    /// this is the whole state of the run, whatever the layout: which slot
+    /// is the newest state, which a kernel image and which is dead follows
+    /// from the step count.
+    pub fn slots(&self) -> Vec<&Grid<T>> {
+        let ring = &self.ring;
+        let slots = ring.slots.iter().map(|slot| match slot {
+            Slot::Cold => &*ring.seed,
+            Slot::State(grid) | Slot::Image(grid) => grid,
+        });
+        slots.collect()
+    }
+
+    /// Slots in: continue from what [`TimeLoop::slots`] gave after `steps`
+    /// steps of a loop of this [`TimeLoop::layout`] over a grid of this
+    /// shape.
+    pub fn restore(&mut self, slots: Vec<Grid<T>>, steps: usize) -> Result<()> {
+        let (depth, window) = (self.compiled.max_dt, self.window.window);
+        let like = self.ring.seed.layout();
+        if slots.len() != window || slots.iter().any(|g| g.layout() != like) {
+            return Err(MscError::InvalidConfig(format!(
+                "a window of {window} slots of {:?}+{:?} cannot be restored from {} slots, \
+                 some of another shape",
+                like.shape,
+                like.halo,
+                slots.len(),
+            )));
+        }
+        // The last step taken; before the first, every slot is the seed.
+        let t = depth + steps - 1;
+        // What the next step of a reusing loop still reads: the newest
+        // state and the images `A_(t + 2 - max_dt) ..= A_t`.
+        let images: Vec<usize> = match self.reusing() {
+            Some(_) if steps > 0 => {
+                self.newest = (t + 2) % window;
+                (t + 2 - depth..=t).map(|u| self.slot_of_image(u)).collect()
+            }
+            _ => {
+                self.newest = self.window.output_slot(t);
+                Vec::new()
+            }
+        };
+        let tagged = |(slot, grid)| match images.contains(&slot) {
+            true => Slot::Image(grid),
+            false => Slot::State(grid),
+        };
+        self.ring.slots = slots.into_iter().enumerate().map(tagged).collect();
+        self.steps = steps;
+        Ok(())
     }
 
     /// Take `steps` steps and hand back the final state and what the run
     /// counted.
-    pub(crate) fn run(mut self, steps: usize) -> Result<(Grid<T>, RunStats)> {
+    pub fn run(mut self, steps: usize) -> Result<(Grid<T>, RunStats)> {
         let mut counters = CounterSet::new();
         for _ in 0..steps {
             counters.merge(&self.step()?.counters);
@@ -428,9 +577,30 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
     }
 
     /// The newest state (a copy of the seed if no step was taken).
-    pub(crate) fn into_state(self) -> Grid<T> {
+    pub fn into_state(self) -> Grid<T> {
         self.ring.into_state(self.newest)
     }
+}
+
+/// One step's sweeps around its hook: the `front` tiles into `state`, the
+/// hook, the `rest`, the boundary, the hook again. Returns what the sweeps
+/// counted.
+fn in_two_parts<T: Scalar>(
+    (state, slot): (&mut Grid<T>, usize),
+    (front, rest): (&[TileRange], &[TileRange]),
+    boundary_cond: Boundary,
+    mut sweep: impl FnMut(&mut Grid<T>, &[TileRange]) -> Result<CounterSet>,
+    hook: StepHook<'_, T>,
+) -> Result<CounterSet> {
+    let mut counters = CounterSet::new();
+    if !front.is_empty() {
+        counters = sweep(state, front)?;
+    }
+    hook(state, slot)?;
+    counters.merge(&sweep(state, rest)?);
+    boundary::apply(state, boundary_cond);
+    hook(state, slot)?;
+    Ok(counters)
 }
 
 /// Run `program.timesteps` updates starting from `init` (all window slots
@@ -445,7 +615,8 @@ pub fn run_program_tier<T: Scalar>(
     boundary_cond: Boundary,
     tier: ExecTier,
 ) -> Result<(Grid<T>, RunStats)> {
-    TimeLoop::admit(program, executor, init, boundary_cond, tier)?.run(program.timesteps)
+    TimeLoop::admit(program, executor, Cow::Borrowed(init), boundary_cond, tier)?
+        .run(program.timesteps)
 }
 
 #[cfg(test)]
@@ -574,7 +745,7 @@ mod tests {
     #[test]
     fn ring_slots_borrow_the_seed_until_written() {
         let init: Grid<f64> = Grid::random(&[6, 6], &[1, 1], 5);
-        let mut ring = Ring::new(&init, Boundary::Dirichlet, 3);
+        let mut ring = Ring::new(Cow::Borrowed(&init), Boundary::Dirichlet, 3);
         // Dirichlet: no copy at all, every cold slot *is* the caller's grid.
         assert!((0..3).all(|s| std::ptr::eq(ring.input(s), &init)));
         let mut out = ring.take_output(1);
@@ -588,7 +759,7 @@ mod tests {
         assert_eq!(ring.take_output(1).get(&[0, 0]), 7.0);
 
         // Periodic: one wrapped copy, shared by every cold slot.
-        let ring = Ring::new(&init, Boundary::Periodic, 2);
+        let ring = Ring::new(Cow::Borrowed(&init), Boundary::Periodic, 2);
         let mut wrapped = init.clone();
         boundary::apply(&mut wrapped, Boundary::Periodic);
         assert!(std::ptr::eq(ring.input(0), ring.input(1)));
@@ -602,7 +773,7 @@ mod tests {
         // buffer twice; the one place an image and a state could collide
         // is a slot index, and that is a typed error.
         let init: Grid<f64> = Grid::random(&[6, 6], &[1, 1], 5);
-        let mut ring = Ring::new(&init, Boundary::Dirichlet, 3);
+        let mut ring = Ring::new(Cow::Borrowed(&init), Boundary::Dirichlet, 3);
         let err = ring.take_outputs(1, 1).unwrap_err();
         assert!(matches!(err, MscError::InvalidConfig(_)), "{err}");
         assert!(std::ptr::eq(ring.input(1), &init), "nothing was taken");
@@ -667,7 +838,8 @@ mod tests {
             g.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
         };
         for bc in [Boundary::Dirichlet, Boundary::Periodic] {
-            let admit = |exec| TimeLoop::admit(p, exec, &init, bc, ExecTier::Auto).unwrap();
+            let admit =
+                |exec| TimeLoop::admit(p, exec, Cow::Borrowed(&init), bc, ExecTier::Auto).unwrap();
             let oracle = bits(admit(&Executor::Reference).run(p.timesteps).unwrap().0);
             let recomputed = bits(admit(&exec).recomputing().run(p.timesteps).unwrap().0);
             let reused = bits(admit(&exec).run(p.timesteps).unwrap().0);

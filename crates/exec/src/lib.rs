@@ -25,8 +25,10 @@
 //!
 //! [`Executor::step`] is the one dispatch from an [`Executor`] to a
 //! step; all executors run the temporal combination through the sliding
-//! time window ring of [`driver`], which one time loop advances for
-//! [`run_program_tier`] and [`run_until_converged`] alike. When every
+//! time window ring of [`driver`], which one time loop ([`TimeLoop`])
+//! advances for [`run_program_tier`], [`run_until_converged`] and every
+//! rank of an `msc-comm` run alike — a rank steps it in two tile subsets
+//! around its halo exchange and snapshots it slot by slot. When every
 //! term of the stencil applies the same kernel (`a*S[t-1] + b*S[t-2]`,
 //! the paper's shape) a directly staged step does not evaluate `S` once
 //! per term: the window holds the newest state and the kernel's *images*
@@ -76,7 +78,7 @@ pub mod verify;
 pub use compiled::CompiledStencil;
 pub use boundary::Boundary;
 pub use convergence::{l2_diff, max_diff, run_until_converged, ConvergenceReport};
-pub use driver::{run_program, run_program_tier, Executor, RunStats};
+pub use driver::{run_program, run_program_tier, Executor, RingLayout, RunStats, TimeLoop};
 pub use tier::{ActiveTier, ExecTier, TieredStencil};
 pub use grid::{Grid, Scalar};
 pub use temporal::{run_temporal_tiled, run_temporal_tiled_tier, TemporalStats};

@@ -5,10 +5,12 @@
 //! whose result is a signed zero) × {f32, f64} runs for several steps on
 //! random-seeded grids, and every cell must be **bit-identical**
 //! (`to_bits`, so `-0.0` is not `+0.0`) to `Executor::Reference`. Direct
-//! staging runs every cell under both boundary conditions and twice: as
-//! the rule of DESIGN.md §12.6 decides (every grid here is cache-sized,
-//! so kernel images are reused wherever the terms share a kernel) and
-//! forced onto the recomputing step, with equal `RunStats`.
+//! staging runs every cell under both boundary conditions and three
+//! times: as the rule of DESIGN.md §12.6 decides (every grid here is
+//! cache-sized, so kernel images are reused wherever the terms share a
+//! kernel), forced onto the recomputing step, and by rule again the way a
+//! rank steps — from a seed the loop owns, every step in two tile subsets
+//! around a hook — all with equal `RunStats`.
 //!
 //! The reference executor (serial interpreter) is the oracle; it shares
 //! no code with the sweeps. A cell that passes proves that its staging
@@ -26,8 +28,11 @@ use crate::{
     RunStats, Scalar, TieredStencil,
 };
 use msc_core::catalog::{all_benchmarks, benchmark, Benchmark, BenchmarkId};
+use msc_core::error::MscError;
 use msc_core::prelude::*;
 use msc_core::schedule::Schedule;
+use msc_trace::CounterSet;
+use std::borrow::Cow;
 
 const STEPS: usize = 4; // ≥ 3 per the issue; 4 exercises the ring twice
 
@@ -77,12 +82,43 @@ fn run<T: Scalar>(
     tier: ExecTier,
     images: Images,
 ) -> (Grid<T>, RunStats) {
-    let run = TimeLoop::admit(p, exec, init, bc, tier).unwrap();
+    let run = TimeLoop::admit(p, exec, Cow::Borrowed(init), bc, tier).unwrap();
     let run = match images {
         Images::ByRule => run,
         Images::Recomputed => run.recomputing(),
     };
     run.run(p.timesteps).unwrap()
+}
+
+/// [`run`] by rule, stepped the way `msc-comm` steps a rank: the loop
+/// owns its seed, and every step sweeps every other tile, runs a hook,
+/// sweeps the rest and runs the hook again. The hook only checks that it
+/// is shown one slot per step.
+fn run_in_two_subsets<T: Scalar>(
+    p: &StencilProgram,
+    exec: &Executor,
+    init: &Grid<T>,
+    bc: Boundary,
+    tier: ExecTier,
+) -> (Grid<T>, RunStats) {
+    let mut run = TimeLoop::admit(p, exec, Cow::Owned(init.clone()), bc, tier).unwrap();
+    let mut odd = false;
+    run.split_tiles(|_| {
+        odd = !odd;
+        odd
+    });
+    let mut counters = CounterSet::new();
+    for _ in 0..p.timesteps {
+        let mut shown = vec![];
+        let stepped = run.step_with(&mut |_, slot| {
+            shown.push(slot);
+            Ok(())
+        });
+        counters.merge(&stepped.unwrap().counters);
+        assert!(shown.len() == 2 && shown[0] == shown[1], "{shown:?}");
+    }
+    assert_eq!(run.steps(), p.timesteps);
+    (run.into_state(), RunStats::from_counters(&counters))
 }
 
 fn oracle<T: Scalar>(p: &StencilProgram, init: &Grid<T>, bc: Boundary) -> Vec<u64> {
@@ -116,6 +152,15 @@ fn assert_direct<T: Scalar>(name: &str, p: &StencilProgram, init: &Grid<T>, plan
             assert_eq!(
                 stats, same,
                 "{cell}: reusing images changed what a run counts"
+            );
+            let (in_two, same) = run_in_two_subsets(p, &exec, init, bc, tier);
+            assert!(
+                bits(&in_two) == oracle,
+                "{cell}, stepped in two tile subsets, differs from the oracle"
+            );
+            assert_eq!(
+                stats, same,
+                "{cell}: stepping in two tile subsets changed what a run counts"
             );
             assert_eq!(stats.steps, p.timesteps, "{cell}");
             if p.timesteps > 0 {
@@ -358,6 +403,60 @@ fn kernel_image_reuse_matches_recomputing_on_hand_programs() {
             let name = format!("{terms:?} x {steps} steps");
             assert_direct::<f64>(&name, &p, &random(&p, 7 + steps as u64), &plan_1d(&p, 4));
             assert_direct::<f32>(&name, &p, &random(&p, 70 + steps as u64), &plan_1d(&p, 4));
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_window_restored_from_its_slots_at_any_step_continues_bit_for_bit() {
+    // What a checkpoint does: slots out after `taken` steps, slots in to
+    // another loop over the same seed, on to the end. The slots carry no
+    // tag; `restore` works out from the step which is the state, which an
+    // image and which is dead, in every rotation of the window.
+    for terms in HAND_TERMS {
+        let depth = terms.iter().map(|t| t.0).max().unwrap();
+        let steps = 2 * depth + 3;
+        let p = hand_program(terms, steps);
+        let (init, exec) = (random::<f64>(&p, 11), Executor::Tiled(plan_1d(&p, 2)));
+        for bc in [Boundary::Dirichlet, Boundary::Periodic] {
+            let oracle = oracle(&p, &init, bc);
+            let admit = |images| {
+                let seed = Cow::Owned(init.clone());
+                let run = TimeLoop::admit(&p, &exec, seed, bc, ExecTier::Auto).unwrap();
+                match images {
+                    Images::ByRule => run,
+                    Images::Recomputed => run.recomputing(),
+                }
+            };
+            for images in [Images::ByRule, Images::Recomputed] {
+                for taken in 0..=steps {
+                    let mut first = admit(images);
+                    for _ in 0..taken {
+                        first.step().unwrap();
+                    }
+                    let slots: Vec<Grid<f64>> = first.slots().into_iter().cloned().collect();
+                    assert_eq!(slots.len(), depth + 1);
+                    let mut second = admit(images);
+                    second.restore(slots, taken).unwrap();
+                    assert_eq!(second.layout(), first.layout());
+                    assert!(bits(second.state()) == bits(first.state()));
+                    let (out, rest) = second.run(steps - taken).unwrap();
+                    assert!(
+                        bits(&out) == oracle,
+                        "{terms:?} {bc:?} {images:?}: restored after {taken} of {steps} steps"
+                    );
+                    assert_eq!(rest.steps, steps - taken);
+                }
+            }
+            // A window of another size or shape is refused, not misread.
+            let mut run = admit(Images::ByRule);
+            let short = vec![init.clone(); depth];
+            let other = vec![Grid::zeros(&[44], &p.grid.halo); depth + 1];
+            for slots in [short, other] {
+                let err = run.restore(slots, 1).unwrap_err();
+                assert!(matches!(err, MscError::InvalidConfig(_)), "{err}");
+            }
         }
     }
 }

@@ -156,15 +156,6 @@ fn get_bool(doc: &Json, key: &str) -> bool {
     doc.get(key).and_then(Json::as_bool).unwrap_or(false)
 }
 
-fn parse_target(name: &str) -> Result<Target, String> {
-    match name {
-        "sunway" => Ok(Target::SunwayCG),
-        "matrix" => Ok(Target::Matrix),
-        "cpu" => Ok(Target::Cpu),
-        other => Err(format!("unknown target `{other}`")),
-    }
-}
-
 impl Request {
     /// Render as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
@@ -197,10 +188,11 @@ impl Request {
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
             "submit" => {
-                let target = match doc.get("target").and_then(Json::as_str) {
-                    Some(name) => Some(parse_target(name)?),
-                    None => None,
+                let named = |name| {
+                    Target::from_name(name).ok_or_else(|| format!("unknown target `{name}`"))
                 };
+                let target = doc.get("target").and_then(Json::as_str);
+                let target = target.map(named).transpose()?;
                 Ok(Request::Submit(Submission {
                     tenant: get_str(&doc, "tenant")?,
                     source: get_str(&doc, "source")?,

@@ -18,6 +18,11 @@ if grep -rnE 'run_distributed_(bc|with|exec|opts|until_converged)|run_program_bc
   echo "a deleted entry point, run knob, halo library or shim is back" >&2
   exit 1
 fi
+# One time loop (DESIGN.md §13.5): msc-comm advances no window of its own.
+if grep -rnE 'borrow_step|fresh_ring|WindowPlan|output_slot|input_slot' crates/comm/src; then
+  echo "msc-comm is doing window arithmetic again: drive msc_exec::TimeLoop" >&2
+  exit 1
+fi
 # One flag table, one benchmark (DESIGN.md §8.4): the old trajectory
 # recorder, its script and its subcommand, and mscc's per-subcommand parse
 # functions and help sentinel. Each alternative carries a bracket so this
@@ -58,21 +63,43 @@ for tier in interp vm specialized; do
   cargo test -q -p msc-comm --test recovery --offline \
     "spare_adopts_killed_rank_${tier}_tier"
 done
+# A rank's window holds kernel images (DESIGN.md §13.5), by exact name:
+# kill + heal into every rotation of the slot roles (buddy and disk,
+# both backends, both boundaries, two and three time dependencies,
+# against one node and against the SPM-staged run); the online disk
+# source; the marker that keeps a window of states from being read as
+# state + images; and the counters a reusing, a recomputing and a
+# single-node run must agree on.
+for t in "recovery a_kill_heals_into_a_window_that_holds_kernel_images" \
+    "recovery a_spare_adopts_an_image_holding_window_from_the_disk_store" \
+    "recovery a_checkpoint_written_under_the_other_window_layout_is_refused_not_misread" \
+    "counter_audit reusing_kernel_images_counts_what_recomputing_counts_on_ranks_and_on_one_node"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p msc-comm --test ${t% *} --offline "${t#* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
+out=$(cargo test -q -p msc-comm --lib --offline \
+  checkpoint::tests::a_runs_store_reads_only_the_layout_it_holds -- --exact)
+grep -q '1 passed' <<<"$out"
 
 echo "== execution-tier differential (staging x tier x dtype matrix) =="
 # Every catalog stencil must produce grids bit-identical (to_bits) to the
 # serial reference in every cell of {direct, SPM, time-block} x {interp,
 # VM, specialized} x {f32, f64}, signed zeros included (DESIGN.md §12.3,
 # §18.2) — the interpreter is the oracle. Direct staging runs every cell
-# under both boundaries, with kernel images by rule and forced off.
+# under both boundaries, with kernel images by rule and forced off, and
+# by rule once more the way a rank steps: owned seed, two tile subsets
+# around a hook (DESIGN.md §13.5).
 cargo test -q -p msc-exec --lib --offline tier_differential::
 # Kernel-image reuse (DESIGN.md §12.6), by exact name, one test each: the
 # hand programs (term orders, depths, skipped dt, 0..2*depth+3 steps)
 # by rule and forced onto the recomputing step; the decline for different
 # kernels; signed zeros, infinities and NaN payloads through an image;
-# thread counts; the property test over random programs; the decision
+# thread counts; a window snapshotted after any step count and restored
+# into another loop; the property test over random programs; the decision
 # rule; the ring's typed refusal; the sweep's second output grid.
 for t in tier_differential::kernel_image_reuse_matches_recomputing_on_hand_programs \
+    tier_differential::a_window_restored_from_its_slots_at_any_step_continues_bit_for_bit \
     tier_differential::terms_naming_different_kernels_decline_kernel_images \
     tier_differential::kernel_images_carry_signed_zeros_infinities_and_nan_payloads \
     tier_differential::kernel_image_reuse_is_the_same_on_any_thread_count \

@@ -131,9 +131,7 @@ impl Kind {
             K::Millis(min, set) => set(o, at_least(v, min)?),
             K::Text(set) => set(o, v)?,
             K::Target => {
-                let all = [Target::SunwayCG, Target::Matrix, Target::Cpu];
-                let named = all.into_iter().find(|t| t.as_str() == v);
-                o.target = Some(named.ok_or("expected sunway, matrix or cpu")?);
+                o.target = Some(Target::from_name(v).ok_or("expected sunway, matrix or cpu")?);
             }
             K::Tier => {
                 o.dist.tier = msc::exec::ExecTier::parse(v)
@@ -966,6 +964,13 @@ fn drive(mut o: Opts) -> Outcome {
             }
             let (out, stats) = ran?;
             trace_on(false);
+            // What evaluated each rank's rows, as the serial banner below
+            // says it: every rank compiles the program against a sub-grid
+            // of this shape, and its time loop is the single node's.
+            let sub =
+                msc::comm::CartDecomp::new(shape, &procs, &program.stencil.reach())?.sub_extent();
+            let blank: Grid<f64> = Grid::zeros(&sub, &program.grid.halo);
+            let tier = msc::exec::TieredStencil::compile(&program, &blank, o.dist.tier)?.describe();
             // Which channel the frames crossed and why: the runtime checksums
             // them exactly when the world has a fault plan.
             let frames = match &o.dist.chaos {
@@ -973,7 +978,7 @@ fn drive(mut o: Opts) -> Outcome {
                 None => "frames unchecked: no fault plan".to_string(),
             };
             let banner = format!(
-                "distributed run over {} ranks {:?} ({frames}): {} steps in {:.1} ms; {} halo msgs, \
+                "distributed run over {} ranks {:?} ({frames}): {} steps in {:.1} ms ({tier}); {} halo msgs, \
                  {} faults injected, {} retransmits, {} restarts, {} recoveries, \
                  {} checkpoint bytes; interior checksum {:.6e}",
                 stats.ranks,

@@ -118,6 +118,37 @@ fn chaos_run_heals_and_verifies_bit_exactly() {
         stdout.contains("(frames checked: fault plan 42)"),
         "{stdout}"
     );
+    // And what evaluated each rank's rows, as the serial banner does.
+    assert!(
+        stdout.contains(", prefetch off, kernel recomputed (terms name different kernels)); "),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("verified vs serial reference: bit-identical"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ranks_reuse_kernel_images_and_the_banner_says_so() {
+    let dir = std::env::temp_dir().join("mscc_cli_rank_images");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = mscc()
+        .arg(dsl("3d7pt.msc"))
+        .arg("-o")
+        .arg(&dir)
+        .args(["--run", "--procs", "2x1x1"])
+        .output()
+        .expect("mscc runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    // One kernel over `t-1` and `t-2`: a rank's time loop is the single
+    // node's, so it keeps kernel images too.
+    assert!(
+        stdout.contains(" ms (specialized tier, ") && stdout.contains(", kernel image reused); "),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("verified vs serial reference: bit-identical"),
         "{stdout}"
