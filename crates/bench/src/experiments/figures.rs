@@ -164,6 +164,7 @@ pub mod scaling {
     use super::*;
     use msc_core::analysis::StencilStats;
     use msc_core::catalog::{benchmark, BenchmarkId};
+    use msc_core::halo::CartDecomp;
     use msc_core::prelude::*;
     use msc_core::schedule::{preset_for_grid, ExecPlan};
     use msc_machine::presets::{taihulight_network, tianhe3_network};
@@ -312,10 +313,7 @@ pub mod scaling {
             let sched = preset_for_grid(dim, bench.points(), target, &cfg.sub_grid);
             let plan = ExecPlan::lower(&sched, dim, &cfg.sub_grid)?;
             let dc = DistributedConfig {
-                global_grid: global,
-                mpi_grid: cfg.mpi_grid.clone(),
-                reach: p.stencil.reach(),
-                n_states: stats.time_deps,
+                decomp: CartDecomp::new(&global, &cfg.mpi_grid, &p.stencil.reach())?,
                 prec: Precision::Fp64,
             };
             let rep = simulate_distributed(&dc, &stats, &plan, &machine, &network)?;

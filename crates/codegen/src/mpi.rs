@@ -1,40 +1,51 @@
 //! MPI variant: wraps the single-node kernel with domain decomposition
 //! and the asynchronous halo exchange of the communication library
 //! (paper §4.4) — pack, `MPI_Isend`/`MPI_Irecv`, `MPI_Waitall`, unpack,
-//! dimension-ordered so box-stencil corners propagate.
-
+//! dimension-ordered so box-stencil corners propagate. Which box goes to
+//! which neighbour under which tag is not derived here: the driver prints
+//! the rows of the halo plan `msc-comm` runs ([`msc_core::halo`]).
 
 use crate::ir_to_c::Layout;
 use msc_core::error::Result;
+use msc_core::halo::{Backend, CartDecomp, HaloMsg, HaloPlan};
 use msc_core::prelude::*;
 use msc_core::schedule::Target;
 
-/// Emit the sub-grid geometry and pack/unpack helpers of the generated
-/// MPI driver: face extents, region odometer copies, buffer allocation,
-/// and deterministic input loading.
-#[allow(clippy::needless_range_loop)] // dimension loops index several parallel arrays
-fn face_helpers(layout: &Layout, elem: &str) -> String {
+const DIMS: [&str; 3] = ["X", "Y", "Z"];
+
+/// `{ a, b, c }`.
+fn c_list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
+    format!("{{ {} }}", items.join(", "))
+}
+
+/// The dimension-ordered plan for the program's decomposition with every
+/// row in it. Rows do not depend on the rank (the decomposition is even),
+/// so they are read off a rank of the all-periodic twin, which has both
+/// faces of every phase; in the emitted C `MPI_Cart_shift` decides which
+/// rows a rank uses. The halo width is the layout's, so the boxes index
+/// the buffers the kernel reads.
+fn torus_plan(layout: &Layout, procs: &[usize]) -> Result<HaloPlan> {
+    let torus = CartDecomp::new(&layout.shape, procs, &layout.halo)?
+        .with_periodicity(&vec![true; layout.ndim])?;
+    Ok(HaloPlan::new(&torus, 0, Backend::DimOrdered))
+}
+
+/// Emit the sub-grid geometry of the generated MPI driver: local
+/// extents, strides and the region odometer copy.
+fn geometry(layout: &Layout, elem: &str) -> String {
     let ndim = layout.ndim;
-    let dims = ["X", "Y", "Z"];
     let mut c = String::new();
 
     // Local (per-rank) geometry. The kernel object linked next to this
     // driver must be generated for the sub-grid shape.
-    for d in 0..ndim {
-        c += &format!("#define L{0} (N{0} / PROCS{0})\n", dims[d]);
-        c += &format!("#define PL{0} (L{0} + 2 * H{0})\n", dims[d]);
+    for d in &DIMS[..ndim] {
+        c += &format!("#define L{d} (N{d} / PROCS{d})\n");
+        c += &format!("#define PL{d} (L{d} + 2 * H{d})\n");
     }
     c += &format!(
-        "static const long LDIM[{ndim}] = {{ {} }};\n",
-        (0..ndim).map(|d| format!("L{}", dims[d])).collect::<Vec<_>>().join(", ")
-    );
-    c += &format!(
-        "static const long LHALO[{ndim}] = {{ {} }};\n",
-        (0..ndim).map(|d| format!("H{}", dims[d])).collect::<Vec<_>>().join(", ")
-    );
-    c += &format!(
-        "static const long LPAD[{ndim}] = {{ {} }};\n",
-        (0..ndim).map(|d| format!("PL{}", dims[d])).collect::<Vec<_>>().join(", ")
+        "static const long LPAD[{ndim}] = {};\n",
+        c_list(DIMS[..ndim].iter().map(|d| format!("PL{d}")))
     );
     c += &format!("static long LSTRIDE[{ndim}];\nstatic long LPAD_LEN;\n\n");
 
@@ -47,30 +58,7 @@ fn face_helpers(layout: &Layout, elem: &str) -> String {
         last = ndim - 1
     );
 
-    // Face geometry: dims already exchanged span the full padded range
-    // (corner propagation), later dims span the interior.
-    c += &format!(
-        "static void face_region(int d, int dir, int send, long start[{ndim}], long ext[{ndim}]) {{\n\
-         \x20   for (int dd = 0; dd < {ndim}; dd++) {{\n\
-         \x20       if (dd < d) {{ start[dd] = 0; ext[dd] = LPAD[dd]; }}\n\
-         \x20       else        {{ start[dd] = LHALO[dd]; ext[dd] = LDIM[dd]; }}\n\
-         \x20   }}\n\
-         \x20   ext[d] = LHALO[d];\n\
-         \x20   if (send) start[d] = dir ? LDIM[d] : LHALO[d];\n\
-         \x20   else      start[d] = dir ? LHALO[d] + LDIM[d] : 0;\n\
-         }}\n\n"
-    );
-
-    c += &format!(
-        "static long face_count(int d) {{\n\
-         \x20   long start[{ndim}], ext[{ndim}], n = 1;\n\
-         \x20   face_region(d, 0, 1, start, ext);\n\
-         \x20   for (int dd = 0; dd < {ndim}; dd++) n *= ext[dd];\n\
-         \x20   return n;\n\
-         }}\n\n"
-    );
-
-    // Row-wise odometer copy, shared by pack (dir_out=1) and unpack.
+    // Row-wise odometer copy, shared by pack (pack=1) and unpack.
     c += &format!(
         "static long copy_region({elem}* g, const long start[{ndim}], const long ext[{ndim}], {elem}* buf, int pack) {{\n\
          \x20   long c[{ndim}] = {{ 0 }};\n\
@@ -93,30 +81,100 @@ fn face_helpers(layout: &Layout, elem: &str) -> String {
          }}\n\n",
         last = ndim - 1
     );
+    c
+}
 
-    c += &format!(
-        "static long pack_face({elem}* g, int d, int dir, {elem}* buf) {{\n\
-         \x20   long start[{ndim}], ext[{ndim}];\n\
-         \x20   face_region(d, dir, 1, start, ext);\n\
-         \x20   return copy_region(g, start, ext, buf, 1);\n\
-         }}\n\n\
-         static void unpack_face({elem}* g, int d, int dir, {elem}* buf) {{\n\
-         \x20   long start[{ndim}], ext[{ndim}];\n\
-         \x20   face_region(d, dir, 0, start, ext);\n\
-         \x20   copy_region(g, start, ext, buf, 0);\n\
+/// Emit the halo exchange in two pieces: the plan's rows as a static
+/// table with one send and one receive buffer per row, and the loop that
+/// runs the phases in order, asynchronous inside a phase. A stencil that
+/// reaches into no dimension has no rows and exchanges nothing.
+fn halo_section(rows: &[Vec<HaloMsg>], ndim: usize, elem: &str) -> (String, String) {
+    if rows.is_empty() {
+        return (
+            "static void alloc_halo_buffers(void) {}\n\n".into(),
+            format!("static void halo_exchange({elem}* g) {{ (void)g; }}\n\n"),
+        );
+    }
+    let mpi_ty = if elem == "float" { "MPI_FLOAT" } else { "MPI_DOUBLE" };
+    let mut table = String::new();
+    table += "/* The halo plan, one phase per exchanged dimension: its -1 and +1 face,\n\
+         \x20  boxes in local padded coordinates. The same rows on every rank. */\n";
+    table += &format!("#define N_PHASES {}\n", rows.len());
+    table += &format!(
+        "static const struct halo_face {{\n\
+         \x20   int dim;\n\
+         \x20   long send[{ndim}], recv[{ndim}], ext[{ndim}], count;\n\
+         \x20   int send_tag, recv_tag;\n\
+         }} HALO[N_PHASES][2] = {{\n"
+    );
+    let row = |m: &HaloMsg| {
+        let dim = m
+            .offset
+            .iter()
+            .position(|&o| o != 0)
+            .expect("a face has a direction");
+        format!(
+            "{{ {dim}, {}, {}, {}, {}, {}, {} }}",
+            c_list(&m.send.start),
+            c_list(&m.recv.start),
+            c_list(&m.send.extent),
+            m.send.len(),
+            m.send_tag,
+            m.recv_tag
+        )
+    };
+    for phase in rows {
+        table += &format!("    {{ {},\n      {} }},\n", row(&phase[0]), row(&phase[1]));
+    }
+    table += "};\n";
+    table += &format!(
+        "static {elem}* send_buf[N_PHASES][2];\nstatic {elem}* recv_buf[N_PHASES][2];\n\n"
+    );
+
+    table += &format!(
+        "static void alloc_halo_buffers(void) {{\n\
+         \x20   for (int p = 0; p < N_PHASES; p++)\n\
+         \x20       for (int dir = 0; dir < 2; dir++) {{\n\
+         \x20           send_buf[p][dir] = ({elem}*)malloc(sizeof({elem}) * HALO[p][dir].count);\n\
+         \x20           recv_buf[p][dir] = ({elem}*)malloc(sizeof({elem}) * HALO[p][dir].count);\n\
+         \x20       }}\n\
          }}\n\n"
     );
 
+    // Halo exchange: dimension-ordered, asynchronous per phase.
+    let mut c = format!("static void halo_exchange({elem}* g) {{\n");
+    c += "    for (int p = 0; p < N_PHASES; p++) {\n";
+    c += "        MPI_Request reqs[4];\n";
+    c += "        int nreq = 0;\n";
+    c += "        for (int dir = 0; dir < 2; dir++) {\n";
+    c += "            const struct halo_face* f = &HALO[p][dir];\n";
+    c += "            if (nbr[f->dim][dir] == MPI_PROC_NULL) continue;\n";
+    c += "            copy_region(g, f->send, f->ext, send_buf[p][dir], 1);\n";
     c += &format!(
+        "            MPI_Isend(send_buf[p][dir], f->count, {mpi_ty}, nbr[f->dim][dir], f->send_tag, cart, &reqs[nreq++]);\n"
+    );
+    c += &format!(
+        "            MPI_Irecv(recv_buf[p][dir], f->count, {mpi_ty}, nbr[f->dim][dir], f->recv_tag, cart, &reqs[nreq++]);\n"
+    );
+    c += "        }\n";
+    c += "        MPI_Waitall(nreq, reqs, MPI_STATUSES_IGNORE);\n";
+    c += "        for (int dir = 0; dir < 2; dir++) {\n";
+    c += "            const struct halo_face* f = &HALO[p][dir];\n";
+    c += "            if (nbr[f->dim][dir] != MPI_PROC_NULL) copy_region(g, f->recv, f->ext, recv_buf[p][dir], 0);\n";
+    c += "        }\n";
+    c += "    }\n";
+    c += "}\n\n";
+    (table, c)
+}
+
+/// Emit buffer allocation and deterministic input loading.
+fn buffers_and_input(elem: &str) -> String {
+    format!(
         "static void alloc_buffers(void) {{\n\
          \x20   init_geometry();\n\
          \x20   for (int s = 0; s < WINDOW; s++)\n\
          \x20       state[s] = ({elem}*)malloc(sizeof({elem}) * LPAD_LEN);\n\
-         \x20   for (int d = 0; d < {ndim}; d++)\n\
-         \x20       for (int dir = 0; dir < 2; dir++) {{\n\
-         \x20           send_buf[2*d + dir] = ({elem}*)malloc(sizeof({elem}) * face_count(d));\n\
-         \x20           recv_buf[2*d + dir] = ({elem}*)malloc(sizeof({elem}) * face_count(d));\n\
-         \x20       }}\n\
+         \x20   alloc_halo_buffers();\n\
          }}\n\n\
          /* Deterministic input, standing in for /data/rand.data; a path\n\
          \x20  argument overrides it with binary doubles. */\n\
@@ -136,8 +194,7 @@ fn face_helpers(layout: &Layout, elem: &str) -> String {
          \x20           state[s][i] = ({elem})((double)x / 4294967296.0);\n\
          \x20       }}\n\
          }}\n\n"
-    );
-    c
+    )
 }
 
 /// Generate the MPI main translation unit. The kernel itself is the
@@ -150,9 +207,8 @@ pub fn generate(program: &StencilProgram, target: Target) -> Result<String> {
         .clone()
         .unwrap_or_else(|| vec![1; layout.ndim]);
     let ndim = layout.ndim;
-    let dims = ["X", "Y", "Z"];
+    let plan = torus_plan(&layout, &mpi)?;
     let max_dt = program.stencil.max_dt();
-    let mpi_ty = if elem == "float" { "MPI_FLOAT" } else { "MPI_DOUBLE" };
 
     let mut c = String::new();
     c += &format!(
@@ -163,33 +219,29 @@ pub fn generate(program: &StencilProgram, target: Target) -> Result<String> {
     c += "#include <mpi.h>\n#include <stdio.h>\n#include <stdlib.h>\n#include <string.h>\n\n";
     c += &layout.defines();
     c += &format!("#define STEPS {}\n#define MAXDT {}\n", program.timesteps, max_dt);
-    for d in 0..ndim {
-        c += &format!("#define PROCS{} {}\n", dims[d], mpi[d]);
+    for (d, procs) in DIMS.iter().zip(&mpi) {
+        c += &format!("#define PROCS{d} {procs}\n");
     }
     c += &format!(
         "#define N_PROCS {}\n\n",
         mpi.iter().product::<usize>()
     );
     c += &format!("extern void msc_step(const {elem}* in[MAXDT], {elem}* out);\n\n");
-    c += &format!("static {elem}* state[WINDOW];\n");
-    c += &format!("static {elem}* send_buf[{}];\nstatic {elem}* recv_buf[{}];\n\n", 2 * ndim, 2 * ndim);
+    c += &format!("static {elem}* state[WINDOW];\n\n");
 
     // Neighbour computation from the Cartesian communicator.
     c += "static MPI_Comm cart;\nstatic int my_rank;\nstatic int nbr[";
     c += &format!("{}][2];\n\n", ndim);
 
-    // Face geometry helpers: the inner-halo (send) and outer-halo (recv)
-    // regions of each dimension, dimension-ordered so corners propagate
-    // (same scheme as the msc-comm library).
-    c += &face_helpers(&layout, elem);
+    let (halo_table, halo_exchange) = halo_section(plan.phases(), ndim, elem);
+    c += &geometry(&layout, elem);
+    c += &halo_table;
+    c += &buffers_and_input(elem);
 
     c += "static void setup_cart(void) {\n";
     c += &format!(
-        "    int dims[{ndim}] = {{ {} }};\n",
-        (0..ndim)
-            .map(|d| format!("PROCS{}", dims[d]))
-            .collect::<Vec<_>>()
-            .join(", ")
+        "    int dims[{ndim}] = {};\n",
+        c_list(DIMS[..ndim].iter().map(|d| format!("PROCS{d}")))
     );
     c += &format!("    int periods[{ndim}] = {{ 0 }};\n");
     c += &format!("    MPI_Cart_create(MPI_COMM_WORLD, {ndim}, dims, periods, 0, &cart);\n");
@@ -198,26 +250,7 @@ pub fn generate(program: &StencilProgram, target: Target) -> Result<String> {
     c += "        MPI_Cart_shift(cart, d, 1, &nbr[d][0], &nbr[d][1]);\n";
     c += "}\n\n";
 
-    // Halo exchange: dimension-ordered, asynchronous per dimension.
-    c += &format!("static void halo_exchange({elem}* g) {{\n");
-    c += &format!("    for (int d = 0; d < {ndim}; d++) {{\n");
-    c += "        MPI_Request reqs[4];\n";
-    c += "        int nreq = 0;\n";
-    c += "        for (int dir = 0; dir < 2; dir++) {\n";
-    c += "            if (nbr[d][dir] == MPI_PROC_NULL) continue;\n";
-    c += "            long count = pack_face(g, d, dir, send_buf[2*d + dir]);\n";
-    c += &format!(
-        "            MPI_Isend(send_buf[2*d + dir], count, {mpi_ty}, nbr[d][dir], 100*d + dir, cart, &reqs[nreq++]);\n"
-    );
-    c += &format!(
-        "            MPI_Irecv(recv_buf[2*d + dir], face_count(d), {mpi_ty}, nbr[d][dir], 100*d + (1 - dir), cart, &reqs[nreq++]);\n"
-    );
-    c += "        }\n";
-    c += "        MPI_Waitall(nreq, reqs, MPI_STATUSES_IGNORE);\n";
-    c += "        for (int dir = 0; dir < 2; dir++)\n";
-    c += "            if (nbr[d][dir] != MPI_PROC_NULL) unpack_face(g, d, dir, recv_buf[2*d + dir]);\n";
-    c += "    }\n";
-    c += "}\n\n";
+    c += &halo_exchange;
 
     c += "int main(int argc, char** argv) {\n";
     c += "    MPI_Init(&argc, &argv);\n";
@@ -288,13 +321,11 @@ mod tests {
     fn every_referenced_helper_is_defined() {
         let c = gen();
         for helper in [
-            "pack_face",
-            "unpack_face",
-            "face_count",
+            "alloc_halo_buffers",
             "alloc_buffers",
             "load_input",
             "copy_region",
-            "face_region",
+            "halo_exchange",
         ] {
             assert!(
                 c.contains(&format!("static long {helper}("))
@@ -312,57 +343,150 @@ mod tests {
     }
 
     #[test]
-    fn generated_mpi_driver_compiles_with_mpi_stubs() {
-        // Compile the generated driver against a minimal MPI stub header
-        // and a stub kernel — proves it is self-contained, valid C.
-        let Ok(out) = std::process::Command::new("cc").arg("--version").output() else {
-            return;
-        };
-        if !out.status.success() {
-            return;
-        }
+    fn the_table_is_the_plan_of_every_rank() {
+        // 256^3 over 4x4x4: an interior rank's plan, row for row.
         let c = gen();
-        let dir = std::env::temp_dir().join("msc_mpi_compile_check");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("mpi_main.c"), &c).unwrap();
-        std::fs::write(
-            dir.join("mpi.h"),
-            r#"
+        let d = CartDecomp::new(&[256; 3], &[4; 3], &[1; 3]).unwrap();
+        let interior = d.rank_of(&[1, 1, 1]);
+        let plan = HaloPlan::new(&d, interior, Backend::DimOrdered);
+        assert_eq!(plan.volume().0, 6);
+        for m in plan.phases().iter().flatten() {
+            let row = format!(
+                "{}, {}, {}, {}, {}, {} }}",
+                c_list(&m.send.start),
+                c_list(&m.recv.start),
+                c_list(&m.send.extent),
+                m.send.len(),
+                m.send_tag,
+                m.recv_tag
+            );
+            assert!(c.contains(&row), "no row `{row}` in\n{c}");
+        }
+        assert!(c.contains("#define N_PHASES 3"));
+    }
+
+    /// A stub `mpi.h` for one rank on a torus: `MPI_Cart_shift` reports
+    /// the rank itself on both sides, `MPI_Isend` parks the buffer under
+    /// its tag, `MPI_Waitall` delivers it to the `MPI_Irecv` posted under
+    /// the same tag. A datatype is its size in bytes.
+    const LOOPBACK_MPI_H: &str = r#"
 #ifndef MSC_MPI_STUB
 #define MSC_MPI_STUB
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
 typedef int MPI_Comm, MPI_Request, MPI_Datatype;
 #define MPI_COMM_WORLD 0
 #define MPI_PROC_NULL (-1)
-#define MPI_DOUBLE 0
-#define MPI_FLOAT 1
+#define MPI_DOUBLE 8
+#define MPI_FLOAT 4
 #define MPI_STATUSES_IGNORE ((void*)0)
+static struct msc_msg { void* buf; long bytes; int tag; } msc_sent[8], msc_wanted[8];
+static int msc_n_sent, msc_n_wanted;
 static int MPI_Init(int* a, char*** b) { (void)a; (void)b; return 0; }
 static int MPI_Finalize(void) { return 0; }
 static int MPI_Cart_create(MPI_Comm c, int n, int* d, int* p, int r, MPI_Comm* o) { (void)c;(void)n;(void)d;(void)p;(void)r;*o=0; return 0; }
 static int MPI_Comm_rank(MPI_Comm c, int* r) { (void)c; *r = 0; return 0; }
-static int MPI_Cart_shift(MPI_Comm c, int d, int s, int* lo, int* hi) { (void)c;(void)d;(void)s;*lo=MPI_PROC_NULL;*hi=MPI_PROC_NULL; return 0; }
-static int MPI_Isend(void* b, long n, MPI_Datatype t, int d, int tg, MPI_Comm c, MPI_Request* r) { (void)b;(void)n;(void)t;(void)d;(void)tg;(void)c;*r=0; return 0; }
-static int MPI_Irecv(void* b, long n, MPI_Datatype t, int s, int tg, MPI_Comm c, MPI_Request* r) { (void)b;(void)n;(void)t;(void)s;(void)tg;(void)c;*r=0; return 0; }
-static int MPI_Waitall(int n, MPI_Request* r, void* st) { (void)n;(void)r;(void)st; return 0; }
+static int MPI_Cart_shift(MPI_Comm c, int d, int s, int* lo, int* hi) { (void)c;(void)d;(void)s;*lo=0;*hi=0; return 0; }
+static int MPI_Isend(void* b, long n, MPI_Datatype t, int d, int tg, MPI_Comm c, MPI_Request* r) {
+    (void)d;(void)c; *r = 0;
+    msc_sent[msc_n_sent++] = (struct msc_msg){ b, n * t, tg };
+    return 0;
+}
+static int MPI_Irecv(void* b, long n, MPI_Datatype t, int s, int tg, MPI_Comm c, MPI_Request* r) {
+    (void)s;(void)c; *r = 0;
+    msc_wanted[msc_n_wanted++] = (struct msc_msg){ b, n * t, tg };
+    return 0;
+}
+static int MPI_Waitall(int n, MPI_Request* r, void* st) {
+    (void)n;(void)r;(void)st;
+    for (int w = 0; w < msc_n_wanted; w++) {
+        int s = 0;
+        while (s < msc_n_sent && msc_sent[s].tag != msc_wanted[w].tag) s++;
+        if (s == msc_n_sent || msc_sent[s].bytes != msc_wanted[w].bytes) {
+            fprintf(stderr, "no send matches the receive under tag %d\n", msc_wanted[w].tag);
+            exit(2);
+        }
+        memcpy(msc_wanted[w].buf, msc_sent[s].buf, msc_sent[s].bytes);
+    }
+    msc_n_sent = msc_n_wanted = 0;
+    return 0;
+}
 static double MPI_Wtime(void) { return 0.0; }
 #endif
+"#;
+
+    /// Compile the generated driver (strict C99, so it is also the proof
+    /// that it is self-contained, valid C) into a harness that runs its
+    /// `halo_exchange` once on the loop-back torus: the interior holds a
+    /// function of the cell's coordinate, the halo NaN, and afterwards
+    /// every padded cell must hold the value of the interior cell it wraps
+    /// onto. Returns `(padded cells, cells that do not)`; `None` without a
+    /// host `cc`.
+    fn run_loopback_exchange(program: &StencilProgram, tag: &str) -> Option<(usize, usize)> {
+        let out = std::process::Command::new("cc")
+            .arg("--version")
+            .output()
+            .ok()?;
+        if !out.status.success() {
+            return None;
+        }
+        let layout = Layout::of(program);
+        let (ndim, elem) = (layout.ndim, layout.elem_c);
+        let per_dim = |prefix: &str| c_list(DIMS[..ndim].iter().map(|d| format!("{prefix}{d}")));
+        let harness = format!(
+            r#"#define main msc_generated_main
+#include "mpi_main.c"
+#undef main
+#include <math.h>
+void msc_step(const {elem}* in[MAXDT], {elem}* out) {{ (void)in; (void)out; }}
+static const long HW[{ndim}] = {halo}, LD[{ndim}] = {local};
+/* What padded cell `i` holds once its halo is filled: a function of the
+   interior coordinate it wraps onto. */
+static {elem} wrapped(long i, int* interior) {{
+    {elem} v = 1;
+    *interior = 1;
+    for (int d = 0; d < {ndim}; d++) {{
+        long c = i / LSTRIDE[d] % LPAD[d] - HW[d];
+        if (c < 0 || c >= LD[d]) *interior = 0;
+        v = v * 31 + ({elem})((c + LD[d]) % LD[d]);
+    }}
+    return v;
+}}
+int main(void) {{
+    int interior;
+    setup_cart();
+    alloc_buffers();
+    {elem}* g = state[0];
+    for (long i = 0; i < LPAD_LEN; i++) {{
+        {elem} v = wrapped(i, &interior);
+        g[i] = interior ? v : ({elem})NAN;
+    }}
+    halo_exchange(g);
+    long bad = 0;
+    for (long i = 0; i < LPAD_LEN; i++) bad += !(g[i] == wrapped(i, &interior));
+    printf("%ld %ld\n", LPAD_LEN, bad);
+    return 0;
+}}
 "#,
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("kernel_stub.c"),
-            "void msc_step(const double* in[2], double* out) { (void)in; (void)out; }\n",
-        )
-        .unwrap();
-        let exe = dir.join("driver");
+            halo = per_dim("H"),
+            local = per_dim("L"),
+        );
+        let dir =
+            std::env::temp_dir().join(format!("msc_mpi_loopback_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let c = generate(program, Target::Cpu).unwrap();
+        std::fs::write(dir.join("mpi_main.c"), c).unwrap();
+        std::fs::write(dir.join("mpi.h"), LOOPBACK_MPI_H).unwrap();
+        std::fs::write(dir.join("harness.c"), harness).unwrap();
+        let exe = dir.join("harness");
         let out = std::process::Command::new("cc")
             .args(["-O1", "-std=c99", "-I"])
             .arg(&dir)
             .arg("-o")
             .arg(&exe)
-            .arg(dir.join("mpi_main.c"))
-            .arg(dir.join("kernel_stub.c"))
+            .arg(dir.join("harness.c"))
             .output()
             .expect("cc invocation");
         assert!(
@@ -370,6 +494,76 @@ static double MPI_Wtime(void) { return 0.0; }
             "generated MPI driver failed to compile:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
+        let out = std::process::Command::new(&exe)
+            .output()
+            .expect("harness runs");
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let _ = std::fs::remove_dir_all(&dir);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let mut counts = stdout.split_whitespace().map(|n| n.parse().unwrap());
+        Some((counts.next().unwrap(), counts.next().unwrap()))
+    }
+
+    #[test]
+    fn the_printed_exchange_fills_every_halo_cell_on_a_loopback_torus() {
+        // The runtime's `exchange_on_a_torus_with_self_messages`, for the
+        // C we print. A 2-D box stencil of reach 2 needs its corners; the
+        // 3-D star is the driver the golden file pins.
+        let boxed = StencilProgram::builder("box2")
+            .grid_2d("B", DType::F64, [12, 8], 2, 2)
+            .kernel(Kernel::boxed("K", 2, 2, 0.5).unwrap())
+            .mpi_grid(&[1, 1])
+            .build()
+            .unwrap();
+        let mut star = benchmark(BenchmarkId::S3d7ptStar)
+            .program(&[32, 16, 16], DType::F32, 4)
+            .unwrap();
+        star.mpi_grid = Some(vec![2, 1, 2]);
+        for (program, tag, padded) in [(boxed, "box2", 16 * 12), (star, "star3", 18 * 18 * 10)] {
+            let Some(counts) = run_loopback_exchange(&program, tag) else {
+                return;
+            };
+            assert_eq!(counts, (padded, 0), "{tag}: (padded cells, wrong cells)");
+        }
+    }
+
+    #[test]
+    fn a_dimension_nothing_reaches_into_has_no_rows() {
+        // Reach [1, 0], the surface syntax cannot say it: the halo is as
+        // wide as the reach, so dimension 1 has no halo to fill and the
+        // plan no phase for it (the runtime drops it the same way).
+        let mut grid = SpNode::new("B", DType::F64, &[8, 8], 1, 2).unwrap();
+        grid.halo = vec![1, 0];
+        let column = Expr::at("B", &[-1, 0]) + Expr::at("B", &[0, 0]) + Expr::at("B", &[1, 0]);
+        let program = StencilProgram::builder("column")
+            .grid(grid)
+            .kernel(Kernel::new("K", 2, column).unwrap())
+            .mpi_grid(&[2, 2])
+            .build()
+            .unwrap();
+        let c = generate(&program, Target::Cpu).unwrap();
+        assert!(c.contains("#define N_PHASES 1"));
+        assert!(c.contains("{ 0, { 1, 0 }, { 0, 0 }, { 1, 4 }, 4, 0, 1 }"));
+        if let Some(counts) = run_loopback_exchange(&program, "column") {
+            assert_eq!(counts, (6 * 4, 0));
+        }
+        // Nothing reached at all: nothing to exchange, still valid C.
+        let mut grid = SpNode::new("B", DType::F64, &[8, 8], 0, 2).unwrap();
+        grid.halo = vec![0, 0];
+        let program = StencilProgram::builder("pointwise")
+            .grid(grid)
+            .kernel(Kernel::new("K", 2, 0.5 * Expr::at("B", &[0, 0])).unwrap())
+            .mpi_grid(&[2, 2])
+            .build()
+            .unwrap();
+        let c = generate(&program, Target::Cpu).unwrap();
+        assert!(!c.contains("HALO"));
+        if let Some(counts) = run_loopback_exchange(&program, "pointwise") {
+            assert_eq!(counts, (4 * 4, 0));
+        }
     }
 }

@@ -293,7 +293,7 @@ impl<T: Scalar> BuddySnapshots<T> {
 }
 
 /// Flatten a window ring into one wire payload: the slots' padded
-/// lattices, concatenated in slot order. Every rank of a [`super::decomp::CartDecomp`]
+/// lattices, concatenated in slot order. Every rank of a [`msc_core::halo::CartDecomp`]
 /// has the same sub-extent and halo, so the receiver can reconstruct
 /// the ring from the payload plus its own local shape.
 pub fn ring_to_wire<'g, T: Scalar>(window: impl IntoIterator<Item = &'g Grid<T>>) -> Vec<T> {

@@ -11,16 +11,15 @@
 //! killed mid-flight and healed online by a hot spare.
 
 use crate::checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
-use crate::decomp::CartDecomp;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
-use crate::plan::{Backend, HaloPlan};
-use crate::region::Region;
+use crate::plan;
 use crate::runtime::{
     FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource,
     ReliabilityConfig, Wire, World, WorldConfig, KEEP_GENS,
 };
 use msc_core::error::{MscError, Result};
+use msc_core::halo::{Backend, CartDecomp, HaloPlan, Region};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_exec::boundary::{self, Boundary};
@@ -117,10 +116,9 @@ fn scatter<T: Scalar>(global: &Grid<T>, decomp: &CartDecomp, rank: usize) -> Gri
     let mut local: Grid<T> = Grid::zeros(&sub, &decomp.reach);
     // Local padded coordinate i maps to global *padded* coordinate
     // origin + i (both halos have width `reach`).
-    let src_region = Region::new(origin.clone(), local.padded.clone());
-    let buf = src_region.pack(global);
-    let dst_region = Region::new(vec![0; sub.len()], local.padded.clone());
-    dst_region.unpack(&mut local, &buf);
+    let buf = global.pack(&Region::new(origin, local.padded.clone()));
+    let whole = Region::new(vec![0; sub.len()], local.padded.clone());
+    local.unpack(&whole, &buf);
     local
 }
 
@@ -574,14 +572,14 @@ fn compute_steps<T: Scalar + Wire>(
             let mut posted = None;
             run.step_with(&mut |state, slot| {
                 match posted.take() {
-                    None => posted = Some((halo.begin(ctx, state, slot)?, Instant::now())),
+                    None => posted = Some((plan::begin(&halo, ctx, state, slot)?, Instant::now())),
                     Some((pending, t0)) => {
                         if opts.overlap {
                             let overlap_ns = t0.elapsed().as_nanos() as u64;
                             counters.bump(Counter::OverlapNanos, overlap_ns);
                             msc_trace::record(Counter::OverlapNanos, overlap_ns);
                         }
-                        halo.finish(ctx, state, slot, pending)?;
+                        plan::finish(&halo, ctx, state, slot, pending)?;
                     }
                 }
                 Ok(())
@@ -705,7 +703,7 @@ fn rank_body<T: Scalar + Wire>(
                     None => {
                         let state = run.state();
                         let interior =
-                            Region::new(state.halo.clone(), state.shape.clone()).pack(state);
+                            state.pack(&Region::new(state.halo.clone(), state.shape.clone()));
                         // Keep servicing the fabric until every rank is
                         // done, then fold protocol counters into the
                         // rank's stats.
@@ -860,7 +858,7 @@ fn run_ranks<T: Scalar + Wire>(
                             origin.iter().zip(&reach).map(|(&o, &r)| o + r).collect(),
                             sub.clone(),
                         );
-                        dst.unpack(&mut global, &interior);
+                        global.unpack(&dst, &interior);
                     }
                     if covered.iter().all(|&c| c) && !duplicated {
                         // Steps and rank count are run-global, not

@@ -9,19 +9,19 @@
 //! is shared — every access a rank makes to remote data must have been
 //! received through a message, exactly as in MPI.
 //!
-//! * [`region`] — rectangular sub-regions of a padded grid (pack/unpack);
-//! * [`decomp`] — Cartesian domain decomposition: sub-grids, rank
-//!   coordinates and neighbour ranks (faces and diagonals, periodic or
-//!   not);
+//! * [`msc_core::halo`] (re-exported here) — the pure-data half:
+//!   Cartesian domain decomposition ([`CartDecomp`]), boxes of a padded
+//!   grid ([`Region`]) and the per-rank message table ([`HaloPlan`]:
+//!   peer, inner-halo box to send, outer-halo box to receive, tags,
+//!   grouped into ordered phases; [`Backend`] only chooses how the table
+//!   is filled — dimension-ordered faces whose phase order carries the
+//!   corners, or GCL-style explicit messages to all `3^n − 1`
+//!   neighbours). The emitted MPI C and the simulator read the same table;
 //! * [`runtime`] — the message-passing world: `isend`, `irecv`,
 //!   `wait`, tags, out-of-order delivery buffering, plus the
 //!   ack/retransmit reliability protocol and typed [`CommError`]s;
-//! * [`plan`] — the halo exchange: one per-rank message table
-//!   ([`HaloPlan`]: peer, inner-halo box to send, outer-halo box to
-//!   receive, tags, grouped into ordered phases) and the one loop that
-//!   runs it; [`Backend`] only chooses how the table is filled —
-//!   dimension-ordered faces whose phase order carries the corners, or
-//!   GCL-style explicit messages to all `3^n − 1` neighbours;
+//! * [`plan`] — the one loop that runs a rank's [`HaloPlan`]: pack,
+//!   `isend` / `irecv`, wait, unpack, phase by phase;
 //! * [`fault`] — deterministic seed-driven chaos injection (drops,
 //!   duplicates, reordering, bit corruption, rank kills);
 //! * [`checkpoint`] — periodic window-ring snapshots the resilient
@@ -37,22 +37,18 @@
 
 pub mod checkpoint;
 pub mod collectives;
-pub mod decomp;
 pub mod distributed;
 pub mod error;
 pub mod fault;
 pub mod plan;
-pub mod region;
 pub mod runtime;
 
 pub use checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
 pub use collectives::{allreduce, barrier, broadcast, ReduceOp};
-pub use decomp::CartDecomp;
 pub use distributed::{run_distributed_resilient, CommStats, RunOptions};
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan, KillSpec};
-pub use plan::{Backend, HaloPlan};
-pub use region::Region;
+pub use msc_core::halo::{Backend, CartDecomp, HaloPlan, Region};
 pub use runtime::{
     FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource,
     RecvRequest, ReliabilityConfig, Wire, World, WorldConfig,

@@ -1866,10 +1866,9 @@ mod tests {
 
     #[test]
     fn checked_and_unchecked_worlds_move_the_same_messages() {
-        use crate::decomp::CartDecomp;
         use crate::distributed::{run_distributed_resilient, RunOptions};
-        use crate::plan::{Backend, HaloPlan};
         use msc_core::catalog::{benchmark, BenchmarkId};
+        use msc_core::halo::{Backend, CartDecomp, HaloPlan};
         use msc_core::prelude::DType;
         use msc_core::schedule::{ExecPlan, Schedule};
         use msc_exec::boundary::Boundary;
@@ -1887,7 +1886,7 @@ mod tests {
             World::try_run_with(4, cfg, |mut ctx: RankCtx<f64>| {
                 let mut g: Grid<f64> = Grid::random(&decomp.sub_extent(), &decomp.reach, 7);
                 let plan = HaloPlan::new(&decomp, ctx.rank, Backend::DimOrdered);
-                plan.exchange(&mut ctx, &mut g, 0).unwrap();
+                crate::plan::exchange(&plan, &mut ctx, &mut g, 0).unwrap();
                 ctx.finalize();
                 let bits: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
                 let halo = [Counter::HaloMessages, Counter::HaloBytes].map(|c| ctx.counters.get(c));

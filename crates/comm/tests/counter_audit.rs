@@ -8,13 +8,15 @@
 //! are process-wide, so the tracing-enabled assertions below would race
 //! any concurrently running test that also records counters.
 
-use msc_comm::{run_distributed_resilient, CommStats, RunOptions};
+use msc_comm::{run_distributed_resilient, Backend, CartDecomp, CommStats, HaloPlan, RunOptions};
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
 use msc_core::prelude::*;
 use msc_core::schedule::plan::ExecPlan;
 use msc_core::schedule::Schedule;
 use msc_exec::{run_program_tier, Boundary, ExecTier, Executor, Grid, TieredStencil};
+use msc_machine::model::Precision;
+use msc_sim::DistributedConfig;
 use msc_trace::Counter;
 use std::sync::Mutex;
 
@@ -199,4 +201,62 @@ fn reusing_kernel_images_counts_what_recomputing_counts_on_ranks_and_on_one_node
         on_ranks
     };
     assert_eq!(counted(false), counted(true));
+}
+
+#[test]
+fn a_run_counts_the_plans_volume_and_the_simulator_charges_the_busiest_ranks() {
+    let _g = BANK_LOCK.lock().unwrap();
+    const STEPS: usize = 4;
+    // The benchmark's `halo2r` decomposition first.
+    for (id, global, procs) in [
+        (BenchmarkId::S3d7ptStar, vec![64, 64, 64], vec![2, 1, 1]),
+        (BenchmarkId::S3d7ptStar, vec![16, 16, 16], vec![2, 2, 2]),
+        (BenchmarkId::S2d9ptStar, vec![18, 18], vec![3, 3]), // reach 2
+    ] {
+        let p = benchmark(id).program(&global, DType::F64, STEPS).unwrap();
+        let reach = p.stencil.reach();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 5);
+        for bc in [Boundary::Dirichlet, Boundary::Periodic] {
+            let decomp = CartDecomp::new(&global, &procs, &reach)
+                .unwrap()
+                .with_periodicity(&vec![bc == Boundary::Periodic; global.len()])
+                .unwrap();
+            for backend in [Backend::DimOrdered, Backend::FullNeighbor] {
+                let per_rank: Vec<(usize, usize)> = (0..decomp.n_ranks())
+                    .map(|r| HaloPlan::new(&decomp, r, backend).volume())
+                    .collect();
+                let opts = RunOptions {
+                    backend,
+                    ..RunOptions::default()
+                };
+                let (_, stats) =
+                    run_distributed_resilient(&p, &procs, &init, bc, &opts, plan_halves).unwrap();
+                // Every step but the last publishes its state once.
+                let exchanges = (STEPS - 1) as u64;
+                let (msgs, elems) = per_rank
+                    .iter()
+                    .fold((0, 0), |sum, v| (sum.0 + v.0 as u64, sum.1 + v.1 as u64));
+                let ctx = format!("{procs:?} {bc:?} {backend:?}");
+                assert_eq!(stats.halo_messages(), exchanges * msgs, "{ctx}");
+                assert_eq!(stats.halo_bytes(), exchanges * elems * 8, "{ctx}");
+
+                if (bc, backend) == (Boundary::Dirichlet, Backend::DimOrdered) {
+                    // What the simulator and the tuner's model charge a
+                    // step: the rank no other rank out-sends.
+                    let sim = DistributedConfig {
+                        decomp: decomp.clone(),
+                        prec: Precision::Fp64,
+                    };
+                    let most = per_rank.iter().max_by_key(|v| v.1).unwrap();
+                    assert!(per_rank.iter().all(|v| v.0 <= most.0), "{ctx}");
+                    assert_eq!(sim.halo_volume(), (most.0, (most.1 * 8) as f64), "{ctx}");
+                    if procs == [2, 1, 1] {
+                        // `halo2r` runs 400 steps: 798 messages, 26 148 864 B.
+                        assert_eq!(per_rank, [(1, 4096), (1, 4096)]);
+                        assert_eq!((399 * msgs, 399 * elems * 8), (798, 26_148_864));
+                    }
+                }
+            }
+        }
+    }
 }

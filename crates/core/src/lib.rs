@@ -21,6 +21,9 @@
 //! * **Catalog & analysis** — [`catalog`] generates every benchmark of the
 //!   paper's Table 4 (and arbitrary-radius star/box stencils);
 //!   [`analysis`] derives per-point memory traffic and flop counts.
+//! * **Halo geometry** — [`halo`] holds the Cartesian decomposition and
+//!   the per-rank halo plan (paper §4.4) as plain data: what `msc-comm`
+//!   executes, `msc-codegen` prints and `msc-sim` charges.
 //!
 //! ```
 //! use msc_core::prelude::*;
@@ -44,6 +47,7 @@ pub mod dtype;
 pub mod error;
 pub mod expr;
 pub mod footprint;
+pub mod halo;
 pub mod kernel;
 pub mod parse;
 pub mod schedule;

@@ -1,7 +1,9 @@
 //! The sweep core (DESIGN.md §18): what every tiled sweep — direct,
 //! SPM-staged, time-blocked, variable-coefficient — shares. One row
 //! odometer over a box ([`for_each_row`]), one box copier between
-//! buffers ([`copy_box`]), one place where the output grids are split
+//! buffers ([`copy_box`]) and one between a grid and a flat message
+//! buffer ([`Grid::pack`] / [`Grid::unpack`], what the halo exchange
+//! moves), one place where the output grids are split
 //! into disjoint rows for the workers ([`TileRows`], the crate's only
 //! `unsafe` tile-write site) and one wrapper around
 //! [`pool::run_tile_job`] ([`sweep`]). A sweep writes `N` grids of one
@@ -17,6 +19,7 @@
 use crate::grid::{Grid, GridLayout, Scalar};
 use crate::pool::{self, SendPtr};
 use msc_core::error::{MscError, Result};
+use msc_core::halo::Region;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -83,6 +86,50 @@ pub(crate) fn copy_box<T: Copy>(
         rows += 1;
     });
     rows
+}
+
+/// Visit every row of `region` (padded coordinates) as its index range
+/// in a grid buffer with `strides`, in the order a flat message buffer
+/// holds the rows.
+fn region_rows(strides: &[usize], region: &Region, mut f: impl FnMut(std::ops::Range<usize>)) {
+    let hi: Vec<usize> = (region.start.iter().zip(&region.extent))
+        .map(|(s, e)| s + e)
+        .collect();
+    let len = region.extent[region.extent.len() - 1];
+    for_each_row(&region.start, &hi, |pos| {
+        let at: usize = pos.iter().zip(strides).map(|(p, s)| p * s).sum();
+        f(at..at + len);
+    });
+}
+
+impl<T: Scalar> Grid<T> {
+    /// Copy `region` out of the grid into a flat buffer (paper §4.4:
+    /// "packs the data of the inner halo region in the send buffer").
+    pub fn pack(&self, region: &Region) -> Vec<T> {
+        let mut out = Vec::with_capacity(region.len());
+        let data = self.as_slice();
+        region_rows(&self.strides, region, |row| {
+            out.extend_from_slice(&data[row])
+        });
+        out
+    }
+
+    /// Copy a flat buffer into `region` of the grid ("unpacks the data to
+    /// update the outer halo region"). Panics if the buffer length does
+    /// not match the region size: callers check payloads that arrived
+    /// over a channel first (the halo executor turns a mis-sized one into
+    /// `CommError::Corrupt`).
+    pub fn unpack(&mut self, region: &Region, buf: &[T]) {
+        assert_eq!(buf.len(), region.len(), "unpack size mismatch");
+        let strides = self.strides.clone();
+        let data = self.as_mut_slice();
+        let mut rest = buf;
+        region_rows(&strides, region, |row| {
+            let (head, tail) = rest.split_at(row.len());
+            data[row].copy_from_slice(head);
+            rest = tail;
+        });
+    }
 }
 
 /// The `N` output grids of one sweep — one layout, `N` buffers — while its
@@ -301,6 +348,49 @@ mod tests {
         assert!(rows_of(&[1, 5], &[1, 8]).is_empty());
         assert!(rows_of(&[1, 5], &[3, 5]).is_empty());
         assert!(rows_of(&[4], &[2]).is_empty());
+    }
+
+    fn seq_grid() -> Grid<f64> {
+        let mut g: Grid<f64> = Grid::zeros(&[4, 4], &[1, 1]);
+        for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
+            *v = i as f64;
+        }
+        g
+    }
+
+    #[test]
+    fn pack_extracts_rows() {
+        let g = seq_grid(); // padded 6x6
+        let r = Region::new(vec![1, 1], vec![2, 3]);
+        assert_eq!(g.pack(&r), vec![7.0, 8.0, 9.0, 13.0, 14.0, 15.0]);
+    }
+
+    #[test]
+    fn pack_unpack_roundtrip() {
+        let g = seq_grid();
+        let r = Region::new(vec![2, 0], vec![3, 2]);
+        let p = g.pack(&r);
+        let mut g2: Grid<f64> = Grid::zeros(&[4, 4], &[1, 1]);
+        g2.unpack(&r, &p);
+        assert_eq!(g2.pack(&r), p);
+        // Outside the region stays zero.
+        assert_eq!(g2.as_slice()[0], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unpack size mismatch")]
+    fn unpack_checks_length() {
+        seq_grid().unpack(&Region::new(vec![0, 0], vec![2, 2]), &[1.0]);
+    }
+
+    #[test]
+    fn empty_and_3d_regions_pack_their_element_count() {
+        let r = Region::new(vec![0, 0], vec![0, 3]);
+        assert!(r.is_empty());
+        assert_eq!(seq_grid().pack(&r), Vec::<f64>::new());
+        let g: Grid<f64> = Grid::zeros(&[4, 4, 4], &[1, 1, 1]);
+        let r = Region::new(vec![1, 2, 3], vec![2, 3, 2]);
+        assert_eq!(g.pack(&r).len(), 12);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::report::StepReport;
 use crate::step::{simulate_step, StepInputs};
 use msc_core::analysis::StencilStats;
 use msc_core::error::{MscError, Result};
+use msc_core::halo::{Backend, CartDecomp, HaloPlan};
 use msc_core::schedule::plan::ExecPlan;
 use msc_machine::model::{MachineModel, Precision};
 use msc_machine::NetworkModel;
@@ -12,69 +13,27 @@ use msc_machine::NetworkModel;
 /// Configuration of one distributed run.
 #[derive(Debug, Clone)]
 pub struct DistributedConfig {
-    /// Global grid extents.
-    pub global_grid: Vec<usize>,
-    /// MPI process grid (one process per node/CG).
-    pub mpi_grid: Vec<usize>,
-    /// Stencil reach per dimension (halo width).
-    pub reach: Vec<usize>,
-    /// Live input states exchanged per step.
-    pub n_states: usize,
+    /// The global grid over the MPI process grid (one process per
+    /// node/CG), halo as wide as the stencil reach: the runtime's own
+    /// decomposition, so what it refuses (uneven division, sub-grids
+    /// narrower than the reach) cannot be simulated either.
+    pub decomp: CartDecomp,
     pub prec: Precision,
 }
 
 impl DistributedConfig {
-    /// Number of processes.
-    pub fn n_procs(&self) -> usize {
-        self.mpi_grid.iter().product()
-    }
-
-    /// Per-process sub-grid (requires even divisibility, like the paper's
-    /// configurations in Tables 7/8).
-    pub fn sub_grid(&self) -> Result<Vec<usize>> {
-        self.global_grid
-            .iter()
-            .zip(&self.mpi_grid)
-            .map(|(&g, &p)| {
-                if p == 0 || g % p != 0 {
-                    Err(MscError::InvalidConfig(format!(
-                        "grid extent {g} not divisible by process count {p}"
-                    )))
-                } else {
-                    Ok(g / p)
-                }
-            })
-            .collect()
-    }
-
-    /// Face-neighbour halo exchange volume per process per step: for each
-    /// dimension with more than one process, two faces of
-    /// `reach[d] * (sub-grid cross-section)` elements. Only the freshly
-    /// computed state is exchanged each step — older window states were
-    /// published when they were fresh (see `msc-comm::distributed`).
-    pub fn halo_bytes_per_proc(&self) -> Result<f64> {
-        let sub = self.sub_grid()?;
-        let elem = self.prec.bytes() as f64;
-        let mut bytes = 0.0;
-        for d in 0..sub.len() {
-            if self.mpi_grid[d] < 2 {
-                continue;
-            }
-            let cross: f64 = sub
-                .iter()
-                .enumerate()
-                .filter(|&(dd, _)| dd != d)
-                .map(|(_, &s)| s as f64)
-                .product();
-            bytes += 2.0 * self.reach[d] as f64 * cross * elem;
-        }
-        Ok(bytes)
-    }
-
-    /// Messages per process per step (two per partitioned dimension).
-    pub fn msgs_per_proc(&self) -> usize {
-        let dims = self.mpi_grid.iter().filter(|&&p| p > 1).count();
-        2 * dims
+    /// `(messages, bytes)` the busiest process sends per step: the volume
+    /// of the halo plan `msc-comm` runs by default, for the rank at
+    /// coordinate `min(1, procs − 1)` of every dimension — it has every
+    /// neighbour any rank has, and every rank waits for it. Only the
+    /// freshly computed state is exchanged each step — older window
+    /// states were published when they were fresh (see
+    /// `msc-comm::distributed`).
+    pub fn halo_volume(&self) -> (usize, f64) {
+        let busiest: Vec<usize> = self.decomp.procs.iter().map(|&p| 1.min(p - 1)).collect();
+        let rank = self.decomp.rank_of(&busiest);
+        let (msgs, elems) = HaloPlan::new(&self.decomp, rank, Backend::DimOrdered).volume();
+        (msgs, (elems * self.prec.bytes()) as f64)
     }
 }
 
@@ -100,7 +59,7 @@ pub fn simulate_distributed(
     machine: &MachineModel,
     network: &NetworkModel,
 ) -> Result<DistributedReport> {
-    let sub = cfg.sub_grid()?;
+    let sub = cfg.decomp.sub_extent();
     if plan.grid != sub {
         return Err(MscError::InvalidConfig(format!(
             "plan grid {:?} must equal the sub-grid {:?}",
@@ -110,28 +69,27 @@ pub fn simulate_distributed(
     let kernel = simulate_step(
         &StepInputs {
             stats: *stats,
-            reach: cfg.reach.clone(),
+            reach: cfg.decomp.reach.clone(),
             plan,
             prec: cfg.prec,
         },
         machine,
     );
 
-    let halo_bytes = cfg.halo_bytes_per_proc()?;
-    let msgs = cfg.msgs_per_proc();
+    let (msgs, halo_bytes) = cfg.halo_volume();
     // Wire time overlaps with interior computation (MSC interleaves
     // communication and computation, §3); at most half the kernel time
     // can hide it.
-    let wire_s = network.exchange_time_s(msgs, halo_bytes, cfg.n_procs());
+    let wire_s = network.exchange_time_s(msgs, halo_bytes, cfg.decomp.n_ranks());
     let hidden = (kernel.time_s * 0.5).min(wire_s);
     // Pack/unpack touches the halo bytes once on each side, and the
     // per-message software overhead cannot be hidden.
     let pack_s = machine.mem_time_s(2.0 * halo_bytes);
-    let sw_s = network.software_overhead_s(msgs, halo_bytes, cfg.n_procs());
+    let sw_s = network.software_overhead_s(msgs, halo_bytes, cfg.decomp.n_ranks());
     let comm_s = wire_s - hidden + pack_s + sw_s;
     let step_time_s = kernel.time_s + comm_s;
 
-    let total_flops = kernel.flops * cfg.n_procs() as f64;
+    let total_flops = kernel.flops * cfg.decomp.n_ranks() as f64;
     Ok(DistributedReport {
         step_time_s,
         kernel,
@@ -150,20 +108,21 @@ mod tests {
     use msc_machine::presets::{sunway_cg, taihulight_network};
 
     fn cfg(global: Vec<usize>, mpi: Vec<usize>) -> DistributedConfig {
-        DistributedConfig {
-            global_grid: global,
-            mpi_grid: mpi,
-            reach: vec![1, 1, 1],
-            n_states: 2,
+        config(&global, &mpi, &[1, 1, 1]).unwrap()
+    }
+
+    fn config(global: &[usize], mpi: &[usize], reach: &[usize]) -> Result<DistributedConfig> {
+        Ok(DistributedConfig {
+            decomp: CartDecomp::new(global, mpi, reach)?,
             prec: Precision::Fp64,
-        }
+        })
     }
 
     fn run(c: &DistributedConfig) -> DistributedReport {
         let b = benchmark(BenchmarkId::S3d7ptStar);
-        let p = b.program(&c.global_grid, DType::F64, 2).unwrap();
+        let p = b.program(&c.decomp.global, DType::F64, 2).unwrap();
         let stats = StencilStats::of(&p.stencil, DType::F64).unwrap();
-        let sub = c.sub_grid().unwrap();
+        let sub = c.decomp.sub_extent();
         let sched = preset_for(3, 7, Target::SunwayCG);
         let plan = ExecPlan::lower(&sched, 3, &sub).unwrap();
         simulate_distributed(c, &stats, &plan, &sunway_cg(), &taihulight_network()).unwrap()
@@ -172,30 +131,63 @@ mod tests {
     #[test]
     fn sub_grid_division() {
         let c = cfg(vec![2048, 1024, 1024], vec![8, 4, 4]);
-        assert_eq!(c.sub_grid().unwrap(), vec![256, 256, 256]);
-        assert_eq!(c.n_procs(), 128);
+        assert_eq!(c.decomp.sub_extent(), vec![256, 256, 256]);
+        assert_eq!(c.decomp.n_ranks(), 128);
     }
 
     #[test]
-    fn indivisible_grid_rejected() {
-        let c = cfg(vec![100, 100, 100], vec![3, 1, 1]);
-        assert!(c.sub_grid().is_err());
+    fn the_runtimes_decomposition_rule_rejects_what_it_rejects_there() {
+        assert!(config(&[100, 100, 100], &[3, 1, 1], &[1, 1, 1]).is_err()); // indivisible
+        assert!(config(&[8, 8, 8], &[8, 1, 1], &[2, 2, 2]).is_err()); // sub-grid < reach
+        assert!(config(&[8, 8, 8], &[0, 1, 1], &[1, 1, 1]).is_err());
+        assert!(config(&[8, 8, 8], &[2, 2], &[1, 1, 1]).is_err());
     }
 
     #[test]
-    fn halo_volume_and_messages() {
+    fn halo_volume_is_the_plans_for_the_busiest_rank() {
+        // 256^3 sub-grids, reach 1, a neighbour on both sides of every
+        // dimension: the dim-0 faces are interior-sized, each later
+        // dimension's span the padded range of the earlier ones (that is
+        // how corners travel), two messages per dimension.
         let c = cfg(vec![2048, 1024, 1024], vec![8, 4, 4]);
-        // Per dim: 2 faces x 256^2 x 8B (one fresh state); 3 dims.
-        let expect = 3.0 * 2.0 * 256.0 * 256.0 * 8.0;
-        assert!((c.halo_bytes_per_proc().unwrap() - expect).abs() < 1.0);
-        assert_eq!(c.msgs_per_proc(), 6);
+        let elems = 2 * (256 * 256 + 258 * 256 + 258 * 258);
+        assert_eq!(elems, 2 * (65_536 + 66_048 + 66_564));
+        assert_eq!(c.halo_volume(), (6, (elems * 8) as f64));
+        // The benchmark's `halo2r` decomposition: two ranks, one neighbour
+        // each, one 64x64 face of doubles.
+        let c = cfg(vec![64, 64, 64], vec![2, 1, 1]);
+        assert_eq!(c.halo_volume(), (1, 32_768.0));
+        // A dimension the stencil does not reach into costs nothing,
+        // however many processes share it.
+        let mut c = config(&[64, 64], &[2, 2], &[1, 0]).unwrap();
+        c.prec = Precision::Fp32;
+        assert_eq!(c.halo_volume(), (1, (32 * 4) as f64));
+        let c = config(&[64, 64], &[1, 2], &[1, 0]).unwrap();
+        assert_eq!(c.halo_volume(), (0, 0.0));
+    }
+
+    #[test]
+    fn no_rank_sends_more_than_the_modelled_one() {
+        for (global, mpi, reach) in [
+            (vec![64, 64, 64], vec![2, 1, 1], vec![1, 1, 1]),
+            (vec![64, 64, 64], vec![2, 2, 2], vec![1, 1, 1]),
+            (vec![36, 36], vec![3, 3], vec![2, 2]),
+            (vec![32, 48, 16], vec![4, 3, 1], vec![2, 1, 1]),
+        ] {
+            let c = config(&global, &mpi, &reach).unwrap();
+            let per_rank = (0..c.decomp.n_ranks())
+                .map(|r| HaloPlan::new(&c.decomp, r, Backend::DimOrdered).volume());
+            let most = per_rank
+                .reduce(|a, b| (a.0.max(b.0), a.1.max(b.1)))
+                .unwrap();
+            assert_eq!(c.halo_volume(), (most.0, (most.1 * 8) as f64), "{mpi:?}");
+        }
     }
 
     #[test]
     fn unpartitioned_dims_exchange_nothing() {
         let c = cfg(vec![256, 256, 256], vec![1, 1, 1]);
-        assert_eq!(c.halo_bytes_per_proc().unwrap(), 0.0);
-        assert_eq!(c.msgs_per_proc(), 0);
+        assert_eq!(c.halo_volume(), (0, 0.0));
     }
 
     #[test]
@@ -226,7 +218,7 @@ mod tests {
     fn plan_grid_mismatch_rejected() {
         let c = cfg(vec![512, 512, 512], vec![2, 2, 2]);
         let b = benchmark(BenchmarkId::S3d7ptStar);
-        let p = b.program(&c.global_grid, DType::F64, 2).unwrap();
+        let p = b.program(&c.decomp.global, DType::F64, 2).unwrap();
         let stats = StencilStats::of(&p.stencil, DType::F64).unwrap();
         let sched = preset_for(3, 7, Target::SunwayCG);
         let plan = ExecPlan::lower(&sched, 3, &[128, 128, 128]).unwrap();

@@ -7,6 +7,7 @@
 use crate::linreg::LinearModel;
 use msc_core::analysis::StencilStats;
 use msc_core::error::{MscError, Result};
+use msc_core::halo::CartDecomp;
 use msc_core::schedule::{preset_for_grid, ExecPlan, Target};
 use msc_machine::model::{MachineModel, Precision};
 use msc_machine::NetworkModel;
@@ -33,6 +34,17 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// The decomposition a config stands for; `Err` for a process grid
+    /// the runtime would refuse (uneven, or sub-grids narrower than the
+    /// reach).
+    fn distributed(&self, cfg: &Config) -> Result<DistributedConfig> {
+        let decomp = CartDecomp::new(&self.global_grid, &cfg.mpi_grid, &self.reach)?;
+        Ok(DistributedConfig {
+            decomp,
+            prec: self.prec,
+        })
+    }
+
     /// Ground-truth evaluation: full simulator step time for a config.
     pub fn measure(
         &self,
@@ -40,14 +52,8 @@ impl Workload {
         machine: &MachineModel,
         network: &NetworkModel,
     ) -> Result<f64> {
-        let dc = DistributedConfig {
-            global_grid: self.global_grid.clone(),
-            mpi_grid: cfg.mpi_grid.clone(),
-            reach: self.reach.clone(),
-            n_states: self.stats.time_deps,
-            prec: self.prec,
-        };
-        let sub = dc.sub_grid()?;
+        let dc = self.distributed(cfg)?;
+        let sub = dc.decomp.sub_extent();
         let mut sched = preset_for_grid(sub.len(), self.points, Target::SunwayCG, &sub);
         let tile: Vec<usize> = cfg.tile.iter().zip(&sub).map(|(&t, &s)| t.min(s)).collect();
         sched.tile(&tile);
@@ -58,16 +64,11 @@ impl Workload {
 
     /// Feature vector of a config for the regression model:
     /// `[1, flops/proc, tile halo overhead, n_tiles/core, halo bytes,
-    /// msgs]`.
+    /// msgs]` — the last two are the halo plan's volume, as the
+    /// simulator charges it.
     pub fn features(&self, cfg: &Config) -> Result<Vec<f64>> {
-        let dc = DistributedConfig {
-            global_grid: self.global_grid.clone(),
-            mpi_grid: cfg.mpi_grid.clone(),
-            reach: self.reach.clone(),
-            n_states: self.stats.time_deps,
-            prec: self.prec,
-        };
-        let sub = dc.sub_grid()?;
+        let dc = self.distributed(cfg)?;
+        let sub = dc.decomp.sub_extent();
         let sub_points: f64 = sub.iter().product::<usize>() as f64;
         let tile: Vec<usize> = cfg.tile.iter().zip(&sub).map(|(&t, &s)| t.min(s)).collect();
         let tile_elems: f64 = tile.iter().product::<usize>() as f64;
@@ -76,13 +77,14 @@ impl Workload {
             .zip(&self.reach)
             .map(|(&t, &r)| (t + 2 * r) as f64)
             .product();
+        let (msgs, halo_bytes) = dc.halo_volume();
         Ok(vec![
             1.0,
             self.stats.flops_per_point() * sub_points * 1e-9,
             tile_halo / tile_elems, // overlapped-halo DMA overhead
             sub_points / tile_elems, // per-core task count (startup costs)
-            dc.halo_bytes_per_proc()? * 1e-6,
-            dc.msgs_per_proc() as f64,
+            halo_bytes * 1e-6,
+            msgs as f64,
         ])
     }
 }

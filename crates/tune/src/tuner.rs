@@ -6,6 +6,7 @@
 use crate::anneal::{anneal, AnnealOptions, TracePoint};
 use crate::perf_model::{Config, PerfModel, Workload};
 use msc_core::error::{MscError, Result};
+use msc_core::halo::CartDecomp;
 use msc_machine::model::MachineModel;
 use msc_machine::NetworkModel;
 use rand::rngs::StdRng;
@@ -84,15 +85,10 @@ pub fn tune(problem: &TuneProblem, initial: Config) -> Result<TuneResult> {
     let network = problem.network;
     let ndim = w.global_grid.len();
 
-    // Candidate MPI shapes: factorizations that divide the grid evenly.
+    // Candidate MPI shapes: factorizations the runtime would accept.
     let mpi_shapes: Vec<Vec<usize>> = factorizations(w.n_procs, ndim)
         .into_iter()
-        .filter(|shape| {
-            shape
-                .iter()
-                .zip(&w.global_grid)
-                .all(|(&p, &g)| g % p == 0 && g / p >= w.reach.iter().copied().max().unwrap_or(1))
-        })
+        .filter(|shape| CartDecomp::new(&w.global_grid, shape, &w.reach).is_ok())
         .collect();
     if mpi_shapes.is_empty() {
         return Err(MscError::InvalidConfig(

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example distributed_halo`
 
+use msc::comm::{Backend, CartDecomp, HaloPlan};
 use msc::core::schedule::{ExecPlan, Schedule};
 use msc::prelude::*;
 
@@ -45,8 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The expected message count: interior exchanges per step for the
     // first timesteps-1 steps (the final state is not published).
-    let decomp = msc::comm::CartDecomp::new(&program.grid.shape, &[2, 3], &[5, 5])?;
-    let per_round: usize = (0..stats.ranks).map(|r| decomp.n_neighbors(r)).sum();
+    let decomp = CartDecomp::new(&program.grid.shape, &[2, 3], &[5, 5])?;
+    let per_round: usize = (0..stats.ranks)
+        .map(|r| HaloPlan::new(&decomp, r, Backend::DimOrdered).volume().0)
+        .sum();
     assert_eq!(stats.messages as usize, per_round * (program.timesteps - 1));
     println!("message accounting checks out ({per_round} per round)");
     Ok(())

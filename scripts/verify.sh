@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local verification: what CI runs, in the same order.
+# Full verification, locally and in CI: .github/workflows/ci.yml runs this
+# script and nothing else blocking (rustfmt and Miri are its only other jobs).
 # The workspace builds fully offline (see DESIGN.md §6) — every external
 # dependency is a vendored shim, so --offline is load-bearing, not an
 # optimization.
@@ -29,6 +30,21 @@ fi
 # line does not find itself.
 if grep -rnE 'suite[:]:|mscc[ ]bench|scripts/bench\.sh|BENCH_[F]ILE|check_vm_[s]peedup|parse_[a-z]+_args|__[h]elp__' crates src tests scripts .github README.md DESIGN.md; then
   echo "the retired benchmark suite or a hand-rolled mscc parser is back" >&2
+  exit 1
+fi
+
+# One halo geometry (DESIGN.md §7): which box goes to which neighbour is
+# derived in msc_core::halo alone. The emitted MPI C prints that table, so
+# its run-time face arithmetic must not come back; msc-comm keeps no
+# decomposition, box type or row odometer of its own; the simulator has no
+# face formula.
+if grep -rnE 'face_region|face_count' crates/codegen; then
+  echo "the emitted MPI C derives halo faces again: print msc_core::halo's rows" >&2
+  exit 1
+fi
+if ls crates/comm/src/decomp.rs crates/comm/src/region.rs 2>/dev/null ||
+  grep -rnE 'fn for_each_row|fn toward|halo_bytes_per_proc|msgs_per_proc' crates/comm/src crates/sim/src crates/codegen/src crates/tune/src; then
+  echo "a second halo geometry is back: read msc_core::halo::HaloPlan" >&2
   exit 1
 fi
 
