@@ -3,9 +3,9 @@
 //! the design point the paper credits for beating Halide-AOT on
 //! high-order stencils, §5.5).
 
-
 use msc_core::error::Result;
 use msc_core::prelude::*;
+use std::collections::HashMap;
 
 /// Padded layout of the program's grid: shapes, strides, window.
 #[derive(Debug, Clone)]
@@ -70,46 +70,61 @@ impl Layout {
     }
 }
 
-/// Render one temporal term's weighted tap sum over input `in_name`
-/// at linear index variable `idx`.
-pub fn term_expr(
+/// `{:.17e}` of `v`, formatted the first time a statement asks for it: exact
+/// digits cost 250-600 ns and a box kernel prints one weight per tap.
+fn rendered(coeffs: &mut HashMap<u64, String>, v: f64) -> &str {
+    coeffs
+        .entry(v.to_bits())
+        .or_insert_with(|| format!("{v:.17e}"))
+}
+
+/// Render every temporal term's weighted tap sum, in term order, over the
+/// input `in_name` gives the term, at linear index variable `idx`. A kernel
+/// is linearized once however many terms apply it.
+pub fn term_exprs(
+    program: &StencilProgram,
     layout: &Layout,
-    kernel: &Kernel,
-    weight: f64,
-    in_name: &str,
-) -> Result<String> {
-    let op = kernel.to_op()?;
-    let taps: Vec<String> = op
-        .taps
-        .iter()
-        .map(|t| {
+    in_name: impl Fn(&TimeTerm) -> String,
+) -> Result<Vec<String>> {
+    let mut ops: HashMap<&str, StencilOp> = HashMap::new();
+    let mut coeffs = HashMap::new();
+    let mut exprs = Vec::new();
+    for term in &program.stencil.terms {
+        let name = term.kernel.as_str();
+        if !ops.contains_key(name) {
+            ops.insert(name, program.stencil.kernel(name)?.to_op()?);
+        }
+        let op = &ops[name];
+        let in_name = in_name(term);
+        let mut s = format!("{} * (", rendered(&mut coeffs, term.weight));
+        for (i, t) in op.taps.iter().enumerate() {
+            // One tap per line: reads like hand-written stencil code and
+            // keeps generated-LoC accounting honest (Table 6).
+            if i > 0 {
+                s += "\n        + ";
+            }
             let lin: i64 = t
                 .offset
                 .iter()
                 .zip(&layout.strides)
                 .map(|(&o, &s)| o * s as i64)
                 .sum();
-            let ix = match lin.cmp(&0) {
-                std::cmp::Ordering::Equal => "idx".to_string(),
-                std::cmp::Ordering::Greater => format!("idx + {lin}"),
-                std::cmp::Ordering::Less => format!("idx - {}", -lin),
+            s += rendered(&mut coeffs, t.coeff);
+            s += &match lin.cmp(&0) {
+                std::cmp::Ordering::Equal => format!(" * {in_name}[idx]"),
+                std::cmp::Ordering::Greater => format!(" * {in_name}[idx + {lin}]"),
+                std::cmp::Ordering::Less => format!(" * {in_name}[idx - {}]", -lin),
             };
-            format!("{:.17e} * {in_name}[{ix}]", t.coeff)
-        })
-        .collect();
-    // One tap per line: reads like hand-written stencil code and keeps
-    // generated-LoC accounting honest (Table 6).
-    Ok(format!("{:.17e} * ({})", weight, taps.join("\n        + ")))
+        }
+        exprs.push(s + ")");
+    }
+    Ok(exprs)
 }
 
 /// Render the full update statement `out[idx] = Σ term_exprs;`.
 pub fn update_stmt(program: &StencilProgram, layout: &Layout) -> Result<String> {
-    let mut terms = Vec::new();
-    for t in &program.stencil.terms {
-        let k = program.stencil.kernel(&t.kernel)?;
-        // Inputs are named by temporal distance: `in1` = state t-1, etc.
-        terms.push(term_expr(layout, k, t.weight, &format!("in{}", t.dt))?);
-    }
+    // Inputs are named by temporal distance: `in1` = state t-1, etc.
+    let terms = term_exprs(program, layout, |t| format!("in{}", t.dt))?;
     Ok(format!("out[idx] = {};", terms.join("\n                + ")))
 }
 
@@ -189,8 +204,11 @@ pub fn tile_loops(
     }
 
     code += &format!("{}long idx = {};\n", pad(depth), layout.idx_expr());
+    let body_pad = pad(depth);
     for line in body.lines() {
-        code += &format!("{}{}\n", pad(depth), line);
+        code += &body_pad;
+        code += line;
+        code.push('\n');
     }
     let n_loops = depth - indent;
     for d in (0..n_loops).rev() {
@@ -240,8 +258,7 @@ mod tests {
     fn term_expr_uses_direct_linear_offsets() {
         let p = program();
         let l = Layout::of(&p);
-        let k = p.stencil.kernel("3d7pt_star").unwrap();
-        let e = term_expr(&l, k, 1.0, "in1").unwrap();
+        let e = &term_exprs(&p, &l, |_| "in1".into()).unwrap()[0];
         // Taps at z±1 (stride 324) and at ±1.
         assert!(e.contains("in1[idx + 324]"));
         assert!(e.contains("in1[idx - 324]"));

@@ -24,7 +24,7 @@ use crate::error::{MscError, Result};
 use crate::expr::Expr;
 use crate::kernel::Kernel;
 use crate::schedule::{BufferScope, Target};
-use crate::stencil::{Stencil, TimeTerm};
+use crate::stencil::TimeTerm;
 use crate::tensor::SpNode;
 
 /// A parsed `.msc` file: the validated program plus the requested
@@ -150,16 +150,18 @@ pub fn to_msc_source(program: &StencilProgram, target: Option<Target>) -> String
 
 // ---------------------------------------------------------------- lexer
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token borrows its text from the source, so lexing allocates nothing
+/// but the token list and the parser copies tokens instead of cloning them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Num(f64),
     Int(i64),
     Sym(char),
     Eof,
 }
 
-impl std::fmt::Display for Tok {
+impl std::fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -171,45 +173,43 @@ impl std::fmt::Display for Tok {
     }
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>> {
     let mut toks = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
+    // Every token starts with an ASCII byte, so the scan is over bytes; `i`
+    // only ever rests on a character boundary.
+    let bytes = src.as_bytes();
+    let ident_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut i = 0;
     let mut line = 1;
     while i < bytes.len() {
         let c = bytes[i];
         match c {
-            '\n' => {
+            b'\n' => {
                 line += 1;
                 i += 1;
             }
-            c if c.is_whitespace() => i += 1,
-            '/' if bytes.get(i + 1) == Some(&'/') => {
-                while i < bytes.len() && bytes[i] != '\n' {
+            b' ' | b'\t' | b'\r' => i += 1,
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+                while i < bytes.len() && ident_byte(bytes[i]) {
                     i += 1;
                 }
-                toks.push((Tok::Ident(bytes[start..i].iter().collect()), line));
+                toks.push((Tok::Ident(&src[start..i]), line));
             }
             c if c.is_ascii_digit() => {
                 let start = i;
                 let mut is_float = false;
                 while i < bytes.len()
                     && (bytes[i].is_ascii_digit()
-                        || bytes[i] == '.'
-                        || bytes[i] == 'e'
-                        || bytes[i] == 'E'
-                        || ((bytes[i] == '+' || bytes[i] == '-')
-                            && matches!(bytes.get(i - 1), Some('e') | Some('E'))))
+                        || matches!(bytes[i], b'.' | b'e' | b'E')
+                        || (matches!(bytes[i], b'+' | b'-') && matches!(bytes[i - 1], b'e' | b'E')))
                 {
-                    if bytes[i] == '.' || bytes[i] == 'e' || bytes[i] == 'E' {
-                        is_float = true;
-                    }
+                    is_float |= matches!(bytes[i], b'.' | b'e' | b'E');
                     i += 1;
                 }
                 // Benchmark names like `3d7pt` start with digits: if a
@@ -217,17 +217,15 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
                 // whole run as an identifier.
                 if !is_float
                     && i < bytes.len()
-                    && (bytes[i].is_ascii_alphabetic() || bytes[i] == '_')
+                    && (bytes[i].is_ascii_alphabetic() || bytes[i] == b'_')
                 {
-                    while i < bytes.len()
-                        && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_')
-                    {
+                    while i < bytes.len() && ident_byte(bytes[i]) {
                         i += 1;
                     }
-                    toks.push((Tok::Ident(bytes[start..i].iter().collect()), line));
+                    toks.push((Tok::Ident(&src[start..i]), line));
                     continue;
                 }
-                let text: String = bytes[start..i].iter().collect();
+                let text = &src[start..i];
                 if is_float {
                     let v = text.parse::<f64>().map_err(|_| {
                         MscError::InvalidConfig(format!("line {line}: bad number `{text}`"))
@@ -240,14 +238,24 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
                     toks.push((Tok::Int(v), line));
                 }
             }
-            '{' | '}' | '[' | ']' | '(' | ')' | ':' | ';' | ',' | '=' | '+' | '-' | '*' => {
-                toks.push((Tok::Sym(c), line));
+            b'{' | b'}' | b'[' | b']' | b'(' | b')' | b':' | b';' | b',' | b'=' | b'+' | b'-'
+            | b'*' => {
+                toks.push((Tok::Sym(c as char), line));
                 i += 1;
             }
-            other => {
-                return Err(MscError::InvalidConfig(format!(
-                    "line {line}: unexpected character `{other}`"
-                )))
+            _ => {
+                // Anything else is other white space (Unicode's included)
+                // or an error that names the character, not its first byte.
+                let other = src[i..]
+                    .chars()
+                    .next()
+                    .expect("`i` is inside `src`, on a boundary");
+                if !other.is_whitespace() {
+                    return Err(MscError::InvalidConfig(format!(
+                        "line {line}: unexpected character `{other}`"
+                    )));
+                }
+                i += other.len_utf8();
             }
         }
     }
@@ -257,39 +265,39 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
 
 // --------------------------------------------------------------- parser
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
 }
 
 #[derive(Debug, Default)]
-struct ScheduleSpec {
+struct ScheduleSpec<'a> {
     tile: Vec<usize>,
-    reorder: Vec<String>,
-    parallel: Option<(String, usize)>,
-    spm_axis: Option<String>,
+    reorder: Vec<&'a str>,
+    parallel: Option<(&'a str, usize)>,
+    spm_axis: Option<&'a str>,
     stream: bool,
     time_tile: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>> {
         Ok(Parser {
             toks: lex(src)?,
             pos: 0,
         })
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].0
     }
 
     fn line(&self) -> usize {
         self.toks[self.pos].1
     }
 
-    fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn next(&mut self) -> Tok<'a> {
+        let t = self.peek();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -310,7 +318,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
+    fn expect_ident(&mut self) -> Result<&'a str> {
         match self.next() {
             Tok::Ident(s) => Ok(s),
             _ => {
@@ -369,12 +377,12 @@ impl Parser {
         let mut target: Option<Target> = None;
 
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Sym('}') => {
                     self.next();
                     break;
                 }
-                Tok::Ident(kw) => match kw.as_str() {
+                Tok::Ident(kw) => match kw {
                     "grid" => grid = Some(self.grid_item()?),
                     "kernel" => kernels.push(self.kernel_item(grid.as_ref())?),
                     "combine" => terms = self.combine_item()?,
@@ -388,7 +396,7 @@ impl Parser {
                     "target" => {
                         self.expect_keyword("target")?;
                         let t = self.expect_ident()?;
-                        target = Some(Target::from_name(&t).ok_or_else(|| {
+                        target = Some(Target::from_name(t).ok_or_else(|| {
                             MscError::InvalidConfig(format!(
                                 "unknown target `{t}` (expected sunway/matrix/cpu)"
                             ))
@@ -419,27 +427,23 @@ impl Parser {
                 s.tile(&schedule.tile);
             }
             if !schedule.reorder.is_empty() {
-                let names: Vec<&str> = schedule.reorder.iter().map(String::as_str).collect();
-                s.reorder(&names);
+                s.reorder(&schedule.reorder);
             }
-            if let Some((axis, n)) = &schedule.parallel {
-                s.parallel(axis, *n);
+            if let Some((axis, n)) = schedule.parallel {
+                s.parallel(axis, n);
             }
-            if let Some(axis) = &schedule.spm_axis {
+            if let Some(axis) = schedule.spm_axis {
                 // Default DMA point: the innermost outer (tile) axis.
-                let axis = if axis.is_empty() {
-                    match ndim {
-                        2 => "yo".to_string(),
-                        3 => "zo".to_string(),
-                        _ => "xo".to_string(),
-                    }
-                } else {
-                    axis.clone()
+                let axis = match (axis, ndim) {
+                    ("", 2) => "yo",
+                    ("", 3) => "zo",
+                    ("", _) => "xo",
+                    _ => axis,
                 };
                 s.cache_read(&input, "buffer_read", BufferScope::Global)
                     .cache_write("buffer_write", BufferScope::Global)
-                    .compute_at("buffer_read", &axis)
-                    .compute_at("buffer_write", &axis);
+                    .compute_at("buffer_read", axis)
+                    .compute_at("buffer_write", axis);
             }
             if schedule.stream {
                 s.stream();
@@ -448,21 +452,14 @@ impl Parser {
                 s.tile_time(schedule.time_tile);
             }
         }
-        if terms.is_empty() {
-            terms = vec![TimeTerm {
-                dt: 1,
-                weight: 1.0,
-                kernel: kernels[0].name.clone(),
-            }];
-        }
-        let stencil = Stencil::new(&name, kernels, terms)?;
-        let mut builder = StencilProgram::builder(&name).grid(grid).timesteps(timesteps);
-        for k in stencil.kernels.clone() {
+        // An empty `combine` is the builder's default: `t-1` through the
+        // first kernel.
+        let mut builder = StencilProgram::builder(name).grid(grid).timesteps(timesteps);
+        for k in kernels {
             builder = builder.kernel(k);
         }
         builder = builder.combine(
-            &stencil
-                .terms
+            &terms
                 .iter()
                 .map(|t| (t.dt, t.weight, t.kernel.as_str()))
                 .collect::<Vec<_>>(),
@@ -484,7 +481,7 @@ impl Parser {
         let name = self.expect_ident()?;
         self.expect_sym(':')?;
         let ty = self.expect_ident()?;
-        let dtype = match ty.as_str() {
+        let dtype = match ty {
             "f32" => DType::F32,
             "f64" => DType::F64,
             "i32" => DType::I32,
@@ -506,7 +503,7 @@ impl Parser {
         self.expect_keyword("window")?;
         let window = self.expect_uint()?;
         self.expect_sym(';')?;
-        SpNode::new(&name, dtype, &shape, halo, window)
+        SpNode::new(name, dtype, &shape, halo, window)
     }
 
     // kernel := "kernel" IDENT "=" expr ";"
@@ -520,7 +517,7 @@ impl Parser {
             .map(|g| g.ndim())
             .or_else(|| expr.accesses().first().map(|a| a.offsets.len()))
             .ok_or_else(|| MscError::InvalidConfig("kernel before grid declaration".into()))?;
-        Kernel::new(&name, ndim, expr)
+        Kernel::new(name, ndim, expr)
     }
 
     // expr := term (("+" | "-") term)*
@@ -570,7 +567,7 @@ impl Parser {
                     offs.push(self.expect_int()?);
                 }
                 self.expect_sym(']')?;
-                Ok(Expr::at(&tensor, &offs))
+                Ok(Expr::at(tensor, &offs))
             }
             _ => {
                 self.pos = self.pos.saturating_sub(1);
@@ -596,7 +593,7 @@ impl Parser {
         }
         loop {
             // cterm := (NUMBER "*")? IDENT "[" "t" "-" INT "]"
-            let weight = match self.peek().clone() {
+            let weight = match self.peek() {
                 Tok::Num(v) => {
                     self.next();
                     self.expect_sym('*')?;
@@ -618,7 +615,7 @@ impl Parser {
             terms.push(TimeTerm {
                 dt,
                 weight: sign * weight,
-                kernel,
+                kernel: kernel.to_string(),
             });
             match self.peek() {
                 Tok::Sym('+') => {
@@ -639,19 +636,19 @@ impl Parser {
     }
 
     // schedule := "schedule" "{" sitem* "}"
-    fn schedule_item(&mut self) -> Result<ScheduleSpec> {
+    fn schedule_item(&mut self) -> Result<ScheduleSpec<'a>> {
         self.expect_keyword("schedule")?;
         self.expect_sym('{')?;
         let mut spec = ScheduleSpec::default();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Sym('}') => {
                     self.next();
                     return Ok(spec);
                 }
                 Tok::Ident(kw) => {
                     self.next();
-                    match kw.as_str() {
+                    match kw {
                         "tile" => {
                             while let Tok::Int(_) = self.peek() {
                                 spec.tile.push(self.expect_uint()?);
@@ -683,7 +680,7 @@ impl Parser {
                                 self.expect_ident()?
                             } else {
                                 // Default DMA point: the innermost outer axis.
-                                String::new()
+                                ""
                             };
                             spec.spm_axis = Some(axis);
                             self.expect_sym(';')?;
@@ -809,6 +806,84 @@ mod tests {
         let src = "stencil s {\n  grid B f64[8] halo 1 window 2;\n}";
         let e = parse(src).unwrap_err().to_string();
         assert!(e.contains("line 2"), "{e}");
+    }
+
+    /// The lexer's typed errors, verbatim: the line a token is on, and for
+    /// a character no token starts with, the character itself — never one
+    /// byte of it, never U+FFFD.
+    #[test]
+    fn lexer_errors_name_the_line_and_the_whole_character() {
+        let msg = |src: &str| parse(src).unwrap_err().to_string();
+        assert_eq!(
+            msg("stencil s {\n  grid B: f64[8] halo 1 window 2;\n  kernel k = 1.0*B[0] § 2;\n}"),
+            "invalid configuration: line 3: unexpected character `§`"
+        );
+        assert_eq!(
+            msg("stencil 格 {"),
+            "invalid configuration: line 1: unexpected character `格`"
+        );
+        assert_eq!(
+            msg("\n\n\u{1F600}"),
+            "invalid configuration: line 3: unexpected character `\u{1F600}`"
+        );
+        assert_eq!(
+            msg("stencil s { a / b }"),
+            "invalid configuration: line 1: unexpected character `/`"
+        );
+        assert_eq!(
+            msg("stencil s {\r\n  run 1e;\r\n}"),
+            "invalid configuration: line 2: bad number `1e`"
+        );
+        assert_eq!(
+            msg("stencil s { run 99999999999999999999; }"),
+            "invalid configuration: line 1: bad integer `99999999999999999999`"
+        );
+        assert_eq!(
+            msg("stencil s {\n\n  run 2.5;\n}"),
+            "invalid configuration: line 3: expected a non-negative integer, found number 2.5"
+        );
+        assert_eq!(
+            msg("// one\nstencil 3d7pt // two\n[ }"),
+            "invalid configuration: line 3: expected `{`, found `[`"
+        );
+    }
+
+    /// What the byte lexer must read exactly as the character lexer did.
+    #[test]
+    fn lexer_keeps_digit_led_names_exponents_comments_crlf_and_unicode_space() {
+        assert_eq!(
+            lex("3d7pt 2d9pt_box _x1 7 1e-3 1E+3 2.5e2 1-3").unwrap(),
+            vec![
+                (Tok::Ident("3d7pt"), 1),
+                (Tok::Ident("2d9pt_box"), 1),
+                (Tok::Ident("_x1"), 1),
+                (Tok::Int(7), 1),
+                (Tok::Num(1e-3), 1),
+                (Tok::Num(1e3), 1),
+                (Tok::Num(250.0), 1),
+                (Tok::Int(1), 1),
+                (Tok::Sym('-'), 1),
+                (Tok::Int(3), 1),
+                (Tok::Eof, 1),
+            ]
+        );
+        // `//` to the end of the line, CRLF, tab / vertical tab / form feed
+        // and non-ASCII white space (no-break, ideographic) between tokens.
+        assert_eq!(
+            lex("a // b ; § c\r\nd\t;\u{b}\u{c}\u{a0}e\u{3000}// trailing").unwrap(),
+            vec![
+                (Tok::Ident("a"), 1),
+                (Tok::Ident("d"), 2),
+                (Tok::Sym(';'), 2),
+                (Tok::Ident("e"), 2),
+                (Tok::Eof, 2),
+            ]
+        );
+        let crlf = LISTING1.replace('\n', "\r\n");
+        assert_eq!(
+            parse(&crlf).unwrap().program,
+            parse(LISTING1).unwrap().program
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::LiftError;
 use msc_core::{ExecPlan, Schedule};
 use msc_exec::{run_program_tier, Boundary, ExecTier, Executor, Grid};
 use msc_lint::LintCode;
+use std::iter::zip;
 
 /// Default seeds for `mscc lift` and the corpus tests: three
 /// independent random grids per tier.
@@ -38,31 +39,81 @@ pub struct ValidationOutcome {
     pub cells_compared: usize,
 }
 
-/// Evaluate the preserved C expression at interior point `pos` of `g`,
-/// in exactly the source's tree shape (and therefore its rounding
-/// sequence).
-fn eval(e: &RExpr, g: &Grid<f64>, pos: &[usize]) -> f64 {
-    match e {
-        RExpr::Num(v) => *v,
-        RExpr::Access(off) => g.get_rel(pos, off),
-        RExpr::Add(a, b) => eval(a, g, pos) + eval(b, g, pos),
-        RExpr::Sub(a, b) => eval(a, g, pos) - eval(b, g, pos),
-        RExpr::Mul(a, b) => eval(a, g, pos) * eval(b, g, pos),
-        RExpr::Neg(a) => -eval(a, g, pos),
+/// A whole-row operation `out[i] = out[i] ∘ rhs[i]`.
+type RowOp = fn(&mut [f64], &[f64]);
+
+/// The preserved C expression with every access resolved, once, to a flat
+/// offset into the padded buffer, and a scratch row per binary node for its
+/// right operand. The tree keeps the source's shape, so each cell still
+/// goes through the source's operations in the source's order; only the
+/// loop over a row's cells moved inside the nodes.
+enum RowExpr {
+    Num(f64),
+    At(isize),
+    Neg(Box<RowExpr>),
+    Bin(RowOp, Box<RowExpr>, Box<RowExpr>, Vec<f64>),
+}
+
+impl RowExpr {
+    fn of(e: &RExpr, strides: &[usize], len: usize) -> RowExpr {
+        let boxed = |e: &RExpr| Box::new(RowExpr::of(e, strides, len));
+        let bin = |op: RowOp, a, b| RowExpr::Bin(op, boxed(a), boxed(b), vec![0.0; len]);
+        match e {
+            RExpr::Num(v) => RowExpr::Num(*v),
+            RExpr::Access(off) => RowExpr::At(
+                zip(off, strides)
+                    .map(|(&o, &s)| o as isize * s as isize)
+                    .sum(),
+            ),
+            RExpr::Neg(a) => RowExpr::Neg(boxed(a)),
+            RExpr::Add(a, b) => bin(|o, r| o.iter_mut().zip(r).for_each(|(o, r)| *o += r), a, b),
+            RExpr::Sub(a, b) => bin(|o, r| o.iter_mut().zip(r).for_each(|(o, r)| *o -= r), a, b),
+            RExpr::Mul(a, b) => bin(|o, r| o.iter_mut().zip(r).for_each(|(o, r)| *o *= r), a, b),
+        }
+    }
+
+    /// Evaluate the node for the `out.len()` unit-stride cells of `src`
+    /// starting at flat index `base`.
+    fn eval(&mut self, src: &[f64], base: usize, out: &mut [f64]) {
+        match self {
+            RowExpr::Num(v) => out.fill(*v),
+            RowExpr::At(off) => {
+                let start = base.wrapping_add_signed(*off);
+                out.copy_from_slice(&src[start..start + out.len()]);
+            }
+            RowExpr::Neg(a) => {
+                a.eval(src, base, out);
+                out.iter_mut().for_each(|o| *o = -*o);
+            }
+            RowExpr::Bin(op, a, b, rhs) => {
+                a.eval(src, base, out);
+                b.eval(src, base, rhs);
+                op(out, rhs);
+            }
+        }
     }
 }
 
 /// Run the original loop nest directly: ping-pong buffers, halo frozen
-/// at its initial values (Dirichlet), interior rewritten every step.
+/// at its initial values (Dirichlet), interior rewritten every step, one
+/// interior row at a time.
 pub fn direct_reference(lifted: &Lifted, init: &Grid<f64>, timesteps: usize) -> Grid<f64> {
+    let last = init.ndim() - 1;
+    let len = init.shape[last];
+    let mut rhs = RowExpr::of(&lifted.nest.rhs, &init.strides, len);
+    // Flat index of the first interior cell of every row.
+    let mut rows = Vec::new();
+    init.for_each_interior(|p| {
+        if p[last] == 0 {
+            rows.push(init.index(p));
+        }
+    });
     let mut cur = init.clone();
     let mut next = init.clone();
-    let mut cells: Vec<Vec<usize>> = Vec::new();
-    cur.for_each_interior(|p| cells.push(p.to_vec()));
     for _ in 0..timesteps {
-        for p in &cells {
-            let v = eval(&lifted.nest.rhs, &cur, p);
-            next.set(p, v);
+        for &base in &rows {
+            let out = &mut next.as_mut_slice()[base..base + len];
+            rhs.eval(cur.as_slice(), base, out);
         }
         std::mem::swap(&mut cur, &mut next);
     }
@@ -157,6 +208,125 @@ mod tests {
     use super::*;
     use crate::lift_source;
 
+    /// The per-cell evaluator `direct_reference` ran until it learned to
+    /// take a row per node: the preserved C expression at interior point
+    /// `pos` of `g`, one recursive walk per cell. Kept as the row
+    /// evaluator's own oracle.
+    fn eval(e: &RExpr, g: &Grid<f64>, pos: &[usize]) -> f64 {
+        match e {
+            RExpr::Num(v) => *v,
+            RExpr::Access(off) => g.get_rel(pos, off),
+            RExpr::Add(a, b) => eval(a, g, pos) + eval(b, g, pos),
+            RExpr::Sub(a, b) => eval(a, g, pos) - eval(b, g, pos),
+            RExpr::Mul(a, b) => eval(a, g, pos) * eval(b, g, pos),
+            RExpr::Neg(a) => -eval(a, g, pos),
+        }
+    }
+
+    fn per_cell_reference(rhs: &RExpr, init: &Grid<f64>, timesteps: usize) -> Grid<f64> {
+        let mut cur = init.clone();
+        let mut next = init.clone();
+        let mut cells: Vec<Vec<usize>> = Vec::new();
+        cur.for_each_interior(|p| cells.push(p.to_vec()));
+        for _ in 0..timesteps {
+            for p in &cells {
+                let v = eval(rhs, &cur, p);
+                next.set(p, v);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        cur
+    }
+
+    /// splitmix64: the generated trees must be the same on every run.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random nest of `Add` / `Sub` / `Mul` / `Neg` over accesses within
+    /// `halo` and small literals (magnitude <= 2, so 2^8 factors cannot
+    /// overflow: no NaN whose payload the two evaluators could order
+    /// differently), `-0.0` and `0.0` among them.
+    fn tree(rng: &mut Rng, depth: usize, halo: &[usize]) -> RExpr {
+        const LITERALS: [f64; 8] = [-0.0, 0.0, 1.0, -1.0, 0.1, -0.3, 2.0, 1.0e-3];
+        if depth == 0 || rng.below(5) == 0 {
+            return if rng.below(3) == 0 {
+                RExpr::Num(LITERALS[rng.below(LITERALS.len())])
+            } else {
+                RExpr::Access(
+                    halo.iter()
+                        .map(|&h| rng.below(2 * h + 1) as i64 - h as i64)
+                        .collect(),
+                )
+            };
+        }
+        let sub = |rng: &mut Rng| Box::new(tree(rng, depth - 1, halo));
+        match rng.below(4) {
+            0 => RExpr::Add(sub(rng), sub(rng)),
+            1 => RExpr::Sub(sub(rng), sub(rng)),
+            2 => RExpr::Mul(sub(rng), sub(rng)),
+            _ => RExpr::Neg(sub(rng)),
+        }
+    }
+
+    #[test]
+    fn row_evaluation_equals_per_cell_evaluation_bit_for_bit() {
+        let base = lifted(
+            "double A[10]; double B[10];
+             for (int i = 1; i < 9; i++) B[i] = 0.5*A[i-1] + 0.5*A[i+1];",
+        );
+        let mut rng = Rng(23);
+        let (mut deepest, mut unit_rows, mut negative_zeros) = (0, 0, 0);
+        for case in 0..400 {
+            let ndim = 1 + case % 3;
+            // Every fourth grid has rows of one cell; halos run 0..=2 per
+            // dimension, so some trees can only read the centre.
+            let shape: Vec<usize> = (0..ndim)
+                .map(|d| {
+                    if d == ndim - 1 && case % 4 == 0 {
+                        1
+                    } else {
+                        1 + rng.below(7)
+                    }
+                })
+                .collect();
+            let halo: Vec<usize> = (0..ndim).map(|_| rng.below(3)).collect();
+            let depth = 1 + case % 8;
+            let rhs = tree(&mut rng, depth, &halo);
+            let init: Grid<f64> = Grid::random(&shape, &halo, case as u64);
+            let mut l = base.clone();
+            l.nest.rhs = rhs;
+            let rows = direct_reference(&l, &init, 3);
+            let cells = per_cell_reference(&l.nest.rhs, &init, 3);
+            assert_eq!((&rows.shape, &rows.halo), (&cells.shape, &cells.halo));
+            for (i, (r, c)) in rows.as_slice().iter().zip(cells.as_slice()).enumerate() {
+                assert!(!c.is_nan(), "case {case}: the generator must not make NaNs");
+                assert_eq!(
+                    r.to_bits(),
+                    c.to_bits(),
+                    "case {case} ({shape:?} halo {halo:?} depth {depth}), padded cell {i}: {r:e} vs {c:e}\n{:?}",
+                    l.nest.rhs
+                );
+                negative_zeros += usize::from(c.to_bits() == (-0.0f64).to_bits());
+            }
+            deepest = deepest.max(depth);
+            unit_rows += usize::from(shape[ndim - 1] == 1);
+        }
+        // The generator reached what the test is named for.
+        assert_eq!(deepest, 8);
+        assert!(
+            unit_rows >= 100 && negative_zeros > 0,
+            "{unit_rows} {negative_zeros}"
+        );
+    }
+
     fn lifted(src: &str) -> Lifted {
         let out = lift_source(src, "t");
         assert!(!out.report.has_deny(), "{}", out.report.render());
@@ -202,6 +372,27 @@ mod tests {
         );
         let err = validate(&l, &DEFAULT_SEEDS).unwrap_err();
         assert_eq!(err.code, LintCode::LiftValidationMismatch);
+        assert_eq!(err.code.as_str(), "MSC-L508");
         assert!(err.help.contains("canonical"), "{}", err.help);
+        // `validate` stops at the first tier that differs; each of the
+        // three differs from the nest's own rounding sequence.
+        let g = &l.program.grid;
+        let plan = ExecPlan::lower(&Schedule::default(), g.ndim(), &g.shape).unwrap();
+        let init: Grid<f64> = Grid::random(&g.shape, &g.halo, DEFAULT_SEEDS[0]);
+        let expected = direct_reference(&l, &init, l.program.timesteps);
+        for tier in [ExecTier::Interp, ExecTier::Vm, ExecTier::Specialized] {
+            let exec = Executor::Tiled(plan.clone());
+            let (got, _) =
+                run_program_tier(&l.program, &exec, &init, Boundary::Dirichlet, tier).unwrap();
+            let same = expected
+                .as_slice()
+                .iter()
+                .zip(got.as_slice())
+                .all(|(e, a)| e.to_bits() == a.to_bits());
+            assert!(
+                !same,
+                "tier {tier:?} replayed a re-associated sum bit for bit"
+            );
+        }
     }
 }

@@ -48,11 +48,37 @@ if ls crates/comm/src/decomp.rs crates/comm/src/region.rs 2>/dev/null ||
   exit 1
 fi
 
+# The front half costs what its input costs: the DSL lexer scans bytes and
+# its tokens are `Copy` (no character vector, no cloned token), and the
+# emitters linearize a kernel in one place, once per kernel.
+if grep -nE 'Vec<char>|\.0\.clone\(\)|peek\(\)\.clone\(\)' crates/core/src/parse.rs ||
+  [ "$(cat crates/codegen/src/*.rs | grep -c 'to_op()')" != 1 ]; then
+  echo "the DSL lexer clones again, or an emitter linearizes per term" >&2
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --workspace --release --offline
 
 echo "== tests =="
 cargo test -q --workspace --offline
+
+echo "== the front half: same answers, same bytes, same errors =="
+# By exact name: lift validation's row-per-node oracle against the
+# per-cell walk it replaced (generated trees, every padded cell) and the
+# refusal it must keep (DESIGN.md §16.2, §16.4); the 24 benchmark
+# packages against the hash table taken before emission learned to
+# linearize and format each kernel once; the byte lexer's error strings
+# and token stream against the character lexer's.
+for t in "msc-lift --lib validate::tests::row_evaluation_equals_per_cell_evaluation_bit_for_bit" \
+    "msc-lift --lib validate::tests::non_canonical_tap_order_is_caught_as_l508" \
+    "msc-codegen --test benchmark_bytes the_24_benchmark_packages_emit_the_pinned_bytes" \
+    "msc-core --lib parse::tests::lexer_errors_name_the_line_and_the_whole_character" \
+    "msc-core --lib parse::tests::lexer_keeps_digit_led_names_exponents_comments_crlf_and_unicode_space"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
 
 echo "== chaos suite (fixed seeds) =="
 # Fault-injected runs must stay bit-identical to fault-free references;
