@@ -24,7 +24,7 @@ use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_exec::boundary::{self, Boundary};
 use msc_exec::{Executor, Grid, Scalar, TimeLoop};
-use msc_trace::{Counter, CounterSet, FlightKind, Hist, HistSet, Profile};
+use msc_trace::{Counter, CounterSet, FlightKind, HistSet, Profile};
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,11 +33,12 @@ use std::time::{Duration, Instant};
 /// Per-run communication statistics, aggregated over ranks.
 ///
 /// Like [`msc_exec::driver::RunStats`], this is a thin view over the
-/// trace counter vocabulary: each rank accumulates a [`CounterSet`]
-/// (halo messages/bytes from the halo plan's executor, DMA and tile
-/// counters from the tile executors) and the gather loop merges them all
-/// into `counters`.
-/// The headline fields stay as plain members for ergonomic access.
+/// trace counter vocabulary: each rank's account is its time loop's steps
+/// (tiles, DMA, points, step wall) plus its endpoint's (halo messages,
+/// bytes, pack/unpack, waits, protocol events) — each part published to
+/// the hub once, as it closes — and the gather loop merges them all into
+/// `counters` and `hists`. The headline fields stay as plain members for
+/// ergonomic access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommStats {
     pub messages: u64,
@@ -55,7 +56,7 @@ pub struct CommStats {
     /// per-rank executors recorded (DMA bytes/rows, SPM peak, tiles).
     pub counters: CounterSet,
     /// Merged latency histograms across all ranks (halo wait, retransmit
-    /// recovery delay, per-step wall time).
+    /// recovery delay, pack, unpack, per-step wall time).
     pub hists: HistSet,
 }
 
@@ -273,34 +274,29 @@ fn is_restartable(e: &MscError) -> bool {
 const BUDDY_TAG: u64 = 1 << 62;
 const ADOPT_TAG: u64 = 1 << 61;
 
-/// What one physical slot produced: its stats, and the logical subdomain
+/// What one physical slot produced: its account, and the logical subdomain
 /// it finished with that subdomain's interior — `None` for a slot that
 /// died (chaos kill) or stood by unused (idle spare). Every logical
 /// subdomain must be covered by exactly one outcome.
 struct RankOutcome<T> {
     computed: Option<(usize, Vec<T>)>,
     sent: u64,
+    account: Account,
+}
+
+/// What a slot counted: the account of every step its time loop took and
+/// every account its endpoint published ([`RankCtx::publish`]) — each
+/// already published to the hub, once, on its own side.
+#[derive(Default)]
+struct Account {
     counters: CounterSet,
     hists: HistSet,
 }
 
-impl<T: Wire> RankOutcome<T> {
-    /// Close a slot's account: the protocol counters of `ctx` join what
-    /// the step loop counted.
-    fn of(
-        ctx: &RankCtx<T>,
-        mut counters: CounterSet,
-        mut hists: HistSet,
-        computed: Option<(usize, Vec<T>)>,
-    ) -> RankOutcome<T> {
-        counters.merge(&ctx.counters);
-        hists.merge(&ctx.hists);
-        RankOutcome {
-            computed,
-            sent: ctx.sent_msgs,
-            counters,
-            hists,
-        }
+impl Account {
+    fn add(&mut self, (counters, hists): (CounterSet, HistSet)) {
+        self.counters.merge(&counters);
+        self.hists.merge(&hists);
     }
 }
 
@@ -436,12 +432,10 @@ fn adopt_state<'a, T: Scalar + Wire>(
     m: &Membership,
     rec: &FailureRecord,
     snaps: &mut BuddySnapshots<T>,
-    counters: &mut CounterSet,
 ) -> Result<TimeLoop<'a, T>> {
     ctx.adopt(rec.logical);
     ctx.enter_epoch(rec.epoch);
-    counters.bump(Counter::RankRecoveries, 1);
-    msc_trace::record(Counter::RankRecoveries, 1);
+    ctx.counters.bump(Counter::RankRecoveries, 1);
     msc_trace::note_rank_recovery(rec.logical as u32);
     msc_trace::flight(
         FlightKind::Recover,
@@ -517,7 +511,6 @@ fn buddy_replicate<T: Scalar + Wire>(
     slots: &[&Grid<T>],
     snaps: &mut BuddySnapshots<T>,
     gen: u64,
-    counters: &mut CounterSet,
 ) -> Result<()> {
     snaps.store_own(gen, slots.iter().copied());
     m.note_local(ctx.rank, gen);
@@ -528,8 +521,7 @@ fn buddy_replicate<T: Scalar + Wire>(
     let wire = ring_to_wire(slots.iter().copied());
     let bytes = (wire.len() * std::mem::size_of::<T>()) as u64;
     ctx.isend(buddy, BUDDY_TAG | gen, wire)?;
-    counters.bump(Counter::BuddyBytes, bytes);
-    msc_trace::record(Counter::BuddyBytes, bytes);
+    ctx.counters.bump(Counter::BuddyBytes, bytes);
     let n = m.n_logical();
     let pred = (ctx.rank + n - 1) % n;
     let req = ctx.irecv(pred, BUDDY_TAG | gen);
@@ -542,15 +534,15 @@ fn buddy_replicate<T: Scalar + Wire>(
 /// One attempt of the time loop for one rank, from where `run` stands to
 /// the end: every step the one of [`TimeLoop`] with the halo exchange
 /// hooked in, then disk checkpoints with retention GC and buddy
-/// replication. Any error is classified by the caller — online recovery
-/// where possible, restart otherwise.
+/// replication, then the endpoint's account of the step published. Any
+/// error is classified by the caller — online recovery where possible,
+/// restart otherwise.
 fn compute_steps<T: Scalar + Wire>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T>,
     run: &mut TimeLoop<'_, T>,
     snaps: &mut BuddySnapshots<T>,
-    counters: &mut CounterSet,
-    hists: &mut HistSet,
+    account: &mut Account,
 ) -> Result<()> {
     let (opts, program) = (env.opts, env.program);
     // The halo plan and the boundary/interior split it implies, rebuilt
@@ -562,7 +554,6 @@ fn compute_steps<T: Scalar + Wire>(
 
     while run.steps() < program.timesteps {
         let s = run.steps();
-        let step_t0 = Instant::now();
         let stepped = if s + 1 < program.timesteps {
             // Boundary wave → initiate the exchange → interior wave
             // (concurrent with the messages) → complete: the new state's
@@ -576,8 +567,7 @@ fn compute_steps<T: Scalar + Wire>(
                     Some((pending, t0)) => {
                         if opts.overlap {
                             let overlap_ns = t0.elapsed().as_nanos() as u64;
-                            counters.bump(Counter::OverlapNanos, overlap_ns);
-                            msc_trace::record(Counter::OverlapNanos, overlap_ns);
+                            ctx.counters.bump(Counter::OverlapNanos, overlap_ns);
                         }
                         plan::finish(&halo, ctx, state, slot, pending)?;
                     }
@@ -587,7 +577,7 @@ fn compute_steps<T: Scalar + Wire>(
         } else {
             run.step()?
         };
-        counters.merge(&stepped.counters);
+        account.add((stepped.counters, stepped.hists));
         // Snapshot after the step (and its exchange) fully completed,
         // so a restart resumes with halos as fresh as the original run
         // had them. The same cadence drives disk checkpoints and the
@@ -600,11 +590,9 @@ fn compute_steps<T: Scalar + Wire>(
             if let Some(st) = env.store {
                 let t0 = Instant::now();
                 let bytes = st.save_rank(gen, ctx.rank, run.slots())?;
-                let nanos = t0.elapsed().as_nanos() as u64;
-                counters.bump(Counter::CheckpointBytes, bytes);
-                counters.bump(Counter::CheckpointNanos, nanos);
-                msc_trace::record(Counter::CheckpointBytes, bytes);
-                msc_trace::record(Counter::CheckpointNanos, nanos);
+                ctx.counters.bump(Counter::CheckpointBytes, bytes);
+                ctx.counters
+                    .bump(Counter::CheckpointNanos, t0.elapsed().as_nanos() as u64);
                 msc_trace::flight(
                     FlightKind::Checkpoint,
                     ctx.rank as u32,
@@ -618,11 +606,10 @@ fn compute_steps<T: Scalar + Wire>(
                 let _ = st.gc(opts.checkpoint_keep);
             }
             if let Some(m) = env.membership {
-                buddy_replicate(ctx, env, m, &run.slots(), snaps, gen, counters)?;
+                buddy_replicate(ctx, env, m, &run.slots(), snaps, gen)?;
             }
         }
-        let wall = step_t0.elapsed().as_nanos() as u64;
-        hists.add(Hist::StepWallNanos, wall);
+        account.add(ctx.publish());
         // Feed the live telemetry plane's per-rank table: the sampler's
         // stall detector compares these step fronts across ranks. (The
         // time loop counted the step; in a sessioned hub `steps` counts
@@ -632,32 +619,49 @@ fn compute_steps<T: Scalar + Wire>(
     Ok(())
 }
 
-/// The whole lifecycle of one physical slot: spares idle until adoption
-/// (or stand-down), compute ranks run the step loop; failures loop
-/// through classification → rollback → recompute until the world
-/// finishes or the error escapes to the restart machinery.
+/// One physical slot, start to end: its life, then — whatever that
+/// returned, a killed or failed attempt included — the endpoint's last
+/// account published, so every count reaches the hub.
 fn rank_body<T: Scalar + Wire>(
     mut ctx: RankCtx<T>,
     env: &StepEnv<'_, T>,
     resume: Option<u64>,
 ) -> Result<RankOutcome<T>> {
-    let slot = ctx.slot();
-    let mut counters = CounterSet::new();
-    let mut hists = HistSet::new();
+    let mut account = Account::default();
+    let computed = rank_life(&mut ctx, env, resume, &mut account);
+    account.add(ctx.publish());
+    Ok(RankOutcome {
+        computed: computed?,
+        sent: ctx.sent_msgs,
+        account,
+    })
+}
+
+/// The whole lifecycle of one physical slot: spares idle until adoption
+/// (or stand-down), compute ranks run the step loop; failures loop
+/// through classification → rollback → recompute until the world
+/// finishes or the error escapes to the restart machinery. Returns the
+/// subdomain the slot finished, if it did.
+fn rank_life<T: Scalar + Wire>(
+    ctx: &mut RankCtx<T>,
+    env: &StepEnv<'_, T>,
+    resume: Option<u64>,
+    account: &mut Account,
+) -> Result<Option<(usize, Vec<T>)>> {
     // In-memory snapshot retention mirrors the membership layer's
     // per-rank generation pruning, so a generation it promises is one
     // we still hold.
     let mut snaps: BuddySnapshots<T> = BuddySnapshots::new(KEEP_GENS);
 
-    let is_spare = env.membership.is_some_and(|m| slot >= m.n_logical());
+    let is_spare = env.membership.is_some_and(|m| ctx.slot() >= m.n_logical());
     let mut run = if is_spare {
         let m = env.membership.expect("spare slots imply membership");
-        match spare_standby(&mut ctx, m, env.store) {
+        match spare_standby(ctx, m, env.store) {
             None => {
                 ctx.finalize();
-                return Ok(RankOutcome::of(&ctx, counters, hists, None));
+                return Ok(None);
             }
-            Some(rec) => adopt_state(&mut ctx, env, m, &rec, &mut snaps, &mut counters)?,
+            Some(rec) => adopt_state(ctx, env, m, &rec, &mut snaps)?,
         }
     } else {
         let mut run = rank_loop(env, ctx.rank)?;
@@ -671,14 +675,7 @@ fn rank_body<T: Scalar + Wire>(
     };
 
     loop {
-        let err = match compute_steps(
-            &mut ctx,
-            env,
-            &mut run,
-            &mut snaps,
-            &mut counters,
-            &mut hists,
-        ) {
+        let err = match compute_steps(ctx, env, &mut run, &mut snaps, account) {
             Ok(()) => {
                 // Membership done-barrier: stand by servicing the fabric
                 // (retransmit requests, buddy traffic) until every
@@ -705,24 +702,20 @@ fn rank_body<T: Scalar + Wire>(
                         let interior =
                             state.pack(&Region::new(state.halo.clone(), state.shape.clone()));
                         // Keep servicing the fabric until every rank is
-                        // done, then fold protocol counters into the
-                        // rank's stats.
+                        // done.
                         ctx.finalize();
-                        let computed = Some((ctx.rank, interior));
-                        return Ok(RankOutcome::of(&ctx, counters, hists, computed));
+                        return Ok(Some((ctx.rank, interior)));
                     }
                     Some(e) => e,
                 }
             }
             Err(e) => e,
         };
-        match plan_recovery(&mut ctx, env.membership, env.store, err)? {
-            Reaction::Retire => {
-                // Deliberately no `finalize`: dropping the endpoint is
-                // what lets the survivors' failure detectors fire.
-                return Ok(RankOutcome::of(&ctx, counters, hists, None));
-            }
-            Reaction::Rollback(rec) => rollback(&mut ctx, env, &rec, &snaps, &mut run)?,
+        match plan_recovery(ctx, env.membership, env.store, err)? {
+            // Deliberately no `finalize`: dropping the endpoint is what
+            // lets the survivors' failure detectors fire.
+            Reaction::Retire => return Ok(None),
+            Reaction::Rollback(rec) => rollback(ctx, env, &rec, &snaps, &mut run)?,
         }
     }
 }
@@ -798,7 +791,6 @@ fn run_ranks<T: Scalar + Wire>(
         let world_cfg = WorldConfig {
             fault: opts.chaos.clone(),
             reliability: opts.reliability.clone(),
-            reliable: None,
             membership: membership.clone(),
             heartbeat: heartbeat.clone(),
         };
@@ -844,8 +836,8 @@ fn run_ranks<T: Scalar + Wire>(
                     for res in rank_results {
                         let slot = res?;
                         stats.messages += slot.sent;
-                        stats.counters.merge(&slot.counters);
-                        stats.hists.merge(&slot.hists);
+                        stats.counters.merge(&slot.account.counters);
+                        stats.hists.merge(&slot.account.hists);
                         let Some((logical, interior)) = slot.computed else {
                             continue;
                         };

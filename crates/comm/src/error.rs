@@ -22,10 +22,9 @@ pub enum CommError {
     /// A peer's endpoint is gone — its thread exited or panicked, so the
     /// send (or a retransmit request) had nowhere to go.
     RankDead { rank: usize },
-    /// A payload arrived whose checksum does not match (only reachable
-    /// with the reliability protocol disabled; under it, corrupt frames
-    /// are dropped and retransmitted transparently), or whose length is
-    /// not that of the halo box it was posted for.
+    /// A payload arrived whose length is not that of the halo box it was
+    /// posted for: the peer runs another plan. (A frame damaged in flight
+    /// fails its checksum and is retransmitted transparently.)
     Corrupt { src: usize, tag: u64 },
     /// The chaos plan killed this rank at the given exchange round.
     Killed { rank: usize, exchange: u64 },
@@ -59,7 +58,7 @@ impl fmt::Display for CommError {
             ),
             CommError::RankDead { rank } => write!(f, "rank {rank} is dead (endpoint hung up)"),
             CommError::Corrupt { src, tag } => {
-                write!(f, "corrupt payload from (src {src}, tag {tag}): checksum or length mismatch")
+                write!(f, "corrupt payload from (src {src}, tag {tag}): length mismatch")
             }
             CommError::Killed { rank, exchange } => {
                 write!(f, "chaos plan killed rank {rank} at exchange {exchange}")

@@ -36,7 +36,6 @@
 //!   even under injected faults.
 
 pub mod checkpoint;
-pub mod collectives;
 pub mod distributed;
 pub mod error;
 pub mod fault;
@@ -44,7 +43,6 @@ pub mod plan;
 pub mod runtime;
 
 pub use checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
-pub use collectives::{allreduce, barrier, broadcast, ReduceOp};
 pub use distributed::{run_distributed_resilient, CommStats, RunOptions};
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan, KillSpec};

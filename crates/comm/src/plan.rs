@@ -13,6 +13,7 @@ use crate::runtime::{RankCtx, RecvRequest, Wire};
 use msc_core::halo::{HaloMsg, HaloPlan};
 use msc_exec::{Grid, Scalar};
 use msc_trace::{Counter, Hist};
+use std::time::Instant;
 
 /// Phase 0's posted receives, between [`begin`] and [`finish`].
 pub struct PendingExchange(Vec<RecvRequest>);
@@ -81,15 +82,12 @@ fn post<T: Scalar + Wire>(
     let slot_bits = (slot as u64) << 8;
     let mut reqs = Vec::with_capacity(phase.len());
     for m in phase {
-        let payload = {
-            let _t = msc_trace::timed_hist(Counter::PackNanos, Hist::PackHistNanos);
+        let payload = clocked(ctx, Counter::PackNanos, Hist::PackHistNanos, || {
             grid.pack(&m.send)
-        };
+        });
         let bytes = (payload.len() * std::mem::size_of::<T>()) as u64;
         ctx.counters.bump(Counter::HaloMessages, 1);
         ctx.counters.bump(Counter::HaloBytes, bytes);
-        msc_trace::record(Counter::HaloMessages, 1);
-        msc_trace::record(Counter::HaloBytes, bytes);
         ctx.isend(m.peer, slot_bits | m.send_tag, payload)?;
         reqs.push(ctx.irecv(m.peer, slot_bits | m.recv_tag));
     }
@@ -112,10 +110,23 @@ fn complete<T: Scalar + Wire>(
         if data.len() != m.recv.len() {
             return Err(CommError::Corrupt { src: m.peer, tag });
         }
-        let _t = msc_trace::timed_hist(Counter::UnpackNanos, Hist::UnpackHistNanos);
-        grid.unpack(&m.recv, &data);
+        clocked(ctx, Counter::UnpackNanos, Hist::UnpackHistNanos, || {
+            grid.unpack(&m.recv, &data)
+        });
     }
     Ok(())
+}
+
+/// Run `f` under a span named after `c`, and add its wall time to `c` and
+/// as one sample to `h` of the rank's account.
+fn clocked<T, R>(ctx: &mut RankCtx<T>, c: Counter, h: Hist, f: impl FnOnce() -> R) -> R {
+    let _span = msc_trace::span(c.name());
+    let t0 = Instant::now();
+    let r = f();
+    let ns = t0.elapsed().as_nanos() as u64;
+    ctx.counters.bump(c, ns);
+    ctx.hists.add(h, ns);
+    r
 }
 
 #[cfg(test)]

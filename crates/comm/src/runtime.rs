@@ -13,14 +13,15 @@
 //! typed [`CommError`] values instead of panics or deadlocks.
 //!
 //! A payload is an owned `Vec<T>` moved through an in-process channel:
-//! the one thing that can alter it on the way is the injector's
-//! [`FaultAction::Corrupt`]. Whether frames are checksummed is therefore
-//! decided once per world, in [`World::try_run_with`], from the presence
-//! of a fault plan — a world without one hashes nothing.
+//! the one thing that can alter or lose it on the way is the injector
+//! ([`FaultAction`]). Whether frames are checksummed, acknowledged and
+//! retransmitted is therefore decided once per world, in
+//! [`World::try_run_with`], from the presence of a fault plan — a world
+//! without one hashes and acknowledges nothing.
 
 use crate::error::CommError;
 use crate::fault::{splitmix, FaultAction, FaultPlan};
-use msc_trace::{Counter, CounterSet, FlightKind, Hist, HistSet};
+use msc_trace::{Counter, CounterSet, FlightKind, Hist, HistSet, TelemetryHub};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -150,7 +151,7 @@ impl Delivered {
     }
 }
 
-/// A posted receive: resolved by [`RankCtx::wait`] and friends.
+/// A posted receive: resolved by [`RankCtx::wait`].
 #[derive(Debug)]
 pub struct RecvRequest {
     src: usize,
@@ -178,9 +179,9 @@ pub struct ReliabilityConfig {
     /// Retransmit requests before a wait gives up with
     /// [`CommError::Timeout`].
     pub max_attempts: u32,
-    /// Hard deadline for waits when the reliability protocol is off —
-    /// converts the old "deadlock forever on a lost message" failure
-    /// mode into a diagnosable timeout.
+    /// Hard deadline for waits when the reliability protocol is off (no
+    /// fault plan) — converts the old "deadlock forever on a lost
+    /// message" failure mode into a diagnosable timeout.
     pub plain_deadline: Duration,
 }
 
@@ -503,15 +504,12 @@ impl Membership {
 #[derive(Debug, Clone, Default)]
 pub struct WorldConfig {
     /// Seeded fault injector applied to every data frame. Its presence
-    /// also makes the world's frames checked: payload checksums are
-    /// computed and verified exactly when there is a plan that could
-    /// corrupt one.
+    /// also makes the world reliable: payload checksums are computed and
+    /// verified, and frames acknowledged and retransmitted, exactly when
+    /// there is a plan that could damage or lose one — fault-free runs pay
+    /// for neither.
     pub fault: Option<Arc<FaultPlan>>,
     pub reliability: ReliabilityConfig,
-    /// Force the ack/retransmit protocol on (`Some(true)`) or off
-    /// (`Some(false)`); by default it is on exactly when a fault plan is
-    /// present, so fault-free runs pay no ack traffic.
-    pub reliable: Option<bool>,
     /// Hot-spare membership: present iff the run can heal dead ranks
     /// online. `None` keeps the runtime byte-for-byte on its old paths.
     pub membership: Option<Arc<Membership>>,
@@ -569,9 +567,9 @@ pub struct RankCtx<T> {
     delayed: Vec<(usize, Frame<T>)>,
     fault: Option<Arc<FaultPlan>>,
     cfg: ReliabilityConfig,
+    /// The world has a fault plan: data frames carry a checksum, and the
+    /// ack/retransmit protocol runs.
     reliable: bool,
-    /// Data frames carry a checksum: true iff the world has a fault plan.
-    checked: bool,
     /// Halo-exchange rounds entered (drives kill injection).
     exchanges: u64,
     shared: Arc<WorldShared>,
@@ -594,15 +592,16 @@ pub struct RankCtx<T> {
     /// frames only — acks, retransmissions, and control traffic are
     /// protocol overhead, not messages.
     pub sent_msgs: u64,
-    /// Per-rank trace counters (halo messages/bytes and anything callers
-    /// bump). Always accumulated — cheap local adds — and folded into
-    /// [`crate::distributed::CommStats`] at gather time, so stats survive
-    /// even when global tracing is disabled.
+    /// The rank's account since it was last published to the run's hub:
+    /// protocol events, halo messages, bytes and pack/unpack time, and
+    /// anything the driver bumps. Always accumulated — cheap local adds —
+    /// so [`crate::distributed::CommStats`] has them with tracing off.
     pub counters: CounterSet,
-    /// Per-rank latency histograms (halo wait, retransmit recovery
-    /// delay), accumulated like [`RankCtx::counters`] and merged into
-    /// `CommStats` at gather time.
+    /// The latency samples of the same account (halo wait, retransmit
+    /// recovery delay, pack, unpack, failure detection).
     pub hists: HistSet,
+    /// The run's telemetry hub, which `publish` feeds.
+    hub: Arc<TelemetryHub>,
 }
 
 impl<T> RankCtx<T> {
@@ -621,6 +620,18 @@ impl<T> RankCtx<T> {
 
     fn note_control_fault(&mut self, e: &CommError) {
         self.fault_note = Some(e.clone());
+    }
+
+    /// Publish the account since the last publish to the run's hub (when
+    /// it traces) and hand it over: [`RankCtx::counters`] and
+    /// [`RankCtx::hists`] start again from zero, so every count and
+    /// sample reaches the hub once and the caller once.
+    pub(crate) fn publish(&mut self) -> (CounterSet, HistSet) {
+        self.hub.record_set(&self.counters, &self.hists);
+        (
+            std::mem::take(&mut self.counters),
+            std::mem::take(&mut self.hists),
+        )
     }
 
     fn mark_departed(&mut self) {
@@ -658,7 +669,7 @@ impl<T: Wire> RankCtx<T> {
             tag,
             seq,
             attempt: 0,
-            checksum: self.checked.then(|| checksum(tag, seq, &payload)),
+            checksum: self.reliable.then(|| checksum(tag, seq, &payload)),
             body: Body::Data(payload),
         };
         if self.reliable {
@@ -755,7 +766,7 @@ impl<T: Wire> RankCtx<T> {
         for frame in early {
             // Screening in process_frame re-buffers anything from an
             // even newer epoch and drops anything older.
-            let _ = self.process_frame(frame);
+            self.process_frame(frame);
         }
     }
 
@@ -790,7 +801,6 @@ impl<T: Wire> RankCtx<T> {
             // A dead destination is the detector's business, not ours.
             let _ = self.raw_send(dst, self.control(0, 0, Body::Heartbeat));
             self.counters.bump(Counter::HeartbeatsSent, 1);
-            msc_trace::record(Counter::HeartbeatsSent, 1);
         }
     }
 
@@ -818,9 +828,8 @@ impl<T: Wire> RankCtx<T> {
     /// Record a suspect event: detection latency into the log2 histogram,
     /// a flight-recorder entry, and the typed control error.
     fn note_suspect(&mut self, src: usize, silence: Duration) -> CommError {
-        let ns = silence.as_nanos() as u64;
-        self.hists.add(Hist::DetectLatencyNanos, ns);
-        msc_trace::record_hist(Hist::DetectLatencyNanos, ns);
+        self.hists
+            .add(Hist::DetectLatencyNanos, silence.as_nanos() as u64);
         msc_trace::flight(
             FlightKind::Recover,
             src as u32,
@@ -878,9 +887,7 @@ impl<T: Wire> RankCtx<T> {
             self.poll_epoch()?;
             self.maybe_heartbeat();
             match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(frame) => {
-                    let _ = self.process_frame(frame);
-                }
+                Ok(frame) => self.process_frame(frame),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return Ok(()),
             }
@@ -890,137 +897,15 @@ impl<T: Wire> RankCtx<T> {
         }
     }
 
-    /// Block until the matching message arrives; unrelated messages are
-    /// stashed for later requests. Under the reliability protocol a
-    /// stalled wait requests retransmission with bounded backoff; without
-    /// it, a generous hard deadline turns a lost message into
-    /// [`CommError::Timeout`] instead of a deadlock.
-    pub fn wait(&mut self, req: RecvRequest) -> Result<Vec<T>, CommError> {
-        let deadline = self.cfg.plain_deadline;
-        self.wait_deadline(req, deadline)
-    }
-
-    /// Like [`RankCtx::wait`] with an explicit overall deadline.
-    pub fn wait_timeout(
-        &mut self,
-        req: RecvRequest,
-        deadline: Duration,
-    ) -> Result<Vec<T>, CommError> {
-        self.wait_deadline(req, deadline)
-    }
-
-    /// Poll for completion without blocking: drains every frame already
-    /// in the inbox, then checks the stash. `Ok(None)` means "not yet".
-    pub fn try_wait(&mut self, req: &RecvRequest) -> Result<Option<Vec<T>>, CommError> {
-        while let Ok(frame) = self.inbox.try_recv() {
-            self.process_frame(frame)?;
-        }
-        Ok(self.take_stashed(req.src, req.tag))
-    }
-
-    /// Wait on several requests, returning payloads in request order.
-    pub fn wait_all(&mut self, reqs: Vec<RecvRequest>) -> Result<Vec<Vec<T>>, CommError> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-
-    /// Complete whichever pending request's message arrives first,
-    /// `swap_remove`-ing it from `reqs` and returning its former index
-    /// with the payload. Callers holding per-request state in a parallel
-    /// vector mirror the `swap_remove` to stay aligned. Unlike
-    /// [`RankCtx::wait_all`], nothing stalls on the slowest first
-    /// request while later messages sit in the inbox.
-    pub fn wait_any(&mut self, reqs: &mut Vec<RecvRequest>) -> Result<(usize, Vec<T>), CommError> {
-        assert!(!reqs.is_empty(), "wait_any needs at least one request");
-        let _span = msc_trace::span("recv_wait");
-        let start = Instant::now();
-        let mut poll = self.cfg.poll;
-        let mut attempts = 0u32;
-        let mut resends = 0usize;
-        let mut waited = Duration::ZERO;
-        loop {
-            self.poll_epoch()?;
-            if let Some(pos) = self
-                .stash
-                .iter()
-                .position(|m| reqs.iter().any(|r| r.src == m.src && r.tag == m.tag))
-            {
-                let m = self.stash.swap_remove(pos);
-                let idx = reqs
-                    .iter()
-                    .position(|r| r.src == m.src && r.tag == m.tag)
-                    .unwrap();
-                reqs.swap_remove(idx);
-                let Body::Data(payload) = m.body else {
-                    unreachable!("stash holds data")
-                };
-                self.note_wait_done(waited, resends);
-                return Ok((idx, payload));
-            }
-            self.flush_delayed();
-            let step = self.poll_step(poll, self.cfg.plain_deadline, start);
-            match self.inbox.recv_timeout(step) {
-                Ok(frame) => {
-                    waited = start.elapsed();
-                    self.process_frame(frame)?
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.maybe_heartbeat();
-                    let srcs: HashSet<usize> = reqs.iter().map(|r| r.src).collect();
-                    for &src in &srcs {
-                        if let Some(e) = self.check_suspect(src) {
-                            return Err(e);
-                        }
-                    }
-                    let first = &reqs[0];
-                    if self.reliable {
-                        attempts += 1;
-                        self.counters.bump(Counter::TimeoutCount, 1);
-                        msc_trace::record(Counter::TimeoutCount, 1);
-                        if attempts > self.cfg.max_attempts {
-                            return Err(self.note_timeout(first.src, first.tag, resends));
-                        }
-                        // Nudge every stalled source; a dead one is a
-                        // hard error (nobody will ever retransmit).
-                        let first_tag = first.tag;
-                        for src in srcs {
-                            msc_trace::flight(
-                                FlightKind::ResendRequest,
-                                self.rank as u32,
-                                src as u32,
-                                first_tag,
-                                0,
-                            );
-                            if let Err(e) = self.raw_send(src, self.control(0, 0, Body::Resend)) {
-                                return Err(self.promote_dead(e));
-                            }
-                            resends += 1;
-                        }
-                        poll = Duration::from_secs_f64(
-                            (poll.as_secs_f64() * self.cfg.backoff)
-                                .min(self.cfg.poll_cap.as_secs_f64()),
-                        );
-                    } else if start.elapsed() >= self.cfg.plain_deadline {
-                        self.counters.bump(Counter::TimeoutCount, 1);
-                        msc_trace::record(Counter::TimeoutCount, 1);
-                        return Err(self.note_timeout(first.src, first.tag, 0));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let e = self.note_rank_dead(reqs[0].src);
-                    return Err(self.promote_dead(e));
-                }
-            }
-        }
-    }
-
     /// Receive-poll interval: the protocol's own cadence, capped so
     /// heartbeat and detection deadlines are honored in membership
     /// worlds (a 250 ms plain-mode doze would miss a 100 ms detect).
-    fn poll_step(&self, poll: Duration, deadline: Duration, start: Instant) -> Duration {
+    fn poll_step(&self, poll: Duration, start: Instant) -> Duration {
         let mut step = if self.reliable {
             poll
         } else {
-            deadline
+            self.cfg
+                .plain_deadline
                 .saturating_sub(start.elapsed())
                 .min(Duration::from_millis(250))
         };
@@ -1039,10 +924,8 @@ impl<T: Wire> RankCtx<T> {
     fn note_wait_done(&mut self, waited: Duration, resends: usize) {
         let waited = waited.as_nanos() as u64;
         self.hists.add(Hist::HaloWaitNanos, waited);
-        msc_trace::record_hist(Hist::HaloWaitNanos, waited);
         if resends > 0 {
             self.hists.add(Hist::RetransmitDelayNanos, waited);
-            msc_trace::record_hist(Hist::RetransmitDelayNanos, waited);
         }
     }
 
@@ -1066,7 +949,12 @@ impl<T: Wire> RankCtx<T> {
         CommError::RankDead { rank }
     }
 
-    fn wait_deadline(&mut self, req: RecvRequest, deadline: Duration) -> Result<Vec<T>, CommError> {
+    /// Block until the matching message arrives; unrelated messages are
+    /// stashed for later requests. Under the reliability protocol a
+    /// stalled wait requests retransmission with bounded backoff; without
+    /// it, a generous hard deadline turns a lost message into
+    /// [`CommError::Timeout`] instead of a deadlock.
+    pub fn wait(&mut self, req: RecvRequest) -> Result<Vec<T>, CommError> {
         let _span = msc_trace::span("recv_wait");
         if let Some(payload) = self.take_stashed(req.src, req.tag) {
             return Ok(payload);
@@ -1078,11 +966,11 @@ impl<T: Wire> RankCtx<T> {
         loop {
             self.poll_epoch()?;
             self.flush_delayed();
-            let step = self.poll_step(poll, deadline, start);
+            let step = self.poll_step(poll, start);
             match self.inbox.recv_timeout(step) {
                 Ok(frame) => {
                     let waited = start.elapsed();
-                    self.process_frame(frame)?;
+                    self.process_frame(frame);
                     if let Some(payload) = self.take_stashed(req.src, req.tag) {
                         self.note_wait_done(waited, resends);
                         return Ok(payload);
@@ -1097,10 +985,9 @@ impl<T: Wire> RankCtx<T> {
                         attempts += 1;
                         attempts > self.cfg.max_attempts
                     } else {
-                        start.elapsed() >= deadline
+                        start.elapsed() >= self.cfg.plain_deadline
                     };
                     self.counters.bump(Counter::TimeoutCount, 1);
-                    msc_trace::record(Counter::TimeoutCount, 1);
                     if timed_out {
                         return Err(self.note_timeout(req.src, req.tag, resends));
                     }
@@ -1150,19 +1037,19 @@ impl<T: Wire> RankCtx<T> {
     /// epochs screen first — a frame from the rolled-back past is
     /// dropped, one from a future epoch buffered for `enter_epoch` —
     /// and every on-epoch arrival refreshes the sender's liveness.
-    fn process_frame(&mut self, frame: Frame<T>) -> Result<(), CommError> {
+    fn process_frame(&mut self, frame: Frame<T>) {
         if frame.epoch < self.epoch {
-            return Ok(()); // stale timeline; recovery replay resends
+            return; // stale timeline; recovery replay resends
         }
         if frame.epoch > self.epoch {
             self.future.push(frame);
-            return Ok(());
+            return;
         }
         if frame.src < self.last_heard.len() {
             self.last_heard[frame.src] = Instant::now();
         }
         match frame.body {
-            Body::Heartbeat => Ok(()),
+            Body::Heartbeat => {}
             Body::Ack => {
                 msc_trace::flight(
                     FlightKind::Ack,
@@ -1172,7 +1059,6 @@ impl<T: Wire> RankCtx<T> {
                     frame.seq,
                 );
                 self.unacked[frame.src].retain(|f| f.seq != frame.seq);
-                Ok(())
             }
             Body::Resend => {
                 let requester = frame.src;
@@ -1185,7 +1071,6 @@ impl<T: Wire> RankCtx<T> {
                     .collect();
                 for f in pending.drain(..) {
                     self.counters.bump(Counter::RetransmitCount, 1);
-                    msc_trace::record(Counter::RetransmitCount, 1);
                     msc_trace::flight(
                         FlightKind::Retransmit,
                         self.rank as u32,
@@ -1197,7 +1082,6 @@ impl<T: Wire> RankCtx<T> {
                     // its problem, not ours.
                     let _ = self.transmit(requester, f);
                 }
-                Ok(())
             }
             Body::Data(ref payload) => {
                 if frame
@@ -1211,18 +1095,12 @@ impl<T: Wire> RankCtx<T> {
                         frame.tag,
                         frame.seq,
                     );
-                    if self.reliable {
-                        // Damaged in flight: drop it and nudge the source
-                        // for a clean copy (best effort — our own poll
-                        // timeout re-requests if this nudge is lost).
-                        let _ = self.raw_send(frame.src, self.control(0, 0, Body::Resend));
-                        return Ok(());
-                    }
-                    let _ = msc_trace::dump_on_error("corrupt");
-                    return Err(CommError::Corrupt {
-                        src: frame.src,
-                        tag: frame.tag,
-                    });
+                    // Damaged in flight (only a world with a fault plan
+                    // checksums, and it runs ack/retransmit): drop it and
+                    // nudge the source for a clean copy (best effort — our
+                    // own poll timeout re-requests if this nudge is lost).
+                    let _ = self.raw_send(frame.src, self.control(0, 0, Body::Resend));
+                    return;
                 }
                 if self.reliable {
                     // Acknowledge receipt so the sender can prune its
@@ -1234,7 +1112,7 @@ impl<T: Wire> RankCtx<T> {
                 // Idempotent delivery: duplicates (injected or from
                 // over-eager retransmission) are dropped here.
                 if !self.delivered[frame.src].insert(frame.seq) {
-                    return Ok(());
+                    return;
                 }
                 msc_trace::flight(
                     FlightKind::Deliver,
@@ -1253,7 +1131,6 @@ impl<T: Wire> RankCtx<T> {
                     ),
                 );
                 self.stash.push(frame);
-                Ok(())
             }
         }
     }
@@ -1301,7 +1178,6 @@ impl<T: Wire> RankCtx<T> {
 
     fn note_fault(&mut self, dst: usize, tag: u64, seq: u64) {
         self.counters.bump(Counter::FaultsInjected, 1);
-        msc_trace::record(Counter::FaultsInjected, 1);
         msc_trace::flight(
             FlightKind::FaultInjected,
             self.rank as u32,
@@ -1357,9 +1233,7 @@ impl<T: Wire> RankCtx<T> {
             && Instant::now() < deadline
         {
             match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(frame) => {
-                    let _ = self.process_frame(frame);
-                }
+                Ok(frame) => self.process_frame(frame),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
@@ -1410,10 +1284,9 @@ impl World {
         F: Fn(RankCtx<T>) -> R + Sync,
     {
         assert!(n_ranks > 0, "world needs at least one rank");
-        let reliable = cfg.reliable.unwrap_or(cfg.fault.is_some());
-        // The injector's `Corrupt` is the only thing here that can alter
-        // a payload in flight, so only its worlds checksum their frames.
-        let checked = cfg.fault.is_some();
+        // The injector is the only thing here that can damage or lose a
+        // frame in flight, so only its worlds checksum, ack and resend.
+        let reliable = cfg.fault.is_some();
         let mut senders = Vec::with_capacity(n_ranks);
         let mut receivers = Vec::with_capacity(n_ranks);
         for _ in 0..n_ranks {
@@ -1443,7 +1316,7 @@ impl World {
                 // hub so a sessioned run keeps all ranks in one session.
                 let hub = msc_trace::current_hub();
                 handles.push(scope.spawn(move || {
-                    let _hub_guard = msc_trace::install_thread_hub(hub);
+                    let _hub_guard = msc_trace::install_thread_hub(Arc::clone(&hub));
                     // Tag this thread's spans, flows, and flight records
                     // with the rank id so cross-rank traces stitch.
                     msc_trace::set_current_rank(rank as u32);
@@ -1463,7 +1336,6 @@ impl World {
                         fault,
                         cfg: reliability,
                         reliable,
-                        checked,
                         exchanges: 0,
                         shared,
                         departed_marked: false,
@@ -1477,6 +1349,7 @@ impl World {
                         sent_msgs: 0,
                         counters: CounterSet::new(),
                         hists: HistSet::new(),
+                        hub,
                     };
                     let out = catch_unwind(AssertUnwindSafe(|| f(ctx)));
                     (rank, out)
@@ -1567,67 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_all_preserves_request_order() {
-        let results: Vec<Vec<i64>> = World::run(3, |mut ctx: RankCtx<i64>| {
-            if ctx.rank == 0 {
-                let reqs = vec![ctx.irecv(2, 0), ctx.irecv(1, 0)];
-                ctx.wait_all(reqs).unwrap().into_iter().flatten().collect()
-            } else {
-                ctx.isend(0, 0, vec![ctx.rank as i64]).unwrap();
-                vec![]
-            }
-        });
-        assert_eq!(results[0], vec![2, 1]);
-    }
-
-    #[test]
-    fn wait_any_completes_in_arrival_order() {
-        // Rank 1 delays its message; wait_any must hand back rank 2's
-        // payload first instead of stalling on the first posted request.
-        let results: Vec<Vec<i64>> = World::run(3, |mut ctx: RankCtx<i64>| {
-            if ctx.rank == 0 {
-                let mut reqs = vec![ctx.irecv(1, 0), ctx.irecv(2, 0)];
-                let mut arrivals = Vec::new();
-                while !reqs.is_empty() {
-                    let (_, payload) = ctx.wait_any(&mut reqs).unwrap();
-                    arrivals.push(payload[0]);
-                }
-                arrivals
-            } else {
-                if ctx.rank == 1 {
-                    std::thread::sleep(Duration::from_millis(80));
-                }
-                ctx.isend(0, 0, vec![ctx.rank as i64 * 10]).unwrap();
-                vec![]
-            }
-        });
-        assert_eq!(results[0], vec![20, 10]);
-    }
-
-    #[test]
-    fn try_wait_polls_without_blocking() {
-        let results: Vec<u64> = World::run(2, |mut ctx: RankCtx<u64>| {
-            if ctx.rank == 0 {
-                std::thread::sleep(Duration::from_millis(30));
-                ctx.isend(1, 5, vec![99]).unwrap();
-                0
-            } else {
-                let req = ctx.irecv(0, 5);
-                let mut polls = 0u64;
-                loop {
-                    if let Some(v) = ctx.try_wait(&req).unwrap() {
-                        assert!(polls > 0, "first poll should find nothing");
-                        return v[0];
-                    }
-                    polls += 1;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        });
-        assert_eq!(results[1], 99);
-    }
-
-    #[test]
     fn all_to_all() {
         let n = 5;
         let sums: Vec<usize> = World::run(n, move |mut ctx: RankCtx<usize>| {
@@ -1698,7 +1510,6 @@ mod tests {
                 max_attempts: 60,
                 ..Default::default()
             },
-            reliable: None,
             membership: None,
             heartbeat: None,
         };
@@ -1760,12 +1571,12 @@ mod tests {
                     sum += ctx.wait(req).unwrap()[0];
                 }
             }
-            // A second receive of the duplicated payload must NOT be
-            // available: the duplicate was suppressed on arrival.
+            // Once every copy has arrived, a second payload must NOT be
+            // stashed: the duplicate was suppressed on arrival.
+            ctx.service_for(Duration::from_millis(20)).unwrap();
             for src in 0..ctx.n_ranks {
                 if src != ctx.rank {
-                    let req = ctx.irecv(src, 0);
-                    assert!(ctx.try_wait(&req).unwrap().is_none(), "duplicate leaked");
+                    assert!(ctx.take_stashed(src, 0).is_none(), "duplicate leaked");
                 }
             }
             ctx.finalize();
@@ -1957,32 +1768,10 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_frame_without_reliability_is_typed_error() {
-        let mut plan = FaultPlan::new(3);
-        plan.corrupt_p = 1.0;
-        let cfg = WorldConfig {
-            fault: Some(Arc::new(plan)),
-            reliable: Some(false), // detection without recovery
-            ..Default::default()
-        };
-        let results: Vec<Option<CommError>> =
-            World::try_run_with(2, cfg, |mut ctx: RankCtx<f64>| {
-                if ctx.rank == 0 {
-                    ctx.isend(1, 9, vec![1.0, 2.0, 3.0]).unwrap();
-                    None
-                } else {
-                    let req = ctx.irecv(0, 9);
-                    ctx.wait_timeout(req, Duration::from_secs(5)).err()
-                }
-            })
-            .unwrap();
-        assert_eq!(results[1], Some(CommError::Corrupt { src: 0, tag: 9 }));
-    }
-
-    #[test]
     fn timeout_error_names_the_pending_pair() {
         let cfg = WorldConfig {
-            reliable: Some(true),
+            // A plan that injects nothing: reliable, and nothing is lost.
+            fault: Some(Arc::new(FaultPlan::new(1))),
             reliability: ReliabilityConfig {
                 poll: Duration::from_millis(1),
                 max_attempts: 3,

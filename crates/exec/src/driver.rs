@@ -12,7 +12,7 @@ use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_core::schedule::WindowPlan;
-use msc_trace::{Counter, CounterSet, Profile};
+use msc_trace::{Counter, CounterSet, Hist, HistSet, Profile};
 use std::borrow::Cow;
 
 /// Which execution strategy to use for each timestep.
@@ -38,13 +38,13 @@ impl Executor {
 
     /// Compute `tiles` of one timestep into `out` from `inputs`
     /// (`inputs[dt - 1]` is the state `dt` steps back) and return what the
-    /// step counted: tiles, DMA traffic and SPM peak under `Spm`, and the
-    /// rows the stencil's tier evaluated. The same numbers go to the
-    /// tracer. `tiles` must be distinct cells of the plan's tiling — all of
-    /// [`Executor::tiles`], or a part of them when a caller interleaves
-    /// the step with something else — and the plan must have been lowered
-    /// for `out`'s shape; the serial reference ignores `tiles` and
-    /// computes the whole interior on the interpreter.
+    /// sweep counted: tiles, DMA traffic and SPM peak under `Spm`, and the
+    /// rows the stencil's tier evaluated. `tiles` must be distinct cells
+    /// of the plan's tiling — all of [`Executor::tiles`], or a part of
+    /// them when a caller interleaves the step with something else — and
+    /// the plan must have been lowered for `out`'s shape; the serial
+    /// reference ignores `tiles` and computes the whole interior on the
+    /// interpreter.
     pub fn step<T: Scalar>(
         &self,
         compiled: &TieredStencil<T>,
@@ -68,26 +68,25 @@ impl Executor {
                 counters = spm::step_tiles(compiled, plan, inputs, out, *spm_capacity, tiles)?;
             }
         }
-        Ok(publish(compiled, counters))
+        Ok(with_tier_rows(compiled, counters))
     }
 }
 
-/// Close a step's account: the rows `stencil`'s tier evaluated join
-/// `counters`, and the set goes to the tracer.
-fn publish<T: Scalar>(stencil: &TieredStencil<T>, mut counters: CounterSet) -> CounterSet {
+/// Close a sweep's account: the rows `stencil`'s tier evaluated join
+/// `counters`.
+fn with_tier_rows<T: Scalar>(stencil: &TieredStencil<T>, mut counters: CounterSet) -> CounterSet {
     let (vm_dispatches, specialized_rows) = stencil.take_tier_counters();
     counters.set(Counter::VmDispatches, vm_dispatches);
     counters.set(Counter::SpecializedHits, specialized_rows);
-    msc_trace::record_set(&counters);
     counters
 }
 
 /// Aggregate statistics of a run.
 ///
-/// A thin view over the trace counter vocabulary: the driver accumulates
-/// a [`CounterSet`] while stepping (the executors publish the same
-/// numbers to the global tracer when tracing is enabled) and this struct
-/// is projected out of it at the end via [`RunStats::from_counters`].
+/// A thin view over the trace counter vocabulary: the driver merges the
+/// [`CounterSet`] of every step (each published to the tracer once, by
+/// [`TimeLoop`], when tracing is enabled) and this struct is projected
+/// out of it at the end via [`RunStats::from_counters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     pub steps: usize,
@@ -247,10 +246,13 @@ pub fn run_program<T: Scalar>(
     run_program_tier(program, executor, init, Boundary::Dirichlet, ExecTier::Auto)
 }
 
-/// What one step of a [`TimeLoop`] left in the window.
+/// What one step of a [`TimeLoop`] left in the window, and its account —
+/// the one the loop published.
 pub struct Stepped<'r, T> {
     /// What the step counted, `Steps` and `ComputedPoints` included.
     pub counters: CounterSet,
+    /// The step's one `step_wall` sample.
+    pub hists: HistSet,
     /// The state the step computed, boundary applied.
     pub state: &'r Grid<T>,
     /// The state one step back.
@@ -282,13 +284,14 @@ pub type StepHook<'h, T> = &'h mut dyn FnMut(&mut Grid<T>, usize) -> Result<()>;
 /// The time loop of a run, on one node and on every rank of a distributed
 /// one: the admitted stencil, the window ring and how far the run has
 /// come. [`TimeLoop::step`] is the one place a ring is advanced: it
-/// computes the next state from the window, applies the boundary and
-/// recycles the slot nothing reads any more. When the stencil's terms
-/// share one kernel ([`TieredStencil::describe`] says so) and the staging
-/// is [`Executor::Tiled`], the window holds the newest state and the
-/// kernel's images of the older ones, and a step sweeps the kernel once
-/// (DESIGN.md §12.6); otherwise it holds `max_dt + 1` states and a step
-/// evaluates every term.
+/// computes the next state from the window, applies the boundary,
+/// recycles the slot nothing reads any more and publishes the step's
+/// account to the tracer, once ([`Stepped`] hands the same account back).
+/// When the stencil's terms share one kernel ([`TieredStencil::describe`]
+/// says so) and the staging is [`Executor::Tiled`], the window holds the
+/// newest state and the kernel's images of the older ones, and a step
+/// sweeps the kernel once (DESIGN.md §12.6); otherwise it holds
+/// `max_dt + 1` states and a step evaluates every term.
 pub struct TimeLoop<'a, T: Scalar> {
     compiled: TieredStencil<T>,
     executor: &'a Executor,
@@ -323,8 +326,9 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         msc_lint::check_deny(program, None)?;
         let compiled = TieredStencil::compile(program, &seed, tier)?;
         let window = WindowPlan::for_max_dt(compiled.max_dt)?;
-        // Compile time goes to the global tracer only: `RunStats` must stay
-        // bit-identical between repeated runs, and wall-clock isn't.
+        // Compile time goes to the tracer only, outside any step's account:
+        // `RunStats` must stay bit-identical between repeated runs, and
+        // wall-clock isn't.
         msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
         Ok(TimeLoop {
             points: seed.interior_len() as u64,
@@ -408,15 +412,13 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         };
         self.steps += 1;
         counters.bump(Counter::Steps, 1);
-        msc_trace::record(Counter::Steps, 1);
         counters.bump(Counter::ComputedPoints, self.points);
-        msc_trace::record(Counter::ComputedPoints, self.points);
-        msc_trace::record_hist(
-            msc_trace::Hist::StepWallNanos,
-            step_t0.elapsed().as_nanos() as u64,
-        );
+        let mut hists = HistSet::new();
+        hists.add(Hist::StepWallNanos, step_t0.elapsed().as_nanos() as u64);
+        msc_trace::record_set(&counters, &hists);
         Ok(Stepped {
             counters,
+            hists,
             state: self.ring.input(self.newest),
             previous: self.ring.input(previous),
         })
@@ -503,7 +505,7 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
                     tiled::step_tiles_reusing(image, &terms, plan, prev, &mut fresh, next, tiles)?;
                     let mut counters = CounterSet::new();
                     counters.set(Counter::TilesExecuted, tiles.len() as u64);
-                    Ok(publish(&image.kernel, counters))
+                    Ok(with_tier_rows(&image.kernel, counters))
                 },
                 hook,
             )?

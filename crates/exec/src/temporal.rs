@@ -16,7 +16,7 @@ use crate::tier::{ExecTier, TieredStencil};
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
-use msc_trace::Counter;
+use msc_trace::{Counter, CounterSet, HistSet};
 
 /// Statistics of a temporally tiled run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -27,6 +27,15 @@ pub struct TemporalStats {
     pub computed_points: u64,
     /// The redundant-computation factor: computed / (steps × points).
     pub redundancy: f64,
+}
+
+impl TemporalStats {
+    /// Add a block's account.
+    fn add(&mut self, block: &CounterSet) {
+        self.blocks += block.get(Counter::TemporalBlocks) as usize;
+        self.steps += block.get(Counter::Steps) as usize;
+        self.computed_points += block.get(Counter::ComputedPoints);
+    }
 }
 
 /// The trapezoid of one tile over a block of `depth` local steps, per
@@ -162,13 +171,13 @@ pub fn run_temporal_tiled_tier<T: Scalar>(
         // `next` (the old cur) is overwritten tile by tile in the next
         // block; its halo already matches (Dirichlet, never written).
         std::mem::swap(&mut cur, &mut next);
-        let block_points: u64 = shares.iter().sum();
-        stats.blocks += 1;
-        stats.steps += block;
-        stats.computed_points += block_points;
-        msc_trace::record(Counter::TemporalBlocks, 1);
-        msc_trace::record(Counter::Steps, block as u64);
-        msc_trace::record(Counter::ComputedPoints, block_points);
+        // The block's account, published once and added to the run's.
+        let mut counters = CounterSet::new();
+        counters.set(Counter::TemporalBlocks, 1);
+        counters.set(Counter::Steps, block as u64);
+        counters.set(Counter::ComputedPoints, shares.iter().sum());
+        msc_trace::record_set(&counters, &HistSet::new());
+        stats.add(&counters);
         remaining -= block;
     }
 

@@ -200,7 +200,6 @@ impl<T: Scalar> CompiledVarStencil<T> {
                 });
             }
         })?;
-        msc_trace::record(msc_trace::Counter::TilesExecuted, tiles.len() as u64);
         Ok(tiles.len())
     }
 }

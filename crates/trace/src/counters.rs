@@ -4,10 +4,11 @@
 //! Two representations:
 //!
 //! * the **hub accumulator** — sharded `AtomicU64` banks owned by a
-//!   [`crate::TelemetryHub`] behind its enable flag, fed by
-//!   [`record`]/[`record_max`] on hot paths and drained by [`snapshot`].
-//!   The free functions here resolve the calling thread's current hub
-//!   (default hub unless one was installed) and delegate;
+//!   [`crate::TelemetryHub`] behind its enable flag, fed once per step by
+//!   [`record_set`] (the account a step, block or rank returns) and by
+//!   [`record`] for the few counts no account carries, drained by
+//!   [`snapshot`]. The free functions here resolve the calling thread's
+//!   current hub (default hub unless one was installed) and delegate;
 //! * [`CounterSet`] — a plain `Copy` array of values used wherever stats
 //!   are passed around or merged without atomics (per-rank results,
 //!   `RunStats`, `CommStats`).
@@ -249,23 +250,18 @@ impl Drop for EnableGuard {
 
 /// Accumulate `v` into counter `c` of the current hub (no-op unless
 /// that hub has tracing enabled). Sum-mode counters add; max-mode
-/// counters take the running maximum.
+/// counters take the running maximum. For counts no account carries;
+/// everything else reaches the hub through [`record_set`].
 #[inline]
 pub fn record(c: Counter, v: u64) {
     crate::hub::with_current(|h| h.record(c, v));
 }
 
-/// Alias for [`record`] that reads better at max-mode call sites.
-#[inline]
-pub fn record_max(c: Counter, v: u64) {
-    record(c, v);
-}
-
-/// Publish a locally accumulated [`CounterSet`] into the current hub
-/// (no-op unless enabled). Lets hot loops count into a plain stack
-/// value and pay for atomics once.
-pub fn record_set(set: &CounterSet) {
-    crate::hub::with_current(|h| h.record_set(set));
+/// Publish an account — what one step, block or rank counted and the
+/// latency samples it took — into the current hub (no-op unless
+/// enabled). See [`crate::TelemetryHub::record_set`].
+pub fn record_set(counters: &CounterSet, hists: &crate::HistSet) {
+    crate::hub::with_current(|h| h.record_set(counters, hists));
 }
 
 /// Fold the current hub's banks into a plain [`CounterSet`].
@@ -336,7 +332,7 @@ mod tests {
         set_enabled(false);
         let before = snapshot();
         record(Counter::TilesExecuted, 42);
-        record_max(Counter::SpmPeakBytes, 1 << 20);
+        record(Counter::SpmPeakBytes, 1 << 20);
         assert_eq!(snapshot(), before);
     }
 
@@ -352,7 +348,7 @@ mod tests {
                         for _ in 0..100 {
                             record(Counter::TilesExecuted, 1);
                         }
-                        record_max(Counter::SpmPeakBytes, 4096);
+                        record(Counter::SpmPeakBytes, 4096);
                     });
                 }
             });

@@ -5,12 +5,14 @@
 //! hunt need the tail, not the mean. The design mirrors [`crate::counters`]:
 //!
 //! * a fixed vocabulary ([`Hist`]) with stable names and units;
-//! * a **hub accumulator** of atomic buckets behind the owning
-//!   [`crate::TelemetryHub`]'s enable flag — [`record_hist`] on a hot
-//!   path is a relaxed load, a `leading_zeros`, and one `fetch_add`,
-//!   with **no allocation ever**;
 //! * a plain `Copy` value type ([`Histogram`], grouped into [`HistSet`])
-//!   for per-rank accumulation and merging without atomics.
+//!   that a step or a rank samples into without atomics — adding a
+//!   sample is a `leading_zeros` and four adds, with **no allocation
+//!   ever**;
+//! * a **hub accumulator** of atomic buckets behind the owning
+//!   [`crate::TelemetryHub`]'s enable flag, into which a whole `HistSet`
+//!   is folded bucket by bucket when its account is published
+//!   ([`crate::record_set`]).
 //!
 //! Buckets are powers of two: bucket `i` holds samples `v` with
 //! `2^(i-1) <= v < 2^i` (bucket 0 holds zero). Exact `count`, `sum`
@@ -237,7 +239,7 @@ impl HistSet {
         &self.hists[h as usize]
     }
 
-    /// Record one sample into histogram `h`.
+    /// Add one sample to histogram `h`.
     #[inline]
     pub fn add(&mut self, h: Hist, v: u64) {
         self.hists[h as usize].add(v);
@@ -267,8 +269,8 @@ impl HistSet {
 }
 
 /// Per-hub atomic banks, one histogram per [`Hist`] variant. Unlike the
-/// sharded counters, waits and steps are orders of magnitude rarer than
-/// counter bumps, so a single bank with relaxed `fetch_add`s suffices.
+/// sharded counters there is one bank: a publish folds a step's or a
+/// rank's samples in at once, so relaxed `fetch_add`s suffice.
 struct Bank {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
@@ -301,13 +303,22 @@ impl Banks {
         }
     }
 
-    #[inline]
-    pub(crate) fn record(&self, h: Hist, v: u64) {
-        let bank = &self.banks[h as usize];
-        bank.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        bank.count.fetch_add(1, Ordering::Relaxed);
-        bank.sum.fetch_add(v, Ordering::Relaxed);
-        bank.max.fetch_max(v, Ordering::Relaxed);
+    /// Fold every sample of `set` in: the banks then read as if each had
+    /// been recorded one by one.
+    pub(crate) fn merge(&self, set: &HistSet) {
+        for (bank, hist) in self.banks.iter().zip(&set.hists) {
+            if hist.is_empty() {
+                continue;
+            }
+            for (b, &n) in bank.buckets.iter().zip(&hist.buckets) {
+                if n != 0 {
+                    b.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+            bank.count.fetch_add(hist.count, Ordering::Relaxed);
+            bank.sum.fetch_add(hist.sum, Ordering::Relaxed);
+            bank.max.fetch_max(hist.max, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn snapshot(&self) -> HistSet {
@@ -334,14 +345,6 @@ impl Banks {
             bank.max.store(0, Ordering::Relaxed);
         }
     }
-}
-
-/// Record one sample into the current hub's histogram `h` (no-op unless
-/// that hub has tracing enabled). Allocation-free: a branch, a
-/// `leading_zeros`, and four relaxed atomic ops.
-#[inline]
-pub fn record_hist(h: Hist, v: u64) {
-    crate::hub::with_current(|hub| hub.record_hist(h, v));
 }
 
 /// Fold the current hub's banks into a plain [`HistSet`].
@@ -512,29 +515,40 @@ mod tests {
         assert_eq!(empty.max(), 0);
     }
 
+    /// Publish `samples` as one account's histograms; returns them.
+    fn publish(samples: &[(Hist, u64)]) -> HistSet {
+        let mut set = HistSet::new();
+        for &(h, v) in samples {
+            set.add(h, v);
+        }
+        crate::record_set(&crate::CounterSet::new(), &set);
+        set
+    }
+
     #[test]
-    fn disabled_record_hist_is_inert() {
+    fn disabled_publish_leaves_the_banks_empty() {
         let _g = GLOBAL_TEST_LOCK.lock().unwrap();
         reset_hists();
         set_enabled(false);
-        record_hist(Hist::HaloWaitNanos, 42);
+        publish(&[(Hist::HaloWaitNanos, 42)]);
         assert!(snapshot_hists().is_empty());
     }
 
     #[test]
-    fn enabled_record_hist_accumulates() {
+    fn published_sets_fold_into_the_banks_bucket_for_bucket() {
         let _g = GLOBAL_TEST_LOCK.lock().unwrap();
         reset_hists();
+        let mut sent = HistSet::new();
         {
             let _e = EnableGuard::new();
-            record_hist(Hist::StepWallNanos, 100);
-            record_hist(Hist::StepWallNanos, 200);
-            record_hist(Hist::PackHistNanos, 7);
+            let (step, pack) = (Hist::StepWallNanos, Hist::PackHistNanos);
+            sent.merge(&publish(&[(step, 100), (pack, 7)]));
+            sent.merge(&publish(&[(step, 200), (step, 0)]));
         }
         let s = snapshot_hists();
-        assert_eq!(s.get(Hist::StepWallNanos).count(), 2);
+        assert_eq!(s, sent);
+        assert_eq!(s.get(Hist::StepWallNanos).count(), 3);
         assert_eq!(s.get(Hist::StepWallNanos).max(), 200);
-        assert_eq!(s.get(Hist::PackHistNanos).count(), 1);
         assert!(s.get(Hist::HaloWaitNanos).is_empty());
         reset_hists();
         assert!(snapshot_hists().is_empty());

@@ -131,43 +131,64 @@ impl TelemetryHub {
 
     /// Accumulate `v` into counter `c` (no-op unless this hub is
     /// enabled). Sum-mode counters add; max-mode counters take the max.
+    /// For the counts no account carries (the worker pool's, compile
+    /// time); everything else arrives through [`TelemetryHub::record_set`].
     #[inline]
     pub fn record(&self, c: Counter, v: u64) {
         if !self.enabled() {
             return;
         }
         self.counters.record(c, v);
-        // Per-rank live attribution for the rates `mscc top` shows.
-        // RankRecoveries is routed explicitly (note_rank_recovery) so
-        // adoption is attributed to the logical rank, not the spare slot.
-        if matches!(c, Counter::PoolSteals | Counter::RetransmitCount) {
-            let r = crate::spans::current_rank();
-            if r != crate::spans::NO_RANK && self.ranks.note_counter(r, c, v) {
-                self.note_rank_overflow();
-            }
+        self.attribute(c, v);
+    }
+
+    /// Publish an account: the counters and latency samples one step,
+    /// block or rank accumulated in plain values, paid for in atomics once
+    /// (no-op unless enabled). The hub then reads as if every count and
+    /// sample had been recorded one by one; the rank-attributable parts
+    /// (steals, retransmits, halo wait) also land in the calling rank's
+    /// row of the live table.
+    pub fn record_set(&self, counters: &CounterSet, hists: &HistSet) {
+        if !self.enabled() {
+            return;
+        }
+        for (c, v) in counters.iter().filter(|&(_, v)| v != 0) {
+            self.counters.record(c, v);
+            self.attribute(c, v);
+        }
+        self.hists.merge(hists);
+        let wait = hists.get(Hist::HaloWaitNanos);
+        if !wait.is_empty() {
+            self.note_rank(|ranks, r| ranks.note_halo_wait(r, wait.sum(), wait.count()));
         }
     }
 
-    /// A per-rank update folded into the overflow cell: count it so the
-    /// saturation is visible in `--profile` and the sampler stream.
+    /// Per-rank live attribution for the rates `mscc top` shows.
+    /// RankRecoveries is routed explicitly (note_rank_recovery) so
+    /// adoption is attributed to the logical rank, not the spare slot.
+    #[inline]
+    fn attribute(&self, c: Counter, v: u64) {
+        if matches!(c, Counter::PoolSteals | Counter::RetransmitCount) {
+            self.note_rank(|ranks, r| ranks.note_counter(r, c, v));
+        }
+    }
+
+    /// Update the calling rank's row of the live table, if the thread is
+    /// a rank's. An update folded into the overflow cell is counted so
+    /// the saturation is visible in `--profile` and the sampler stream.
+    #[inline]
+    fn note_rank(&self, note: impl FnOnce(&crate::ranks::RankTable, u32) -> bool) {
+        let r = crate::spans::current_rank();
+        if r != crate::spans::NO_RANK && note(&self.ranks, r) {
+            self.note_rank_overflow();
+        }
+    }
+
+    /// A per-rank update folded into the overflow cell: count it.
     /// (Plain bank write — must not re-enter [`TelemetryHub::record`].)
     #[inline]
     fn note_rank_overflow(&self) {
         self.counters.record(Counter::RankTableOverflow, 1);
-    }
-
-    /// Publish a locally accumulated [`CounterSet`] (no-op unless
-    /// enabled). Lets hot loops count into a stack value and pay for
-    /// atomics once.
-    pub fn record_set(&self, set: &CounterSet) {
-        if !self.enabled() {
-            return;
-        }
-        for (c, v) in set.iter() {
-            if v != 0 {
-                self.counters.record(c, v);
-            }
-        }
     }
 
     /// Fold every counter shard into a plain [`CounterSet`].
@@ -180,21 +201,6 @@ impl TelemetryHub {
     }
 
     // ---- histograms ----------------------------------------------------
-
-    /// Record one latency sample (no-op unless this hub is enabled).
-    #[inline]
-    pub fn record_hist(&self, h: Hist, v: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.hists.record(h, v);
-        if h == Hist::HaloWaitNanos {
-            let r = crate::spans::current_rank();
-            if r != crate::spans::NO_RANK && self.ranks.note_halo_wait(r, v) {
-                self.note_rank_overflow();
-            }
-        }
-    }
 
     pub fn snapshot_hists(&self) -> HistSet {
         self.hists.snapshot()
@@ -458,15 +464,56 @@ mod tests {
         assert_eq!(current_hub().id(), outer.id());
     }
 
+    /// An account of one rank's step: two retransmits and two halo waits.
+    fn rank_account() -> (CounterSet, HistSet) {
+        let mut counters = CounterSet::new();
+        counters.set(Counter::RetransmitCount, 2);
+        counters.set(Counter::HaloMessages, 3);
+        let mut hists = HistSet::new();
+        hists.add(Hist::HaloWaitNanos, 100);
+        hists.add(Hist::HaloWaitNanos, 400);
+        (counters, hists)
+    }
+
     #[test]
     fn disabled_hub_records_nothing() {
         let hub = TelemetryHub::new();
         hub.record(Counter::Steps, 5);
-        hub.record_hist(Hist::StepWallNanos, 100);
+        let (counters, hists) = rank_account();
+        hub.record_set(&counters, &hists);
         hub.note_rank_step(0, 1);
         assert!(hub.snapshot().is_zero());
         assert!(hub.snapshot_hists().is_empty());
         assert!(hub.rank_samples().is_empty());
+    }
+
+    #[test]
+    fn a_published_account_reaches_the_banks_and_its_ranks_row() {
+        let hub = TelemetryHub::new();
+        hub.set_enabled(true);
+        let (counters, hists) = rank_account();
+        // Off a rank thread nothing is attributed; on one, the row gets
+        // the retransmits and the waits' total and count.
+        hub.record_set(&counters, &hists);
+        assert!(hub.rank_samples().is_empty());
+        std::thread::spawn({
+            let hub = Arc::clone(&hub);
+            move || {
+                crate::set_current_rank(5);
+                hub.record_set(&counters, &hists);
+            }
+        })
+        .join()
+        .unwrap();
+        let mut twice = counters;
+        twice.merge(&counters);
+        assert_eq!(hub.snapshot(), twice);
+        let mut both = hists;
+        both.merge(&hists);
+        assert_eq!(hub.snapshot_hists(), both);
+        let row = hub.rank_samples()[0];
+        assert_eq!((row.rank, row.retransmits), (5, 2));
+        assert_eq!((row.halo_wait_ns, row.halo_wait_count), (500, 2));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!
 //! Observability v2 (DESIGN.md §8) adds:
 //!
-//! * [`histogram`] — fixed-bucket log2 latency distributions
-//!   ([`record_hist`]) behind the same enable gate as counters;
+//! * [`histogram`] — fixed-bucket log2 latency distributions, published
+//!   with the counters of the same account ([`record_set`]) behind the
+//!   same enable gate;
 //! * [`stitch`] — cross-rank trace stitching: rank-tagged spans
 //!   ([`spans::set_current_rank`]), flow events correlated by message
 //!   identity ([`stitch::message_id`]), the per-step straggler report,
@@ -70,10 +71,10 @@ pub mod stitch;
 
 pub use alert::{Alert, AlertConfig, AlertKind};
 pub use counters::{
-    record, record_max, record_set, reset_counters, set_enabled, snapshot, Counter, CounterSet,
-    EnableGuard, MergeMode,
+    record, record_set, reset_counters, set_enabled, snapshot, Counter, CounterSet, EnableGuard,
+    MergeMode,
 };
-pub use histogram::{record_hist, reset_hists, snapshot_hists, Hist, HistSet, Histogram};
+pub use histogram::{reset_hists, snapshot_hists, Hist, HistSet, Histogram};
 pub use hub::{current_hub, default_hub, install_thread_hub, HubGuard, TelemetryHub};
 pub use json::Json;
 pub use profile::Profile;
@@ -84,8 +85,8 @@ pub use recorder::{
 };
 pub use sampler::{Sampler, SamplerConfig, SamplerSummary};
 pub use spans::{
-    event, flow_recv, flow_send, reset_spans, set_current_rank, span, span_arg, timed, timed_hist,
-    SpanGuard, SpanKind, SpanRecord, TimedScope, NO_RANK,
+    event, flow_recv, flow_send, reset_spans, set_current_rank, span, span_arg, SpanGuard,
+    SpanKind, SpanRecord, NO_RANK,
 };
 pub use stitch::{
     message_id, render_straggler_report, straggler_report, unpack_message_id, validate_chrome_json,

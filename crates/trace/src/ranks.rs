@@ -5,8 +5,8 @@
 //! flight — counters alone can't attribute to ranks, and spans are too
 //! expensive to scan every 100 ms. Each hub owns a fixed table of
 //! cache-line-sized atomic cells, one per rank, updated with relaxed
-//! stores from the rank's own hot path and snapshotted wait-free by the
-//! sampler thread.
+//! stores from the rank's own thread as it publishes each step and
+//! snapshotted wait-free by the sampler thread.
 
 use crate::counters::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,10 +109,11 @@ impl RankTable {
         overflow
     }
 
-    pub(crate) fn note_halo_wait(&self, rank: u32, ns: u64) -> bool {
+    /// `count` halo waits of `ns` nanoseconds in total.
+    pub(crate) fn note_halo_wait(&self, rank: u32, ns: u64, count: u64) -> bool {
         let (c, overflow) = self.cell(rank);
         c.halo_wait_ns.fetch_add(ns, Ordering::Relaxed);
-        c.halo_wait_count.fetch_add(1, Ordering::Relaxed);
+        c.halo_wait_count.fetch_add(count, Ordering::Relaxed);
         c.touch();
         overflow
     }
@@ -199,7 +200,7 @@ mod tests {
         // Exactly at the boundary and far beyond: both land in the one
         // shared overflow cell and report the fold to the caller.
         assert!(t.note_step(MAX_RANKS as u32, 5));
-        assert!(t.note_halo_wait(u32::MAX, 7));
+        assert!(t.note_halo_wait(u32::MAX, 7, 1));
         assert!(t.note_counter(u32::MAX, Counter::PoolSteals, 2));
         let s = t.snapshot();
         assert_eq!(s.len(), 1);
@@ -218,7 +219,7 @@ mod tests {
         assert!(!t.note_counter(1, Counter::PoolSteals, 4));
         t.note_counter(1, Counter::RetransmitCount, 2);
         t.note_counter(1, Counter::Steps, 99); // not rank-attributable
-        t.note_halo_wait(1, 500);
+        t.note_halo_wait(1, 500, 1);
         let s = t.snapshot();
         assert_eq!(s[0].steals, 4);
         assert_eq!(s[0].retransmits, 2);

@@ -497,8 +497,11 @@ mod tests {
         let sampler = Sampler::start(Arc::clone(&hub), cfg).unwrap();
         for step in 0..5u64 {
             let _g = crate::install_thread_hub(Arc::clone(&hub));
-            crate::record(Counter::Steps, 1);
-            crate::record_hist(Hist::StepWallNanos, 1000);
+            let mut counters = crate::CounterSet::new();
+            counters.set(Counter::Steps, 1);
+            let mut hists = crate::HistSet::new();
+            hists.add(Hist::StepWallNanos, 1000);
+            crate::record_set(&counters, &hists);
             crate::note_rank_step(0, step);
             std::thread::sleep(Duration::from_millis(12));
         }

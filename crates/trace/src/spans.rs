@@ -326,51 +326,6 @@ fn flow(name: &'static str, id: u64, kind: SpanKind) {
     });
 }
 
-/// RAII interval that also adds its duration to a counter on drop
-/// (e.g. pack/unpack/barrier-wait time), and optionally to a latency
-/// histogram.
-#[must_use = "a timed scope measures the scope it is bound to"]
-pub struct TimedScope {
-    counter: crate::counters::Counter,
-    hist: Option<crate::histogram::Hist>,
-    inner: SpanGuard,
-}
-
-/// Open a span named after `counter` whose duration is also accumulated
-/// into that counter.
-#[inline]
-pub fn timed(counter: crate::counters::Counter) -> TimedScope {
-    TimedScope {
-        counter,
-        hist: None,
-        inner: span(counter.name()),
-    }
-}
-
-/// Like [`timed`], but the duration additionally lands as one sample in
-/// histogram `h` — total time *and* distribution from one guard.
-#[inline]
-pub fn timed_hist(counter: crate::counters::Counter, h: crate::histogram::Hist) -> TimedScope {
-    TimedScope {
-        counter,
-        hist: Some(h),
-        inner: span(counter.name()),
-    }
-}
-
-impl Drop for TimedScope {
-    fn drop(&mut self) {
-        if let Some(start_ns) = self.inner.start_ns {
-            // The inner guard records the span; we add the duration.
-            let dur = now_ns().saturating_sub(start_ns);
-            crate::counters::record(self.counter, dur);
-            if let Some(h) = self.hist {
-                crate::histogram::record_hist(h, dur);
-            }
-        }
-    }
-}
-
 /// Snapshot every thread's records in the current hub, ordered by
 /// (start, thread). Returns the records and the total number of dropped
 /// (saturated) spans.
@@ -387,7 +342,7 @@ pub fn reset_spans() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{self, Counter, EnableGuard};
+    use crate::counters::{self, EnableGuard};
 
     #[test]
     fn disabled_span_records_nothing() {
@@ -425,21 +380,6 @@ mod tests {
         // Well-nested: inner lies inside outer.
         assert!(inner.start_ns >= outer.start_ns);
         assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
-        reset_spans();
-    }
-
-    #[test]
-    fn timed_scope_feeds_its_counter() {
-        let _g = crate::testutil::GLOBAL_TEST_LOCK.lock().unwrap();
-        counters::reset_counters();
-        reset_spans();
-        {
-            let _e = EnableGuard::new();
-            let _t = timed(Counter::PackNanos);
-            std::hint::black_box((0..1000).sum::<u64>());
-        }
-        assert!(counters::snapshot().get(Counter::PackNanos) > 0);
-        counters::reset_counters();
         reset_spans();
     }
 

@@ -19,6 +19,27 @@ if grep -rnE 'run_distributed_(bc|with|exec|opts|until_converged)|run_program_bc
   echo "a deleted entry point, run knob, halo library or shim is back" >&2
   exit 1
 fi
+# One account per run (DESIGN.md §6a, §7): msc-comm keeps what its one
+# driver calls — no collectives, one wait, no reliability switch beside the
+# fault plan — and nothing times into the hub beside an account. The comm
+# grep is scoped to crates/comm: msc-trace's sampler uses std's
+# Condvar::wait_timeout.
+if grep -rnE 'collectives|allreduce|wait_any|wait_all|try_wait|wait_timeout|reliable: (None|Some|Option)' crates/comm ||
+  grep -rnE 'timed_hist|TimedScope|record_max' crates src tests examples; then
+  echo "a deleted MPI call, the reliability knob or a timed hub write is back" >&2
+  exit 1
+fi
+# msc-comm feeds the hub only through RankCtx::publish; msc-exec only
+# through the step's and the temporal block's publish, plus the counts no
+# account carries (the worker pool's and compile time).
+if grep -rnE 'msc_trace::record|record_hist' crates/comm/src ||
+  grep -rnE 'msc_trace::record\(' crates/exec/src |
+  grep -vE 'Counter::(PoolSteals|PoolParks|PoolUnparks|BarrierWaitNanos|VmCompileNanos)'; then
+  echo "a count is written to the hub beside the account that holds it" >&2
+  exit 1
+fi
+test "$(cat crates/exec/src/*.rs | grep -c 'msc_trace::record_set(')" = 2
+
 # One time loop (DESIGN.md §13.5): msc-comm advances no window of its own.
 if grep -rnE 'borrow_step|fresh_ring|WindowPlan|output_slot|input_slot' crates/comm/src; then
   echo "msc-comm is doing window arithmetic again: drive msc_exec::TimeLoop" >&2
@@ -123,6 +144,19 @@ done
 out=$(cargo test -q -p msc-comm --lib --offline \
   checkpoint::tests::a_runs_store_reads_only_the_layout_it_holds -- --exact)
 grep -q '1 passed' <<<"$out"
+
+echo "== one account per run =="
+# The session hub is fed from the account a step and a rank return, so it
+# equals CommStats counter for counter (but the hub-only pool and compile
+# counts, and the run-global steps and ranks) and bucket for bucket, over
+# both process-grid shapes, backends, stagings and window layouts; a
+# killed attempt's faults still reach it (DESIGN.md §6a).
+for t in the_hub_is_the_runs_own_account_counter_for_counter_and_bucket_for_bucket \
+    a_killed_attempts_faults_retransmits_and_timeouts_still_reach_the_hub; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p msc-comm --test one_account --offline "$t" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
 
 echo "== execution-tier differential (staging x tier x dtype matrix) =="
 # Every catalog stencil must produce grids bit-identical (to_bits) to the

@@ -300,6 +300,10 @@ fn killed_rank_restarts_from_checkpoint_via_cli() {
     );
     // Checkpoint activity must surface in the profile table.
     assert!(stdout.contains("checkpoint_bytes"), "{stdout}");
+    // So must pack and unpack: they are in the ranks' own account.
+    for row in ["pack_hist ", "unpack_hist "] {
+        assert!(stdout.lines().any(|l| l.starts_with(row)), "{stdout}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ckpt);
 }
