@@ -13,7 +13,9 @@ use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_core::schedule::WindowPlan;
 use msc_trace::{Counter, CounterSet, Hist, HistSet, Profile};
+use std::any::Any;
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// Which execution strategy to use for each timestep.
 #[derive(Debug, Clone)]
@@ -159,6 +161,15 @@ pub(crate) struct Ring<'a, T: Scalar> {
     slots: Vec<Slot<T>>,
 }
 
+thread_local! {
+    /// This thread's *retired slots* (DESIGN.md §17.4): the populated
+    /// grids the last ring to end here in [`Ring::into_state`] did not
+    /// hand back — at most `window - 1`, all `Grid<T>` of that ring's
+    /// layout. A cold slot of the same layout takes one instead of a fresh
+    /// grid.
+    static RETIRED: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
 impl<'a, T: Scalar> Ring<'a, T> {
     pub(crate) fn new(seed: Cow<'a, Grid<T>>, boundary_cond: Boundary, window: usize) -> Self {
         let seed = match boundary_cond {
@@ -193,17 +204,43 @@ impl<'a, T: Scalar> Ring<'a, T> {
     }
 
     /// Take `slot`'s grid out to be overwritten by a step; [`Ring::put`]
-    /// brings the result back. A slot never written before yields a
-    /// zero-backed grid carrying only the seed's halo shell: every executor
-    /// overwrites the whole interior, and Dirichlet halos must keep their
-    /// initial values. Under Periodic the re-wrap after the step overwrites
-    /// the shell again; copying it there too (two cells per row) is the
-    /// price of one path.
+    /// brings the result back. A slot never written before yields a grid
+    /// carrying the seed's halo and an interior nothing reads: one of this
+    /// thread's retired slots, or else a zero-backed halo shell. Every
+    /// executor overwrites the whole interior, and Dirichlet halos must
+    /// keep their initial values. Under Periodic the re-wrap after the step
+    /// overwrites the halo again; copying it there too (two cells per row)
+    /// is the price of one path.
     pub(crate) fn take_output(&mut self, slot: usize) -> Grid<T> {
         match std::mem::replace(&mut self.slots[slot], Slot::Cold) {
-            Slot::Cold => self.seed.halo_shell(),
+            Slot::Cold => self
+                .reuse_retired()
+                .unwrap_or_else(|| self.seed.halo_shell()),
             Slot::State(grid) | Slot::Image(grid) => grid,
         }
+    }
+
+    /// One of this thread's retired slots with the seed's halo copied in,
+    /// if the seed's layout is populated and a slot of it is left. Retired
+    /// slots of another layout or scalar type are dropped here, before the
+    /// caller allocates a fresh one in their place.
+    fn reuse_retired(&self) -> Option<Grid<T>> {
+        if !self.seed.is_populated() {
+            return None;
+        }
+        RETIRED.with_borrow_mut(|retired| {
+            let seed = &*self.seed;
+            match retired.pop()?.downcast::<Grid<T>>() {
+                Ok(mut grid) if grid.shape == seed.shape && grid.halo == seed.halo => {
+                    seed.copy_halo_into(&mut grid);
+                    Some(*grid)
+                }
+                _ => {
+                    retired.clear();
+                    None
+                }
+            }
+        })
     }
 
     /// The grids of two slots at once, for a step that writes an image and
@@ -226,13 +263,23 @@ impl<'a, T: Scalar> Ring<'a, T> {
     }
 
     /// Move the state of `slot` out (a copy of the seed if no step ever
-    /// wrote it).
-    pub(crate) fn into_state(mut self, slot: usize) -> Grid<T> {
-        match std::mem::replace(&mut self.slots[slot], Slot::Cold) {
-            Slot::Cold => self.seed.into_owned(),
+    /// wrote it). The other slots' grids, if populated ones, replace this
+    /// thread's retired slots; the grids these replace are freed.
+    pub(crate) fn into_state(self, slot: usize) -> Grid<T> {
+        let Ring { seed, mut slots } = self;
+        let state = match std::mem::replace(&mut slots[slot], Slot::Cold) {
+            Slot::Cold => seed.into_owned(),
             Slot::State(grid) => grid,
             Slot::Image(_) => unreachable!("window slot {slot} holds a kernel image, not a state"),
-        }
+        };
+        let retired = slots.into_iter().filter_map(|slot| match slot {
+            Slot::State(grid) | Slot::Image(grid) if grid.is_populated() => {
+                Some(Box::new(grid) as Box<dyn Any>)
+            }
+            _ => None,
+        });
+        RETIRED.set(retired.collect());
+        state
     }
 }
 
@@ -578,7 +625,9 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         Ok((self.into_state(), RunStats::from_counters(&counters)))
     }
 
-    /// The newest state (a copy of the seed if no step was taken).
+    /// The newest state (a copy of the seed if no step was taken). The
+    /// window's other slots become this thread's retired slots, for the
+    /// next loop of their layout (DESIGN.md §17.4).
     pub fn into_state(self) -> Grid<T> {
         self.ring.into_state(self.newest)
     }
@@ -767,6 +816,175 @@ mod tests {
         assert!(std::ptr::eq(ring.input(0), ring.input(1)));
         assert_eq!(bits(ring.input(0)), bits(&wrapped));
         assert_eq!(bits(&ring.into_state(1)), bits(&wrapped));
+    }
+
+    /// This thread's retired slots that are `Grid<T>`, handed to `f` with
+    /// the count of those that are not.
+    fn with_retired<T: Scalar, R>(f: impl FnOnce(Vec<&mut Grid<T>>, usize) -> R) -> R {
+        RETIRED.with_borrow_mut(|retired| {
+            let grids: Vec<Option<&mut Grid<T>>> =
+                retired.iter_mut().map(|grid| grid.downcast_mut()).collect();
+            let others = grids.iter().filter(|grid| grid.is_none()).count();
+            f(grids.into_iter().flatten().collect(), others)
+        })
+    }
+
+    /// The shapes of this thread's retired `Grid<T>`s, and how many
+    /// retired slots are of another scalar type.
+    fn retired<T: Scalar>() -> (Vec<Vec<usize>>, usize) {
+        with_retired::<T, _>(|grids, others| {
+            (grids.iter().map(|g| g.shape.clone()).collect(), others)
+        })
+    }
+
+    /// Just over the populate gate: 3 x 3 x 466 035 padded f64 are
+    /// 33.55 MB. Eight of its nine rows are halo, so a debug build gets
+    /// through a run: the interior is a ninth of a 2048² grid's.
+    const OVER_GATE: [usize; 3] = [1, 1, 466_033];
+
+    /// `kernel` at `t-1` alone (`max_dt` 1), or `0.6*K[t-1] + 0.4*K[t-2]`
+    /// (`max_dt` 2), on a 3-D grid with halo 1.
+    fn program_over(
+        kernel: Kernel,
+        dtype: DType,
+        shape: [usize; 3],
+        max_dt: usize,
+        steps: usize,
+    ) -> StencilProgram {
+        let name = kernel.name.clone();
+        let terms = match max_dt {
+            1 => vec![(1, 1.0, name.as_str())],
+            _ => vec![(1, 0.6, name.as_str()), (2, 0.4, name.as_str())],
+        };
+        let mut p = StencilProgram::builder("retired")
+            .grid_3d("B", dtype, shape, 1, max_dt + 1)
+            .kernel(kernel)
+            .combine(&terms)
+            .timesteps(1)
+            .build()
+            .unwrap();
+        // `build()` refuses a zero-step program; the driver takes one.
+        p.timesteps = steps;
+        p
+    }
+
+    fn halved_plan(p: &StencilProgram) -> Executor {
+        let tile: Vec<usize> = p.grid.shape.iter().map(|&n| (n / 2).max(1)).collect();
+        Executor::Tiled(tiled_plan(p, &tile, 2))
+    }
+
+    /// A Dirichlet run of `p` on this thread from the grid seeded `seed`.
+    fn run_seeded<T: Scalar>(p: &StencilProgram, seed: u64) -> Grid<T> {
+        let init = Grid::random(&p.grid.shape, &p.grid.halo, seed);
+        let exec = halved_plan(p);
+        run_program_tier(p, &exec, &init, Boundary::Dirichlet, ExecTier::Auto)
+            .unwrap()
+            .0
+    }
+
+    /// `f` on a thread of its own, whose retired set starts empty.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().unwrap())
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 34 MB slots
+    fn a_reused_slot_leaves_no_trace() {
+        // stream3d's 7-tap star streams 101 MB a step here and recomputes;
+        // a 27-tap box reuses kernel images. Program A, the star under
+        // Dirichlet from `s1`, leaves the slots program B finds.
+        let star = program_over(
+            Kernel::star_normalized("K", 3, 1),
+            DType::F64,
+            OVER_GATE,
+            2,
+            3,
+        );
+        let boxed = program_over(
+            Kernel::boxed("K", 3, 1, 0.5).unwrap(),
+            DType::F64,
+            OVER_GATE,
+            2,
+            3,
+        );
+        let exec = halved_plan(&star);
+        let s1: Grid<f64> = Grid::random(&OVER_GATE, &star.grid.halo, 1);
+        let s2: Grid<f64> = Grid::random(&OVER_GATE, &star.grid.halo, 2);
+        assert!(halo_bits(&s1) != halo_bits(&s2));
+        for (b, layout) in [(&star, RingLayout::States), (&boxed, RingLayout::Images)] {
+            for bc in [Boundary::Dirichlet, Boundary::Periodic] {
+                let run_b = || TimeLoop::admit(b, &exec, Cow::Borrowed(&s2), bc, ExecTier::Auto);
+                let expect = on_fresh_thread(|| run_b().unwrap().run(b.timesteps).unwrap().0);
+                let got = on_fresh_thread(|| {
+                    run_program_tier(&star, &exec, &s1, Boundary::Dirichlet, ExecTier::Auto)
+                        .unwrap();
+                    // Every cell of a retired slot, halo included, a NaN
+                    // payload no step computes.
+                    let stale: Vec<usize> = with_retired::<f64, _>(|grids, others| {
+                        assert_eq!((grids.len(), others), (2, 0));
+                        let poison = |g: &mut Grid<f64>| {
+                            g.as_mut_slice().fill(f64::from_bits(0x7ff8_dead_beef_0001));
+                            g.as_slice().as_ptr().addr()
+                        };
+                        grids.into_iter().map(poison).collect()
+                    });
+                    let mut run = run_b().unwrap();
+                    assert_eq!(run.layout(), layout);
+                    for _ in 0..b.timesteps {
+                        run.step().unwrap();
+                    }
+                    assert_eq!(retired::<f64>(), (vec![], 0), "{bc:?}: the set was drained");
+                    let held: Vec<usize> = run
+                        .slots()
+                        .iter()
+                        .map(|g| g.as_slice().as_ptr().addr())
+                        .collect();
+                    assert!(
+                        stale.iter().all(|p| held.contains(p)),
+                        "{bc:?}: both were reused"
+                    );
+                    run.into_state()
+                });
+                assert!(bits(&got) == bits(&expect), "{layout:?}, {bc:?}");
+                if bc == Boundary::Dirichlet {
+                    assert!(halo_bits(&got) == halo_bits(&s2), "{layout:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 34-67 MB slots
+    fn a_thread_retires_at_most_the_last_rings_slots_of_its_layout_and_type() {
+        let star = || Kernel::star_normalized("K", 3, 1);
+        let longer = [1, 1, 466_041];
+        on_fresh_thread(|| {
+            // Window 3, so at most 2 retired slots: L1's, then L2's alone.
+            run_seeded::<f64>(&program_over(star(), DType::F64, OVER_GATE, 2, 3), 1);
+            assert_eq!(retired::<f64>(), (vec![OVER_GATE.to_vec(); 2], 0));
+            let l2 = program_over(star(), DType::F64, longer, 2, 3);
+            run_seeded::<f64>(&l2, 2);
+            assert_eq!(retired::<f64>(), (vec![longer.to_vec(); 2], 0));
+            // A ring that ends replaces the set: a 0-step run and a
+            // sub-gate run retire nothing.
+            run_seeded::<f64>(&program_over(star(), DType::F64, longer, 2, 0), 3);
+            assert_eq!(retired::<f64>(), (vec![], 0));
+            run_seeded::<f64>(&l2, 4);
+            run_seeded::<f64>(&program_over(star(), DType::F64, [8, 8, 8], 2, 5), 5);
+            assert_eq!(retired::<f64>(), (vec![], 0));
+            // One shape over the gate in both scalar types (33.6 and 67.1
+            // MB), window 2: each run finds the other type's slot, drops
+            // it, and retires one of its own.
+            let shape = [1, 1, 932_067];
+            let f32s = program_over(star(), DType::F32, shape, 1, 2);
+            let f64s = program_over(star(), DType::F64, shape, 1, 2);
+            run_seeded::<f32>(&f32s, 6);
+            assert_eq!(retired::<f32>(), (vec![shape.to_vec()], 0));
+            run_seeded::<f64>(&f64s, 7);
+            assert_eq!(retired::<f64>(), (vec![shape.to_vec()], 0));
+            run_seeded::<f32>(&f32s, 8);
+            assert_eq!(retired::<f32>(), (vec![shape.to_vec()], 0));
+        });
     }
 
     #[test]

@@ -26,9 +26,12 @@ pub(crate) fn dense_strides(shape: &[usize]) -> (Vec<usize>, usize) {
 }
 
 /// A fresh buffer of at least this many bytes is populated by
-/// [`populate`]. 32 MiB is glibc's largest `mmap` threshold: above it a
-/// zeroed allocation is always a new anonymous mapping with no page behind
-/// it, below it the allocator may hand back memory that is already there.
+/// [`populate`], and a window slot of at least this many bytes is kept by
+/// its thread for the next run instead of being freed (DESIGN.md §17.4):
+/// both are the cost of fresh memory, so both apply where a grid gets it.
+/// 32 MiB is glibc's largest `mmap` threshold: above it a zeroed
+/// allocation is always a new anonymous mapping with no page behind it,
+/// below it the allocator may hand back memory that is already there.
 const POPULATE_MIN_BYTES: usize = 32 << 20;
 
 /// Back the freshly allocated, still all-zero `buf` with memory in one
@@ -192,6 +195,20 @@ impl<T: Scalar> Grid<T> {
         // Rows shorter than a page put a halo cell in every page, so the
         // copies below would fault the whole slot in, one page at a time.
         populate(&mut shell.data);
+        self.copy_halo_into(&mut shell);
+        shell
+    }
+
+    /// Whether a fresh grid of this layout is populated (and a window slot
+    /// of it retired for the next run, DESIGN.md §17.4).
+    pub(crate) fn is_populated(&self) -> bool {
+        std::mem::size_of_val(self.data.as_slice()) >= POPULATE_MIN_BYTES
+    }
+
+    /// Overwrite the halo cells of `shell`, a grid of this layout, with
+    /// this grid's; its interior keeps whatever it held.
+    pub(crate) fn copy_halo_into(&self, shell: &mut Grid<T>) {
+        debug_assert!(self.shape == shell.shape && self.halo == shell.halo);
         let last = self.ndim() - 1;
         let (row, h) = (self.padded[last], self.halo[last]);
         // Padded rows in storage order: a row with any outer coordinate in
@@ -217,7 +234,6 @@ impl<T: Scalar> Grid<T> {
                 idx[d] = 0;
             }
         }
-        shell
     }
 
     /// Number of spatial dimensions.

@@ -217,6 +217,17 @@ cargo test -q -p msc-exec --lib --offline -- prefetch_is_decided \
 cargo test -q -p msc-exec --lib --offline -- grid::tests::halo_shell \
   grid::tests::a_pre_faulted_halo_shell grid::tests::populate \
   driver::tests::shared_seed_ring driver::tests::ring_slots
+# A run's cold slots are the ones its thread's last run retired, when they
+# are over the populate gate (DESIGN.md §17.4), by exact name: a reused
+# slot poisoned with NaN changes no bit and keeps the new seed's halo
+# (recomputing and image-reusing, both boundaries); a thread keeps at most
+# the last ring's slots, of its layout and scalar type.
+for t in driver::tests::a_reused_slot_leaves_no_trace \
+    driver::tests::a_thread_retires_at_most_the_last_rings_slots_of_its_layout_and_type; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p msc-exec --lib --offline "$t" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
