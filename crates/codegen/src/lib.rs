@@ -32,30 +32,30 @@ pub use loc::{dsl_loc, LocReport};
 pub use package::CodePackage;
 
 use msc_core::error::Result;
-use msc_core::prelude::*;
 use msc_core::schedule::Target;
+use msc_lint::Gate;
 
 /// Generate the full source package of a program for a target — the
-/// library entry point (paper Listing 1: `compile_to_source_code`).
-pub fn compile_to_source(program: &StencilProgram, target: Target) -> Result<CodePackage> {
-    // The lint gate: footprint/halo, window, race and capacity defects
-    // refuse codegen instead of becoming wrong generated C.
-    msc_lint::check_deny(program, Some(target))?;
+/// library entry point (paper Listing 1: `compile_to_source_code`). The
+/// program must be checked for `target`: footprint/halo, window, race
+/// and capacity defects refuse codegen instead of becoming wrong C.
+pub fn compile_to_source<'p>(program: impl Gate<'p>, target: Target) -> Result<CodePackage> {
+    let program = program.gate(Some(target))?;
     let mut pkg = CodePackage::new(&program.name, target);
     match target {
         Target::SunwayCG => {
-            let (master, slave) = sunway::generate(program)?;
+            let (master, slave) = sunway::generate(&program)?;
             pkg.add_file("master.c", master);
             pkg.add_file("slave.c", slave);
         }
         Target::Matrix | Target::Cpu => {
-            pkg.add_file("main.c", cpu::generate(program, target)?);
+            pkg.add_file("main.c", cpu::generate(&program, target)?);
         }
     }
     if program.mpi_grid.is_some() {
-        pkg.add_file("mpi_main.c", mpi::generate(program, target)?);
+        pkg.add_file("mpi_main.c", mpi::generate(&program, target)?);
     }
-    pkg.add_file("Makefile", makefile::generate(program, target));
+    pkg.add_file("Makefile", makefile::generate(&program, target));
     Ok(pkg)
 }
 
@@ -63,6 +63,7 @@ pub fn compile_to_source(program: &StencilProgram, target: Target) -> Result<Cod
 mod tests {
     use super::*;
     use msc_core::catalog::{benchmark, BenchmarkId};
+    use msc_core::prelude::*;
 
     #[test]
     fn package_contains_target_files() {

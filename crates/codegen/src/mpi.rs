@@ -8,8 +8,8 @@
 use crate::ir_to_c::Layout;
 use msc_core::error::Result;
 use msc_core::halo::{Backend, CartDecomp, HaloMsg, HaloPlan};
-use msc_core::prelude::*;
 use msc_core::schedule::Target;
+use msc_lint::Checked;
 
 const DIMS: [&str; 3] = ["X", "Y", "Z"];
 
@@ -199,7 +199,7 @@ fn buffers_and_input(elem: &str) -> String {
 
 /// Generate the MPI main translation unit. The kernel itself is the
 /// target's single-node `msc_step` (linked from `main.c`/`slave.c`).
-pub fn generate(program: &StencilProgram, target: Target) -> Result<String> {
+pub fn generate(program: &Checked<'_>, target: Target) -> Result<String> {
     let layout = Layout::of(program);
     let elem = layout.elem_c;
     let mpi = program
@@ -279,12 +279,17 @@ pub fn generate(program: &StencilProgram, target: Target) -> Result<String> {
 mod tests {
     use super::*;
     use msc_core::catalog::{benchmark, BenchmarkId};
+    use msc_core::prelude::*;
 
     fn gen() -> String {
         let b = benchmark(BenchmarkId::S3d7ptStar);
         let mut p = b.program(&[256, 256, 256], DType::F64, 10).unwrap();
         p.mpi_grid = Some(vec![4, 4, 4]);
-        generate(&p, Target::SunwayCG).unwrap()
+        generate(
+            &msc_lint::check(&p, Some(Target::SunwayCG)).unwrap(),
+            Target::SunwayCG,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -476,7 +481,11 @@ int main(void) {{
             std::env::temp_dir().join(format!("msc_mpi_loopback_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let c = generate(program, Target::Cpu).unwrap();
+        let c = generate(
+            &msc_lint::check(program, Some(Target::Cpu)).unwrap(),
+            Target::Cpu,
+        )
+        .unwrap();
         std::fs::write(dir.join("mpi_main.c"), c).unwrap();
         std::fs::write(dir.join("mpi.h"), LOOPBACK_MPI_H).unwrap();
         std::fs::write(dir.join("harness.c"), harness).unwrap();
@@ -545,7 +554,11 @@ int main(void) {{
             .mpi_grid(&[2, 2])
             .build()
             .unwrap();
-        let c = generate(&program, Target::Cpu).unwrap();
+        let c = generate(
+            &msc_lint::check(&program, Some(Target::Cpu)).unwrap(),
+            Target::Cpu,
+        )
+        .unwrap();
         assert!(c.contains("#define N_PHASES 1"));
         assert!(c.contains("{ 0, { 1, 0 }, { 0, 0 }, { 1, 4 }, 4, 0, 1 }"));
         if let Some(counts) = run_loopback_exchange(&program, "column") {
@@ -560,7 +573,11 @@ int main(void) {{
             .mpi_grid(&[2, 2])
             .build()
             .unwrap();
-        let c = generate(&program, Target::Cpu).unwrap();
+        let c = generate(
+            &msc_lint::check(&program, Some(Target::Cpu)).unwrap(),
+            Target::Cpu,
+        )
+        .unwrap();
         assert!(!c.contains("HALO"));
         if let Some(counts) = run_loopback_exchange(&program, "pointwise") {
             assert_eq!(counts, (4 * 4, 0));

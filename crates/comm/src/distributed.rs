@@ -24,6 +24,7 @@ use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_exec::boundary::{self, Boundary};
 use msc_exec::{Executor, Grid, Scalar, TimeLoop};
+use msc_lint::{Checked, Gate};
 use msc_trace::{Counter, CounterSet, FlightKind, HistSet, Profile};
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -245,18 +246,18 @@ fn is_boundary(tile: &TileRange, halo: &HaloPlan, reach: &[usize]) -> bool {
 /// injection, reliable halo delivery, periodic checkpoints, hot-spare
 /// online recovery, and restart-on-failure as the last resort, and picks
 /// the halo library and SPM staging.
-pub fn run_distributed_resilient<T: Scalar + Wire>(
-    program: &StencilProgram,
+pub fn run_distributed_resilient<'p, T: Scalar + Wire>(
+    program: impl Gate<'p>,
     procs: &[usize],
     init: &Grid<T>,
     bc: Boundary,
     opts: &RunOptions,
     make_plan: impl Fn(&[usize]) -> Result<ExecPlan> + Sync,
 ) -> Result<(Grid<T>, CommStats)> {
-    // Lint gate (target-independent passes) before any rank spawns.
-    msc_lint::check_deny(program, None)?;
-    let decomp = build_decomp(program, procs, bc)?;
-    run_ranks(program, init, bc, decomp, opts, make_plan)
+    // Checked once, before any rank spawns; every rank's loop takes it.
+    let program = program.gate(None)?;
+    let decomp = build_decomp(&program, procs, bc)?;
+    run_ranks(&program, init, bc, decomp, opts, make_plan)
 }
 
 /// Is this error a communication fault a restart could heal (a killed or
@@ -303,7 +304,7 @@ impl Account {
 /// Immutable per-attempt surroundings of the per-rank step loop,
 /// bundled so the compute and recovery helpers stay readable.
 struct StepEnv<'a, T: Scalar> {
-    program: &'a StencilProgram,
+    program: &'a Checked<'a>,
     /// The per-rank executor: the sub-grid plan, SPM-staged or direct.
     executor: &'a Executor,
     decomp: &'a CartDecomp,
@@ -728,7 +729,7 @@ fn rank_life<T: Scalar + Wire>(
 /// error — never a panic) is retried from the latest complete checkpoint
 /// up to `opts.max_restarts` times.
 fn run_ranks<T: Scalar + Wire>(
-    program: &StencilProgram,
+    program: &Checked<'_>,
     init: &Grid<T>,
     bc: Boundary,
     decomp: CartDecomp,

@@ -31,7 +31,7 @@
 //!   sub-grid with the halo exchange hooked into each step. Its one entry
 //!   point is [`run_distributed_resilient`]: every capability (halo
 //!   layout, SPM staging, tier, chaos, checkpoints, spares) is a field
-//!   of [`RunOptions`], and every run passes the lint gate before a rank
+//!   of [`RunOptions`], and a program is checked once, before a rank
 //!   spawns. Large-scale execution is bit-identical to single-node runs,
 //!   even under injected faults.
 

@@ -152,8 +152,8 @@ impl ProgramBuilder {
     /// time-window depth are **not** checked, so a program with a
     /// too-narrow halo or too-shallow window can be constructed and then
     /// diagnosed by `msc-lint` with structured lint codes instead of a
-    /// hard build error. Execution entry points re-run the lint gate, so
-    /// an unchecked program cannot silently reach the runtime.
+    /// hard build error. Execution and codegen entry points check a bare
+    /// program (`msc_lint::check`), so it cannot silently reach the runtime.
     pub fn build_unchecked(self) -> Result<StencilProgram> {
         self.assemble(false)
     }

@@ -9,9 +9,9 @@ use crate::tier::{ExecTier, TieredStencil};
 use crate::tiled::ImageOf;
 use crate::{reference, spm, tiled};
 use msc_core::error::{MscError, Result};
-use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_core::schedule::WindowPlan;
+use msc_lint::Gate;
 use msc_trace::{Counter, CounterSet, Hist, HistSet, Profile};
 use std::any::Any;
 use std::borrow::Cow;
@@ -285,8 +285,8 @@ impl<'a, T: Scalar> Ring<'a, T> {
 
 /// [`run_program_tier`] with Dirichlet boundaries (halos keep their
 /// initial values) on [`ExecTier::Auto`].
-pub fn run_program<T: Scalar>(
-    program: &StencilProgram,
+pub fn run_program<'p, T: Scalar>(
+    program: impl Gate<'p>,
     executor: &Executor,
     init: &Grid<T>,
 ) -> Result<(Grid<T>, RunStats)> {
@@ -356,22 +356,20 @@ pub struct TimeLoop<'a, T: Scalar> {
 }
 
 impl<'a, T: Scalar> TimeLoop<'a, T> {
-    /// The front door of every stencil-program run: the lint gate
-    /// (target-independent passes — an unchecked-built program with an
-    /// insufficient halo or window must reach neither the time loop nor
-    /// the bytecode compiler), then compilation on `tier` against `seed`'s
+    /// The front door of every stencil-program run: a checked program (a
+    /// bare one is checked here), compiled on `tier` against `seed`'s
     /// layout, and a window of the stencil's deepest dependency plus one,
     /// all slots cold-started with `seed`: the caller's initial grid,
     /// borrowed, or a grid the loop owns (a rank's scattered sub-grid).
-    pub fn admit(
-        program: &StencilProgram,
+    pub fn admit<'p>(
+        program: impl Gate<'p>,
         executor: &'a Executor,
         seed: Cow<'a, Grid<T>>,
         boundary_cond: Boundary,
         tier: ExecTier,
     ) -> Result<TimeLoop<'a, T>> {
-        msc_lint::check_deny(program, None)?;
-        let compiled = TieredStencil::compile(program, &seed, tier)?;
+        let program = program.gate(None)?;
+        let compiled = TieredStencil::compile(&program, &seed, tier)?;
         let window = WindowPlan::for_max_dt(compiled.max_dt)?;
         // Compile time goes to the tracer only, outside any step's account:
         // `RunStats` must stay bit-identical between repeated runs, and
@@ -659,14 +657,15 @@ fn in_two_parts<T: Scalar>(
 /// statistics. Periodic runs re-wrap the halo of every freshly computed
 /// state. `tier` is honoured by every executor but `Reference`, which
 /// always interprets (it is the oracle the tiers are differenced against).
-pub fn run_program_tier<T: Scalar>(
-    program: &StencilProgram,
+pub fn run_program_tier<'p, T: Scalar>(
+    program: impl Gate<'p>,
     executor: &Executor,
     init: &Grid<T>,
     boundary_cond: Boundary,
     tier: ExecTier,
 ) -> Result<(Grid<T>, RunStats)> {
-    TimeLoop::admit(program, executor, Cow::Borrowed(init), boundary_cond, tier)?
+    let program = program.gate(None)?;
+    TimeLoop::admit(&program, executor, Cow::Borrowed(init), boundary_cond, tier)?
         .run(program.timesteps)
 }
 
@@ -675,6 +674,7 @@ mod tests {
     use super::*;
     use crate::verify::{max_rel_error, verify_against_reference};
     use msc_core::catalog::{all_benchmarks, benchmark, BenchmarkId};
+    use msc_core::prelude::*;
     use msc_core::schedule::Schedule;
     use proptest::prelude::*;
 

@@ -52,13 +52,13 @@
 //! (executor, boundary, tier as arguments) and [`run_program`] its
 //! Dirichlet / `Auto` default; [`run_temporal_tiled_tier`] and
 //! [`run_temporal_tiled`] pair up the same way, and
-//! [`run_until_converged`] runs on `Auto`. All of them pass the lint gate
-//! first. The one process-wide setting is the worker-count cap of
-//! [`pool`] (`mscc --pool-threads`). The one thing a run leaves behind is
-//! memory, not state: when its window slots are large enough to be
-//! populated (32 MiB and up), those it does not hand back stay with its
-//! thread, and the next run there of the same layout overwrites them
-//! instead of faulting in fresh grids (DESIGN.md §17.4).
+//! [`run_until_converged`] runs on `Auto`. Each checks a bare program
+//! once (`msc_lint::check`). The one process-wide setting is the
+//! worker-count cap of [`pool`] (`mscc --pool-threads`). The one thing a
+//! run leaves behind is memory, not state: when its window slots are
+//! large enough to be populated (32 MiB and up), those it does not hand
+//! back stay with its thread, and the next run there of the same layout
+//! overwrites them instead of faulting in fresh grids (DESIGN.md §17.4).
 
 pub mod boundary;
 pub mod convergence;

@@ -14,8 +14,8 @@ use crate::grid::{dense_strides, Grid, GridLayout, Scalar};
 use crate::sweep::{copy_box, for_each_row, sweep, Frame};
 use crate::tier::{ExecTier, TieredStencil};
 use msc_core::error::{MscError, Result};
-use msc_core::prelude::*;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
+use msc_lint::Gate;
 use msc_trace::{Counter, CounterSet, HistSet};
 
 /// Statistics of a temporally tiled run.
@@ -84,8 +84,8 @@ impl Trapezoid<'_> {
 /// [`ExecTier::Auto`]. Returns the final state
 /// (bit-identical to [`crate::driver::run_program`]) and the redundancy
 /// accounting.
-pub fn run_temporal_tiled<T: Scalar>(
-    program: &StencilProgram,
+pub fn run_temporal_tiled<'p, T: Scalar>(
+    program: impl Gate<'p>,
     plan: &ExecPlan,
     tt: usize,
     init: &Grid<T>,
@@ -94,15 +94,15 @@ pub fn run_temporal_tiled<T: Scalar>(
 }
 
 /// Like [`run_temporal_tiled`] with an explicit execution tier.
-pub fn run_temporal_tiled_tier<T: Scalar>(
-    program: &StencilProgram,
+pub fn run_temporal_tiled_tier<'p, T: Scalar>(
+    program: impl Gate<'p>,
     plan: &ExecPlan,
     tt: usize,
     init: &Grid<T>,
     tier: ExecTier,
 ) -> Result<(Grid<T>, TemporalStats)> {
-    msc_lint::check_deny(program, None)?;
-    let compiled = CompiledStencil::compile(program, init)?;
+    let program = program.gate(None)?;
+    let compiled = CompiledStencil::compile(&program, init)?;
     if compiled.max_dt != 1 {
         return Err(MscError::UnsupportedExpr(
             "temporal tiling requires a single t-1 dependency".into(),
@@ -191,6 +191,7 @@ mod tests {
     use super::*;
     use crate::driver::{run_program, Executor};
     use msc_core::catalog::{benchmark, BenchmarkId};
+    use msc_core::prelude::*;
     use msc_core::schedule::Schedule;
 
     fn single_dep_program(id: BenchmarkId, grid: &[usize], steps: usize) -> StencilProgram {

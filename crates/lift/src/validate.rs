@@ -120,9 +120,9 @@ pub fn direct_reference(lifted: &Lifted, init: &Grid<f64>, timesteps: usize) -> 
     cur
 }
 
-/// Validate `lifted` on every seed across all three execution tiers.
-/// The caller must have cleared the deny gate first (an in-place nest
-/// is order-dependent and has no well-defined reference).
+/// Validate `lifted` on every seed across all three execution tiers,
+/// after one check of the lifted program. An in-place nest is refused
+/// first: it is order-dependent and has no well-defined reference.
 pub fn validate(lifted: &Lifted, seeds: &[u64]) -> Result<ValidationOutcome, LiftError> {
     let ctx = format!("program `{}`", lifted.program.name);
     if lifted.nest.in_place {
@@ -135,38 +135,33 @@ pub fn validate(lifted: &Lifted, seeds: &[u64]) -> Result<ValidationOutcome, Lif
             "rewrite the nest with separate input and output arrays".into(),
         ));
     }
+    // A refusal with no one-line fix.
+    let refused = |m| LiftError::new(LintCode::LiftValidationMismatch, m, ctx.clone(), "".into());
+    let checked = msc_lint::check(&lifted.program, None)
+        .map_err(|r| refused(format!("lint rejected:\n{}", r.render_denies())))?;
     let grid = &lifted.program.grid;
     // Single-tile plan: always legal for any shape, and it still drives
     // the tiered executor (the tier choice is what is under test here,
     // not the tiling) — thread-parallel bit-exactness is covered by the
     // exec crate's own differential suite.
-    let plan = ExecPlan::lower(&Schedule::default(), grid.ndim(), &grid.shape).map_err(|e| {
-        LiftError::new(
-            LintCode::LiftValidationMismatch,
-            format!("could not lower an execution plan: {e}"),
-            format!("program `{}`", lifted.program.name),
-            String::new(),
-        )
-    })?;
+    let plan = ExecPlan::lower(&Schedule::default(), grid.ndim(), &grid.shape)
+        .map_err(|e| refused(format!("could not lower an execution plan: {e}")))?;
     let mut cells = 0usize;
     for &seed in seeds {
         let init: Grid<f64> = Grid::random(&grid.shape, &grid.halo, seed);
         let expected = direct_reference(lifted, &init, lifted.program.timesteps);
         for tier in [ExecTier::Interp, ExecTier::Vm, ExecTier::Specialized] {
             let (got, _) = run_program_tier(
-                &lifted.program,
+                &checked,
                 &Executor::Tiled(plan.clone()),
                 &init,
                 Boundary::Dirichlet,
                 tier,
             )
             .map_err(|e| {
-                LiftError::new(
-                    LintCode::LiftValidationMismatch,
-                    format!("lifted program failed to execute on tier {tier:?}: {e}"),
-                    format!("program `{}`", lifted.program.name),
-                    String::new(),
-                )
+                refused(format!(
+                    "lifted program failed to execute on tier {tier:?}: {e}"
+                ))
             })?;
             let (exp, act) = (expected.as_slice(), got.as_slice());
             debug_assert_eq!(exp.len(), act.len());

@@ -18,14 +18,12 @@
 //!   grid versus the global extents (MSC-L401..L404).
 //!
 //! Diagnostics are structured ([`LintCode`], [`Severity`], source
-//! context, machine-readable JSON) and surfaced through `mscc check`;
-//! `mscc` build/run, `msc-codegen`, `msc-exec` and `msc-comm` all call
-//! [`check_deny`] so no pipeline can skip the gate. Programs built
-//! through the strict `ProgramBuilder::build()` are already halo/window
-//! sound; the lint layer exists so the *unchecked* parse path used by
-//! `mscc check` can explain every defect at once, and so
-//! schedule/capacity defects that the builder never sees are caught
-//! before they become runtime errors or silent corruption.
+//! context, machine-readable JSON); [`lint_program`] reports them (`mscc
+//! check`). [`check`] runs the passes once per program and returns the
+//! full [`Report`] of a refusal or a [`Checked`] program, which nothing
+//! else can make: everything below a door — time loops, ranks, emitters,
+//! the `mscd` cache — takes it and never lints again. The doors accept a
+//! bare program or a checked one through [`Gate`].
 
 pub mod code;
 pub mod diag;
@@ -35,7 +33,7 @@ pub use code::LintCode;
 pub use diag::{Diagnostic, Report, Severity};
 
 use msc_core::dsl::StencilProgram;
-use msc_core::error::{MscError, Result};
+use msc_core::error::MscError;
 use msc_core::footprint::Footprint;
 use msc_core::schedule::Target;
 
@@ -56,19 +54,82 @@ pub fn lint_program(program: &StencilProgram, target: Option<Target>) -> Report 
     report
 }
 
-/// The gate used by codegen and the execution entry points: lint, and
-/// refuse to proceed on any deny-level diagnostic. Warnings pass through
-/// in the returned report for the caller to surface.
-pub fn check_deny(program: &StencilProgram, target: Option<Target>) -> Result<Report> {
-    let report = lint_program(program, target);
-    if report.has_deny() {
-        return Err(MscError::InvalidConfig(format!(
-            "lint rejected `{}`:\n{}",
-            program.name,
-            report.render_denies()
-        )));
+/// Lint `program` once for `target`: the full report if any finding is
+/// deny-level, else the program as [`Checked`], warnings attached.
+pub fn check(program: &StencilProgram, target: Option<Target>) -> Result<Checked<'_>, Report> {
+    let _s = msc_trace::span("lint");
+    let warnings = lint_program(program, target);
+    Checked {
+        program,
+        target,
+        warnings,
     }
-    Ok(report)
+    .unless_denied()
+}
+
+/// A program [`check`] found no deny-level defect in for `target`.
+#[derive(Debug, Clone)]
+pub struct Checked<'p> {
+    program: &'p StencilProgram,
+    target: Option<Target>,
+    pub warnings: Report,
+}
+
+impl std::ops::Deref for Checked<'_> {
+    type Target = StencilProgram;
+
+    fn deref(&self) -> &StencilProgram {
+        self.program
+    }
+}
+
+impl<'p> Checked<'p> {
+    /// This program checked for `target` too: only the target's capacity
+    /// lints run, and a check for any target already covers `None`.
+    pub fn narrow(&self, target: Option<Target>) -> Result<Checked<'p>, Report> {
+        let mut narrowed = self.clone();
+        if let Some(t) = target.filter(|&t| self.target != Some(t)) {
+            passes::capacity::run_target(self.program, t, &mut narrowed.warnings);
+            narrowed.target = target;
+        }
+        narrowed.unless_denied()
+    }
+
+    fn unless_denied(self) -> Result<Checked<'p>, Report> {
+        match self.warnings.has_deny() {
+            true => Err(self.warnings),
+            false => Ok(self),
+        }
+    }
+}
+
+/// What a public door accepts: a bare program, checked there, or a
+/// [`Checked`] one, narrowed to the door's target.
+pub trait Gate<'p> {
+    fn gate(self, target: Option<Target>) -> Result<Checked<'p>, Report>;
+}
+
+impl<'p> Gate<'p> for &'p StencilProgram {
+    fn gate(self, target: Option<Target>) -> Result<Checked<'p>, Report> {
+        check(self, target)
+    }
+}
+
+impl<'p> Gate<'p> for &Checked<'p> {
+    fn gate(self, target: Option<Target>) -> Result<Checked<'p>, Report> {
+        self.narrow(target)
+    }
+}
+
+/// A refusal as the workspace error: every deny-level finding listed.
+impl From<Report> for MscError {
+    fn from(report: Report) -> MscError {
+        MscError::InvalidConfig(format!(
+            "lint rejected `{}`:\n{}",
+            report.program,
+            report.render_denies()
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -92,7 +153,7 @@ mod tests {
         let r = lint_program(&narrow_halo(), None);
         assert!(r.has_code(LintCode::HaloTooNarrow));
         assert!(r.has_deny());
-        assert!(check_deny(&narrow_halo(), None).is_err());
+        assert!(check(&narrow_halo(), None).is_err());
     }
 
     #[test]
@@ -153,7 +214,7 @@ mod tests {
         assert!(r.has_code(LintCode::HaloOversized));
         assert!(r.has_code(LintCode::WindowOversized));
         assert!(!r.has_deny());
-        assert!(check_deny(&p, None).is_ok());
+        assert!(check(&p, None).is_ok());
     }
 
     #[test]
@@ -177,6 +238,26 @@ mod tests {
         let cpu = lint_program(&p, Some(Target::Cpu));
         assert!(!cpu.has_code(LintCode::SpmOverflow));
         assert!(lint_program(&p, None).is_clean());
+
+        // Narrowing runs the target's lints on a program checked without
+        // one, and reaches the verdict a direct check does.
+        let unaimed = check(&p, None).unwrap();
+        let refused = unaimed.narrow(Some(Target::SunwayCG)).unwrap_err();
+        assert_eq!(refused, check(&p, Some(Target::SunwayCG)).unwrap_err());
+        let on_cpu = unaimed.narrow(Some(Target::Cpu)).unwrap();
+        assert_eq!(on_cpu.target, Some(Target::Cpu));
+        // A program checked for a target needs nothing more to run
+        // without one.
+        assert_eq!(on_cpu.narrow(None).unwrap().target, Some(Target::Cpu));
+    }
+
+    #[test]
+    fn a_refusal_carries_every_finding() {
+        let refused = check(&narrow_halo(), None).unwrap_err();
+        assert_eq!(refused, lint_program(&narrow_halo(), None));
+        let err = MscError::from(refused).to_string();
+        assert!(err.contains("lint rejected `bad`:"), "{err}");
+        assert!(err.contains("MSC-L101"), "{err}");
     }
 
     #[test]

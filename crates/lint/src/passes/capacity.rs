@@ -62,11 +62,16 @@ pub fn run(
         }
     }
 
-    // SPM staging capacity: only meaningful when a cache-less target is
-    // known. `spm_staging_bytes` is the function `msc-exec`'s SPM staging
-    // checks its capacity with, so a program that passes here cannot hit
-    // the runtime "SPM buffers need N bytes" error.
     let Some(target) = target else { return };
+    run_target(program, target, report);
+}
+
+/// The lints that depend on the target: SPM staging capacity, only
+/// meaningful on a cache-less one. `spm_staging_bytes` is the function
+/// `msc-exec`'s SPM staging checks its capacity with, so a program that
+/// passes here cannot hit the runtime "SPM buffers need N bytes" error.
+pub fn run_target(program: &StencilProgram, target: Target, report: &mut Report) {
+    let grid = &program.grid;
     let machine = machine_for(target);
     let Some(spm) = machine.spm_bytes() else { return };
     let elem = grid.dtype.size_bytes();

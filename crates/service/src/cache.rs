@@ -15,6 +15,7 @@
 use msc_codegen::CodePackage;
 use msc_core::dsl::StencilProgram;
 use msc_core::schedule::Target;
+use msc_lint::Checked;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,7 +71,7 @@ impl CompileCache {
     pub fn get_or_compile(
         &self,
         source: &str,
-        program: &StencilProgram,
+        program: &Checked<'_>,
         target: Target,
     ) -> Result<(Arc<CodePackage>, bool), String> {
         let key = CacheKey::of(source, program, target);
@@ -106,6 +107,7 @@ impl CompileCache {
 mod tests {
     use super::*;
     use msc_core::parse::parse_unchecked;
+    use msc_lint::check;
 
     const SRC: &str = "\
 stencil cached_3d7pt {
@@ -127,13 +129,10 @@ stencil cached_3d7pt {
     fn identical_submissions_hit_after_first_miss() {
         let cache = CompileCache::new();
         let parsed = parse_unchecked(SRC).unwrap();
-        let (a, hit_a) = cache
-            .get_or_compile(SRC, &parsed.program, Target::Cpu)
-            .unwrap();
+        let program = check(&parsed.program, Some(Target::Cpu)).unwrap();
+        let (a, hit_a) = cache.get_or_compile(SRC, &program, Target::Cpu).unwrap();
         assert!(!hit_a);
-        let (b, hit_b) = cache
-            .get_or_compile(SRC, &parsed.program, Target::Cpu)
-            .unwrap();
+        let (b, hit_b) = cache.get_or_compile(SRC, &program, Target::Cpu).unwrap();
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -144,11 +143,10 @@ stencil cached_3d7pt {
     fn target_and_schedule_are_part_of_the_key() {
         let cache = CompileCache::new();
         let parsed = parse_unchecked(SRC).unwrap();
-        let (_, h1) = cache
-            .get_or_compile(SRC, &parsed.program, Target::Cpu)
-            .unwrap();
+        let program = check(&parsed.program, Some(Target::Cpu)).unwrap();
+        let (_, h1) = cache.get_or_compile(SRC, &program, Target::Cpu).unwrap();
         let (_, h2) = cache
-            .get_or_compile(SRC, &parsed.program, Target::SunwayCG)
+            .get_or_compile(SRC, &program, Target::SunwayCG)
             .unwrap();
         assert!(!h1 && !h2, "different targets must not collide");
 
@@ -157,6 +155,7 @@ stencil cached_3d7pt {
         for k in &mut tiled.stencil.kernels {
             k.schedule.tile(&[4, 4, 4]);
         }
+        let tiled = check(&tiled, Some(Target::Cpu)).unwrap();
         let (_, h3) = cache.get_or_compile(SRC, &tiled, Target::Cpu).unwrap();
         assert!(!h3, "schedule change must not collide");
         assert_eq!(cache.misses(), 3);

@@ -122,8 +122,13 @@ impl Daemon {
         }
         // Replace a stale socket from a dead daemon; a live one would
         // have accepted connections and is the operator's to resolve.
+        // The socket is bound beside its path and moved there listening,
+        // so a client that sees the path can connect.
         let _ = std::fs::remove_file(&cfg.socket);
-        let listener = UnixListener::bind(&cfg.socket)
+        let staged = cfg.socket.with_extension("binding");
+        let _ = std::fs::remove_file(&staged);
+        let listener = UnixListener::bind(&staged)
+            .and_then(|l| std::fs::rename(&staged, &cfg.socket).map(|()| l))
             .map_err(|e| format!("cannot bind {}: {e}", cfg.socket.display()))?;
 
         let inner = Arc::new(Inner {
@@ -291,10 +296,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: UnixStream) {
                 jobs_done: inner.jobs_done.load(Ordering::Relaxed),
             },
             Ok(Request::Stats) => Response::Stats(inner.stats()),
-            Ok(Request::Shutdown) => {
-                inner.begin_shutdown();
-                Response::ShuttingDown
-            }
+            Ok(Request::Shutdown) => Response::ShuttingDown,
             Ok(Request::Submit(sub)) => match inner.admit(sub) {
                 Err(refusal) => refusal,
                 // Block this connection (only) until the job is done.
@@ -303,7 +305,13 @@ fn handle_connection(inner: &Arc<Inner>, stream: UnixStream) {
                 }),
             },
         };
-        if writeln!(writer, "{}", response.to_line()).and_then(|_| writer.flush()).is_err() {
+        let sent = writeln!(writer, "{}", response.to_line()).and_then(|_| writer.flush());
+        // The reply goes out before the shutdown begins: once it has, the
+        // process serving this daemon may exit under a slower handler.
+        if matches!(response, Response::ShuttingDown) {
+            inner.begin_shutdown();
+        }
+        if sent.is_err() {
             return;
         }
     }
@@ -391,20 +399,16 @@ fn job_body(
     let program = parsed.program;
     let target = sub.target.or(parsed.target).unwrap_or(Target::Cpu);
 
-    // Front door: deny-level findings stop the job before codegen or
-    // execution, as structured diagnostics.
-    let report = msc_lint::lint_program(&program, Some(target));
-    if report.has_deny() {
-        let report_doc = Json::parse(&report.to_json()).unwrap_or(Json::Null);
-        return Err(Response::Denied {
-            program: program.name.clone(),
-            report: report_doc,
-        });
-    }
+    // Front door: the one check of the job. Deny-level findings stop it
+    // before codegen or execution, as structured diagnostics.
+    let checked = msc_lint::check(&program, Some(target)).map_err(|report| Response::Denied {
+        program: program.name.clone(),
+        report: Json::parse(&report.to_json()).unwrap_or(Json::Null),
+    })?;
 
     let (pkg, cache_hit) = inner
         .cache
-        .get_or_compile(&sub.source, &program, target)
+        .get_or_compile(&sub.source, &checked, target)
         .map_err(|message| Response::Error { message })?;
 
     let (mut steps, mut tiles) = (None, None);
@@ -413,7 +417,7 @@ fn job_body(
         let plan = ExecPlan::lower(&sched, program.grid.ndim(), &program.grid.shape)
             .map_err(|e| Response::Error { message: e.to_string() })?;
         let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
-        let (_, stats) = run_program(&program, &Executor::Tiled(plan), &init)
+        let (_, stats) = run_program(&checked, &Executor::Tiled(plan), &init)
             .map_err(|e| Response::Error { message: e.to_string() })?;
         steps = Some(stats.steps as u64);
         tiles = Some(stats.tiles_executed);
@@ -438,4 +442,45 @@ fn job_body(
         counters,
         metrics_path: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_run_job_that_misses_the_cache_lints_once_on_its_hub() {
+        let socket =
+            std::env::temp_dir().join(format!("mscd-one-lint-{}.sock", std::process::id()));
+        let daemon = Daemon::start(ServiceConfig {
+            socket,
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let sub = Submission {
+            source: "stencil once {
+                grid B: f64[12, 12, 12] halo 1 window 2;
+                kernel S = 0.4*B[0,0,0] + 0.1*B[-1,0,0] + 0.1*B[1,0,0]
+                         + 0.1*B[0,-1,0] + 0.1*B[0,1,0] + 0.1*B[0,0,-1] + 0.1*B[0,0,1];
+                combine res[t] = 1.0*S[t-1];
+                run 2;
+                target cpu;
+            }"
+            .to_string(),
+            run: true,
+            ..Submission::default()
+        };
+        // The hub `execute_job` would make for this job, kept to read.
+        let hub = TelemetryHub::new();
+        hub.set_enabled(true);
+        let guard = install_thread_hub(Arc::clone(&hub));
+        let done = job_body(&daemon.inner, 1, &sub, &hub).unwrap();
+        drop(guard);
+        assert_eq!((done.cache_hit, done.steps), (false, Some(2)));
+        let (spans, _) = hub.collect_spans();
+        assert_eq!(spans.iter().filter(|s| s.name == "lint").count(), 1);
+        daemon.stop();
+        daemon.join();
+    }
 }

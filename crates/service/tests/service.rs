@@ -422,3 +422,40 @@ fn submissions_after_shutdown_are_refused() {
     daemon.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_denied_job_returns_the_full_report_on_the_wire() {
+    // Byte for byte the line the daemon sent when it linted a job apart
+    // from the check its run relied on: every finding, in pass order.
+    const DENIED: &str = concat!(
+        r#"{"kind":"denied","program":"svc_bad_halo","report":{"tool":"msc-lint","#,
+        r#""program":"svc_bad_halo","diagnostics":[{"code":"MSC-L101","severity":"deny","#,
+        r#""family":"halo","message":"declared halo 1 in dim 0 but the inferred footprint "#,
+        r#"spans offsets -2..2 (needs halo 2); the sweep would read uninitialized or "#,
+        r#"foreign memory at the domain boundary","context":"grid `B`","help":"widen the "#,
+        r#"halo to 2 or reduce the kernel radius"},{"code":"MSC-L101","severity":"deny","#,
+        r#""family":"halo","message":"declared halo 1 in dim 1 but the inferred footprint "#,
+        r#"spans offsets -2..2 (needs halo 2); the sweep would read uninitialized or "#,
+        r#"foreign memory at the domain boundary","context":"grid `B`","help":"widen the "#,
+        r#"halo to 2 or reduce the kernel radius"}],"deny_count":2,"warn_count":0}}"#,
+    );
+    let dir = temp_dir("denied-line");
+    let daemon = Daemon::start(ServiceConfig {
+        socket: dir.join("mscd.sock"),
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let resp = call_on(
+        daemon.socket(),
+        &submit(Submission {
+            source: DENY_SRC.to_string(),
+            run: true,
+            ..Submission::default()
+        }),
+    );
+    assert_eq!(resp.to_line(), DENIED);
+    daemon.stop();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -78,6 +78,13 @@ if grep -nE 'Vec<char>|\.0\.clone\(\)|peek\(\)\.clone\(\)' crates/core/src/parse
   exit 1
 fi
 
+# Lint once (DESIGN.md §10): the passes run in msc_lint::check and the
+# report-only lint_program; every layer below a door takes a `Checked`.
+if grep -rnE 'lint_program\(|check_deny' crates/{exec,comm,codegen,service}/src; then
+  echo "a layer below the front door lints again: take an msc_lint::Checked" >&2
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --workspace --release --offline
 
@@ -96,6 +103,24 @@ for t in "msc-lift --lib validate::tests::row_evaluation_equals_per_cell_evaluat
     "msc-codegen --test benchmark_bytes the_24_benchmark_packages_emit_the_pinned_bytes" \
     "msc-core --lib parse::tests::lexer_errors_name_the_line_and_the_whole_character" \
     "msc-core --lib parse::tests::lexer_keeps_digit_led_names_exponents_comments_crlf_and_unicode_space"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
+
+echo "== one lint per run =="
+# By exact name: a distributed run (probe, ranks, a spare's adoption), a
+# single-node run and lift validation lint a bare program once and a
+# checked one never; an mscd run job lints once on its job hub and a
+# denied job's wire line is unchanged; the refusal carries every finding
+# and narrowing reaches a direct check's verdict; `mscc --autoschedule`
+# checks the schedule it emits (DESIGN.md §10).
+for t in "msc --test trace_observability a_run_lints_its_program_once" \
+    "msc --test mscc_cli autoschedule_is_checked_after_it_rewrites_the_schedule" \
+    "msc-service --lib daemon::tests::a_run_job_that_misses_the_cache_lints_once_on_its_hub" \
+    "msc-service --test service a_denied_job_returns_the_full_report_on_the_wire" \
+    "msc-lint --lib tests::a_refusal_carries_every_finding" \
+    "msc-lint --lib tests::spm_overflow_denied_only_with_cacheless_target"; do
   # A filter that matches nothing passes too: require the one test.
   out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
   grep -q '1 passed' <<<"$out"

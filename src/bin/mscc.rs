@@ -762,17 +762,40 @@ fn drive(mut o: Opts) -> Outcome {
         Precision::Fp64
     };
 
-    // The lint gate runs before anything else: deny-level findings stop
-    // the build with every defect listed (the library entry points
-    // re-check, so this is also the user-facing error path), and
-    // warnings print to stderr without failing.
-    let lint = msc::lint::lint_program(&program, Some(target));
-    if lint.has_deny() {
-        return Err(format!("lint rejected `{}`:\n{}", program.name, lint.render()).into());
+    // `--autoschedule` rewrites the schedule first, so the one check
+    // below is of the program that runs and is emitted.
+    if o.autoschedule {
+        let stats = StencilStats::of(&program.stencil, program.grid.dtype)?;
+        let auto = msc::tune::auto_schedule(
+            &program.grid.shape,
+            &stats,
+            &program.stencil.reach(),
+            program.stencil.kernels[0].points(),
+            &machine,
+            target,
+            prec,
+        )?;
+        for d in &auto.decisions {
+            println!("autoschedule: {d}");
+        }
+        println!(
+            "autoschedule: selected tile {:?}, stream {}, tile_time {} ({:.3} ms/step predicted)",
+            auto.schedule.tile_factors,
+            auto.schedule.double_buffer,
+            auto.schedule.time_tile,
+            auto.predicted_s * 1e3
+        );
+        for k in &mut program.stencil.kernels {
+            k.schedule = auto.schedule.clone();
+        }
     }
-    if !lint.is_clean() {
-        eprint!("{}", lint.render());
-    }
+
+    // The one lint of the invocation: deny-level findings stop the build
+    // with every defect listed; warnings print to stderr. The run, the
+    // reference run and the emitter take `checked`.
+    let checked = msc::lint::check(&program, Some(target))
+        .map_err(|lint| format!("lint rejected `{}`:\n{}", program.name, lint.render()))?;
+    eprint!("{}", checked.warnings.render());
 
     // Live telemetry: a metrics-sampled run gets its own session hub so
     // the sampler observes exactly this invocation. Installed before the
@@ -812,32 +835,6 @@ fn drive(mut o: Opts) -> Outcome {
         program.timesteps,
         target.as_str()
     );
-
-    if o.autoschedule {
-        let stats = StencilStats::of(&program.stencil, program.grid.dtype)?;
-        let auto = msc::tune::auto_schedule(
-            &program.grid.shape,
-            &stats,
-            &program.stencil.reach(),
-            program.stencil.kernels[0].points(),
-            &machine,
-            target,
-            prec,
-        )?;
-        for d in &auto.decisions {
-            println!("autoschedule: {d}");
-        }
-        println!(
-            "autoschedule: selected tile {:?}, stream {}, tile_time {} ({:.3} ms/step predicted)",
-            auto.schedule.tile_factors,
-            auto.schedule.double_buffer,
-            auto.schedule.time_tile,
-            auto.predicted_s * 1e3
-        );
-        for k in &mut program.stencil.kernels {
-            k.schedule = auto.schedule.clone();
-        }
-    }
 
     if o.stats {
         let s = StencilStats::of(&program.stencil, program.grid.dtype)?;
@@ -937,7 +934,7 @@ fn drive(mut o: Opts) -> Outcome {
             trace_on(true);
             let t0 = std::time::Instant::now();
             let ran = run_distributed_resilient(
-                &program,
+                &checked,
                 &procs,
                 &init,
                 Boundary::Dirichlet,
@@ -1010,7 +1007,7 @@ fn drive(mut o: Opts) -> Outcome {
             trace_on(true);
             let t0 = std::time::Instant::now();
             let (out, stats) = run_program_tier(
-                &program,
+                &checked,
                 &Executor::Tiled(plan),
                 &init,
                 Boundary::Dirichlet,
@@ -1039,7 +1036,7 @@ fn drive(mut o: Opts) -> Outcome {
             (out, banner, profile, "chrome://tracing profile".to_string())
         };
         println!("{banner}");
-        let (reference, _) = run_program(&program, &Executor::Reference, &init)?;
+        let (reference, _) = run_program(&checked, &Executor::Reference, &init)?;
         if !same_bits(&out, &reference) {
             return Err(format!(
                 "result differs from the serial reference (max rel err {:.2e})",
@@ -1089,7 +1086,7 @@ fn drive(mut o: Opts) -> Outcome {
 
     let default_dir = || PathBuf::from(format!("{}_{}", program.name, target.as_str()));
     let dir = o.outdir.unwrap_or_else(default_dir);
-    let pkg = compile_to_source(&program, target)?;
+    let pkg = compile_to_source(&checked, target)?;
     pkg.write_to(&dir)?;
     println!(
         "wrote {:?} ({} LoC) to {}",

@@ -23,7 +23,7 @@
 //!   driver;
 //! * [`lint`] (`msc-lint`) — the compile-time stencil verifier: footprint
 //!   inference, halo/window sufficiency, parallel-race and capacity
-//!   lints, gating every codegen and execution entry point;
+//!   lints, run once per program at its front door (`check`);
 //! * [`lift`] (`msc-lift`) — static lifting of legacy C loop nests into
 //!   the stencil IR: parse → affine analysis → footprint recovery →
 //!   bit-exact translation validation (`mscc lift`);
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use msc_exec::driver::{run_program, run_program_tier, Executor, RunStats};
     pub use msc_exec::{Boundary, ExecTier};
     pub use msc_exec::{max_rel_error, Grid};
-    pub use msc_lint::{check_deny, lint_program, LintCode};
+    pub use msc_lint::{lint_program, Checked, LintCode};
     pub use msc_machine::model::Precision;
     pub use msc_sim::{simulate_step, StepInputs};
 }

@@ -670,10 +670,10 @@ fn compile_path_is_gated_by_the_linter() {
 
 #[test]
 fn denied_program_never_reaches_the_vm() {
-    // The lint gate runs before any execution tier is set up, so a
+    // The one check runs before any execution tier is set up, so a
     // deny-level program asked to run on the bytecode VM must die at the
     // lint stage: no "compiled" banner, no run line, and certainly no
-    // bytecode compilation (run_program_tier re-checks check_deny too).
+    // bytecode compilation.
     let dir = std::env::temp_dir().join("mscc_cli_vm_lint_gate");
     let _ = std::fs::remove_dir_all(&dir);
     let out = mscc()
@@ -697,6 +697,52 @@ fn denied_program_never_reaches_the_vm() {
     );
     assert!(!stdout.contains("ran"), "lint must fire pre-run: {stdout}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn autoschedule_is_checked_after_it_rewrites_the_schedule() {
+    // The deny fixture's hand-written whole-grid tile overflows the SPM,
+    // but `--autoschedule` replaces it: the check is of the program that
+    // is emitted, so the package is the fixed twin's, byte for byte.
+    let root = std::env::temp_dir().join(format!("mscc_cli_autoschedule_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let emit = |fixture: &str, extra: &[&str]| {
+        let dir = root.join(format!("{fixture}{}", extra.concat()));
+        let out = mscc()
+            .arg(lint_fixture(fixture))
+            .args(["--target", "sunway", "-o"])
+            .arg(&dir)
+            .args(extra)
+            .output()
+            .expect("mscc runs");
+        (out, dir)
+    };
+    let read = |dir: &std::path::Path| {
+        ["master.c", "slave.c", "Makefile"].map(|f| std::fs::read(dir.join(f)).unwrap())
+    };
+    let (deny, deny_dir) = emit("spm_overflow.deny.msc", &["--autoschedule"]);
+    assert!(
+        deny.status.success(),
+        "{}",
+        String::from_utf8_lossy(&deny.stderr)
+    );
+    let (fixed, fixed_dir) = emit("spm_overflow.fixed.msc", &["--autoschedule"]);
+    assert!(
+        fixed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&fixed.stderr)
+    );
+    assert!(read(&deny_dir) == read(&fixed_dir), "the packages differ");
+
+    let (plain, plain_dir) = emit("spm_overflow.deny.msc", &[]);
+    assert!(
+        !plain.status.success(),
+        "the hand-written tile must still be refused"
+    );
+    let err = String::from_utf8_lossy(&plain.stderr);
+    assert!(err.contains("MSC-L401"), "{err}");
+    assert!(!plain_dir.exists(), "no code may be emitted");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

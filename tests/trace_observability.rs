@@ -120,3 +120,102 @@ fn distributed_stats_survive_with_tracing_disabled() {
     assert!(prof.counters.is_zero());
     assert!(prof.spans.is_empty());
 }
+
+/// How many times `run` linted a program: spans named `lint`, on every
+/// thread the tracer saw while it ran.
+fn lints_during(run: impl FnOnce()) -> usize {
+    msc::trace::reset();
+    msc::trace::set_enabled(true);
+    run();
+    msc::trace::set_enabled(false);
+    let spans = Profile::capture("lints").spans;
+    msc::trace::reset();
+    spans.iter().filter(|s| s.name == "lint").count()
+}
+
+#[test]
+fn a_run_lints_its_program_once() {
+    use msc::comm::{FaultPlan, HeartbeatConfig, ReliabilityConfig};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let _g = TRACE_LOCK.lock().unwrap();
+    let p = msc::core::catalog::benchmark(msc::core::catalog::BenchmarkId::S2d9ptBox)
+        .program(&[16, 16], DType::F64, 6)
+        .unwrap();
+    let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 99);
+    let (golden, _) = run_program(&p, &Executor::Reference, &init).unwrap();
+
+    // A 2x2 world with checkpoints on disk (so the checkpoint layout is
+    // probed) and a spare that adopts rank 1 when it is killed: the door,
+    // the probe, four ranks and the adoption each admit a time loop.
+    let dir = std::env::temp_dir().join(format!("msc_one_lint_{}", std::process::id()));
+    // A kill fires once per plan, so every run gets its own.
+    let opts = || RunOptions {
+        chaos: Some(Arc::new(FaultPlan::new(5).with_kill(1, 4))),
+        reliability: ReliabilityConfig {
+            poll: Duration::from_millis(2),
+            max_attempts: 80,
+            ..ReliabilityConfig::default()
+        },
+        checkpoint_every: 2,
+        checkpoint_dir: Some(dir.clone()),
+        spare_ranks: 1,
+        heartbeat: Some(HeartbeatConfig::from_millis(5).unwrap()),
+        ..RunOptions::default()
+    };
+    let halves = |sub: &[usize]| {
+        let mut s = msc::core::schedule::Schedule::default();
+        let tile: Vec<usize> = sub.iter().map(|&x| (x / 2).max(1)).collect();
+        s.tile(&tile);
+        s.parallel("xo", 2);
+        msc::core::schedule::ExecPlan::lower(&s, sub.len(), sub)
+    };
+    let healed = |ran: msc::core::error::Result<(Grid<f64>, msc::comm::CommStats)>| {
+        let (out, stats) = ran.unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(out.as_slice(), golden.as_slice());
+        assert!(stats.recoveries >= 1, "the spare must have adopted rank 1");
+    };
+    let bare = lints_during(|| {
+        healed(run_distributed_resilient(
+            &p,
+            &[2, 2],
+            &init,
+            Boundary::Dirichlet,
+            &opts(),
+            halves,
+        ))
+    });
+    assert_eq!(bare, 1, "a bare program is checked once, at the door");
+    let checked = msc::lint::check(&p, None).unwrap();
+    let passed = lints_during(|| {
+        healed(run_distributed_resilient(
+            &checked,
+            &[2, 2],
+            &init,
+            Boundary::Dirichlet,
+            &opts(),
+            halves,
+        ))
+    });
+    assert_eq!(passed, 0, "a checked program is never linted again");
+
+    let single = lints_during(|| {
+        let exec = Executor::Tiled(halves(&p.grid.shape).unwrap());
+        run_program_tier(&p, &exec, &init, Boundary::Dirichlet, ExecTier::Auto).unwrap();
+    });
+    assert_eq!(single, 1);
+
+    let source = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/lift/jacobi2d.c"
+    ))
+    .unwrap();
+    let lifted = msc::lift::lift_source(&source, "jacobi2d").lifted.unwrap();
+    let validated = lints_during(|| {
+        let v = msc::lift::validate(&lifted, &msc::lift::DEFAULT_SEEDS).unwrap();
+        assert_eq!((v.seeds.len(), v.tiers), (3, 3));
+    });
+    assert_eq!(validated, 1, "nine validation runs share one check");
+}
