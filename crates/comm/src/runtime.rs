@@ -1020,12 +1020,15 @@ impl<T: Wire> RankCtx<T> {
         }
     }
 
+    /// The earliest stashed frame from `src` with `tag`. The stash keeps
+    /// arrival order, so frames of one `(src, tag)` come out in the order
+    /// they came in.
     fn take_stashed(&mut self, src: usize, tag: u64) -> Option<Vec<T>> {
         let pos = self
             .stash
             .iter()
             .position(|m| m.src == src && m.tag == tag)?;
-        let m = self.stash.swap_remove(pos);
+        let m = self.stash.remove(pos);
         let Body::Data(payload) = m.body else {
             unreachable!("stash holds data")
         };
@@ -1437,6 +1440,30 @@ mod tests {
             }
         });
         assert_eq!(results[1], 12.0);
+    }
+
+    #[test]
+    fn stashed_frames_of_one_source_and_tag_come_back_in_arrival_order() {
+        let results: Vec<Vec<f64>> = World::run(2, |mut ctx: RankCtx<f64>| {
+            if ctx.rank == 0 {
+                // An unrelated frame first, two of tag 5, then the one
+                // rank 1 waits for first, so all three are stashed.
+                for (tag, v) in [(9, 9.0), (5, 1.0), (5, 2.0), (7, 7.0)] {
+                    ctx.isend(1, tag, vec![v]).unwrap();
+                }
+                return Vec::new();
+            }
+            let mut got = Vec::new();
+            for tag in [7, 9, 5, 5] {
+                let req = ctx.irecv(0, tag);
+                got.push(ctx.wait(req).unwrap()[0]);
+                if tag == 7 {
+                    assert_eq!(ctx.stash.len(), 3, "the other three wait in the stash");
+                }
+            }
+            got
+        });
+        assert_eq!(results[1], [7.0, 9.0, 1.0, 2.0]);
     }
 
     #[test]

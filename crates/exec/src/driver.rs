@@ -396,6 +396,15 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         self
     }
 
+    /// As if the rule had taken every one-term stencil `ROWS` rows at a
+    /// time.
+    #[cfg(test)]
+    pub(crate) fn blocking(mut self) -> Self {
+        let stride = crate::sweep::group_stride(&self.ring.seed.strides);
+        self.compiled = self.compiled.blocking(stride);
+        self
+    }
+
     /// The plan a step sweeps once, keeping kernel images, if it does.
     fn reusing(&self) -> Option<&'a ExecPlan> {
         match self.executor {

@@ -42,7 +42,9 @@
 //! [`tier`]): the tap interpreter (the oracle), the `msc-vm` bytecode
 //! register VM, or the register-blocked row kernel ([`specialized`], one
 //! instantiation per vector ISA, picked at run time, prefetching when the
-//! grids are too large for a cache to hold a step). A staging retargets
+//! grids are too large for a cache to hold a step, and taking a dense
+//! one-term kernel four rows per call, `TieredStencil::run_rows`). A
+//! staging retargets
 //! the taps to its buffers once (`CompiledStencil::relinearized`), so
 //! every staging × tier pair exists by construction, and all of them are
 //! bit-identical; `--exec-tier` / `ExecTier` picks the tier, and `Auto`

@@ -28,9 +28,15 @@
 //! runs is fixed when the [`RowKernel`] is made, so the plain loop carries
 //! no trace of the other.
 //!
+//! A dense one-term stencil can also go [`ROWS`] rows at a time
+//! ([`RowKernel::run_rows`]): neighbouring rows read mostly the same
+//! vectors, so a [`RowBlock`] merges the rows' tap lists into one list of
+//! loads, and each loaded vector is multiplied into every row that reads
+//! it. Each row still meets its own taps in its own order.
+//!
 //! The kernel body is safe code. The two `unsafe` in this module are the
-//! call through the `#[target_feature]` wrapper in [`RowKernel::run_row`]
-//! and the prefetch instruction in `prefetch_block`.
+//! call through the `#[target_feature]` wrapper in `RowKernel::call` and
+//! the prefetch instruction in `prefetch_block`.
 
 use crate::compiled::CompiledTerm;
 use crate::grid::Scalar;
@@ -41,6 +47,12 @@ use std::mem::size_of;
 /// 8 and 16 on every ISA and both element types (table in DESIGN.md
 /// §12.1); a row's tail goes through blocks of `W/2`, `W/4`, … 1.
 const BLOCK_VECTORS: usize = 8;
+
+/// Output rows one [`RowKernel::run_rows`] call evaluates. The rows share
+/// the `BLOCK_VECTORS` accumulator vectors, two per row, and every vector
+/// loaded is used by each row that reads it. On the 121-tap box four rows
+/// read 1.23x one row and level with two (table in DESIGN.md §12.1).
+pub(crate) const ROWS: usize = 4;
 
 /// How far ahead of the block being computed the prefetching kernels ask
 /// for memory. 1-2 KiB was the fastest of 0.25-32 KiB on the 256^3 3d7pt
@@ -94,7 +106,26 @@ fn prefetch_block<T, const W: usize>(block: *const T) {
     }
 }
 
-type KernelFn<T> = unsafe fn(&[CompiledTerm<T>], &[&[T]], usize, &mut [T]);
+type RowFn<T> = unsafe fn(&[CompiledTerm<T>], &[&[T]], usize, &mut [T]);
+type RowsFn<T> = unsafe fn(&RowBlock<T>, &[&[T]], usize, &mut [&mut [T]]);
+
+/// What one call through a [`RowKernel`] evaluates.
+enum Call<'a, 'b, T> {
+    /// One row of any stencil.
+    Row {
+        terms: &'a [CompiledTerm<T>],
+        states: &'a [&'a [T]],
+        base: usize,
+        out: &'a mut [T],
+    },
+    /// One to [`ROWS`] rows of one term, `block.stride` apart.
+    Rows {
+        block: &'a RowBlock<T>,
+        states: &'a [&'a [T]],
+        base: usize,
+        outs: &'a mut [&'b mut [T]],
+    },
+}
 
 /// All whole `W`-point blocks of `out[i..]`; returns where it stopped.
 /// With `PREFETCH`, a block of at least a cache line first asks for the
@@ -172,6 +203,232 @@ fn row<T: Scalar, const VECTOR_BYTES: usize, const PREFETCH: bool>(
     blocks::<T, 1, PREFETCH>(terms, states, base, out, i);
 }
 
+/// One vector load of a [`RowBlock`]: the `W` points `off` past the
+/// block's lowest address, multiplied by `coeffs[r]` into each row `r` of
+/// its segment.
+#[derive(Debug, Clone)]
+struct Load<T> {
+    off: usize,
+    coeffs: [T; ROWS],
+}
+
+/// A run of a [`RowBlock`]'s loads, up to (not including) `end`, each
+/// read by exactly the rows `lo..hi`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Segment {
+    lo: usize,
+    hi: usize,
+    end: usize,
+}
+
+/// One term over [`ROWS`] rows `stride` apart: the merge of `ROWS` copies
+/// of its tap list, copy `r` shifted by `r * stride`. The merge takes the
+/// lowest address among the copies' heads, loads it once for the
+/// consecutive rows whose heads name it, and advances those heads. So each
+/// copy is consumed in its own order, and every row runs `apply_at`'s
+/// sequence for its point, duplicates and unordered taps included.
+#[derive(Debug, Clone)]
+pub(crate) struct RowBlock<T> {
+    dt: usize,
+    weight: T,
+    stride: usize,
+    /// The lowest address any row reads, from the first row's point:
+    /// every load's `off` counts from it.
+    low: isize,
+    loads: Vec<Load<T>>,
+    segments: Vec<Segment>,
+}
+
+impl<T: Scalar> RowBlock<T> {
+    pub(crate) fn merge(term: &CompiledTerm<T>, stride: usize) -> RowBlock<T> {
+        let taps = &term.taps;
+        let mut heads = [0; ROWS];
+        let head = |heads: &[usize; ROWS], r: usize| {
+            taps.get(heads[r]).map(|tap| tap.0 + (r * stride) as isize)
+        };
+        let mut block = RowBlock {
+            dt: term.dt,
+            weight: term.weight,
+            stride,
+            low: taps.iter().map(|tap| tap.0).min().unwrap_or(0),
+            loads: Vec::with_capacity(ROWS * taps.len()),
+            segments: Vec::new(),
+        };
+        while let Some(off) = (0..ROWS).filter_map(|r| head(&heads, r)).min() {
+            let mut r = 0;
+            while r < ROWS {
+                let (lo, mut coeffs) = (r, [T::default(); ROWS]);
+                while r < ROWS && head(&heads, r) == Some(off) {
+                    coeffs[r] = taps[heads[r]].1;
+                    heads[r] += 1;
+                    r += 1;
+                }
+                if r > lo {
+                    let off = (off - block.low) as usize;
+                    block.push(Load { off, coeffs }, lo, r);
+                } else {
+                    r += 1;
+                }
+            }
+        }
+        block
+    }
+
+    fn push(&mut self, load: Load<T>, lo: usize, hi: usize) {
+        self.loads.push(load);
+        let end = self.loads.len();
+        match self.segments.last_mut() {
+            Some(last) if (last.lo, last.hi) == (lo, hi) => last.end = end,
+            _ => self.segments.push(Segment { lo, hi, end }),
+        }
+    }
+
+    /// Vector loads per block of the schedule.
+    #[cfg(test)]
+    pub(crate) fn loads(&self) -> usize {
+        self.loads.len()
+    }
+
+    /// Loads that every one of the `ROWS` rows reads: each serves one tap
+    /// of every row.
+    pub(crate) fn shared(&self) -> usize {
+        let mut from = 0;
+        let mut shared = 0;
+        for seg in &self.segments {
+            if (seg.lo, seg.hi) == (0, ROWS) {
+                shared += seg.end - from;
+            }
+            from = seg.end;
+        }
+        shared
+    }
+
+    #[cfg(test)]
+    pub(crate) fn segments(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// The distance between the rows the block was merged for.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+}
+
+/// The loads of one segment into rows `LO..HI` of a block's accumulators,
+/// read from `window`, which starts at the block's lowest address.
+#[inline(always)]
+fn segment<T: Scalar, const W: usize, const LO: usize, const HI: usize>(
+    loads: &[Load<T>],
+    window: &[T],
+    acc: &mut [[T; W]; ROWS],
+) {
+    // One name per row (`ROWS` is 4), and every `if` decided at
+    // monomorphization time: no accumulator is indexed by a run-time row.
+    let reads = |r: usize| LO <= r && r < HI;
+    let [mut a0, mut a1, mut a2, mut a3] = *acc;
+    for load in loads {
+        let lanes: &[T; W] = window[load.off..load.off + W]
+            .try_into()
+            .expect("slice has the block's length");
+        let c = &load.coeffs;
+        if reads(0) {
+            multiply_add(&mut a0, c[0], lanes);
+        }
+        if reads(1) {
+            multiply_add(&mut a1, c[1], lanes);
+        }
+        if reads(2) {
+            multiply_add(&mut a2, c[2], lanes);
+        }
+        if reads(3) {
+            multiply_add(&mut a3, c[3], lanes);
+        }
+    }
+    *acc = [a0, a1, a2, a3];
+}
+
+/// `acc[j] = acc[j] + coeff * lanes[j]`: one tap of one row.
+#[inline(always)]
+fn multiply_add<T: Scalar, const W: usize>(acc: &mut [T; W], coeff: T, lanes: &[T; W]) {
+    for (a, &x) in acc.iter_mut().zip(lanes) {
+        *a = *a + coeff * x;
+    }
+}
+
+/// All whole `W`-point blocks of the rows `outs` from `i` on; returns
+/// where it stopped. A group of fewer than `ROWS` rows skips the rows it
+/// does not have: the ones it has still meet their taps in order.
+#[inline(always)]
+fn group_blocks<T: Scalar, const W: usize>(
+    block: &RowBlock<T>,
+    src: &[T],
+    base: usize,
+    outs: &mut [&mut [T]],
+    mut i: usize,
+) -> usize {
+    let (len, rows) = (outs[0].len(), outs.len());
+    while i + W <= len {
+        let window = &src[((base + i) as isize + block.low) as usize..];
+        let mut acc = [[T::default(); W]; ROWS];
+        // Between segments the accumulators live in memory, each segment
+        // holding its rows' in registers: left to itself the optimizer
+        // splits them into scalars across the segment dispatch, and the
+        // kernel runs 3x slower.
+        std::hint::black_box(&mut acc);
+        let mut from = 0;
+        for seg in &block.segments {
+            let loads = &block.loads[from..seg.end];
+            from = seg.end;
+            match (seg.lo, seg.hi.min(rows)) {
+                (0, 1) => segment::<T, W, 0, 1>(loads, window, &mut acc),
+                (0, 2) => segment::<T, W, 0, 2>(loads, window, &mut acc),
+                (0, 3) => segment::<T, W, 0, 3>(loads, window, &mut acc),
+                (0, 4) => segment::<T, W, 0, 4>(loads, window, &mut acc),
+                (1, 2) => segment::<T, W, 1, 2>(loads, window, &mut acc),
+                (1, 3) => segment::<T, W, 1, 3>(loads, window, &mut acc),
+                (1, 4) => segment::<T, W, 1, 4>(loads, window, &mut acc),
+                (2, 3) => segment::<T, W, 2, 3>(loads, window, &mut acc),
+                (2, 4) => segment::<T, W, 2, 4>(loads, window, &mut acc),
+                (3, 4) => segment::<T, W, 3, 4>(loads, window, &mut acc),
+                (lo, hi) => debug_assert!(lo >= hi, "no row range {lo}..{hi} of {ROWS}"),
+            }
+        }
+        for (out, acc) in outs.iter_mut().zip(&acc) {
+            for (o, &a) in out[i..i + W].iter_mut().zip(acc) {
+                *o = T::default() + block.weight * a;
+            }
+        }
+        i += W;
+    }
+    i
+}
+
+/// A group of rows through blocks of `BLOCK_VECTORS / ROWS` vectors per
+/// row, then ever narrower ones for the tail.
+#[inline(always)]
+fn rows<T: Scalar, const VECTOR_BYTES: usize>(
+    block: &RowBlock<T>,
+    states: &[&[T]],
+    base: usize,
+    outs: &mut [&mut [T]],
+) {
+    let w = VECTOR_BYTES * BLOCK_VECTORS / ROWS / size_of::<T>();
+    let src = states[block.dt - 1];
+    let mut i = 0;
+    if w >= 32 {
+        i = group_blocks::<T, 32>(block, src, base, outs, i);
+    }
+    if w >= 16 {
+        i = group_blocks::<T, 16>(block, src, base, outs, i);
+    }
+    if w >= 8 {
+        i = group_blocks::<T, 8>(block, src, base, outs, i);
+    }
+    i = group_blocks::<T, 4>(block, src, base, outs, i);
+    i = group_blocks::<T, 2>(block, src, base, outs, i);
+    group_blocks::<T, 1>(block, src, base, outs, i);
+}
+
 fn row_baseline<T: Scalar, const PREFETCH: bool>(
     terms: &[CompiledTerm<T>],
     states: &[&[T]],
@@ -179,6 +436,15 @@ fn row_baseline<T: Scalar, const PREFETCH: bool>(
     out: &mut [T],
 ) {
     row::<T, 16, PREFETCH>(terms, states, base, out)
+}
+
+fn rows_baseline<T: Scalar>(
+    block: &RowBlock<T>,
+    states: &[&[T]],
+    base: usize,
+    outs: &mut [&mut [T]],
+) {
+    rows::<T, 16>(block, states, base, outs)
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -193,6 +459,12 @@ fn row_avx2<T: Scalar, const PREFETCH: bool>(
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+fn rows_avx2<T: Scalar>(block: &RowBlock<T>, states: &[&[T]], base: usize, outs: &mut [&mut [T]]) {
+    rows::<T, 32>(block, states, base, outs)
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
 fn row_avx512<T: Scalar, const PREFETCH: bool>(
     terms: &[CompiledTerm<T>],
@@ -203,19 +475,31 @@ fn row_avx512<T: Scalar, const PREFETCH: bool>(
     row::<T, 64, PREFETCH>(terms, states, base, out)
 }
 
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+fn rows_avx512<T: Scalar>(
+    block: &RowBlock<T>,
+    states: &[&[T]],
+    base: usize,
+    outs: &mut [&mut [T]],
+) {
+    rows::<T, 64>(block, states, base, outs)
+}
+
 /// Every instantiation the running CPU can execute, narrowest first.
 /// Baseline is whatever the crate is built for (SSE2 on x86-64) and the
 /// only one under Miri and on other architectures.
-fn detected_kernels<T: Scalar, const PREFETCH: bool>() -> Vec<(&'static str, KernelFn<T>)> {
+fn detected_kernels<T: Scalar, const PREFETCH: bool>() -> Vec<(&'static str, RowFn<T>, RowsFn<T>)> {
     #[allow(unused_mut)]
-    let mut kernels: Vec<(&str, KernelFn<T>)> = vec![("baseline", row_baseline::<T, PREFETCH>)];
+    let mut kernels: Vec<(&str, RowFn<T>, RowsFn<T>)> =
+        vec![("baseline", row_baseline::<T, PREFETCH>, rows_baseline::<T>)];
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         if is_x86_feature_detected!("avx2") {
-            kernels.push(("avx2", row_avx2::<T, PREFETCH>));
+            kernels.push(("avx2", row_avx2::<T, PREFETCH>, rows_avx2::<T>));
         }
         if is_x86_feature_detected!("avx512f") {
-            kernels.push(("avx512f", row_avx512::<T, PREFETCH>));
+            kernels.push(("avx512f", row_avx512::<T, PREFETCH>, rows_avx512::<T>));
         }
     }
     kernels
@@ -223,10 +507,11 @@ fn detected_kernels<T: Scalar, const PREFETCH: bool>() -> Vec<(&'static str, Ker
 
 /// The blocked row kernel of one ISA, with or without prefetch.
 pub struct RowKernel<T> {
-    /// Invariant: the element of [`detected_kernels`] named `isa`.
-    /// Private, and only this module's tests ever pick anything but the
-    /// widest.
-    run: KernelFn<T>,
+    /// Invariant: the two functions of the element of
+    /// [`detected_kernels`] named `isa`. Private, and only this module's
+    /// tests ever pick anything but the widest.
+    row: RowFn<T>,
+    rows: RowsFn<T>,
     isa: &'static str,
     prefetch: bool,
 }
@@ -240,8 +525,28 @@ impl<T: Scalar> RowKernel<T> {
         } else {
             detected_kernels::<T, false>()
         };
-        let (isa, run) = kernels.pop().expect("baseline is always there");
-        RowKernel { run, isa, prefetch }
+        let (isa, row, rows) = kernels.pop().expect("baseline is always there");
+        RowKernel {
+            row,
+            rows,
+            isa,
+            prefetch,
+        }
+    }
+
+    /// The baseline instantiation, whatever the CPU has.
+    #[cfg(test)]
+    pub(crate) fn baseline(prefetch: bool) -> RowKernel<T> {
+        let (isa, row, rows) = match prefetch {
+            true => detected_kernels::<T, true>().swap_remove(0),
+            false => detected_kernels::<T, false>().swap_remove(0),
+        };
+        RowKernel {
+            row,
+            rows,
+            isa,
+            prefetch,
+        }
     }
 
     /// The vector ISA the kernel was instantiated for: `baseline`, `avx2`
@@ -255,17 +560,79 @@ impl<T: Scalar> RowKernel<T> {
         self.prefetch
     }
 
+    /// How many bytes of each row a block of [`RowKernel::run_rows`]
+    /// holds: `BLOCK_VECTORS / ROWS` vectors of the ISA.
+    pub(crate) fn block_row_bytes(&self) -> usize {
+        let vector_bytes = match self.isa {
+            "avx512f" => 64,
+            "avx2" => 32,
+            _ => 16,
+        };
+        vector_bytes * BLOCK_VECTORS / ROWS
+    }
+
     /// Evaluate a unit-stride row of the stencil `terms`: `out[i]` gets
     /// the update of the point at flat index `base + i`, where
     /// `states[dt - 1]` is the state `dt` steps back. Bit-identical to
     /// calling `CompiledStencil::apply_at` per point.
     #[inline]
     pub fn run_row(&self, terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
+        self.call(Call::Row {
+            terms,
+            states,
+            base,
+            out,
+        })
+    }
+
+    /// Evaluate one to [`ROWS`] rows of one length through `block`:
+    /// `outs[r][i]` gets the update of the point at flat index `base + r *
+    /// block.stride() + i`. Bit-identical to calling
+    /// `CompiledStencil::apply_at` on the block's term per point.
+    #[inline]
+    pub(crate) fn run_rows(
+        &self,
+        block: &RowBlock<T>,
+        states: &[&[T]],
+        base: usize,
+        outs: &mut [&mut [T]],
+    ) {
+        let len = outs[0].len();
+        assert!(
+            outs.len() <= ROWS && outs.iter().all(|out| out.len() == len),
+            "a block evaluates 1 to {ROWS} rows of one length"
+        );
+        self.call(Call::Rows {
+            block,
+            states,
+            base,
+            outs,
+        })
+    }
+
+    #[inline(always)]
+    fn call(&self, call: Call<'_, '_, T>) {
         // SAFETY: the kernels are safe functions whose only obligation is
-        // that the CPU supports their `#[target_feature]`; `run` only
-        // ever holds an element of `detected_kernels`, which lists a
-        // kernel after detecting exactly that feature.
-        unsafe { (self.run)(terms, states, base, out) }
+        // that the CPU supports their `#[target_feature]`; `row` and
+        // `rows` only ever hold the functions of an element of
+        // `detected_kernels`, which lists them after detecting exactly
+        // that feature.
+        unsafe {
+            match call {
+                Call::Row {
+                    terms,
+                    states,
+                    base,
+                    out,
+                } => (self.row)(terms, states, base, out),
+                Call::Rows {
+                    block,
+                    states,
+                    base,
+                    outs,
+                } => (self.rows)(block, states, base, outs),
+            }
+        }
     }
 }
 
@@ -312,7 +679,12 @@ mod tests {
             assert_eq!(detected[0].0, "baseline");
             let n = if baseline_only { 1 } else { detected.len() };
             let picked = detected.into_iter().take(n);
-            kernels.extend(picked.map(|(isa, run)| RowKernel { run, isa, prefetch }));
+            kernels.extend(picked.map(|(isa, row, rows)| RowKernel {
+                row,
+                rows,
+                isa,
+                prefetch,
+            }));
         }
         kernels
     }
@@ -376,6 +748,64 @@ mod tests {
         })
     }
 
+    /// How far a block test's taps reach: rows up and down, points left
+    /// and right.
+    const BLOCK_DY: isize = 3;
+    const BLOCK_DX: isize = 8;
+
+    /// `(weight, taps)` of one term of 1–200 taps at `(dy, dx)`, in no
+    /// order and mostly with duplicates: 119 offsets to draw from.
+    type BlockTerm = (f64, Vec<((isize, isize), f64)>);
+
+    fn block_term() -> impl Strategy<Value = BlockTerm> {
+        let tap = ((-BLOCK_DY..=BLOCK_DY, -BLOCK_DX..=BLOCK_DX), -1.0f64..1.0);
+        (-2.0f64..2.0, prop::collection::vec(tap, 1..=200))
+    }
+
+    /// Groups of 1 to `ROWS` rows of every length `1..=2W+1`, `W` the
+    /// widest ISA's block row, through `RowBlock`s merged for rows
+    /// `stride` apart, on each plain kernel under test: every point of
+    /// every row compared bit for bit with `apply_at`.
+    fn check_blocks<T: Scalar>(term: &BlockTerm, stride: usize, baseline_only: bool, seed: u64) {
+        let max_len = 2 * widest_block::<T>() / ROWS + 1;
+        let stride = max_len + stride;
+        let (weight, taps) = term;
+        let linear = taps
+            .iter()
+            .map(|&((dy, dx), c)| (dy * stride as isize + dx, c))
+            .collect();
+        let c = stencil_1d::<T>(vec![(1, *weight, linear)]);
+        let block = RowBlock::merge(&c.terms[0], stride);
+        let (dy, dx) = (BLOCK_DY as usize, BLOCK_DX as usize);
+        let first = dy * stride + dx;
+        let end = first + (ROWS - 1 + dy) * stride + max_len + dx + 1;
+        let state: Grid<T> = Grid::random(&[end], &[0], seed);
+        let states = [state.as_slice()];
+        for kernel in kernels::<T>(baseline_only).iter().filter(|k| !k.prefetch()) {
+            for rows in 1..=ROWS {
+                for len in 1..=max_len {
+                    let base = first + (len & 1);
+                    let mut outs = vec![vec![T::from_f64(f64::NAN); len]; rows];
+                    let mut group: Vec<&mut [T]> = outs.iter_mut().map(|o| &mut o[..]).collect();
+                    kernel.run_rows(&block, &states, base, &mut group);
+                    for (r, out) in outs.iter().enumerate() {
+                        for (i, got) in out.iter().enumerate() {
+                            let want = c.apply_at(&states, base + r * stride + i);
+                            assert_eq!(
+                                got.to_f64().to_bits(),
+                                want.to_f64().to_bits(),
+                                "{}: {} taps, stride {stride}, {rows} rows of {len}, \
+                                 row {r} point {i}",
+                                kernel.isa(),
+                                taps.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn kernel_matches_apply_at(baseline_only: bool, test_path: &str) {
         let check = |(terms, seed): (Vec<Term>, u64)| {
             check_rows::<f64>(&terms, baseline_only, seed);
@@ -389,6 +819,14 @@ mod tests {
             let fixed = (stencil_of(n_taps), 0u64..1 << 32);
             proptest::run_cases(test_path, &ProptestConfig::with_cases(1), &fixed, check);
         }
+        // One term `ROWS` rows at a time, at strides no shorter than a row.
+        let blocks = |(term, stride, seed): (BlockTerm, usize, u64)| {
+            check_blocks::<f64>(&term, stride, baseline_only, seed);
+            check_blocks::<f32>(&term, stride, baseline_only, seed);
+        };
+        let random = (block_term(), 0usize..=40, 0u64..1 << 32);
+        let path = format!("{test_path}::blocks");
+        proptest::run_cases(&path, &config, &random, blocks);
     }
 
     #[test]
@@ -431,6 +869,90 @@ mod tests {
                     assert_eq!(got.to_bits(), c.apply_at(&states, 1 + i).to_bits());
                 }
             }
+        }
+        // And through a block: one term over four rows, 16 apart.
+        for weight in [-0.5, 0.5] {
+            let taps = vec![(-16, -0.25), (-1, -0.5), (0, -0.5), (1, -0.25), (16, -0.5)];
+            let c = stencil_1d::<f64>(vec![(1, weight, taps)]);
+            let block = RowBlock::merge(&c.terms[0], 16);
+            let zeros = vec![0.0f64; 6 * 16];
+            let states = [zeros.as_slice()];
+            for kernel in kernels::<f64>(false) {
+                let mut outs = vec![vec![f64::NAN; 14]; ROWS];
+                let mut group: Vec<&mut [f64]> = outs.iter_mut().map(|o| &mut o[..]).collect();
+                kernel.run_rows(&block, &states, 17, &mut group);
+                for (r, out) in outs.iter().enumerate() {
+                    for (i, got) in out.iter().enumerate() {
+                        assert_eq!(got.to_bits(), 0.0f64.to_bits(), "{} row {r}", kernel.isa());
+                        let want = c.apply_at(&states, 17 + r * 16 + i);
+                        assert_eq!(got.to_bits(), want.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The first term of `p` compiled against its grid, and the grid's
+    /// row stride.
+    fn kernel_of(p: &StencilProgram) -> (CompiledTerm<f64>, usize) {
+        let g: Grid<f64> = Grid::for_tensor(&p.grid);
+        let c = CompiledStencil::compile(p, &g).unwrap();
+        (c.terms[0].clone(), crate::sweep::group_stride(&g.strides))
+    }
+
+    /// `kernel` alone over `t-1` on a grid of `shape`.
+    fn program_of(kernel: Kernel, shape: &[usize]) -> StencilProgram {
+        let name = kernel.name.clone();
+        let halo = vec![kernel.reach().into_iter().max().unwrap_or(1); shape.len()];
+        StencilProgram::builder("blocks")
+            .grid(SpNode::new("B", DType::F64, shape, halo[0], 2).unwrap())
+            .kernel(kernel)
+            .combine(&[(1, 1.0, name.as_str())])
+            .timesteps(1)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn block_schedules_share_what_neighbouring_rows_read() {
+        // (loads, segments, loads all four rows share) per kernel.
+        let catalog =
+            |id| benchmark(id).program(&[16, 16, 16][..benchmark(id).ndim], DType::F64, 1);
+        for (name, p, want) in [
+            // 14 rows of 11 taps; rows 0..1, 0..2, 0..3, all four (8 rows
+            // of taps), 1..4, 2..4, 3..4.
+            (
+                "2d121pt box",
+                catalog(BenchmarkId::S2d121ptBox).unwrap(),
+                (154, 7, 88),
+            ),
+            (
+                "2d9pt box",
+                catalog(BenchmarkId::S2d9ptBox).unwrap(),
+                (18, 6, 0),
+            ),
+            (
+                "3d7pt star",
+                catalog(BenchmarkId::S3d7ptStar).unwrap(),
+                (22, 20, 0),
+            ),
+            (
+                "2d5pt star",
+                program_of(Kernel::star_normalized("K", 2, 1), &[16, 16]),
+                (14, 12, 0),
+            ),
+            (
+                "27pt box",
+                program_of(Kernel::boxed("K", 3, 1, 0.5).unwrap(), &[8, 8, 8]),
+                (54, 18, 0),
+            ),
+        ] {
+            let (term, stride) = kernel_of(&p);
+            let block = RowBlock::merge(&term, stride);
+            let got = (block.loads(), block.segments(), block.shared());
+            assert_eq!(got, want, "{name}: {} taps", term.taps.len());
+            // Against the four rows one at a time.
+            assert!(block.loads() < ROWS * term.taps.len(), "{name}");
         }
     }
 

@@ -18,6 +18,7 @@
 
 use crate::grid::{Grid, GridLayout, Scalar};
 use crate::pool::{self, SendPtr};
+use crate::specialized::ROWS;
 use msc_core::error::{MscError, Result};
 use msc_core::halo::Region;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
@@ -45,12 +46,33 @@ impl Frame<'_> {
 /// Visit the start of every unit-stride row of the box `[lo, hi)`,
 /// outermost dimension slowest. An empty box has no rows.
 pub(crate) fn for_each_row(lo: &[usize], hi: &[usize], mut f: impl FnMut(&[usize])) {
+    for_each_row_group(lo, hi, 1, |pos, _| f(pos))
+}
+
+/// The distance between two rows of a group in a buffer with `strides`:
+/// the stride of the second-last dimension (0 in 1-D, where a box has
+/// one row).
+pub(crate) fn group_stride(strides: &[usize]) -> usize {
+    strides.len().checked_sub(2).map_or(0, |d| strides[d])
+}
+
+/// [`for_each_row`] `k` rows at a time: `f(pos, n)` for the first of `n`
+/// rows consecutive along the second-last dimension, `n` being `k` but at
+/// the box's edge (and 1 in 1-D).
+pub(crate) fn for_each_row_group(
+    lo: &[usize],
+    hi: &[usize],
+    k: usize,
+    mut f: impl FnMut(&[usize], usize),
+) {
+    assert!(k > 0, "a group has at least one row");
     if lo.iter().zip(hi).any(|(l, h)| l >= h) {
         return;
     }
+    let across = lo.len().checked_sub(2);
     let mut pos = lo.to_vec();
     loop {
-        f(&pos);
+        f(&pos, across.map_or(1, |d| k.min(hi[d] - pos[d])));
         // Odometer over every dimension but the last (the row itself).
         let mut d = lo.len() - 1;
         loop {
@@ -58,7 +80,7 @@ pub(crate) fn for_each_row(lo: &[usize], hi: &[usize], mut f: impl FnMut(&[usize
                 return;
             }
             d -= 1;
-            pos[d] += 1;
+            pos[d] += if Some(d) == across { k } else { 1 };
             if pos[d] < hi[d] {
                 break;
             }
@@ -165,31 +187,60 @@ impl<T, const N: usize> TileRows<'_, T, N> {
     /// grid buffers, and that row of every output grid, in the order the
     /// grids were given to [`sweep`]. Returns the number of rows visited.
     pub fn for_each(&mut self, mut f: impl FnMut(&[usize], usize, [&mut [T]; N])) -> u64 {
+        self.for_each_group(1, |pos, base, groups| {
+            f(pos, base, groups.map(|group| std::mem::take(&mut group[0])))
+        })
+    }
+
+    /// [`TileRows::for_each`] `k` (at most [`ROWS`]) rows at a time:
+    /// `f(pos, base, groups)` gets the first row's coordinate and flat
+    /// index, and in every output grid the group's `n` rows — `k` but at
+    /// the tile's edge, and 1 in 1-D — row `r` at flat index `base + r *
+    /// group_stride`. Returns the number of rows visited.
+    pub fn for_each_group(
+        &mut self,
+        k: usize,
+        mut f: impl FnMut(&[usize], usize, [&mut [&mut [T]]; N]),
+    ) -> u64 {
+        assert!(k <= ROWS, "a group holds at most {ROWS} rows, not {k}");
         let len = self.row_len();
+        let stride = group_stride(&self.out.layout.strides);
         let mut rows = 0;
-        for_each_row(&self.lo, &self.hi, |pos| {
+        for_each_row_group(&self.lo, &self.hi, k, |pos, n| {
             let base = self.out.layout.padded_index(pos);
-            assert!(base + len <= self.out.len, "tile row leaves the grid");
-            // SAFETY: `SharedOut` was made from the `&mut Grid`s that
-            // `sweep` holds for as long as any `TileRows` lives, so nothing
-            // outside this sweep touches the buffers; being `N` exclusive
-            // borrows they are `N` different buffers, each `out.len` long
-            // (`sweep` refused grids of another layout), and `base + len`
-            // was just checked against that length. Inside the sweep, this
-            // row of each buffer belongs to this tile alone: `sweep`
-            // admitted the tile list only after `check_lattice` showed
-            // every tile to be a distinct cell of the plan's tile lattice
-            // (cells are pairwise disjoint boxes), the pool hands each tile
-            // index to exactly one worker, that worker gets the tile's only
-            // `TileRows`, and `&mut self` keeps two visits of it from
-            // overlapping. The rows of one visit are disjoint by
-            // construction of the odometer, and they do not outlive the
-            // call to `f`.
-            let each = |ptr: &SendPtr<T>| unsafe {
-                std::slice::from_raw_parts_mut(ptr.get().add(base), len)
-            };
-            f(pos, base, self.out.ptrs.each_ref().map(each));
-            rows += 1;
+            assert!(
+                base + (n - 1) * stride + len <= self.out.len,
+                "tile row leaves the grid"
+            );
+            let mut groups: [[&mut [T]; ROWS]; N] = std::array::from_fn(|_| Default::default());
+            for (group, ptr) in groups.iter_mut().zip(&self.out.ptrs) {
+                for (r, row) in group[..n].iter_mut().enumerate() {
+                    // SAFETY: `SharedOut` was made from the `&mut Grid`s
+                    // that `sweep` holds for as long as any `TileRows`
+                    // lives, so nothing outside this sweep touches the
+                    // buffers; being `N` exclusive borrows they are `N`
+                    // different buffers, each `out.len` long (`sweep`
+                    // refused grids of another layout), and the group's
+                    // last row ends inside that length, as just checked.
+                    // Inside the sweep, these rows of each buffer belong to
+                    // this tile alone: `sweep` admitted the tile list only
+                    // after `check_lattice` showed every tile to be a
+                    // distinct cell of the plan's tile lattice (cells are
+                    // pairwise disjoint boxes), the pool hands each tile
+                    // index to exactly one worker, that worker gets the
+                    // tile's only `TileRows`, and `&mut self` keeps two
+                    // visits of it from overlapping. The `n` rows of one
+                    // visit are `n` distinct rows of the tile — the
+                    // odometer stops a group at the tile's edge — and they
+                    // are disjoint: `stride` is the padded length of a row,
+                    // at least `len`. None outlives the call to `f`.
+                    *row = unsafe {
+                        std::slice::from_raw_parts_mut(ptr.get().add(base + r * stride), len)
+                    };
+                }
+            }
+            f(pos, base, groups.each_mut().map(|group| &mut group[..n]));
+            rows += n as u64;
         });
         rows
     }
@@ -460,6 +511,59 @@ mod tests {
                 assert_eq!(out.get(pos), expect, "{grid:?} at {pos:?}");
             });
             assert_eq!(out.interior_sum(), out.as_slice().iter().sum::<f64>());
+        }
+    }
+
+    #[test]
+    fn row_groups_hand_out_every_row_of_every_tile_once() {
+        // Tiles of 5 and 3 rows along the second-last dimension: groups
+        // of up to `k` rows stop at the tile's edge.
+        for (grid, tile, threads) in [
+            (vec![7usize], vec![3usize], 2),
+            (vec![8, 9], vec![5, 4], 3),
+            (vec![3, 8, 6], vec![2, 5, 4], 2),
+        ] {
+            let halo = vec![2; grid.len()];
+            let plan = plan_for(&grid, &tile, threads);
+            let tiles = plan.tiles();
+            let rows: usize = tiles
+                .iter()
+                .map(|t| t.extent.iter().rev().skip(1).product::<usize>())
+                .sum();
+            for k in 1..=ROWS {
+                let mut up: Grid<f64> = Grid::zeros(&grid, &halo);
+                let mut down = up.clone();
+                let stride = group_stride(&up.strides);
+                let worker = |work: TileWork<'_, '_, f64, 2>| {
+                    let mut visited = 0;
+                    for (tile, mut rows) in work {
+                        let edge = tile.extent[tile.extent.len().saturating_sub(2)];
+                        visited += rows.for_each_group(k, |_, base, [ups, downs]| {
+                            let n = ups.len();
+                            assert!(n <= k && (n == k || grid.len() == 1 || edge % k == n));
+                            for (r, (u, d)) in ups.iter_mut().zip(downs).enumerate() {
+                                for (i, (u, d)) in u.iter_mut().zip(d.iter_mut()).enumerate() {
+                                    let at = 1.0 + (base + r * stride + i) as f64 * 1e-6;
+                                    (*u, *d) = (*u + at, *d - at);
+                                }
+                            }
+                        });
+                    }
+                    visited
+                };
+                let visited = sweep(&plan, &tiles, [&mut up, &mut down], "test_worker", worker);
+                let visited: u64 = visited.unwrap().iter().sum();
+                assert_eq!(visited, rows as u64, "{grid:?} k {k}");
+                let layout = up.layout();
+                up.for_each_interior(|pos| {
+                    let want = 1.0 + layout.index(pos) as f64 * 1e-6;
+                    let got = (up.get(pos), down.get(pos));
+                    assert_eq!(got, (want, -want), "{grid:?} k {k} {pos:?}");
+                });
+                // Nothing outside the interior was handed out.
+                assert_eq!(up.interior_sum(), up.as_slice().iter().sum::<f64>());
+                assert_eq!(down.interior_sum(), down.as_slice().iter().sum::<f64>());
+            }
         }
     }
 

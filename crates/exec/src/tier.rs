@@ -27,7 +27,10 @@ use msc_vm::{LinearTerm, VmProgram, VmScratch};
 
 use crate::compiled::CompiledStencil;
 use crate::grid::{Grid, Scalar};
-use crate::specialized::{prefetch_pays, step_bytes, RowKernel, PREFETCH_MIN_STEP_BYTES};
+use crate::specialized::{
+    prefetch_pays, step_bytes, RowBlock, RowKernel, PREFETCH_MIN_STEP_BYTES, ROWS,
+};
+use crate::sweep::group_stride;
 use crate::tiled::MAX_IMAGE_TERMS;
 
 /// Requested execution tier (CLI `--exec-tier`, `RunOptions::tier`).
@@ -164,6 +167,73 @@ fn reusable_kernel<T: Scalar>(
     Ok(image)
 }
 
+/// Why the rows of a stencil are evaluated one at a time rather than
+/// [`ROWS`] per call (DESIGN.md §12.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OneRow {
+    /// Only the specialized tier evaluates rows in blocks.
+    Tier(ActiveTier),
+    /// A tile of a one-dimensional grid is a single row.
+    OneDimensional,
+    /// Every term would hold its own partial sums for every row.
+    Terms(usize),
+    /// The step streams from DRAM: loads are not what bounds it.
+    Prefetching,
+    /// A block row of the ISA is narrower than a cache line.
+    Narrow { bytes: usize },
+    /// Fewer than half of a row's taps come from loads all rows share.
+    Shared { shared: usize, taps: usize },
+    /// The stencil was retargeted to tile-local buffers.
+    Staged,
+}
+
+impl std::fmt::Display for OneRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OneRow::Tier(tier) => write!(f, "{} tier", tier.name()),
+            OneRow::OneDimensional => write!(f, "one-dimensional grid"),
+            OneRow::Terms(n) => write!(f, "{n} terms"),
+            OneRow::Prefetching => write!(f, "prefetching"),
+            OneRow::Narrow { bytes } => write!(f, "{bytes} B block rows"),
+            OneRow::Shared { shared, taps } => {
+                write!(f, "{ROWS} rows share {shared} of {taps} taps")
+            }
+            OneRow::Staged => write!(f, "staged through tile-local buffers"),
+        }
+    }
+}
+
+/// The block `interp`'s rows go through on `kernel`, `stride` apart, or
+/// why they go one at a time. A block wins on the loads all its rows
+/// share and loses a little on every other one (DESIGN.md §12.1): so it
+/// takes one cache-resident term whose rows share at least half their
+/// taps, on an ISA whose block rows fill a cache line.
+fn row_block<T: Scalar>(
+    interp: &CompiledStencil<T>,
+    kernel: &RowKernel<T>,
+    stride: usize,
+) -> std::result::Result<RowBlock<T>, OneRow> {
+    if interp.ndim < 2 {
+        return Err(OneRow::OneDimensional);
+    }
+    let [term] = interp.terms.as_slice() else {
+        return Err(OneRow::Terms(interp.terms.len()));
+    };
+    if kernel.prefetch() {
+        return Err(OneRow::Prefetching);
+    }
+    let bytes = kernel.block_row_bytes();
+    if bytes < 64 {
+        return Err(OneRow::Narrow { bytes });
+    }
+    let block = RowBlock::merge(term, stride);
+    let (shared, taps) = (block.shared(), term.taps.len());
+    if 2 * shared < taps {
+        return Err(OneRow::Shared { shared, taps });
+    }
+    Ok(block)
+}
+
 /// A compiled stencil with the requested execution tier resolved and
 /// attached. Derefs to the interpreter's [`CompiledStencil`], so layout
 /// queries (`max_dt`, `reach`, taps) and the SPM/reference paths keep
@@ -175,6 +245,9 @@ pub struct TieredStencil<T> {
     vm: Option<VmProgram<T>>,
     specialized: RowKernel<T>,
     active: ActiveTier,
+    /// The schedule that evaluates `ROWS` rows per call, or why rows go
+    /// one at a time.
+    rows: std::result::Result<RowBlock<T>, OneRow>,
     /// The kernel alone on the same tier, when the time loop should keep
     /// its images instead of the older states; else why it does not.
     image: std::result::Result<Box<KernelImage<T>>, Recomputed>,
@@ -228,19 +301,21 @@ impl<T: Scalar> TieredStencil<T> {
     /// `tier` resolves to. The states are whole grids like `grid`, so
     /// their size decides whether the row kernel prefetches.
     /// So does whether a step reuses the kernel's image
-    /// ([`reusable_kernel`]).
+    /// ([`reusable_kernel`]), and the grid's row stride what a block of
+    /// rows reads ([`row_block`]).
     pub fn compile(program: &StencilProgram, grid: &Grid<T>, tier: ExecTier) -> Result<TieredStencil<T>> {
         let interp = CompiledStencil::compile(program, grid)?;
         let padded_len = grid.as_slice().len();
         let prefetch = prefetch_pays::<T>(interp.max_dt, padded_len);
+        let stride = Some(group_stride(&grid.strides));
         let image =
             reusable_kernel(&interp, step_bytes::<T>(interp.max_dt, padded_len)).map(|kernel| {
                 Box::new(KernelImage {
-                    kernel: Self::attach(kernel, tier, prefetch),
-                    mix: Self::attach(interp.image_mix(), tier, false),
+                    kernel: Self::attach(kernel, tier, prefetch, stride),
+                    mix: Self::attach(interp.image_mix(), tier, false, stride),
                 })
             });
-        let mut stencil = Self::attach(interp, tier, prefetch);
+        let mut stencil = Self::attach(interp, tier, prefetch, stride);
         if let Ok(image) = &image {
             stencil.compile_nanos += image.kernel.compile_nanos + image.mix.compile_nanos;
         }
@@ -250,12 +325,18 @@ impl<T: Scalar> TieredStencil<T> {
 
     /// Attach a tier to a stencil relinearized for tile-local buffers:
     /// those are sized to stay in cache, so the row kernel never
-    /// prefetches.
+    /// prefetches, and rows go one at a time.
     pub fn from_compiled(interp: CompiledStencil<T>, tier: ExecTier) -> TieredStencil<T> {
-        Self::attach(interp, tier, false)
+        Self::attach(interp, tier, false, None)
     }
 
-    fn attach(interp: CompiledStencil<T>, tier: ExecTier, prefetch: bool) -> TieredStencil<T> {
+    /// `stride` is the grid's row stride, `None` for tile-local buffers.
+    fn attach(
+        interp: CompiledStencil<T>,
+        tier: ExecTier,
+        prefetch: bool,
+        stride: Option<usize>,
+    ) -> TieredStencil<T> {
         let t0 = Instant::now();
         // The vector ISA is detected here, once per compiled stencil.
         let specialized = RowKernel::widest(prefetch);
@@ -269,11 +350,17 @@ impl<T: Scalar> TieredStencil<T> {
             ExecTier::Vm => ActiveTier::Interp,
             ExecTier::Specialized | ExecTier::Auto => ActiveTier::Specialized,
         };
+        let rows = match (active, stride) {
+            (ActiveTier::Specialized, Some(stride)) => row_block(&interp, &specialized, stride),
+            (ActiveTier::Specialized, None) => Err(OneRow::Staged),
+            (tier, _) => Err(OneRow::Tier(tier)),
+        };
         TieredStencil {
             interp,
             vm,
             specialized,
             active,
+            rows,
             image: Err(Recomputed::Staged),
             compile_nanos: t0.elapsed().as_nanos() as u64,
             vm_dispatches: AtomicU64::new(0),
@@ -287,16 +374,26 @@ impl<T: Scalar> TieredStencil<T> {
 
     /// What evaluates the rows and how often, for run banners: `vm tier,
     /// kernel image reused`, or `specialized tier, avx512f, prefetch on,
-    /// kernel recomputed (412 MB/step through 7 taps)`. The image clause
-    /// is what [`Executor::Tiled`](crate::Executor::Tiled) does in the
-    /// time loop of [`run_program_tier`](crate::run_program_tier); every
-    /// other staging recomputes.
+    /// rows one at a time (2 terms), kernel recomputed (412 MB/step
+    /// through 7 taps)`. The rows and image clauses are what
+    /// [`Executor::Tiled`](crate::Executor::Tiled) does in the time loop
+    /// of [`run_program_tier`](crate::run_program_tier), where a step
+    /// that reuses images sweeps the kernel alone; every other staging
+    /// recomputes, a row at a time.
     pub fn describe(&self) -> String {
         let kernel = &self.specialized;
         let tier = match self.active {
             ActiveTier::Specialized => {
                 let prefetch = if kernel.prefetch() { "on" } else { "off" };
-                format!("specialized tier, {}, prefetch {prefetch}", kernel.isa())
+                let swept = self.kernel_image().map_or(self, |image| &image.kernel);
+                let rows = match &swept.rows {
+                    Ok(_) => format!("rows {ROWS} at a time"),
+                    Err(why) => format!("rows one at a time ({why})"),
+                };
+                format!(
+                    "specialized tier, {}, prefetch {prefetch}, {rows}",
+                    kernel.isa()
+                )
             }
             tier => format!("{} tier", tier.name()),
         };
@@ -316,6 +413,25 @@ impl<T: Scalar> TieredStencil<T> {
     #[cfg(test)]
     pub(crate) fn recomputing(mut self) -> TieredStencil<T> {
         self.image = Err(Recomputed::Forced);
+        self
+    }
+
+    /// As if the rule had taken every one-term stencil `ROWS` rows at a
+    /// time, rows `stride` apart: the stencil itself and the kernel of its
+    /// image step, wherever they run on the specialized tier.
+    #[cfg(test)]
+    pub(crate) fn blocking(mut self, stride: usize) -> TieredStencil<T> {
+        fn force<T: Scalar>(s: &mut TieredStencil<T>, stride: usize) {
+            if let (ActiveTier::Specialized, [term]) = (s.active, s.interp.terms.as_slice()) {
+                if s.interp.ndim >= 2 {
+                    s.rows = Ok(RowBlock::merge(term, stride));
+                }
+            }
+        }
+        force(&mut self, stride);
+        if let Ok(image) = &mut self.image {
+            force(&mut image.kernel, stride);
+        }
         self
     }
 
@@ -365,6 +481,41 @@ impl<T: Scalar> TieredStencil<T> {
             ActiveTier::Specialized => {
                 self.specialized
                     .run_row(&self.interp.terms, states, base, out)
+            }
+        }
+    }
+
+    /// How many rows one [`TieredStencil::run_rows`] call evaluates at
+    /// most: [`ROWS`] through a block, else 1.
+    pub(crate) fn rows_per_call(&self) -> usize {
+        match self.rows {
+            Ok(_) => ROWS,
+            Err(_) => 1,
+        }
+    }
+
+    /// Evaluate up to [`TieredStencil::rows_per_call`] unit-stride rows of
+    /// one length, `stride` apart along the grid's second-last dimension:
+    /// `outs[r]` gets the row at flat index `base + r * stride`, as
+    /// [`TieredStencil::run_row`] would.
+    #[inline]
+    pub(crate) fn run_rows(
+        &self,
+        states: &[&[T]],
+        base: usize,
+        stride: usize,
+        outs: &mut [&mut [T]],
+        scratch: &mut TierScratch<T>,
+    ) {
+        match &self.rows {
+            Ok(block) if outs.len() > 1 => {
+                assert_eq!(stride, block.stride(), "rows apart by another stride");
+                self.specialized.run_rows(block, states, base, outs)
+            }
+            _ => {
+                for (r, out) in outs.iter_mut().enumerate() {
+                    self.run_row(states, base + r * stride, out, scratch);
+                }
             }
         }
     }
@@ -501,10 +652,17 @@ mod tests {
         // 10 x 8 x 12 is far below the line: off, and said so.
         let (mut c, a, _) = tiered(ExecTier::Auto);
         assert!(!c.specialized.prefetch());
+        // The kernel the image step sweeps has seven taps, and four rows
+        // share none of them (a baseline build declines sooner).
+        let why = match c.specialized.block_row_bytes() {
+            bytes if bytes < 64 => format!("{bytes} B block rows"),
+            _ => "4 rows share 0 of 7 taps".to_string(),
+        };
         assert_eq!(
             c.describe(),
             format!(
-                "specialized tier, {}, prefetch off, kernel image reused",
+                "specialized tier, {}, prefetch off, rows one at a time ({why}), \
+                 kernel image reused",
                 c.specialized.isa()
             )
         );
@@ -525,6 +683,120 @@ mod tests {
         }
         let local = TieredStencil::from_compiled(c.relinearized(&a.strides), ExecTier::Auto);
         assert!(!local.specialized.prefetch());
+    }
+
+    #[test]
+    fn rows_are_blocked_for_one_cache_resident_term_whose_rows_share_half_its_taps() {
+        let compiled = |p: &StencilProgram| {
+            let g: Grid<f64> = Grid::for_tensor(&p.grid);
+            (
+                CompiledStencil::compile(p, &g).unwrap(),
+                group_stride(&g.strides),
+            )
+        };
+        let single = |id| {
+            let b = benchmark(id);
+            let shape = [16, 16, 16];
+            StencilProgram::builder(b.name)
+                .grid(SpNode::new("B", DType::F64, &shape[..b.ndim], b.radius, 2).unwrap())
+                .kernel(b.kernel())
+                .combine(&[(1, 1.0, b.name)])
+                .timesteps(1)
+                .build()
+                .unwrap()
+        };
+        let wide = RowKernel::<f64>::widest(false);
+        let blocks = wide.block_row_bytes() >= 64;
+        // The 121-tap box: 88 of a row's taps come from loads all four
+        // rows share, the 169-tap box 130.
+        for (id, shared) in [
+            (BenchmarkId::S2d121ptBox, 88),
+            (BenchmarkId::S2d169ptBox, 130),
+        ] {
+            let (c, stride) = compiled(&single(id));
+            match row_block(&c, &wide, stride) {
+                Ok(block) => assert_eq!((block.shared(), block.stride()), (shared, stride)),
+                Err(why) => assert!(!blocks, "{id:?}: {why}"),
+            }
+            // Never where a row block is narrower than a cache line.
+            let narrow = row_block(&c, &RowKernel::baseline(false), stride).unwrap_err();
+            assert_eq!(narrow, OneRow::Narrow { bytes: 32 });
+            assert_eq!(narrow.to_string(), "32 B block rows");
+            // Nor where the step streams from DRAM.
+            let streams = row_block(&c, &RowKernel::widest(true), stride).unwrap_err();
+            assert_eq!(streams.to_string(), "prefetching");
+        }
+        // Stencils whose rows share no load across all four rows: the
+        // 9-point box, the 3d7pt and 2d5pt stars (mscd's), a 27-point box.
+        for (p, taps) in [
+            (single(BenchmarkId::S2d9ptBox), 9),
+            (single(BenchmarkId::S3d7ptStar), 7),
+            (program_of(Kernel::star_normalized("K", 2, 1), &[16, 16]), 5),
+            (
+                program_of(Kernel::boxed("K", 3, 1, 0.5).unwrap(), &[8, 8, 8]),
+                27,
+            ),
+        ] {
+            let (c, stride) = compiled(&p);
+            let why = row_block(&c, &wide, stride).unwrap_err();
+            if blocks {
+                assert_eq!(why, OneRow::Shared { shared: 0, taps });
+                assert_eq!(why.to_string(), format!("4 rows share 0 of {taps} taps"));
+            }
+        }
+        // Any stencil of two terms, and a one-dimensional grid.
+        let (c, stride) = compiled(&program());
+        assert_eq!(row_block(&c, &wide, stride).unwrap_err(), OneRow::Terms(2));
+        let (c, stride) = compiled(&program_of(Kernel::star_normalized("K", 1, 2), &[40]));
+        assert_eq!(
+            row_block(&c, &wide, stride).unwrap_err(),
+            OneRow::OneDimensional
+        );
+        // What `compile` attaches: a two-dependency 121-tap box blocks the
+        // kernel its image step sweeps and says so; another tier, or a
+        // stencil staged through tile-local buffers, goes a row at a time.
+        let dense = benchmark(BenchmarkId::S2d121ptBox)
+            .program(&[24, 24], DType::F64, 2)
+            .unwrap();
+        let g: Grid<f64> = Grid::for_tensor(&dense.grid);
+        let c = TieredStencil::compile(&dense, &g, ExecTier::Auto).unwrap();
+        assert_eq!(c.rows_per_call(), 1, "two terms");
+        let image = c.kernel_image().unwrap();
+        let rows = if blocks { ROWS } else { 1 };
+        assert_eq!(image.kernel.rows_per_call(), rows);
+        assert_eq!(image.mix.rows_per_call(), 1);
+        assert_eq!(
+            c.describe()
+                .contains(", rows 4 at a time, kernel image reused"),
+            blocks,
+            "{}",
+            c.describe()
+        );
+        let one = single(BenchmarkId::S2d121ptBox);
+        let one_grid: Grid<f64> = Grid::for_tensor(&one.grid);
+        for (tier, rows) in [
+            (ExecTier::Auto, rows),
+            (ExecTier::Interp, 1),
+            (ExecTier::Vm, 1),
+        ] {
+            let c = TieredStencil::compile(&one, &one_grid, tier).unwrap();
+            assert_eq!(c.rows_per_call(), rows, "{tier:?}");
+        }
+        let local =
+            TieredStencil::from_compiled(image.kernel.relinearized(&g.strides), ExecTier::Auto);
+        assert_eq!(local.rows.as_ref().err(), Some(&OneRow::Staged));
+    }
+
+    /// `kernel` alone over `t-1` on a grid of `shape`, halo 2.
+    fn program_of(kernel: Kernel, shape: &[usize]) -> StencilProgram {
+        let name = kernel.name.clone();
+        StencilProgram::builder("blocks")
+            .grid(SpNode::new("B", DType::F64, shape, 2, 2).unwrap())
+            .kernel(kernel)
+            .combine(&[(1, 1.0, name.as_str())])
+            .timesteps(1)
+            .build()
+            .unwrap()
     }
 
     #[test]

@@ -332,6 +332,71 @@ fn auto_tier_matches_oracle_with_periodic_boundaries() {
     }
 }
 
+/// Row blocks (DESIGN.md §12.1) through whole runs of `p` from `init`,
+/// on tiles of 7 rows (a group of 4 and one of 3) by 16: both boundaries,
+/// 1 to 3 threads, kernel images by rule and forced off, and each with
+/// the block by rule and forced onto every one-term stencil. Every run
+/// must match the serial oracle bit for bit and count what the others do.
+fn assert_blocks<T: Scalar>(name: &str, p: &StencilProgram, init: &Grid<T>) {
+    for bc in [Boundary::Dirichlet, Boundary::Periodic] {
+        let oracle = oracle(p, init, bc);
+        let mut counted = None;
+        for threads in 1..=3 {
+            let mut s = Schedule::default();
+            s.tile(&[7, 16]);
+            s.parallel("xo", threads);
+            let exec = Executor::Tiled(ExecPlan::lower(&s, 2, &p.grid.shape).unwrap());
+            for images in [Images::ByRule, Images::Recomputed] {
+                for forced in [false, true] {
+                    let tier = ExecTier::Specialized;
+                    let run = TimeLoop::admit(p, &exec, Cow::Borrowed(init), bc, tier).unwrap();
+                    let run = match images {
+                        Images::ByRule => run,
+                        Images::Recomputed => run.recomputing(),
+                    };
+                    let run = if forced { run.blocking() } else { run };
+                    let (out, stats) = run.run(p.timesteps).unwrap();
+                    let cell =
+                        format!("{name}: {bc:?}, {threads} threads, {images:?}, forced {forced}");
+                    assert!(
+                        bits(&out) == oracle,
+                        "{cell} differs from the serial oracle"
+                    );
+                    assert_eq!(*counted.get_or_insert(stats), stats, "{cell}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn row_blocks_match_the_oracle_at_any_tile_row_count() {
+    for id in [BenchmarkId::S2d121ptBox, BenchmarkId::S2d9ptBox] {
+        let b = benchmark(id);
+        let grid = [13, 40];
+        // Two dependencies sweep the kernel's image; one sweeps the
+        // stencil itself.
+        for p in [
+            b.program(&grid, DType::F64, STEPS).unwrap(),
+            single_dep(&b, &grid, 0.9),
+        ] {
+            let name = format!("{} x {} deps", b.name, p.stencil.max_dt());
+            assert_blocks::<f64>(&name, &p, &random(&p, 28));
+            assert_blocks::<f32>(&name, &p, &random(&p, 29));
+        }
+    }
+    // The rule takes the 121-tap box and not the 9-point one, wherever a
+    // block row fills a cache line.
+    let wide = crate::specialized::RowKernel::<f64>::widest(false).block_row_bytes() >= 64;
+    let rows = |id| {
+        let p = benchmark(id).program(&[13, 40], DType::F64, STEPS).unwrap();
+        described(&p).contains(", rows 4 at a time, ")
+    };
+    assert_eq!(rows(BenchmarkId::S2d121ptBox), wide);
+    assert!(!rows(BenchmarkId::S2d9ptBox));
+}
+
 /// What the banner would say about `p`.
 fn described(p: &StencilProgram) -> String {
     let init: Grid<f64> = Grid::zeros(&p.grid.shape, &p.grid.halo);

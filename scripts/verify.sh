@@ -212,6 +212,21 @@ for t in tier_differential::kernel_image_reuse_matches_recomputing_on_hand_progr
   out=$(cargo test -q -p msc-exec --lib --offline "$t" -- --exact)
   grep -q '1 passed' <<<"$out"
 done
+# Row blocks (DESIGN.md §12.1), by exact name: the block schedules the
+# rule is read from, the rule and the banner clause, row groups handed out
+# by the sweep core, whole runs through blocks against the oracle (one
+# node and two ranks), and the comm stash that keeps arrival order.
+for t in "msc-exec --lib specialized::tests::block_schedules_share_what_neighbouring_rows_read" \
+    "msc-exec --lib tier::tests::rows_are_blocked_for_one_cache_resident_term_whose_rows_share_half_its_taps" \
+    "msc-exec --lib sweep::tests::row_groups_hand_out_every_row_of_every_tile_once" \
+    "msc-exec --lib tier_differential::row_blocks_match_the_oracle_at_any_tile_row_count" \
+    "msc-comm --test row_blocks a_two_rank_121_point_box_through_row_blocks_is_bit_identical" \
+    "msc-comm --lib runtime::tests::stashed_frames_of_one_source_and_tag_come_back_in_arrival_order" \
+    "msc --test mscc_cli the_run_banner_says_whether_rows_go_four_at_a_time"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
 # The sweep core holds the crate's only tile-write `unsafe` (one
 # expression, however many grids a sweep writes), and nothing under
 # cfg(miri) may warn: the Miri job builds with it.
@@ -253,6 +268,22 @@ for t in driver::tests::a_reused_slot_leaves_no_trace \
   out=$(cargo test -q -p msc-exec --lib --offline "$t" -- --exact)
   grep -q '1 passed' <<<"$out"
 done
+
+echo "== AddressSanitizer (msc-exec) =="
+# ROADMAP item 7, step 1, over what row blocks touch: the tile-write site
+# that hands out row groups (DESIGN.md §18.3), the block kernel, the tier
+# differential and the worker pool, with ASan and LeakSanitizer. Nightly
+# ships the sanitizer runtimes but no rust-src, so std is uninstrumented,
+# which ASan tolerates. The instrumented build keeps a target dir of its
+# own.
+if cargo +nightly --version >/dev/null 2>&1; then
+  for t in --lib "--test pool_determinism"; do
+    RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+      cargo +nightly test -q --offline -p msc-exec $t --target x86_64-unknown-linux-gnu
+  done
+else
+  echo "skip: no nightly toolchain for the AddressSanitizer stage"
+fi
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

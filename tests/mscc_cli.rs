@@ -26,11 +26,13 @@ fn compiles_run_verifies_and_emits() {
     assert!(stdout.contains("compiled `wave2d`"));
     // The banner names what evaluated the rows and how often; a grid this
     // small is cache-resident, so the row kernel does not prefetch, and
-    // the leapfrog's two terms are two kernels, so no image serves both.
+    // the leapfrog's two terms are two kernels, so no image serves both
+    // and no block of rows either.
     assert!(stdout.contains(" tiles, specialized tier, "), "{stdout}");
     assert!(
         stdout.contains(
-            ", prefetch off, kernel recomputed (terms name different kernels)); interior checksum"
+            ", prefetch off, rows one at a time (2 terms), \
+             kernel recomputed (terms name different kernels)); interior checksum"
         ),
         "{stdout}"
     );
@@ -120,7 +122,10 @@ fn chaos_run_heals_and_verifies_bit_exactly() {
     );
     // And what evaluated each rank's rows, as the serial banner does.
     assert!(
-        stdout.contains(", prefetch off, kernel recomputed (terms name different kernels)); "),
+        stdout.contains(
+            ", prefetch off, rows one at a time (2 terms), \
+             kernel recomputed (terms name different kernels)); "
+        ),
         "{stdout}"
     );
     assert!(
@@ -194,8 +199,16 @@ fn the_run_banner_and_profile_say_whether_kernel_images_are_reused() {
             .expect("mscc runs");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(out.status.success(), "{stdout}");
-        let banner = format!(", prefetch off, {said}); interior checksum");
-        assert!(stdout.contains(&banner), "{stdout}");
+        // 5 x 5 taps: four rows share the 10 of each row's taps in its
+        // middle row, too few for a block.
+        let banner = format!(
+            ", rows one at a time ({}), {said}); interior checksum",
+            rows_of(&stdout, 10, 25)
+        );
+        assert!(
+            stdout.contains(", prefetch off, ") && stdout.contains(&banner),
+            "{stdout}"
+        );
         let header = stdout.lines().find(|l| l.starts_with("== profile: boxed ("));
         assert!(header.is_some_and(|l| l.ends_with(&format!(", {said}) =="))), "{stdout}");
         assert!(
@@ -203,6 +216,81 @@ fn the_run_banner_and_profile_say_whether_kernel_images_are_reused() {
             "{stdout}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Why a `--run` banner says rows go one at a time when four rows share
+/// `shared` of `taps` taps: that, unless the row kernel was built for the
+/// baseline ISA, whose block rows are narrower than a cache line.
+fn rows_of(stdout: &str, shared: usize, taps: usize) -> String {
+    match stdout.contains("specialized tier, baseline, ") {
+        true => "32 B block rows".to_string(),
+        false => format!("4 rows share {shared} of {taps} taps"),
+    }
+}
+
+#[test]
+fn the_run_banner_says_whether_rows_go_four_at_a_time() {
+    let dir = std::env::temp_dir().join(format!("mscc_cli_row_blocks_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |source: &std::path::Path| {
+        let out = mscc()
+            .arg(source)
+            .arg("-o")
+            .arg(&dir)
+            .arg("--run")
+            .output()
+            .expect("mscc runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        assert!(
+            stdout.contains("verified vs serial reference: bit-identical"),
+            "{stdout}"
+        );
+        stdout
+    };
+    // The 121-point box of Table 4 over two time dependencies: its image
+    // step sweeps the kernel four rows at a time.
+    let taps: Vec<String> = (-5..=5)
+        .flat_map(|y| (-5..=5).map(move |x| format!("0.008*B[{y},{x}]")))
+        .collect();
+    let source = dir.join("box121.msc");
+    std::fs::write(
+        &source,
+        format!(
+            "stencil box121 {{
+                grid B: f64[30, 64] halo 5 window 3;
+                kernel K = {};
+                combine res[t] = 0.6*K[t-1] + 0.4*K[t-2];
+                schedule {{ tile 10 64; reorder xo yo xi yi; parallel xo 2; }}
+                run 3;
+                target cpu;
+            }}",
+            taps.join(" + ")
+        ),
+    )
+    .unwrap();
+    let stdout = run(&source);
+    let rows = match stdout.contains("specialized tier, baseline, ") {
+        true => "rows one at a time (32 B block rows)",
+        false => "rows 4 at a time",
+    };
+    assert!(
+        stdout.contains(&format!(
+            ", prefetch off, {rows}, kernel image reused); interior checksum"
+        )),
+        "{stdout}"
+    );
+    // The paper's 3d7pt over its `mpi 2 2 2` ranks: four rows of a rank
+    // share none of the seven taps.
+    let stdout = run(std::path::Path::new(&dsl("3d7pt.msc")));
+    let rows = format!("rows one at a time ({})", rows_of(&stdout, 0, 7));
+    assert!(
+        stdout.contains("distributed run over 8 ranks")
+            && stdout.contains(&format!(", prefetch off, {rows}, kernel image reused); ")),
+        "{stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
