@@ -29,6 +29,10 @@ use msc_exec::{io, RingLayout};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+/// Complete checkpoint generations [`CheckpointStore::gc`] retains on
+/// disk after each snapshot.
+pub const CHECKPOINT_KEEP: usize = 2;
+
 /// A directory of step-stamped grid snapshots shared by all ranks of a
 /// world (they write disjoint files, so no locking is needed).
 #[derive(Debug, Clone)]
@@ -177,20 +181,20 @@ impl CheckpointStore {
             .collect()
     }
 
-    /// Garbage-collect old generations: keep the newest `keep` complete
-    /// checkpoints and delete everything older — complete generations
-    /// past the retention window, abandoned incomplete generations, and
-    /// half-written `.grid.tmp` leftovers from crashed writers. Safe to
-    /// call concurrently from every rank (deleting an already-deleted
-    /// file is not an error), and never touches generations newer than
-    /// the newest complete one, which may still be mid-write. Returns
-    /// the number of files removed.
-    pub fn gc(&self, keep: usize) -> usize {
+    /// Garbage-collect old generations: keep the newest
+    /// [`CHECKPOINT_KEEP`] complete checkpoints and delete everything
+    /// older — complete generations past the retention window, abandoned
+    /// incomplete generations, and half-written `.grid.tmp` leftovers from
+    /// crashed writers. Safe to call concurrently from every rank
+    /// (deleting an already-deleted file is not an error), and never
+    /// touches generations newer than the newest complete one, which may
+    /// still be mid-write. Returns the number of files removed.
+    pub fn gc(&self) -> usize {
         let complete = self.complete_steps();
         let Some(&newest) = complete.last() else {
             return 0;
         };
-        let cutoff = complete[complete.len().saturating_sub(keep.max(1))];
+        let cutoff = complete[complete.len().saturating_sub(CHECKPOINT_KEEP)];
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return 0;
         };
@@ -431,7 +435,7 @@ mod tests {
         let live_tmp = store.dir().join("ckpt_s10_r1_w0.grid.tmp");
         std::fs::write(&live_tmp, b"mid-write").unwrap();
 
-        let removed = store.gc(2);
+        let removed = store.gc();
         assert!(removed > 0, "expected files to be pruned");
         // Newest two complete generations retained, older ones gone.
         assert_eq!(store.latest_complete(), Some(8));
@@ -452,7 +456,7 @@ mod tests {
         let store = tmp_store("gc_empty", 2);
         let window: Vec<Grid<f64>> = vec![Grid::random(&[4, 4], &[1, 1], 1)];
         store.save_rank(3, 0, &window).unwrap();
-        assert_eq!(store.gc(1), 0);
+        assert_eq!(store.gc(), 0);
         assert!(store.load_rank::<f64>(3, 0, 1).is_ok());
         store.clear().unwrap();
     }

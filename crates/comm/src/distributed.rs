@@ -172,12 +172,6 @@ pub struct RunOptions {
     /// How many times a failed run may be restarted (from the latest
     /// complete checkpoint if one exists, else from the initial state).
     pub max_restarts: usize,
-    /// Communication–computation overlap: compute boundary tiles first,
-    /// initiate the halo exchange, compute interior tiles while the
-    /// messages are in flight, then complete the exchange. Bit-identical
-    /// to the sequential schedule (same tile partition, same per-tile
-    /// arithmetic); on by default.
-    pub overlap: bool,
     /// Execution tier for every rank's compute, direct or SPM-staged
     /// (`Auto` is always the specialized row kernel). All tiers are
     /// bit-identical, so chaos replays and checkpoint restarts are
@@ -195,10 +189,6 @@ pub struct RunOptions {
     /// `spare_ranks > 0` uses [`HeartbeatConfig::default`]. Validated at
     /// run entry — a bad configuration is a typed error, never a panic.
     pub heartbeat: Option<HeartbeatConfig>,
-    /// Complete checkpoint generations retained on disk; after each
-    /// snapshot, older generations and abandoned `.grid.tmp` leftovers
-    /// are garbage-collected.
-    pub checkpoint_keep: usize,
     /// Telemetry hub the run should record into. `None` keeps whatever
     /// hub the calling thread already has installed (usually the
     /// process-wide default) — `Some` scopes every counter, span,
@@ -218,11 +208,9 @@ impl Default for RunOptions {
             checkpoint_dir: None,
             checkpoint_every: 0,
             max_restarts: 3,
-            overlap: true,
             tier: msc_exec::ExecTier::Auto,
             spare_ranks: 0,
             heartbeat: None,
-            checkpoint_keep: 2,
             hub: None,
         }
     }
@@ -548,10 +536,9 @@ fn compute_steps<T: Scalar + Wire>(
     let (opts, program) = (env.opts, env.program);
     // The halo plan and the boundary/interior split it implies, rebuilt
     // per attempt: after adoption this rank has a new identity and with
-    // it new neighbours. Without overlap every tile is in front of the
-    // exchange.
+    // it new neighbours.
     let halo = HaloPlan::new(env.decomp, ctx.rank, opts.backend);
-    run.split_tiles(|tile| !opts.overlap || is_boundary(tile, &halo, &env.decomp.reach));
+    run.split_tiles(|tile| is_boundary(tile, &halo, &env.decomp.reach));
 
     while run.steps() < program.timesteps {
         let s = run.steps();
@@ -566,10 +553,8 @@ fn compute_steps<T: Scalar + Wire>(
                 match posted.take() {
                     None => posted = Some((plan::begin(&halo, ctx, state, slot)?, Instant::now())),
                     Some((pending, t0)) => {
-                        if opts.overlap {
-                            let overlap_ns = t0.elapsed().as_nanos() as u64;
-                            ctx.counters.bump(Counter::OverlapNanos, overlap_ns);
-                        }
+                        let overlap_ns = t0.elapsed().as_nanos() as u64;
+                        ctx.counters.bump(Counter::OverlapNanos, overlap_ns);
                         plan::finish(&halo, ctx, state, slot, pending)?;
                     }
                 }
@@ -604,7 +589,7 @@ fn compute_steps<T: Scalar + Wire>(
                 // Retention: drop generations past the keep window and
                 // crashed writers' half-written tmp files. Safe under
                 // concurrent callers.
-                let _ = st.gc(opts.checkpoint_keep);
+                let _ = st.gc();
             }
             if let Some(m) = env.membership {
                 buddy_replicate(ctx, env, m, &run.slots(), snaps, gen)?;

@@ -42,7 +42,9 @@ pub mod fault;
 pub mod plan;
 pub mod runtime;
 
-pub use checkpoint::{ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore};
+pub use checkpoint::{
+    ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore, CHECKPOINT_KEEP,
+};
 pub use distributed::{run_distributed_resilient, CommStats, RunOptions};
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan, KillSpec};

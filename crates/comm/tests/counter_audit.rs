@@ -51,21 +51,14 @@ const TRUE_TILES: u64 = RANKS as u64 * STEPS as u64 * TILES_PER_RANK_PER_STEP;
 #[test]
 fn merged_stats_count_each_tile_exactly_once() {
     let _g = BANK_LOCK.lock().unwrap();
-    // Overlap on (default) and off must both account every tile once.
-    for overlap in [true, false] {
-        let opts = RunOptions {
-            overlap,
-            ..RunOptions::default()
-        };
-        let (_, stats) = run(&opts);
-        assert_eq!(
-            stats.tiles_executed(),
-            TRUE_TILES,
-            "overlap={overlap}: merged RunStats tile counter"
-        );
-        assert_eq!(stats.counters.get(Counter::Steps), STEPS as u64);
-        assert_eq!(stats.counters.get(Counter::Ranks), RANKS as u64);
-    }
+    let (_, stats) = run(&RunOptions::default());
+    assert_eq!(
+        stats.tiles_executed(),
+        TRUE_TILES,
+        "merged RunStats tile counter"
+    );
+    assert_eq!(stats.counters.get(Counter::Steps), STEPS as u64);
+    assert_eq!(stats.counters.get(Counter::Ranks), RANKS as u64);
 }
 
 #[test]
@@ -73,31 +66,23 @@ fn global_trace_sink_counts_each_tile_exactly_once() {
     let _g = BANK_LOCK.lock().unwrap();
     // The mirror sink: with tracing enabled, the process-global banks
     // must also see each tile exactly once (not once per sink).
-    for overlap in [true, false] {
-        msc_trace::reset_counters();
-        msc_trace::set_enabled(true);
-        let opts = RunOptions {
-            overlap,
-            ..RunOptions::default()
-        };
-        let (_, stats) = run(&opts);
-        msc_trace::set_enabled(false);
-        let snap = msc_trace::snapshot();
-        assert_eq!(
-            snap.get(Counter::TilesExecuted),
-            TRUE_TILES,
-            "overlap={overlap}: global trace tile counter"
-        );
-        // Halo traffic mirrors 1:1 as well.
-        assert_eq!(
-            snap.get(Counter::HaloMessages),
-            stats.halo_messages(),
-            "overlap={overlap}: global trace halo messages"
-        );
-        if overlap {
-            assert!(snap.get(Counter::OverlapNanos) > 0, "overlap window recorded");
-        }
-    }
+    msc_trace::reset_counters();
+    msc_trace::set_enabled(true);
+    let (_, stats) = run(&RunOptions::default());
+    msc_trace::set_enabled(false);
+    let snap = msc_trace::snapshot();
+    assert_eq!(
+        snap.get(Counter::TilesExecuted),
+        TRUE_TILES,
+        "global trace tile counter"
+    );
+    // Halo traffic mirrors 1:1 as well.
+    assert_eq!(
+        snap.get(Counter::HaloMessages),
+        stats.halo_messages(),
+        "global trace halo messages"
+    );
+    assert!(snap.get(Counter::OverlapNanos) > 0, "overlap window recorded");
 }
 
 #[test]

@@ -1,18 +1,15 @@
 //! Schedule layer: the optimization primitives of the paper (§4.3) and the
-//! lowering from a scheduled kernel to a loop nest / execution plan.
+//! lowering from a scheduled kernel to an execution plan.
 //!
 //! * [`primitives`] — `tile`, `reorder`, `parallel`, `cache_read`,
 //!   `cache_write`, `compute_at` (all rewrite the IR, paper Table 2).
-//! * [`looptree`] — the loop-nest statement tree produced by lowering;
-//!   consumed by the C code generator.
 //! * [`plan`] — [`ExecPlan`], the flat execution plan consumed by the
-//!   functional executor and the timing simulator.
+//!   functional executor, the C code generators and the timing simulator.
 //! * [`legality`] — schedule validation.
 //! * [`window`] — the sliding-time-window planner (paper Figure 5).
 //! * [`presets`] — the paper's Table 5 parameter settings.
 
 pub mod legality;
-pub mod looptree;
 pub mod plan;
 pub mod presets;
 pub mod primitives;

@@ -1,6 +1,5 @@
 //! Optimization primitives (paper §4.3). Each primitive records a rewrite
-//! of the kernel's loop nest; [`crate::schedule::looptree`] and
-//! [`crate::schedule::plan`] materialize them.
+//! of the kernel's loop nest; [`crate::schedule::plan`] materializes them.
 //!
 //! Axis naming convention follows the paper's Figure 4: spatial dimensions
 //! (outermost first) are named `x`, `y`, `z`; `tile` splits `x` into

@@ -14,7 +14,7 @@
 //! * `Auto` (the default) and `Specialized` → **specialized**, always:
 //!   the blocked kernel takes any tap count, so no stencil is declined;
 //! * `Vm` → the **VM**, or the interpreter when the kernel overflows the
-//!   VM's register file or constant pool;
+//!   VM's constant pool;
 //! * `Interp` → the **interpreter** (also what the `Executor::Reference`
 //!   oracle path always runs).
 
@@ -266,8 +266,8 @@ impl<T> std::ops::Deref for TieredStencil<T> {
     }
 }
 
-/// Lower the tap lists to VM bytecode. `None` on register or const-pool
-/// overflow — kernels that large stay on the interpreter.
+/// Lower the tap lists to VM bytecode. `None` on const-pool overflow —
+/// kernels that large stay on the interpreter.
 fn lower_to_vm<T: Scalar>(interp: &CompiledStencil<T>) -> Option<VmProgram<T>> {
     let linear: Vec<LinearTerm<T>> = interp
         .terms
@@ -879,6 +879,35 @@ mod tests {
             assert!(local
                 .describe()
                 .ends_with("(staged through tile-local buffers)"));
+        }
+    }
+
+    #[test]
+    fn the_vm_program_of_every_catalog_stencil_is_pinned_op_for_op() {
+        use BenchmarkId::*;
+        // (ops, registers) of the two-dependency program and of the
+        // one-term kernel its image step sweeps.
+        let pinned = [
+            (S2d9ptStar, (7, 2), (4, 2)),
+            (S2d9ptBox, (7, 2), (4, 2)),
+            (S2d121ptBox, (35, 2), (18, 2)),
+            (S2d169ptBox, (47, 2), (24, 2)),
+            (S3d7ptStar, (3, 1), (2, 1)),
+            (S3d13ptStar, (7, 2), (4, 2)),
+            (S3d25ptStar, (11, 2), (6, 2)),
+            (S3d31ptStar, (11, 2), (6, 2)),
+        ];
+        let size = |c: &TieredStencil<f64>| {
+            let vm = c.vm.as_ref().expect("lowered to the VM");
+            (vm.n_ops(), vm.n_regs())
+        };
+        for (id, program, kernel) in pinned {
+            let b = benchmark(id);
+            let p = b.program(&b.test_grid(), DType::F64, 2).unwrap();
+            let c = TieredStencil::<f64>::compile(&p, &Grid::for_tensor(&p.grid), ExecTier::Vm)
+                .unwrap();
+            let image = c.kernel_image().expect("one kernel at two distances");
+            assert_eq!((size(&c), size(&image.kernel)), (program, kernel), "{id:?}");
         }
     }
 

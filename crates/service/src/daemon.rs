@@ -22,7 +22,8 @@
 //! The verifier is the front door: submissions are linted before they
 //! can touch codegen or the executors. Deny-level findings return as
 //! structured [`Response::Denied`]; nothing a client sends can panic
-//! the daemon (malformed protocol lines get [`Response::Error`], and a
+//! the daemon (malformed protocol lines get [`Response::Error`], a line
+//! over [`MAX_REQUEST_BYTES`] gets it and a closed connection, and a
 //! worker that somehow panics poisons nothing — jobs own their state).
 
 use crate::cache::CompileCache;
@@ -33,12 +34,18 @@ use msc_exec::driver::{run_program, Executor};
 use msc_exec::Grid;
 use msc_trace::{install_thread_hub, Sampler, SamplerConfig, TelemetryHub};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// The longest request line the daemon reads, newline excluded: far above
+/// any submission of a shipped program (a few KiB of source), and all a
+/// client that never sends a newline can make a handler buffer. A longer
+/// line gets [`Response::Error`] and the connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Daemon configuration. The defaults suit an interactive session; CI
 /// and tests shrink the queue and quota to force the Busy paths.
@@ -283,13 +290,29 @@ fn accept_loop(inner: &Arc<Inner>, listener: UnixListener) {
 fn handle_connection(inner: &Arc<Inner>, stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut writer = stream;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Never buffer more of one line than the cap (and one byte to see
+        // it was crossed).
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        if !matches!((&mut reader).take(cap).read_until(b'\n', &mut buf), Ok(n) if n > 0) {
+            return;
+        }
+        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let message =
+                format!("request line over {MAX_REQUEST_BYTES} bytes; closing the connection");
+            let _ = writeln!(writer, "{}", Response::Error { message }.to_line());
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { return };
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
-        let response = match Request::from_line(&line) {
+        let response = match Request::from_line(line) {
             Err(e) => Response::Error { message: e },
             Ok(Request::Ping) => Response::Pong {
                 version: PROTO_VERSION,

@@ -37,5 +37,5 @@ pub mod proto;
 
 pub use cache::CompileCache;
 pub use client::Client;
-pub use daemon::{Daemon, ServiceConfig};
+pub use daemon::{Daemon, ServiceConfig, MAX_REQUEST_BYTES};
 pub use proto::{BusyReason, JobDone, Request, Response, ServiceStats, Submission};

@@ -5,7 +5,7 @@
 
 use msc_trace::Json;
 use msc_service::{
-    BusyReason, Client, Daemon, Request, Response, ServiceConfig, Submission,
+    BusyReason, Client, Daemon, Request, Response, ServiceConfig, Submission, MAX_REQUEST_BYTES,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -455,6 +455,42 @@ fn a_denied_job_returns_the_full_report_on_the_wire() {
         }),
     );
     assert_eq!(resp.to_line(), DENIED);
+    daemon.stop();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_line_over_the_cap_gets_an_error_and_the_daemon_still_answers() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = temp_dir("long-line");
+    let daemon = Daemon::start(ServiceConfig {
+        socket: dir.join("mscd.sock"),
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    // 2 MiB and no newline: the handler stops reading at the cap, so the
+    // rest of the write may meet a closed socket.
+    let line = vec![b'x'; 2 << 20];
+    assert!(line.len() > MAX_REQUEST_BYTES);
+    let mut conn = std::os::unix::net::UnixStream::connect(daemon.socket()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let _ = conn.write_all(&line);
+    let mut reply = String::new();
+    BufReader::new(&conn).read_line(&mut reply).unwrap();
+    let resp = Response::from_line(reply.trim_end()).unwrap();
+    assert!(
+        matches!(&resp, Response::Error { message } if message.contains("request line over")),
+        "got {resp:?}"
+    );
+    // The connection is closed; a fresh one is served.
+    let mut rest = String::new();
+    assert_eq!(BufReader::new(&conn).read_line(&mut rest).unwrap_or(0), 0);
+    assert!(matches!(
+        call_on(daemon.socket(), &Request::Ping),
+        Response::Pong { .. }
+    ));
     daemon.stop();
     daemon.join();
     let _ = std::fs::remove_dir_all(&dir);

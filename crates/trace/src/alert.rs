@@ -56,36 +56,20 @@ pub struct Alert {
     pub message: String,
 }
 
-/// Detector tuning. Defaults are deliberately conservative: alerts are
-/// operator signals, not errors, but a noisy detector trains operators
-/// to ignore it.
-#[derive(Debug, Clone)]
-pub struct AlertConfig {
-    /// A rank stalls when its interval step rate z-scores below
-    /// `-stall_zscore` against its peers (population std; needs >= 4
-    /// active ranks for the z-score rule to be meaningful).
-    pub stall_zscore: f64,
-    /// No-progress rule (any world size >= 2): alert when a rank made 0
-    /// steps this interval while some peer made at least this many and
-    /// is ahead of it.
-    pub min_peer_steps: u64,
-    /// Interval halo-wait p99 budget in nanoseconds.
-    pub halo_wait_p99_budget_ns: u64,
-    /// Failure-detector latency p99 budget in nanoseconds (0 = alert on
-    /// any detection event).
-    pub detect_latency_budget_ns: u64,
-}
+// Detector tuning, deliberately conservative: alerts are operator
+// signals, not errors, but a noisy detector trains operators to ignore it.
 
-impl Default for AlertConfig {
-    fn default() -> AlertConfig {
-        AlertConfig {
-            stall_zscore: 2.0,
-            min_peer_steps: 2,
-            halo_wait_p99_budget_ns: 250_000_000, // 250 ms
-            detect_latency_budget_ns: 0,
-        }
-    }
-}
+/// A rank stalls when its interval step rate z-scores below
+/// `-STALL_ZSCORE` against its peers (population std; needs >= 4 active
+/// ranks for the z-score rule to be meaningful).
+const STALL_ZSCORE: f64 = 2.0;
+/// No-progress rule (any world size >= 2): alert when a rank made 0 steps
+/// this interval while some peer made at least this many and is ahead of
+/// it.
+const MIN_PEER_STEPS: u64 = 2;
+/// Interval halo-wait p99 budget in nanoseconds (250 ms). The failure
+/// detector has no budget: any detection event alerts.
+const HALO_WAIT_P99_BUDGET_NS: u64 = 250_000_000;
 
 /// Join consecutive rank snapshots by rank id: (rank, steps delta,
 /// behind = last_step below the front).
@@ -109,7 +93,6 @@ pub fn detect_alerts(
     prev_ranks: &[RankSample],
     cur_ranks: &[RankSample],
     dhists: &HistSet,
-    cfg: &AlertConfig,
     t_ns: u64,
 ) -> Vec<Alert> {
     let mut out = Vec::new();
@@ -120,14 +103,14 @@ pub fn detect_alerts(
         let max_delta = deltas.iter().map(|&(_, d, _)| d).max().unwrap_or(0);
 
         // No-progress rule: robust at any world size.
-        if max_delta >= cfg.min_peer_steps {
+        if max_delta >= MIN_PEER_STEPS {
             for &(rank, d, last) in &deltas {
                 if d == 0 && last < front {
                     out.push(Alert {
                         kind: AlertKind::StallRank,
                         rank: rank as i64,
                         value: 0.0,
-                        threshold: cfg.min_peer_steps as f64,
+                        threshold: MIN_PEER_STEPS as f64,
                         t_ns,
                         message: format!(
                             "rank {rank} made no progress (step {last}) while peers advanced {max_delta} steps to step {front}"
@@ -150,7 +133,7 @@ pub fn detect_alerts(
             if std > 0.0 {
                 for &(rank, d, _) in &deltas {
                     let z = (d as f64 - mean) / std;
-                    if z <= -cfg.stall_zscore
+                    if z <= -STALL_ZSCORE
                         && !out
                             .iter()
                             .any(|a| a.kind == AlertKind::StallRank && a.rank == rank as i64)
@@ -159,7 +142,7 @@ pub fn detect_alerts(
                             kind: AlertKind::StallRank,
                             rank: rank as i64,
                             value: z,
-                            threshold: -cfg.stall_zscore,
+                            threshold: -STALL_ZSCORE,
                             t_ns,
                             message: format!(
                                 "rank {rank} step rate z-score {z:.2} (made {d} steps vs mean {mean:.1})"
@@ -174,17 +157,17 @@ pub fn detect_alerts(
     let halo = dhists.get(Hist::HaloWaitNanos);
     if !halo.is_empty() {
         let p99 = halo.p99();
-        if p99 > cfg.halo_wait_p99_budget_ns {
+        if p99 > HALO_WAIT_P99_BUDGET_NS {
             out.push(Alert {
                 kind: AlertKind::HaloWaitBudget,
                 rank: -1,
                 value: p99 as f64,
-                threshold: cfg.halo_wait_p99_budget_ns as f64,
+                threshold: HALO_WAIT_P99_BUDGET_NS as f64,
                 t_ns,
                 message: format!(
                     "halo-wait p99 {:.1} ms over budget {:.1} ms",
                     p99 as f64 / 1e6,
-                    cfg.halo_wait_p99_budget_ns as f64 / 1e6
+                    HALO_WAIT_P99_BUDGET_NS as f64 / 1e6
                 ),
             });
         }
@@ -193,20 +176,18 @@ pub fn detect_alerts(
     let detect = dhists.get(Hist::DetectLatencyNanos);
     if !detect.is_empty() {
         let p99 = detect.p99();
-        if p99 >= cfg.detect_latency_budget_ns {
-            out.push(Alert {
-                kind: AlertKind::DetectLatencySpike,
-                rank: -1,
-                value: p99 as f64,
-                threshold: cfg.detect_latency_budget_ns as f64,
-                t_ns,
-                message: format!(
-                    "failure detector fired {} time(s), latency p99 {:.1} ms",
-                    detect.count(),
-                    p99 as f64 / 1e6
-                ),
-            });
-        }
+        out.push(Alert {
+            kind: AlertKind::DetectLatencySpike,
+            rank: -1,
+            value: p99 as f64,
+            threshold: 0.0,
+            t_ns,
+            message: format!(
+                "failure detector fired {} time(s), latency p99 {:.1} ms",
+                detect.count(),
+                p99 as f64 / 1e6
+            ),
+        });
     }
 
     out
@@ -231,7 +212,7 @@ mod tests {
     fn quiet_interval_raises_nothing() {
         let prev = vec![sample(0, 10, 9), sample(1, 10, 9)];
         let cur = vec![sample(0, 20, 19), sample(1, 20, 19)];
-        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), &AlertConfig::default(), 0);
+        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), 0);
         assert!(alerts.is_empty(), "{alerts:?}");
     }
 
@@ -239,7 +220,7 @@ mod tests {
     fn dead_rank_in_two_rank_world_trips_no_progress_rule() {
         let prev = vec![sample(0, 10, 9), sample(1, 10, 9)];
         let cur = vec![sample(0, 20, 19), sample(1, 10, 9)];
-        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), &AlertConfig::default(), 7);
+        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), 7);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::StallRank);
         assert_eq!(alerts[0].rank, 1);
@@ -257,7 +238,7 @@ mod tests {
                 sample(r, 100 + d, 99 + d)
             })
             .collect();
-        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), &AlertConfig::default(), 0);
+        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), 0);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::StallRank);
         assert_eq!(alerts[0].rank, 5);
@@ -268,7 +249,7 @@ mod tests {
     fn rank_behind_but_moving_does_not_alert() {
         let prev = vec![sample(0, 10, 9), sample(1, 8, 7)];
         let cur = vec![sample(0, 20, 19), sample(1, 12, 11)];
-        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), &AlertConfig::default(), 0);
+        let alerts = detect_alerts(&prev, &cur, &HistSet::new(), 0);
         assert!(alerts.is_empty(), "{alerts:?}");
     }
 
@@ -277,7 +258,7 @@ mod tests {
         let mut d = HistSet::new();
         d.add(Hist::HaloWaitNanos, 400_000_000); // 400 ms > 250 ms budget
         d.add(Hist::DetectLatencyNanos, 5_000_000);
-        let alerts = detect_alerts(&[], &[], &d, &AlertConfig::default(), 0);
+        let alerts = detect_alerts(&[], &[], &d, 0);
         let kinds: Vec<_> = alerts.iter().map(|a| a.kind).collect();
         assert!(kinds.contains(&AlertKind::HaloWaitBudget));
         assert!(kinds.contains(&AlertKind::DetectLatencySpike));

@@ -69,7 +69,7 @@ pub mod sampler;
 pub mod spans;
 pub mod stitch;
 
-pub use alert::{Alert, AlertConfig, AlertKind};
+pub use alert::{Alert, AlertKind};
 pub use counters::{
     record, record_set, reset_counters, set_enabled, snapshot, Counter, CounterSet, EnableGuard,
     MergeMode,

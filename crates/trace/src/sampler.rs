@@ -17,7 +17,7 @@
 //! restart fires — a killed run still leaves a metrics tail ending in a
 //! `comm_fault` alert.
 
-use crate::alert::{Alert, AlertConfig, AlertKind};
+use crate::alert::{Alert, AlertKind};
 use crate::counters::{Counter, CounterSet};
 use crate::histogram::{Hist, HistSet};
 use crate::hub::TelemetryHub;
@@ -47,7 +47,6 @@ pub struct SamplerConfig {
     /// OpenMetrics exposition path (the JSONL path with extension
     /// `om`), atomically rewritten each sample.
     pub openmetrics_path: PathBuf,
-    pub alerts: AlertConfig,
 }
 
 impl SamplerConfig {
@@ -74,7 +73,6 @@ impl SamplerConfig {
             interval: Duration::from_millis(interval_ms),
             jsonl_path,
             openmetrics_path,
-            alerts: AlertConfig::default(),
         })
     }
 }
@@ -272,8 +270,7 @@ impl Shared {
                 for h in Hist::ALL {
                     dh.set(h, hists.get(h).saturating_delta(prev.hists.get(h)));
                 }
-                let alerts =
-                    crate::alert::detect_alerts(&prev.ranks, &ranks, &dh, &self.cfg.alerts, t_ns);
+                let alerts = crate::alert::detect_alerts(&prev.ranks, &ranks, &dh, t_ns);
                 (dt, dc, dh, alerts)
             }
             None => (0, CounterSet::new(), HistSet::new(), Vec::new()),

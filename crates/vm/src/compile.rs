@@ -1,19 +1,11 @@
-//! Lowering to bytecode: constant pooling, load CSE, and a liveness-based
-//! register allocator.
-//!
-//! The builder emits SSA over virtual registers; `finish` runs a backward
-//! last-use pass and remaps onto a small pool of physical registers with a
-//! free list, so even a 169-tap kernel executes in a handful of row
-//! buffers (an op's destination can reuse an operand register that dies at
-//! that op — the row loops are elementwise, so in-place updates are fine).
+//! Lowering to bytecode: one direct pass over the tap lists, constant
+//! pooling, and fixed register roles ([`OUT`], [`ACC`]).
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 use msc_core::error::{MscError, Result};
-use msc_core::expr::{Access, BinOp, Expr, UnOp};
 
-use crate::program::{BinKind, Op, UnKind, VmProgram, VmScratch, MAX_CHAIN};
+use crate::program::{Chain, Op, VmProgram, ACC, MAX_CHAIN, OUT};
 use crate::scalar::VmScalar;
 
 /// One temporal term of a linearized stencil: `weight * Σ coeff·state[slot][p+off]`,
@@ -26,56 +18,16 @@ pub struct LinearTerm<T> {
     pub taps: Vec<(i64, T)>,
 }
 
-/// One temporal term of a general stencil: `weight * expr`, where the
-/// expression's accesses read `states[slot + access.time_back]`.
-#[derive(Debug, Clone)]
-pub struct ExprTerm<'a> {
-    pub slot: usize,
-    pub weight: f64,
-    pub expr: &'a Expr,
-}
-
-struct Builder<T> {
-    ops: Vec<Op>,
+/// The constant pool, deduplicated by the value's f64 bit pattern.
+struct Pool<T> {
     consts: Vec<T>,
-    /// Constant pool index by f64 bit pattern of the value.
-    pool_ix: HashMap<u64, u16>,
-    /// Splatted-constant register by pool index.
-    const_reg: HashMap<u16, u16>,
-    /// Load CSE: virtual register by `(slot, flat offset)`.
-    load_reg: HashMap<(u16, i64), u16>,
-    next_vreg: u32,
-    max_slot: usize,
+    ix: HashMap<u64, u16>,
 }
 
-impl<T: VmScalar> Builder<T> {
-    fn new() -> Builder<T> {
-        Builder {
-            ops: Vec::new(),
-            consts: Vec::new(),
-            pool_ix: HashMap::new(),
-            const_reg: HashMap::new(),
-            load_reg: HashMap::new(),
-            next_vreg: 0,
-            max_slot: 0,
-        }
-    }
-
-    fn fresh(&mut self) -> Result<u16> {
-        if self.next_vreg > u16::MAX as u32 {
-            return Err(MscError::UnsupportedExpr(
-                "kernel too large for the VM (more than 65536 virtual registers)".into(),
-            ));
-        }
-        let r = self.next_vreg as u16;
-        self.next_vreg += 1;
-        Ok(r)
-    }
-
-    /// Intern a value in the constant pool (dedup by bit pattern).
-    fn pool(&mut self, v: T) -> Result<u16> {
+impl<T: VmScalar> Pool<T> {
+    fn get(&mut self, v: T) -> Result<u16> {
         let bits = v.to_f64().to_bits();
-        if let Some(&ix) = self.pool_ix.get(&bits) {
+        if let Some(&ix) = self.ix.get(&bits) {
             return Ok(ix);
         }
         if self.consts.len() > u16::MAX as usize {
@@ -85,249 +37,9 @@ impl<T: VmScalar> Builder<T> {
         }
         let ix = self.consts.len() as u16;
         self.consts.push(v);
-        self.pool_ix.insert(bits, ix);
+        self.ix.insert(bits, ix);
         Ok(ix)
     }
-
-    /// A register holding `v` broadcast over the row (splat once, reuse).
-    fn splat(&mut self, v: T) -> Result<u16> {
-        let idx = self.pool(v)?;
-        if let Some(&r) = self.const_reg.get(&idx) {
-            return Ok(r);
-        }
-        let dst = self.fresh()?;
-        self.ops.push(Op::Const { dst, idx });
-        self.const_reg.insert(idx, dst);
-        Ok(dst)
-    }
-
-    /// A register holding the tap `states[slot][base + off + i]` (CSE'd:
-    /// repeated reads of the same tap load once).
-    fn load(&mut self, slot: u16, off: i64) -> Result<u16> {
-        if let Some(&r) = self.load_reg.get(&(slot, off)) {
-            return Ok(r);
-        }
-        let dst = self.fresh()?;
-        self.ops.push(Op::Load { dst, slot, off });
-        self.load_reg.insert((slot, off), dst);
-        self.max_slot = self.max_slot.max(slot as usize);
-        Ok(dst)
-    }
-
-    fn mul_add_c(&mut self, c: u16, b: u16, acc: u16) -> Result<u16> {
-        let dst = self.fresh()?;
-        self.ops.push(Op::MulAddC { dst, c, b, acc });
-        Ok(dst)
-    }
-
-    fn fma_load(&mut self, c: u16, slot: u16, off: i64, acc: u16) -> Result<u16> {
-        let dst = self.fresh()?;
-        self.ops.push(Op::FmaLoad {
-            dst,
-            c,
-            slot,
-            off,
-            acc,
-        });
-        self.max_slot = self.max_slot.max(slot as usize);
-        Ok(dst)
-    }
-
-    fn bin(&mut self, op: BinKind, a: u16, b: u16) -> Result<u16> {
-        let dst = self.fresh()?;
-        self.ops.push(Op::Bin { op, dst, a, b });
-        Ok(dst)
-    }
-
-    fn un(&mut self, op: UnKind, a: u16) -> Result<u16> {
-        let dst = self.fresh()?;
-        self.ops.push(Op::Un { op, dst, a });
-        Ok(dst)
-    }
-
-    /// Fuse tap chains, allocate physical registers (liveness + free
-    /// list), and seal the program.
-    fn finish(self, out: u16) -> VmProgram<T> {
-        let n_virtual = self.next_vreg as usize;
-        // SSA use counts guard the peepholes: a value may be folded into
-        // its consumer only when that consumer is its sole reader (the
-        // program result `out` is additionally read externally, so it is
-        // never folded away).
-        let mut uses = vec![0u32; n_virtual];
-        for op in &self.ops {
-            let (srcs, n) = op.srcs();
-            for &s in &srcs[..n] {
-                uses[s as usize] += 1;
-            }
-        }
-        // vreg -> constant pool index for splatted constants, to turn a
-        // chain seeded by the zero register into an immediate seed.
-        let splat_of: HashMap<u16, u16> = self.const_reg.iter().map(|(&ix, &r)| (r, ix)).collect();
-        let ops = merge_fma_chains(self.ops, &uses, &splat_of, out);
-
-        // Last instruction index that reads each virtual register; the
-        // result register lives past the end of the program.
-        let mut last_use = vec![usize::MAX; n_virtual];
-        for (i, op) in ops.iter().enumerate().rev() {
-            let (srcs, n) = op.srcs();
-            for &s in &srcs[..n] {
-                if last_use[s as usize] == usize::MAX {
-                    last_use[s as usize] = i;
-                }
-            }
-        }
-        let live_forever = ops.len(); // sentinel > any instruction index
-        for lu in last_use.iter_mut() {
-            if *lu == usize::MAX {
-                *lu = live_forever;
-            }
-        }
-        last_use[out as usize] = live_forever;
-
-        let mut map = vec![u16::MAX; n_virtual];
-        let mut free: Vec<u16> = Vec::new();
-        let mut n_phys: u16 = 0;
-        let mut alloc_ops = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let (srcs, n) = op.srcs();
-            let mut phys_srcs = [0u16; 2];
-            for (k, &s) in srcs[..n].iter().enumerate() {
-                phys_srcs[k] = map[s as usize];
-            }
-            // Release operands that die here (dedup so a register used
-            // twice by one op is freed once), making them available for
-            // this op's destination — elementwise ops may run in place.
-            for (k, &s) in srcs[..n].iter().enumerate() {
-                if last_use[s as usize] == i && srcs[..k].iter().all(|&p| p != s) {
-                    free.push(map[s as usize]);
-                }
-            }
-            let dst = free.pop().unwrap_or_else(|| {
-                let p = n_phys;
-                n_phys += 1;
-                p
-            });
-            map[op.dst() as usize] = dst;
-            let mut new = *op;
-            new.remap(dst, phys_srcs);
-            alloc_ops.push(new);
-        }
-        let prog = VmProgram {
-            ops: alloc_ops,
-            consts: self.consts,
-            n_regs: n_phys as usize,
-            out: map[out as usize],
-            n_slots: self.max_slot + 1,
-        };
-        // Debug builds audit the bytecode once, right here, before it can
-        // ever dispatch: def-before-use over the *physical* registers
-        // (which also proves the allocator never wired an op to a freed
-        // register), bounds on every register/constant/slot index, and
-        // chain-length invariants. Release builds skip the walk.
-        #[cfg(debug_assertions)]
-        if let Err(e) = prog.sanity_check(None) {
-            panic!("compiled VM bytecode failed the static sanity pass: {e}");
-        }
-        prog
-    }
-}
-
-/// SSA peephole, run before register allocation:
-///
-/// 1. collapse runs of `FmaLoad`s threaded through single-use
-///    accumulators into [`Op::FmaChain`] groups of up to [`MAX_CHAIN`]
-///    taps;
-/// 2. fold a `MulAddC` whose tap operand is a single-use chain seeded by
-///    a splatted constant into [`Op::FmaChainW`] — one dispatch for the
-///    whole temporal term.
-///
-/// Both rewrites perform the identical per-lane multiply-then-add
-/// sequence, so they are purely dispatch/accumulator-traffic
-/// optimizations; `uses` proves the folded intermediates have no other
-/// reader (`out` is read externally and is never folded).
-fn merge_fma_chains(ops: Vec<Op>, uses: &[u32], splat_of: &HashMap<u16, u16>, out: u16) -> Vec<Op> {
-    let mut merged: Vec<Op> = Vec::with_capacity(ops.len());
-    for op in ops {
-        match op {
-            Op::FmaLoad {
-                dst,
-                c,
-                slot,
-                off,
-                acc,
-            } => {
-                if let Some(Op::FmaChain {
-                    dst: cd,
-                    n,
-                    c: cc,
-                    slot: cs,
-                    off: co,
-                    ..
-                }) = merged.last_mut()
-                {
-                    if *cd == acc
-                        && acc != out
-                        && uses[acc as usize] == 1
-                        && (*n as usize) < MAX_CHAIN
-                    {
-                        let k = *n as usize;
-                        cc[k] = c;
-                        cs[k] = slot;
-                        co[k] = off;
-                        *n += 1;
-                        *cd = dst; // the chain now defines this value
-                        continue;
-                    }
-                }
-                let mut cc = [0u16; MAX_CHAIN];
-                let mut cs = [0u16; MAX_CHAIN];
-                let mut co = [0i64; MAX_CHAIN];
-                cc[0] = c;
-                cs[0] = slot;
-                co[0] = off;
-                merged.push(Op::FmaChain {
-                    dst,
-                    acc,
-                    n: 1,
-                    c: cc,
-                    slot: cs,
-                    off: co,
-                });
-            }
-            Op::MulAddC { dst, c, b, acc } => {
-                let fused = match merged.last() {
-                    Some(&Op::FmaChain {
-                        dst: cd,
-                        acc: ca,
-                        n,
-                        c: cc,
-                        slot: cs,
-                        off: co,
-                    }) if cd == b && b != out && uses[b as usize] == 1 => {
-                        splat_of.get(&ca).map(|&seed_c| Op::FmaChainW {
-                            dst,
-                            acc,
-                            w: c,
-                            seed_c,
-                            n,
-                            c: cc,
-                            slot: cs,
-                            off: co,
-                        })
-                    }
-                    _ => None,
-                };
-                if let Some(f) = fused {
-                    merged.pop();
-                    merged.push(f);
-                } else {
-                    merged.push(op);
-                }
-            }
-            _ => merged.push(op),
-        }
-    }
-    merged
 }
 
 /// Compile linearized tap lists into a VM program that replays the
@@ -339,241 +51,251 @@ fn merge_fma_chains(ops: Vec<Op>, uses: &[u32], splat_of: &HashMap<u16, u16>, ou
 ///            out = out + term.weight * acc
 /// ```
 ///
-/// Both the inner accumulation and the outer combine start from an actual
-/// zero register and use multiply-then-add (two roundings), so every
-/// intermediate value is bit-identical to `CompiledStencil::apply_at`,
-/// including the `-0.0` cases a bare first multiply would miss.
+/// Both the inner accumulation and the outer combine start from the pooled
+/// zero and use multiply-then-add (two roundings), so every intermediate
+/// value is bit-identical to `CompiledStencil::apply_at`, including the
+/// `-0.0` cases a bare first multiply would miss.
 ///
-/// The inner chain lowers to fused [`Op::FmaLoad`] — tap reads come
-/// straight from the state grids, never staged through a register copy,
-/// and the allocator keeps the whole accumulation in one register.
+/// `OUT` starts as `Const 0`. A term of at most [`MAX_CHAIN`] taps, none
+/// included, is one [`Op::FmaChainW`] on `OUT`; a longer one is a run of
+/// [`Op::FmaChain`]s on `ACC`, the first seeded from the zero, then one
+/// [`Op::MulAddC`] into `OUT`. Taps are read straight from the state grids.
 pub fn compile_linear<T: VmScalar>(terms: &[LinearTerm<T>]) -> Result<VmProgram<T>> {
     if terms.is_empty() {
         return Err(MscError::UnsupportedExpr(
             "cannot compile a stencil with no temporal terms".into(),
         ));
     }
-    let mut b = Builder::new();
-    let zero = b.splat(T::default())?;
-    let mut out = zero;
+    let mut pool = Pool {
+        consts: Vec::new(),
+        ix: HashMap::new(),
+    };
+    let zero = pool.get(T::default())?;
+    let mut ops = vec![Op::Const {
+        dst: OUT,
+        idx: zero,
+    }];
+    let (mut n_regs, mut n_slots) = (1, 1);
     for t in terms {
         let slot = u16::try_from(t.slot)
             .map_err(|_| MscError::UnsupportedExpr("state slot index overflow".into()))?;
-        let mut acc = zero;
-        for &(off, coeff) in &t.taps {
-            let c = b.pool(coeff)?;
-            acc = b.fma_load(c, slot, off, acc)?;
+        if !t.taps.is_empty() {
+            n_slots = n_slots.max(t.slot + 1);
         }
-        let w = b.pool(t.weight)?;
-        out = b.mul_add_c(w, acc, out)?;
-    }
-    Ok(b.finish(out))
-}
-
-/// Compile general expression terms (the non-linear path: `min`/`max`,
-/// calls, variable coefficients). Matches `Expr::eval` semantics; spatial
-/// offsets are dotted against `strides` at compile time.
-pub fn compile_expr<T: VmScalar>(
-    terms: &[ExprTerm<'_>],
-    strides: &[usize],
-    vars: &BTreeMap<String, f64>,
-) -> Result<VmProgram<T>> {
-    if terms.is_empty() {
-        return Err(MscError::UnsupportedExpr(
-            "cannot compile a stencil with no temporal terms".into(),
-        ));
-    }
-    let mut b = Builder::new();
-    let zero = b.splat(T::default())?;
-    let mut out = zero;
-    for t in terms {
-        let acc = lower(&mut b, t.expr, t.slot, strides, vars)?;
-        let w = b.pool(T::from_f64(t.weight))?;
-        out = b.mul_add_c(w, acc, out)?;
-    }
-    Ok(b.finish(out))
-}
-
-fn flat_offset(a: &Access, strides: &[usize]) -> Result<i64> {
-    if a.offsets.len() != strides.len() {
-        return Err(MscError::DimMismatch {
-            expected: strides.len(),
-            got: a.offsets.len(),
+        let empty = Chain {
+            n: 0,
+            c: [0; MAX_CHAIN],
+            slot: [slot; MAX_CHAIN],
+            off: [0; MAX_CHAIN],
+        };
+        let mut chains = Vec::with_capacity(t.taps.len().div_ceil(MAX_CHAIN));
+        for group in t.taps.chunks(MAX_CHAIN) {
+            let mut taps = Chain {
+                n: group.len() as u8,
+                ..empty
+            };
+            for (k, &(off, coeff)) in group.iter().enumerate() {
+                (taps.c[k], taps.off[k]) = (pool.get(coeff)?, off);
+            }
+            chains.push(taps);
+        }
+        let w = pool.get(t.weight)?;
+        if chains.len() <= 1 {
+            let taps = chains.pop().unwrap_or(empty);
+            ops.push(Op::FmaChainW {
+                dst: OUT,
+                w,
+                seed: zero,
+                taps,
+            });
+            continue;
+        }
+        n_regs = 2;
+        for (k, taps) in chains.into_iter().enumerate() {
+            let seed = (k == 0).then_some(zero);
+            ops.push(Op::FmaChain {
+                dst: ACC,
+                seed,
+                taps,
+            });
+        }
+        ops.push(Op::MulAddC {
+            dst: OUT,
+            c: w,
+            b: ACC,
         });
     }
-    Ok(a.offsets
-        .iter()
-        .zip(strides)
-        .map(|(&o, &s)| o * s as i64)
-        .sum())
-}
-
-fn lower<T: VmScalar>(
-    b: &mut Builder<T>,
-    expr: &Expr,
-    slot: usize,
-    strides: &[usize],
-    vars: &BTreeMap<String, f64>,
-) -> Result<u16> {
-    Ok(match expr {
-        Expr::Const(v) => b.splat(T::from_f64(*v))?,
-        Expr::ConstI(v) => b.splat(T::from_f64(*v as f64))?,
-        Expr::Var(name) => {
-            let v = *vars.get(name).ok_or_else(|| MscError::Undefined {
-                kind: "variable",
-                name: name.clone(),
-            })?;
-            b.splat(T::from_f64(v))?
-        }
-        Expr::Access(a) => {
-            let off = flat_offset(a, strides)?;
-            let s = u16::try_from(slot + a.time_back)
-                .map_err(|_| MscError::UnsupportedExpr("state slot index overflow".into()))?;
-            b.load(s, off)?
-        }
-        Expr::Unary(op, a) => {
-            let r = lower(b, a, slot, strides, vars)?;
-            let kind = match op {
-                UnOp::Neg => UnKind::Neg,
-                UnOp::Abs => UnKind::Abs,
-                UnOp::Sqrt => UnKind::Sqrt,
-            };
-            b.un(kind, r)?
-        }
-        Expr::Binary(op, x, y) => {
-            let rx = lower(b, x, slot, strides, vars)?;
-            let ry = lower(b, y, slot, strides, vars)?;
-            let kind = match op {
-                BinOp::Add => BinKind::Add,
-                BinOp::Sub => BinKind::Sub,
-                BinOp::Mul => BinKind::Mul,
-                BinOp::Div => BinKind::Div,
-                BinOp::Min => BinKind::Min,
-                BinOp::Max => BinKind::Max,
-            };
-            b.bin(kind, rx, ry)?
-        }
-        Expr::Call(name, args) => match (name.as_str(), args.as_slice()) {
-            ("exp", [x]) => {
-                let r = lower(b, x, slot, strides, vars)?;
-                b.un(UnKind::Exp, r)?
-            }
-            ("sin", [x]) => {
-                let r = lower(b, x, slot, strides, vars)?;
-                b.un(UnKind::Sin, r)?
-            }
-            ("cos", [x]) => {
-                let r = lower(b, x, slot, strides, vars)?;
-                b.un(UnKind::Cos, r)?
-            }
-            ("pow", [x, y]) => {
-                let rx = lower(b, x, slot, strides, vars)?;
-                let ry = lower(b, y, slot, strides, vars)?;
-                b.bin(BinKind::Pow, rx, ry)?
-            }
-            _ => {
-                return Err(MscError::UnsupportedExpr(format!(
-                    "unknown external function `{name}` with {} args",
-                    args.len()
-                )))
-            }
-        },
-    })
-}
-
-/// Convenience used by tests: evaluate one point through a freshly
-/// allocated scratch.
-pub fn eval_point<T: VmScalar>(prog: &VmProgram<T>, states: &[&[T]], base: usize) -> T {
-    let mut scratch: VmScratch<T> = prog.scratch();
-    prog.run_point(states, base, &mut scratch)
+    let prog = VmProgram {
+        ops,
+        consts: pool.consts,
+        n_regs,
+        n_slots,
+    };
+    // Debug builds audit the bytecode once, right here, before it can
+    // ever dispatch: def-before-use over the two registers, bounds on
+    // every register/constant/slot index, and chain-length invariants.
+    // Release builds skip the walk.
+    #[cfg(debug_assertions)]
+    if let Err(e) = prog.sanity_check(None) {
+        panic!("compiled VM bytecode failed the static sanity pass: {e}");
+    }
+    Ok(prog)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::CHUNK;
+    use crate::program::{VmScratch, CHUNK};
 
     /// Interpreter-order reference for the linear path.
-    fn apply_ref(terms: &[LinearTerm<f64>], states: &[&[f64]], base: usize) -> f64 {
-        let mut out = 0.0;
+    fn apply_ref<T: VmScalar>(terms: &[LinearTerm<T>], states: &[&[T]], base: usize) -> T {
+        let mut out = T::default();
         for t in terms {
             let src = states[t.slot];
-            let mut acc = 0.0;
+            let mut acc = T::default();
             for &(off, coeff) in &t.taps {
-                acc += coeff * src[(base as i64 + off) as usize];
+                acc = acc + coeff * src[(base as i64 + off) as usize];
             }
-            out += t.weight * acc;
+            out = out + t.weight * acc;
         }
         out
     }
 
-    fn ragged_grid(n: usize, seed: u64) -> Vec<f64> {
+    /// A deterministic stream of 64-bit values (SplitMix64).
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A value with varied exponents, or one of the special ones.
+        fn value(&mut self) -> f64 {
+            const SPECIAL: [f64; 4] = [0.0, -0.0, 1.0, -0.125];
+            match self.below(6) {
+                k @ 0..=3 => SPECIAL[k as usize],
+                _ => ((self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3,
+            }
+        }
+    }
+
+    fn ragged_grid<T: VmScalar>(n: usize, seed: u64) -> Vec<T> {
         // Deterministic, non-uniform values with varied exponents so
         // bit-identity failures actually show up.
+        let mut mix = Mix(seed);
         (0..n)
-            .map(|i| {
-                let x = ((i as u64)
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(seed)
-                    >> 11) as f64
-                    / (1u64 << 53) as f64;
-                (x - 0.5) * 1e3
-            })
+            .map(|_| T::from_f64(((mix.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3))
             .collect()
     }
 
-    fn star_1d(weight: f64) -> LinearTerm<f64> {
+    const SLOTS: usize = 3;
+    const REACH: i64 = 12;
+    const BASE: usize = 16;
+    const ROWS: [usize; 5] = [1, 63, 64, 65, 200];
+    const TAP_COUNTS: [usize; 7] = [0, 1, 7, 8, 9, 16, 17];
+
+    /// A term of `n` taps over a narrow offset range, so offsets come
+    /// unordered and repeat.
+    fn term<T: VmScalar>(mix: &mut Mix, n: usize) -> LinearTerm<T> {
         LinearTerm {
-            slot: 0,
-            weight,
-            taps: vec![(-1, 0.25), (0, 0.5), (1, 0.25)],
+            slot: mix.below(SLOTS as u64) as usize,
+            weight: T::from_f64(mix.value()),
+            taps: (0..n)
+                .map(|_| {
+                    let off = mix.below(2 * REACH as u64 + 1) as i64 - REACH;
+                    (off, T::from_f64(mix.value()))
+                })
+                .collect(),
+        }
+    }
+
+    /// Ops the emitter owes a term list: `Const`, then one op per short
+    /// term and a chain per eight taps plus the fold per long one.
+    fn ops_for<T>(terms: &[LinearTerm<T>]) -> usize {
+        let per_term = |n: usize| match n.div_ceil(MAX_CHAIN) {
+            0 | 1 => 1,
+            chains => chains + 1,
+        };
+        1 + terms.iter().map(|t| per_term(t.taps.len())).sum::<usize>()
+    }
+
+    /// Generated programs against `apply_ref`, bit for bit, on every row
+    /// length around a chunk.
+    fn generated_programs_match_the_oracle<T: VmScalar>(seed: u64) {
+        let mut mix = Mix(seed);
+        assert!(compile_linear::<T>(&[]).is_err());
+        let grids: Vec<Vec<T>> = (0..SLOTS as u64)
+            .map(|s| ragged_grid(BASE + 200 + 2 * REACH as usize, seed + s))
+            .collect();
+        let states: Vec<&[T]> = grids.iter().map(Vec::as_slice).collect();
+        for n_terms in 1..=3 {
+            for first in TAP_COUNTS {
+                let mut terms = vec![term::<T>(&mut mix, first)];
+                while terms.len() < n_terms {
+                    let n = TAP_COUNTS[mix.below(TAP_COUNTS.len() as u64) as usize];
+                    terms.push(term(&mut mix, n));
+                }
+                let prog = compile_linear(&terms).unwrap();
+                let long = terms.iter().any(|t| t.taps.len() > MAX_CHAIN);
+                assert_eq!(prog.n_ops(), ops_for(&terms));
+                assert_eq!(prog.n_regs(), if long { 2 } else { 1 });
+                let mut scratch = prog.scratch();
+                for len in ROWS {
+                    let mut out = vec![T::from_f64(f64::NAN); len];
+                    prog.run_row(&states, BASE, &mut out, &mut scratch);
+                    for (i, &got) in out.iter().enumerate() {
+                        let want = apply_ref(&terms, &states, BASE + i);
+                        assert_eq!(
+                            got.to_f64().to_bits(),
+                            want.to_f64().to_bits(),
+                            "{n_terms} terms, first of {first} taps, row {len}, point {i}"
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn linear_program_is_bit_identical_to_interpreter_order() {
-        let terms = vec![
-            star_1d(0.6),
-            LinearTerm {
-                slot: 1,
-                weight: 0.4,
-                taps: vec![(-2, -0.125), (0, 1.0), (2, 0.125)],
-            },
-        ];
-        let prog: VmProgram<f64> = compile_linear(&terms).unwrap();
-        assert_eq!(prog.n_slots, 2);
-        let a = ragged_grid(256, 1);
-        let b = ragged_grid(256, 2);
-        let states: Vec<&[f64]> = vec![&a, &b];
-        let mut out = vec![0.0; 200];
-        let mut scratch = prog.scratch();
-        prog.run_row(&states, 8, &mut out, &mut scratch);
-        for (i, &got) in out.iter().enumerate() {
-            let want = apply_ref(&terms, &states, 8 + i);
-            assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
+        for seed in [1, 2, 3] {
+            generated_programs_match_the_oracle::<f64>(seed);
+            generated_programs_match_the_oracle::<f32>(seed);
         }
     }
 
     #[test]
     fn rows_longer_than_one_chunk_match_pointwise_eval() {
-        let terms = vec![star_1d(1.0)];
+        let terms = vec![LinearTerm {
+            slot: 0,
+            weight: 1.0,
+            taps: vec![(-1, 0.25), (0, 0.5), (1, 0.25)],
+        }];
         let prog: VmProgram<f64> = compile_linear(&terms).unwrap();
         let a = ragged_grid(3 * CHUNK + 10, 7);
         let states: Vec<&[f64]> = vec![&a];
         let mut out = vec![0.0; 2 * CHUNK + 31]; // deliberately ragged tail
-        let mut scratch = prog.scratch();
+        let mut scratch: VmScratch<f64> = prog.scratch();
         prog.run_row(&states, 2, &mut out, &mut scratch);
         for (i, &got) in out.iter().enumerate() {
-            let want = prog.run_point(&states, 2 + i, &mut scratch);
+            let want = apply_ref(&terms, &states, 2 + i);
             assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 
     #[test]
-    fn linear_loads_are_fused_and_constants_pooled() {
-        // Two terms over the same slot with repeated coefficients: every
-        // tap becomes one fused load-FMA (no standalone Load ops at all),
-        // and the pool dedups coefficients and weights.
+    fn short_terms_are_one_dispatch_and_constants_pooled() {
+        // Two terms over the same slot with repeated coefficients: each
+        // is one fused dispatch, and the pool dedups coefficients and
+        // weights.
         let terms = vec![
             LinearTerm {
                 slot: 0,
@@ -591,53 +313,18 @@ mod tests {
             .ops()
             .iter()
             .filter_map(|o| match o {
-                Op::FmaChainW { n, .. } => Some(*n),
+                Op::FmaChainW { taps, .. } => Some(taps.n),
                 _ => None,
             })
             .collect();
         assert_eq!(chains, vec![3, 2], "one fused dispatch per term");
-        assert!(
-            !prog
-                .ops()
-                .iter()
-                .any(|o| matches!(o, Op::Load { .. } | Op::FmaLoad { .. } | Op::MulAddC { .. })),
-            "short linear terms must fuse completely"
-        );
+        assert_eq!((prog.n_ops(), prog.n_regs()), (3, 1));
         // Pool: 0.0, 0.25, 0.5 — dedup across taps and weights.
         assert_eq!(prog.n_consts(), 3);
     }
 
     #[test]
-    fn expr_taps_are_cse_d() {
-        use msc_core::expr::Expr;
-        // u[1] * u[1] + u[1]: three reads of one tap must load once.
-        let e = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Binary(
-                BinOp::Mul,
-                Box::new(Expr::at("u", &[1])),
-                Box::new(Expr::at("u", &[1])),
-            )),
-            Box::new(Expr::at("u", &[1])),
-        );
-        let terms = vec![ExprTerm {
-            slot: 0,
-            weight: 1.0,
-            expr: &e,
-        }];
-        let prog: VmProgram<f64> = compile_expr(&terms, &[1], &BTreeMap::new()).unwrap();
-        let loads = prog
-            .ops()
-            .iter()
-            .filter(|o| matches!(o, Op::Load { .. }))
-            .count();
-        assert_eq!(loads, 1, "repeated taps must load once");
-    }
-
-    #[test]
-    fn register_allocator_reuses_dead_registers() {
-        // A long single-term chain: the accumulator dies at every MulAddC,
-        // so physical register pressure stays tiny however many taps.
+    fn a_long_term_accumulates_in_the_second_register() {
         let taps: Vec<(i64, f64)> = (-60..=60).map(|o| (o, 1.0 / 121.0)).collect();
         let terms = vec![LinearTerm {
             slot: 0,
@@ -645,108 +332,26 @@ mod tests {
             taps,
         }];
         let prog: VmProgram<f64> = compile_linear(&terms).unwrap();
-        assert!(
-            prog.n_regs() <= 8,
-            "121-tap chain should run in a handful of registers, got {}",
-            prog.n_regs()
-        );
-        // And it still computes the right thing.
-        let a = ragged_grid(400, 3);
-        let states: Vec<&[f64]> = vec![&a];
-        let got = eval_point(&prog, &states, 200);
-        let mut want = 0.0;
-        for off in -60i64..=60 {
-            want += (1.0 / 121.0) * a[(200 + off) as usize];
-        }
-        assert_eq!(got.to_bits(), (0.0 + 1.0 * want).to_bits());
-    }
-
-    #[test]
-    fn general_expr_path_matches_expr_eval() {
-        use msc_core::expr::Expr;
-        // max(|u[-1]|, sqrt(exp(sin(u[1])))) * 0.5 + pow(u[0], 2) + c
-        let e = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Binary(
-                BinOp::Mul,
-                Box::new(Expr::Binary(
-                    BinOp::Max,
-                    Box::new(Expr::Unary(UnOp::Abs, Box::new(Expr::at("u", &[-1])))),
-                    Box::new(Expr::Unary(
-                        UnOp::Sqrt,
-                        Box::new(Expr::Call(
-                            "exp".into(),
-                            vec![Expr::Call("sin".into(), vec![Expr::at("u", &[1])])],
-                        )),
-                    )),
-                )),
-                Box::new(Expr::Const(0.5)),
-            )),
-            Box::new(Expr::Binary(
-                BinOp::Add,
-                Box::new(Expr::Call(
-                    "pow".into(),
-                    vec![Expr::at("u", &[0]), Expr::Const(2.0)],
-                )),
-                Box::new(Expr::Var("c".into())),
-            )),
-        );
-        let mut vars = BTreeMap::new();
-        vars.insert("c".to_string(), 0.75);
-        let terms = vec![ExprTerm {
-            slot: 0,
-            weight: 1.0,
-            expr: &e,
-        }];
-        let prog: VmProgram<f64> = compile_expr(&terms, &[1], &vars).unwrap();
-        let grid = ragged_grid(128, 9);
-        let states: Vec<&[f64]> = vec![&grid];
-        let mut scratch = prog.scratch();
-        let mut out = vec![0.0; 64];
-        prog.run_row(&states, 10, &mut out, &mut scratch);
-        for (i, &got) in out.iter().enumerate() {
-            let base = 10 + i;
-            let want = e
-                .eval(
-                    &mut |a: &Access| grid[(base as i64 + a.offsets[0]) as usize],
-                    &vars,
-                )
-                .unwrap();
-            // The program computes 0 + 1.0 * eval(expr).
-            let want = 0.0 + 1.0 * want;
-            assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
-        }
-    }
-
-    #[test]
-    fn unknown_call_is_rejected() {
-        use msc_core::expr::Expr;
-        let e = Expr::Call("erf".into(), vec![Expr::at("u", &[0])]);
-        let terms = vec![ExprTerm {
-            slot: 0,
-            weight: 1.0,
-            expr: &e,
-        }];
-        let err = compile_expr::<f64>(&terms, &[1], &BTreeMap::new()).unwrap_err();
-        assert!(matches!(err, MscError::UnsupportedExpr(_)));
-    }
-
-    #[test]
-    fn f32_linear_path_matches_f32_interpreter_order() {
-        let terms = vec![LinearTerm::<f32> {
-            slot: 0,
-            weight: 1.0,
-            taps: vec![(-1, 0.3), (0, 0.4), (1, 0.3)],
-        }];
-        let prog: VmProgram<f32> = compile_linear(&terms).unwrap();
-        let a: Vec<f32> = ragged_grid(128, 11).iter().map(|&v| v as f32).collect();
-        let states: Vec<&[f32]> = vec![&a];
-        let got = eval_point(&prog, &states, 64);
-        let mut acc = 0.0f32;
-        for &(off, c) in &terms[0].taps {
-            acc += c * a[(64 + off) as usize];
-        }
-        let want = 0.0f32 + 1.0f32 * acc;
-        assert_eq!(got.to_bits(), want.to_bits());
+        // Const, 16 chains (the first seeded), the fold.
+        assert_eq!((prog.n_ops(), prog.n_regs()), (18, 2));
+        let seeds: Vec<Option<u16>> = prog
+            .ops()
+            .iter()
+            .filter_map(|o| match o {
+                Op::FmaChain { seed, .. } => Some(*seed),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(seeds.len(), 16);
+        assert_eq!(seeds[0], Some(0));
+        assert!(seeds[1..].iter().all(Option::is_none));
+        assert!(matches!(
+            prog.ops().last(),
+            Some(Op::MulAddC {
+                dst: OUT,
+                b: ACC,
+                ..
+            })
+        ));
     }
 }

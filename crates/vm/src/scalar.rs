@@ -2,10 +2,8 @@
 //!
 //! `msc-exec`'s `Scalar` is a supertrait of this one; the trait lives here
 //! (the lowest crate in the execution stack) so the VM can be generic over
-//! `f32`/`f64` without depending on the executor crate. Every method must
-//! match the semantics `Expr::eval` uses on `f64` — `min`/`max` with IEEE
-//! NaN propagation as implemented by `f64::min`, `powf` for `pow`, etc. —
-//! so the general compiled path agrees with the tree-walking evaluator.
+//! `f32`/`f64` without depending on the executor crate. The VM only
+//! multiplies and adds; `to_f64` keys the constant pool by bit pattern.
 
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -24,15 +22,6 @@ pub trait VmScalar:
 {
     fn from_f64(v: f64) -> Self;
     fn to_f64(self) -> f64;
-    fn vneg(self) -> Self;
-    fn vabs(self) -> Self;
-    fn vsqrt(self) -> Self;
-    fn vmin(self, other: Self) -> Self;
-    fn vmax(self, other: Self) -> Self;
-    fn vexp(self) -> Self;
-    fn vsin(self) -> Self;
-    fn vcos(self) -> Self;
-    fn vpow(self, exp: Self) -> Self;
 }
 
 macro_rules! impl_vm_scalar {
@@ -45,42 +34,6 @@ macro_rules! impl_vm_scalar {
             #[inline]
             fn to_f64(self) -> f64 {
                 self as f64
-            }
-            #[inline]
-            fn vneg(self) -> Self {
-                -self
-            }
-            #[inline]
-            fn vabs(self) -> Self {
-                self.abs()
-            }
-            #[inline]
-            fn vsqrt(self) -> Self {
-                self.sqrt()
-            }
-            #[inline]
-            fn vmin(self, other: Self) -> Self {
-                self.min(other)
-            }
-            #[inline]
-            fn vmax(self, other: Self) -> Self {
-                self.max(other)
-            }
-            #[inline]
-            fn vexp(self) -> Self {
-                self.exp()
-            }
-            #[inline]
-            fn vsin(self) -> Self {
-                self.sin()
-            }
-            #[inline]
-            fn vcos(self) -> Self {
-                self.cos()
-            }
-            #[inline]
-            fn vpow(self, exp: Self) -> Self {
-                self.powf(exp)
             }
         }
     };

@@ -78,6 +78,16 @@ if grep -nE 'Vec<char>|\.0\.clone\(\)|peek\(\)\.clone\(\)' crates/core/src/parse
   exit 1
 fi
 
+# The VM compiles what the tiers hand it (DESIGN.md §12.1): linear tap
+# lists, emitted directly over two fixed registers. The expression
+# compiler, the SSA builder's peephole and the ops only they emitted were
+# deleted, as were the loop tree nobody walked and the run options and
+# alert tuning nobody set.
+if grep -rnE 'compile_expr|ExprTerm|eval_point|run_point|BinKind|UnKind|Op::(Load|FmaLoad|Bin|Un)\b|merge_fma_chains|looptree|AlertConfig|checkpoint_keep|\.overlap\b' crates src tests examples; then
+  echo "a deleted VM path, the loop tree or an unset option is back" >&2
+  exit 1
+fi
+
 # Lint once (DESIGN.md §10): the passes run in msc_lint::check and the
 # report-only lint_program; every layer below a door takes a `Checked`.
 if grep -rnE 'lint_program\(|check_deny' crates/{exec,comm,codegen,service}/src; then
@@ -125,6 +135,23 @@ for t in "msc --test trace_observability a_run_lints_its_program_once" \
   out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
   grep -q '1 passed' <<<"$out"
 done
+
+echo "== the VM against the oracle; mscd reads a bounded line =="
+# By exact name: generated tap lists (0-3 terms, 0-17 taps, repeated and
+# unordered offsets, signed zeros, f32 and f64, rows around a chunk) and a
+# row of several chunks against interpreter order, bit for bit; the ops and
+# registers of every catalog program and of its image kernel (DESIGN.md
+# §12.1); a 2 MiB line with no newline gets a typed error and the daemon
+# still answers. Then every rejection of the bytecode sanity pass.
+for t in "msc-vm --lib compile::tests::linear_program_is_bit_identical_to_interpreter_order" \
+    "msc-vm --lib compile::tests::rows_longer_than_one_chunk_match_pointwise_eval" \
+    "msc-exec --lib tier::tests::the_vm_program_of_every_catalog_stencil_is_pinned_op_for_op" \
+    "msc-service --test service a_line_over_the_cap_gets_an_error_and_the_daemon_still_answers"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
+cargo test -q -p msc-vm --lib --offline program::sanity_tests::
 
 echo "== chaos suite (fixed seeds) =="
 # Fault-injected runs must stay bit-identical to fault-free references;
@@ -269,17 +296,18 @@ for t in driver::tests::a_reused_slot_leaves_no_trace \
   grep -q '1 passed' <<<"$out"
 done
 
-echo "== AddressSanitizer (msc-exec) =="
-# ROADMAP item 7, step 1, over what row blocks touch: the tile-write site
-# that hands out row groups (DESIGN.md §18.3), the block kernel, the tier
-# differential and the worker pool, with ASan and LeakSanitizer. Nightly
-# ships the sanitizer runtimes but no rust-src, so std is uninstrumented,
-# which ASan tolerates. The instrumented build keeps a target dir of its
-# own.
+echo "== AddressSanitizer (msc-exec, msc-trace, msc-comm) =="
+# ROADMAP item 7, step 1: the tile-write site that hands out row groups
+# (DESIGN.md §18.3), the block kernel, the tier differential and the worker
+# pool; the span buffers' `UnsafeCell` writes; a rank killed and healed
+# under every tier. With ASan and LeakSanitizer. Nightly ships the
+# sanitizer runtimes but no rust-src, so std is uninstrumented, which ASan
+# tolerates. The instrumented build keeps a target dir of its own.
 if cargo +nightly --version >/dev/null 2>&1; then
-  for t in --lib "--test pool_determinism"; do
+  for t in "msc-exec --lib" "msc-exec --test pool_determinism" "msc-trace --lib" \
+      "msc-comm --test recovery"; do
     RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
-      cargo +nightly test -q --offline -p msc-exec $t --target x86_64-unknown-linux-gnu
+      cargo +nightly test -q --offline -p $t --target x86_64-unknown-linux-gnu
   done
 else
   echo "skip: no nightly toolchain for the AddressSanitizer stage"

@@ -34,7 +34,9 @@
 //! is accepted, validated and documented in one place; run options land
 //! directly in [`RunOptions`]. `mscc --help` is the flag reference.
 
-use msc::comm::{run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions};
+use msc::comm::{
+    run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions, CHECKPOINT_KEEP,
+};
 use msc::core::analysis::StencilStats;
 use msc::core::schedule::{effective_schedule, ExecPlan, Schedule};
 use msc::exec::verify::same_bits;
@@ -924,11 +926,11 @@ fn drive(mut o: Opts) -> Outcome {
                 let hb = o.dist.heartbeat.clone().unwrap_or_default();
                 println!(
                     "resilience policy: {} spare rank(s), heartbeat every {} ms, \
-                     failure detection after {} ms, keeping {} buddy generation(s)",
+                     failure detection after {} ms, keeping {} checkpoint generation(s)",
                     o.dist.spare_ranks,
                     hb.every.as_millis(),
                     hb.detect.as_millis(),
-                    o.dist.checkpoint_keep,
+                    CHECKPOINT_KEEP,
                 );
             }
             trace_on(true);
@@ -1017,7 +1019,7 @@ fn drive(mut o: Opts) -> Outcome {
             trace_on(false);
             // What evaluated the rows: the resolved tier (an explicit `vm`
             // request degrades to the interpreter when the kernel overflows
-            // the VM's register file; auto and specialized never degrade) and,
+            // the VM's constant pool; auto and specialized never degrade) and,
             // on the specialized tier, the row kernel's ISA and whether it
             // prefetches; then whether a step reused the kernel's image of
             // the older states or why it evaluated every term. All of it is
