@@ -1,9 +1,9 @@
 //! Structured diagnostics: severity levels, one diagnostic per finding,
-//! and a [`Report`] that renders human-readable text or machine-readable
-//! JSON (hand-rolled — the workspace builds offline with no serde).
+//! and a [`Report`] that renders human-readable text or a machine-readable
+//! [`Json`] value (the workspace's one JSON type, `msc_trace::json`).
 
 use crate::code::LintCode;
-use msc_trace::json::quoted;
+use msc_trace::Json;
 
 /// Diagnostic severity, rustc-style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,16 +67,20 @@ impl Diagnostic {
     /// One finding as a standalone JSON object — the same shape the
     /// report embeds, reusable by services that ship diagnostics over
     /// the wire one at a time.
+    pub fn json(&self) -> Json {
+        Json::obj(vec![
+            ("code", Json::s(self.code.as_str())),
+            ("severity", Json::s(self.severity.as_str())),
+            ("family", Json::s(self.code.family())),
+            ("message", Json::s(self.message.as_str())),
+            ("context", Json::s(self.context.as_str())),
+            ("help", Json::s(self.help.as_str())),
+        ])
+    }
+
+    /// [`Diagnostic::json`] on one line.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":{},\"severity\":{},\"family\":{},\"message\":{},\"context\":{},\"help\":{}}}",
-            quoted(self.code.as_str()),
-            quoted(self.severity.as_str()),
-            quoted(self.code.family()),
-            quoted(&self.message),
-            quoted(&self.context),
-            quoted(&self.help),
-        )
+        self.json().to_compact()
     }
 }
 
@@ -154,23 +158,24 @@ impl Report {
             .join("\n")
     }
 
-    /// Machine-readable JSON for `mscc check --json`.
+    /// The machine-readable report: what `mscc check --json` prints and
+    /// what `mscd` sends back with a denied job.
+    pub fn json(&self) -> Json {
+        Json::obj(vec![
+            ("tool", Json::s("msc-lint")),
+            ("program", Json::s(self.program.as_str())),
+            (
+                "diagnostics",
+                Json::Arr(self.diags.iter().map(Diagnostic::json).collect()),
+            ),
+            ("deny_count", Json::n(self.deny_count() as f64)),
+            ("warn_count", Json::n(self.warn_count() as f64)),
+        ])
+    }
+
+    /// [`Report::json`] on one line (`mscc check --json`).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"tool\":\"msc-lint\",\"program\":{}", quoted(&self.program)));
-        s.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
-        }
-        s.push_str(&format!(
-            "],\"deny_count\":{},\"warn_count\":{}}}",
-            self.deny_count(),
-            self.warn_count()
-        ));
-        s
+        self.json().to_compact()
     }
 }
 
@@ -246,5 +251,6 @@ mod tests {
         assert!(j.contains("\"needs\\n70000\""));
         assert!(j.contains("\"deny_count\":1"));
         assert!(j.contains("\"family\":\"capacity\""));
+        assert_eq!(Json::parse(&j), Ok(r.json()));
     }
 }

@@ -28,7 +28,6 @@
 
 use crate::cache::CompileCache;
 use crate::proto::{BusyReason, JobDone, Request, Response, ServiceStats, Submission, PROTO_VERSION};
-use msc_trace::Json;
 use msc_core::schedule::{effective_schedule, ExecPlan, Target};
 use msc_exec::driver::{run_program, Executor};
 use msc_exec::Grid;
@@ -426,7 +425,7 @@ fn job_body(
     // before codegen or execution, as structured diagnostics.
     let checked = msc_lint::check(&program, Some(target)).map_err(|report| Response::Denied {
         program: program.name.clone(),
-        report: Json::parse(&report.to_json()).unwrap_or(Json::Null),
+        report: report.json(),
     })?;
 
     let (pkg, cache_hit) = inner

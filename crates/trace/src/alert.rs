@@ -10,7 +10,7 @@
 //! taxonomy.
 
 use crate::histogram::{Hist, HistSet};
-use crate::ranks::RankSample;
+use crate::hub::RankSample;
 
 /// Alert taxonomy. Stable names appear in the JSONL stream and the
 /// flight recorder (`tag` = discriminant).
@@ -203,7 +203,6 @@ mod tests {
             rank,
             steps,
             last_step,
-            last_update_ns: 1,
             ..RankSample::default()
         }
     }

@@ -1,21 +1,16 @@
 //! Typed counters: the fixed metric vocabulary shared by the executors,
 //! the halo runtime, and the stats views built on top of them.
 //!
-//! Two representations:
-//!
-//! * the **hub accumulator** — sharded `AtomicU64` banks owned by a
-//!   [`crate::TelemetryHub`] behind its enable flag, fed once per step by
-//!   [`record_set`] (the account a step, block or rank returns) and by
-//!   [`record`] for the few counts no account carries, drained by
-//!   [`snapshot`]. The free functions here resolve the calling thread's
-//!   current hub (default hub unless one was installed) and delegate;
-//! * [`CounterSet`] — a plain `Copy` array of values used wherever stats
-//!   are passed around or merged without atomics (per-rank results,
-//!   `RunStats`, `CommStats`).
+//! [`CounterSet`] — a plain `Copy` array of values — is the one
+//! representation: a step, block or rank counts into one, `RunStats` and
+//! `CommStats` are views over one, and a [`crate::TelemetryHub`] keeps
+//! its totals in one, merged into under its lock when an account is
+//! published ([`record_set`], plus [`record`] for the few counts no
+//! account carries) and copied out by [`snapshot`]. The free functions
+//! here resolve the calling thread's current hub (default hub unless one
+//! was installed) and delegate.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// How a counter combines when two sets (threads, ranks, shards) merge.
+/// How a counter combines when two sets (steps, threads, ranks) merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeMode {
     /// Totals add (bytes moved, tiles executed, ...).
@@ -28,7 +23,7 @@ macro_rules! counters {
     ($( $variant:ident => ($name:literal, $unit:literal, $mode:ident) ),+ $(,)?) => {
         /// The metric vocabulary. Every counter has a stable name, a
         /// unit, and a merge mode; adding a variant automatically
-        /// extends `CounterSet`, the hub banks, and both exporters.
+        /// extends `CounterSet` (so every hub) and both exporters.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Counter {
@@ -85,7 +80,6 @@ counters! {
     HeartbeatsSent   => ("heartbeats_sent", "count", Sum),
     RankRecoveries   => ("rank_recoveries", "count", Sum),
     BuddyBytes       => ("buddy_bytes", "bytes", Sum),
-    RankTableOverflow => ("rank_table_overflow", "count", Sum),
 }
 
 /// A plain, copyable vector of counter values.
@@ -135,81 +129,6 @@ impl CounterSet {
 
     pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
         Counter::ALL.iter().map(move |&c| (c, self.get(c)))
-    }
-}
-
-/// Number of independent atomic banks per hub. Threads pick a bank by a
-/// cheap thread-local index so concurrent workers rarely contend on the
-/// same cache line; [`snapshot`] folds the banks back together.
-const SHARDS: usize = 16;
-
-#[repr(align(64))]
-struct Shard {
-    vals: [AtomicU64; Counter::COUNT],
-}
-
-impl Shard {
-    const fn new() -> Shard {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Shard {
-            vals: [ZERO; Counter::COUNT],
-        }
-    }
-}
-
-/// The shard index is per *thread*, not per hub: a thread hits the same
-/// slot in whichever hub it records into.
-static NEXT_SHARD: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static MY_SHARD: usize =
-        (NEXT_SHARD.fetch_add(1, Ordering::Relaxed) as usize) % SHARDS;
-}
-
-/// One hub's sharded counter banks.
-pub(crate) struct Banks {
-    shards: Box<[Shard]>,
-}
-
-impl Banks {
-    pub(crate) fn new() -> Banks {
-        Banks {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn record(&self, c: Counter, v: u64) {
-        MY_SHARD.with(|&s| {
-            let slot = &self.shards[s].vals[c as usize];
-            match c.merge_mode() {
-                MergeMode::Sum => {
-                    slot.fetch_add(v, Ordering::Relaxed);
-                }
-                MergeMode::Max => {
-                    slot.fetch_max(v, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-
-    pub(crate) fn snapshot(&self) -> CounterSet {
-        let mut out = CounterSet::new();
-        for shard in self.shards.iter() {
-            for c in Counter::ALL {
-                out.bump(c, shard.vals[c as usize].load(Ordering::Relaxed));
-            }
-        }
-        out
-    }
-
-    pub(crate) fn reset(&self) {
-        for shard in self.shards.iter() {
-            for v in &shard.vals {
-                v.store(0, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -264,12 +183,12 @@ pub fn record_set(counters: &CounterSet, hists: &crate::HistSet) {
     crate::hub::with_current(|h| h.record_set(counters, hists));
 }
 
-/// Fold the current hub's banks into a plain [`CounterSet`].
+/// The current hub's counter totals.
 pub fn snapshot() -> CounterSet {
     crate::hub::with_current(|h| h.snapshot())
 }
 
-/// Zero the current hub's banks.
+/// Zero the current hub's counter totals.
 pub fn reset_counters() {
     crate::hub::with_current(|h| h.reset_counters());
 }

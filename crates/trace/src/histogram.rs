@@ -9,10 +9,9 @@
 //!   that a step or a rank samples into without atomics — adding a
 //!   sample is a `leading_zeros` and four adds, with **no allocation
 //!   ever**;
-//! * a **hub accumulator** of atomic buckets behind the owning
-//!   [`crate::TelemetryHub`]'s enable flag, into which a whole `HistSet`
-//!   is folded bucket by bucket when its account is published
-//!   ([`crate::record_set`]).
+//! * no second form for the hub: a [`crate::TelemetryHub`] keeps its
+//!   totals in a `HistSet` too, merged into under the hub's lock when an
+//!   account is published ([`crate::record_set`]).
 //!
 //! Buckets are powers of two: bucket `i` holds samples `v` with
 //! `2^(i-1) <= v < 2^i` (bucket 0 holds zero). Exact `count`, `sum`
@@ -20,8 +19,6 @@
 //! quantiles are reported as the upper bound of the covering bucket,
 //! clamped to the observed maximum — a conservative (never
 //! under-reporting) estimate with at most 2x resolution error.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets. The top bucket saturates: it absorbs every
 /// sample of `2^(BUCKETS-2)` ns (~1.6 days) and beyond.
@@ -31,7 +28,7 @@ macro_rules! hists {
     ($( $variant:ident => ($name:literal, $unit:literal) ),+ $(,)?) => {
         /// The histogram vocabulary. Every histogram has a stable name
         /// and a unit; adding a variant automatically extends
-        /// [`HistSet`], the global banks, and both exporters.
+        /// [`HistSet`] (so every hub) and both exporters.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Hist {
@@ -268,93 +265,9 @@ impl HistSet {
     }
 }
 
-/// Per-hub atomic banks, one histogram per [`Hist`] variant. Unlike the
-/// sharded counters there is one bank: a publish folds a step's or a
-/// rank's samples in at once, so relaxed `fetch_add`s suffice.
-struct Bank {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Bank {
-    const fn new() -> Bank {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Bank {
-            buckets: [ZERO; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One hub's histogram banks.
-pub(crate) struct Banks {
-    banks: Box<[Bank]>,
-}
-
-impl Banks {
-    pub(crate) fn new() -> Banks {
-        Banks {
-            banks: (0..Hist::COUNT).map(|_| Bank::new()).collect(),
-        }
-    }
-
-    /// Fold every sample of `set` in: the banks then read as if each had
-    /// been recorded one by one.
-    pub(crate) fn merge(&self, set: &HistSet) {
-        for (bank, hist) in self.banks.iter().zip(&set.hists) {
-            if hist.is_empty() {
-                continue;
-            }
-            for (b, &n) in bank.buckets.iter().zip(&hist.buckets) {
-                if n != 0 {
-                    b.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            bank.count.fetch_add(hist.count, Ordering::Relaxed);
-            bank.sum.fetch_add(hist.sum, Ordering::Relaxed);
-            bank.max.fetch_max(hist.max, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> HistSet {
-        let mut out = HistSet::new();
-        for (h, bank) in Hist::ALL.iter().zip(self.banks.iter()) {
-            let dst = &mut out.hists[*h as usize];
-            for (d, s) in dst.buckets.iter_mut().zip(&bank.buckets) {
-                *d = s.load(Ordering::Relaxed);
-            }
-            dst.count = bank.count.load(Ordering::Relaxed);
-            dst.sum = bank.sum.load(Ordering::Relaxed);
-            dst.max = bank.max.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    pub(crate) fn reset(&self) {
-        for bank in self.banks.iter() {
-            for b in &bank.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            bank.count.store(0, Ordering::Relaxed);
-            bank.sum.store(0, Ordering::Relaxed);
-            bank.max.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Fold the current hub's banks into a plain [`HistSet`].
+/// The current hub's histogram totals.
 pub fn snapshot_hists() -> HistSet {
     crate::hub::with_current(|hub| hub.snapshot_hists())
-}
-
-/// Zero the current hub's histogram banks.
-pub fn reset_hists() {
-    crate::hub::with_current(|hub| hub.reset_hists());
 }
 
 #[cfg(test)]
@@ -526,18 +439,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_publish_leaves_the_banks_empty() {
+    fn disabled_publish_leaves_the_hub_empty() {
         let _g = GLOBAL_TEST_LOCK.lock().unwrap();
-        reset_hists();
+        crate::reset();
         set_enabled(false);
         publish(&[(Hist::HaloWaitNanos, 42)]);
         assert!(snapshot_hists().is_empty());
     }
 
     #[test]
-    fn published_sets_fold_into_the_banks_bucket_for_bucket() {
+    fn published_sets_fold_into_the_hub_bucket_for_bucket() {
         let _g = GLOBAL_TEST_LOCK.lock().unwrap();
-        reset_hists();
+        crate::reset();
         let mut sent = HistSet::new();
         {
             let _e = EnableGuard::new();
@@ -550,7 +463,7 @@ mod tests {
         assert_eq!(s.get(Hist::StepWallNanos).count(), 3);
         assert_eq!(s.get(Hist::StepWallNanos).max(), 200);
         assert!(s.get(Hist::HaloWaitNanos).is_empty());
-        reset_hists();
+        crate::reset();
         assert!(snapshot_hists().is_empty());
     }
 

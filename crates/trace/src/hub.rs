@@ -1,18 +1,26 @@
 //! [`TelemetryHub`]: sessioned trace state.
 //!
-//! Everything the tracer accumulates — counter shards, histogram banks,
-//! span buffers, flight-recorder rings, the per-rank progress table —
-//! lives in one `Arc`-shareable hub. The process keeps a **default hub**
-//! so the existing free functions ([`crate::record`], [`crate::span`],
-//! [`crate::flight`], ...) keep working unchanged: they are thin shims
-//! that resolve the calling thread's *current* hub (the innermost
-//! [`install_thread_hub`] guard, else the default) and delegate.
+//! Everything the tracer accumulates — the published counters and
+//! latency histograms, the per-rank progress rows, span buffers and
+//! flight-recorder rings — lives in one `Arc`-shareable hub. The process
+//! keeps a **default hub** so the existing free functions
+//! ([`crate::record`], [`crate::span`], [`crate::flight`], ...) keep
+//! working unchanged: they are thin shims that resolve the calling
+//! thread's *current* hub (the innermost [`install_thread_hub`] guard,
+//! else the default) and delegate.
 //!
 //! Why: the ROADMAP's `mscd` service item needs concurrent in-process
 //! runs with isolated metrics, and the live sampler (DESIGN.md §14)
 //! needs a handle it can snapshot from a background thread without
 //! racing an unrelated run. A hub is that handle. Runs that never touch
 //! the API see exactly the old behavior: one process-wide sink.
+//!
+//! One account: what a step, block or rank publishes arrives once, as a
+//! plain [`CounterSet`] + [`HistSet`], so the hub keeps its totals the
+//! same way — one `Account` behind one lock, merged into with
+//! `CounterSet::merge` / `HistSet::merge` and copied out whole. Spans and
+//! flight records stay per-thread and lock-free: they are written per
+//! tile and per message, not per account.
 //!
 //! Threading model: the distributed driver installs the run's hub on
 //! the caller thread ([`crate::comm` `RunOptions::hub`]); rank threads
@@ -22,14 +30,14 @@
 
 use crate::counters::{Counter, CounterSet};
 use crate::histogram::{Hist, HistSet};
-use crate::ranks::RankSample;
 use crate::recorder::{FlightKind, FlightRecord};
 use crate::spans::SpanRecord;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 static NEXT_HUB_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -62,20 +70,68 @@ pub(crate) fn with_thread_buf<B>(
 /// A flush hook: called with a reason string when `dump_on_error` fires.
 pub type FlushHook = Arc<dyn Fn(&str) + Send + Sync>;
 
+/// One rank's live progress row: what the sampler, the stall detector
+/// and `mscc top` read while the run is in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RankSample {
+    pub rank: u32,
+    /// Total steps completed (monotone, survives rollbacks).
+    pub steps: u64,
+    /// Most recent step index (meaningful only when `steps > 0`); may
+    /// move backwards on rollback, which is what a live view wants.
+    pub last_step: u64,
+    /// Cumulative halo-wait nanoseconds attributed to this rank.
+    pub halo_wait_ns: u64,
+    pub halo_wait_count: u64,
+    pub steals: u64,
+    pub retransmits: u64,
+    pub recoveries: u64,
+}
+
+/// Everything published into a hub: the merged counters and latency
+/// samples, and one row per rank that reported (made on first touch, so
+/// any rank id gets its own).
+#[derive(Clone, Default)]
+pub(crate) struct Account {
+    pub(crate) counters: CounterSet,
+    pub(crate) hists: HistSet,
+    pub(crate) ranks: BTreeMap<u32, RankSample>,
+}
+
+impl Account {
+    fn row(&mut self, rank: u32) -> &mut RankSample {
+        self.ranks.entry(rank).or_insert(RankSample {
+            rank,
+            ..RankSample::default()
+        })
+    }
+
+    /// Book the rank-attributable counts (steals, retransmits) to
+    /// `rank`'s row; every other counter is the run's alone.
+    fn attribute(&mut self, rank: u32, c: Counter, v: u64) {
+        let slot = match c {
+            Counter::PoolSteals => &mut self.row(rank).steals,
+            Counter::RetransmitCount => &mut self.row(rank).retransmits,
+            _ => return,
+        };
+        *slot = slot.saturating_add(v);
+    }
+}
+
 /// One isolated set of trace sinks. See the module docs for the
-/// ownership model. Cheap to share (`Arc`), expensive-ish to create
-/// (~100 KiB of pre-sized banks), never implicitly global: only the
+/// ownership model. Cheap to share (`Arc`) and to create (an empty
+/// account of ~2.7 KB), never implicitly global: only the
 /// [`default_hub`] is process-wide.
 pub struct TelemetryHub {
     id: u64,
     enabled: AtomicBool,
-    pub(crate) counters: crate::counters::Banks,
-    pub(crate) hists: crate::histogram::Banks,
+    /// Held only to merge one update in or copy the account out; nothing
+    /// else is called under it.
+    account: Mutex<Account>,
     pub(crate) spans: crate::spans::Registry,
     pub(crate) flight: crate::recorder::Registry,
     flight_dir: Mutex<Option<PathBuf>>,
     dump_seq: AtomicU64,
-    pub(crate) ranks: crate::ranks::RankTable,
     /// Called (with a reason) whenever [`dump_on_error`] fires on this
     /// hub — the sampler registers itself here so a killed run still
     /// flushes a final metrics sample.
@@ -101,13 +157,11 @@ impl TelemetryHub {
         Arc::new(TelemetryHub {
             id: NEXT_HUB_ID.fetch_add(1, Ordering::Relaxed),
             enabled: AtomicBool::new(false),
-            counters: crate::counters::Banks::new(),
-            hists: crate::histogram::Banks::new(),
+            account: Mutex::new(Account::default()),
             spans: crate::spans::Registry::new(),
             flight: crate::recorder::Registry::new(),
             flight_dir: Mutex::new(None),
             dump_seq: AtomicU64::new(0),
-            ranks: crate::ranks::RankTable::new(),
             flush_hook: Mutex::new(None),
         })
     }
@@ -127,6 +181,18 @@ impl TelemetryHub {
         self.enabled.store(on, Ordering::Release);
     }
 
+    /// The account, locked. Every update is one merge of plain values,
+    /// so a guard poisoned by a panicking holder is still whole.
+    fn account(&self) -> MutexGuard<'_, Account> {
+        self.account.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The whole account at one instant: counters, histograms and rank
+    /// rows copied under one lock.
+    pub(crate) fn read(&self) -> Account {
+        self.account().clone()
+    }
+
     // ---- counters ------------------------------------------------------
 
     /// Accumulate `v` into counter `c` (no-op unless this hub is
@@ -138,76 +204,54 @@ impl TelemetryHub {
         if !self.enabled() {
             return;
         }
-        self.counters.record(c, v);
-        self.attribute(c, v);
+        let rank = crate::spans::current_rank();
+        let mut account = self.account();
+        account.counters.bump(c, v);
+        if rank != crate::spans::NO_RANK {
+            account.attribute(rank, c, v);
+        }
     }
 
     /// Publish an account: the counters and latency samples one step,
-    /// block or rank accumulated in plain values, paid for in atomics once
-    /// (no-op unless enabled). The hub then reads as if every count and
-    /// sample had been recorded one by one; the rank-attributable parts
-    /// (steals, retransmits, halo wait) also land in the calling rank's
-    /// row of the live table.
+    /// block or rank accumulated in plain values, merged in under one
+    /// lock (no-op unless enabled). The hub then reads as if every count
+    /// and sample had been recorded one by one; the rank-attributable
+    /// parts (steals, retransmits, halo wait) also land in the calling
+    /// rank's row.
     pub fn record_set(&self, counters: &CounterSet, hists: &HistSet) {
         if !self.enabled() {
             return;
         }
-        for (c, v) in counters.iter().filter(|&(_, v)| v != 0) {
-            self.counters.record(c, v);
-            self.attribute(c, v);
+        let rank = crate::spans::current_rank();
+        let mut account = self.account();
+        account.counters.merge(counters);
+        account.hists.merge(hists);
+        if rank == crate::spans::NO_RANK {
+            return;
         }
-        self.hists.merge(hists);
+        for (c, v) in counters.iter().filter(|&(_, v)| v != 0) {
+            account.attribute(rank, c, v);
+        }
         let wait = hists.get(Hist::HaloWaitNanos);
         if !wait.is_empty() {
-            self.note_rank(|ranks, r| ranks.note_halo_wait(r, wait.sum(), wait.count()));
+            let row = account.row(rank);
+            row.halo_wait_ns = row.halo_wait_ns.saturating_add(wait.sum());
+            row.halo_wait_count = row.halo_wait_count.saturating_add(wait.count());
         }
     }
 
-    /// Per-rank live attribution for the rates `mscc top` shows.
-    /// RankRecoveries is routed explicitly (note_rank_recovery) so
-    /// adoption is attributed to the logical rank, not the spare slot.
-    #[inline]
-    fn attribute(&self, c: Counter, v: u64) {
-        if matches!(c, Counter::PoolSteals | Counter::RetransmitCount) {
-            self.note_rank(|ranks, r| ranks.note_counter(r, c, v));
-        }
-    }
-
-    /// Update the calling rank's row of the live table, if the thread is
-    /// a rank's. An update folded into the overflow cell is counted so
-    /// the saturation is visible in `--profile` and the sampler stream.
-    #[inline]
-    fn note_rank(&self, note: impl FnOnce(&crate::ranks::RankTable, u32) -> bool) {
-        let r = crate::spans::current_rank();
-        if r != crate::spans::NO_RANK && note(&self.ranks, r) {
-            self.note_rank_overflow();
-        }
-    }
-
-    /// A per-rank update folded into the overflow cell: count it.
-    /// (Plain bank write — must not re-enter [`TelemetryHub::record`].)
-    #[inline]
-    fn note_rank_overflow(&self) {
-        self.counters.record(Counter::RankTableOverflow, 1);
-    }
-
-    /// Fold every counter shard into a plain [`CounterSet`].
     pub fn snapshot(&self) -> CounterSet {
-        self.counters.snapshot()
+        self.account().counters
     }
 
     pub fn reset_counters(&self) {
-        self.counters.reset();
+        self.account().counters = CounterSet::new();
     }
 
     // ---- histograms ----------------------------------------------------
 
     pub fn snapshot_hists(&self) -> HistSet {
-        self.hists.snapshot()
-    }
-
-    pub fn reset_hists(&self) {
-        self.hists.reset();
+        self.account().hists
     }
 
     // ---- spans ---------------------------------------------------------
@@ -216,10 +260,6 @@ impl TelemetryHub {
     /// by (start, thread), plus the total dropped (saturated) count.
     pub fn collect_spans(&self) -> (Vec<SpanRecord>, u64) {
         self.spans.collect()
-    }
-
-    pub fn reset_spans(&self) {
-        self.spans.reset();
     }
 
     // ---- flight recorder -----------------------------------------------
@@ -235,17 +275,9 @@ impl TelemetryHub {
         self.flight.snapshot()
     }
 
-    pub fn reset_flight(&self) {
-        self.flight.reset();
-    }
-
     /// Direct flight dumps from this hub into `dir` (`None` disables).
     pub fn set_flight_dump_dir(&self, dir: Option<PathBuf>) {
         *self.flight_dir.lock().unwrap() = dir;
-    }
-
-    pub fn flight_dump_dir(&self) -> Option<PathBuf> {
-        self.flight_dir.lock().unwrap().clone()
     }
 
     /// Failure hook: fires this hub's flush hook (metrics tail), then
@@ -257,7 +289,7 @@ impl TelemetryHub {
         if let Some(hook) = hook {
             hook(reason);
         }
-        let dir = self.flight_dump_dir()?;
+        let dir = self.flight_dir.lock().unwrap().clone()?;
         let n = self.dump_seq.fetch_add(1, Ordering::Relaxed);
         let slug: String = reason
             .chars()
@@ -293,9 +325,10 @@ impl TelemetryHub {
         if !self.enabled() {
             return;
         }
-        if self.ranks.note_step(rank, step) {
-            self.note_rank_overflow();
-        }
+        let mut account = self.account();
+        let row = account.row(rank);
+        row.steps = row.steps.saturating_add(1);
+        row.last_step = step;
     }
 
     /// Note that logical `rank` was recovered by a spare (no-op unless
@@ -305,27 +338,22 @@ impl TelemetryHub {
         if !self.enabled() {
             return;
         }
-        if self.ranks.note_recovery(rank) {
-            self.note_rank_overflow();
-        }
+        let mut account = self.account();
+        let row = account.row(rank);
+        row.recoveries = row.recoveries.saturating_add(1);
     }
 
-    /// Snapshot of every rank that has reported activity.
+    /// Every rank that has reported activity, ascending.
     pub fn rank_samples(&self) -> Vec<RankSample> {
-        self.ranks.snapshot()
+        self.account().ranks.values().copied().collect()
     }
 
-    pub fn reset_ranks(&self) {
-        self.ranks.reset();
-    }
-
-    /// Reset counters, histograms, spans and the rank table. The flight
-    /// recorder is left alone (crash forensics survive resets).
+    /// Reset the account (counters, histograms, rank rows) and the span
+    /// buffers. The flight recorder is left alone (crash forensics
+    /// survive resets).
     pub fn reset(&self) {
-        self.reset_counters();
-        self.reset_hists();
-        self.reset_spans();
-        self.reset_ranks();
+        *self.account() = Account::default();
+        self.spans.reset();
     }
 }
 
@@ -556,24 +584,129 @@ mod tests {
     }
 
     #[test]
-    fn rank_overflow_is_counted_not_dropped() {
+    fn a_hub_saturates_exactly_as_the_sets_it_merges() {
         let hub = TelemetryHub::new();
         hub.set_enabled(true);
-        // Exactly at MAX_RANKS: the first rank the table cannot
-        // attribute individually. Before the overflow cell existed this
-        // attribution vanished without a signal.
-        hub.note_rank_step(crate::MAX_RANKS as u32, 9);
-        hub.note_rank_recovery(u32::MAX);
+        let mut counters = CounterSet::new();
+        counters.set(Counter::PackNanos, u64::MAX - 1);
+        counters.set(Counter::SpmPeakBytes, 7);
+        let mut hists = HistSet::new();
+        hists.add(Hist::StepWallNanos, u64::MAX / 2 + 1);
+        hists.add(Hist::StepWallNanos, 3);
+        hub.record_set(&counters, &hists);
+        hub.record_set(&counters, &hists);
+        let mut twice = counters;
+        twice.merge(&counters);
+        let mut both = hists;
+        both.merge(&hists);
+        assert_eq!(twice.get(Counter::PackNanos), u64::MAX);
+        assert_eq!(both.get(Hist::StepWallNanos).sum(), u64::MAX);
+        assert_eq!(hub.snapshot(), twice);
+        assert_eq!(hub.snapshot_hists(), both);
+    }
+
+    #[test]
+    fn inactive_ranks_are_invisible() {
+        let hub = TelemetryHub::new();
+        hub.set_enabled(true);
+        assert!(hub.rank_samples().is_empty());
+        hub.note_rank_step(3, 0);
+        let s = hub.rank_samples();
+        assert_eq!(s.len(), 1);
+        assert_eq!((s[0].rank, s[0].last_step), (3, 0));
+    }
+
+    #[test]
+    fn counters_route_and_reset_clears() {
+        let hub = TelemetryHub::new();
+        hub.set_enabled(true);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                crate::set_current_rank(1);
+                hub.record(Counter::PoolSteals, 4);
+                hub.record(Counter::RetransmitCount, 2);
+                hub.record(Counter::Steps, 99); // not rank-attributable
+                let mut hists = HistSet::new();
+                hists.add(Hist::HaloWaitNanos, 500);
+                hub.record_set(&CounterSet::new(), &hists);
+            });
+        });
+        let s = hub.rank_samples();
+        assert_eq!((s[0].rank, s[0].steps), (1, 0));
+        assert_eq!((s[0].steals, s[0].retransmits), (4, 2));
+        assert_eq!((s[0].halo_wait_ns, s[0].halo_wait_count), (500, 1));
+        hub.reset();
+        assert!(hub.rank_samples().is_empty());
+        assert!(hub.snapshot().is_zero());
+    }
+
+    #[test]
+    fn any_rank_id_gets_its_own_row() {
+        let hub = TelemetryHub::new();
+        hub.set_enabled(true);
+        hub.note_rank_step(5000, 3);
+        hub.note_rank_step(2, 0);
         let samples = hub.rank_samples();
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].rank, crate::OVERFLOW_RANK);
-        assert_eq!(samples[0].steps, 1);
-        assert_eq!(samples[0].last_step, 9);
-        assert_eq!(samples[0].recoveries, 1);
-        assert_eq!(hub.snapshot().get(Counter::RankTableOverflow), 2);
-        // In-range attribution never bumps the overflow counter.
-        hub.note_rank_step(0, 0);
-        assert_eq!(hub.snapshot().get(Counter::RankTableOverflow), 2);
+        assert_eq!(samples.len(), 2);
+        let row = samples[1];
+        assert_eq!((row.rank, row.steps, row.last_step), (5000, 1, 3));
+        assert_eq!(samples[0].rank, 2);
+    }
+
+    #[test]
+    fn concurrent_publishers_sum_to_their_merged_accounts() {
+        const THREADS: u32 = 8;
+        const CALLS: u64 = 500;
+        let hub = TelemetryHub::new();
+        hub.set_enabled(true);
+        // Each thread publishes under its own rank tag and returns what it
+        // sent, merged the way the hub must merge it.
+        let sent: Vec<(CounterSet, HistSet)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let hub = &hub;
+                    s.spawn(move || {
+                        crate::set_current_rank(10 + t);
+                        let (mut total, mut total_hists) = (CounterSet::new(), HistSet::new());
+                        for i in 0..CALLS {
+                            let mut counters = CounterSet::new();
+                            counters.set(Counter::Steps, 1);
+                            counters.set(Counter::PoolSteals, u64::from(t) + i % 3);
+                            counters.set(Counter::RetransmitCount, i % 2);
+                            counters.set(Counter::SpmPeakBytes, u64::from(t) * 1000 + i);
+                            let mut hists = HistSet::new();
+                            hists.add(Hist::HaloWaitNanos, 100 * u64::from(t) + i);
+                            hub.record_set(&counters, &hists);
+                            hub.note_rank_step(10 + t, i);
+                            total.merge(&counters);
+                            total_hists.merge(&hists);
+                        }
+                        (total, total_hists)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let (mut counters, mut hists) = (CounterSet::new(), HistSet::new());
+        for (c, h) in &sent {
+            counters.merge(c);
+            hists.merge(h);
+        }
+        assert_eq!(hub.snapshot(), counters);
+        assert_eq!(hub.snapshot_hists(), hists);
+        let rows = hub.rank_samples();
+        assert_eq!(rows.len(), THREADS as usize);
+        for (t, (row, (c, h))) in rows.iter().zip(&sent).enumerate() {
+            let wait = h.get(Hist::HaloWaitNanos);
+            assert_eq!(row.rank, 10 + t as u32);
+            assert_eq!((row.steps, row.last_step), (CALLS, CALLS - 1));
+            assert_eq!(row.steals, c.get(Counter::PoolSteals));
+            assert_eq!(row.retransmits, c.get(Counter::RetransmitCount));
+            assert_eq!(
+                (row.halo_wait_ns, row.halo_wait_count),
+                (wait.sum(), wait.count())
+            );
+        }
     }
 
     #[test]

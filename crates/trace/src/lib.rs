@@ -10,8 +10,8 @@
 //! Three layers:
 //!
 //! * [`counters`] — a fixed vocabulary of typed counters ([`Counter`])
-//!   accumulated in sharded process-global atomics, plus the plain-value
-//!   [`CounterSet`] used by stats views like `RunStats`/`CommStats`;
+//!   and the plain-value [`CounterSet`] every account, stats view
+//!   (`RunStats`/`CommStats`) and hub total is kept in;
 //! * [`spans`] — per-thread fixed-capacity span buffers written without
 //!   locks on the hot path, recording named begin/end intervals
 //!   ([`span`]) and instants ([`event`]);
@@ -39,10 +39,11 @@
 //! The telemetry plane (DESIGN.md §14) adds:
 //!
 //! * [`hub`] — [`TelemetryHub`], sessioned trace state: every sink
-//!   above is owned by a hub; the free functions are shims over the
-//!   calling thread's current hub (the process-wide [`default_hub`]
-//!   unless one was installed with [`install_thread_hub`]);
-//! * [`ranks`] — the live per-rank progress table feeding `mscc top`;
+//!   above is owned by a hub, whose published totals and live per-rank
+//!   rows ([`RankSample`], feeding `mscc top`) are one account behind one
+//!   lock; the free functions are shims over the calling thread's
+//!   current hub (the process-wide [`default_hub`] unless one was
+//!   installed with [`install_thread_hub`]);
 //! * [`sampler`] — a background thread emitting periodic OpenMetrics +
 //!   JSONL samples of a hub, flushed on failure via the dump path;
 //! * [`alert`] — the online stall/straggler detector;
@@ -51,9 +52,10 @@
 //! Tracing is **disabled by default** and gated on the owning hub's
 //! flag checked first thing in every recording call: a disabled
 //! [`record`] is a thread-local read, a relaxed atomic load and a
-//! branch, and a disabled [`span`] constructs an inert guard without
-//! reading the clock. Runs with tracing disabled are bit-identical to
-//! untraced runs — the recording paths touch no shared mutable state.
+//! branch (no lock), and a disabled [`span`] constructs an inert guard
+//! without reading the clock. Runs with tracing disabled are
+//! bit-identical to untraced runs — the recording paths touch no shared
+//! mutable state.
 
 pub mod alert;
 pub mod counters;
@@ -63,7 +65,6 @@ pub mod hub;
 pub mod json;
 pub mod openmetrics;
 pub mod profile;
-pub mod ranks;
 pub mod recorder;
 pub mod sampler;
 pub mod spans;
@@ -74,23 +75,21 @@ pub use counters::{
     record, record_set, reset_counters, set_enabled, snapshot, Counter, CounterSet, EnableGuard,
     MergeMode,
 };
-pub use histogram::{reset_hists, snapshot_hists, Hist, HistSet, Histogram};
-pub use hub::{current_hub, default_hub, install_thread_hub, HubGuard, TelemetryHub};
+pub use histogram::{snapshot_hists, Hist, HistSet, Histogram};
+pub use hub::{current_hub, default_hub, install_thread_hub, HubGuard, RankSample, TelemetryHub};
 pub use json::Json;
 pub use profile::Profile;
-pub use ranks::{RankSample, MAX_RANKS, OVERFLOW_RANK};
 pub use recorder::{
-    dump_on_error, flight, flight_json, reset_flight, set_flight_dump_dir, snapshot_flight,
-    FlightKind, FlightRecord,
+    dump_on_error, flight, flight_json, set_flight_dump_dir, FlightKind, FlightRecord,
 };
 pub use sampler::{Sampler, SamplerConfig, SamplerSummary};
 pub use spans::{
-    event, flow_recv, flow_send, reset_spans, set_current_rank, span, span_arg, SpanGuard,
-    SpanKind, SpanRecord, NO_RANK,
+    event, flow_recv, flow_send, set_current_rank, span, span_arg, SpanGuard, SpanKind, SpanRecord,
+    NO_RANK,
 };
 pub use stitch::{
-    message_id, render_straggler_report, straggler_report, unpack_message_id, validate_chrome_json,
-    ChromeSummary, StepStats,
+    message_id, render_straggler_report, straggler_report, validate_chrome_json, ChromeSummary,
+    StepStats,
 };
 
 /// True when the calling thread's current hub has tracing enabled.
@@ -113,8 +112,8 @@ pub fn note_rank_recovery(rank: u32) {
     hub::with_current(|h| h.note_rank_recovery(rank));
 }
 
-/// Reset the current hub's trace state (counters, histograms, span
-/// buffers and the rank table). The flight recorder is left alone: it
+/// Reset the current hub's trace state (counters, histograms, rank rows
+/// and span buffers). The flight recorder is left alone: it
 /// is a crash-forensics ring and survives resets so restarts keep their
 /// pre-restart timeline.
 ///
@@ -124,7 +123,7 @@ pub fn reset() {
     hub::with_current(|h| h.reset());
 }
 
-/// Unit tests in this crate share the process-global banks and span
+/// Unit tests in this crate share the default hub's account and span
 /// buffers; tests asserting exact totals serialize on this lock.
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -5,8 +5,7 @@
 //! job), so any OpenMetrics scraper pointed at `--metrics-file`'s `.om`
 //! sibling sees a consistent snapshot. The renderer and the validator
 //! live together so the contract is enforced from both sides: CI runs a
-//! chaos-kill job and feeds the emitted file back through
-//! [`validate`] / [`check_monotone`].
+//! chaos-kill job and feeds the emitted file back through [`validate`].
 //!
 //! Mapping: sum-mode counters → `counter` families (`_total` samples),
 //! max-mode counters → `gauge`s, histograms → `summary` families
@@ -16,7 +15,7 @@
 
 use crate::counters::{Counter, CounterSet, MergeMode};
 use crate::histogram::{Hist, HistSet};
-use crate::ranks::RankSample;
+use crate::hub::RankSample;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -263,26 +262,6 @@ pub fn validate(text: &str) -> Result<OmDoc, String> {
     Ok(doc)
 }
 
-/// Check that every counter series present in both expositions is
-/// monotone non-decreasing from `prev` to `cur`.
-pub fn check_monotone(prev: &OmDoc, cur: &OmDoc) -> Result<(), String> {
-    for (series, &v) in &cur.samples {
-        let name = series.split('{').next().unwrap_or(series);
-        let Some(fam) = cur.family_of(name) else {
-            continue;
-        };
-        if cur.families.get(fam).map(String::as_str) != Some("counter") {
-            continue;
-        }
-        if let Some(&before) = prev.samples.get(series) {
-            if v < before {
-                return Err(format!("counter {series} went backwards: {before} -> {v}"));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,19 +301,6 @@ mod tests {
         assert_eq!(doc.samples["msc_alerts_total"], 2.0);
         assert_eq!(doc.samples["msc_halo_wait_count"], 1.0);
         assert_eq!(doc.families["msc_halo_wait"], "summary");
-    }
-
-    #[test]
-    fn monotone_check_catches_backwards_counters() {
-        let a = render(&CounterSet::new(), &HistSet::new(), &[], 0);
-        let mut c = CounterSet::new();
-        c.set(Counter::Steps, 5);
-        let b = render(&c, &HistSet::new(), &[], 0);
-        let da = validate(&a).unwrap();
-        let db = validate(&b).unwrap();
-        check_monotone(&da, &db).expect("forward is fine");
-        let err = check_monotone(&db, &da).unwrap_err();
-        assert!(err.contains("msc_steps_total"), "{err}");
     }
 
     #[test]

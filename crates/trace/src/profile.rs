@@ -2,9 +2,9 @@
 //! measured — counters plus the span timeline — suitable for reporting
 //! and for feeding back into the auto-tuner.
 
-use crate::counters::{self, Counter, CounterSet};
-use crate::histogram::{self, HistSet};
-use crate::spans::{self, SpanRecord};
+use crate::counters::{Counter, CounterSet};
+use crate::histogram::HistSet;
+use crate::spans::SpanRecord;
 
 /// Aggregated trace data from one run (or one rank of a run).
 ///
@@ -29,30 +29,20 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Snapshot the current hub's counters and every thread's span
-    /// buffer in it.
+    /// Snapshot the current hub: its counters and histograms as of one
+    /// instant, and every thread's span buffer in it.
     pub fn capture(label: impl Into<String>) -> Profile {
-        let (spans, dropped_spans) = spans::collect_spans();
-        Profile {
-            label: label.into(),
-            counters: counters::snapshot(),
-            hists: histogram::snapshot_hists(),
-            spans,
-            dropped_spans,
-        }
-    }
-
-    /// Snapshot an explicit hub (equivalent to [`Profile::capture`]
-    /// with the hub installed on the calling thread).
-    pub fn capture_from(hub: &crate::TelemetryHub, label: impl Into<String>) -> Profile {
-        let (spans, dropped_spans) = hub.collect_spans();
-        Profile {
-            label: label.into(),
-            counters: hub.snapshot(),
-            hists: hub.snapshot_hists(),
-            spans,
-            dropped_spans,
-        }
+        crate::hub::with_current(|hub| {
+            let (spans, dropped_spans) = hub.collect_spans();
+            let account = hub.read();
+            Profile {
+                label: label.into(),
+                counters: account.counters,
+                hists: account.hists,
+                spans,
+                dropped_spans,
+            }
+        })
     }
 
     /// A profile carrying only counter values (no timeline) — the shape

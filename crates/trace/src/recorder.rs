@@ -172,12 +172,6 @@ impl Registry {
         out.sort_by_key(|r| (r.t_ns, r.rank));
         out
     }
-
-    pub(crate) fn reset(&self) {
-        for ring in self.rings.lock().unwrap().iter() {
-            ring.head.store(0, Ordering::Release);
-        }
-    }
 }
 
 thread_local! {
@@ -231,17 +225,6 @@ pub(crate) fn cached_thread_rings() -> usize {
 #[inline]
 pub fn flight(kind: FlightKind, src: u32, dst: u32, tag: u64, seq: u64) {
     crate::hub::with_current(|h| h.flight(kind, src, dst, tag, seq));
-}
-
-/// Snapshot every thread's ring in the current hub, oldest-first per
-/// thread, merged and sorted by timestamp.
-pub fn snapshot_flight() -> Vec<FlightRecord> {
-    crate::hub::with_current(|h| h.snapshot_flight())
-}
-
-/// Clear the current hub's rings (test setup / between CLI runs).
-pub fn reset_flight() {
-    crate::hub::with_current(|h| h.reset_flight());
 }
 
 /// Render a snapshot as a structured JSON timeline:

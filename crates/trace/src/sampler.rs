@@ -20,8 +20,7 @@
 use crate::alert::{Alert, AlertKind};
 use crate::counters::{Counter, CounterSet};
 use crate::histogram::{Hist, HistSet};
-use crate::hub::TelemetryHub;
-use crate::ranks::RankSample;
+use crate::hub::{RankSample, TelemetryHub};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -255,9 +254,9 @@ impl Shared {
     fn tick(&self, reason: &str, extra_alert: Option<Alert>) {
         let mut st = self.state.lock().unwrap();
         let t_ns = crate::spans::now_ns();
-        let counters = self.hub.snapshot();
-        let hists = self.hub.snapshot_hists();
-        let ranks = self.hub.rank_samples();
+        let account = self.hub.read();
+        let (counters, hists) = (account.counters, account.hists);
+        let ranks: Vec<RankSample> = account.ranks.into_values().collect();
 
         let (dt_ns, dcounters, dhists, mut alerts) = match &st.prev {
             Some(prev) => {

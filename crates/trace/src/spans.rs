@@ -333,12 +333,6 @@ pub fn collect_spans() -> (Vec<SpanRecord>, u64) {
     crate::hub::with_current(|h| h.collect_spans())
 }
 
-/// Clear the current hub's span buffers. Callers must ensure no spans
-/// are being recorded concurrently (the buffers are reused in place).
-pub fn reset_spans() {
-    crate::hub::with_current(|h| h.reset_spans());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +341,7 @@ mod tests {
     #[test]
     fn disabled_span_records_nothing() {
         let _g = crate::testutil::GLOBAL_TEST_LOCK.lock().unwrap();
-        reset_spans();
+        crate::reset();
         counters::set_enabled(false);
         {
             let _s = span("invisible");
@@ -361,7 +355,7 @@ mod tests {
     #[test]
     fn spans_nest_and_order() {
         let _g = crate::testutil::GLOBAL_TEST_LOCK.lock().unwrap();
-        reset_spans();
+        crate::reset();
         {
             let _e = EnableGuard::new();
             let _outer = span("outer");
@@ -380,13 +374,13 @@ mod tests {
         // Well-nested: inner lies inside outer.
         assert!(inner.start_ns >= outer.start_ns);
         assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
-        reset_spans();
+        crate::reset();
     }
 
     #[test]
     fn rank_tags_and_flow_records_land() {
         let _g = crate::testutil::GLOBAL_TEST_LOCK.lock().unwrap();
-        reset_spans();
+        crate::reset();
         {
             let _e = EnableGuard::new();
             std::thread::scope(|s| {
@@ -406,13 +400,13 @@ mod tests {
         assert_eq!(fl.arg, 0xbeef);
         let un = recs.iter().find(|r| r.name == "unranked").unwrap();
         assert_eq!(un.rank, NO_RANK);
-        reset_spans();
+        crate::reset();
     }
 
     #[test]
     fn disabled_flow_records_nothing() {
         let _g = crate::testutil::GLOBAL_TEST_LOCK.lock().unwrap();
-        reset_spans();
+        crate::reset();
         counters::set_enabled(false);
         flow_send("halo", 1);
         flow_recv("halo", 1);
@@ -470,7 +464,7 @@ mod tests {
     #[test]
     fn concurrent_writers_all_land() {
         let _g = crate::testutil::GLOBAL_TEST_LOCK.lock().unwrap();
-        reset_spans();
+        crate::reset();
         {
             let _e = EnableGuard::new();
             std::thread::scope(|s| {
@@ -486,6 +480,6 @@ mod tests {
         let (recs, dropped) = collect_spans();
         assert_eq!(recs.iter().filter(|r| r.name == "worker").count(), 200);
         assert_eq!(dropped, 0);
-        reset_spans();
+        crate::reset();
     }
 }

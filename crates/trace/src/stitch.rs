@@ -37,17 +37,6 @@ pub fn message_id(src: u32, dst: u32, tag: u32, seq: u32) -> u64 {
         | (seq as u64)
 }
 
-/// Recover (src, dst, tag, seq) from a packed [`message_id`].
-#[inline]
-pub fn unpack_message_id(id: u64) -> (u32, u32, u32, u32) {
-    (
-        ((id >> 56) & 0xff) as u32,
-        ((id >> 48) & 0xff) as u32,
-        ((id >> 32) & 0xffff) as u32,
-        (id & 0xffff_ffff) as u32,
-    )
-}
-
 /// Per-step imbalance figures across ranks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepStats {
@@ -312,7 +301,13 @@ mod tests {
     #[test]
     fn message_id_roundtrips() {
         let id = message_id(3, 0, 0x207, 41);
-        assert_eq!(unpack_message_id(id), (3, 0, 0x207, 41));
+        let fields = (
+            id >> 56,
+            (id >> 48) & 0xff,
+            (id >> 32) & 0xffff,
+            id & 0xffff_ffff,
+        );
+        assert_eq!(fields, (3, 0, 0x207, 41));
         assert_ne!(message_id(0, 1, 7, 2), message_id(1, 0, 7, 2));
     }
 

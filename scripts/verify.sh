@@ -95,6 +95,16 @@ if grep -rnE 'lint_program\(|check_deny' crates/{exec,comm,codegen,service}/src;
   exit 1
 fi
 
+# A hub keeps one account (DESIGN.md §6a, §14.1): one lock over a
+# CounterSet, a HistSet and a map of rank rows. The sharded counter banks,
+# the atomic histogram banks, the fixed rank table with its overflow cell
+# and counter, and the trace items only their own tests called were
+# deleted; a lint report is a Json value, never text parsed back.
+if grep -rnE 'MAX_RANKS|OVERFLOW_RANK|RankTableOverflow|rank_table_overflow|RankCell|RankTable|MY_SHARD|NEXT_SHARD|struct Shard|capture_from|check_monotone|unpack_message_id|reset_(hists|spans|flight|ranks)\b|fn flight_dump_dir|parse\(&report\.to_json' crates src tests examples; then
+  echo "a hub bank, the rank table or a deleted trace item is back" >&2
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --workspace --release --offline
 
@@ -210,6 +220,19 @@ for t in the_hub_is_the_runs_own_account_counter_for_counter_and_bucket_for_buck
   grep -q '1 passed' <<<"$out"
 done
 
+# A hub's account (DESIGN.md §14.1), by exact name: it saturates as the
+# sets it merges do, any rank id gets a row of its own, and eight
+# concurrent publishers sum to their merged accounts; `mscc check --json`
+# keeps its bytes.
+for t in "msc-trace --lib hub::tests::a_hub_saturates_exactly_as_the_sets_it_merges" \
+    "msc-trace --lib hub::tests::any_rank_id_gets_its_own_row" \
+    "msc-trace --lib hub::tests::concurrent_publishers_sum_to_their_merged_accounts" \
+    "msc --test mscc_cli check_json_of_a_deny_fixture_is_pinned_byte_for_byte"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
+
 echo "== execution-tier differential (staging x tier x dtype matrix) =="
 # Every catalog stencil must produce grids bit-identical (to_bits) to the
 # serial reference in every cell of {direct, SPM, time-block} x {interp,
@@ -300,12 +323,12 @@ echo "== AddressSanitizer (msc-exec, msc-trace, msc-comm) =="
 # ROADMAP item 7, step 1: the tile-write site that hands out row groups
 # (DESIGN.md §18.3), the block kernel, the tier differential and the worker
 # pool; the span buffers' `UnsafeCell` writes; a rank killed and healed
-# under every tier. With ASan and LeakSanitizer. Nightly ships the
+# under every tier; the fixed-seed chaos suite. With ASan and LeakSanitizer. Nightly ships the
 # sanitizer runtimes but no rust-src, so std is uninstrumented, which ASan
 # tolerates. The instrumented build keeps a target dir of its own.
 if cargo +nightly --version >/dev/null 2>&1; then
   for t in "msc-exec --lib" "msc-exec --test pool_determinism" "msc-trace --lib" \
-      "msc-comm --test recovery"; do
+      "msc-comm --test recovery" "msc-comm --test chaos"; do
     RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
       cargo +nightly test -q --offline -p $t --target x86_64-unknown-linux-gnu
   done

@@ -642,6 +642,27 @@ fn check_json_is_machine_readable() {
     }));
 }
 
+#[test]
+fn check_json_of_a_deny_fixture_is_pinned_byte_for_byte() {
+    let out = mscc()
+        .args(["check", "--json"])
+        .arg(lint_fixture("mpi_indivisible.deny.msc"))
+        .output()
+        .expect("mscc runs");
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            r#"{"tool":"msc-lint","program":"mpi_indivisible","diagnostics":[{"code":"MSC-L403","#,
+            r#""severity":"deny","family":"capacity","message":"global extent 64 in dim 0 is not "#,
+            r#"divisible by the 7-way process grid","context":"mpi grid of `mpi_indivisible`","#,
+            r#""help":"choose a process count that divides the extent"}],"deny_count":1,"#,
+            r#""warn_count":0}"#,
+            "\n"
+        )
+    );
+}
+
 fn lift_example(name: &str) -> String {
     format!("{}/examples/lift/{name}", env!("CARGO_MANIFEST_DIR"))
 }
