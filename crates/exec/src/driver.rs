@@ -16,6 +16,7 @@ use msc_trace::{Counter, CounterSet, Hist, HistSet, Profile};
 use std::any::Any;
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Which execution strategy to use for each timestep.
 #[derive(Debug, Clone)]
@@ -62,7 +63,7 @@ impl Executor {
             }
             Executor::Tiled(plan) => {
                 let _span = msc_trace::span("tiled_step");
-                tiled::step_tiles(compiled, plan, inputs, out, tiles)?;
+                counters = tiled::step_tiles(compiled, plan, inputs, out, tiles)?;
                 counters.set(Counter::TilesExecuted, tiles.len() as u64);
             }
             Executor::Spm { plan, spm_capacity } => {
@@ -70,17 +71,8 @@ impl Executor {
                 counters = spm::step_tiles(compiled, plan, inputs, out, *spm_capacity, tiles)?;
             }
         }
-        Ok(with_tier_rows(compiled, counters))
+        Ok(counters)
     }
-}
-
-/// Close a sweep's account: the rows `stencil`'s tier evaluated join
-/// `counters`.
-fn with_tier_rows<T: Scalar>(stencil: &TieredStencil<T>, mut counters: CounterSet) -> CounterSet {
-    let (vm_dispatches, specialized_rows) = stencil.take_tier_counters();
-    counters.set(Counter::VmDispatches, vm_dispatches);
-    counters.set(Counter::SpecializedHits, specialized_rows);
-    counters
 }
 
 /// Aggregate statistics of a run.
@@ -340,7 +332,7 @@ pub type StepHook<'h, T> = &'h mut dyn FnMut(&mut Grid<T>, usize) -> Result<()>;
 /// sweeps the kernel once (DESIGN.md §12.6); otherwise it holds
 /// `max_dt + 1` states and a step evaluates every term.
 pub struct TimeLoop<'a, T: Scalar> {
-    compiled: TieredStencil<T>,
+    compiled: Arc<TieredStencil<T>>,
     executor: &'a Executor,
     /// The tiles of a step, the `front` first of them being those a
     /// [`TimeLoop::step_with`] hook waits for.
@@ -358,9 +350,7 @@ pub struct TimeLoop<'a, T: Scalar> {
 impl<'a, T: Scalar> TimeLoop<'a, T> {
     /// The front door of every stencil-program run: a checked program (a
     /// bare one is checked here), compiled on `tier` against `seed`'s
-    /// layout, and a window of the stencil's deepest dependency plus one,
-    /// all slots cold-started with `seed`: the caller's initial grid,
-    /// borrowed, or a grid the loop owns (a rank's scattered sub-grid).
+    /// layout, then admitted with [`TimeLoop::admit_compiled`].
     pub fn admit<'p>(
         program: impl Gate<'p>,
         executor: &'a Executor,
@@ -370,11 +360,32 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
     ) -> Result<TimeLoop<'a, T>> {
         let program = program.gate(None)?;
         let compiled = TieredStencil::compile(&program, &seed, tier)?;
-        let window = WindowPlan::for_max_dt(compiled.max_dt)?;
         // Compile time goes to the tracer only, outside any step's account:
         // `RunStats` must stay bit-identical between repeated runs, and
         // wall-clock isn't.
         msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
+        TimeLoop::admit_compiled(Arc::new(compiled), executor, seed, boundary_cond)
+    }
+
+    /// A run of a stencil compiled before, possibly shared with other runs,
+    /// over a window of its deepest dependency plus one, all slots
+    /// cold-started with `seed` (borrowed, or owned: a rank's sub-grid). A
+    /// seed of another layout than the stencil's is refused.
+    pub fn admit_compiled(
+        compiled: Arc<TieredStencil<T>>,
+        executor: &'a Executor,
+        seed: Cow<'a, Grid<T>>,
+        boundary_cond: Boundary,
+    ) -> Result<TimeLoop<'a, T>> {
+        if compiled.grid_layout() != Some(&seed.layout()) {
+            let like = compiled.grid_layout().map(|l| (&l.shape, &l.halo));
+            return Err(MscError::InvalidConfig(format!(
+                "a stencil compiled for {like:?} (None: tile-local buffers) cannot run from \
+                 a seed of {:?}+{:?}",
+                seed.shape, seed.halo
+            )));
+        }
+        let window = WindowPlan::for_max_dt(compiled.max_dt)?;
         Ok(TimeLoop {
             points: seed.interior_len() as u64,
             ring: Ring::new(seed, boundary_cond, window.window),
@@ -391,18 +402,27 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
 
     /// As if the rule had declined to reuse kernel images.
     #[cfg(test)]
-    pub(crate) fn recomputing(mut self) -> Self {
-        self.compiled = self.compiled.recomputing();
-        self
+    pub(crate) fn recomputing(self) -> Self {
+        self.restenciled(TieredStencil::recomputing)
     }
 
     /// As if the rule had taken every one-term stencil `ROWS` rows at a
     /// time.
     #[cfg(test)]
-    pub(crate) fn blocking(mut self) -> Self {
+    pub(crate) fn blocking(self) -> Self {
         let stride = crate::sweep::group_stride(&self.ring.seed.strides);
-        self.compiled = self.compiled.blocking(stride);
-        self
+        self.restenciled(|compiled| compiled.blocking(stride))
+    }
+
+    /// This loop over `f` of its stencil, which a test hook's loop shares
+    /// with nothing.
+    #[cfg(test)]
+    fn restenciled(self, f: impl FnOnce(TieredStencil<T>) -> TieredStencil<T>) -> Self {
+        let compiled = Arc::into_inner(self.compiled).expect("a test hook's stencil is unshared");
+        TimeLoop {
+            compiled: Arc::new(f(compiled)),
+            ..self
+        }
     }
 
     /// The plan a step sweeps once, keeping kernel images, if it does.
@@ -556,10 +576,11 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
                 self.boundary_cond,
                 |next, tiles| {
                     let _span = msc_trace::span("tiled_step");
-                    tiled::step_tiles_reusing(image, &terms, plan, prev, &mut fresh, next, tiles)?;
-                    let mut counters = CounterSet::new();
+                    let mut counters = tiled::step_tiles_reusing(
+                        image, &terms, plan, prev, &mut fresh, next, tiles,
+                    )?;
                     counters.set(Counter::TilesExecuted, tiles.len() as u64);
-                    Ok(with_tier_rows(&image.kernel, counters))
+                    Ok(counters)
                 },
                 hook,
             )?
@@ -1092,6 +1113,130 @@ mod tests {
             reference_recomputed_and_reused_agree::<f64>(&p, seed);
             reference_recomputed_and_reused_agree::<f32>(&p, seed);
         }
+    }
+
+    /// A loop over one stencil compiled beforehand and shared, admitted
+    /// twice, runs as [`TimeLoop::admit`] does: the same bits and the same
+    /// `RunStats`, on every tier, both boundaries, images by rule and off.
+    #[test]
+    fn a_loop_over_a_shared_compiled_stencil_runs_as_admit_does() {
+        let mut reusing = 0;
+        for b in all_benchmarks() {
+            let p = b.program(&b.test_grid(), DType::F64, 2).unwrap();
+            let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 7);
+            let exec = halved_plan(&p);
+            for (tier, bc, images) in [ExecTier::Interp, ExecTier::Vm, ExecTier::Auto]
+                .into_iter()
+                .flat_map(|t| [Boundary::Dirichlet, Boundary::Periodic].map(|bc| (t, bc)))
+                .flat_map(|(t, bc)| [true, false].map(|images| (t, bc, images)))
+            {
+                let admitted = TimeLoop::admit(&p, &exec, Cow::Borrowed(&init), bc, tier).unwrap();
+                let admitted = if images {
+                    admitted
+                } else {
+                    admitted.recomputing()
+                };
+                let (want, want_stats) = admitted.run(p.timesteps).unwrap();
+                let compiled = TieredStencil::compile(&p, &init, tier).unwrap();
+                let shared = Arc::new(if images {
+                    compiled
+                } else {
+                    compiled.recomputing()
+                });
+                for _ in 0..2 {
+                    let run = TimeLoop::admit_compiled(
+                        Arc::clone(&shared),
+                        &exec,
+                        Cow::Borrowed(&init),
+                        bc,
+                    )
+                    .unwrap();
+                    reusing += usize::from(run.layout() == RingLayout::Images);
+                    let (got, stats) = run.run(p.timesteps).unwrap();
+                    let at = format!("{} {tier:?} {bc:?} images {images}", b.name);
+                    assert!(bits(&got) == bits(&want), "{at}");
+                    assert_eq!(stats, want_stats, "{at}");
+                }
+            }
+        }
+        assert!(reusing > 0, "no catalog program reused kernel images");
+    }
+
+    /// Two threads run one shared stencil at once, for different step
+    /// counts: each run counts its own rows and no other's.
+    #[test]
+    fn concurrent_runs_of_one_stencil_count_their_own_rows() {
+        let p = benchmark(BenchmarkId::S3d7ptStar)
+            .program(&[12, 10, 16], DType::F64, 1)
+            .unwrap();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
+        let exec = halved_plan(&p);
+        for tier in [ExecTier::Vm, ExecTier::Specialized] {
+            let shared = Arc::new(TieredStencil::compile(&p, &init, tier).unwrap());
+            let run = |steps| {
+                TimeLoop::admit_compiled(
+                    Arc::clone(&shared),
+                    &exec,
+                    Cow::Borrowed(&init),
+                    Boundary::Dirichlet,
+                )
+                .unwrap()
+                .run(steps)
+                .unwrap()
+                .1
+            };
+            let rows = |stats: RunStats| (stats.vm_dispatches(), stats.specialized_hits());
+            let (alone3, alone7) = (rows(run(3)), rows(run(7)));
+            assert_ne!(alone3, (0, 0), "{tier:?} counted no rows");
+            assert_ne!(alone3, alone7, "{tier:?}");
+            std::thread::scope(|s| {
+                for (steps, alone) in [(3, alone3), (7, alone7)] {
+                    let run = &run;
+                    s.spawn(move || {
+                        for _ in 0..20 {
+                            assert_eq!(rows(run(steps)), alone, "{tier:?}, {steps} steps");
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_seed_of_another_layout_than_the_stencils_is_refused() {
+        let p = benchmark(BenchmarkId::S2d9ptStar)
+            .program(&[16, 16], DType::F64, 2)
+            .unwrap();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 1);
+        let compiled = TieredStencil::compile(&p, &init, ExecTier::Auto).unwrap();
+        let local =
+            TieredStencil::from_compiled(compiled.relinearized(&init.strides), ExecTier::Auto);
+        let exec = halved_plan(&p);
+        let shape: Grid<f64> = Grid::random(&[16, 20], &p.grid.halo, 1);
+        let halo: Grid<f64> = Grid::random(&p.grid.shape, &[3, 3], 1);
+        let shared = Arc::new(compiled);
+        for (stencil, seed) in [
+            (&shared, &shape),
+            (&shared, &halo),
+            (&Arc::new(local), &init),
+        ] {
+            let refused = TimeLoop::admit_compiled(
+                Arc::clone(stencil),
+                &exec,
+                Cow::Borrowed(seed),
+                Boundary::Dirichlet,
+            );
+            match refused {
+                Err(MscError::InvalidConfig(why)) => {
+                    assert!(why.contains("cannot run from a seed of"), "{why}")
+                }
+                Err(other) => panic!("an untyped refusal: {other}"),
+                Ok(_) => panic!("a seed of {:?}+{:?} was admitted", seed.shape, seed.halo),
+            }
+        }
+        let fits =
+            TimeLoop::admit_compiled(shared, &exec, Cow::Borrowed(&init), Boundary::Dirichlet);
+        assert!(fits.is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! traffic*, which the timing simulator charges against the DMA model.
 
 use crate::grid::{dense_strides, Grid, Scalar};
-use crate::sweep::{copy_box, for_each_row, sweep, Frame};
+use crate::sweep::{copy_box, for_each_row, merged, sweep, Frame};
 use crate::tier::TieredStencil;
 use msc_core::error::{MscError, Result};
 use msc_core::schedule::plan::{spm_staging_bytes, ExecPlan, TileRange};
@@ -105,15 +105,16 @@ pub(crate) fn step_tiles<T: Scalar>(
             stats.bump(Counter::DmaPutBytes, put * (rows.row_len() * elem) as u64);
             stats.bump(Counter::DmaRows, put);
             stats.bump(Counter::TilesExecuted, 1);
-            stencil.note_rows(put * terms.len() as u64, rows.row_len());
+            for (term, scratch) in terms.iter().zip(&mut scratch) {
+                term.note_rows(scratch, put, rows.row_len());
+            }
+        }
+        for s in &scratch {
+            stats.merge(&s.counted);
         }
         stats
     })?;
-    let mut total = CounterSet::new();
-    for share in &shares {
-        total.merge(share);
-    }
-    Ok(total)
+    Ok(merged(&shares))
 }
 
 #[cfg(test)]

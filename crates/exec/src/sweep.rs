@@ -22,6 +22,7 @@ use crate::specialized::ROWS;
 use msc_core::error::{MscError, Result};
 use msc_core::halo::Region;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
+use msc_trace::CounterSet;
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
@@ -362,6 +363,13 @@ pub(crate) fn sweep<T: Scalar, R: Send, const N: usize>(
     Ok(shares
         .into_inner()
         .expect("a sweep worker panicked while reporting"))
+}
+
+/// The workers' shares of a sweep's account, summed.
+pub(crate) fn merged(shares: &[CounterSet]) -> CounterSet {
+    let mut total = CounterSet::new();
+    shares.iter().for_each(|share| total.merge(share));
+    total
 }
 
 #[cfg(test)]

@@ -18,15 +18,15 @@
 //! * `Interp` → the **interpreter** (also what the `Executor::Reference`
 //!   oracle path always runs).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use msc_core::error::Result;
 use msc_core::prelude::StencilProgram;
+use msc_trace::{Counter, CounterSet};
 use msc_vm::{LinearTerm, VmProgram, VmScratch};
 
 use crate::compiled::CompiledStencil;
-use crate::grid::{Grid, Scalar};
+use crate::grid::{Grid, GridLayout, Scalar};
 use crate::specialized::{
     prefetch_pays, step_bytes, RowBlock, RowKernel, PREFETCH_MIN_STEP_BYTES, ROWS,
 };
@@ -88,9 +88,12 @@ impl ActiveTier {
 }
 
 /// Per-worker scratch for the active tier (the VM's register file; the
-/// other tiers need none).
+/// other tiers need none), and what the rows evaluated through it counted:
+/// a compiled stencil keeps no count of its own, so any number of runs
+/// may share one.
 pub struct TierScratch<T> {
     vm: Option<VmScratch<T>>,
+    pub(crate) counted: CounterSet,
 }
 
 /// A step that streams from DRAM pays for the kernel image as one more
@@ -237,7 +240,8 @@ fn row_block<T: Scalar>(
 /// A compiled stencil with the requested execution tier resolved and
 /// attached. Derefs to the interpreter's [`CompiledStencil`], so layout
 /// queries (`max_dt`, `reach`, taps) and the SPM/reference paths keep
-/// working on the same object.
+/// working on the same object. No run changes it (rows are counted in
+/// [`TierScratch`]), so concurrent runs may share one (DESIGN.md §15.4).
 pub struct TieredStencil<T> {
     interp: CompiledStencil<T>,
     /// Lowered only for an explicit `ExecTier::Vm`: no other request can
@@ -255,8 +259,9 @@ pub struct TieredStencil<T> {
     /// `ExecTier::Vm`, ISA detection otherwise (feeds the
     /// `VmCompileNanos` counter).
     pub compile_nanos: u64,
-    vm_dispatches: AtomicU64,
-    specialized_rows: AtomicU64,
+    /// The layout of the grids [`TieredStencil::compile`] compiled for;
+    /// `None` for tile-local buffers.
+    grid: Option<GridLayout>,
 }
 
 impl<T> std::ops::Deref for TieredStencil<T> {
@@ -320,6 +325,7 @@ impl<T: Scalar> TieredStencil<T> {
             stencil.compile_nanos += image.kernel.compile_nanos + image.mix.compile_nanos;
         }
         stencil.image = image;
+        stencil.grid = Some(grid.layout());
         Ok(stencil)
     }
 
@@ -363,13 +369,18 @@ impl<T: Scalar> TieredStencil<T> {
             rows,
             image: Err(Recomputed::Staged),
             compile_nanos: t0.elapsed().as_nanos() as u64,
-            vm_dispatches: AtomicU64::new(0),
-            specialized_rows: AtomicU64::new(0),
+            grid: None,
         }
     }
 
     pub fn active(&self) -> ActiveTier {
         self.active
+    }
+
+    /// The layout of the grids the stencil was compiled to sweep whole,
+    /// `None` when it was compiled for tile-local buffers.
+    pub(crate) fn grid_layout(&self) -> Option<&GridLayout> {
+        self.grid.as_ref()
     }
 
     /// What evaluates the rows and how often, for run banners: `vm tier,
@@ -459,6 +470,7 @@ impl<T: Scalar> TieredStencil<T> {
                 ActiveTier::Vm => self.vm.as_ref().map(|p| p.scratch()),
                 _ => None,
             },
+            counted: CounterSet::new(),
         }
     }
 
@@ -520,28 +532,18 @@ impl<T: Scalar> TieredStencil<T> {
         }
     }
 
-    /// Account `n_rows` rows of `row_len` executed on the active tier.
-    /// Called once per tile (relaxed atomics; drained per step by the
-    /// drivers into `VmDispatches`/`SpecializedHits`).
-    pub fn note_rows(&self, n_rows: u64, row_len: usize) {
+    /// Count `n_rows` rows of `row_len` executed on the active tier into
+    /// the worker's `scratch` (`VmDispatches` or `SpecializedHits`), once
+    /// per tile; the sweep returns the count with the worker's share.
+    pub fn note_rows(&self, scratch: &mut TierScratch<T>, n_rows: u64, row_len: usize) {
         match self.active {
             ActiveTier::Interp => {}
             ActiveTier::Vm => {
                 let d = n_rows * VmProgram::<T>::dispatches_for(row_len);
-                self.vm_dispatches.fetch_add(d, Ordering::Relaxed);
+                scratch.counted.bump(Counter::VmDispatches, d);
             }
-            ActiveTier::Specialized => {
-                self.specialized_rows.fetch_add(n_rows, Ordering::Relaxed);
-            }
+            ActiveTier::Specialized => scratch.counted.bump(Counter::SpecializedHits, n_rows),
         }
-    }
-
-    /// Drain the accumulated `(vm_dispatches, specialized_rows)` pair.
-    pub fn take_tier_counters(&self) -> (u64, u64) {
-        (
-            self.vm_dispatches.swap(0, Ordering::Relaxed),
-            self.specialized_rows.swap(0, Ordering::Relaxed),
-        )
     }
 }
 
@@ -602,10 +604,11 @@ mod tests {
             let c = TieredStencil::compile(&p, &g, tier).unwrap();
             assert_eq!(c.active(), active, "{tier:?}");
             let mut row = vec![0.0f64; 32];
-            c.run_row(&states, base, &mut row, &mut c.scratch());
-            c.note_rows(1, row.len());
+            let mut scratch = c.scratch();
+            c.run_row(&states, base, &mut row, &mut scratch);
+            c.note_rows(&mut scratch, 1, row.len());
             // Explicit `Vm` still runs the VM: it is what gets counted.
-            let (vm_dispatches, specialized_rows) = c.take_tier_counters();
+            let (vm_dispatches, specialized_rows) = counted(&scratch);
             assert_eq!(vm_dispatches > 0, active == ActiveTier::Vm, "{tier:?}");
             assert_eq!(
                 specialized_rows > 0,
@@ -636,15 +639,27 @@ mod tests {
         assert_eq!(rows[0], rows[2]);
     }
 
+    /// What a scratch counted: `(VmDispatches, SpecializedHits)`.
+    fn counted<T>(scratch: &TierScratch<T>) -> (u64, u64) {
+        let c = &scratch.counted;
+        (
+            c.get(Counter::VmDispatches),
+            c.get(Counter::SpecializedHits),
+        )
+    }
+
     #[test]
-    fn tier_counters_accumulate_and_drain() {
+    fn tier_counts_accumulate_in_the_scratch_not_the_stencil() {
         let (c, _, _) = tiered(ExecTier::Vm);
-        c.note_rows(10, 130); // 130 points = 3 chunks of 64
-        assert_eq!(c.take_tier_counters(), (30, 0));
-        assert_eq!(c.take_tier_counters(), (0, 0));
+        let mut scratch = c.scratch();
+        c.note_rows(&mut scratch, 10, 130); // 130 points = 3 chunks of 64
+        assert_eq!(counted(&scratch), (30, 0));
+        // A fresh scratch of the same stencil starts from nothing.
+        assert_eq!(counted(&c.scratch()), (0, 0));
         let (c, _, _) = tiered(ExecTier::Specialized);
-        c.note_rows(7, 64);
-        assert_eq!(c.take_tier_counters(), (0, 7));
+        let mut scratch = c.scratch();
+        c.note_rows(&mut scratch, 7, 64);
+        assert_eq!(counted(&scratch), (0, 7));
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! ([`TieredStencil::rows_per_call`], DESIGN.md §12.1).
 
 use crate::grid::{Grid, Scalar};
-use crate::sweep::{group_stride, sweep};
+use crate::sweep::{group_stride, merged, sweep};
 use crate::tier::{KernelImage, TierScratch, TieredStencil};
 use msc_core::error::Result;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
+use msc_trace::CounterSet;
 
 /// Compute exactly `tiles` (cells of `plan`'s tiling) of one timestep:
 /// one `run_rows` call per group of tile rows.
@@ -22,10 +23,10 @@ pub(crate) fn step_tiles<T: Scalar>(
     states: &[&Grid<T>],
     out: &mut Grid<T>,
     tiles: &[TileRange],
-) -> Result<()> {
+) -> Result<CounterSet> {
     let stride = group_stride(&out.strides);
     let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();
-    sweep(plan, tiles, [out], "tile_worker", |work| {
+    let shares = sweep(plan, tiles, [out], "tile_worker", |work| {
         let mut scratch = stencil.scratch();
         for (_, mut rows) in work {
             // One closure per visit shape: a single closure for rows and
@@ -38,10 +39,11 @@ pub(crate) fn step_tiles<T: Scalar>(
                     stencil.run_rows(&states, base, stride, group, &mut scratch)
                 }),
             };
-            stencil.note_rows(n, rows.row_len());
+            stencil.note_rows(&mut scratch, n, rows.row_len());
         }
+        scratch.counted
     })?;
-    Ok(())
+    Ok(merged(&shares))
 }
 
 /// Where the combination finds the kernel image a term reads
@@ -74,7 +76,7 @@ pub(crate) fn step_tiles_reusing<T: Scalar>(
     fresh: &mut Grid<T>,
     next: &mut Grid<T>,
     tiles: &[TileRange],
-) -> Result<()> {
+) -> Result<CounterSet> {
     assert!(
         terms.len() <= MAX_IMAGE_TERMS,
         "the rule admits no more terms"
@@ -82,7 +84,7 @@ pub(crate) fn step_tiles_reusing<T: Scalar>(
     let KernelImage { kernel, mix } = image;
     let stride = group_stride(&prev.strides);
     let prev = [prev.as_slice()];
-    sweep(plan, tiles, [fresh, next], "tile_worker", |work| {
+    let shares = sweep(plan, tiles, [fresh, next], "tile_worker", |work| {
         let (mut scratch, mut mix_scratch) = (kernel.scratch(), mix.scratch());
         let mut dying = vec![T::default(); plan.tile[plan.ndim - 1]];
         for (_, mut rows) in work {
@@ -100,10 +102,11 @@ pub(crate) fn step_tiles_reusing<T: Scalar>(
                     }
                 }),
             };
-            kernel.note_rows(n, rows.row_len());
+            kernel.note_rows(&mut scratch, n, rows.row_len());
         }
+        scratch.counted
     })?;
-    Ok(())
+    Ok(merged(&shares))
 }
 
 /// One row of the combination (DESIGN.md §12.6): `next` from the images

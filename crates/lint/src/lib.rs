@@ -23,7 +23,9 @@
 //! full [`Report`] of a refusal or a [`Checked`] program, which nothing
 //! else can make: everything below a door — time loops, ranks, emitters,
 //! the `mscd` cache — takes it and never lints again. The doors accept a
-//! bare program or a checked one through [`Gate`].
+//! bare program or a checked one through [`Gate`]. [`check_owned`] is the
+//! same check for a program that must outlive its caller (an `mscd` cache
+//! entry): a [`CheckedProgram`] owns it and lends it out as [`Checked`].
 
 pub mod code;
 pub mod diag;
@@ -65,6 +67,50 @@ pub fn check(program: &StencilProgram, target: Option<Target>) -> Result<Checked
         warnings,
     }
     .unless_denied()
+}
+
+/// [`check`] for a program the result must own: the same lint, kept with
+/// the program it passed.
+pub fn check_owned(
+    program: StencilProgram,
+    target: Option<Target>,
+) -> Result<CheckedProgram, Report> {
+    let Checked {
+        target, warnings, ..
+    } = check(&program, target)?;
+    Ok(CheckedProgram {
+        program,
+        target,
+        warnings,
+    })
+}
+
+/// A [`Checked`] program that owns what it checked; only [`check_owned`]
+/// makes one.
+#[derive(Debug)]
+pub struct CheckedProgram {
+    program: StencilProgram,
+    target: Option<Target>,
+    warnings: Report,
+}
+
+impl CheckedProgram {
+    /// The program as the doors take it, borrowed from here.
+    pub fn checked(&self) -> Checked<'_> {
+        Checked {
+            program: &self.program,
+            target: self.target,
+            warnings: self.warnings.clone(),
+        }
+    }
+}
+
+impl std::ops::Deref for CheckedProgram {
+    type Target = StencilProgram;
+
+    fn deref(&self) -> &StencilProgram {
+        &self.program
+    }
 }
 
 /// A program [`check`] found no deny-level defect in for `target`.

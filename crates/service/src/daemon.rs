@@ -19,8 +19,11 @@
 //! the optional per-job metrics stream observe exactly one submission,
 //! no matter how many tenants are in flight.
 //!
-//! The verifier is the front door: submissions are linted before they
-//! can touch codegen or the executors. Deny-level findings return as
+//! A job takes its program from the [`CompileCache`]: a miss parses,
+//! lints and emits there, and a hit of a run job skips straight to the
+//! run over the entry's plan and compiled stencil. The verifier is the
+//! front door: a text is linted on its miss, before it can touch codegen
+//! or the executors. Deny-level findings return as
 //! structured [`Response::Denied`]; nothing a client sends can panic
 //! the daemon (malformed protocol lines get [`Response::Error`], a line
 //! over [`MAX_REQUEST_BYTES`] gets it and a closed connection, and a
@@ -28,10 +31,9 @@
 
 use crate::cache::CompileCache;
 use crate::proto::{BusyReason, JobDone, Request, Response, ServiceStats, Submission, PROTO_VERSION};
-use msc_core::schedule::{effective_schedule, ExecPlan, Target};
-use msc_exec::driver::{run_program, Executor};
-use msc_exec::Grid;
+use msc_exec::{Boundary, Grid, TimeLoop};
 use msc_trace::{install_thread_hub, Sampler, SamplerConfig, TelemetryHub};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -416,31 +418,22 @@ fn job_body(
     if sub.sleep_ms > 0 {
         std::thread::sleep(std::time::Duration::from_millis(sub.sleep_ms.min(10_000)));
     }
-    let parsed = msc_core::parse::parse_unchecked(&sub.source)
-        .map_err(|e| Response::Error { message: e.to_string() })?;
-    let program = parsed.program;
-    let target = sub.target.or(parsed.target).unwrap_or(Target::Cpu);
-
-    // Front door: the one check of the job. Deny-level findings stop it
-    // before codegen or execution, as structured diagnostics.
-    let checked = msc_lint::check(&program, Some(target)).map_err(|report| Response::Denied {
-        program: program.name.clone(),
-        report: report.json(),
-    })?;
-
-    let (pkg, cache_hit) = inner
-        .cache
-        .get_or_compile(&sub.source, &checked, target)
-        .map_err(|message| Response::Error { message })?;
+    // The cache is the front door: on a miss it parses and checks the
+    // text, and deny-level findings stop it before codegen or execution,
+    // as structured diagnostics. A hit lints nothing.
+    let (artifact, cache_hit) = inner.cache.get_or_compile(&sub.source, sub.target)?;
+    let program = &*artifact.program;
 
     let (mut steps, mut tiles) = (None, None);
     if sub.run {
-        let sched = effective_schedule(&program, target);
-        let plan = ExecPlan::lower(&sched, program.grid.ndim(), &program.grid.shape)
-            .map_err(|e| Response::Error { message: e.to_string() })?;
+        let error = |message| Response::Error { message };
+        let run = artifact.runnable().map_err(error)?;
         let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
-        let (_, stats) = run_program(&checked, &Executor::Tiled(plan), &init)
-            .map_err(|e| Response::Error { message: e.to_string() })?;
+        let (stencil, seed) = (Arc::clone(&run.stencil), Cow::Borrowed(&init));
+        let (_, stats) =
+            TimeLoop::admit_compiled(stencil, &run.executor, seed, Boundary::Dirichlet)
+                .and_then(|run| run.run(program.timesteps))
+                .map_err(|e| error(e.to_string()))?;
         steps = Some(stats.steps as u64);
         tiles = Some(stats.tiles_executed);
     }
@@ -454,11 +447,11 @@ fn job_body(
 
     Ok(JobDone {
         job: id,
-        program: program.name,
-        target: target.as_str().to_string(),
+        program: program.name.clone(),
+        target: artifact.target.as_str().to_string(),
         cache_hit,
-        loc: pkg.total_loc() as u64,
-        files: pkg.file_names().iter().map(|f| f.to_string()).collect(),
+        loc: artifact.loc,
+        files: artifact.files.clone(),
         steps,
         tiles,
         counters,
@@ -469,11 +462,11 @@ fn job_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msc_trace::Counter;
 
-    #[test]
-    fn a_run_job_that_misses_the_cache_lints_once_on_its_hub() {
-        let socket =
-            std::env::temp_dir().join(format!("mscd-one-lint-{}.sock", std::process::id()));
+    /// A one-worker daemon and a run submission of a small program.
+    fn one_worker(tag: &str) -> (Daemon, Submission) {
+        let socket = std::env::temp_dir().join(format!("mscd-{tag}-{}.sock", std::process::id()));
         let daemon = Daemon::start(ServiceConfig {
             socket,
             workers: 1,
@@ -493,15 +486,52 @@ mod tests {
             run: true,
             ..Submission::default()
         };
-        // The hub `execute_job` would make for this job, kept to read.
+        (daemon, sub)
+    }
+
+    /// Job `id` run as `execute_job` runs it, under a hub of its own,
+    /// and that hub, kept to read.
+    fn job_on_its_hub(daemon: &Daemon, id: u64, sub: &Submission) -> (JobDone, Arc<TelemetryHub>) {
         let hub = TelemetryHub::new();
         hub.set_enabled(true);
         let guard = install_thread_hub(Arc::clone(&hub));
-        let done = job_body(&daemon.inner, 1, &sub, &hub).unwrap();
+        let done = job_body(&daemon.inner, id, sub, &hub).unwrap();
         drop(guard);
-        assert_eq!((done.cache_hit, done.steps), (false, Some(2)));
+        (done, hub)
+    }
+
+    fn lint_spans(hub: &TelemetryHub) -> usize {
         let (spans, _) = hub.collect_spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "lint").count(), 1);
+        spans.iter().filter(|s| s.name == "lint").count()
+    }
+
+    #[test]
+    fn a_run_job_that_misses_the_cache_lints_once_on_its_hub() {
+        let (daemon, sub) = one_worker("one-lint");
+        let (done, hub) = job_on_its_hub(&daemon, 1, &sub);
+        assert_eq!((done.cache_hit, done.steps), (false, Some(2)));
+        assert_eq!(lint_spans(&hub), 1);
+        daemon.stop();
+        daemon.join();
+    }
+
+    #[test]
+    fn a_warm_hit_lints_and_compiles_nothing() {
+        let (daemon, sub) = one_worker("warm-hit");
+        let (cold, _) = job_on_its_hub(&daemon, 1, &sub);
+        let (warm, hub) = job_on_its_hub(&daemon, 2, &sub);
+        assert_eq!((cold.cache_hit, warm.cache_hit), (false, true));
+        assert_eq!((warm.steps, warm.tiles), (cold.steps, cold.tiles));
+        let points = |done: &JobDone| {
+            let mut counters = done.counters.iter();
+            counters
+                .find(|(name, _)| name == "computed_points")
+                .map(|c| c.1)
+        };
+        assert!(points(&cold).is_some_and(|n| n > 0));
+        assert_eq!(points(&warm), points(&cold));
+        assert_eq!(lint_spans(&hub), 0);
+        assert_eq!(hub.snapshot().get(Counter::VmCompileNanos), 0);
         daemon.stop();
         daemon.join();
     }

@@ -12,9 +12,11 @@
 //! * [`proto`] — the wire protocol: one compact JSON document per line
 //!   in each direction ([`proto::Request`] / [`proto::Response`]),
 //!   reusing the workspace's dependency-free JSON type;
-//! * [`cache`] — the content-addressed compile cache, keyed on
-//!   (source hash, target, schedule hash) so schedule edits miss but
-//!   re-submissions of identical programs return instantly;
+//! * [`cache`] — the compile cache, keyed on the exact source text and
+//!   the requested target, so any edit (a schedule's included) misses.
+//!   An entry holds the checked program, its code and, once a run was
+//!   asked for, its plan and compiled stencil, so a re-submitted run job
+//!   goes straight to the run;
 //! * [`daemon`] — the server: acceptor + per-connection handler
 //!   threads, a bounded job queue drained by persistent worker threads
 //!   (each warming its thread-local [`msc_exec::pool`] once at
@@ -25,10 +27,10 @@
 //! * [`client`] — the blocking line client used by `mscc submit` and
 //!   the integration tests.
 //!
-//! The verifier is the front door: every submission is linted before it
-//! can reach codegen, and deny-level findings come back as structured
-//! [`proto::Response::Denied`] diagnostics (MSC-Lxxx codes) — a bad
-//! program can never panic or poison the daemon.
+//! The verifier is the front door: every text is linted on its cache
+//! miss before it can reach codegen, and deny-level findings come back as
+//! structured [`proto::Response::Denied`] diagnostics (MSC-Lxxx codes) — a
+//! bad program can never panic or poison the daemon, nor enter the cache.
 
 pub mod cache;
 pub mod client;

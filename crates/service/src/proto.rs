@@ -96,7 +96,7 @@ pub struct JobDone {
     pub job: u64,
     pub program: String,
     pub target: String,
-    /// Whether the compile was served from the content-addressed cache.
+    /// Whether the program was served from the compile cache.
     pub cache_hit: bool,
     pub loc: u64,
     pub files: Vec<String>,

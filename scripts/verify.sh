@@ -105,6 +105,15 @@ if grep -rnE 'MAX_RANKS|OVERFLOW_RANK|RankTableOverflow|rank_table_overflow|Rank
   exit 1
 fi
 
+# A warm mscd submission is a lookup (DESIGN.md §15.4): the cache keys on
+# the exact text, never a hash, and a compiled stencil holds no per-run
+# count, so one can serve concurrent runs; rows are counted in each
+# worker's TierScratch.
+if grep -rnE 'take_tier_counters|specialized_rows: AtomicU64|fn fnv64' crates src tests examples; then
+  echo "a hashed cache key or a stencil-held row count is back" >&2
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --workspace --release --offline
 
@@ -141,6 +150,24 @@ for t in "msc --test trace_observability a_run_lints_its_program_once" \
     "msc-service --test service a_denied_job_returns_the_full_report_on_the_wire" \
     "msc-lint --lib tests::a_refusal_carries_every_finding" \
     "msc-lint --lib tests::spm_overflow_denied_only_with_cacheless_target"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
+
+echo "== a warm mscd submission is a lookup =="
+# By exact name (DESIGN.md §15.4): a second run submission of one text is a
+# hit that lints and compiles nothing and reports the first one's counts;
+# texts that differ only in their schedule block miss; a loop over a shared
+# compiled stencil runs as `admit` does (catalog x tier x boundary x
+# images), concurrent runs of one stencil each count their own rows, a seed
+# of another layout is refused, and rows are counted in the scratch.
+for t in "msc-service --lib daemon::tests::a_warm_hit_lints_and_compiles_nothing" \
+    "msc-service --lib cache::tests::texts_that_differ_only_in_their_schedule_block_miss" \
+    "msc-exec --lib driver::tests::a_loop_over_a_shared_compiled_stencil_runs_as_admit_does" \
+    "msc-exec --lib driver::tests::concurrent_runs_of_one_stencil_count_their_own_rows" \
+    "msc-exec --lib driver::tests::a_seed_of_another_layout_than_the_stencils_is_refused" \
+    "msc-exec --lib tier::tests::tier_counts_accumulate_in_the_scratch_not_the_stencil"; do
   # A filter that matches nothing passes too: require the one test.
   out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
   grep -q '1 passed' <<<"$out"
