@@ -21,7 +21,8 @@
 //!
 //! A job takes its program from the [`CompileCache`]: a miss parses,
 //! lints and emits there, and a hit of a run job skips straight to the
-//! run over the entry's plan and compiled stencil. The verifier is the
+//! run over the entry's plan and compiled stencil, and borrows the
+//! entry's seed grid. The verifier is the
 //! front door: a text is linted on its miss, before it can touch codegen
 //! or the executors. Deny-level findings return as
 //! structured [`Response::Denied`]; nothing a client sends can panic
@@ -31,7 +32,7 @@
 
 use crate::cache::CompileCache;
 use crate::proto::{BusyReason, JobDone, Request, Response, ServiceStats, Submission, PROTO_VERSION};
-use msc_exec::{Boundary, Grid, TimeLoop};
+use msc_exec::{Boundary, TimeLoop};
 use msc_trace::{install_thread_hub, Sampler, SamplerConfig, TelemetryHub};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -420,19 +421,20 @@ fn job_body(
     }
     // The cache is the front door: on a miss it parses and checks the
     // text, and deny-level findings stop it before codegen or execution,
-    // as structured diagnostics. A hit lints nothing.
-    let (artifact, cache_hit) = inner.cache.get_or_compile(&sub.source, sub.target)?;
-    let program = &*artifact.program;
+    // as structured diagnostics. A hit lints nothing, but for the first
+    // run of a text first submitted compile-only, whose entry kept no
+    // program.
+    let (artifact, checked) = inner.cache.get_or_compile(&sub.source, sub.target)?;
+    let cache_hit = checked.is_none();
 
     let (mut steps, mut tiles) = (None, None);
     if sub.run {
         let error = |message| Response::Error { message };
-        let run = artifact.runnable().map_err(error)?;
-        let init: Grid<f64> = Grid::random(&program.grid.shape, &program.grid.halo, 42);
-        let (stencil, seed) = (Arc::clone(&run.stencil), Cow::Borrowed(&init));
+        let run = artifact.runnable(&sub.source, checked).map_err(error)?;
+        let (stencil, seed) = (Arc::clone(&run.stencil), Cow::Borrowed(&run.seed));
         let (_, stats) =
             TimeLoop::admit_compiled(stencil, &run.executor, seed, Boundary::Dirichlet)
-                .and_then(|run| run.run(program.timesteps))
+                .and_then(|time_loop| time_loop.run(run.program.timesteps))
                 .map_err(|e| error(e.to_string()))?;
         steps = Some(stats.steps as u64);
         tiles = Some(stats.tiles_executed);
@@ -447,7 +449,7 @@ fn job_body(
 
     Ok(JobDone {
         job: id,
-        program: program.name.clone(),
+        program: artifact.name.clone(),
         target: artifact.target.as_str().to_string(),
         cache_hit,
         loc: artifact.loc,
@@ -462,6 +464,7 @@ fn job_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msc_exec::Grid;
     use msc_trace::Counter;
 
     /// A one-worker daemon and a run submission of a small program.
@@ -500,6 +503,13 @@ mod tests {
         (done, hub)
     }
 
+    fn points(done: &JobDone) -> Option<u64> {
+        let mut counters = done.counters.iter();
+        counters
+            .find(|(name, _)| name == "computed_points")
+            .map(|c| c.1)
+    }
+
     fn lint_spans(hub: &TelemetryHub) -> usize {
         let (spans, _) = hub.collect_spans();
         spans.iter().filter(|s| s.name == "lint").count()
@@ -522,16 +532,93 @@ mod tests {
         let (warm, hub) = job_on_its_hub(&daemon, 2, &sub);
         assert_eq!((cold.cache_hit, warm.cache_hit), (false, true));
         assert_eq!((warm.steps, warm.tiles), (cold.steps, cold.tiles));
-        let points = |done: &JobDone| {
-            let mut counters = done.counters.iter();
-            counters
-                .find(|(name, _)| name == "computed_points")
-                .map(|c| c.1)
-        };
         assert!(points(&cold).is_some_and(|n| n > 0));
         assert_eq!(points(&warm), points(&cold));
         assert_eq!(lint_spans(&hub), 0);
         assert_eq!(hub.snapshot().get(Counter::VmCompileNanos), 0);
+        daemon.stop();
+        daemon.join();
+    }
+
+    /// Four runs of one text, two of them at once, borrow one seed grid
+    /// and leave it as it was drawn.
+    #[test]
+    fn runs_of_one_text_share_the_entrys_seed_and_never_write_it() {
+        let (daemon, sub) = one_worker("shared-seed");
+        let (first, _) = job_on_its_hub(&daemon, 1, &sub);
+        let start = std::sync::Barrier::new(2);
+        let concurrent: Vec<JobDone> = std::thread::scope(|s| {
+            let handles: Vec<_> = [2, 3]
+                .map(|id| {
+                    let (daemon, sub, start) = (&daemon, &sub, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        job_on_its_hub(daemon, id, sub).0
+                    })
+                })
+                .into_iter()
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let (last, _) = job_on_its_hub(&daemon, 4, &sub);
+        let counts = |done: &JobDone| (done.steps, done.tiles, points(done));
+        assert!(points(&first).is_some_and(|n| n > 0));
+        for done in concurrent.iter().chain([&last]) {
+            assert!(done.cache_hit);
+            assert_eq!(counts(done), counts(&first));
+        }
+
+        let cache = &daemon.inner.cache;
+        let (artifact, _) = cache.get_or_compile(&sub.source, sub.target).unwrap();
+        let run = artifact.runnable(&sub.source, None).unwrap();
+        let grid = &run.program.grid;
+        let want: Grid<f64> = Grid::random(&grid.shape, &grid.halo, 42);
+        let bits = |g: &Grid<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let seed = &run.seed;
+        assert_eq!((&seed.shape, &seed.halo), (&want.shape, &want.halo));
+        assert!(bits(seed) == bits(&want), "a run wrote the entry's seed");
+        daemon.stop();
+        daemon.join();
+    }
+
+    /// A submission whose line fills the cap but for a few bytes is read,
+    /// refused with its typed error within 5 s even in a debug build, and
+    /// the connection then answers a ping: reading a line costs time
+    /// linear in its length.
+    #[test]
+    fn a_maximum_size_line_gets_an_answer_not_a_stall() {
+        let (daemon, _) = one_worker("max-line");
+        // Comments only: quotes, a backslash and multi-byte text to escape,
+        // and no program, so the reply is a parse error.
+        let piece = "// \"é\" \\ x\n";
+        let wire = |source: String| {
+            Request::Submit(Submission {
+                source,
+                ..Submission::default()
+            })
+            .to_line()
+        };
+        let empty = wire(String::new()).len();
+        let per_piece = wire(piece.to_string()).len() - empty;
+        let line = wire(piece.repeat((MAX_REQUEST_BYTES - empty) / per_piece));
+        assert!(line.len() <= MAX_REQUEST_BYTES && line.len() + per_piece > MAX_REQUEST_BYTES);
+
+        let conn = UnixStream::connect(daemon.socket()).unwrap();
+        let five_s = std::time::Duration::from_secs(5);
+        conn.set_read_timeout(Some(five_s)).unwrap();
+        let (mut writer, mut reader) = (&conn, BufReader::new(&conn));
+        let mut call = |line: &str| {
+            let t0 = std::time::Instant::now();
+            writeln!(writer, "{line}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("no reply within 5 s");
+            (Response::from_line(&reply).unwrap(), t0.elapsed())
+        };
+        let (reply, took) = call(&line);
+        assert!(matches!(reply, Response::Error { .. }), "got {reply:?}");
+        assert!(took.as_secs_f64() < 5.0, "took {took:?}");
+        let (pong, _) = call(&Request::Ping.to_line());
+        assert!(matches!(pong, Response::Pong { .. }), "got {pong:?}");
         daemon.stop();
         daemon.join();
     }

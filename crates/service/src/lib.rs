@@ -14,9 +14,10 @@
 //!   reusing the workspace's dependency-free JSON type;
 //! * [`cache`] — the compile cache, keyed on the exact source text and
 //!   the requested target, so any edit (a schedule's included) misses.
-//!   An entry holds the checked program, its code and, once a run was
-//!   asked for, its plan and compiled stencil, so a re-submitted run job
-//!   goes straight to the run;
+//!   An entry holds what its code package reports and, once a run was
+//!   asked for, the checked program, its plan, compiled stencil and seed
+//!   grid, so a re-submitted run job goes straight to the run and borrows
+//!   the entry's seed;
 //! * [`daemon`] — the server: acceptor + per-connection handler
 //!   threads, a bounded job queue drained by persistent worker threads
 //!   (each warming its thread-local [`msc_exec::pool`] once at

@@ -3,14 +3,19 @@
 //! One request per line, one response per line, always in order — a
 //! connection is a synchronous session (concurrency comes from opening
 //! more connections, which the daemon serves with one handler thread
-//! each). Documents are rendered compactly ([`Json::to_compact`]) so a
-//! message can never contain an unescaped newline.
+//! each). A line is written straight into one `String`, field by field,
+//! through the shared [`escape`]: the bytes [`Json::to_compact`] renders
+//! for the same document, so a message can never contain an unescaped
+//! newline. A line is read with [`Json::parse`], whose scan is linear in
+//! the line, and its strings are moved out of the parsed document, not
+//! copied.
 //!
 //! Both sides are version-checked loosely: unknown fields are ignored,
 //! unknown `op`/`kind` tags are errors, so additive evolution is safe.
 
-use msc_trace::Json;
 use msc_core::schedule::Target;
+use msc_trace::json::{self, escape};
+use msc_trace::Json;
 
 /// Protocol revision, sent by the server in every `pong`.
 pub const PROTO_VERSION: u64 = 1;
@@ -126,79 +131,134 @@ pub enum Response {
     Error { message: String },
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::obj(fields)
+/// One protocol line, written field by field into one `String`: the
+/// bytes [`Json::to_compact`] renders for an object of the same fields in
+/// the same order, with no document built first.
+struct Line(String);
+
+impl Line {
+    /// `{"tag":"value"`: every message leads with its tag. A long string
+    /// field reserves its own room as it is escaped.
+    fn new(tag: &str, value: &str) -> Line {
+        let mut line = Line(String::with_capacity(128));
+        line.0.push('{');
+        escape(tag, &mut line.0);
+        line.0.push(':');
+        escape(value, &mut line.0);
+        line
+    }
+
+    /// `,"key":`, and the line to write the value into.
+    fn key(&mut self, key: &str) -> &mut String {
+        self.0.push(',');
+        escape(key, &mut self.0);
+        self.0.push(':');
+        &mut self.0
+    }
+
+    fn str(&mut self, key: &str, v: &str) -> &mut Line {
+        escape(v, self.key(key));
+        self
+    }
+
+    fn num(&mut self, key: &str, v: u64) -> &mut Line {
+        json::number(v as f64, self.key(key));
+        self
+    }
+
+    fn flag(&mut self, key: &str, v: bool) -> &mut Line {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    fn end(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
 }
 
-fn s(v: &str) -> Json {
-    Json::s(v)
-}
+/// A parsed line's fields, each moved out once by name (the first of
+/// equal keys, as [`Json::get`] finds).
+struct Fields(Vec<(String, Json)>);
 
-fn n(v: u64) -> Json {
-    Json::n(v as f64)
-}
+impl Fields {
+    /// The fields of `line`'s document; none when it is not an object.
+    fn parse(line: &str, what: &str) -> Result<Fields, String> {
+        match Json::parse(line.trim()).map_err(|e| format!("bad {what}: {e}"))? {
+            Json::Obj(fields) => Ok(Fields(fields)),
+            _ => Ok(Fields(Vec::new())),
+        }
+    }
 
-fn get_str(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
+    fn take(&mut self, key: &str) -> Option<Json> {
+        let (_, v) = self.0.iter_mut().find(|(k, _)| k == key)?;
+        Some(std::mem::replace(v, Json::Null))
+    }
 
-fn get_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))
-}
+    fn opt_str(&mut self, key: &str) -> Option<String> {
+        match self.take(key)? {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
 
-fn get_bool(doc: &Json, key: &str) -> bool {
-    doc.get(key).and_then(Json::as_bool).unwrap_or(false)
+    fn str(&mut self, key: &str) -> Result<String, String> {
+        self.opt_str(key)
+            .ok_or_else(|| format!("missing string field `{key}`"))
+    }
+
+    fn opt_u64(&mut self, key: &str) -> Option<u64> {
+        self.take(key)?.as_f64().map(|v| v as u64)
+    }
+
+    fn u64(&mut self, key: &str) -> Result<u64, String> {
+        self.opt_u64(key)
+            .ok_or_else(|| format!("missing numeric field `{key}`"))
+    }
+
+    fn flag(&mut self, key: &str) -> bool {
+        self.take(key).and_then(|v| v.as_bool()).unwrap_or(false)
+    }
 }
 
 impl Request {
     /// Render as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let doc = match self {
-            Request::Ping => obj(vec![("op", s("ping"))]),
-            Request::Stats => obj(vec![("op", s("stats"))]),
-            Request::Shutdown => obj(vec![("op", s("shutdown"))]),
-            Request::Submit(sub) => {
-                let mut fields = vec![
-                    ("op", s("submit")),
-                    ("tenant", s(&sub.tenant)),
-                    ("source", s(&sub.source)),
-                    ("run", Json::Bool(sub.run)),
-                    ("sleep_ms", n(sub.sleep_ms)),
-                ];
-                if let Some(t) = sub.target {
-                    fields.push(("target", s(t.as_str())));
-                }
-                obj(fields)
-            }
+        let sub = match self {
+            Request::Ping => return Line::new("op", "ping").end(),
+            Request::Stats => return Line::new("op", "stats").end(),
+            Request::Shutdown => return Line::new("op", "shutdown").end(),
+            Request::Submit(sub) => sub,
         };
-        doc.to_compact()
+        let mut line = Line::new("op", "submit");
+        line.str("tenant", &sub.tenant)
+            .str("source", &sub.source)
+            .flag("run", sub.run)
+            .num("sleep_ms", sub.sleep_ms);
+        if let Some(t) = sub.target {
+            line.str("target", t.as_str());
+        }
+        line.end()
     }
 
     /// Parse one protocol line.
     pub fn from_line(line: &str) -> Result<Request, String> {
-        let doc = Json::parse(line.trim()).map_err(|e| format!("bad request: {e}"))?;
-        match get_str(&doc, "op")?.as_str() {
+        let mut doc = Fields::parse(line, "request")?;
+        match doc.str("op")?.as_str() {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
             "submit" => {
-                let named = |name| {
-                    Target::from_name(name).ok_or_else(|| format!("unknown target `{name}`"))
+                let named = |name: String| {
+                    Target::from_name(&name).ok_or_else(|| format!("unknown target `{name}`"))
                 };
-                let target = doc.get("target").and_then(Json::as_str);
-                let target = target.map(named).transpose()?;
+                let target = doc.opt_str("target").map(named).transpose()?;
                 Ok(Request::Submit(Submission {
-                    tenant: get_str(&doc, "tenant")?,
-                    source: get_str(&doc, "source")?,
+                    tenant: doc.str("tenant")?,
+                    source: doc.str("source")?,
                     target,
-                    run: get_bool(&doc, "run"),
-                    sleep_ms: get_u64(&doc, "sleep_ms").unwrap_or(0),
+                    run: doc.flag("run"),
+                    sleep_ms: doc.opt_u64("sleep_ms").unwrap_or(0),
                 }))
             }
             other => Err(format!("unknown op `{other}`")),
@@ -209,145 +269,151 @@ impl Request {
 impl Response {
     /// Render as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let doc = match self {
-            Response::Pong { version, jobs_done } => obj(vec![
-                ("kind", s("pong")),
-                ("version", n(*version)),
-                ("jobs_done", n(*jobs_done)),
-            ]),
-            Response::Stats(st) => obj(vec![
-                ("kind", s("stats")),
-                ("jobs_done", n(st.jobs_done)),
-                ("jobs_denied", n(st.jobs_denied)),
-                ("jobs_failed", n(st.jobs_failed)),
-                ("jobs_rejected", n(st.jobs_rejected)),
-                ("cache_hits", n(st.cache_hits)),
-                ("cache_misses", n(st.cache_misses)),
-                ("queue_depth", n(st.queue_depth)),
-                ("running", n(st.running)),
-                ("workers", n(st.workers)),
-            ]),
-            Response::ShuttingDown => obj(vec![("kind", s("shutting_down"))]),
+        match self {
+            Response::Pong { version, jobs_done } => {
+                let mut line = Line::new("kind", "pong");
+                line.num("version", *version).num("jobs_done", *jobs_done);
+                line.end()
+            }
+            Response::Stats(st) => {
+                let mut line = Line::new("kind", "stats");
+                line.num("jobs_done", st.jobs_done)
+                    .num("jobs_denied", st.jobs_denied)
+                    .num("jobs_failed", st.jobs_failed)
+                    .num("jobs_rejected", st.jobs_rejected)
+                    .num("cache_hits", st.cache_hits)
+                    .num("cache_misses", st.cache_misses)
+                    .num("queue_depth", st.queue_depth)
+                    .num("running", st.running)
+                    .num("workers", st.workers);
+                line.end()
+            }
+            Response::ShuttingDown => Line::new("kind", "shutting_down").end(),
             Response::Done(d) => {
-                let mut fields = vec![
-                    ("kind", s("done")),
-                    ("job", n(d.job)),
-                    ("program", s(&d.program)),
-                    ("target", s(&d.target)),
-                    ("cache_hit", Json::Bool(d.cache_hit)),
-                    ("loc", n(d.loc)),
-                    (
-                        "files",
-                        Json::Arr(d.files.iter().map(|f| s(f)).collect()),
-                    ),
-                    (
-                        "counters",
-                        Json::Obj(
-                            d.counters
-                                .iter()
-                                .map(|(k, v)| (k.clone(), n(*v)))
-                                .collect(),
-                        ),
-                    ),
-                ];
+                let mut line = Line::new("kind", "done");
+                line.num("job", d.job)
+                    .str("program", &d.program)
+                    .str("target", &d.target)
+                    .flag("cache_hit", d.cache_hit)
+                    .num("loc", d.loc);
+                let files = line.key("files");
+                files.push('[');
+                for (i, f) in d.files.iter().enumerate() {
+                    if i > 0 {
+                        files.push(',');
+                    }
+                    escape(f, files);
+                }
+                files.push(']');
+                let counters = line.key("counters");
+                counters.push('{');
+                for (i, (k, v)) in d.counters.iter().enumerate() {
+                    if i > 0 {
+                        counters.push(',');
+                    }
+                    escape(k, counters);
+                    counters.push(':');
+                    json::number(*v as f64, counters);
+                }
+                counters.push('}');
                 if let Some(steps) = d.steps {
-                    fields.push(("steps", n(steps)));
+                    line.num("steps", steps);
                 }
                 if let Some(tiles) = d.tiles {
-                    fields.push(("tiles", n(tiles)));
+                    line.num("tiles", tiles);
                 }
                 if let Some(p) = &d.metrics_path {
-                    fields.push(("metrics_path", s(p)));
+                    line.str("metrics_path", p);
                 }
-                obj(fields)
+                line.end()
             }
-            Response::Denied { program, report } => obj(vec![
-                ("kind", s("denied")),
-                ("program", s(program)),
-                ("report", report.clone()),
-            ]),
-            Response::Busy { reason, depth, limit } => obj(vec![
-                ("kind", s("busy")),
-                ("reason", s(reason.as_str())),
-                ("depth", n(*depth)),
-                ("limit", n(*limit)),
-            ]),
+            Response::Denied { program, report } => {
+                let mut line = Line::new("kind", "denied");
+                line.str("program", program);
+                line.key("report").push_str(&report.to_compact());
+                line.end()
+            }
+            Response::Busy { reason, depth, limit } => {
+                let mut line = Line::new("kind", "busy");
+                line.str("reason", reason.as_str())
+                    .num("depth", *depth)
+                    .num("limit", *limit);
+                line.end()
+            }
             Response::Error { message } => {
-                obj(vec![("kind", s("error")), ("message", s(message))])
+                let mut line = Line::new("kind", "error");
+                line.str("message", message);
+                line.end()
             }
-        };
-        doc.to_compact()
+        }
     }
 
     /// Parse one protocol line.
     pub fn from_line(line: &str) -> Result<Response, String> {
-        let doc = Json::parse(line.trim()).map_err(|e| format!("bad response: {e}"))?;
-        match get_str(&doc, "kind")?.as_str() {
+        let mut doc = Fields::parse(line, "response")?;
+        match doc.str("kind")?.as_str() {
             "pong" => Ok(Response::Pong {
-                version: get_u64(&doc, "version")?,
-                jobs_done: get_u64(&doc, "jobs_done")?,
+                version: doc.u64("version")?,
+                jobs_done: doc.u64("jobs_done")?,
             }),
             "stats" => Ok(Response::Stats(ServiceStats {
-                jobs_done: get_u64(&doc, "jobs_done")?,
-                jobs_denied: get_u64(&doc, "jobs_denied")?,
-                jobs_failed: get_u64(&doc, "jobs_failed")?,
-                jobs_rejected: get_u64(&doc, "jobs_rejected")?,
-                cache_hits: get_u64(&doc, "cache_hits")?,
-                cache_misses: get_u64(&doc, "cache_misses")?,
-                queue_depth: get_u64(&doc, "queue_depth")?,
-                running: get_u64(&doc, "running")?,
-                workers: get_u64(&doc, "workers")?,
+                jobs_done: doc.u64("jobs_done")?,
+                jobs_denied: doc.u64("jobs_denied")?,
+                jobs_failed: doc.u64("jobs_failed")?,
+                jobs_rejected: doc.u64("jobs_rejected")?,
+                cache_hits: doc.u64("cache_hits")?,
+                cache_misses: doc.u64("cache_misses")?,
+                queue_depth: doc.u64("queue_depth")?,
+                running: doc.u64("running")?,
+                workers: doc.u64("workers")?,
             })),
             "shutting_down" => Ok(Response::ShuttingDown),
             "done" => {
-                let files = doc
-                    .get("files")
-                    .and_then(Json::as_arr)
-                    .map(|a| {
-                        a.iter()
-                            .filter_map(Json::as_str)
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let counters = match doc.get("counters") {
+                let files = match doc.take("files") {
+                    Some(Json::Arr(items)) => items
+                        .into_iter()
+                        .filter_map(|f| match f {
+                            Json::Str(f) => Some(f),
+                            _ => None,
+                        })
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                let counters = match doc.take("counters") {
                     Some(Json::Obj(fields)) => fields
-                        .iter()
-                        .filter_map(|(k, v)| v.as_f64().map(|x| (k.clone(), x as u64)))
+                        .into_iter()
+                        .filter_map(|(k, v)| v.as_f64().map(|x| (k, x as u64)))
                         .collect(),
                     _ => Vec::new(),
                 };
                 Ok(Response::Done(JobDone {
-                    job: get_u64(&doc, "job")?,
-                    program: get_str(&doc, "program")?,
-                    target: get_str(&doc, "target")?,
-                    cache_hit: get_bool(&doc, "cache_hit"),
-                    loc: get_u64(&doc, "loc")?,
+                    job: doc.u64("job")?,
+                    program: doc.str("program")?,
+                    target: doc.str("target")?,
+                    cache_hit: doc.flag("cache_hit"),
+                    loc: doc.u64("loc")?,
                     files,
-                    steps: doc.get("steps").and_then(Json::as_f64).map(|v| v as u64),
-                    tiles: doc.get("tiles").and_then(Json::as_f64).map(|v| v as u64),
+                    steps: doc.opt_u64("steps"),
+                    tiles: doc.opt_u64("tiles"),
                     counters,
-                    metrics_path: doc
-                        .get("metrics_path")
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
+                    metrics_path: doc.opt_str("metrics_path"),
                 }))
             }
             "denied" => Ok(Response::Denied {
-                program: get_str(&doc, "program")?,
-                report: doc.get("report").cloned().unwrap_or(Json::Null),
+                program: doc.str("program")?,
+                report: doc.take("report").unwrap_or(Json::Null),
             }),
             "busy" => Ok(Response::Busy {
-                reason: match get_str(&doc, "reason")?.as_str() {
+                reason: match doc.str("reason")?.as_str() {
                     "queue" => BusyReason::Queue,
                     "quota" => BusyReason::Quota,
                     other => return Err(format!("unknown busy reason `{other}`")),
                 },
-                depth: get_u64(&doc, "depth")?,
-                limit: get_u64(&doc, "limit")?,
+                depth: doc.u64("depth")?,
+                limit: doc.u64("limit")?,
             }),
             "error" => Ok(Response::Error {
-                message: get_str(&doc, "message")?,
+                message: doc.str("message")?,
             }),
             other => Err(format!("unknown response kind `{other}`")),
         }
@@ -418,6 +484,98 @@ mod tests {
             let line = r.to_line();
             assert!(!line.contains('\n'), "multi-line response: {line}");
             assert_eq!(Response::from_line(&line).unwrap(), r, "via {line}");
+        }
+    }
+
+    /// One message of every variant, with quotes, backslashes, control
+    /// characters, multi-byte text, a number at 1e15, nested report JSON
+    /// and every optional field both set and unset, against the line the
+    /// tree-building codec rendered for it.
+    #[test]
+    fn every_message_renders_its_pinned_line() {
+        let requests = [
+            (Request::Ping, r#"{"op":"ping"}"#),
+            (Request::Stats, r#"{"op":"stats"}"#),
+            (Request::Shutdown, r#"{"op":"shutdown"}"#),
+            (
+                Request::Submit(Submission {
+                    tenant: "t\"1".to_string(),
+                    source: "stencil é {\n\tgrid B: f64[8,8] halo 1; // \"q\" \\ \u{1}\r\n}"
+                        .to_string(),
+                    target: Some(Target::SunwayCG),
+                    run: true,
+                    sleep_ms: 25,
+                }),
+                r#"{"op":"submit","tenant":"t\"1","source":"stencil é {\n\tgrid B: f64[8,8] halo 1; // \"q\" \\ \u0001\r\n}","run":true,"sleep_ms":25,"target":"sunway"}"#,
+            ),
+            (
+                Request::Submit(Submission::default()),
+                r#"{"op":"submit","tenant":"default","source":"","run":false,"sleep_ms":0}"#,
+            ),
+        ];
+        for (request, line) in requests {
+            assert_eq!(request.to_line(), line);
+            assert_eq!(Request::from_line(line).unwrap(), request);
+        }
+        let report = r#"{"diagnostics":[{"code":"MSC-L101","ratio":1.5,"help":"widen\nthe \"halo\""}],"deny_count":1,"ok":false,"x":null}"#;
+        let responses = [
+            (
+                Response::Pong { version: PROTO_VERSION, jobs_done: 1_000_000_000_000_000 },
+                r#"{"kind":"pong","version":1,"jobs_done":1000000000000000}"#,
+            ),
+            (
+                Response::Stats(ServiceStats {
+                    jobs_done: 1,
+                    jobs_denied: 2,
+                    jobs_failed: 3,
+                    jobs_rejected: 4,
+                    cache_hits: 5,
+                    cache_misses: 6,
+                    queue_depth: 7,
+                    running: 8,
+                    workers: 9,
+                }),
+                r#"{"kind":"stats","jobs_done":1,"jobs_denied":2,"jobs_failed":3,"jobs_rejected":4,"cache_hits":5,"cache_misses":6,"queue_depth":7,"running":8,"workers":9}"#,
+            ),
+            (Response::ShuttingDown, r#"{"kind":"shutting_down"}"#),
+            (
+                Response::Done(JobDone {
+                    job: 3,
+                    program: "3d7pt".to_string(),
+                    target: "sunway".to_string(),
+                    cache_hit: true,
+                    loc: 321,
+                    files: vec!["main.c".to_string(), "dir/Make\"file".to_string()],
+                    steps: Some(10),
+                    tiles: Some(80),
+                    counters: vec![("steps".to_string(), 10), ("tiles_executed".to_string(), 80)],
+                    metrics_path: Some("/tmp/job_3.jsonl".to_string()),
+                }),
+                r#"{"kind":"done","job":3,"program":"3d7pt","target":"sunway","cache_hit":true,"loc":321,"files":["main.c","dir/Make\"file"],"counters":{"steps":10,"tiles_executed":80},"steps":10,"tiles":80,"metrics_path":"/tmp/job_3.jsonl"}"#,
+            ),
+            (
+                Response::Done(JobDone::default()),
+                r#"{"kind":"done","job":0,"program":"","target":"","cache_hit":false,"loc":0,"files":[],"counters":{}}"#,
+            ),
+            (
+                Response::Denied {
+                    program: "bad".to_string(),
+                    report: Json::parse(report).unwrap(),
+                },
+                r#"{"kind":"denied","program":"bad","report":{"diagnostics":[{"code":"MSC-L101","ratio":1.5,"help":"widen\nthe \"halo\""}],"deny_count":1,"ok":false,"x":null}}"#,
+            ),
+            (
+                Response::Busy { reason: BusyReason::Quota, depth: 2, limit: 2 },
+                r#"{"kind":"busy","reason":"quota","depth":2,"limit":2}"#,
+            ),
+            (
+                Response::Error { message: "parse error:\nline 3: `é`\t\u{1f}".to_string() },
+                r#"{"kind":"error","message":"parse error:\nline 3: `é`\t\u001f"}"#,
+            ),
+        ];
+        for (response, line) in responses {
+            assert_eq!(response.to_line(), line);
+            assert_eq!(Response::from_line(line).unwrap(), response);
         }
     }
 

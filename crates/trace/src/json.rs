@@ -3,9 +3,12 @@
 //! trajectory, the sampler stream readers (`mscc top`), the `mscd`
 //! line protocol and the chrome-trace validator all read and write
 //! through it; [`escape`] is the one string escaper every hand-rolled
-//! emitter in the workspace shares.
+//! emitter in the workspace shares, and [`number`] the one number
+//! renderer. Parsing reads each byte once: a string's plain bytes are
+//! copied a run at a time, so a document costs time linear in its length
+//! (DESIGN.md §15.1).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,49 +218,46 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        // Surrogate pairs are not produced by our emitter;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // One run of plain bytes up to the next quote or backslash, copied
+        // at once. Both are ASCII and the input is a &str, so the run ends
+        // on a char boundary and each byte is checked once.
+        let start = *pos;
+        *pos += b[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
+        if b[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match b.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = b
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or("truncated \\u escape")?;
+                let code = u32::from_str_radix(
+                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                    16,
+                )
+                .map_err(|_| "bad \\u escape")?;
+                // Surrogate pairs are not produced by our emitter;
+                // map lone surrogates to the replacement character.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {pos}")),
+        }
+        *pos += 1;
     }
 }
 
@@ -275,21 +275,42 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
 }
 
 /// Append `s` as a quoted JSON string (control characters, quote and
-/// backslash escaped).
+/// backslash escaped). Runs of bytes that need no escape are copied at
+/// once: every byte that does is ASCII, so a run ends on a char boundary.
 pub fn escape(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut start = 0;
+    for (i, c) in s.bytes().enumerate() {
+        if c >= 0x20 && c != b'"' && c != b'\\' {
+            continue;
         }
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        let _ = match c {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\t' => out.write_str("\\t"),
+            b'\r' => out.write_str("\\r"),
+            c => write!(out, "\\u{c:04x}"),
+        };
     }
+    out.push_str(&s[start..]);
     out.push('"');
+}
+
+/// Append `v` as [`Json::Num`] renders it: an integer below 1e15 without
+/// a fraction, any other finite value as Rust prints it, and `null` for
+/// NaN and the infinities (JSON has none).
+pub fn number(v: f64, out: &mut String) {
+    let _ = if !v.is_finite() {
+        out.write_str("null")
+    } else if v.fract() == 0.0 && v.abs() < 1e15 {
+        write!(out, "{}", v as i64)
+    } else {
+        write!(out, "{v}")
+    };
 }
 
 /// [`escape`] into a fresh `String`, for `format!`-style emitters.
@@ -313,17 +334,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        out.push_str(&format!("{}", *v as i64));
-                    } else {
-                        out.push_str(&format!("{v}"));
-                    }
-                } else {
-                    out.push_str("null"); // JSON has no NaN/Inf
-                }
-            }
+            Json::Num(v) => number(*v, out),
             Json::Str(s) => escape(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {

@@ -4,8 +4,10 @@
 //! protocol), where a torn write or a bad disk can hand it *anything*.
 //! The contract is `Err`, never a panic or abort, on arbitrary input.
 
+use msc_trace::json::escape;
 use msc_trace::Json;
 use proptest::prelude::*;
+use std::time::Instant;
 
 /// Valid documents covering every construct the emitter produces:
 /// scalars, escapes, unicode, nesting, empty containers.
@@ -25,6 +27,28 @@ fn corpus() -> Vec<String> {
         "\"\"".to_string(),
     ]
 }
+
+/// Pieces a generated string is built from: multi-byte UTF-8 of every
+/// length, control characters, text that spells a `\uXXXX` escape, and
+/// quotes and backslashes next to each other and to multi-byte chars.
+const PIECES: [&str; 16] = [
+    "a",
+    "é",
+    "€",
+    "😀",
+    "\"",
+    "\\",
+    "\u{1}",
+    "\n\t\r",
+    "\u{1f}\u{7f}",
+    "\\u0041",
+    "\\u00e9",
+    "\"é\\",
+    "\\😀\"",
+    "\\\"",
+    "\u{0}",
+    "plain text ",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -79,6 +103,24 @@ proptest! {
             prop_assert!(parsed.is_err(), "depth {depth} accepted");
         }
     }
+
+    /// `escape` then `parse` gives back exactly the string escaped, for
+    /// strings of the pieces above and of arbitrary scalar values.
+    #[test]
+    fn escape_then_parse_returns_the_input_string(
+        parts in prop::collection::vec((0usize..=16, 0u32..=0x10ffff), 0..=48),
+    ) {
+        let mut s = String::new();
+        for (piece, code) in parts {
+            match PIECES.get(piece) {
+                Some(p) => s.push_str(p),
+                None => s.extend(char::from_u32(code)),
+            }
+        }
+        let mut doc = String::new();
+        escape(&s, &mut doc);
+        prop_assert_eq!(Json::parse(&doc), Ok(Json::Str(s.clone())), "via {}", doc);
+    }
 }
 
 #[test]
@@ -86,4 +128,35 @@ fn corpus_is_actually_valid() {
     for doc in corpus() {
         Json::parse(&doc).unwrap_or_else(|e| panic!("corpus doc rejected ({e}): {doc}"));
     }
+}
+
+/// Best of five parses of a document holding one string of `len` bytes.
+fn best_parse_secs(len: usize) -> f64 {
+    let line = "stencil é { \"q\" }\t";
+    let text = line.repeat(len / line.len());
+    let mut doc = String::from("{\"source\":");
+    escape(&text, &mut doc);
+    doc.push('}');
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            let parsed = Json::parse(&doc).unwrap();
+            let secs = t0.elapsed().as_secs_f64();
+            assert_eq!(parsed.get("source").and_then(Json::as_str), Some(&*text));
+            secs
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A string is read in time linear in its length, whatever the machine's
+/// speed: 16x the bytes may cost at most 64x the time. A scan that
+/// re-reads the rest of the document per character costs about 256x.
+#[test]
+fn a_string_parses_in_time_linear_in_its_length() {
+    let (small, large) = (best_parse_secs(64 << 10), best_parse_secs(1 << 20));
+    assert!(
+        large <= 64.0 * small,
+        "1 MiB took {large:.4} s, 64 KiB {small:.6} s: {:.0}x",
+        large / small
+    );
 }

@@ -114,6 +114,14 @@ if grep -rnE 'take_tier_counters|specialized_rows: AtomicU64|fn fnv64' crates sr
   exit 1
 fi
 
+# mscd's wire reads each byte once (DESIGN.md §15.1): a JSON string's
+# plain bytes are copied a run at a time, never by re-validating the rest
+# of the document for each character.
+if grep -rnE 'from_utf8\(&b\[\*pos\.\.\]\)' crates src tests examples; then
+  echo "the JSON reader re-validates the rest of the document per character again" >&2
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --workspace --release --offline
 
@@ -168,6 +176,26 @@ for t in "msc-service --lib daemon::tests::a_warm_hit_lints_and_compiles_nothing
     "msc-exec --lib driver::tests::concurrent_runs_of_one_stencil_count_their_own_rows" \
     "msc-exec --lib driver::tests::a_seed_of_another_layout_than_the_stencils_is_refused" \
     "msc-exec --lib tier::tests::tier_counts_accumulate_in_the_scratch_not_the_stencil"; do
+  # A filter that matches nothing passes too: require the one test.
+  out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
+  grep -q '1 passed' <<<"$out"
+done
+
+echo "== mscd's wire reads each byte once =="
+# By exact name (DESIGN.md §15.1, §15.4): 16x the bytes of a JSON string
+# parse in at most 64x the time; escape then parse returns any string,
+# multi-byte, control and quote/backslash neighbours included; every wire
+# message renders the line the tree-building codec rendered; a submission
+# that fills its line to the cap is answered within 5 s and its connection
+# answers a ping; runs of one text borrow the entry's seed, concurrently
+# too, and never write it; a compile-only entry, which keeps no program,
+# runs what a run miss would have.
+for t in "msc-trace --test json_prop a_string_parses_in_time_linear_in_its_length" \
+    "msc-trace --test json_prop escape_then_parse_returns_the_input_string" \
+    "msc-service --lib proto::tests::every_message_renders_its_pinned_line" \
+    "msc-service --lib daemon::tests::a_maximum_size_line_gets_an_answer_not_a_stall" \
+    "msc-service --lib daemon::tests::runs_of_one_text_share_the_entrys_seed_and_never_write_it" \
+    "msc-service --lib cache::tests::a_compile_only_entry_builds_its_run_from_the_text"; do
   # A filter that matches nothing passes too: require the one test.
   out=$(cargo test -q -p ${t% *} --offline "${t##* }" -- --exact)
   grep -q '1 passed' <<<"$out"
