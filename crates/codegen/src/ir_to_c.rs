@@ -62,9 +62,9 @@ impl Layout {
     /// C expression for the linear index of interior point
     /// `(x, y, z)` (variables named by dimension).
     pub fn idx_expr(&self) -> String {
-        let vars = ["x", "y", "z"];
+        let (vars, dims) = (["x", "y", "z"], ["X", "Y", "Z"]);
         let parts: Vec<String> = (0..self.ndim)
-            .map(|d| format!("({} + H{}) * S{}", vars[d], ["X", "Y", "Z"][d], ["X", "Y", "Z"][d]))
+            .map(|d| format!("({} + H{1}) * S{1}", vars[d], dims[d]))
             .collect();
         parts.join(" + ")
     }
@@ -79,37 +79,31 @@ fn rendered(coeffs: &mut HashMap<u64, String>, v: f64) -> &str {
 }
 
 /// Render every temporal term's weighted tap sum, in term order, over the
-/// input `in_name` gives the term, at linear index variable `idx`. A kernel
-/// is linearized once however many terms apply it.
+/// input `in_name` gives the term, at linear index variable `idx`. The taps
+/// are the kernel's own, linearized when it was built.
 pub fn term_exprs(
     program: &StencilProgram,
     layout: &Layout,
     in_name: impl Fn(&TimeTerm) -> String,
 ) -> Result<Vec<String>> {
-    let mut ops: HashMap<&str, StencilOp> = HashMap::new();
     let mut coeffs = HashMap::new();
     let mut exprs = Vec::new();
     for term in &program.stencil.terms {
-        let name = term.kernel.as_str();
-        if !ops.contains_key(name) {
-            ops.insert(name, program.stencil.kernel(name)?.to_op()?);
-        }
-        let op = &ops[name];
+        let taps = program.stencil.kernel(&term.kernel)?.taps()?;
         let in_name = in_name(term);
         let mut s = format!("{} * (", rendered(&mut coeffs, term.weight));
-        for (i, t) in op.taps.iter().enumerate() {
+        for (i, (offset, coeff)) in taps.enumerate() {
             // One tap per line: reads like hand-written stencil code and
             // keeps generated-LoC accounting honest (Table 6).
             if i > 0 {
                 s += "\n        + ";
             }
-            let lin: i64 = t
-                .offset
+            let lin: i64 = offset
                 .iter()
                 .zip(&layout.strides)
                 .map(|(&o, &s)| o * s as i64)
                 .sum();
-            s += rendered(&mut coeffs, t.coeff);
+            s += rendered(&mut coeffs, coeff);
             s += &match lin.cmp(&0) {
                 std::cmp::Ordering::Equal => format!(" * {in_name}[idx]"),
                 std::cmp::Ordering::Greater => format!(" * {in_name}[idx + {lin}]"),
@@ -125,7 +119,8 @@ pub fn term_exprs(
 pub fn update_stmt(program: &StencilProgram, layout: &Layout) -> Result<String> {
     // Inputs are named by temporal distance: `in1` = state t-1, etc.
     let terms = term_exprs(program, layout, |t| format!("in{}", t.dt))?;
-    Ok(format!("out[idx] = {};", terms.join("\n                + ")))
+    let sum = terms.join("\n                + ");
+    Ok(format!("out[idx] = {sum};"))
 }
 
 /// Emit the nested tile loops of the plan around `body` (which may use

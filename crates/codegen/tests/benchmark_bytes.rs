@@ -83,3 +83,58 @@ fn the_24_benchmark_packages_emit_the_pinned_bytes() {
         "emitted bytes moved for {moved:?}; the table now reads:\n{table}"
     );
 }
+
+/// The eight Table-4 programs of the catalog at the paper's grids, over a
+/// 2-way-per-axis process grid, emitted for each target under the
+/// schedule that target runs them with, hashed as above. Captured before
+/// the emitters read the kernels' tap tables instead of linearizing.
+const CATALOG_PINNED: [(&str, &str, u64); 24] = [
+    ("2d9pt_star", "cpu", 0x60b7b9430750d4a0),
+    ("2d9pt_star", "matrix", 0x220f2239f7dfd0d2),
+    ("2d9pt_star", "sunway", 0x2c9e80f48ade4435),
+    ("2d9pt_box", "cpu", 0x62f7c79bac55b58d),
+    ("2d9pt_box", "matrix", 0xaa678a458ae56fd5),
+    ("2d9pt_box", "sunway", 0xc2885f3039a745a5),
+    ("2d121pt_box", "cpu", 0x12e608a3b7b93644),
+    ("2d121pt_box", "matrix", 0xb0813ae94488ce60),
+    ("2d121pt_box", "sunway", 0xf052196fbc8399e5),
+    ("2d169pt_box", "cpu", 0x8f842d8ba4cb4bf4),
+    ("2d169pt_box", "matrix", 0x06099870085fb9ae),
+    ("2d169pt_box", "sunway", 0x5ff58e53eedd517e),
+    ("3d7pt_star", "cpu", 0x285f7e7a3ce8d188),
+    ("3d7pt_star", "matrix", 0x3a62550bec2ac364),
+    ("3d7pt_star", "sunway", 0x9966eba33ff98306),
+    ("3d13pt_star", "cpu", 0x4104384d89f7ee8e),
+    ("3d13pt_star", "matrix", 0x746591df927ce412),
+    ("3d13pt_star", "sunway", 0x5cd82fd650c9774f),
+    ("3d25pt_star", "cpu", 0xc4579c68beabbcc3),
+    ("3d25pt_star", "matrix", 0x3544c6b95b13cd17),
+    ("3d25pt_star", "sunway", 0xbd4c5bfaf1ab7b27),
+    ("3d31pt_star", "cpu", 0x5db5514e1b488874),
+    ("3d31pt_star", "matrix", 0xd64423cc96a1ccec),
+    ("3d31pt_star", "sunway", 0x5147b6484b0bb922),
+];
+
+#[test]
+fn the_catalog_programs_emit_the_pinned_bytes_on_every_target() {
+    use msc_core::catalog::all_benchmarks;
+    use msc_core::dtype::DType;
+    use msc_core::schedule::presets::effective_schedule;
+    let mut got = Vec::new();
+    for b in all_benchmarks() {
+        let grid = b.default_grid();
+        for target in [Target::Cpu, Target::Matrix, Target::SunwayCG] {
+            let mut p = b.program(&grid, DType::F64, 10).unwrap();
+            p.mpi_grid = Some(vec![2; grid.len()]);
+            *p.stencil.kernels[0].sched() = effective_schedule(&p, target);
+            let pkg = compile_to_source(&p, target)
+                .unwrap_or_else(|e| panic!("{} on {target:?}: {e}", b.name));
+            got.push((b.name, target.as_str(), package_hash(&pkg)));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(n, t, h)| format!("    (\"{n}\", \"{t}\", {h:#018x}),\n"))
+        .collect();
+    assert_eq!(got, CATALOG_PINNED, "the table now reads:\n{table}");
+}

@@ -25,12 +25,12 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Analyze a kernel for a given element type. Reads are deduped by
-    /// inferred `(tensor, time, offset)` via the [`Footprint`] pass, so a
-    /// grid point referenced through two syntactic paths counts once.
+    /// Analyze a kernel for a given element type. Reads are the kernel's
+    /// distinct `(tensor, time, offset)` accesses, so a grid point
+    /// referenced through two syntactic paths counts once.
     pub fn of(kernel: &Kernel, dtype: DType) -> KernelStats {
-        let e = &kernel.expr;
-        let points = Footprint::of_kernel(kernel).distinct_points();
+        let e = kernel.expr();
+        let points = kernel.points();
         KernelStats {
             points,
             read_bytes: points * dtype.size_bytes(),
@@ -59,13 +59,6 @@ impl KernelStats {
     /// reused about 13 times").
     pub fn reuse_intensity(&self, dtype: DType) -> f64 {
         self.ops() as f64 / (2 * dtype.size_bytes()) as f64
-    }
-
-    /// Average number of times each loaded point is reused when the tile
-    /// (plus halo) is staged on chip: equals the stencil point count
-    /// asymptotically, reported ≈13 for 3d13pt in the paper.
-    pub fn reuse_factor(&self) -> f64 {
-        self.points as f64
     }
 }
 
@@ -201,8 +194,16 @@ mod tests {
             "overlap",
             vec![k1, k2],
             vec![
-                TimeTerm { dt: 1, weight: 0.5, kernel: "a".into() },
-                TimeTerm { dt: 1, weight: 0.5, kernel: "b".into() },
+                TimeTerm {
+                    dt: 1,
+                    weight: 0.5,
+                    kernel: "a".into(),
+                },
+                TimeTerm {
+                    dt: 1,
+                    weight: 0.5,
+                    kernel: "b".into(),
+                },
             ],
         )
         .unwrap();

@@ -54,14 +54,6 @@ pub struct Access {
     pub time_back: usize,
 }
 
-/// One tap of a compiled linear stencil: coefficient times a relative
-/// access. The executor fast path iterates taps directly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tap {
-    pub offset: Vec<i64>,
-    pub coeff: f64,
-}
-
 /// A coefficient in a variable-coefficient stencil: a constant, or a
 /// scaled read of a coefficient tensor.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,8 +128,8 @@ impl Expr {
         })
     }
 
-    /// Count multiplicative operations (`*`) in the tree. Divisions are
-    /// counted separately by [`Expr::count_divs`].
+    /// Count multiplicative operations (`*`) in the tree; divisions do
+    /// not count.
     pub fn count_muls(&self) -> usize {
         self.fold(0, &mut |acc, e| {
             acc + match e {
@@ -147,51 +139,18 @@ impl Expr {
         })
     }
 
-    /// Count divisions.
-    pub fn count_divs(&self) -> usize {
-        self.fold(0, &mut |acc, e| {
-            acc + match e {
-                Expr::Binary(BinOp::Div, _, _) => 1,
-                _ => 0,
-            }
-        })
-    }
-
-    /// Total arithmetic operations (`+ - ×`), the metric of the paper's
-    /// Table 4 "Ops(+-×)" column.
-    pub fn count_ops(&self) -> usize {
-        self.count_adds() + self.count_muls()
-    }
-
-    /// Collect every distinct tensor access in the tree, in canonical
-    /// (sorted) order.
-    pub fn accesses(&self) -> Vec<Access> {
-        let mut set = std::collections::BTreeSet::new();
+    /// Every distinct tensor access in the tree, in canonical (sorted)
+    /// order, borrowed from the tree.
+    pub fn accesses(&self) -> Vec<&Access> {
+        let mut refs = Vec::new();
         self.visit(&mut |e| {
             if let Expr::Access(a) = e {
-                set.insert(a.clone());
+                refs.push(a);
             }
         });
-        set.into_iter().collect()
-    }
-
-    /// Number of distinct points read (across all tensors/time offsets).
-    pub fn num_points(&self) -> usize {
-        self.accesses().len()
-    }
-
-    /// Maximum absolute spatial offset per dimension — the reach of the
-    /// stencil, used to validate halo widths.
-    pub fn reach(&self, ndim: usize) -> Vec<usize> {
-        let mut reach = vec![0usize; ndim];
-        for a in self.accesses() {
-            for (d, &o) in a.offsets.iter().enumerate() {
-                if d < ndim {
-                    reach[d] = reach[d].max(o.unsigned_abs() as usize);
-                }
-            }
-        }
-        reach
+        refs.sort_unstable();
+        refs.dedup();
+        refs
     }
 
     /// Evaluate the expression with `lookup` resolving tensor accesses and
@@ -231,8 +190,7 @@ impl Expr {
                 }
             }
             Expr::Call(name, args) => {
-                let vals: Result<Vec<f64>> =
-                    args.iter().map(|e| e.eval(lookup, vars)).collect();
+                let vals: Result<Vec<f64>> = args.iter().map(|e| e.eval(lookup, vars)).collect();
                 let vals = vals?;
                 match (name.as_str(), vals.as_slice()) {
                     ("exp", [x]) => x.exp(),
@@ -250,25 +208,23 @@ impl Expr {
         })
     }
 
-    /// Attempt to flatten the expression into a linear combination of
-    /// accesses of a *single* tensor at a *single* time offset:
-    /// `sum_i coeff_i * T[x + o_i]`. This is the executor/codegen fast
-    /// path; returns `Err` for non-linear or multi-tensor expressions.
-    pub fn to_taps(&self) -> Result<Vec<Tap>> {
-        let mut taps: BTreeMap<Vec<i64>, f64> = BTreeMap::new();
-        let mut tensor: Option<(String, usize)> = None;
-        self.linearize(1.0, &mut taps, &mut tensor)?;
-        Ok(taps
-            .into_iter()
-            .map(|(offset, coeff)| Tap { offset, coeff })
-            .collect())
+    /// Flatten the expression into a linear combination of accesses of a
+    /// *single* tensor at a *single* time offset, `sum_i scale_i * T[x +
+    /// o_i]`: every access with its scale, in walk order, an access read
+    /// twice listed twice. A kernel folds its taps from this (the executor
+    /// and codegen fast path); `Err` for non-linear or multi-tensor
+    /// expressions.
+    pub fn linear_terms(&self) -> Result<Vec<(&Access, f64)>> {
+        let mut terms = Vec::new();
+        self.linearize(1.0, &mut terms, &mut None)?;
+        Ok(terms)
     }
 
-    fn linearize(
-        &self,
+    fn linearize<'e>(
+        &'e self,
         scale: f64,
-        taps: &mut BTreeMap<Vec<i64>, f64>,
-        tensor: &mut Option<(String, usize)>,
+        terms: &mut Vec<(&'e Access, f64)>,
+        tensor: &mut Option<(&'e str, usize)>,
     ) -> Result<()> {
         match self {
             Expr::Access(a) => {
@@ -280,31 +236,31 @@ impl Expr {
                             ));
                         }
                     }
-                    None => *tensor = Some((a.tensor.clone(), a.time_back)),
+                    None => *tensor = Some((&a.tensor, a.time_back)),
                 }
-                *taps.entry(a.offsets.clone()).or_insert(0.0) += scale;
+                terms.push((a, scale));
                 Ok(())
             }
             Expr::Binary(BinOp::Add, a, b) => {
-                a.linearize(scale, taps, tensor)?;
-                b.linearize(scale, taps, tensor)
+                a.linearize(scale, terms, tensor)?;
+                b.linearize(scale, terms, tensor)
             }
             Expr::Binary(BinOp::Sub, a, b) => {
-                a.linearize(scale, taps, tensor)?;
-                b.linearize(-scale, taps, tensor)
+                a.linearize(scale, terms, tensor)?;
+                b.linearize(-scale, terms, tensor)
             }
             Expr::Binary(BinOp::Mul, a, b) => {
                 if let Some(c) = a.as_const() {
-                    b.linearize(scale * c, taps, tensor)
+                    b.linearize(scale * c, terms, tensor)
                 } else if let Some(c) = b.as_const() {
-                    a.linearize(scale * c, taps, tensor)
+                    a.linearize(scale * c, terms, tensor)
                 } else {
                     Err(MscError::UnsupportedExpr(
                         "non-constant multiplication in linear stencil".into(),
                     ))
                 }
             }
-            Expr::Unary(UnOp::Neg, a) => a.linearize(-scale, taps, tensor),
+            Expr::Unary(UnOp::Neg, a) => a.linearize(-scale, terms, tensor),
             Expr::Const(c) if *c == 0.0 => Ok(()),
             other => Err(MscError::UnsupportedExpr(format!(
                 "cannot linearize node: {other}"
@@ -453,7 +409,7 @@ impl Expr {
         }
     }
 
-    fn visit(&self, f: &mut dyn FnMut(&Expr)) {
+    fn visit<'e>(&'e self, f: &mut dyn FnMut(&'e Expr)) {
         f(self);
         match self {
             Expr::Unary(_, a) => a.visit(f),
@@ -567,7 +523,6 @@ mod tests {
         let e = lap1d();
         assert_eq!(e.count_muls(), 3);
         assert_eq!(e.count_adds(), 2);
-        assert_eq!(e.count_ops(), 5);
     }
 
     #[test]
@@ -577,12 +532,6 @@ mod tests {
         assert_eq!(acc.len(), 3);
         assert_eq!(acc[0].offsets, vec![-1]);
         assert_eq!(acc[2].offsets, vec![1]);
-    }
-
-    #[test]
-    fn reach_takes_max_abs_offset() {
-        let e = Expr::at("B", &[-3, 0, 1]) + Expr::at("B", &[2, -1, 0]);
-        assert_eq!(e.reach(3), vec![3, 1, 1]);
     }
 
     #[test]
@@ -613,43 +562,48 @@ mod tests {
         assert!(e.eval(&mut |_| 0.0, &BTreeMap::new()).is_err());
     }
 
+    /// The taps of a 1-D kernel over `e`, as `(offset, coefficient)`.
+    fn taps(e: Expr) -> Result<Vec<(Vec<i64>, f64)>> {
+        let k = crate::kernel::Kernel::new("k", 1, e)?;
+        let taps = k.taps()?.map(|(o, c)| (o.to_vec(), c)).collect();
+        Ok(taps)
+    }
+
     #[test]
     fn taps_merge_duplicate_offsets() {
         let e = 0.25 * Expr::at("B", &[1]) + 0.25 * Expr::at("B", &[1]);
-        let taps = e.to_taps().unwrap();
+        let taps = taps(e).unwrap();
         assert_eq!(taps.len(), 1);
-        assert!((taps[0].coeff - 0.5).abs() < 1e-15);
+        assert!((taps[0].1 - 0.5).abs() < 1e-15);
     }
 
     #[test]
     fn taps_handle_sub_and_neg() {
         let e = -(Expr::at("B", &[0])) - 2.0 * Expr::at("B", &[1]);
-        let taps = e.to_taps().unwrap();
-        assert_eq!(taps.len(), 2);
-        let t0 = taps.iter().find(|t| t.offset == vec![0]).unwrap();
-        let t1 = taps.iter().find(|t| t.offset == vec![1]).unwrap();
-        assert_eq!(t0.coeff, -1.0);
-        assert_eq!(t1.coeff, -2.0);
+        assert_eq!(taps(e).unwrap(), vec![(vec![0], -1.0), (vec![1], -2.0)]);
     }
 
     #[test]
     fn taps_reject_multi_tensor() {
         let e = Expr::at("A", &[0]) + Expr::at("B", &[0]);
-        assert!(e.to_taps().is_err());
+        assert!(taps(e).is_err());
     }
 
     #[test]
     fn taps_reject_nonlinear() {
         let e = Expr::at("B", &[0]) * Expr::at("B", &[1]);
-        assert!(e.to_taps().is_err());
+        assert!(taps(e).is_err());
     }
 
     #[test]
     fn taps_linear_matches_eval() {
         let e = lap1d();
-        let taps = e.to_taps().unwrap();
         let grid = |o: i64| (o + 10) as f64 * 1.5;
-        let via_taps: f64 = taps.iter().map(|t| t.coeff * grid(t.offset[0])).sum();
+        let via_taps: f64 = taps(e.clone())
+            .unwrap()
+            .iter()
+            .map(|(o, c)| c * grid(o[0]))
+            .sum();
         let mut lookup = |a: &Access| grid(a.offsets[0]);
         let via_eval = e.eval(&mut lookup, &BTreeMap::new()).unwrap();
         assert!((via_taps - via_eval).abs() < 1e-12);

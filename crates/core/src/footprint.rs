@@ -1,15 +1,15 @@
 //! Footprint inference: the static access-set analysis behind the lint
 //! pipeline (`msc-lint`) and the traffic statistics in [`crate::analysis`].
 //!
-//! Walking a kernel's expression tree yields, for every *slot* — a
-//! `(tensor, time)` pair — the per-axis min/max offset box and the set of
-//! distinct offsets read. This replaces the point-count-only view the
-//! analysis layer used to hold: the box is asymmetric (`lo..hi` per
-//! axis, both inclusive), so halo sufficiency, SPM buffer sizing and
-//! decomposition limits can all be *proved* from the IR rather than
-//! re-derived ad hoc. Devito and the xDSL stencil stack derive the same
-//! object ("access footprint") to validate halo and parallelization
-//! legality; this is our single-level-IR equivalent.
+//! A kernel's table of distinct accesses, derived once by `Kernel::new`,
+//! yields for every *slot* — a `(tensor, time)` pair — the per-axis
+//! min/max offset box and the set of distinct offsets read. This replaces
+//! the point-count-only view the analysis layer used to hold: the box is
+//! asymmetric (`lo..hi` per axis, both inclusive), so halo sufficiency,
+//! SPM buffer sizing and decomposition limits can all be *proved* from
+//! the IR rather than re-derived ad hoc. Devito and the xDSL stencil stack
+//! derive the same object ("access footprint") to validate halo and
+//! parallelization legality; this is our single-level-IR equivalent.
 //!
 //! Two granularities share the representation:
 //!
@@ -21,10 +21,9 @@
 //!   terms, two kernels) land in one slot and are counted once.
 
 use crate::error::Result;
-use crate::expr::Expr;
 use crate::kernel::Kernel;
 use crate::stencil::Stencil;
-use std::collections::{BTreeMap, BTreeSet};
+use std::iter::zip;
 
 /// The inferred access set of one `(tensor, time)` slot: an inclusive
 /// per-axis offset interval plus the exact set of distinct offsets.
@@ -38,8 +37,10 @@ pub struct SlotFootprint {
     pub lo: Vec<i64>,
     /// Per-axis maximum offset (inclusive).
     pub hi: Vec<i64>,
-    /// Every distinct offset vector read from this slot.
-    pub offsets: BTreeSet<Vec<i64>>,
+    /// Every distinct offset read from this slot, in sorted order, one
+    /// `lo.len()`-long run each.
+    offsets: Vec<i64>,
+    points: usize,
 }
 
 impl SlotFootprint {
@@ -49,7 +50,8 @@ impl SlotFootprint {
             time,
             lo: first.to_vec(),
             hi: first.to_vec(),
-            offsets: BTreeSet::from([first.to_vec()]),
+            offsets: first.to_vec(),
+            points: 1,
         }
     }
 
@@ -58,21 +60,19 @@ impl SlotFootprint {
             self.lo[d] = self.lo[d].min(o);
             self.hi[d] = self.hi[d].max(o);
         }
-        self.offsets.insert(off.to_vec());
+        self.offsets.extend_from_slice(off);
+        self.points += 1;
     }
 
     /// Distinct points read from this slot.
     pub fn points(&self) -> usize {
-        self.offsets.len()
+        self.points
     }
 
-    /// Per-axis extent of the bounding box (`hi - lo + 1`).
-    pub fn extent(&self) -> Vec<usize> {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(&l, &h)| (h - l + 1) as usize)
-            .collect()
+    /// Every distinct offset vector read from this slot, in sorted order.
+    pub fn offsets(&self) -> impl Iterator<Item = &[i64]> {
+        let n = self.lo.len();
+        (0..self.points).map(move |i| &self.offsets[i * n..(i + 1) * n])
     }
 
     /// Symmetric halo width needed per axis: the larger of how far the
@@ -91,57 +91,52 @@ impl SlotFootprint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Footprint {
     pub ndim: usize,
-    slots: BTreeMap<(String, usize), SlotFootprint>,
+    /// Sorted by `(tensor, time)`.
+    slots: Vec<SlotFootprint>,
 }
 
 impl Footprint {
-    fn empty(ndim: usize) -> Footprint {
-        Footprint {
-            ndim,
-            slots: BTreeMap::new(),
+    /// The footprint of `reads`, `(tensor, time, offsets)` each, given in
+    /// any order and with repeats.
+    fn of_reads<'a>(
+        ndim: usize,
+        reads: impl Iterator<Item = (&'a str, usize, &'a [i64])>,
+    ) -> Footprint {
+        let mut reads: Vec<_> = reads.collect();
+        reads.sort_unstable();
+        reads.dedup();
+        let mut slots: Vec<SlotFootprint> = Vec::new();
+        for (tensor, time, off) in reads {
+            match slots.last_mut() {
+                Some(s) if s.tensor == tensor && s.time == time => s.include(off),
+                _ => slots.push(SlotFootprint::new(tensor, time, off)),
+            }
         }
+        Footprint { ndim, slots }
     }
 
-    fn record(&mut self, tensor: &str, time: usize, off: &[i64]) {
-        self.slots
-            .entry((tensor.to_string(), time))
-            .and_modify(|s| s.include(off))
-            .or_insert_with(|| SlotFootprint::new(tensor, time, off));
-    }
-
-    /// Infer the footprint of an expression, keyed by `time_back`.
-    pub fn of_expr(expr: &Expr, ndim: usize) -> Footprint {
-        let mut fp = Footprint::empty(ndim);
-        for a in expr.accesses() {
-            fp.record(&a.tensor, a.time_back, &a.offsets);
-        }
-        fp
-    }
-
-    /// Infer the footprint of one kernel sweep.
+    /// The footprint of one kernel sweep, from the kernel's own table.
     pub fn of_kernel(kernel: &Kernel) -> Footprint {
-        Footprint::of_expr(&kernel.expr, kernel.ndim)
+        Footprint::of_reads(kernel.ndim, kernel.accesses())
     }
 
     /// Infer the footprint of a full temporal stencil step, keyed by the
     /// absolute temporal distance `term.dt + access.time_back` from the
-    /// output state. Reads of the same `(tensor, time, offset)` through
-    /// different terms or kernels are merged — this is the dedupe the
-    /// analysis layer relies on.
+    /// output state, from the kernels' tables. Reads of the same
+    /// `(tensor, time, offset)` through different terms or kernels are
+    /// merged — this is the dedupe the analysis layer relies on.
     pub fn of_stencil(stencil: &Stencil) -> Result<Footprint> {
-        let mut fp = Footprint::empty(stencil.ndim());
+        let mut reads = Vec::new();
         for term in &stencil.terms {
             let k = stencil.kernel(&term.kernel)?;
-            for a in k.expr.accesses() {
-                fp.record(&a.tensor, term.dt + a.time_back, &a.offsets);
-            }
+            reads.extend(k.accesses().map(|(t, time, off)| (t, term.dt + time, off)));
         }
-        Ok(fp)
+        Ok(Footprint::of_reads(stencil.ndim(), reads.into_iter()))
     }
 
     /// Iterate the slots in canonical `(tensor, time)` order.
     pub fn slots(&self) -> impl Iterator<Item = &SlotFootprint> {
-        self.slots.values()
+        self.slots.iter()
     }
 
     /// Number of slots.
@@ -151,18 +146,20 @@ impl Footprint {
 
     /// Look up one slot.
     pub fn slot(&self, tensor: &str, time: usize) -> Option<&SlotFootprint> {
-        self.slots.get(&(tensor.to_string(), time))
+        self.slots
+            .iter()
+            .find(|s| s.tensor == tensor && s.time == time)
     }
 
     /// Total distinct `(tensor, time, offset)` points read.
     pub fn distinct_points(&self) -> usize {
-        self.slots.values().map(|s| s.points()).sum()
+        self.slots.iter().map(|s| s.points).sum()
     }
 
     /// Symmetric per-axis halo requirement over all slots.
     pub fn required_halo(&self) -> Vec<usize> {
         let mut halo = vec![0usize; self.ndim];
-        for s in self.slots.values() {
+        for s in &self.slots {
             for (d, r) in s.required_halo().into_iter().enumerate() {
                 halo[d] = halo[d].max(r);
             }
@@ -174,33 +171,32 @@ impl Footprint {
     /// Unlike [`Footprint::required_halo`] this is the true extreme of
     /// the read set — a one-sided kernel reports a positive `lo`.
     pub fn lo(&self) -> Vec<i64> {
-        let mut lo: Option<Vec<i64>> = None;
-        for s in self.slots.values() {
-            let acc = lo.get_or_insert_with(|| s.lo.clone());
-            for (d, &l) in s.lo.iter().enumerate() {
-                acc[d] = acc[d].min(l);
-            }
-        }
-        lo.unwrap_or_else(|| vec![0; self.ndim])
+        self.extreme(|s| &s.lo, i64::min)
     }
 
     /// Per-axis maximum offset over all slots (true extreme, like
     /// [`Footprint::lo`]).
     pub fn hi(&self) -> Vec<i64> {
-        let mut hi: Option<Vec<i64>> = None;
-        for s in self.slots.values() {
-            let acc = hi.get_or_insert_with(|| s.hi.clone());
-            for (d, &h) in s.hi.iter().enumerate() {
-                acc[d] = acc[d].max(h);
-            }
-        }
-        hi.unwrap_or_else(|| vec![0; self.ndim])
+        self.extreme(|s| &s.hi, i64::max)
+    }
+
+    /// `side` of every slot's box, folded per axis with `pick`.
+    fn extreme(
+        &self,
+        side: fn(&SlotFootprint) -> &Vec<i64>,
+        pick: fn(i64, i64) -> i64,
+    ) -> Vec<i64> {
+        let mut sides = self.slots.iter().map(side);
+        let first = sides.next().map_or_else(|| vec![0; self.ndim], Vec::clone);
+        sides.fold(first, |acc, v| {
+            zip(acc, v).map(|(a, &b)| pick(a, b)).collect()
+        })
     }
 
     /// Deepest temporal reach (0 for an empty footprint). At stencil
     /// level this is the absolute `max(dt + time_back)`.
     pub fn max_time(&self) -> usize {
-        self.slots.keys().map(|(_, t)| *t).max().unwrap_or(0)
+        self.slots.iter().map(|s| s.time).max().unwrap_or(0)
     }
 
     /// Sliding-window depth a stencil-level footprint requires: every
@@ -213,6 +209,7 @@ impl Footprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
     use crate::stencil::TimeTerm;
 
     fn asym() -> Expr {
@@ -222,11 +219,10 @@ mod tests {
 
     #[test]
     fn expr_box_is_asymmetric() {
-        let fp = Footprint::of_expr(&asym(), 2);
+        let fp = Footprint::of_kernel(&Kernel::new("k", 2, asym()).unwrap());
         let s = fp.slot("B", 0).unwrap();
         assert_eq!(s.lo, vec![-3, 0]);
         assert_eq!(s.hi, vec![1, 2]);
-        assert_eq!(s.extent(), vec![5, 3]);
         assert_eq!(s.points(), 3);
         assert_eq!(fp.required_halo(), vec![3, 2]);
     }
@@ -234,14 +230,14 @@ mod tests {
     #[test]
     fn duplicate_syntactic_paths_count_once() {
         let e = Expr::at("B", &[1]) + 2.0 * Expr::at("B", &[1]) + Expr::at("B", &[0]);
-        let fp = Footprint::of_expr(&e, 1);
+        let fp = Footprint::of_kernel(&Kernel::new("k", 1, e).unwrap());
         assert_eq!(fp.distinct_points(), 2);
     }
 
     #[test]
     fn time_levels_get_separate_slots() {
         let e = Expr::at_time("B", &[0], 0) + Expr::at_time("B", &[0], 1);
-        let fp = Footprint::of_expr(&e, 1);
+        let fp = Footprint::of_kernel(&Kernel::new("k", 1, e).unwrap());
         assert_eq!(fp.num_slots(), 2);
         assert_eq!(fp.max_time(), 1);
     }
@@ -301,12 +297,7 @@ mod tests {
     fn time_back_deepens_the_stencil_window() {
         // A kernel reading its input state one extra step back pushes the
         // absolute reach beyond max_dt.
-        let k = Kernel::new(
-            "a",
-            1,
-            Expr::at("B", &[0]) + Expr::at_time("B", &[0], 1),
-        )
-        .unwrap();
+        let k = Kernel::new("a", 1, Expr::at("B", &[0]) + Expr::at_time("B", &[0], 1)).unwrap();
         let st = Stencil::from_kernel("st", k, &[(1, 1.0)]).unwrap();
         let fp = Footprint::of_stencil(&st).unwrap();
         assert_eq!(fp.max_time(), 2);
@@ -316,7 +307,7 @@ mod tests {
     #[test]
     fn empty_offsets_have_zero_halo() {
         let e = Expr::at("B", &[0, 0, 0]);
-        let fp = Footprint::of_expr(&e, 3);
+        let fp = Footprint::of_kernel(&Kernel::new("k", 3, e).unwrap());
         assert_eq!(fp.required_halo(), vec![0, 0, 0]);
         assert_eq!(fp.lo(), vec![0, 0, 0]);
         assert_eq!(fp.hi(), vec![0, 0, 0]);

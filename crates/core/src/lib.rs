@@ -62,9 +62,9 @@ pub mod prelude {
     pub use crate::dsl::{ProgramBuilder, StencilProgram};
     pub use crate::dtype::DType;
     pub use crate::error::MscError;
-    pub use crate::expr::{Expr, Tap, VarCoeff, VarTap};
+    pub use crate::expr::{Expr, VarCoeff, VarTap};
     pub use crate::footprint::{Footprint, SlotFootprint};
-    pub use crate::kernel::{Kernel, StencilOp};
+    pub use crate::kernel::Kernel;
     pub use crate::parse::{parse, parse_unchecked, ParsedProgram};
     pub use crate::schedule::{ExecPlan, Schedule};
     pub use crate::stencil::{Stencil, TimeTerm};

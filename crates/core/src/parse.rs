@@ -68,17 +68,15 @@ pub fn to_msc_source(program: &StencilProgram, target: Option<Target>) -> String
         g.time_window
     );
     for k in &program.stencil.kernels {
-        let taps = k.expr.to_taps().expect("printable kernels are linear");
+        let taps = k.taps().expect("printable kernels are linear");
         let terms: Vec<String> = taps
-            .iter()
-            .map(|t| {
-                let offs = t
-                    .offset
+            .map(|(offset, coeff)| {
+                let offs = offset
                     .iter()
                     .map(ToString::to_string)
                     .collect::<Vec<_>>()
                     .join(",");
-                format!("{:?}*{}[{}]", t.coeff, k.input, offs)
+                format!("{coeff:?}*{}[{offs}]", k.input)
             })
             .collect();
         s += &format!("    kernel {} = {};\n", k.name, terms.join(" + "));
@@ -305,7 +303,11 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&self, msg: &str) -> MscError {
-        MscError::InvalidConfig(format!("line {}: {msg}, found {}", self.line(), self.peek()))
+        MscError::InvalidConfig(format!(
+            "line {}: {msg}, found {}",
+            self.line(),
+            self.peek()
+        ))
     }
 
     fn expect_sym(&mut self, c: char) -> Result<()> {
@@ -410,9 +412,8 @@ impl<'a> Parser<'a> {
         }
 
         // Assemble and validate through the same path as the builder API.
-        let grid = grid.ok_or_else(|| {
-            MscError::InvalidConfig(format!("stencil `{name}` declares no grid"))
-        })?;
+        let grid = grid
+            .ok_or_else(|| MscError::InvalidConfig(format!("stencil `{name}` declares no grid")))?;
         if kernels.is_empty() {
             return Err(MscError::InvalidConfig(format!(
                 "stencil `{name}` declares no kernels"
@@ -454,7 +455,9 @@ impl<'a> Parser<'a> {
         }
         // An empty `combine` is the builder's default: `t-1` through the
         // first kernel.
-        let mut builder = StencilProgram::builder(name).grid(grid).timesteps(timesteps);
+        let mut builder = StencilProgram::builder(name)
+            .grid(grid)
+            .timesteps(timesteps);
         for k in kernels {
             builder = builder.kernel(k);
         }
@@ -748,8 +751,8 @@ mod tests {
     #[test]
     fn parsed_kernel_has_unit_coefficient_sum() {
         let parsed = parse(LISTING1).unwrap();
-        let op = parsed.program.stencil.kernels[0].to_op().unwrap();
-        assert!((op.coeff_sum() - 1.0).abs() < 1e-12);
+        let taps = parsed.program.stencil.kernels[0].taps().unwrap();
+        assert!((taps.map(|(_, c)| c).sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -780,12 +783,12 @@ mod tests {
             }
         "#;
         let parsed = parse(src).unwrap();
-        let taps = parsed.program.stencil.kernels[0].to_op().unwrap();
-        assert_eq!(taps.points(), 3);
-        let t = taps.taps.iter().find(|t| t.offset == vec![2, 0]).unwrap();
-        assert!((t.coeff + 0.25).abs() < 1e-12);
-        let t = taps.taps.iter().find(|t| t.offset == vec![-2, 0]).unwrap();
-        assert!((t.coeff + 1.0).abs() < 1e-12);
+        let taps: Vec<_> = parsed.program.stencil.kernels[0].taps().unwrap().collect();
+        assert_eq!(taps.len(), 3);
+        let t = taps.iter().find(|t| t.0 == [2, 0]).unwrap();
+        assert!((t.1 + 0.25).abs() < 1e-12);
+        let t = taps.iter().find(|t| t.0 == [-2, 0]).unwrap();
+        assert!((t.1 + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -917,7 +920,7 @@ mod tests {
     }
 
     #[test]
-    fn comments_and_whitespace_are_ignored()  {
+    fn comments_and_whitespace_are_ignored() {
         let src = "// header\nstencil s { // inline\n grid B: f64[8] halo 1 window 2;\n kernel k = 1.0*B[0]; }";
         assert!(parse(src).is_ok());
     }
@@ -934,7 +937,6 @@ mod tests {
         assert_eq!(parsed.stencil.reach(), vec![1, 1, 1]);
     }
 
-
     #[test]
     fn pretty_printer_round_trips() {
         // parse -> print -> parse must preserve semantics exactly.
@@ -946,9 +948,9 @@ mod tests {
         assert_eq!(a.program.mpi_grid, b.program.mpi_grid);
         assert_eq!(a.target, b.target);
         // Kernels agree tap-for-tap.
-        let ta = a.program.stencil.kernels[0].to_op().unwrap();
-        let tb = b.program.stencil.kernels[0].to_op().unwrap();
-        assert_eq!(ta.taps, tb.taps);
+        let ta: Vec<_> = a.program.stencil.kernels[0].taps().unwrap().collect();
+        let tb: Vec<_> = b.program.stencil.kernels[0].taps().unwrap().collect();
+        assert_eq!(ta, tb);
         // Schedules agree.
         assert_eq!(
             a.program.stencil.kernels[0].schedule,
@@ -957,7 +959,6 @@ mod tests {
         // Temporal combination agrees.
         assert_eq!(a.program.stencil.terms, b.program.stencil.terms);
     }
-
 
     #[test]
     fn pretty_printer_handles_negative_weights() {
@@ -1005,7 +1006,7 @@ mod tests {
                 kernel k = 2.5e-1*B[0] + 7.5e-1*B[1]; }
         "#;
         let p = parse(src).unwrap().program;
-        let op = p.stencil.kernels[0].to_op().unwrap();
-        assert!((op.coeff_sum() - 1.0).abs() < 1e-12);
+        let taps = p.stencil.kernels[0].taps().unwrap();
+        assert!((taps.map(|(_, c)| c).sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }

@@ -79,9 +79,9 @@ impl Stencil {
 
     /// Convenience constructor for the common case of one kernel applied
     /// at several past timesteps.
-    pub fn from_kernel(name: &str, kernel: Kernel, weighted_deps: &[(usize, f64)]) -> Result<Stencil> {
+    pub fn from_kernel(name: &str, kernel: Kernel, deps: &[(usize, f64)]) -> Result<Stencil> {
         let kname = kernel.name.clone();
-        let terms = weighted_deps
+        let terms = deps
             .iter()
             .map(|&(dt, weight)| TimeTerm {
                 dt,
@@ -130,11 +130,10 @@ impl Stencil {
 
     /// Per-dimension reach over all kernels (for halo sizing).
     pub fn reach(&self) -> Vec<usize> {
-        let ndim = self.ndim();
-        let mut reach = vec![0usize; ndim];
+        let mut reach = vec![0usize; self.ndim()];
         for k in &self.kernels {
-            for (d, r) in k.reach().into_iter().enumerate() {
-                reach[d] = reach[d].max(r);
+            for (r, &kr) in reach.iter_mut().zip(k.reach()) {
+                *r = (*r).max(kr);
             }
         }
         reach
@@ -145,8 +144,8 @@ impl Stencil {
     pub fn stability_sum(&self) -> Result<f64> {
         let mut s = 0.0;
         for t in &self.terms {
-            let op = self.kernel(&t.kernel)?.to_op()?;
-            s += t.weight * op.coeff_sum();
+            let taps = self.kernel(&t.kernel)?.taps()?;
+            s += t.weight * taps.map(|(_, coeff)| coeff).sum::<f64>();
         }
         Ok(s)
     }

@@ -70,11 +70,6 @@ impl SpNode {
             .collect()
     }
 
-    /// Interior element count.
-    pub fn interior_elems(&self) -> usize {
-        self.shape.iter().product()
-    }
-
     /// Element count of one padded timestep buffer.
     pub fn padded_elems(&self) -> usize {
         self.padded_shape().iter().product()

@@ -61,7 +61,7 @@ fn assert_matches(
         let slot = fp
             .slot(tensor, *time)
             .unwrap_or_else(|| panic!("missing slot ({tensor}, {time})"));
-        let got: BTreeSet<Vec<i64>> = slot.offsets.iter().cloned().collect();
+        let got: BTreeSet<Vec<i64>> = slot.offsets().map(<[i64]>::to_vec).collect();
         assert_eq!(&got, offsets);
         total_points += offsets.len();
         for d in 0..ndim {
@@ -100,7 +100,7 @@ proptest! {
             .map(|(off, tb)| (off[..ndim].to_vec(), *tb))
             .collect();
         let expr = sum_expr(&taps);
-        let fp = Footprint::of_expr(&expr, ndim);
+        let fp = Footprint::of_kernel(&Kernel::new("k", ndim, expr.clone()).unwrap());
         assert_matches(&fp, &brute_slots(&expr, 0), ndim);
     }
 
@@ -140,7 +140,7 @@ proptest! {
 
         let mut expected: BTreeMap<(String, usize), BTreeSet<Vec<i64>>> = BTreeMap::new();
         for t in &terms {
-            for ((tensor, time), offs) in brute_slots(&kernel.expr, t.dt) {
+            for ((tensor, time), offs) in brute_slots(kernel.expr(), t.dt) {
                 expected.entry((tensor, time)).or_default().extend(offs);
             }
         }

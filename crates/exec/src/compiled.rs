@@ -40,8 +40,9 @@ pub struct CompiledStencil<T> {
     pub max_dt: usize,
     pub terms: Vec<CompiledTerm<T>>,
     /// Distinct points read per output point, from the footprint analysis
-    /// (`Footprint::of_stencil`) — the one tap count the interpreter, the
-    /// VM tier, and roofline placement in msc-tune all agree on.
+    /// (`StencilStats::of`'s `Footprint::of_stencil`) — the one tap count
+    /// the interpreter, the VM tier, and roofline placement in msc-tune
+    /// all agree on.
     taps_distinct: usize,
     /// Flops per output point from `StencilStats::of` (same dtype-aware
     /// counting msc-tune's perf model uses).
@@ -65,27 +66,24 @@ impl<T: Scalar> CompiledStencil<T> {
         let stencil = &program.stencil;
         let mut terms = Vec::with_capacity(stencil.terms.len());
         for term in &stencil.terms {
-            let op = stencil.kernel(&term.kernel)?.to_op()?;
+            let taps = stencil.kernel(&term.kernel)?.taps()?;
             terms.push(CompiledTerm {
                 dt: term.dt,
                 weight: T::from_f64(term.weight),
                 taps: Vec::new(),
                 lead: 0,
-                taps_nd: op
-                    .taps
-                    .iter()
-                    .map(|t| (t.offset.clone(), T::from_f64(t.coeff)))
+                taps_nd: taps
+                    .map(|(offset, coeff)| (offset.to_vec(), T::from_f64(coeff)))
                     .collect(),
             });
         }
-        let footprint = Footprint::of_stencil(stencil)?;
         let stats = StencilStats::of(stencil, program.grid.dtype)?;
         let unplaced = CompiledStencil {
             ndim: stencil.ndim(),
             reach: stencil.reach(),
             max_dt: stencil.max_dt(),
             terms,
-            taps_distinct: footprint.distinct_points(),
+            taps_distinct: stats.points,
             flops: stats.flops_per_point().round() as usize,
         };
         Ok(unplaced.relinearized(&grid.strides))
@@ -277,7 +275,10 @@ mod tests {
             // The leading edge is the +x tap in either layout.
             assert_eq!((term.lead, was.lead), (60, g.strides[0] as isize));
         }
-        assert_eq!(local.relinearized(&g.strides).terms[1].taps, c.terms[1].taps);
+        assert_eq!(
+            local.relinearized(&g.strides).terms[1].taps,
+            c.terms[1].taps
+        );
         // Split for one-read-buffer staging: every term reads `states[0]`.
         let split = local.split_terms();
         assert_eq!(split.len(), 2);
@@ -322,7 +323,12 @@ mod tests {
             let fp = Footprint::of_stencil(&p.stencil).unwrap();
             let ss = StencilStats::of(&p.stencil, DType::F64).unwrap();
             assert_eq!(c.total_taps(), fp.distinct_points(), "{}", b.name);
-            assert_eq!(c.flops_per_point() as f64, ss.flops_per_point(), "{}", b.name);
+            assert_eq!(
+                c.flops_per_point() as f64,
+                ss.flops_per_point(),
+                "{}",
+                b.name
+            );
         }
     }
 

@@ -358,13 +358,26 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         boundary_cond: Boundary,
         tier: ExecTier,
     ) -> Result<TimeLoop<'a, T>> {
+        let compiled = TimeLoop::compile(program, &seed, tier)?;
+        TimeLoop::admit_compiled(compiled, executor, seed, boundary_cond)
+    }
+
+    /// A checked program (a bare one is checked here) compiled on `tier`
+    /// against `seed`'s layout, for [`TimeLoop::admit_compiled`] to run
+    /// from any seed of that layout.
+    pub fn compile<'p>(
+        program: impl Gate<'p>,
+        seed: &Grid<T>,
+        tier: ExecTier,
+    ) -> Result<Arc<TieredStencil<T>>> {
         let program = program.gate(None)?;
-        let compiled = TieredStencil::compile(&program, &seed, tier)?;
+        let _s = msc_trace::span("stencil_compile");
+        let compiled = TieredStencil::compile(&program, seed, tier)?;
         // Compile time goes to the tracer only, outside any step's account:
         // `RunStats` must stay bit-identical between repeated runs, and
         // wall-clock isn't.
         msc_trace::record(Counter::VmCompileNanos, compiled.compile_nanos);
-        TimeLoop::admit_compiled(Arc::new(compiled), executor, seed, boundary_cond)
+        Ok(Arc::new(compiled))
     }
 
     /// A run of a stencil compiled before, possibly shared with other runs,
@@ -724,11 +737,10 @@ mod tests {
             let p = b.program(&grid, DType::F64, 4).unwrap();
             let tile: Vec<usize> = grid.iter().map(|&g| (g / 2).max(1)).collect();
             let plan = tiled_plan(&p, &tile, 4);
-            let e64 = verify_against_reference::<f64>(&p, &Executor::Tiled(plan.clone()), 5)
-                .unwrap();
+            let e64 =
+                verify_against_reference::<f64>(&p, &Executor::Tiled(plan.clone()), 5).unwrap();
             assert!(e64 < 1e-10, "{}: fp64 err {e64}", b.name);
-            let e32 =
-                verify_against_reference::<f32>(&p, &Executor::Tiled(plan), 5).unwrap();
+            let e32 = verify_against_reference::<f32>(&p, &Executor::Tiled(plan), 5).unwrap();
             assert!(e32 < 1e-5, "{}: fp32 err {e32}", b.name);
         }
     }

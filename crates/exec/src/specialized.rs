@@ -903,7 +903,7 @@ mod tests {
     /// `kernel` alone over `t-1` on a grid of `shape`.
     fn program_of(kernel: Kernel, shape: &[usize]) -> StencilProgram {
         let name = kernel.name.clone();
-        let halo = vec![kernel.reach().into_iter().max().unwrap_or(1); shape.len()];
+        let halo = vec![kernel.reach().iter().copied().max().unwrap_or(1); shape.len()];
         StencilProgram::builder("blocks")
             .grid(SpNode::new("B", DType::F64, shape, halo[0], 2).unwrap())
             .kernel(kernel)

@@ -17,7 +17,11 @@ use msc_core::schedule::plan::ExecPlan;
 enum CoeffRef<T> {
     Const(T),
     /// `scale * coeff_grids[idx][x + lin]`.
-    Grid { idx: usize, lin: isize, scale: T },
+    Grid {
+        idx: usize,
+        lin: isize,
+        scale: T,
+    },
 }
 
 /// A compiled variable-coefficient sweep over one input grid.
@@ -144,12 +148,7 @@ impl<T: Scalar> CompiledVarStencil<T> {
     }
 
     /// One serial sweep: `out = stencil(input)` over the interior.
-    pub fn step_reference(
-        &self,
-        input: &Grid<T>,
-        coeffs: &[&Grid<T>],
-        out: &mut Grid<T>,
-    ) {
+    pub fn step_reference(&self, input: &Grid<T>, coeffs: &[&Grid<T>], out: &mut Grid<T>) {
         let ndim = out.ndim();
         let shape = out.shape.clone();
         let inner = shape[ndim - 1];
@@ -214,7 +213,9 @@ mod tests {
     fn var_heat_expr() -> Expr {
         Expr::at("B", &[0, 0])
             + Expr::at("K", &[0, 0])
-                * (Expr::at("B", &[-1, 0]) + Expr::at("B", &[1, 0]) + Expr::at("B", &[0, -1])
+                * (Expr::at("B", &[-1, 0])
+                    + Expr::at("B", &[1, 0])
+                    + Expr::at("B", &[0, -1])
                     + Expr::at("B", &[0, 1])
                     - 4.0 * Expr::at("B", &[0, 0]))
     }
@@ -222,13 +223,8 @@ mod tests {
     fn setup(n: usize) -> (Grid<f64>, Grid<f64>, CompiledVarStencil<f64>) {
         let u: Grid<f64> = Grid::random(&[n, n], &[1, 1], 5);
         // Diffusivity varies across the domain, zero in the right half.
-        let k: Grid<f64> = Grid::from_fn(&[n, n], &[1, 1], |p| {
-            if p[1] < n / 2 {
-                0.2
-            } else {
-                0.0
-            }
-        });
+        let k: Grid<f64> =
+            Grid::from_fn(&[n, n], &[1, 1], |p| if p[1] < n / 2 { 0.2 } else { 0.0 });
         let c = CompiledVarStencil::compile(&var_heat_expr(), "B", &u.layout()).unwrap();
         (u, k, c)
     }
@@ -288,7 +284,7 @@ mod tests {
         let b = benchmark(BenchmarkId::S2d9ptBox);
         let p = b.program(&[10, 10], DType::F64, 1).unwrap();
         let u: Grid<f64> = Grid::random(&[10, 10], &[1, 1], 9);
-        let kexpr = &p.stencil.kernels[0].expr;
+        let kexpr = p.stencil.kernels[0].expr();
         let var = CompiledVarStencil::compile(kexpr, "B", &u.layout()).unwrap();
         assert!(var.coeff_names.is_empty());
         let mut a = u.clone();

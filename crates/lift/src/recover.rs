@@ -11,7 +11,7 @@
 
 use crate::affine::AffineNest;
 use crate::LiftError;
-use msc_core::{DType, Expr, Footprint, Kernel, SpNode, StencilProgram};
+use msc_core::{DType, Expr, Kernel, SpNode, StencilProgram};
 use msc_lint::LintCode;
 
 /// Timestep count stamped on lifted programs. The C nest describes one
@@ -100,9 +100,17 @@ pub fn recover(nest: AffineNest) -> Result<Lifted, LiftError> {
     }
     let expr = expr.expect("affine pass guarantees at least one tap");
 
+    let kernel = Kernel::new(&nest.name, ndim, expr).map_err(|e| {
+        LiftError::new(
+            LintCode::LiftUnsupportedConstruct,
+            format!("recovered kernel is not representable: {e}"),
+            format!("nest `{}`", nest.name),
+            String::new(),
+        )
+    })?;
     // The stencil's reach must fit inside the unswept margin, or the C
     // nest reads cells the lifted halo does not hold.
-    let reach = Footprint::of_expr(&expr, ndim).required_halo();
+    let reach = kernel.reach();
     if let Some((d, &r)) = reach.iter().enumerate().find(|&(_, &r)| r > margin) {
         return Err(mismatch(
             format!(
@@ -128,14 +136,6 @@ pub fn recover(nest: AffineNest) -> Result<Lifted, LiftError> {
             format!("recovered grid is not representable: {e}"),
             format!("nest `{}`", nest.name),
             "",
-        )
-    })?;
-    let kernel = Kernel::new(&nest.name, ndim, expr).map_err(|e| {
-        LiftError::new(
-            LintCode::LiftUnsupportedConstruct,
-            format!("recovered kernel is not representable: {e}"),
-            format!("nest `{}`", nest.name),
-            String::new(),
         )
     })?;
     let kname = kernel.name.clone();
@@ -180,8 +180,7 @@ mod tests {
         assert_eq!(l.program.grid.time_window, 2);
         assert_eq!(l.program.timesteps, LIFT_TIMESTEPS);
         assert_eq!(l.program.stencil.kernels.len(), 1);
-        let op = l.program.stencil.kernels[0].to_op().unwrap();
-        assert_eq!(op.points(), 3);
+        assert_eq!(l.program.stencil.kernels[0].taps().unwrap().len(), 3);
     }
 
     #[test]

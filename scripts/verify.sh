@@ -70,11 +70,24 @@ if ls crates/comm/src/decomp.rs crates/comm/src/region.rs 2>/dev/null ||
 fi
 
 # The front half costs what its input costs: the DSL lexer scans bytes and
-# its tokens are `Copy` (no character vector, no cloned token), and the
-# emitters linearize a kernel in one place, once per kernel.
-if grep -nE 'Vec<char>|\.0\.clone\(\)|peek\(\)\.clone\(\)' crates/core/src/parse.rs ||
-  [ "$(cat crates/codegen/src/*.rs | grep -c 'to_op()')" != 1 ]; then
-  echo "the DSL lexer clones again, or an emitter linearizes per term" >&2
+# its tokens are `Copy` (no character vector, no cloned token).
+if grep -nE 'Vec<char>|\.0\.clone\(\)|peek\(\)\.clone\(\)' crates/core/src/parse.rs; then
+  echo "the DSL lexer clones again" >&2
+  exit 1
+fi
+
+# Every per-tap fact is derived once, when a kernel is built (DESIGN.md
+# §10.1): below msc-core no layer walks a kernel's expression for its
+# accesses or taps, or copies the taps out as a StencilOp; they read
+# Kernel::{accesses, taps, reach} and the footprint built from them. Lift
+# validation compiles each tier once and admits it per seed (DESIGN.md
+# §16.2), never a whole program run per tier and seed. Test modules (from
+# a file's first #[cfg(test)] on) may walk the tree.
+non_test() { awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' "$@"; }
+if non_test $(find crates/{lint,codegen,exec,tune}/src -name '*.rs') |
+  grep -E 'expr\(\)\s*\.\s*(accesses|access_refs|to_taps)\(|\.to_taps\(|\.to_op\(' ||
+  awk '/^pub fn validate\(/, /^}/' crates/lift/src/validate.rs | grep -n 'run_program_tier'; then
+  echo "a layer re-walks a kernel's expression, or lift validation runs a program per tier" >&2
   exit 1
 fi
 
@@ -130,14 +143,24 @@ cargo test -q --workspace --offline
 
 echo "== the front half: same answers, same bytes, same errors =="
 # By exact name: lift validation's row-per-node oracle against the
-# per-cell walk it replaced (generated trees, every padded cell) and the
-# refusal it must keep (DESIGN.md §16.2, §16.4); the 24 benchmark
-# packages against the hash table taken before emission learned to
-# linearize and format each kernel once; the byte lexer's error strings
-# and token stream against the character lexer's.
+# per-cell walk it replaced (generated trees and tap chains, every padded
+# cell) and the refusal it must keep (DESIGN.md §16.2, §16.4); a
+# validation lints once, compiles each tier once, counts the tiers that
+# ran and refuses an empty seed list; a kernel's table against the tree
+# walks it replaced (generated expressions, coefficients by bit pattern,
+# DESIGN.md §10.1); the 24 benchmark packages and the 24 catalog packages
+# against hash tables taken before emission learned to linearize and
+# format each kernel once and before it read the kernels' tables; the
+# byte lexer's error strings and token stream against the character
+# lexer's.
 for t in "msc-lift --lib validate::tests::row_evaluation_equals_per_cell_evaluation_bit_for_bit" \
     "msc-lift --lib validate::tests::non_canonical_tap_order_is_caught_as_l508" \
+    "msc-lift --lib validate::tests::validation_lints_once_and_compiles_each_tier_once" \
+    "msc-lift --lib validate::tests::tiers_count_the_tiers_that_ran" \
+    "msc-lift --lib validate::tests::an_empty_seed_list_is_refused_as_l508" \
+    "msc-core --lib kernel::tests::kernel_table_equals_the_parent_tree_walks" \
     "msc-codegen --test benchmark_bytes the_24_benchmark_packages_emit_the_pinned_bytes" \
+    "msc-codegen --test benchmark_bytes the_catalog_programs_emit_the_pinned_bytes_on_every_target" \
     "msc-core --lib parse::tests::lexer_errors_name_the_line_and_the_whole_character" \
     "msc-core --lib parse::tests::lexer_keeps_digit_led_names_exponents_comments_crlf_and_unicode_space"; do
   # A filter that matches nothing passes too: require the one test.
