@@ -15,8 +15,8 @@ use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::plan;
 use crate::runtime::{
-    FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource,
-    ReliabilityConfig, Wire, World, WorldConfig, KEEP_GENS,
+    FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource, World,
+    WorldConfig, KEEP_GENS,
 };
 use msc_core::error::{MscError, Result};
 use msc_core::halo::{Backend, CartDecomp, HaloPlan, Region};
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 /// Like [`msc_exec::driver::RunStats`], this is a thin view over the
 /// trace counter vocabulary: each rank's account is its time loop's steps
 /// (tiles, DMA, points, step wall) plus its endpoint's (halo messages,
-/// bytes, pack/unpack, waits, protocol events) — each part published to
+/// bytes, pack/unpack, waits, faults, liveness) — each part published to
 /// the hub once, as it closes — and the gather loop merges them all into
 /// `counters` and `hists`. The headline fields stay as plain members for
 /// ergonomic access.
@@ -56,8 +56,8 @@ pub struct CommStats {
     /// Merged counters across all ranks: halo traffic plus whatever the
     /// per-rank executors recorded (DMA bytes/rows, SPM peak, tiles).
     pub counters: CounterSet,
-    /// Merged latency histograms across all ranks (halo wait, retransmit
-    /// recovery delay, pack, unpack, per-step wall time).
+    /// Merged latency histograms across all ranks (halo wait, pack,
+    /// unpack, per-step wall time, failure detection).
     pub hists: HistSet,
 }
 
@@ -80,6 +80,9 @@ impl CommStats {
     pub fn tiles_executed(&self) -> u64 {
         self.counters.get(Counter::TilesExecuted)
     }
+    /// Always 0: the channel is reliable, so nothing is retransmitted.
+    /// Kept while the benchmark's `comm.retransmits` metric reads it; both
+    /// go together.
     pub fn retransmits(&self) -> u64 {
         self.counters.get(Counter::RetransmitCount)
     }
@@ -157,13 +160,9 @@ pub struct RunOptions {
     /// this capacity with explicit DMA (the full large-scale Sunway code
     /// path); `None`: tiles are computed straight from the grids.
     pub spm_capacity: Option<usize>,
-    /// Seeded chaos plan injected into every rank's channel layer; also
-    /// switches the runtime's ack/retransmit reliability protocol and
-    /// per-frame payload checksums on (without one nothing can damage a
-    /// payload, and frames carry no checksum).
+    /// Seeded chaos plan injected into every rank's channel layer:
+    /// delayed (reordered) frames and a rank kill.
     pub chaos: Option<Arc<FaultPlan>>,
-    /// Reliability-protocol tunables (polls, backoff, retry budget).
-    pub reliability: ReliabilityConfig,
     /// Directory for checkpoint snapshots; checkpointing is active only
     /// when this is set *and* `checkpoint_every > 0`.
     pub checkpoint_dir: Option<PathBuf>,
@@ -204,7 +203,6 @@ impl Default for RunOptions {
             backend: Backend::DimOrdered,
             spm_capacity: None,
             chaos: None,
-            reliability: ReliabilityConfig::default(),
             checkpoint_dir: None,
             checkpoint_every: 0,
             max_restarts: 3,
@@ -231,10 +229,10 @@ fn is_boundary(tile: &TileRange, halo: &HaloPlan, reach: &[usize]) -> bool {
 /// condition `bc`; `make_plan` builds the per-rank execution plan for the
 /// sub-grid shape. Returns the gathered global result and stats. With
 /// default options this is a plain fault-free run; `opts` adds chaos
-/// injection, reliable halo delivery, periodic checkpoints, hot-spare
-/// online recovery, and restart-on-failure as the last resort, and picks
-/// the halo library and SPM staging.
-pub fn run_distributed_resilient<'p, T: Scalar + Wire>(
+/// injection, periodic checkpoints, hot-spare online recovery, and
+/// restart-on-failure as the last resort, and picks the halo library and
+/// SPM staging.
+pub fn run_distributed_resilient<'p, T: Scalar>(
     program: impl Gate<'p>,
     procs: &[usize],
     init: &Grid<T>,
@@ -306,10 +304,7 @@ struct StepEnv<'a, T: Scalar> {
 /// scattered sub-grid is the seed every window slot starts from. The loop
 /// applies no boundary of its own — the exchange hooked into each step
 /// publishes the new state's halo, and a periodic process grid is a torus.
-fn rank_loop<'a, T: Scalar + Wire>(
-    env: &StepEnv<'a, T>,
-    logical: usize,
-) -> Result<TimeLoop<'a, T>> {
+fn rank_loop<'a, T: Scalar>(env: &StepEnv<'a, T>, logical: usize) -> Result<TimeLoop<'a, T>> {
     TimeLoop::admit(
         env.program,
         env.executor,
@@ -333,7 +328,7 @@ enum Reaction {
 /// runtime noted before flattening it into an error string. Anything
 /// that is not an online-recoverable event propagates into the
 /// restart machinery.
-fn plan_recovery<T: Wire>(
+fn plan_recovery<T>(
     ctx: &mut RankCtx<T>,
     membership: Option<&Arc<Membership>>,
     store: Option<&CheckpointStore>,
@@ -362,7 +357,7 @@ fn plan_recovery<T: Wire>(
 /// Survivor-side rollback to a recovery record: enter the new epoch,
 /// hand the dead rank's buddy snapshot to its adopter if we hold it,
 /// and rewind our own window to the agreed generation.
-fn rollback<'a, T: Scalar + Wire>(
+fn rollback<'a, T: Scalar>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'a, T>,
     rec: &FailureRecord,
@@ -401,7 +396,7 @@ fn rollback<'a, T: Scalar + Wire>(
 
 /// `logical`'s window slots at generation `gen` from the disk store, as
 /// `run` can restore them.
-fn load_from_disk<T: Scalar + Wire>(
+fn load_from_disk<T: Scalar>(
     env: &StepEnv<'_, T>,
     gen: u64,
     logical: usize,
@@ -415,7 +410,7 @@ fn load_from_disk<T: Scalar + Wire>(
 
 /// Spare-side adoption: take over the dead rank's logical identity and
 /// bring its time loop to the recovery source's generation.
-fn adopt_state<'a, T: Scalar + Wire>(
+fn adopt_state<'a, T: Scalar>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'a, T>,
     m: &Membership,
@@ -457,7 +452,7 @@ fn adopt_state<'a, T: Scalar + Wire>(
 /// An idle hot spare: service the fabric until the world finishes, a
 /// failure assigns us a subdomain, or recovery becomes impossible.
 /// Returns the adoption duty, or `None` to stand down.
-fn spare_standby<T: Wire>(
+fn spare_standby<T>(
     ctx: &mut RankCtx<T>,
     m: &Membership,
     store: Option<&CheckpointStore>,
@@ -493,7 +488,7 @@ fn spare_standby<T: Wire>(
 /// checkpoint generation in membership worlds. Every rank reaches this
 /// point at the same step, and the send is non-blocking, so the shift
 /// cannot deadlock.
-fn buddy_replicate<T: Scalar + Wire>(
+fn buddy_replicate<T: Scalar>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T>,
     m: &Membership,
@@ -526,7 +521,7 @@ fn buddy_replicate<T: Scalar + Wire>(
 /// replication, then the endpoint's account of the step published. Any
 /// error is classified by the caller — online recovery where possible,
 /// restart otherwise.
-fn compute_steps<T: Scalar + Wire>(
+fn compute_steps<T: Scalar>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T>,
     run: &mut TimeLoop<'_, T>,
@@ -608,7 +603,7 @@ fn compute_steps<T: Scalar + Wire>(
 /// One physical slot, start to end: its life, then — whatever that
 /// returned, a killed or failed attempt included — the endpoint's last
 /// account published, so every count reaches the hub.
-fn rank_body<T: Scalar + Wire>(
+fn rank_body<T: Scalar>(
     mut ctx: RankCtx<T>,
     env: &StepEnv<'_, T>,
     resume: Option<u64>,
@@ -628,7 +623,7 @@ fn rank_body<T: Scalar + Wire>(
 /// through classification → rollback → recompute until the world
 /// finishes or the error escapes to the restart machinery. Returns the
 /// subdomain the slot finished, if it did.
-fn rank_life<T: Scalar + Wire>(
+fn rank_life<T: Scalar>(
     ctx: &mut RankCtx<T>,
     env: &StepEnv<'_, T>,
     resume: Option<u64>,
@@ -664,7 +659,7 @@ fn rank_life<T: Scalar + Wire>(
         let err = match compute_steps(ctx, env, &mut run, &mut snaps, account) {
             Ok(()) => {
                 // Membership done-barrier: stand by servicing the fabric
-                // (retransmit requests, buddy traffic) until every
+                // (heartbeats, buddy traffic) until every
                 // logical rank finished under the final epoch. A late
                 // failure pulls us back into compute — rollback is
                 // global, so even finished ranks replay.
@@ -713,7 +708,7 @@ fn rank_life<T: Scalar + Wire>(
 /// adoption + global rollback), and a failed attempt (typed communication
 /// error — never a panic) is retried from the latest complete checkpoint
 /// up to `opts.max_restarts` times.
-fn run_ranks<T: Scalar + Wire>(
+fn run_ranks<T: Scalar>(
     program: &Checked<'_>,
     init: &Grid<T>,
     bc: Boundary,
@@ -776,9 +771,9 @@ fn run_ranks<T: Scalar + Wire>(
         let membership = resilient.then(|| Arc::new(Membership::new(n_logical, opts.spare_ranks)));
         let world_cfg = WorldConfig {
             fault: opts.chaos.clone(),
-            reliability: opts.reliability.clone(),
             membership: membership.clone(),
             heartbeat: heartbeat.clone(),
+            ..WorldConfig::default()
         };
         let n_phys = n_logical + if resilient { opts.spare_ranks } else { 0 };
         let env = StepEnv {

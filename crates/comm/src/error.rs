@@ -10,21 +10,19 @@ use std::fmt;
 /// A fault observed by the message-passing runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// A posted receive never completed: the pending `(src, tag)` pair,
-    /// how many retransmit requests were sent before giving up, and how
+    /// A posted receive did not complete within the world's deadline
+    /// while its source was alive: the pending `(src, tag)` pair, and how
     /// many unrelated messages sat in the unexpected-message stash.
     Timeout {
         src: usize,
         tag: u64,
-        pending: usize,
         stash_depth: usize,
     },
-    /// A peer's endpoint is gone — its thread exited or panicked, so the
-    /// send (or a retransmit request) had nowhere to go.
+    /// A peer left the fabric — its thread exited or panicked — so a send
+    /// had nowhere to go, or a wait on it can never complete.
     RankDead { rank: usize },
     /// A payload arrived whose length is not that of the halo box it was
-    /// posted for: the peer runs another plan. (A frame damaged in flight
-    /// fails its checksum and is retransmitted transparently.)
+    /// posted for: the peer runs another plan.
     Corrupt { src: usize, tag: u64 },
     /// The chaos plan killed this rank at the given exchange round.
     Killed { rank: usize, exchange: u64 },
@@ -49,12 +47,11 @@ impl fmt::Display for CommError {
             CommError::Timeout {
                 src,
                 tag,
-                pending,
                 stash_depth,
             } => write!(
                 f,
-                "receive timed out waiting for (src {src}, tag {tag}) after {pending} retransmit \
-                 request(s); {stash_depth} unrelated message(s) stashed"
+                "receive timed out waiting for (src {src}, tag {tag}); {stash_depth} unrelated \
+                 message(s) stashed"
             ),
             CommError::RankDead { rank } => write!(f, "rank {rank} is dead (endpoint hung up)"),
             CommError::Corrupt { src, tag } => {
@@ -93,13 +90,12 @@ mod tests {
         let e = CommError::Timeout {
             src: 3,
             tag: 0x207,
-            pending: 5,
             stash_depth: 2,
         };
         let s = e.to_string();
         assert!(s.contains("src 3"), "{s}");
         assert!(s.contains(&format!("tag {}", 0x207)), "{s}");
-        assert!(s.contains("5 retransmit"), "{s}");
+        assert!(s.contains("2 unrelated"), "{s}");
     }
 
     #[test]

@@ -1,31 +1,15 @@
 //! Deterministic, seed-driven fault injection for the message-passing
-//! runtime — the chaos half of the fault-tolerance layer.
+//! runtime: reordering and rank kills. The channel itself is reliable,
+//! as the paper's MPI transport is; the injector only moves a frame
+//! behind its successors or kills a rank.
 //!
-//! Every data frame is identified by `(src, dst, tag, seq, attempt)`;
-//! the plan hashes that identity with its seed to decide the frame's
-//! fate. The schedule is therefore a pure function of the seed and the
+//! Every data frame is identified by `(src, dst, tag, seq)`; the plan
+//! hashes that identity with its seed to decide whether the frame is
+//! delayed. The schedule is therefore a pure function of the seed and the
 //! message stream — independent of thread timing — so the same seed
-//! reproduces the same faults run after run, and a restarted attempt
-//! replays the same drops it survived before.
+//! reproduces the same reordering run after run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// What the injector does to one transmitted data frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Pass through untouched.
-    Deliver,
-    /// Silently lose the frame.
-    Drop,
-    /// Deliver the frame twice.
-    Duplicate,
-    /// Hold the frame back; it is released after a later frame, so the
-    /// receiver observes reordering.
-    Delay,
-    /// Flip one bit of one payload element (the checksum still covers
-    /// the original payload, so receivers detect the damage).
-    Corrupt { elem: u64, bit: u32 },
-}
 
 /// Kill one rank when it enters its `exchange`-th halo exchange
 /// (1-based). One-shot: after firing once it never fires again, even
@@ -41,21 +25,14 @@ pub struct KillSpec {
 #[derive(Debug)]
 pub struct FaultPlan {
     pub seed: u64,
-    /// Probability a data frame is dropped.
-    pub drop_p: f64,
-    /// Probability a data frame is duplicated.
-    pub dup_p: f64,
     /// Probability a data frame is delayed past its successors.
     pub delay_p: f64,
-    /// Probability one payload bit is flipped.
-    pub corrupt_p: f64,
     pub kill: Option<KillSpec>,
     kill_fired: AtomicBool,
 }
 
-/// splitmix64 — the mixing function behind fault decisions and payload
-/// checksums (public within the crate so the runtime shares it).
-pub(crate) fn splitmix(mut z: u64) -> u64 {
+/// splitmix64 — the mixing function behind the delay decisions.
+fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -63,14 +40,11 @@ pub(crate) fn splitmix(mut z: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (probabilities zero, no kill).
+    /// A plan that injects nothing (no delay, no kill).
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            drop_p: 0.0,
-            dup_p: 0.0,
             delay_p: 0.0,
-            corrupt_p: 0.0,
             kill: None,
             kill_fired: AtomicBool::new(false),
         }
@@ -81,13 +55,12 @@ impl FaultPlan {
         self
     }
 
-    /// Parse a `seed:spec` string, e.g.
-    /// `42:drop=0.05,dup=0.02,delay=0.1,corrupt=0.01,kill=1@3`.
+    /// Parse a `seed:spec` string, e.g. `42:delay=0.1,kill=1@3`.
     /// The spec part may be empty (a plan with no faults).
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let (seed_str, spec) = s
             .split_once(':')
-            .ok_or_else(|| format!("chaos spec `{s}` must look like `seed:drop=0.05,...`"))?;
+            .ok_or_else(|| format!("chaos spec `{s}` must look like `seed:delay=0.1,...`"))?;
         let seed: u64 = seed_str
             .trim()
             .parse()
@@ -99,18 +72,14 @@ impl FaultPlan {
                 .ok_or_else(|| format!("bad chaos clause `{part}` (expected key=value)"))?;
             let key = key.trim();
             let val = val.trim();
-            let parse_p = |v: &str| -> Result<f64, String> {
-                let p: f64 = v.parse().map_err(|_| format!("bad probability `{v}`"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("probability `{v}` outside [0, 1]"));
-                }
-                Ok(p)
-            };
             match key {
-                "drop" => plan.drop_p = parse_p(val)?,
-                "dup" => plan.dup_p = parse_p(val)?,
-                "delay" | "reorder" => plan.delay_p = parse_p(val)?,
-                "corrupt" => plan.corrupt_p = parse_p(val)?,
+                "delay" | "reorder" => {
+                    let p: f64 = val.parse().map_err(|_| format!("bad probability `{val}`"))?;
+                    if !(0.0..=1.0).contains(&p) {
+                        return Err(format!("probability `{val}` outside [0, 1]"));
+                    }
+                    plan.delay_p = p;
+                }
                 "kill" => {
                     let (r, k) = val
                         .split_once('@')
@@ -120,48 +89,30 @@ impl FaultPlan {
                         exchange: k.parse().map_err(|_| format!("bad kill exchange `{k}`"))?,
                     });
                 }
+                "drop" | "dup" | "corrupt" => {
+                    return Err(format!(
+                        "chaos clause `{key}` is not injectable: the channel is reliable, \
+                         so a plan can only delay frames and kill ranks"
+                    ))
+                }
                 other => return Err(format!("unknown chaos clause `{other}`")),
             }
-        }
-        if plan.drop_p + plan.dup_p + plan.delay_p + plan.corrupt_p > 1.0 {
-            return Err("fault probabilities sum past 1.0".into());
         }
         Ok(plan)
     }
 
-    /// Decide the fate of one data frame. Pure in the frame identity:
-    /// retransmissions (`attempt > 0`) re-roll, so a frame that was
-    /// dropped once is not doomed forever.
-    pub fn decide(&self, src: usize, dst: usize, tag: u64, seq: u64, attempt: u32) -> FaultAction {
-        if self.drop_p + self.dup_p + self.delay_p + self.corrupt_p == 0.0 {
-            return FaultAction::Deliver;
+    /// Is this data frame held back past its successors? Pure in the
+    /// frame identity.
+    pub fn delays(&self, src: usize, dst: usize, tag: u64, seq: u64) -> bool {
+        if self.delay_p == 0.0 {
+            return false;
         }
-        let id = ((src as u64) << 40) ^ ((dst as u64) << 20) ^ (attempt as u64);
+        let id = ((src as u64) << 40) ^ ((dst as u64) << 20);
         let mut h = splitmix(self.seed ^ splitmix(id));
         h = splitmix(h ^ tag);
         h = splitmix(h ^ seq);
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let mut t = self.drop_p;
-        if u < t {
-            return FaultAction::Drop;
-        }
-        t += self.dup_p;
-        if u < t {
-            return FaultAction::Duplicate;
-        }
-        t += self.delay_p;
-        if u < t {
-            return FaultAction::Delay;
-        }
-        t += self.corrupt_p;
-        if u < t {
-            let h2 = splitmix(h);
-            return FaultAction::Corrupt {
-                elem: h2 >> 32,
-                bit: (h2 & 63) as u32,
-            };
-        }
-        FaultAction::Deliver
+        u < self.delay_p
     }
 
     /// True exactly once, for the configured rank, the first time its
@@ -181,25 +132,22 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
-    fn lossy(seed: u64) -> FaultPlan {
+    fn reordering(seed: u64) -> FaultPlan {
         let mut p = FaultPlan::new(seed);
-        p.drop_p = 0.2;
-        p.dup_p = 0.1;
-        p.delay_p = 0.1;
-        p.corrupt_p = 0.05;
+        p.delay_p = 0.2;
         p
     }
 
     #[test]
     fn same_seed_same_schedule() {
-        let a = lossy(42);
-        let b = lossy(42);
+        let a = reordering(42);
+        let b = reordering(42);
         for src in 0..4 {
             for dst in 0..4 {
                 for seq in 0..64 {
                     assert_eq!(
-                        a.decide(src, dst, 7, seq, 0),
-                        b.decide(src, dst, 7, seq, 0),
+                        a.delays(src, dst, 7, seq),
+                        b.delays(src, dst, 7, seq),
                         "({src},{dst},{seq})"
                     );
                 }
@@ -209,34 +157,19 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let a = lossy(1);
-        let b = lossy(2);
-        let differs = (0..256).any(|seq| a.decide(0, 1, 0, seq, 0) != b.decide(0, 1, 0, seq, 0));
+        let a = reordering(1);
+        let b = reordering(2);
+        let differs = (0..256).any(|seq| a.delays(0, 1, 0, seq) != b.delays(0, 1, 0, seq));
         assert!(differs);
     }
 
     #[test]
-    fn retransmissions_reroll() {
-        // With drop_p well below 1, some retransmission attempt of any
-        // message must survive — the attempt number feeds the hash.
-        let p = lossy(9);
-        for seq in 0..32 {
-            let delivered = (0..64).any(|attempt| {
-                !matches!(p.decide(0, 1, 3, seq, attempt), FaultAction::Drop)
-            });
-            assert!(delivered, "seq {seq} dropped on every attempt");
-        }
-    }
-
-    #[test]
-    fn fault_rates_roughly_match_probabilities() {
-        let p = lossy(1234);
+    fn delay_rate_roughly_matches_probability() {
+        let p = reordering(1234);
         let n = 20_000;
-        let drops = (0..n)
-            .filter(|&seq| matches!(p.decide(0, 1, 0, seq, 0), FaultAction::Drop))
-            .count();
-        let rate = drops as f64 / n as f64;
-        assert!((rate - 0.2).abs() < 0.02, "drop rate {rate}");
+        let delays = (0..n).filter(|&seq| p.delays(0, 1, 0, seq)).count();
+        let rate = delays as f64 / n as f64;
+        assert!((rate - 0.2).abs() < 0.02, "delay rate {rate}");
     }
 
     #[test]
@@ -251,28 +184,36 @@ mod tests {
 
     #[test]
     fn parse_full_spec() {
-        let p = FaultPlan::parse("42:drop=0.05,dup=0.02,delay=0.1,corrupt=0.01,kill=1@3").unwrap();
+        let p = FaultPlan::parse("42:delay=0.1,kill=1@3").unwrap();
         assert_eq!(p.seed, 42);
-        assert_eq!(p.drop_p, 0.05);
-        assert_eq!(p.dup_p, 0.02);
         assert_eq!(p.delay_p, 0.1);
-        assert_eq!(p.corrupt_p, 0.01);
         assert_eq!(p.kill, Some(KillSpec { rank: 1, exchange: 3 }));
+        assert_eq!(FaultPlan::parse("7:reorder=0.5").unwrap().delay_p, 0.5);
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(FaultPlan::parse("no-colon").is_err());
-        assert!(FaultPlan::parse("x:drop=0.1").is_err());
-        assert!(FaultPlan::parse("1:drop=1.5").is_err());
+        assert!(FaultPlan::parse("x:delay=0.1").is_err());
+        assert!(FaultPlan::parse("1:delay=1.5").is_err());
         assert!(FaultPlan::parse("1:kill=2").is_err());
         assert!(FaultPlan::parse("1:mystery=0.5").is_err());
-        assert!(FaultPlan::parse("1:drop=0.9,dup=0.9").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_message_faults_by_name() {
+        for key in ["drop", "dup", "corrupt"] {
+            let e = FaultPlan::parse(&format!("1:delay=0.1,{key}=0.05")).unwrap_err();
+            assert!(e.contains(&format!("`{key}`")), "{e}");
+            assert!(e.contains("reliable"), "{e}");
+            assert!(!e.contains("unknown"), "{e}");
+        }
     }
 
     #[test]
     fn empty_spec_is_a_noop_plan() {
         let p = FaultPlan::parse("7:").unwrap();
-        assert_eq!(p.decide(0, 1, 0, 0, 0), FaultAction::Deliver);
+        assert!(!p.delays(0, 1, 0, 0));
+        assert_eq!(p.kill, None);
     }
 }

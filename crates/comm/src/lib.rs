@@ -17,13 +17,13 @@
 //!   is filled — dimension-ordered faces whose phase order carries the
 //!   corners, or GCL-style explicit messages to all `3^n − 1`
 //!   neighbours). The emitted MPI C and the simulator read the same table;
-//! * [`runtime`] — the message-passing world: `isend`, `irecv`,
-//!   `wait`, tags, out-of-order delivery buffering, plus the
-//!   ack/retransmit reliability protocol and typed [`CommError`]s;
+//! * [`runtime`] — the message-passing world over a reliable channel:
+//!   `isend`, `irecv`, `wait`, tags, out-of-order delivery buffering,
+//!   dead-source detection, one wait deadline, and typed [`CommError`]s;
 //! * [`plan`] — the one loop that runs a rank's [`HaloPlan`]: pack,
 //!   `isend` / `irecv`, wait, unpack, phase by phase;
-//! * [`fault`] — deterministic seed-driven chaos injection (drops,
-//!   duplicates, reordering, bit corruption, rank kills);
+//! * [`fault`] — deterministic seed-driven chaos injection (reordering
+//!   by delay, rank kills);
 //! * [`checkpoint`] — periodic window-ring snapshots the resilient
 //!   driver restarts from after a rank failure;
 //! * [`distributed`] — the full multi-rank stencil driver: every rank
@@ -47,9 +47,9 @@ pub use checkpoint::{
 };
 pub use distributed::{run_distributed_resilient, CommStats, RunOptions};
 pub use error::CommError;
-pub use fault::{FaultAction, FaultPlan, KillSpec};
+pub use fault::{FaultPlan, KillSpec};
 pub use msc_core::halo::{Backend, CartDecomp, HaloPlan, Region};
 pub use runtime::{
     FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource,
-    RecvRequest, ReliabilityConfig, Wire, World, WorldConfig,
+    RecvRequest, World, WorldConfig,
 };

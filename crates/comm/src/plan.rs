@@ -9,7 +9,7 @@
 //! different window buffers apart).
 
 use crate::error::CommError;
-use crate::runtime::{RankCtx, RecvRequest, Wire};
+use crate::runtime::{RankCtx, RecvRequest};
 use msc_core::halo::{HaloMsg, HaloPlan};
 use msc_exec::{Grid, Scalar};
 use msc_trace::{Counter, Hist};
@@ -19,8 +19,9 @@ use std::time::Instant;
 pub struct PendingExchange(Vec<RecvRequest>);
 
 /// Publish the halo of `grid` for this rank: every phase in order.
-/// Faults that recovery cannot hide surface as [`CommError`].
-pub fn exchange<T: Scalar + Wire>(
+/// A dead peer, a timed-out wait or a mis-sized payload surfaces as
+/// [`CommError`].
+pub fn exchange<T: Scalar>(
     plan: &HaloPlan,
     ctx: &mut RankCtx<T>,
     grid: &mut Grid<T>,
@@ -36,7 +37,7 @@ pub fn exchange<T: Scalar + Wire>(
 /// sends from ([`HaloPlan::sends_from`]) while the messages are in
 /// flight. Later phases pack halo cells received in earlier ones, so
 /// they wait for [`finish`].
-pub fn begin<T: Scalar + Wire>(
+pub fn begin<T: Scalar>(
     plan: &HaloPlan,
     ctx: &mut RankCtx<T>,
     grid: &Grid<T>,
@@ -53,7 +54,7 @@ pub fn begin<T: Scalar + Wire>(
 
 /// Complete an exchange started by [`begin`] on the same plan: wait for
 /// phase 0 and unpack it, then post and complete every remaining phase.
-pub fn finish<T: Scalar + Wire>(
+pub fn finish<T: Scalar>(
     plan: &HaloPlan,
     ctx: &mut RankCtx<T>,
     grid: &mut Grid<T>,
@@ -73,7 +74,7 @@ pub fn finish<T: Scalar + Wire>(
 }
 
 /// Post a phase: pack and `isend` each message, `irecv` its counterpart.
-fn post<T: Scalar + Wire>(
+fn post<T: Scalar>(
     ctx: &mut RankCtx<T>,
     grid: &Grid<T>,
     slot: usize,
@@ -96,9 +97,9 @@ fn post<T: Scalar + Wire>(
 
 /// Complete a posted phase: wait for each message in table order and
 /// unpack it into the outer halo. A payload of the wrong length for its
-/// box came from a peer running a different plan (or a damaged frame the
-/// checksum missed): a typed error, never a panic in `unpack`.
-fn complete<T: Scalar + Wire>(
+/// box came from a peer running a different plan: a typed error, never a
+/// panic in `unpack`.
+fn complete<T: Scalar>(
     ctx: &mut RankCtx<T>,
     grid: &mut Grid<T>,
     phase: &[HaloMsg],

@@ -3,24 +3,18 @@
 //! semantics. Delivery between a pair of ranks is matched by `(src, tag)`
 //! with out-of-order buffering, like MPI's unexpected-message queue.
 //!
-//! On top of the raw channels sits a **reliability protocol** sized for
-//! the chaos runtime (see [`crate::fault`]): every data frame carries a
-//! per-`(src → dst)` sequence number and, in a world with a fault plan,
-//! a payload checksum; receivers acknowledge and deduplicate frames, and
-//! a receive that stalls sends bounded, backed-off retransmit requests
-//! back to the source. Injected drops, duplicates, reorderings, and bit
-//! flips therefore heal transparently, while genuine failures surface as
-//! typed [`CommError`] values instead of panics or deadlocks.
-//!
-//! A payload is an owned `Vec<T>` moved through an in-process channel:
-//! the one thing that can alter or lose it on the way is the injector
-//! ([`FaultAction`]). Whether frames are checksummed, acknowledged and
-//! retransmitted is therefore decided once per world, in
-//! [`World::try_run_with`], from the presence of a fault plan — a world
-//! without one hashes and acknowledges nothing.
+//! The channel is reliable, as the paper's MPI transport is: a payload is
+//! an owned `Vec<T>` moved through an in-process channel, so it arrives
+//! once and intact. The fault injector ([`crate::fault`]) can only hold a
+//! frame back behind its successors or kill a rank. A wait blocks on its
+//! inbox in short polls; between polls it looks at the source's alive
+//! flag, so a rank that left the fabric is reported at once as
+//! [`CommError::RankDead`], and a message that never comes fails the wait
+//! with [`CommError::Timeout`] at the world's one deadline — typed errors,
+//! never a hang.
 
 use crate::error::CommError;
-use crate::fault::{splitmix, FaultAction, FaultPlan};
+use crate::fault::FaultPlan;
 use msc_trace::{Counter, CounterSet, FlightKind, Hist, HistSet, TelemetryHub};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,126 +23,29 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Payload element that can cross the wire: hashable for checksums and
-/// bit-flippable for corruption injection. Implemented for the float
-/// types the stencil executors move and the integer types tests use.
-pub trait Wire: Clone + Send + 'static {
-    /// Stable bit pattern feeding the frame checksum.
-    fn wire_bits(&self) -> u64;
-    /// Flip one bit (modulo the type's width) — corruption injection.
-    fn flip_bit(&mut self, bit: u32);
-}
+/// How long a wait blocks on its inbox before it looks at the world
+/// again: the source's alive flag, the deadline and, in membership
+/// worlds, the heartbeat cadence.
+const POLL: Duration = Duration::from_millis(4);
 
-macro_rules! wire_int {
-    ($($t:ty),+) => {$(
-        impl Wire for $t {
-            fn wire_bits(&self) -> u64 {
-                *self as u64
-            }
-            fn flip_bit(&mut self, bit: u32) {
-                *self ^= (1 as $t) << (bit % <$t>::BITS);
-            }
-        }
-    )+};
-}
-wire_int!(u32, u64, usize, i32, i64);
-
-impl Wire for f64 {
-    fn wire_bits(&self) -> u64 {
-        self.to_bits()
-    }
-    fn flip_bit(&mut self, bit: u32) {
-        *self = f64::from_bits(self.to_bits() ^ (1u64 << (bit % 64)));
-    }
-}
-
-impl Wire for f32 {
-    fn wire_bits(&self) -> u64 {
-        self.to_bits() as u64
-    }
-    fn flip_bit(&mut self, bit: u32) {
-        *self = f32::from_bits(self.to_bits() ^ (1u32 << (bit % 32)));
-    }
-}
-
-/// Frame checksum: element `i` feeds lane `i % LANES` of `LANES`
-/// independent splitmix chains (one chain would serialise on its
-/// multiply latency), seeded from `tag`/`seq` and the lane index; the
-/// lanes and the length are folded at the end. Every update is a
-/// bijection of its lane and every fold a bijection of the running hash,
-/// so a change to any single element always changes the result.
-fn checksum<T: Wire>(tag: u64, seq: u64, payload: &[T]) -> u64 {
-    const LANES: usize = 8;
-    let seed = splitmix(tag ^ seq.rotate_left(17));
-    let mut lanes: [u64; LANES] = std::array::from_fn(|i| splitmix(seed ^ i as u64));
-    // Whole blocks first: the fixed-width inner loop is what lets the
-    // eight chains overlap (one loop over `chunks` measured 2x slower).
-    let mut blocks = payload.chunks_exact(LANES);
-    for block in &mut blocks {
-        for (lane, v) in lanes.iter_mut().zip(block) {
-            *lane = splitmix(*lane ^ v.wire_bits());
-        }
-    }
-    for (lane, v) in lanes.iter_mut().zip(blocks.remainder()) {
-        *lane = splitmix(*lane ^ v.wire_bits());
-    }
-    lanes
-        .iter()
-        .fold(payload.len() as u64, |h, lane| splitmix(h ^ lane))
-}
-
-/// Frame body: data, a delivery acknowledgement, a retransmit request
-/// ("send me everything of yours I have not acknowledged"), or an
-/// explicit liveness beacon (membership worlds only; never stashed,
-/// never acked — its arrival *is* its meaning).
-#[derive(Debug, Clone)]
+/// Frame body: data, or an explicit liveness beacon (membership worlds
+/// only; never stashed — its arrival *is* its meaning).
 enum Body<T> {
     Data(Vec<T>),
-    Ack,
-    Resend,
     Heartbeat,
 }
 
-/// A point-to-point frame. `seq` numbers the `(src → dst)` data stream;
-/// for `Ack` frames it names the acknowledged sequence number. `src` is
-/// the sender's *logical* rank; `epoch` is the membership epoch the
-/// frame was sent under — receivers drop frames from older epochs (they
-/// describe a timeline that a recovery rolled back) and buffer frames
-/// from newer ones until they catch up. `checksum` covers the payload as
-/// sent; it is `Some` on the data frames of a world with a fault plan
-/// (the injector can flip a payload bit) and `None` everywhere else.
-#[derive(Debug, Clone)]
+/// A point-to-point frame. `seq` numbers the `(src → dst)` data stream.
+/// `src` is the sender's *logical* rank; `epoch` is the membership epoch
+/// the frame was sent under — receivers drop frames from older epochs
+/// (they describe a timeline that a recovery rolled back) and buffer
+/// frames from newer ones until they catch up.
 struct Frame<T> {
     src: usize,
     epoch: u64,
     tag: u64,
     seq: u64,
-    attempt: u32,
-    checksum: Option<u64>,
     body: Body<T>,
-}
-
-/// Duplicate suppression for one source's data stream: every sequence
-/// number below `next` has been delivered, plus the out-of-order ones in
-/// `ahead`. An in-order stream keeps `ahead` empty.
-#[derive(Debug, Clone, Default)]
-struct Delivered {
-    next: u64,
-    ahead: BTreeSet<u64>,
-}
-
-impl Delivered {
-    /// Record `seq`; `false` if it had been delivered before.
-    fn insert(&mut self, seq: u64) -> bool {
-        if seq != self.next {
-            return seq > self.next && self.ahead.insert(seq);
-        }
-        self.next += 1;
-        while self.ahead.remove(&self.next) {
-            self.next += 1;
-        }
-        true
-    }
 }
 
 /// A posted receive: resolved by [`RankCtx::wait`].
@@ -164,36 +61,6 @@ impl RecvRequest {
     }
     pub fn tag(&self) -> u64 {
         self.tag
-    }
-}
-
-/// Tunables of the reliability protocol.
-#[derive(Debug, Clone)]
-pub struct ReliabilityConfig {
-    /// Initial receive poll before the first retransmit request.
-    pub poll: Duration,
-    /// Poll growth factor per retry (bounded backoff).
-    pub backoff: f64,
-    /// Ceiling on the backed-off poll interval.
-    pub poll_cap: Duration,
-    /// Retransmit requests before a wait gives up with
-    /// [`CommError::Timeout`].
-    pub max_attempts: u32,
-    /// Hard deadline for waits when the reliability protocol is off (no
-    /// fault plan) — converts the old "deadlock forever on a lost
-    /// message" failure mode into a diagnosable timeout.
-    pub plain_deadline: Duration,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> ReliabilityConfig {
-        ReliabilityConfig {
-            poll: Duration::from_millis(4),
-            backoff: 1.7,
-            poll_cap: Duration::from_millis(200),
-            max_attempts: 40,
-            plain_deadline: Duration::from_secs(60),
-        }
     }
 }
 
@@ -499,22 +366,32 @@ impl Membership {
     }
 }
 
-/// World construction options: a chaos plan, protocol tunables, and —
+/// World construction options: a chaos plan, the wait deadline, and —
 /// for resilient runs — the shared membership layer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
-    /// Seeded fault injector applied to every data frame. Its presence
-    /// also makes the world reliable: payload checksums are computed and
-    /// verified, and frames acknowledged and retransmitted, exactly when
-    /// there is a plan that could damage or lose one — fault-free runs pay
-    /// for neither.
+    /// Seeded fault injector: delays data frames and kills ranks.
     pub fault: Option<Arc<FaultPlan>>,
-    pub reliability: ReliabilityConfig,
+    /// How long a wait may block on a live source before it fails with
+    /// [`CommError::Timeout`]: a message that never comes is a diagnosis,
+    /// not a hang.
+    pub deadline: Duration,
     /// Hot-spare membership: present iff the run can heal dead ranks
-    /// online. `None` keeps the runtime byte-for-byte on its old paths.
+    /// online. `None` keeps the runtime on its plain paths.
     pub membership: Option<Arc<Membership>>,
     /// Liveness beacons + detection timeout (membership worlds only).
     pub heartbeat: Option<HeartbeatConfig>,
+}
+
+impl Default for WorldConfig {
+    fn default() -> WorldConfig {
+        WorldConfig {
+            fault: None,
+            deadline: Duration::from_secs(60),
+            membership: None,
+            heartbeat: None,
+        }
+    }
 }
 
 impl std::fmt::Debug for Membership {
@@ -529,15 +406,27 @@ impl std::fmt::Debug for Membership {
 
 /// Shared world state: how many ranks have left the communication fabric
 /// (finished, errored, or panicked). [`RankCtx::finalize`] polls it so
-/// finished ranks keep servicing retransmit requests until everyone is
-/// done, and departure is also counted on drop so a dead rank never
-/// wedges its peers.
+/// finished ranks keep their endpoint open until everyone is done, and
+/// departure is also counted on drop so a dead rank never wedges its
+/// peers.
 struct WorldShared {
     departed: AtomicUsize,
-    /// Per physical slot: false once that thread has left the fabric.
-    /// The membership layer's suspicion check reads this so silence from
-    /// a slow-but-alive rank is never promoted to death.
+    /// Per physical slot: false once that thread has left the fabric. A
+    /// wait stalled on a source reads it, and so does the membership
+    /// layer's suspicion check, so silence from a slow-but-alive rank is
+    /// never taken for death.
     alive: Vec<AtomicBool>,
+}
+
+/// What a membership world adds to an endpoint: the shared layer, and the
+/// liveness clocks only it reads.
+struct Member {
+    layer: Arc<Membership>,
+    hb: Option<HeartbeatConfig>,
+    /// Last time anything (data, heartbeat) arrived per logical src.
+    last_heard: Vec<Instant>,
+    /// Last time we broadcast heartbeat beacons.
+    last_beat: Instant,
 }
 
 /// Per-rank endpoint handed to each rank's closure. In membership
@@ -558,18 +447,11 @@ pub struct RankCtx<T> {
     stash: Vec<Frame<T>>,
     /// Next sequence number per destination stream.
     next_seq: Vec<u64>,
-    /// Delivered sequence numbers per source (duplicate suppression).
-    delivered: Vec<Delivered>,
-    /// Sent-but-unacknowledged data frames per destination — the
-    /// retransmit buffer (pruned as acks drain in).
-    unacked: Vec<Vec<Frame<T>>>,
     /// Frames the injector is holding back, released after later sends.
     delayed: Vec<(usize, Frame<T>)>,
     fault: Option<Arc<FaultPlan>>,
-    cfg: ReliabilityConfig,
-    /// The world has a fault plan: data frames carry a checksum, and the
-    /// ack/retransmit protocol runs.
-    reliable: bool,
+    /// How long a wait on a live source may block.
+    deadline: Duration,
     /// Halo-exchange rounds entered (drives kill injection).
     exchanges: u64,
     shared: Arc<WorldShared>,
@@ -578,27 +460,22 @@ pub struct RankCtx<T> {
     epoch: u64,
     /// Frames from a newer epoch than ours, replayed by `enter_epoch`.
     future: Vec<Frame<T>>,
-    /// Last time anything (data, ack, heartbeat) arrived per logical src.
-    last_heard: Vec<Instant>,
-    /// Last time we broadcast heartbeat beacons.
-    last_beat: Instant,
-    membership: Option<Arc<Membership>>,
-    hb: Option<HeartbeatConfig>,
+    /// Membership and liveness: `None` outside resilient worlds.
+    member: Option<Member>,
     /// Last recoverable control fault this endpoint originated (kill,
     /// suspect, epoch change). Intermediate layers flatten errors into
     /// strings; the driver reads the typed event back via `take_fault`.
     fault_note: Option<CommError>,
-    /// Messages sent (diagnostics). Counts first transmissions of data
-    /// frames only — acks, retransmissions, and control traffic are
-    /// protocol overhead, not messages.
+    /// Messages sent (diagnostics): data frames only — heartbeats are
+    /// control traffic, not messages.
     pub sent_msgs: u64,
     /// The rank's account since it was last published to the run's hub:
     /// protocol events, halo messages, bytes and pack/unpack time, and
     /// anything the driver bumps. Always accumulated — cheap local adds —
     /// so [`crate::distributed::CommStats`] has them with tracing off.
     pub counters: CounterSet,
-    /// The latency samples of the same account (halo wait, retransmit
-    /// recovery delay, pack, unpack, failure detection).
+    /// The latency samples of the same account (halo wait, pack, unpack,
+    /// failure detection).
     pub hists: HistSet,
     /// The run's telemetry hub, which `publish` feeds.
     hub: Arc<TelemetryHub>,
@@ -637,25 +514,14 @@ impl<T> RankCtx<T> {
     fn mark_departed(&mut self) {
         if !self.departed_marked {
             self.departed_marked = true;
-            // Alive goes false before the departed count rises (and well
-            // before the channel endpoint drops with this struct), so a
-            // peer that sees a dead endpoint finds the flag down too.
+            // Alive goes false after every frame this rank sent is in its
+            // peer's channel and before the departed count rises, so a
+            // peer that sees the flag down finds all of them in its inbox.
             self.shared.alive[self.slot].store(false, Ordering::Release);
             self.shared.departed.fetch_add(1, Ordering::AcqRel);
         }
     }
-}
 
-impl<T> Drop for RankCtx<T> {
-    fn drop(&mut self) {
-        // A rank that exits (or unwinds) without calling `finalize`
-        // still counts as departed, so peers polling in `finalize`
-        // cannot wait for it forever.
-        self.mark_departed();
-    }
-}
-
-impl<T: Wire> RankCtx<T> {
     /// Non-blocking send: enqueue and return immediately (the paper's
     /// `MPI_isend`; channel buffering plays the role of the eager
     /// protocol). A hung-up destination is a typed
@@ -668,13 +534,8 @@ impl<T: Wire> RankCtx<T> {
             epoch: self.epoch,
             tag,
             seq,
-            attempt: 0,
-            checksum: self.reliable.then(|| checksum(tag, seq, &payload)),
             body: Body::Data(payload),
         };
-        if self.reliable {
-            self.unacked[dst].push(frame.clone());
-        }
         msc_trace::flight(FlightKind::Send, self.rank as u32, dst as u32, tag, seq);
         msc_trace::flow_send(
             "halo_send",
@@ -730,8 +591,8 @@ impl<T: Wire> RankCtx<T> {
     /// Surface a pending membership epoch change as a typed control
     /// signal. A single atomic load; a no-op outside membership worlds.
     fn poll_epoch(&mut self) -> Result<(), CommError> {
-        if let Some(m) = &self.membership {
-            let e = m.epoch();
+        if let Some(m) = &self.member {
+            let e = m.layer.epoch();
             if e > self.epoch {
                 let err = CommError::EpochChange { epoch: e };
                 self.note_control_fault(&err);
@@ -742,25 +603,19 @@ impl<T: Wire> RankCtx<T> {
     }
 
     /// Cross into a new membership epoch: drop every trace of the rolled
-    /// back timeline (stash, retransmit buffers, injector-held frames,
-    /// sequence numbers, dedup sets) and replay any frames that arrived
-    /// early from peers already in the new epoch. Replayed computation
-    /// regenerates identical traffic, so a fresh numbering is safe — the
-    /// epoch tag on every frame screens out stragglers from the past.
+    /// back timeline (stash, injector-held frames, sequence numbers) and
+    /// replay any frames that arrived early from peers already in the new
+    /// epoch. Replayed computation regenerates identical traffic, so a
+    /// fresh numbering is safe — the epoch tag on every frame screens out
+    /// stragglers from the past.
     pub fn enter_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
         self.stash.clear();
         self.delayed.clear();
-        for buf in &mut self.unacked {
-            buf.clear();
-        }
-        self.delivered.fill(Delivered::default());
-        for seq in &mut self.next_seq {
-            *seq = 0;
-        }
-        let now = Instant::now();
-        for t in &mut self.last_heard {
-            *t = now; // fresh grace period for everyone
+        self.next_seq.fill(0);
+        if let Some(m) = &mut self.member {
+            // A fresh grace period for everyone.
+            m.last_heard.fill(Instant::now());
         }
         let early = std::mem::take(&mut self.future);
         for frame in early {
@@ -786,40 +641,43 @@ impl<T: Wire> RankCtx<T> {
     /// Only logical ranks beat (nobody monitors idle spares), and only
     /// in membership worlds — everywhere else this is free.
     fn maybe_heartbeat(&mut self) {
-        let (Some(m), Some(hb)) = (&self.membership, &self.hb) else {
-            return;
-        };
-        let n_logical = m.n_logical();
-        if self.rank >= n_logical || self.last_beat.elapsed() < hb.every {
-            return;
-        }
-        self.last_beat = Instant::now();
-        for dst in 0..n_logical {
-            if dst == self.rank {
-                continue;
+        let n_logical = match &mut self.member {
+            Some(Member {
+                layer,
+                hb: Some(hb),
+                last_beat,
+                ..
+            }) if self.rank < layer.n_logical() && last_beat.elapsed() >= hb.every => {
+                *last_beat = Instant::now();
+                layer.n_logical()
             }
+            _ => return,
+        };
+        for dst in (0..n_logical).filter(|&dst| dst != self.rank) {
+            let beacon = Frame {
+                src: self.rank,
+                epoch: self.epoch,
+                tag: 0,
+                seq: 0,
+                body: Body::Heartbeat,
+            };
             // A dead destination is the detector's business, not ours.
-            let _ = self.raw_send(dst, self.control(0, 0, Body::Heartbeat));
+            let _ = self.raw_send(dst, beacon);
             self.counters.bump(Counter::HeartbeatsSent, 1);
         }
     }
 
-    /// Suspicion check for a source we are stalled on: silence past the
-    /// detection timeout *and* a departed thread make it a suspect. A
-    /// slow-but-alive rank never qualifies — its silence falls through
-    /// to the ordinary timeout machinery.
+    /// Suspicion check for a peer: silence past the detection timeout
+    /// *and* a departed thread make it a suspect. A slow-but-alive rank
+    /// never qualifies.
     fn check_suspect(&mut self, src: usize) -> Option<CommError> {
-        let m = self.membership.as_ref()?;
-        let detect = self.hb.as_ref()?.detect;
-        if src >= m.n_logical() || src == self.rank {
+        let m = self.member.as_ref()?;
+        let detect = m.hb.as_ref()?.detect;
+        if src >= m.layer.n_logical() || src == self.rank {
             return None;
         }
-        let silence = self.last_heard[src].elapsed();
-        if silence < detect {
-            return None;
-        }
-        let phys = m.phys_of(src);
-        if self.shared.alive[phys].load(Ordering::Acquire) {
+        let silence = m.last_heard[src].elapsed();
+        if silence < detect || self.is_alive(src) {
             return None;
         }
         Some(self.note_suspect(src, silence))
@@ -845,43 +703,36 @@ impl<T: Wire> RankCtx<T> {
         e
     }
 
-    /// Sweep every logical peer through the suspicion check — the
-    /// standby-loop counterpart of the per-wait checks, used by finished
-    /// ranks and idle spares that have no posted receives to stall on.
-    /// (An idle spare hears from nobody, so its silence clocks run from
-    /// spawn; the `alive` flag keeps that from ever flagging a live rank.)
+    /// Sweep every logical peer through the suspicion check — used by
+    /// finished ranks and idle spares, which have no posted receive to
+    /// stall on. (An idle spare hears from nobody, so its silence clocks
+    /// run from spawn; the `alive` flag keeps that from ever flagging a
+    /// live rank.)
     pub fn poll_suspects(&mut self) -> Option<CommError> {
-        let n = match &self.membership {
-            Some(m) => m.n_logical(),
-            None => return None,
-        };
-        for src in 0..n {
-            if let Some(e) = self.check_suspect(src) {
-                return Some(e);
-            }
-        }
-        None
+        let n = self.member.as_ref()?.layer.n_logical();
+        (0..n).find_map(|src| self.check_suspect(src))
     }
 
     /// In membership worlds a dead endpoint is a recoverable suspect,
     /// not a fatal [`CommError::RankDead`].
     fn promote_dead(&mut self, e: CommError) -> CommError {
-        let Some(m) = &self.membership else { return e };
+        let Some(m) = &self.member else { return e };
         match e {
-            CommError::RankDead { rank } if rank < m.n_logical() && rank != self.rank => {
-                let silence = self.last_heard[rank].elapsed();
+            CommError::RankDead { rank } if rank < m.layer.n_logical() && rank != self.rank => {
+                let silence = m.last_heard[rank].elapsed();
                 self.note_suspect(rank, silence)
             }
             other => other,
         }
     }
 
-    /// Service the fabric for `dur` without expecting any payload: drain
-    /// inbound frames (acks, retransmit requests, late buddy snapshots),
-    /// keep heartbeating, and surface epoch changes. Finished ranks park
-    /// here until the whole world completes — parking in a condvar
-    /// instead would starve replaying neighbors of retransmissions.
+    /// Service the fabric for `dur` without expecting any payload: release
+    /// held frames, drain inbound ones (late buddy snapshots, early
+    /// frames of a new epoch), keep heartbeating, and surface epoch
+    /// changes. Finished ranks of a membership world park here until the
+    /// whole world completes, so a late failure can still pull them back.
     pub fn service_for(&mut self, dur: Duration) -> Result<(), CommError> {
+        self.flush_delayed();
         let deadline = Instant::now() + dur;
         loop {
             self.poll_epoch()?;
@@ -897,48 +748,28 @@ impl<T: Wire> RankCtx<T> {
         }
     }
 
-    /// Receive-poll interval: the protocol's own cadence, capped so
-    /// heartbeat and detection deadlines are honored in membership
-    /// worlds (a 250 ms plain-mode doze would miss a 100 ms detect).
-    fn poll_step(&self, poll: Duration, start: Instant) -> Duration {
-        let mut step = if self.reliable {
-            poll
-        } else {
-            self.cfg
-                .plain_deadline
-                .saturating_sub(start.elapsed())
-                .min(Duration::from_millis(250))
-        };
-        if let Some(hb) = &self.hb {
-            step = step
+    /// Receive-poll interval: [`POLL`], no later than the deadline, and
+    /// capped so heartbeat and detection deadlines are honored in
+    /// membership worlds.
+    fn poll_step(&self, start: Instant) -> Duration {
+        let step = POLL.min(self.deadline.saturating_sub(start.elapsed()));
+        match self.member.as_ref().and_then(|m| m.hb.as_ref()) {
+            Some(hb) => step
                 .min(hb.every.min(hb.detect) / 2)
-                .max(Duration::from_millis(1));
-        }
-        step
-    }
-
-    /// Successful wait bookkeeping: halo-wait histogram sample, plus the
-    /// recovery-delay histogram when retransmits were needed. `waited`
-    /// ends when the completing frame left the inbox, so checking it is
-    /// not booked as waiting.
-    fn note_wait_done(&mut self, waited: Duration, resends: usize) {
-        let waited = waited.as_nanos() as u64;
-        self.hists.add(Hist::HaloWaitNanos, waited);
-        if resends > 0 {
-            self.hists.add(Hist::RetransmitDelayNanos, waited);
+                .max(Duration::from_millis(1)),
+            None => step,
         }
     }
 
     /// Build the hard timeout error, leaving a flight record and dumping
     /// the recorder: the failing (src, tag) pair's last moments ship with
     /// the error.
-    fn note_timeout(&mut self, src: usize, tag: u64, pending: usize) -> CommError {
+    fn note_timeout(&mut self, src: usize, tag: u64) -> CommError {
         msc_trace::flight(FlightKind::Timeout, src as u32, self.rank as u32, tag, 0);
         let _ = msc_trace::dump_on_error("timeout");
         CommError::Timeout {
             src,
             tag,
-            pending,
             stash_depth: self.stash.len(),
         }
     }
@@ -950,73 +781,73 @@ impl<T: Wire> RankCtx<T> {
     }
 
     /// Block until the matching message arrives; unrelated messages are
-    /// stashed for later requests. Under the reliability protocol a
-    /// stalled wait requests retransmission with bounded backoff; without
-    /// it, a generous hard deadline turns a lost message into
-    /// [`CommError::Timeout`] instead of a deadlock.
+    /// stashed for later requests. A source that left the fabric without
+    /// sending it is [`CommError::RankDead`] (a suspect in membership
+    /// worlds) as soon as a poll finds its alive flag down; a live source
+    /// that stays silent past the world's deadline is
+    /// [`CommError::Timeout`].
     pub fn wait(&mut self, req: RecvRequest) -> Result<Vec<T>, CommError> {
         let _span = msc_trace::span("recv_wait");
+        // A peer may be blocked on a frame the injector is holding.
+        self.flush_delayed();
         if let Some(payload) = self.take_stashed(req.src, req.tag) {
             return Ok(payload);
         }
         let start = Instant::now();
-        let mut poll = self.cfg.poll;
-        let mut attempts = 0u32;
-        let mut resends = 0usize;
         loop {
             self.poll_epoch()?;
-            self.flush_delayed();
-            let step = self.poll_step(poll, start);
-            match self.inbox.recv_timeout(step) {
-                Ok(frame) => {
-                    let waited = start.elapsed();
-                    self.process_frame(frame);
-                    if let Some(payload) = self.take_stashed(req.src, req.tag) {
-                        self.note_wait_done(waited, resends);
-                        return Ok(payload);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.maybe_heartbeat();
-                    if let Some(e) = self.check_suspect(req.src) {
-                        return Err(e);
-                    }
-                    let timed_out = if self.reliable {
-                        attempts += 1;
-                        attempts > self.cfg.max_attempts
-                    } else {
-                        start.elapsed() >= self.cfg.plain_deadline
-                    };
+            let got = self.inbox.recv_timeout(self.poll_step(start));
+            // The wait ends when the frame leaves the inbox, so sorting
+            // it is not booked as waiting.
+            let waited = start.elapsed();
+            match got {
+                Ok(frame) => self.process_frame(frame),
+                Err(RecvTimeoutError::Timeout) if self.is_alive(req.src) => {
                     self.counters.bump(Counter::TimeoutCount, 1);
-                    if timed_out {
-                        return Err(self.note_timeout(req.src, req.tag, resends));
-                    }
-                    if self.reliable {
-                        // Receiver-driven recovery: ask the source to
-                        // retransmit everything it still owes us. A dead
-                        // source is a hard error.
-                        msc_trace::flight(
-                            FlightKind::ResendRequest,
-                            self.rank as u32,
-                            req.src as u32,
-                            req.tag,
-                            0,
-                        );
-                        if let Err(e) = self.raw_send(req.src, self.control(0, 0, Body::Resend)) {
-                            return Err(self.promote_dead(e));
-                        }
-                        resends += 1;
-                        poll = Duration::from_secs_f64(
-                            (poll.as_secs_f64() * self.cfg.backoff)
-                                .min(self.cfg.poll_cap.as_secs_f64()),
-                        );
+                    self.maybe_heartbeat();
+                    if waited >= self.deadline {
+                        return Err(self.note_timeout(req.src, req.tag));
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let e = self.note_rank_dead(req.src);
-                    return Err(self.promote_dead(e));
+                // The source left the fabric, and everything it sent was
+                // in our inbox before its flag went down: one more drain
+                // finds the frame, or nothing ever will. A recovery that
+                // opened meanwhile is the news, not the death it heals.
+                Err(_) => {
+                    while let Ok(frame) = self.inbox.try_recv() {
+                        self.process_frame(frame);
+                    }
+                    if !self
+                        .stash
+                        .iter()
+                        .any(|m| m.src == req.src && m.tag == req.tag)
+                    {
+                        self.poll_epoch()?;
+                        let e = self.note_rank_dead(req.src);
+                        return Err(self.promote_dead(e));
+                    }
                 }
             }
+            if let Some(payload) = self.take_stashed(req.src, req.tag) {
+                self.hists
+                    .add(Hist::HaloWaitNanos, waited.as_nanos() as u64);
+                return Ok(payload);
+            }
+        }
+    }
+
+    /// Is the thread carrying logical rank `rank` still in the fabric?
+    fn is_alive(&self, rank: usize) -> bool {
+        self.shared.alive[self.phys(rank)].load(Ordering::Acquire)
+    }
+
+    /// The physical slot carrying logical rank `rank`: in membership
+    /// worlds whichever slot currently carries it (a spare after
+    /// adoption), elsewhere the rank itself.
+    fn phys(&self, rank: usize) -> usize {
+        match &self.member {
+            Some(m) if rank < m.layer.n_logical() => m.layer.phys_of(rank),
+            _ => rank,
         }
     }
 
@@ -1035,11 +866,10 @@ impl<T: Wire> RankCtx<T> {
         Some(payload)
     }
 
-    /// Handle one inbound frame: bookkeeping for acks and retransmit
-    /// requests, checksum + duplicate screening for data. Membership
-    /// epochs screen first — a frame from the rolled-back past is
-    /// dropped, one from a future epoch buffered for `enter_epoch` —
-    /// and every on-epoch arrival refreshes the sender's liveness.
+    /// Handle one inbound frame. Membership epochs screen first — a frame
+    /// from the rolled-back past is dropped, one from a future epoch
+    /// buffered for `enter_epoch` — every on-epoch arrival refreshes the
+    /// sender's liveness, and data is stashed for its wait.
     fn process_frame(&mut self, frame: Frame<T>) {
         if frame.epoch < self.epoch {
             return; // stale timeline; recovery replay resends
@@ -1048,170 +878,59 @@ impl<T: Wire> RankCtx<T> {
             self.future.push(frame);
             return;
         }
-        if frame.src < self.last_heard.len() {
-            self.last_heard[frame.src] = Instant::now();
+        if let Some(heard) = self
+            .member
+            .as_mut()
+            .and_then(|m| m.last_heard.get_mut(frame.src))
+        {
+            *heard = Instant::now();
         }
-        match frame.body {
-            Body::Heartbeat => {}
-            Body::Ack => {
-                msc_trace::flight(
-                    FlightKind::Ack,
-                    frame.src as u32,
-                    self.rank as u32,
-                    frame.tag,
-                    frame.seq,
-                );
-                self.unacked[frame.src].retain(|f| f.seq != frame.seq);
-            }
-            Body::Resend => {
-                let requester = frame.src;
-                let mut pending: Vec<Frame<T>> = self.unacked[requester]
-                    .iter_mut()
-                    .map(|f| {
-                        f.attempt += 1;
-                        f.clone()
-                    })
-                    .collect();
-                for f in pending.drain(..) {
-                    self.counters.bump(Counter::RetransmitCount, 1);
-                    msc_trace::flight(
-                        FlightKind::Retransmit,
-                        self.rank as u32,
-                        requester as u32,
-                        f.tag,
-                        f.seq,
-                    );
-                    // The requester may have died since asking; that is
-                    // its problem, not ours.
-                    let _ = self.transmit(requester, f);
-                }
-            }
-            Body::Data(ref payload) => {
-                if frame
-                    .checksum
-                    .is_some_and(|sum| sum != checksum(frame.tag, frame.seq, payload))
-                {
-                    msc_trace::flight(
-                        FlightKind::Corrupt,
-                        frame.src as u32,
-                        self.rank as u32,
-                        frame.tag,
-                        frame.seq,
-                    );
-                    // Damaged in flight (only a world with a fault plan
-                    // checksums, and it runs ack/retransmit): drop it and
-                    // nudge the source for a clean copy (best effort — our
-                    // own poll timeout re-requests if this nudge is lost).
-                    let _ = self.raw_send(frame.src, self.control(0, 0, Body::Resend));
-                    return;
-                }
-                if self.reliable {
-                    // Acknowledge receipt so the sender can prune its
-                    // retransmit buffer (best effort: an exited sender
-                    // no longer cares).
-                    let ack = self.control(frame.tag, frame.seq, Body::Ack);
-                    let _ = self.raw_send(frame.src, ack);
-                }
-                // Idempotent delivery: duplicates (injected or from
-                // over-eager retransmission) are dropped here.
-                if !self.delivered[frame.src].insert(frame.seq) {
-                    return;
-                }
-                msc_trace::flight(
-                    FlightKind::Deliver,
-                    frame.src as u32,
-                    self.rank as u32,
-                    frame.tag,
-                    frame.seq,
-                );
-                msc_trace::flow_recv(
-                    "halo_recv",
-                    msc_trace::message_id(
-                        frame.src as u32,
-                        self.rank as u32,
-                        frame.tag as u32,
-                        frame.seq as u32,
-                    ),
-                );
-                self.stash.push(frame);
-            }
+        if let Body::Heartbeat = frame.body {
+            return;
         }
+        msc_trace::flight(
+            FlightKind::Deliver,
+            frame.src as u32,
+            self.rank as u32,
+            frame.tag,
+            frame.seq,
+        );
+        msc_trace::flow_recv(
+            "halo_recv",
+            msc_trace::message_id(
+                frame.src as u32,
+                self.rank as u32,
+                frame.tag as u32,
+                frame.seq as u32,
+            ),
+        );
+        self.stash.push(frame);
     }
 
-    /// Send through the fault injector (data frames only).
+    /// Send a data frame through the fault injector: now, or held back
+    /// until after a later send.
     fn transmit(&mut self, dst: usize, frame: Frame<T>) -> Result<(), CommError> {
-        let action = match (&self.fault, &frame.body) {
-            (Some(plan), Body::Data(_)) => {
-                plan.decide(self.rank, dst, frame.tag, frame.seq, frame.attempt)
-            }
-            _ => FaultAction::Deliver,
-        };
-        let (tag, seq) = (frame.tag, frame.seq);
-        match action {
-            FaultAction::Deliver => self.raw_send(dst, frame),
-            FaultAction::Drop => {
-                self.note_fault(dst, tag, seq);
-                Ok(())
-            }
-            FaultAction::Delay => {
-                self.note_fault(dst, tag, seq);
-                self.delayed.push((dst, frame));
-                Ok(())
-            }
-            FaultAction::Duplicate => {
-                self.note_fault(dst, tag, seq);
-                self.raw_send(dst, frame.clone())?;
-                self.raw_send(dst, frame)
-            }
-            FaultAction::Corrupt { elem, bit } => {
-                self.note_fault(dst, tag, seq);
-                let mut f = frame;
-                if let Body::Data(p) = &mut f.body {
-                    if !p.is_empty() {
-                        let i = (elem % p.len() as u64) as usize;
-                        p[i].flip_bit(bit);
-                    }
-                }
-                // Checksum still covers the original payload, so the
-                // receiver detects the damage and re-requests.
-                self.raw_send(dst, f)
-            }
+        let held = self
+            .fault
+            .as_ref()
+            .is_some_and(|plan| plan.delays(self.rank, dst, frame.tag, frame.seq));
+        if !held {
+            return self.raw_send(dst, frame);
         }
-    }
-
-    fn note_fault(&mut self, dst: usize, tag: u64, seq: u64) {
         self.counters.bump(Counter::FaultsInjected, 1);
         msc_trace::flight(
             FlightKind::FaultInjected,
             self.rank as u32,
             dst as u32,
-            tag,
-            seq,
+            frame.tag,
+            frame.seq,
         );
-    }
-
-    /// A control frame (ack, retransmit request, heartbeat): no payload,
-    /// so nothing to retry or check.
-    fn control(&self, tag: u64, seq: u64, body: Body<T>) -> Frame<T> {
-        Frame {
-            src: self.rank,
-            epoch: self.epoch,
-            tag,
-            seq,
-            attempt: 0,
-            checksum: None,
-            body,
-        }
+        self.delayed.push((dst, frame));
+        Ok(())
     }
 
     fn raw_send(&self, dst: usize, frame: Frame<T>) -> Result<(), CommError> {
-        // `dst` is a logical rank; membership maps it to whichever
-        // physical slot currently carries it (a spare after adoption).
-        let phys = match &self.membership {
-            Some(m) if dst < m.n_logical() => m.phys_of(dst),
-            _ => dst,
-        };
-        self.senders[phys]
+        self.senders[self.phys(dst)]
             .send(frame)
             .map_err(|_| CommError::RankDead { rank: dst })
     }
@@ -1223,11 +942,10 @@ impl<T: Wire> RankCtx<T> {
     }
 
     /// Cooperative teardown: release any injector-held frames, then keep
-    /// servicing acks and retransmit requests until every rank has
-    /// departed (finished, errored, or died). Ranks that block on late
-    /// halo messages can therefore still be served by peers that already
-    /// finished computing. Call it as the last communication act of a
-    /// rank body; ranks that skip it (or die) are counted out on drop.
+    /// the endpoint open, draining it, until every rank has departed
+    /// (finished, errored, or died), so no peer's send finds it gone.
+    /// Call it as the last communication act of a rank body; ranks that
+    /// skip it (or die) are counted out on drop.
     pub fn finalize(&mut self) {
         self.flush_delayed();
         self.mark_departed();
@@ -1244,6 +962,15 @@ impl<T: Wire> RankCtx<T> {
     }
 }
 
+impl<T> Drop for RankCtx<T> {
+    fn drop(&mut self) {
+        // A rank that exits (or unwinds) without calling `finalize`
+        // still counts as departed, so peers polling in `finalize`
+        // cannot wait for it forever.
+        self.mark_departed();
+    }
+}
+
 /// A world of `n` ranks. Spawns one thread per rank and joins them.
 pub struct World;
 
@@ -1253,7 +980,7 @@ impl World {
     /// wrapper over [`World::try_run`] for tests and infallible callers.
     pub fn run<T, R, F>(n_ranks: usize, f: F) -> Vec<R>
     where
-        T: Wire,
+        T: Send,
         R: Send,
         F: Fn(RankCtx<T>) -> R + Sync,
     {
@@ -1268,28 +995,25 @@ impl World {
     /// instead of nuking every rank's result with a joined panic.
     pub fn try_run<T, R, F>(n_ranks: usize, f: F) -> Result<Vec<R>, CommError>
     where
-        T: Wire,
+        T: Send,
         R: Send,
         F: Fn(RankCtx<T>) -> R + Sync,
     {
         Self::try_run_with(n_ranks, WorldConfig::default(), f)
     }
 
-    /// Full-control entry point: chaos plan + reliability tunables.
+    /// Full-control entry point: chaos plan, wait deadline, membership.
     pub fn try_run_with<T, R, F>(
         n_ranks: usize,
         cfg: WorldConfig,
         f: F,
     ) -> Result<Vec<R>, CommError>
     where
-        T: Wire,
+        T: Send,
         R: Send,
         F: Fn(RankCtx<T>) -> R + Sync,
     {
         assert!(n_ranks > 0, "world needs at least one rank");
-        // The injector is the only thing here that can damage or lose a
-        // frame in flight, so only its worlds checksum, ack and resend.
-        let reliable = cfg.fault.is_some();
         let mut senders = Vec::with_capacity(n_ranks);
         let mut receivers = Vec::with_capacity(n_ranks);
         for _ in 0..n_ranks {
@@ -1311,9 +1035,9 @@ impl World {
                 let senders = Arc::clone(&senders);
                 let shared = Arc::clone(&shared);
                 let fault = cfg.fault.clone();
-                let reliability = cfg.reliability.clone();
                 let membership = cfg.membership.clone();
                 let heartbeat = cfg.heartbeat.clone();
+                let deadline = cfg.deadline;
                 let f = &f;
                 // Rank threads inherit the launching thread's telemetry
                 // hub so a sessioned run keeps all ranks in one session.
@@ -1325,6 +1049,12 @@ impl World {
                     msc_trace::set_current_rank(rank as u32);
                     let _span = msc_trace::span("rank");
                     let now = Instant::now();
+                    let member = membership.map(|layer| Member {
+                        layer,
+                        hb: heartbeat,
+                        last_heard: vec![now; n_ranks],
+                        last_beat: now,
+                    });
                     let ctx = RankCtx {
                         rank,
                         n_ranks,
@@ -1333,21 +1063,15 @@ impl World {
                         inbox,
                         stash: Vec::new(),
                         next_seq: vec![0; n_ranks],
-                        delivered: vec![Delivered::default(); n_ranks],
-                        unacked: vec![Vec::new(); n_ranks],
                         delayed: Vec::new(),
                         fault,
-                        cfg: reliability,
-                        reliable,
+                        deadline,
                         exchanges: 0,
                         shared,
                         departed_marked: false,
                         epoch: 0,
                         future: Vec::new(),
-                        last_heard: vec![now; n_ranks],
-                        last_beat: now,
-                        membership,
-                        hb: heartbeat,
+                        member,
                         fault_note: None,
                         sent_msgs: 0,
                         counters: CounterSet::new(),
@@ -1407,7 +1131,8 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use msc_core::halo::{Backend, CartDecomp, HaloPlan};
+    use msc_exec::Grid;
 
     #[test]
     fn ring_pass() {
@@ -1527,186 +1252,40 @@ mod tests {
     }
 
     #[test]
-    fn reliable_wait_survives_heavy_drop() {
-        let mut plan = FaultPlan::new(77);
-        plan.drop_p = 0.5;
-        let cfg = WorldConfig {
-            fault: Some(Arc::new(plan)),
-            reliability: ReliabilityConfig {
-                poll: Duration::from_millis(2),
-                max_attempts: 60,
-                ..Default::default()
-            },
-            membership: None,
-            heartbeat: None,
-        };
-        let results: Vec<(usize, u64)> = World::try_run_with(4, cfg, |mut ctx: RankCtx<usize>| {
-            for dst in 0..ctx.n_ranks {
-                if dst != ctx.rank {
-                    for tag in 0..8u64 {
-                        ctx.isend(dst, tag, vec![ctx.rank * 1000 + tag as usize])
-                            .unwrap();
-                    }
-                }
-            }
-            let mut sum = 0usize;
-            for src in 0..ctx.n_ranks {
-                if src != ctx.rank {
-                    for tag in 0..8u64 {
-                        let req = ctx.irecv(src, tag);
-                        sum += ctx.wait(req).unwrap()[0];
-                    }
-                }
-            }
-            let retransmits = ctx.counters.get(Counter::RetransmitCount)
-                + ctx.counters.get(Counter::FaultsInjected);
-            ctx.finalize();
-            (sum, retransmits)
-        })
-        .unwrap();
-        for (rank, (sum, _)) in results.iter().enumerate() {
-            let want: usize = (0..4)
-                .filter(|&s| s != rank)
-                .flat_map(|s| (0..8).map(move |t| s * 1000 + t))
-                .sum();
-            assert_eq!(*sum, want, "rank {rank}");
-        }
-        // With drop_p = 0.5 over 96 data frames, faults must have fired
-        // somewhere and recovery must have retransmitted.
-        let total: u64 = results.iter().map(|(_, r)| r).sum();
-        assert!(total > 0, "no faults or retransmits recorded");
-    }
-
-    #[test]
-    fn duplicates_are_deduplicated() {
-        let mut plan = FaultPlan::new(5);
-        plan.dup_p = 1.0; // every data frame sent twice
+    fn delayed_frames_are_matched_by_source_and_tag() {
+        // Half the frames are held back behind their successors, so rank 1
+        // sees them out of order and must stash the early ones.
+        let mut plan = FaultPlan::new(21);
+        plan.delay_p = 0.5;
         let cfg = WorldConfig {
             fault: Some(Arc::new(plan)),
             ..Default::default()
         };
-        let results: Vec<usize> = World::try_run_with(3, cfg, |mut ctx: RankCtx<usize>| {
-            for dst in 0..ctx.n_ranks {
-                if dst != ctx.rank {
-                    ctx.isend(dst, 0, vec![ctx.rank + 1]).unwrap();
+        let results: Vec<(u64, usize)> = World::try_run_with(2, cfg, |mut ctx: RankCtx<u64>| {
+            let mut deepest = 0;
+            if ctx.rank == 0 {
+                for tag in 0..16 {
+                    ctx.isend(1, tag, vec![tag]).unwrap();
                 }
-            }
-            let mut sum = 0;
-            for src in 0..ctx.n_ranks {
-                if src != ctx.rank {
-                    let req = ctx.irecv(src, 0);
-                    sum += ctx.wait(req).unwrap()[0];
-                }
-            }
-            // Once every copy has arrived, a second payload must NOT be
-            // stashed: the duplicate was suppressed on arrival.
-            ctx.service_for(Duration::from_millis(20)).unwrap();
-            for src in 0..ctx.n_ranks {
-                if src != ctx.rank {
-                    assert!(ctx.take_stashed(src, 0).is_none(), "duplicate leaked");
+            } else {
+                for tag in 0..16 {
+                    let req = ctx.irecv(0, tag);
+                    assert_eq!(ctx.wait(req).unwrap(), [tag]);
+                    deepest = deepest.max(ctx.stash.len());
                 }
             }
             ctx.finalize();
-            sum
+            (ctx.counters.get(Counter::FaultsInjected), deepest)
         })
         .unwrap();
-        for (rank, s) in results.iter().enumerate() {
-            let want: usize = (0..3).filter(|&r| r != rank).map(|r| r + 1).sum();
-            assert_eq!(*s, want);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Any single-bit flip of any element, another tag, another seq,
-        /// or one element fewer changes the checksum — f64 and f32, every
-        /// length around the lane count and the remainder path.
-        #[test]
-        fn checksum_sees_every_single_change(
-            bits in prop::collection::vec(0u64..u64::MAX, 0..=67),
-            tag in 0u64..u64::MAX,
-            seq in 0u64..1 << 40,
-        ) {
-            fn check<T: Wire>(tag: u64, seq: u64, payload: &[T], width: u32) {
-                let sum = checksum(tag, seq, payload);
-                let mut damaged = payload.to_vec();
-                for i in 0..payload.len() {
-                    for bit in 0..width {
-                        damaged[i].flip_bit(bit);
-                        assert_ne!(checksum(tag, seq, &damaged), sum, "element {i} bit {bit}");
-                        damaged[i].flip_bit(bit);
-                    }
-                }
-                assert_eq!(checksum(tag, seq, &damaged), sum);
-                assert_ne!(checksum(tag ^ 1, seq, payload), sum, "tag");
-                assert_ne!(checksum(tag, seq + 1, payload), sum, "seq");
-                if let Some((_, shorter)) = payload.split_last() {
-                    assert_ne!(checksum(tag, seq, shorter), sum, "truncated");
-                }
-            }
-            let wide: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-            let narrow: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b as u32)).collect();
-            check(tag, seq, &wide, 64);
-            check(tag, seq, &narrow, 32);
-        }
-    }
-
-    /// Payload element that counts how often the runtime hashes it.
-    #[derive(Clone)]
-    struct Counted(u64);
-    static HASHED: AtomicU64 = AtomicU64::new(0);
-
-    impl Wire for Counted {
-        fn wire_bits(&self) -> u64 {
-            HASHED.fetch_add(1, Ordering::Relaxed);
-            self.0
-        }
-        fn flip_bit(&mut self, bit: u32) {
-            self.0 ^= 1 << (bit % 64);
-        }
+        assert!(results[0].0 > 0, "nothing was delayed");
+        assert!(results[1].1 > 0, "no frame overtook another");
     }
 
     #[test]
-    fn a_world_without_a_fault_plan_hashes_nothing() {
-        const FACE: usize = 64;
-        const ROUNDS: u64 = 3;
-        // Both ranks swap a face per round. Returns the hash calls made.
-        let swap_faces = |fault: Option<Arc<FaultPlan>>| {
-            let cfg = WorldConfig {
-                fault,
-                // No retransmit request may fire while a peer is merely
-                // slow to be scheduled: a re-sent frame is hashed again.
-                reliability: ReliabilityConfig {
-                    poll: Duration::from_secs(30),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let before = HASHED.load(Ordering::Relaxed);
-            World::try_run_with(2, cfg, |mut ctx: RankCtx<Counted>| {
-                let peer = 1 - ctx.rank;
-                for round in 0..ROUNDS {
-                    ctx.isend(peer, round, vec![Counted(round); FACE]).unwrap();
-                    let req = ctx.irecv(peer, round);
-                    assert_eq!(ctx.wait(req).unwrap().len(), FACE);
-                }
-            })
-            .unwrap();
-            HASHED.load(Ordering::Relaxed) - before
-        };
-        assert_eq!(swap_faces(None), 0);
-        // A plan that injects nothing still means a channel that could:
-        // every element is hashed once by the sender, once by the receiver.
-        let elements = 2 * ROUNDS * FACE as u64;
-        assert_eq!(swap_faces(Some(Arc::new(FaultPlan::new(9)))), 2 * elements);
-    }
-
-    #[test]
-    fn checked_and_unchecked_worlds_move_the_same_messages() {
+    fn a_plan_that_injects_nothing_moves_what_no_plan_moves() {
         use crate::distributed::{run_distributed_resilient, RunOptions};
         use msc_core::catalog::{benchmark, BenchmarkId};
-        use msc_core::halo::{Backend, CartDecomp, HaloPlan};
         use msc_core::prelude::DType;
         use msc_core::schedule::{ExecPlan, Schedule};
         use msc_exec::boundary::Boundary;
@@ -1767,75 +1346,83 @@ mod tests {
     }
 
     #[test]
-    fn an_in_order_stream_keeps_no_delivery_history() {
-        const FRAMES: u64 = 100_000;
-        World::run(2, |mut ctx: RankCtx<u64>| {
-            if ctx.rank == 0 {
-                for i in 0..FRAMES {
-                    ctx.isend(1, 0, vec![i]).unwrap();
-                }
-            } else {
-                for i in 0..FRAMES {
-                    let req = ctx.irecv(0, 0);
-                    assert_eq!(ctx.wait(req).unwrap(), [i]);
-                }
-                assert_eq!(ctx.delivered[0].next, FRAMES);
-                assert!(ctx.delivered[0].ahead.is_empty());
-            }
-        });
-        // Out of order: a gap parks the later numbers until it closes;
-        // anything at or below the watermark, or parked, is a duplicate.
-        let mut d = Delivered::default();
-        assert!(d.insert(0) && d.insert(2) && d.insert(3));
-        assert_eq!((d.next, d.ahead.len()), (1, 2));
-        assert!(!d.insert(0) && !d.insert(2));
-        assert!(d.insert(1));
-        assert_eq!((d.next, d.ahead.len()), (4, 0));
-        assert!(!d.insert(1) && !d.insert(3));
-    }
-
-    #[test]
     fn timeout_error_names_the_pending_pair() {
         let cfg = WorldConfig {
-            // A plan that injects nothing: reliable, and nothing is lost.
-            fault: Some(Arc::new(FaultPlan::new(1))),
-            reliability: ReliabilityConfig {
-                poll: Duration::from_millis(1),
-                max_attempts: 3,
-                ..Default::default()
-            },
+            deadline: Duration::from_millis(50),
             ..Default::default()
         };
         let results: Vec<Option<CommError>> =
             World::try_run_with(2, cfg, |mut ctx: RankCtx<f64>| {
                 if ctx.rank == 0 {
                     // Send something on a *different* tag so the stash is
-                    // non-empty, then stay alive servicing the fabric.
+                    // non-empty, then stay alive until rank 1 gave up: a
+                    // wait on a live source times out, one on a departed
+                    // source would be `RankDead`.
                     ctx.isend(1, 11, vec![4.0]).unwrap();
+                    while ctx.take_stashed(1, 12).is_none() {
+                        ctx.service_for(Duration::from_millis(1)).unwrap();
+                    }
                     ctx.finalize();
                     None
                 } else {
                     let req = ctx.irecv(0, 99); // never sent
                     let err = ctx.wait(req).err();
+                    ctx.isend(0, 12, vec![]).unwrap();
                     ctx.finalize();
                     err
                 }
             })
             .unwrap();
-        match results[1].as_ref().unwrap() {
-            CommError::Timeout {
-                src,
-                tag,
-                pending,
-                stash_depth,
-            } => {
-                assert_eq!(*src, 0);
-                assert_eq!(*tag, 99);
-                assert!(*pending > 0, "should have requested retransmits");
-                assert_eq!(*stash_depth, 1, "tag-11 message should be stashed");
+        assert_eq!(
+            results[1],
+            Some(CommError::Timeout {
+                src: 0,
+                tag: 99,
+                stash_depth: 1, // the tag-11 message
+            })
+        );
+    }
+
+    #[test]
+    fn a_wait_on_a_killed_rank_is_rank_dead_within_a_second() {
+        // A 2x2 world, rank 1 killed as it enters its first exchange; no
+        // spare, no heartbeat. Its neighbours' waits find its alive flag
+        // down at their next poll, long before the world's deadline.
+        let decomp = CartDecomp::new(&[8, 8], &[2, 2], &[1, 1]).unwrap();
+        let cfg = WorldConfig {
+            fault: Some(Arc::new(FaultPlan::new(0).with_kill(1, 1))),
+            ..Default::default()
+        };
+        let results = World::try_run_with(4, cfg, |mut ctx: RankCtx<f64>| {
+            let mut g: Grid<f64> = Grid::zeros(&decomp.sub_extent(), &decomp.reach);
+            let plan = HaloPlan::new(&decomp, ctx.rank, Backend::DimOrdered);
+            let t0 = Instant::now();
+            let err = crate::plan::exchange(&plan, &mut ctx, &mut g, 0).unwrap_err();
+            (err, t0.elapsed())
+        })
+        .unwrap();
+        assert_eq!(
+            results[1].0,
+            CommError::Killed {
+                rank: 1,
+                exchange: 1
             }
-            other => panic!("expected Timeout, got {other:?}"),
+        );
+        // Every survivor fails on a dead rank — rank 1, or a neighbour
+        // that already failed on it — and none waits out the deadline.
+        for (rank, (err, took)) in results.iter().enumerate().filter(|(r, _)| *r != 1) {
+            assert!(
+                matches!(err, CommError::RankDead { .. }),
+                "rank {rank}: {err:?}"
+            );
+            assert!(*took < Duration::from_secs(1), "rank {rank} took {took:?}");
         }
+        assert!(
+            results
+                .iter()
+                .any(|(err, _)| *err == CommError::RankDead { rank: 1 }),
+            "a neighbour of rank 1 must name it"
+        );
     }
 
     #[test]
@@ -1922,7 +1509,7 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_silence_promotes_dead_peer_to_suspect() {
+    fn a_dead_peer_is_a_suspect_to_a_wait_at_once_and_to_a_sweep_after_its_silence() {
         let membership = Arc::new(Membership::new(2, 0));
         let cfg = WorldConfig {
             membership: Some(Arc::clone(&membership)),
@@ -1932,20 +1519,35 @@ mod tests {
             }),
             ..Default::default()
         };
-        let results: Vec<Option<CommError>> =
+        let results: Vec<Option<(CommError, CommError)>> =
             World::try_run_with(2, cfg, |mut ctx: RankCtx<f64>| {
                 if ctx.rank == 1 {
                     return None; // dies silently; endpoint drops
                 }
+                // A wait stalled on rank 1 finds its alive flag down.
                 let req = ctx.irecv(1, 0);
-                ctx.wait(req).err()
+                let waited = ctx.wait(req).unwrap_err();
+                // A standby sweep has no wait to stall: it also needs the
+                // detection timeout's worth of silence.
+                let swept = loop {
+                    if let Some(e) = ctx.poll_suspects() {
+                        break e;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                };
+                Some((waited, swept))
             })
             .unwrap();
-        match results[0].as_ref().unwrap() {
+        let (waited, swept) = results[0].clone().unwrap();
+        assert!(
+            matches!(waited, CommError::RankSuspect { rank: 1, .. }),
+            "{waited:?}"
+        );
+        match swept {
             CommError::RankSuspect { rank, silent_ms } => {
-                assert_eq!(*rank, 1);
+                assert_eq!(rank, 1);
                 assert!(
-                    *silent_ms >= 40,
+                    silent_ms >= 40,
                     "detected before the timeout: {silent_ms} ms"
                 );
             }

@@ -1,14 +1,16 @@
 //! Chaos-suite integration tests: the distributed stencil driver must
-//! produce **bit-identical** results under injected communication
-//! faults (drops, duplicates, reordering, bit corruption), survive a
-//! killed rank by restarting from a checkpoint, and report every fault
-//! it healed through the trace counters.
+//! produce **bit-identical** results when the injector reorders frames
+//! (holds them back behind their successors), survive a killed rank by
+//! restarting from a checkpoint, report every injected fault through the
+//! trace counters, and leave a flight-recorder dump behind a wait that
+//! gives up.
 //!
 //! All fault schedules are seed-driven and deterministic, so these tests
 //! are exact, not statistical.
 
 use msc_comm::{
-    run_distributed_resilient, Backend, FaultAction, FaultPlan, ReliabilityConfig, RunOptions,
+    run_distributed_resilient, Backend, CommError, FaultPlan, RankCtx, RunOptions, World,
+    WorldConfig,
 };
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
@@ -18,7 +20,7 @@ use msc_core::schedule::Schedule;
 use msc_exec::driver::{run_program, run_program_tier, Executor};
 use msc_exec::{Boundary, ExecTier, Grid};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,31 +32,17 @@ fn simple_plan(sub: &[usize]) -> Result<ExecPlan> {
     ExecPlan::lower(&s, sub.len(), sub)
 }
 
-/// A lossy-but-recoverable plan: drops, duplicates, reordering, and
-/// corruption all at once.
-fn lossy_plan(seed: u64) -> Arc<FaultPlan> {
+/// A reordering plan: a tenth of the data frames are held back behind
+/// their successors.
+fn reordering_plan(seed: u64) -> Arc<FaultPlan> {
     let mut p = FaultPlan::new(seed);
-    p.drop_p = 0.10;
-    p.dup_p = 0.05;
     p.delay_p = 0.10;
-    p.corrupt_p = 0.05;
     Arc::new(p)
-}
-
-/// Faster polls than the defaults so injected drops are re-requested
-/// quickly and the suite stays snappy.
-fn fast_reliability() -> ReliabilityConfig {
-    ReliabilityConfig {
-        poll: Duration::from_millis(2),
-        max_attempts: 80,
-        ..ReliabilityConfig::default()
-    }
 }
 
 fn chaos_opts(seed: u64) -> RunOptions {
     RunOptions {
-        chaos: Some(lossy_plan(seed)),
-        reliability: fast_reliability(),
+        chaos: Some(reordering_plan(seed)),
         ..RunOptions::default()
     }
 }
@@ -67,10 +55,10 @@ fn ckpt_dir(name: &str) -> PathBuf {
 
 #[test]
 fn chaotic_run_is_bit_identical_to_fault_free() {
-    // The headline robustness claim: with drops, duplicates, reordering,
-    // AND corruption injected into every rank's channels, the reliable
-    // runtime heals everything and the result is bitwise equal to both
-    // the fault-free distributed run and the single-node reference.
+    // The headline robustness claim: with frames reordered in every
+    // rank's channels, matching by (source, tag) puts every face where it
+    // belongs and the result is bitwise equal to both the fault-free
+    // distributed run and the single-node reference.
     let p = benchmark(BenchmarkId::S2d9ptBox)
         .program(&[16, 16], DType::F64, 5)
         .unwrap();
@@ -96,10 +84,9 @@ fn chaotic_run_is_bit_identical_to_fault_free() {
     .unwrap();
     assert_eq!(single.as_slice(), chaotic.as_slice());
     assert_eq!(plain.as_slice(), chaotic.as_slice());
-    // The chaos must actually have happened — and been healed.
+    // The chaos must actually have happened — and cost nothing.
     assert!(stats.faults_injected() > 0, "no faults injected");
-    assert!(stats.retransmits() > 0, "no retransmissions recorded");
-    assert_eq!(stats.restarts, 0, "recoverable faults must not restart");
+    assert_eq!(stats.restarts, 0, "reordering must not restart");
 }
 
 #[test]
@@ -124,37 +111,29 @@ fn chaotic_gcl_backend_is_bit_identical_too() {
 
 #[test]
 fn same_seed_same_fault_schedule_different_seed_differs() {
-    // Determinism of the injector at the system level. What a run
-    // *counts* is not deterministic: a receiver that polls before a frame
-    // has arrived asks for it again, the retransmit re-rolls its fate
-    // with `attempt > 0`, and how often that happens depends on how
-    // loaded the machine is. What is deterministic is the fate of every
-    // first transmission — a pure function of the seed and the frame's
-    // identity — so that is what two runs of the same traffic are
-    // compared on: every ordered pair of the 2 x 2 world, the tags of a
-    // 2D exchange (`slot << 8 | dim << 1 | dir`, three window slots) and
-    // more sequence numbers than 5 steps consume.
-    let first_transmissions = |seed: u64| -> Vec<FaultAction> {
-        let plan = lossy_plan(seed);
+    // Determinism of the injector at the system level: the fate of every
+    // frame is a pure function of the seed and the frame's identity, so
+    // two runs of the same traffic are compared on it — every ordered
+    // pair of the 2 x 2 world, the tags of a 2D exchange (`slot << 8 |
+    // dim << 1 | dir`, three window slots) and more sequence numbers than
+    // 5 steps consume.
+    let fates = |seed: u64| -> Vec<bool> {
+        let plan = reordering_plan(seed);
         let mut fates = Vec::new();
         for (src, dst) in (0..4).flat_map(|s| (0..4).map(move |d| (s, d))) {
             for tag in (0..3).flat_map(|slot| (0..4).map(move |face| slot << 8 | face)) {
-                fates.extend((0..32).map(|seq| plan.decide(src, dst, tag, seq, 0)));
+                fates.extend((0..32).map(|seq| plan.delays(src, dst, tag, seq)));
             }
         }
         fates
     };
-    let a = first_transmissions(11);
-    assert_eq!(
-        a,
-        first_transmissions(11),
-        "same seed must give the same schedule"
-    );
-    assert_ne!(a, first_transmissions(12), "different seeds should differ");
-    assert!(a.iter().any(|&fate| fate != FaultAction::Deliver));
+    let a = fates(11);
+    assert_eq!(a, fates(11), "same seed must give the same schedule");
+    assert_ne!(a, fates(12), "different seeds should differ");
+    assert!(a.iter().any(|&delayed| delayed));
 
-    // And the runtime heals either schedule to the same bits, having
-    // injected something both times.
+    // And either schedule runs to the same bits, having injected
+    // something both times.
     let p = benchmark(BenchmarkId::S2d9ptStar)
         .program(&[12, 12], DType::F64, 5)
         .unwrap();
@@ -192,7 +171,6 @@ fn killed_rank_restarts_from_checkpoint_and_matches_golden() {
     let dir = ckpt_dir("kill_restart");
     let opts = RunOptions {
         chaos: Some(Arc::new(FaultPlan::new(5).with_kill(1, 4))),
-        reliability: fast_reliability(),
         checkpoint_dir: Some(dir.clone()),
         checkpoint_every: 2,
         max_restarts: 2,
@@ -224,7 +202,6 @@ fn kill_without_checkpoints_restarts_from_scratch() {
     let (golden, _) = run_program(&p, &Executor::Reference, &init).unwrap();
     let opts = RunOptions {
         chaos: Some(Arc::new(FaultPlan::new(8).with_kill(2, 2))),
-        reliability: fast_reliability(),
         ..RunOptions::default()
     };
     let (out, stats) = run_distributed_resilient(
@@ -252,7 +229,6 @@ fn kill_with_exhausted_restart_budget_is_a_typed_error() {
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 2);
     let opts = RunOptions {
         chaos: Some(Arc::new(FaultPlan::new(3).with_kill(0, 1))),
-        reliability: fast_reliability(),
         max_restarts: 0,
         ..RunOptions::default()
     };
@@ -272,7 +248,7 @@ fn kill_with_exhausted_restart_budget_is_a_typed_error() {
 #[test]
 fn periodic_chaos_run_matches_periodic_single_node() {
     // Torus topology + chaos: wraparound self-messages go through the
-    // same injector and reliability protocol.
+    // same injector.
     let p = benchmark(BenchmarkId::S2d9ptBox)
         .program(&[12, 12], DType::F64, 3)
         .unwrap();
@@ -351,46 +327,52 @@ fn checkpoint_files_use_grid_format_and_resume_step() {
 }
 
 #[test]
-fn chaos_timeout_dumps_flight_recorder_json() {
-    // Observability v2: when the reliability protocol gives up on a
-    // message (here: every frame dropped, tiny retry budget), the
-    // always-on flight recorder is dumped as JSON naming the failing
-    // (src, dst, tag) identity alongside the surrounding send traffic.
+fn a_wait_past_its_deadline_dumps_the_flight_recorder_as_json() {
+    // Observability v2: when a wait on a live source gives up at the
+    // world's deadline, the always-on flight recorder is dumped as JSON
+    // naming the failing (src, dst, tag) identity alongside the send
+    // traffic around it.
     let dir = std::env::temp_dir().join("msc_chaos_flight_timeout");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     msc_trace::set_flight_dump_dir(Some(dir.clone()));
 
-    let p = benchmark(BenchmarkId::S2d9ptStar)
-        .program(&[12, 12], DType::F64, 3)
-        .unwrap();
-    let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 6);
-    let mut plan = FaultPlan::new(9);
-    plan.drop_p = 1.0; // nothing ever arrives, resends included
-    let opts = RunOptions {
-        chaos: Some(Arc::new(plan)),
-        reliability: ReliabilityConfig {
-            poll: Duration::from_millis(1),
-            max_attempts: 4,
-            ..ReliabilityConfig::default()
-        },
-        max_restarts: 0,
-        ..RunOptions::default()
+    let cfg = WorldConfig {
+        deadline: Duration::from_millis(20),
+        ..WorldConfig::default()
     };
-    let err = run_distributed_resilient(
-        &p,
-        &[2, 2],
-        &init,
-        Boundary::Dirichlet,
-        &opts,
-        simple_plan,
-    )
-    .unwrap_err();
+    let gave_up = AtomicBool::new(false);
+    let results = World::try_run_with(2, cfg, |mut ctx: RankCtx<f64>| {
+        let peer = 1 - ctx.rank;
+        ctx.isend(peer, 7, vec![1.0]).unwrap();
+        let sent = ctx.irecv(peer, 7);
+        ctx.wait(sent).unwrap();
+        // Rank 1 waits on a tag rank 0 never sends; rank 0 stays in the
+        // fabric until rank 1 gave up, so the wait times out instead of
+        // finding a dead source.
+        let waited = if ctx.rank == 1 {
+            let never = ctx.irecv(0, 99);
+            let err = ctx.wait(never).err();
+            gave_up.store(true, Ordering::Release);
+            err
+        } else {
+            while !gave_up.load(Ordering::Acquire) {
+                ctx.service_for(Duration::from_millis(1)).unwrap();
+            }
+            None
+        };
+        ctx.finalize();
+        waited
+    })
+    .unwrap();
     msc_trace::set_flight_dump_dir(None);
-    assert!(err.to_string().contains("communication failure"), "{err}");
+    assert!(
+        matches!(results[1], Some(CommError::Timeout { src: 0, tag: 99, .. })),
+        "{results:?}"
+    );
 
-    // At least one rank must have written a timeout-slugged dump whose
-    // JSON carries the timeout event plus the sends that never landed.
+    // Rank 1 must have written a timeout-slugged dump whose JSON carries
+    // the timeout event plus the send traffic before it.
     let dumps: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -413,7 +395,7 @@ fn chaos_timeout_dumps_flight_recorder_json() {
 
 #[test]
 fn spm_staged_chaos_run_is_bit_identical() {
-    // Chaos composed with the SPM/DMA execution path: reliability and
+    // Chaos composed with the SPM/DMA execution path: the injector and
     // the staged executor are orthogonal.
     let p = benchmark(BenchmarkId::S3d7ptStar)
         .program(&[12, 12, 16], DType::F64, 4)

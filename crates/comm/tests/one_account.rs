@@ -6,9 +6,7 @@
 //! worker pool's and compile time, hub only) and the two `CommStats` sets
 //! itself (run-global steps and rank count).
 
-use msc_comm::{
-    run_distributed_resilient, Backend, CommStats, FaultPlan, ReliabilityConfig, RunOptions,
-};
+use msc_comm::{run_distributed_resilient, Backend, CommStats, FaultPlan, RunOptions};
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::Result;
 use msc_core::prelude::*;
@@ -17,7 +15,6 @@ use msc_core::schedule::Schedule;
 use msc_exec::{Boundary, ExecTier, Grid, TieredStencil};
 use msc_trace::{Counter, CounterSet, Hist, TelemetryHub};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Written to the hub outside any account.
 const HUB_ONLY: [Counter; 5] = [
@@ -134,28 +131,16 @@ fn the_hub_is_the_runs_own_account_counter_for_counter_and_bucket_for_bucket() {
 }
 
 #[test]
-fn a_killed_attempts_faults_retransmits_and_timeouts_still_reach_the_hub() {
+fn a_killed_attempts_faults_and_timeouts_still_reach_the_hub() {
     let [p, _] = programs(BenchmarkId::S2d9ptBox, &[12, 16]);
-    let mut plan = FaultPlan::parse("1:kill=1@3").unwrap();
-    plan.drop_p = 0.2;
-    plan.dup_p = 0.1;
     let opts = RunOptions {
-        chaos: Some(Arc::new(plan)),
-        reliability: ReliabilityConfig {
-            poll: Duration::from_millis(2),
-            max_attempts: 80,
-            ..ReliabilityConfig::default()
-        },
+        chaos: Some(Arc::new(FaultPlan::parse("1:delay=0.3,kill=1@3").unwrap())),
         ..RunOptions::default()
     };
     let (stats, hub) = observed(&p, &[2, 2], opts);
     assert_eq!(stats.restarts, 1, "the kill must have cost one attempt");
     let seen = hub.snapshot();
-    for c in [
-        Counter::FaultsInjected,
-        Counter::RetransmitCount,
-        Counter::TimeoutCount,
-    ] {
+    for c in [Counter::FaultsInjected, Counter::TimeoutCount] {
         assert!(seen.get(c) >= stats.counters.get(c), "{}", c.name());
     }
     // The attempt the kill ended injected faults the gathered stats no

@@ -8,9 +8,7 @@
 //! Fault schedules are seed-driven and deterministic; only the detection
 //! *latency* is wall-clock dependent, never the recovered numerics.
 
-use msc_comm::{
-    run_distributed_resilient, Backend, FaultPlan, HeartbeatConfig, ReliabilityConfig, RunOptions,
-};
+use msc_comm::{run_distributed_resilient, Backend, FaultPlan, HeartbeatConfig, RunOptions};
 use msc_core::catalog::{benchmark, BenchmarkId};
 use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
@@ -21,7 +19,6 @@ use msc_exec::{Boundary, ExecTier, Grid};
 use msc_trace::Hist;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn simple_plan(sub: &[usize]) -> Result<ExecPlan> {
     let mut s = Schedule::default();
@@ -29,14 +26,6 @@ fn simple_plan(sub: &[usize]) -> Result<ExecPlan> {
     s.tile(&tile);
     s.parallel("xo", 2);
     ExecPlan::lower(&s, sub.len(), sub)
-}
-
-fn fast_reliability() -> ReliabilityConfig {
-    ReliabilityConfig {
-        poll: Duration::from_millis(2),
-        max_attempts: 80,
-        ..ReliabilityConfig::default()
-    }
 }
 
 /// A short detection window so the suite stays snappy; correctness must
@@ -62,7 +51,6 @@ fn run_killed_with_spare(tier: ExecTier) -> (Grid<f64>, msc_comm::CommStats, Gri
     let (golden, _) = run_program(&p, &Executor::Reference, &init).unwrap();
     let opts = RunOptions {
         chaos: Some(Arc::new(FaultPlan::new(5).with_kill(1, 4))),
-        reliability: fast_reliability(),
         checkpoint_every: 2, // no checkpoint_dir: purely diskless
         spare_ranks: 1,
         heartbeat: Some(fast_heartbeat()),
@@ -131,7 +119,6 @@ fn kill_before_first_snapshot_recovers_from_initial_state() {
     let (golden, _) = run_program(&p, &Executor::Reference, &init).unwrap();
     let opts = RunOptions {
         chaos: Some(Arc::new(FaultPlan::new(8).with_kill(2, 1))),
-        reliability: fast_reliability(),
         spare_ranks: 1,
         heartbeat: Some(fast_heartbeat()),
         ..RunOptions::default()
@@ -165,7 +152,6 @@ fn heartbeat_without_spares_falls_back_to_disk_restart() {
     let dir = ckpt_dir("no_spare_fallback");
     let opts = RunOptions {
         chaos: Some(Arc::new(FaultPlan::new(5).with_kill(1, 4))),
-        reliability: fast_reliability(),
         checkpoint_dir: Some(dir.clone()),
         checkpoint_every: 2,
         max_restarts: 2,
@@ -189,23 +175,19 @@ fn heartbeat_without_spares_falls_back_to_disk_restart() {
 
 #[test]
 fn recovery_composes_with_channel_chaos() {
-    // The full gauntlet: drops, duplicates, reordering, and corruption in
-    // every channel, plus a kill healed by a hot spare. The reliability
-    // protocol and the recovery protocol are orthogonal layers; the
-    // result must still be bit-exact with zero restarts.
+    // The full gauntlet: reordering in every channel, plus a kill healed
+    // by a hot spare. The injector and the recovery protocol are
+    // orthogonal layers; the result must still be bit-exact with zero
+    // restarts.
     let p = benchmark(BenchmarkId::S2d9ptBox)
         .program(&[16, 16], DType::F64, 6)
         .unwrap();
     let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 42);
     let (golden, _) = run_program(&p, &Executor::Reference, &init).unwrap();
     let mut plan = FaultPlan::new(1337).with_kill(3, 3);
-    plan.drop_p = 0.05;
-    plan.dup_p = 0.03;
     plan.delay_p = 0.05;
-    plan.corrupt_p = 0.03;
     let opts = RunOptions {
         chaos: Some(Arc::new(plan)),
-        reliability: fast_reliability(),
         checkpoint_every: 2,
         spare_ranks: 1,
         heartbeat: Some(fast_heartbeat()),
@@ -289,7 +271,6 @@ fn heal(
         backend,
         spm_capacity,
         chaos: Some(Arc::new(FaultPlan::new(5).with_kill(1, kill_at))),
-        reliability: fast_reliability(),
         checkpoint_every: every,
         heartbeat: Some(fast_heartbeat()),
         ..match from {
@@ -377,8 +358,7 @@ fn a_spare_adopts_an_image_holding_window_from_the_disk_store() {
         let dir = ckpt_dir(&format!("images_online_disk_{bc:?}"));
         let opts = RunOptions {
             chaos: Some(Arc::new(FaultPlan::new(3).with_kill(0, 3))),
-            reliability: fast_reliability(),
-            checkpoint_dir: Some(dir.clone()),
+                checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 1,
             spare_ranks: 1,
             heartbeat: Some(fast_heartbeat()),

@@ -23,7 +23,7 @@ fn bits<T: Scalar>(g: &Grid<T>) -> Vec<u64> {
     g.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
 }
 
-fn two_ranks_match_the_oracle<T: Scalar + msc_comm::Wire>(seed: u64) {
+fn two_ranks_match_the_oracle<T: Scalar>(seed: u64) {
     let p = benchmark(BenchmarkId::S2d121ptBox)
         .program(&[26, 40], DType::F64, 4)
         .unwrap();

@@ -20,14 +20,14 @@ pub enum MergeMode {
 }
 
 macro_rules! counters {
-    ($( $variant:ident => ($name:literal, $unit:literal, $mode:ident) ),+ $(,)?) => {
+    ($( $(#[$doc:meta])* $variant:ident => ($name:literal, $unit:literal, $mode:ident) ),+ $(,)?) => {
         /// The metric vocabulary. Every counter has a stable name, a
         /// unit, and a merge mode; adding a variant automatically
         /// extends `CounterSet` (so every hub) and both exporters.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Counter {
-            $( $variant ),+
+            $( $(#[$doc])* $variant ),+
         }
 
         impl Counter {
@@ -65,6 +65,8 @@ counters! {
     Ranks            => ("ranks", "count", Max),
     TemporalBlocks   => ("temporal_blocks", "count", Sum),
     ComputedPoints   => ("computed_points", "count", Sum),
+    /// Always 0: the channel is reliable, so nothing is retransmitted.
+    /// Kept while the benchmark's `comm.retransmits` metric reads it.
     RetransmitCount  => ("retransmits", "count", Sum),
     TimeoutCount     => ("timeouts", "count", Sum),
     FaultsInjected   => ("faults_injected", "count", Sum),

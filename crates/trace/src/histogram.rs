@@ -53,7 +53,6 @@ macro_rules! hists {
 
 hists! {
     HaloWaitNanos        => ("halo_wait", "ns"),
-    RetransmitDelayNanos => ("retransmit_delay", "ns"),
     PackHistNanos        => ("pack_hist", "ns"),
     UnpackHistNanos      => ("unpack_hist", "ns"),
     StepWallNanos        => ("step_wall", "ns"),

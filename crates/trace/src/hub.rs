@@ -84,6 +84,7 @@ pub struct RankSample {
     pub halo_wait_ns: u64,
     pub halo_wait_count: u64,
     pub steals: u64,
+    /// Always 0, as [`Counter::RetransmitCount`] is.
     pub retransmits: u64,
     pub recoveries: u64,
 }

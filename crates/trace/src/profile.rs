@@ -20,7 +20,7 @@ pub struct Profile {
     /// Short run identifier carried into reports (e.g. benchmark name).
     pub label: String,
     pub counters: CounterSet,
-    /// Latency distributions (halo wait, retransmit delay, step wall…).
+    /// Latency distributions (halo wait, pack/unpack, step wall…).
     pub hists: HistSet,
     /// Completed spans and instant events, sorted by (start, thread).
     pub spans: Vec<SpanRecord>,

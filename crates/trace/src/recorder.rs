@@ -6,7 +6,7 @@
 //! but a bare "receive timed out waiting for (src 2, tag 7)" says
 //! nothing about the moments leading up to it. The recorder keeps a
 //! black-box trace of protocol-level events (sends, deliveries,
-//! retransmit requests, timeouts, checkpoints) regardless of whether
+//! injected faults, timeouts, checkpoints) regardless of whether
 //! tracing is enabled — recording is a handful of relaxed atomic stores
 //! into a pre-sized ring, with **no allocation and no locks** on the
 //! recording path — so when a rank dies, its last moments (and its
@@ -53,19 +53,15 @@ flight_kinds! {
     Unknown       => "unknown",
     Send          => "send",
     Deliver       => "deliver",
-    Ack           => "ack",
-    ResendRequest => "resend_request",
-    Retransmit    => "retransmit",
     Timeout       => "timeout",
-    Corrupt       => "corrupt",
     FaultInjected => "fault_injected",
     Kill          => "kill",
     StepBegin     => "step_begin",
     Checkpoint    => "checkpoint",
     Restart       => "restart",
     Error         => "error",
-    // Appended last: `from_u8` decodes positionally, so the order above
-    // is wire format and this list is append-only.
+    // `from_u8` decodes positionally: records are packed and unpacked by
+    // the same build, and a dump names each kind, never its number.
     Recover       => "recover",
     Alert         => "alert",
 }
@@ -312,7 +308,7 @@ mod tests {
     fn records_roundtrip_packing() {
         let ring = Ring::new();
         let rec = FlightRecord {
-            kind: FlightKind::Retransmit,
+            kind: FlightKind::FaultInjected,
             rank: 3,
             t_ns: 123_456,
             src: 2,

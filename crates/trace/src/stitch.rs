@@ -7,10 +7,9 @@
 //! ([`crate::spans::set_current_rank`]). Stitching is therefore mostly a
 //! rendering concern: the exporter gives each rank its own process row
 //! and draws flow arrows between [`SpanKind::FlowStart`]/[`FlowEnd`]
-//! records that share a packed *message identity* — the same
-//! (src, dst, tag, seq) tuple the reliability protocol already uses to
-//! ack, dedup, and retransmit frames. This module owns that packing plus
-//! the analyses built on the stitched timeline.
+//! records that share a packed *message identity* — the
+//! (src, dst, tag, seq) tuple every data frame carries. This module owns
+//! that packing plus the analyses built on the stitched timeline.
 //!
 //! [`FlowEnd`]: crate::spans::SpanKind::FlowEnd
 
@@ -26,9 +25,9 @@ pub const STEP_SPAN: &str = "step";
 
 /// Pack a message identity into one u64: the flow-event correlation key.
 ///
-/// Layout: `src:8 | dst:8 | tag:16 | seq:32`. The reliability protocol
-/// bounds in-flight seqs far below 2^32 and rank counts far below 2^8,
-/// so the packing is collision-free in practice.
+/// Layout: `src:8 | dst:8 | tag:16 | seq:32`. A run's per-stream seqs stay
+/// far below 2^32 and rank counts far below 2^8, so the packing is
+/// collision-free in practice.
 #[inline]
 pub fn message_id(src: u32, dst: u32, tag: u32, seq: u32) -> u64 {
     ((src as u64 & 0xff) << 56)

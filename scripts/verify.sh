@@ -20,13 +20,19 @@ if grep -rnE 'run_distributed_(bc|with|exec|opts|until_converged)|run_program_bc
   exit 1
 fi
 # One account per run (DESIGN.md §6a, §7): msc-comm keeps what its one
-# driver calls — no collectives, one wait, no reliability switch beside the
-# fault plan — and nothing times into the hub beside an account. The comm
-# grep is scoped to crates/comm: msc-trace's sampler uses std's
-# Condvar::wait_timeout.
+# driver calls — no collectives, one wait, no reliability switch — and
+# nothing times into the hub beside an account. The comm grep is scoped to
+# crates/comm: msc-trace's sampler uses std's Condvar::wait_timeout.
 if grep -rnE 'collectives|allreduce|wait_any|wait_all|try_wait|wait_timeout|reliable: (None|Some|Option)' crates/comm ||
   grep -rnE 'timed_hist|TimedScope|record_max' crates src tests examples; then
   echo "a deleted MPI call, the reliability knob or a timed hub write is back" >&2
+  exit 1
+fi
+# A reliable channel (DESIGN.md §7): msc-comm's runtime moves each frame
+# once; the ack/resend protocol, its tunables, the frame checksum, the
+# corruption injector and the delivery history were deleted.
+if grep -rnE 'ReliabilityConfig|Body::Ack|Body::Resend|fn checksum|flip_bit|Delivered' crates/comm/src; then
+  echo "the message-fault layer is back in msc-comm" >&2
   exit 1
 fi
 # msc-comm feeds the hub only through RankCtx::publish; msc-exec only
@@ -244,16 +250,21 @@ cargo test -q -p msc-vm --lib --offline program::sanity_tests::
 echo "== chaos suite (fixed seeds) =="
 # Fault-injected runs must stay bit-identical to fault-free references;
 # seeds are fixed so failures reproduce exactly. crates/comm/tests/
-# {chaos,recovery,counter_audit}.rs are the pin for the checked channel
-# (a world with a fault plan): a PR that claims the wire is unchanged
-# must not edit them. By name: the checksum property test, the test that
-# a world without a fault plan hashes nothing, and the dedup watermark.
+# {chaos,recovery,counter_audit}.rs are the pin for the channel: a PR that
+# claims the wire is unchanged must not edit them. By name: a wait on a
+# killed rank fails as RankDead within a second (no spare, no heartbeat);
+# delayed frames are still matched by (source, tag); a dead peer is a
+# suspect to a wait at once and to a standby sweep after its silence; a
+# chaos spec naming a message fault is refused by that name; a wait past
+# the world's deadline dumps the flight recorder.
 cargo test -q -p msc-comm --test chaos --offline
-for t in checksum_sees_every_single_change \
-    a_world_without_a_fault_plan_hashes_nothing \
-    an_in_order_stream_keeps_no_delivery_history; do
+for t in "--lib runtime::tests::a_wait_on_a_killed_rank_is_rank_dead_within_a_second" \
+    "--lib runtime::tests::delayed_frames_are_matched_by_source_and_tag" \
+    "--lib runtime::tests::a_dead_peer_is_a_suspect_to_a_wait_at_once_and_to_a_sweep_after_its_silence" \
+    "--lib fault::tests::parse_refuses_message_faults_by_name" \
+    "--test chaos a_wait_past_its_deadline_dumps_the_flight_recorder_as_json"; do
   # A filter that matches nothing passes too: require the one test.
-  out=$(cargo test -q -p msc-comm --lib --offline "runtime::tests::$t" -- --exact)
+  out=$(cargo test -q -p msc-comm ${t% *} --offline "${t##* }" -- --exact)
   grep -q '1 passed' <<<"$out"
 done
 
@@ -292,7 +303,7 @@ echo "== one account per run =="
 # both process-grid shapes, backends, stagings and window layouts; a
 # killed attempt's faults still reach it (DESIGN.md §6a).
 for t in the_hub_is_the_runs_own_account_counter_for_counter_and_bucket_for_bucket \
-    a_killed_attempts_faults_retransmits_and_timeouts_still_reach_the_hub; do
+    a_killed_attempts_faults_and_timeouts_still_reach_the_hub; do
   # A filter that matches nothing passes too: require the one test.
   out=$(cargo test -q -p msc-comm --test one_account --offline "$t" -- --exact)
   grep -q '1 passed' <<<"$out"

@@ -237,8 +237,8 @@ static COMPILE: Sub = Sub {
                   otherwise"),
             flag("--chaos SEED:SPEC",
                  K::Text(|o, s| FaultPlan::parse(s).map(|plan| o.dist.chaos = Some(Arc::new(plan)))),
-                 "seeded fault injection (drop=,dup=,delay=, corrupt=, kill=RANK@N); implies \
-                  distributed"),
+                 "seeded fault injection (delay=P reorders frames, kill=RANK@N kills a rank); \
+                  implies distributed"),
             flag("--checkpoint-every K", K::Count(0, |o, k| o.dist.checkpoint_every = k),
                  "write a checkpoint every K steps"),
             flag("--checkpoint-dir DIR", K::Path(|o, p| o.dist.checkpoint_dir = Some(p)),
@@ -970,15 +970,9 @@ fn drive(mut o: Opts) -> Outcome {
                 msc::comm::CartDecomp::new(shape, &procs, &program.stencil.reach())?.sub_extent();
             let blank: Grid<f64> = Grid::zeros(&sub, &program.grid.halo);
             let tier = msc::exec::TieredStencil::compile(&program, &blank, o.dist.tier)?.describe();
-            // Which channel the frames crossed and why: the runtime checksums
-            // them exactly when the world has a fault plan.
-            let frames = match &o.dist.chaos {
-                Some(plan) => format!("frames checked: fault plan {}", plan.seed),
-                None => "frames unchecked: no fault plan".to_string(),
-            };
             let banner = format!(
-                "distributed run over {} ranks {:?} ({frames}): {} steps in {:.1} ms ({tier}); {} halo msgs, \
-                 {} faults injected, {} retransmits, {} restarts, {} recoveries, \
+                "distributed run over {} ranks {:?}: {} steps in {:.1} ms ({tier}); {} halo msgs, \
+                 {} faults injected, {} restarts, {} recoveries, \
                  {} checkpoint bytes; interior checksum {:.6e}",
                 stats.ranks,
                 procs,
@@ -986,7 +980,6 @@ fn drive(mut o: Opts) -> Outcome {
                 dt.as_secs_f64() * 1e3,
                 stats.messages,
                 stats.faults_injected(),
-                stats.retransmits(),
                 stats.restarts,
                 stats.recoveries,
                 stats.checkpoint_bytes(),
@@ -1141,7 +1134,7 @@ mod tests {
             K::Count(min, _) => min.to_string(),
             K::Millis(min, _) => min.to_string(),
             // A fault plan, and as good a tenant name as any.
-            K::Text(_) => "7:drop=0.1".to_string(),
+            K::Text(_) => "7:delay=0.1".to_string(),
             K::Target => "cpu".to_string(),
             K::Tier => "vm".to_string(),
             K::Procs => "2x3".to_string(),

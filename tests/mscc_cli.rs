@@ -104,22 +104,18 @@ fn chaos_run_heals_and_verifies_bit_exactly() {
         .arg(dsl("wave2d.msc"))
         .arg("-o")
         .arg(&dir)
-        .args([
-            "--procs",
-            "2x2",
-            "--chaos",
-            "42:drop=0.05,dup=0.02,corrupt=0.01",
-        ])
+        .args(["--procs", "2x2", "--chaos", "42:delay=0.1,kill=1@3"])
         .output()
         .expect("mscc runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("distributed run over 4 ranks"), "{stdout}");
-    // The banner names the channel: a fault plan means checked frames.
     assert!(
-        stdout.contains("(frames checked: fault plan 42)"),
+        stdout.contains("distributed run over 4 ranks [2, 2]: "),
         "{stdout}"
     );
+    // The kill cost one attempt; reordering cost nothing.
+    assert!(stdout.contains(" 1 restarts, "), "{stdout}");
+    assert!(!stdout.contains(" 0 faults injected, "), "{stdout}");
     // And what evaluated each rank's rows, as the serial banner does.
     assert!(
         stdout.contains(
@@ -330,12 +326,11 @@ fn a_source_naming_an_mpi_grid_runs_over_it_under_its_own_schedule() {
         );
         stdout
     };
-    // No --procs: the `mpi 2 1` clause is the process grid, no fault plan
-    // means unchecked frames, and `tile 8 16` lowers over the 16x16
-    // sub-grid, so no fallback note.
+    // No --procs: the `mpi 2 1` clause is the process grid, and `tile 8
+    // 16` lowers over the 16x16 sub-grid, so no fallback note.
     let stdout = run(&[]);
     assert!(
-        stdout.contains("distributed run over 2 ranks [2, 1] (frames unchecked: no fault plan)"),
+        stdout.contains("distributed run over 2 ranks [2, 1]: "),
         "{stdout}"
     );
     assert!(
@@ -506,6 +501,21 @@ fn bad_chaos_spec_is_a_clean_error() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("chaos spec"), "{err}");
+}
+
+#[test]
+fn chaos_refuses_message_faults_by_name() {
+    // The channel is reliable: a spec naming a message fault is refused
+    // with the key it named, before any rank runs.
+    let out = mscc()
+        .arg(dsl("wave2d.msc"))
+        .args(["--chaos", "1:drop=0.1"])
+        .output()
+        .expect("mscc runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`drop`"), "{err}");
+    assert!(err.contains("reliable"), "{err}");
 }
 
 #[test]

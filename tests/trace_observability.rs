@@ -135,9 +135,8 @@ fn lints_during(run: impl FnOnce()) -> usize {
 
 #[test]
 fn a_run_lints_its_program_once() {
-    use msc::comm::{FaultPlan, HeartbeatConfig, ReliabilityConfig};
+    use msc::comm::{FaultPlan, HeartbeatConfig};
     use std::sync::Arc;
-    use std::time::Duration;
 
     let _g = TRACE_LOCK.lock().unwrap();
     let p = msc::core::catalog::benchmark(msc::core::catalog::BenchmarkId::S2d9ptBox)
@@ -153,11 +152,6 @@ fn a_run_lints_its_program_once() {
     // A kill fires once per plan, so every run gets its own.
     let opts = || RunOptions {
         chaos: Some(Arc::new(FaultPlan::new(5).with_kill(1, 4))),
-        reliability: ReliabilityConfig {
-            poll: Duration::from_millis(2),
-            max_attempts: 80,
-            ..ReliabilityConfig::default()
-        },
         checkpoint_every: 2,
         checkpoint_dir: Some(dir.clone()),
         spare_ranks: 1,
