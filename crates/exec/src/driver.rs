@@ -6,17 +6,20 @@ use crate::boundary::{self, Boundary};
 use crate::compiled::CompiledTerm;
 use crate::grid::{Grid, Scalar};
 use crate::tier::{ExecTier, TieredStencil};
+use crate::sweep::Shared;
 use crate::tiled::ImageOf;
+use crate::wavefront::{self, Home, Pass};
 use crate::{reference, spm, tiled};
 use msc_core::error::{MscError, Result};
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_core::schedule::WindowPlan;
 use msc_lint::Gate;
 use msc_trace::{Counter, CounterSet, Hist, HistSet, Profile};
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Which execution strategy to use for each timestep.
 #[derive(Debug, Clone)]
@@ -153,13 +156,32 @@ pub(crate) struct Ring<'a, T: Scalar> {
     slots: Vec<Slot<T>>,
 }
 
+/// This thread's *retired slots* (DESIGN.md §17.4): the populated grids
+/// the last ring to end here did not hand back, and the state it did once
+/// dropped — at most `window` (`like`: window, scalar type, shape, halo).
+#[derive(Default)]
+struct Retired {
+    like: Option<(usize, TypeId, Vec<usize>, Vec<usize>)>,
+    grids: Vec<Box<dyn Any>>,
+}
+
 thread_local! {
-    /// This thread's *retired slots* (DESIGN.md §17.4): the populated
-    /// grids the last ring to end here in [`Ring::into_state`] did not
-    /// hand back — at most `window - 1`, all `Grid<T>` of that ring's
-    /// layout. A cold slot of the same layout takes one instead of a fresh
-    /// grid.
-    static RETIRED: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+    static RETIRED: RefCell<Retired> = RefCell::default();
+}
+
+/// The state a ring handed out, dropped: it joins the retired slots if it
+/// is like them and they are fewer than a window; else, or while the
+/// thread is torn down, it is freed.
+fn give_back<T: Scalar>(grid: Grid<T>) {
+    let _ = RETIRED.try_with(|retired| match retired.try_borrow_mut().as_deref_mut() {
+        Ok(Retired { like: Some((window, ty, shape, halo)), grids })
+            if (*ty, &grid.shape, &grid.halo) == (TypeId::of::<T>(), shape, halo)
+                && grids.len() < *window =>
+        {
+            grids.push(Box::new(grid))
+        }
+        _ => {}
+    });
 }
 
 impl<'a, T: Scalar> Ring<'a, T> {
@@ -204,29 +226,34 @@ impl<'a, T: Scalar> Ring<'a, T> {
     /// overwrites the halo again; copying it there too (two cells per row)
     /// is the price of one path.
     pub(crate) fn take_output(&mut self, slot: usize) -> Grid<T> {
+        let (mut grid, cold) = self.take_raw(slot);
+        if cold {
+            self.seed.copy_halo_into(&mut grid);
+        }
+        grid
+    }
+
+    /// [`Ring::take_output`] without the halo: the grid, and whether the
+    /// slot was cold (the grid retired or blank, its halo not the seed's).
+    fn take_raw(&mut self, slot: usize) -> (Grid<T>, bool) {
         match std::mem::replace(&mut self.slots[slot], Slot::Cold) {
-            Slot::Cold => self
-                .reuse_retired()
-                .unwrap_or_else(|| self.seed.halo_shell()),
-            Slot::State(grid) | Slot::Image(grid) => grid,
+            Slot::Cold => (self.reuse_retired().unwrap_or_else(|| self.seed.blank()), true),
+            Slot::State(grid) | Slot::Image(grid) => (grid, false),
         }
     }
 
-    /// One of this thread's retired slots with the seed's halo copied in,
-    /// if the seed's layout is populated and a slot of it is left. Retired
-    /// slots of another layout or scalar type are dropped here, before the
-    /// caller allocates a fresh one in their place.
+    /// One of this thread's retired slots, if the seed's layout is
+    /// populated and a slot of it is left. Retired slots of another layout
+    /// or scalar type are dropped here, before the caller allocates a
+    /// fresh one in their place.
     fn reuse_retired(&self) -> Option<Grid<T>> {
         if !self.seed.is_populated() {
             return None;
         }
-        RETIRED.with_borrow_mut(|retired| {
+        RETIRED.with_borrow_mut(|Retired { grids: retired, .. }| {
             let seed = &*self.seed;
             match retired.pop()?.downcast::<Grid<T>>() {
-                Ok(mut grid) if grid.shape == seed.shape && grid.halo == seed.halo => {
-                    seed.copy_halo_into(&mut grid);
-                    Some(*grid)
-                }
+                Ok(grid) if grid.shape == seed.shape && grid.halo == seed.halo => Some(*grid),
                 _ => {
                     retired.clear();
                     None
@@ -256,12 +283,22 @@ impl<'a, T: Scalar> Ring<'a, T> {
 
     /// Move the state of `slot` out (a copy of the seed if no step ever
     /// wrote it). The other slots' grids, if populated ones, replace this
-    /// thread's retired slots; the grids these replace are freed.
+    /// thread's retired slots; the grids these replace are freed. A
+    /// populated state joins them when its caller drops it.
     pub(crate) fn into_state(self, slot: usize) -> Grid<T> {
         let Ring { seed, mut slots } = self;
+        let window = slots.len();
+        let like = seed
+            .is_populated()
+            .then(|| (window, TypeId::of::<T>(), seed.shape.clone(), seed.halo.clone()));
         let state = match std::mem::replace(&mut slots[slot], Slot::Cold) {
             Slot::Cold => seed.into_owned(),
-            Slot::State(grid) => grid,
+            Slot::State(mut grid) => {
+                if like.is_some() {
+                    grid.on_drop.0 = Some(give_back::<T>);
+                }
+                grid
+            }
             Slot::Image(_) => unreachable!("window slot {slot} holds a kernel image, not a state"),
         };
         let retired = slots.into_iter().filter_map(|slot| match slot {
@@ -270,7 +307,7 @@ impl<'a, T: Scalar> Ring<'a, T> {
             }
             _ => None,
         });
-        RETIRED.set(retired.collect());
+        RETIRED.set(Retired { like, grids: retired.collect() });
         state
     }
 }
@@ -345,6 +382,8 @@ pub struct TimeLoop<'a, T: Scalar> {
     steps: usize,
     /// The slot of the newest state; before the first step, a cold one.
     newest: usize,
+    /// How many steps a pass of [`TimeLoop::run`] takes (DESIGN.md §17.5).
+    pass: Pass,
 }
 
 impl<'a, T: Scalar> TimeLoop<'a, T> {
@@ -400,6 +439,7 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         }
         let window = WindowPlan::for_max_dt(compiled.max_dt)?;
         Ok(TimeLoop {
+            pass: Pass::of(&compiled, executor, boundary_cond),
             points: seed.interior_len() as u64,
             ring: Ring::new(seed, boundary_cond, window.window),
             compiled,
@@ -427,6 +467,17 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         self.restenciled(|compiled| compiled.blocking(stride))
     }
 
+    /// As if the rule had taken `depth` steps per pass over the plan's
+    /// bands (at 1, one step per pass).
+    #[cfg(test)]
+    pub(crate) fn in_passes_of(mut self, depth: usize) -> Self {
+        let Executor::Tiled(plan) = self.executor else {
+            panic!("a wavefront sweeps a tiled plan");
+        };
+        self.pass = Pass::wavefront(plan, depth);
+        self
+    }
+
     /// This loop over `f` of its stencil, which a test hook's loop shares
     /// with nothing.
     #[cfg(test)]
@@ -438,12 +489,22 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         }
     }
 
-    /// The plan a step sweeps once, keeping kernel images, if it does.
+    /// The plan a step sweeps once, keeping kernel images, if it does; a
+    /// loop that runs in wavefront passes keeps states (DESIGN.md §17.5).
     fn reusing(&self) -> Option<&'a ExecPlan> {
         match self.executor {
-            Executor::Tiled(plan) if self.compiled.kernel_image().is_some() => Some(plan),
+            Executor::Tiled(plan)
+                if self.compiled.kernel_image().is_some() && self.pass.depth() == 1 =>
+            {
+                Some(plan)
+            }
             _ => None,
         }
+    }
+
+    /// How many steps a pass of [`TimeLoop::run`] takes, or why one.
+    pub fn pass(&self) -> Pass {
+        self.pass
     }
 
     pub fn layout(&self) -> RingLayout {
@@ -491,24 +552,78 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
 
     fn advance(&mut self, front: usize, hook: StepHook<'_, T>) -> Result<Stepped<'_, T>> {
         let _step_span = msc_trace::span_arg("step", self.steps as u64);
-        let step_t0 = std::time::Instant::now();
+        let step_t0 = Instant::now();
         let t = self.compiled.max_dt + self.steps;
-        let (mut counters, previous) = match self.reusing() {
+        let (counters, previous) = match self.reusing() {
             Some(plan) => self.step_reusing(plan, t, front, hook)?,
             None => self.step_recomputing(t, front, hook)?,
         };
-        self.steps += 1;
-        counters.bump(Counter::Steps, 1);
-        counters.bump(Counter::ComputedPoints, self.points);
-        let mut hists = HistSet::new();
-        hists.add(Hist::StepWallNanos, step_t0.elapsed().as_nanos() as u64);
-        msc_trace::record_set(&counters, &hists);
+        let (counters, hists) = self.account(counters, 1, step_t0);
         Ok(Stepped {
             counters,
             hists,
             state: self.ring.input(self.newest),
             previous: self.ring.input(previous),
         })
+    }
+
+    /// Count `steps` steps that began at `t0` and whose sweeps counted
+    /// `counters`, and publish their account to the tracer, once: one
+    /// `step_wall` sample per step, a pass's wall shared evenly.
+    fn account(&mut self, mut counters: CounterSet, steps: usize, t0: Instant) -> (CounterSet, HistSet) {
+        self.steps += steps;
+        counters.bump(Counter::Steps, steps as u64);
+        counters.bump(Counter::ComputedPoints, self.points * steps as u64);
+        let mut hists = HistSet::new();
+        let wall = t0.elapsed().as_nanos() as u64 / steps as u64;
+        (0..steps).for_each(|_| hists.add(Hist::StepWallNanos, wall));
+        msc_trace::record_set(&counters, &hists);
+        (counters, hists)
+    }
+
+    /// `depth` steps in one wavefront pass over `plan` (DESIGN.md §17.5),
+    /// counted as `depth` steps of their own count. Each writes the slot
+    /// a step of its own would; a slot that was cold gets a grid whose
+    /// halo the pass writes.
+    fn pass_of(&mut self, plan: &ExecPlan, depth: usize) -> CounterSet {
+        let _span = msc_trace::span_arg("wavefront_pass", self.steps as u64);
+        let (max_dt, window) = (self.compiled.max_dt, self.window.window);
+        let t = max_dt + self.steps;
+        let slots: Vec<usize> = (t..t + depth.min(window)).map(|u| u % window).collect();
+        let (mut grids, cold): (Vec<Grid<T>>, Vec<bool>) =
+            slots.iter().map(|&slot| self.ring.take_raw(slot)).unzip();
+        let outputs: Vec<Shared<'_, T>> =
+            grids.iter_mut().map(|grid| Shared::of(grid.as_mut_slice())).collect();
+        let seed = Shared::read_only(self.ring.seed.as_slice());
+        // A slot taken was either the window's (its state is read where it
+        // is not yet overwritten) or cold (its state is the seed).
+        let homes: Vec<Home<'_, T>> = (t - max_dt..t + depth)
+            .map(|u| match slots.iter().position(|&slot| slot == u % window) {
+                Some(k) if u >= t => Home { grid: outputs[k], halo: cold[k] },
+                Some(k) if !cold[k] => Home { grid: outputs[k], halo: false },
+                Some(_) => Home { grid: seed, halo: false },
+                None => {
+                    let grid = Shared::read_only(self.ring.input(u % window).as_slice());
+                    Home { grid, halo: false }
+                }
+            })
+            .collect();
+        let layout = self.ring.seed.layout();
+        wavefront::pass(&self.compiled, plan, &layout, self.ring.seed.as_slice(), &homes);
+        for (slot, grid) in slots.into_iter().zip(grids) {
+            self.ring.put(slot, grid);
+        }
+        self.newest = (t + depth - 1) % window;
+        // What a step of its own counts: the tiles, and the rows of each.
+        let mut step = self.compiled.scratch();
+        for tile in &self.tiles {
+            let (rows, len) = tile.extent.split_at(tile.extent.len() - 1);
+            self.compiled.note_rows(&mut step, rows.iter().product::<usize>() as u64, len[0]);
+        }
+        step.counted.set(Counter::TilesExecuted, self.tiles.len() as u64);
+        let mut counters = CounterSet::new();
+        (0..depth).for_each(|_| counters.merge(&step.counted));
+        counters
     }
 
     /// Every term evaluated from its state: `max_dt` states in, the slot
@@ -656,12 +771,23 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         Ok(())
     }
 
-    /// Take `steps` steps and hand back the final state and what the run
-    /// counted.
+    /// Take `steps` steps, [`TimeLoop::pass`] at a time (the last pass
+    /// takes what is left), and hand back the final state and what the
+    /// run counted.
     pub fn run(mut self, steps: usize) -> Result<(Grid<T>, RunStats)> {
         let mut counters = CounterSet::new();
-        for _ in 0..steps {
-            counters.merge(&self.step()?.counters);
+        let mut left = steps;
+        while left > 0 {
+            let depth = self.pass.depth().min(left);
+            match self.executor {
+                Executor::Tiled(plan) if depth > 1 => {
+                    let t0 = Instant::now();
+                    let swept = self.pass_of(plan, depth);
+                    counters.merge(&self.account(swept, depth, t0).0);
+                }
+                _ => counters.merge(&self.step()?.counters),
+            }
+            left -= depth;
         }
         Ok((self.into_state(), RunStats::from_counters(&counters)))
     }
@@ -865,7 +991,7 @@ mod tests {
     fn with_retired<T: Scalar, R>(f: impl FnOnce(Vec<&mut Grid<T>>, usize) -> R) -> R {
         RETIRED.with_borrow_mut(|retired| {
             let grids: Vec<Option<&mut Grid<T>>> =
-                retired.iter_mut().map(|grid| grid.downcast_mut()).collect();
+                retired.grids.iter_mut().map(|grid| grid.downcast_mut()).collect();
             let others = grids.iter().filter(|grid| grid.is_none()).count();
             f(grids.into_iter().flatten().collect(), others)
         })
@@ -963,7 +1089,7 @@ mod tests {
                     // Every cell of a retired slot, halo included, a NaN
                     // payload no step computes.
                     let stale: Vec<usize> = with_retired::<f64, _>(|grids, others| {
-                        assert_eq!((grids.len(), others), (2, 0));
+                        assert_eq!((grids.len(), others), (3, 0));
                         let poison = |g: &mut Grid<f64>| {
                             g.as_mut_slice().fill(f64::from_bits(0x7ff8_dead_beef_0001));
                             g.as_slice().as_ptr().addr()
@@ -983,7 +1109,7 @@ mod tests {
                         .collect();
                     assert!(
                         stale.iter().all(|p| held.contains(p)),
-                        "{bc:?}: both were reused"
+                        "{bc:?}: all three were reused"
                     );
                     run.into_state()
                 });
@@ -1001,12 +1127,13 @@ mod tests {
         let star = || Kernel::star_normalized("K", 3, 1);
         let longer = [1, 1, 466_041];
         on_fresh_thread(|| {
-            // Window 3, so at most 2 retired slots: L1's, then L2's alone.
+            // Window 3, so at most 3 retired slots, the dropped state's
+            // among them: L1's, then L2's alone.
             run_seeded::<f64>(&program_over(star(), DType::F64, OVER_GATE, 2, 3), 1);
-            assert_eq!(retired::<f64>(), (vec![OVER_GATE.to_vec(); 2], 0));
+            assert_eq!(retired::<f64>(), (vec![OVER_GATE.to_vec(); 3], 0));
             let l2 = program_over(star(), DType::F64, longer, 2, 3);
             run_seeded::<f64>(&l2, 2);
-            assert_eq!(retired::<f64>(), (vec![longer.to_vec(); 2], 0));
+            assert_eq!(retired::<f64>(), (vec![longer.to_vec(); 3], 0));
             // A ring that ends replaces the set: a 0-step run and a
             // sub-gate run retire nothing.
             run_seeded::<f64>(&program_over(star(), DType::F64, longer, 2, 0), 3);
@@ -1015,18 +1142,154 @@ mod tests {
             run_seeded::<f64>(&program_over(star(), DType::F64, [8, 8, 8], 2, 5), 5);
             assert_eq!(retired::<f64>(), (vec![], 0));
             // One shape over the gate in both scalar types (33.6 and 67.1
-            // MB), window 2: each run finds the other type's slot, drops
-            // it, and retires one of its own.
+            // MB), window 2: each run finds the other type's slots, drops
+            // them, and retires two of its own (one the state it handed
+            // out, once dropped).
             let shape = [1, 1, 932_067];
             let f32s = program_over(star(), DType::F32, shape, 1, 2);
             let f64s = program_over(star(), DType::F64, shape, 1, 2);
             run_seeded::<f32>(&f32s, 6);
-            assert_eq!(retired::<f32>(), (vec![shape.to_vec()], 0));
+            assert_eq!(retired::<f32>(), (vec![shape.to_vec(); 2], 0));
             run_seeded::<f64>(&f64s, 7);
-            assert_eq!(retired::<f64>(), (vec![shape.to_vec()], 0));
+            assert_eq!(retired::<f64>(), (vec![shape.to_vec(); 2], 0));
             run_seeded::<f32>(&f32s, 8);
-            assert_eq!(retired::<f32>(), (vec![shape.to_vec()], 0));
+            assert_eq!(retired::<f32>(), (vec![shape.to_vec(); 2], 0));
         });
+    }
+
+    /// `0.6*K[t-1] + 0.4*K[t-dt]` for the second `dt` of `dts` (`K[t-1]`
+    /// alone for one), `K` a star of `reach`, halo `reach`.
+    fn wave_program(shape: &[usize], reach: usize, dts: &[usize], steps: usize) -> StencilProgram {
+        let window = dts.iter().max().unwrap() + 1;
+        let terms: Vec<(usize, f64, &str)> = match dts {
+            [one] => vec![(*one, 1.0, "K")],
+            _ => dts.iter().zip([0.6, 0.4]).map(|(&dt, w)| (dt, w, "K")).collect(),
+        };
+        let mut p = StencilProgram::builder("wave")
+            .grid(SpNode::new("B", DType::F64, shape, reach, window).unwrap())
+            .kernel(Kernel::star_normalized("K", shape.len(), reach))
+            .combine(&terms)
+            .timesteps(1)
+            .build()
+            .unwrap();
+        p.timesteps = steps;
+        p
+    }
+
+    #[test]
+    fn a_wavefront_pass_replays_the_eager_ring_bit_for_bit() {
+        // Extents no band divides, step counts no depth divides, bands of
+        // 3 rows per worker; passes deeper than the window write a slot
+        // twice, and the first pass starts from cold slots.
+        for (shape, tile) in [(vec![11, 13, 6], 3), (vec![12, 17], 3)] {
+            for reach in [1, 2] {
+                for dts in [&[1][..], &[1, 2], &[1, 3]] {
+                    for (workers, steps) in [(1, 7), (2, 5)] {
+                        let p = wave_program(&shape, reach, dts, steps);
+                        let mut tiles = shape.clone();
+                        tiles[1] = tile;
+                        let exec = Executor::Tiled(tiled_plan(&p, &tiles, workers));
+                        let init: Grid<f64> = Grid::random(&shape, &p.grid.halo, 7 + steps as u64);
+                        let admit = |exec| {
+                            TimeLoop::admit(&p, exec, Cow::Borrowed(&init), Boundary::Dirichlet, ExecTier::Auto)
+                                .unwrap()
+                        };
+                        let (oracle, _) = admit(&Executor::Reference).run(steps).unwrap();
+                        let (one, one_stats) = admit(&exec).in_passes_of(1).run(steps).unwrap();
+                        assert!(bits(&one) == bits(&oracle), "{shape:?} reach {reach} {dts:?}");
+                        for depth in 1..=4 {
+                            let (got, stats) = admit(&exec).in_passes_of(depth).run(steps).unwrap();
+                            let at = format!(
+                                "{shape:?} reach {reach} dts {dts:?} {workers} workers depth {depth}"
+                            );
+                            assert!(bits(&got) == bits(&one), "{at}");
+                            assert_eq!(stats, one_stats, "{at}");
+                            assert_eq!(halo_bits(&got), halo_bits(&init), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The addresses of this thread's retired `Grid<f64>`s.
+    fn retired_at() -> Vec<usize> {
+        with_retired::<f64, _>(|grids, _| grids.iter().map(|g| g.as_slice().as_ptr().addr()).collect())
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 34 MB slots
+    fn a_second_run_on_one_thread_provisions_no_fresh_slot() {
+        let p = program_over(Kernel::star_normalized("K", 3, 1), DType::F64, OVER_GATE, 2, 3);
+        let exec = halved_plan(&p);
+        let init: Grid<f64> = Grid::random(&OVER_GATE, &p.grid.halo, 3);
+        on_fresh_thread(|| {
+            let admit = || TimeLoop::admit(&p, &exec, Cow::Borrowed(&init), Boundary::Dirichlet, ExecTier::Auto);
+            let first = admit().unwrap().run(p.timesteps).unwrap().0;
+            let handed = first.as_slice().as_ptr().addr();
+            assert_eq!(retired_at().len(), 2);
+            drop(first);
+            let retired = retired_at();
+            assert!(retired.len() == 3 && retired.contains(&handed), "the state came back");
+            let mut second = admit().unwrap();
+            for _ in 0..p.timesteps {
+                second.step().unwrap();
+            }
+            let held: Vec<usize> = second.slots().iter().map(|g| g.as_slice().as_ptr().addr()).collect();
+            assert!(retired.iter().all(|at| held.contains(at)), "every slot was a retired one");
+            assert!(retired_at().is_empty());
+        });
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 34-67 MB slots
+    fn a_dropped_state_of_another_layout_or_type_is_freed() {
+        let star = || Kernel::star_normalized("K", 3, 1);
+        let longer = [1, 1, 466_041];
+        on_fresh_thread(|| {
+            let kept: Grid<f64> = run_seeded(&program_over(star(), DType::F64, OVER_GATE, 2, 3), 1);
+            run_seeded::<f64>(&program_over(star(), DType::F64, longer, 2, 3), 2);
+            drop(kept);
+            assert_eq!(retired::<f64>(), (vec![longer.to_vec(); 3], 0), "another layout");
+            // Over the gate as f32 too (33.6 MB), window 2.
+            let wide = [1, 1, 932_067];
+            let kept: Grid<f64> = run_seeded(&program_over(star(), DType::F64, wide, 1, 2), 3);
+            run_seeded::<f32>(&program_over(star(), DType::F32, wide, 1, 2), 4);
+            drop(kept);
+            assert_eq!(retired::<f32>(), (vec![wide.to_vec(); 2], 0), "another type");
+        });
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 34 MB slots
+    fn the_retired_set_never_holds_more_than_one_window() {
+        let p = program_over(Kernel::star_normalized("K", 3, 1), DType::F64, OVER_GATE, 2, 3);
+        on_fresh_thread(|| {
+            let states: Vec<Grid<f64>> = (0..3).map(|seed| run_seeded(&p, seed)).collect();
+            assert_eq!(retired::<f64>().0.len(), 2);
+            drop(states);
+            assert_eq!(retired::<f64>().0.len(), 3);
+        });
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 34 MB slots
+    fn a_state_dropped_while_its_thread_is_torn_down_does_not_panic() {
+        thread_local! {
+            static KEPT: RefCell<Option<Grid<f64>>> = RefCell::default();
+        }
+        let p = program_over(Kernel::star_normalized("K", 3, 1), DType::F64, OVER_GATE, 2, 3);
+        // Thread-local destructors run in either order: the state is
+        // dropped before or after the retired set.
+        for kept_first in [true, false] {
+            on_fresh_thread(|| {
+                if kept_first {
+                    KEPT.with(|_| ());
+                }
+                let state: Grid<f64> = run_seeded(&p, 1);
+                KEPT.set(Some(state));
+            });
+        }
     }
 
     #[test]

@@ -117,6 +117,40 @@ pub struct Grid<T> {
     /// Row-major strides over the padded buffer.
     pub strides: Vec<usize>,
     data: Vec<T>,
+    pub(crate) on_drop: OnDrop<T>,
+}
+
+/// What dropping a grid does besides freeing it: the state a time loop
+/// handed out goes back to its thread's retired slots (DESIGN.md §17.4).
+/// A clone does not inherit it, and grids compare equal whatever it is.
+#[derive(Debug)]
+pub(crate) struct OnDrop<T>(pub(crate) Option<fn(Grid<T>)>);
+
+impl<T> Clone for OnDrop<T> {
+    fn clone(&self) -> Self {
+        OnDrop(None)
+    }
+}
+
+impl<T> PartialEq for OnDrop<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> Drop for Grid<T> {
+    fn drop(&mut self) {
+        if let Some(hook) = self.on_drop.0.take() {
+            hook(Grid {
+                shape: std::mem::take(&mut self.shape),
+                halo: std::mem::take(&mut self.halo),
+                padded: std::mem::take(&mut self.padded),
+                strides: std::mem::take(&mut self.strides),
+                data: std::mem::take(&mut self.data),
+                on_drop: OnDrop(None),
+            });
+        }
+    }
 }
 
 impl<T: Scalar> Grid<T> {
@@ -131,6 +165,7 @@ impl<T: Scalar> Grid<T> {
             padded,
             strides,
             data: vec![T::default(); n],
+            on_drop: OnDrop(None),
         }
     }
 
@@ -187,16 +222,14 @@ impl<T: Scalar> Grid<T> {
         }
     }
 
-    /// A grid of this layout holding this grid's halo cells and a zero
-    /// interior: what a time-window slot starts as when a step is about to
-    /// overwrite its whole interior anyway.
-    pub(crate) fn halo_shell(&self) -> Grid<T> {
-        let mut shell = Grid::zeros(&self.shape, &self.halo);
-        // Rows shorter than a page put a halo cell in every page, so the
-        // copies below would fault the whole slot in, one page at a time.
-        populate(&mut shell.data);
-        self.copy_halo_into(&mut shell);
-        shell
+    /// A zero grid of this layout, populated if large (DESIGN.md §17.3):
+    /// a fresh window slot, before its halo is copied in.
+    pub(crate) fn blank(&self) -> Grid<T> {
+        let mut blank = Grid::zeros(&self.shape, &self.halo);
+        // Rows shorter than a page put a halo cell in every page, so a
+        // halo copy would fault the whole slot in, one page at a time.
+        populate(&mut blank.data);
+        blank
     }
 
     /// Whether a fresh grid of this layout is populated (and a window slot
@@ -333,6 +366,16 @@ impl<T: Scalar> Grid<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Scalar> Grid<T> {
+        /// A grid of this layout holding this grid's halo cells and a zero
+        /// interior: what a cold window slot starts as.
+        pub(crate) fn halo_shell(&self) -> Grid<T> {
+            let mut shell = self.blank();
+            self.copy_halo_into(&mut shell);
+            shell
+        }
+    }
 
     #[test]
     fn padded_layout_and_strides() {

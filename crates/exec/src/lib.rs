@@ -35,7 +35,10 @@
 //! of the older ones, a step sweeps `S` once and combines images, in the
 //! same number of slots and with the same bits (DESIGN.md §12.6) — unless
 //! the step streams from DRAM through so few taps that the image's own
-//! memory traffic costs more than the flops it saves.
+//! memory traffic costs more than the flops it saves. Such a run instead
+//! sweeps several steps per pass, a time-skewed [`wavefront`] whose levels
+//! read what the level before just wrote while it is still in cache
+//! (DESIGN.md §17.5).
 //!
 //! Orthogonally to the staging, every row is evaluated by
 //! `TieredStencil::run_row` on one of three **execution tiers** (see
@@ -59,8 +62,9 @@
 //! worker-count cap of [`pool`] (`mscc --pool-threads`). The one thing a
 //! run leaves behind is memory, not state: when its window slots are
 //! large enough to be populated (32 MiB and up), those it does not hand
-//! back stay with its thread, and the next run there of the same layout
-//! overwrites them instead of faulting in fresh grids (DESIGN.md §17.4).
+//! back stay with its thread — and the one it does, once dropped — and
+//! the next run there of the same layout overwrites them instead of
+//! faulting in fresh grids (DESIGN.md §17.4).
 
 pub mod boundary;
 pub mod convergence;
@@ -80,6 +84,7 @@ mod tier_differential;
 pub mod varcoeff;
 pub mod tiled;
 pub mod verify;
+pub mod wavefront;
 
 pub use compiled::CompiledStencil;
 pub use boundary::Boundary;
@@ -90,3 +95,4 @@ pub use grid::{Grid, Scalar};
 pub use temporal::{run_temporal_tiled, run_temporal_tiled_tier, TemporalStats};
 pub use varcoeff::CompiledVarStencil;
 pub use verify::{max_rel_error, verify_against_reference};
+pub use wavefront::Pass;

@@ -26,6 +26,7 @@ use msc_trace::Counter;
 /// job. The wrapper only carries the pointer across threads; the one
 /// place that dereferences it for tile writes, and shows the disjointness,
 /// is `sweep::TileRows::for_each`.
+#[derive(Clone, Copy)]
 pub struct SendPtr<T>(pub *mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}

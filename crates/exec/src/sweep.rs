@@ -3,9 +3,9 @@
 //! odometer over a box ([`for_each_row`]), one box copier between
 //! buffers ([`copy_box`]) and one between a grid and a flat message
 //! buffer ([`Grid::pack`] / [`Grid::unpack`], what the halo exchange
-//! moves), one place where the output grids are split
-//! into disjoint rows for the workers ([`TileRows`], the crate's only
-//! `unsafe` tile-write site) and one wrapper around
+//! moves), one place where the output grids are split into disjoint
+//! rows for the workers ([`TileRows`]; a wavefront pass's [`Shared`] takes
+//! its rows through the same one `unsafe` write expression) and one wrapper around
 //! [`pool::run_tile_job`] ([`sweep`]). A sweep writes `N` grids of one
 //! layout: one for every staging, two for the kernel-image step of
 //! `tiled` (DESIGN.md §12.6). The staging policies (`tiled`, `spm`, `temporal`) and
@@ -235,15 +235,65 @@ impl<T, const N: usize> TileRows<'_, T, N> {
                     // odometer stops a group at the tile's edge — and they
                     // are disjoint: `stride` is the padded length of a row,
                     // at least `len`. None outlives the call to `f`.
-                    *row = unsafe {
-                        std::slice::from_raw_parts_mut(ptr.get().add(base + r * stride), len)
-                    };
+                    *row = unsafe { slice_at(ptr.get(), base + r * stride, len) };
                 }
             }
             f(pos, base, groups.each_mut().map(|group| &mut group[..n]));
             rows += n as u64;
         });
         rows
+    }
+}
+
+/// The `len` elements at `at` of the buffer at `ptr`, mutably: the one
+/// expression through which a sweep writes a grid.
+///
+/// # Safety
+///
+/// `[at, at + len)` lies in the buffer and nothing else reads or writes
+/// it while the slice lives.
+#[inline(always)]
+unsafe fn slice_at<'a, T>(ptr: *mut T, at: usize, len: usize) -> &'a mut [T] {
+    std::slice::from_raw_parts_mut(ptr.add(at), len)
+}
+
+/// A buffer the workers of a wavefront pass (DESIGN.md §17.5) read and
+/// write at once, a plane step at a time: whoever takes a slice shows no
+/// other worker touches what it writes, nor writes what it reads.
+#[derive(Clone, Copy)]
+pub(crate) struct Shared<'a, T> {
+    ptr: SendPtr<T>,
+    len: usize,
+    writable: bool,
+    _borrow: PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T> Shared<'a, T> {
+    pub fn of(buf: &'a mut [T]) -> Self {
+        let (ptr, len) = (SendPtr::new(buf.as_mut_ptr()), buf.len());
+        Shared { ptr, len, writable: true, _borrow: PhantomData }
+    }
+
+    /// A buffer the pass only reads: [`Shared::write`] refuses it.
+    pub fn read_only(buf: &'a [T]) -> Self {
+        let (ptr, len) = (SendPtr::new(buf.as_ptr().cast_mut()), buf.len());
+        Shared { ptr, len, writable: false, _borrow: PhantomData }
+    }
+
+    /// # Safety
+    ///
+    /// Nothing writes `range` while the slice lives.
+    pub unsafe fn read(&self, range: std::ops::Range<usize>) -> &'a [T] {
+        assert!(range.start <= range.end && range.end <= self.len, "read leaves the buffer");
+        std::slice::from_raw_parts(self.ptr.get().add(range.start), range.len())
+    }
+
+    /// # Safety
+    ///
+    /// Nothing else reads or writes `range` while the slice lives.
+    pub unsafe fn write(&self, range: std::ops::Range<usize>) -> &'a mut [T] {
+        assert!(self.writable && range.start <= range.end && range.end <= self.len);
+        slice_at(self.ptr.get(), range.start, range.len())
     }
 }
 

@@ -10,7 +10,8 @@
 //! cache-sized, so kernel images are reused wherever the terms share a
 //! kernel), forced onto the recomputing step, and by rule again the way a
 //! rank steps — from a seed the loop owns, every step in two tile subsets
-//! around a hook — all with equal `RunStats`.
+//! around a hook — all with equal `RunStats`; under Dirichlet, also in
+//! wavefront passes of 2, 3 and 4 steps (DESIGN.md §17.5).
 //!
 //! The reference executor (serial interpreter) is the oracle; it shares
 //! no code with the sweeps. A cell that passes proves that its staging
@@ -165,6 +166,17 @@ fn assert_direct<T: Scalar>(name: &str, p: &StencilProgram, init: &Grid<T>, plan
             assert_eq!(stats.steps, p.timesteps, "{cell}");
             if p.timesteps > 0 {
                 assert_tier_ran(&cell, tier, &stats);
+            }
+            if bc == Boundary::Dirichlet && p.grid.ndim() >= 2 {
+                for depth in 2..=4 {
+                    let run = TimeLoop::admit(p, &exec, Cow::Borrowed(init), bc, tier).unwrap();
+                    let (waved, same) = run.in_passes_of(depth).run(p.timesteps).unwrap();
+                    assert!(
+                        bits(&waved) == oracle,
+                        "{cell}, {depth} steps per pass, differs from the oracle"
+                    );
+                    assert_eq!(stats, same, "{cell}: a wavefront changed what a run counts");
+                }
             }
         }
     }

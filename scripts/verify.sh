@@ -397,12 +397,23 @@ cargo test -q -p msc-exec --lib --offline -- grid::tests::halo_shell \
   grid::tests::a_pre_faulted_halo_shell grid::tests::populate \
   driver::tests::shared_seed_ring driver::tests::ring_slots
 # A run's cold slots are the ones its thread's last run retired, when they
-# are over the populate gate (DESIGN.md §17.4), by exact name: a reused
+# are over the populate gate (DESIGN.md §17.4), and a run that streams
+# from DRAM takes several steps per wavefront pass (§17.5), bit for bit
+# the steps of their own at depths 1-4, with 1 and 2 workers, by exact
+# name: a reused
 # slot poisoned with NaN changes no bit and keeps the new seed's halo
 # (recomputing and image-reusing, both boundaries); a thread keeps at most
 # the last ring's slots, of its layout and scalar type.
+# A state a run hands out comes back to the set when it is dropped, of
+# the run's layout and type only, and a state dropped while its thread is
+# torn down is freed.
 for t in driver::tests::a_reused_slot_leaves_no_trace \
-    driver::tests::a_thread_retires_at_most_the_last_rings_slots_of_its_layout_and_type; do
+    driver::tests::a_thread_retires_at_most_the_last_rings_slots_of_its_layout_and_type \
+    driver::tests::a_second_run_on_one_thread_provisions_no_fresh_slot \
+    driver::tests::a_dropped_state_of_another_layout_or_type_is_freed \
+    driver::tests::the_retired_set_never_holds_more_than_one_window \
+    driver::tests::a_state_dropped_while_its_thread_is_torn_down_does_not_panic \
+    driver::tests::a_wavefront_pass_replays_the_eager_ring_bit_for_bit; do
   # A filter that matches nothing passes too: require the one test.
   out=$(cargo test -q -p msc-exec --lib --offline "$t" -- --exact)
   grep -q '1 passed' <<<"$out"
@@ -433,19 +444,22 @@ cargo build --workspace --examples --offline
 
 echo "== stencil verifier (mscc check) =="
 # Every shipped example must lint clean; every deny fixture must be
-# denied and its fixed twin must pass.
+# denied and its fixed twin must pass. The binaries are wherever cargo
+# put them: under $CARGO_TARGET_DIR when it is set.
 cargo build --offline --bin mscc
+mscc="${CARGO_TARGET_DIR:-target}/debug/mscc"
+mscc_release="${CARGO_TARGET_DIR:-target}/release/mscc"
 for f in examples/dsl/*.msc; do
-  ./target/debug/mscc check "$f"
+  "$mscc" check "$f"
 done
 for f in crates/lint/fixtures/*.deny.msc; do
-  if ./target/debug/mscc check "$f" >/dev/null; then
+  if "$mscc" check "$f" >/dev/null; then
     echo "expected deny: $f" >&2
     exit 1
   fi
 done
 for f in crates/lint/fixtures/*.fixed.msc; do
-  ./target/debug/mscc check "$f" >/dev/null
+  "$mscc" check "$f" >/dev/null
 done
 
 echo "== legacy C lifting (mscc lift: corpus + deny fixtures) =="
@@ -456,11 +470,11 @@ echo "== legacy C lifting (mscc lift: corpus + deny fixtures) =="
 # codes.
 tmpl=$(mktemp -d)
 for f in examples/lift/*.c; do
-  ./target/debug/mscc lift "$f" > "$tmpl/lift.out"
+  "$mscc" lift "$f" > "$tmpl/lift.out"
   grep -q 'validated bit-for-bit' "$tmpl/lift.out"
 done
 for f in crates/lift/fixtures/*.deny.c; do
-  if ./target/debug/mscc lift "$f" --json >"$tmpl/deny.json"; then
+  if "$mscc" lift "$f" --json >"$tmpl/deny.json"; then
     echo "expected lift deny: $f" >&2
     exit 1
   fi
@@ -473,8 +487,8 @@ done
 # source must pass the same `mscc check` gate as hand-written programs.
 for f in examples/lift/*.c; do
   out="$tmpl/$(basename "${f%.c}").msc"
-  ./target/debug/mscc lift "$f" --emit-msc | sed -n '/^stencil/,$p' > "$out"
-  ./target/debug/mscc check "$out" >/dev/null
+  "$mscc" lift "$f" --emit-msc | sed -n '/^stencil/,$p' > "$out"
+  "$mscc" check "$out" >/dev/null
 done
 rm -rf "$tmpl"
 
@@ -485,11 +499,11 @@ echo "== live telemetry (chaos-kill run + strict metrics validation) =="
 # strict checker (schema tag, seq continuity, counter monotonicity, and
 # the OpenMetrics parser on the .om file).
 tmpm=$(mktemp -d)
-./target/release/mscc examples/dsl/3d7pt.msc --run --procs 2x1x1 \
+"$mscc_release" examples/dsl/3d7pt.msc --run --procs 2x1x1 \
   --chaos '1:kill=1@3' --checkpoint-dir "$tmpm/ckpt" --checkpoint-every 2 \
   --metrics-file "$tmpm/metrics.jsonl" --metrics-interval-ms 100 \
   -o "$tmpm/out"
-./target/release/mscc top "$tmpm/metrics.jsonl" --once --strict
+"$mscc_release" top "$tmpm/metrics.jsonl" --once --strict
 test -s "$tmpm/metrics.om"
 grep -q comm_fault "$tmpm/metrics.jsonl"
 rm -rf "$tmpm"
@@ -504,7 +518,7 @@ echo "== compile-and-run service (mscd smoke) =="
 # code as a structured error while the daemon survives), admission
 # liveness (ping), and graceful shutdown over the wire.
 tmps=$(mktemp -d)
-./target/release/mscc serve --socket "$tmps/mscd.sock" --workers 2 \
+"$mscc_release" serve --socket "$tmps/mscd.sock" --workers 2 \
   --metrics-dir "$tmps/metrics" &
 mscd_pid=$!
 for _ in $(seq 1 100); do
@@ -512,21 +526,21 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 test -S "$tmps/mscd.sock"
-./target/release/mscc submit --socket "$tmps/mscd.sock" --run examples/dsl/wave2d.msc
+"$mscc_release" submit --socket "$tmps/mscd.sock" --run examples/dsl/wave2d.msc
 # Capture, then grep: `grep -q` exits on first match and closing the
 # pipe mid-print makes the client die on EPIPE (a long-standing flake).
-./target/release/mscc submit --socket "$tmps/mscd.sock" examples/dsl/wave2d.msc \
+"$mscc_release" submit --socket "$tmps/mscd.sock" examples/dsl/wave2d.msc \
   > "$tmps/second.out"
 grep -q 'cache hit' "$tmps/second.out"
-if ./target/release/mscc submit --socket "$tmps/mscd.sock" \
+if "$mscc_release" submit --socket "$tmps/mscd.sock" \
     crates/lint/fixtures/halo_narrow.deny.msc 2>"$tmps/deny.err"; then
   echo "expected daemon deny: halo_narrow.deny.msc" >&2
   exit 1
 fi
 grep -q 'MSC-L101' "$tmps/deny.err"
-./target/release/mscc submit --socket "$tmps/mscd.sock" --ping > "$tmps/ping.out"
+"$mscc_release" submit --socket "$tmps/mscd.sock" --ping > "$tmps/ping.out"
 grep -q 'mscd alive' "$tmps/ping.out"
-./target/release/mscc submit --socket "$tmps/mscd.sock" --shutdown
+"$mscc_release" submit --socket "$tmps/mscd.sock" --shutdown
 wait "$mscd_pid"
 rm -rf "$tmps"
 

@@ -973,7 +973,7 @@ fn drive(mut o: Opts) -> Outcome {
             let banner = format!(
                 "distributed run over {} ranks {:?}: {} steps in {:.1} ms ({tier}); {} halo msgs, \
                  {} faults injected, {} restarts, {} recoveries, \
-                 {} checkpoint bytes; interior checksum {:.6e}",
+                 {} checkpoint bytes; interior checksum {:.6e}; {}",
                 stats.ranks,
                 procs,
                 stats.steps,
@@ -983,7 +983,8 @@ fn drive(mut o: Opts) -> Outcome {
                 stats.restarts,
                 stats.recoveries,
                 stats.checkpoint_bytes(),
-                out.interior_sum()
+                out.interior_sum(),
+                msc::exec::Pass::RANKS,
             );
             // CommStats carries the authoritative counters and latency
             // histograms (merged across ranks by the driver); the global
@@ -998,16 +999,11 @@ fn drive(mut o: Opts) -> Outcome {
             let trace_name = format!("stitched chrome://tracing profile ({} ranks)", stats.ranks);
             (out, banner, profile, trace_name)
         } else {
-            let plan = ExecPlan::lower(&sched, ndim, shape)?;
+            let exec = Executor::Tiled(ExecPlan::lower(&sched, ndim, shape)?);
             trace_on(true);
             let t0 = std::time::Instant::now();
-            let (out, stats) = run_program_tier(
-                &checked,
-                &Executor::Tiled(plan),
-                &init,
-                Boundary::Dirichlet,
-                o.dist.tier,
-            )?;
+            let (out, stats) =
+                run_program_tier(&checked, &exec, &init, Boundary::Dirichlet, o.dist.tier)?;
             let dt = t0.elapsed();
             trace_on(false);
             // What evaluated the rows: the resolved tier (an explicit `vm`
@@ -1015,16 +1011,19 @@ fn drive(mut o: Opts) -> Outcome {
             // the VM's constant pool; auto and specialized never degrade) and,
             // on the specialized tier, the row kernel's ISA and whether it
             // prefetches; then whether a step reused the kernel's image of
-            // the older states or why it evaluated every term. All of it is
-            // a function of the CPU, the program and the grid's size, so
+            // the older states or why it evaluated every term; last, how
+            // many steps a pass took, or why one. All of it is a function of
+            // the CPU, the program, the grid's size and the plan, so
             // compiling again gives what the run used.
-            let tier = msc::exec::TieredStencil::compile(&program, &init, o.dist.tier)?.describe();
+            let stencil = msc::exec::TieredStencil::compile(&program, &init, o.dist.tier)?;
+            let tier = stencil.describe();
             let banner = format!(
-                "ran {} steps in {:.1} ms ({} tiles, {tier}); interior checksum {:.6e}",
+                "ran {} steps in {:.1} ms ({} tiles, {tier}); interior checksum {:.6e}; {}",
                 stats.steps,
                 dt.as_secs_f64() * 1e3,
                 stats.tiles_executed,
-                out.interior_sum()
+                out.interior_sum(),
+                msc::exec::Pass::of(&stencil, &exec, Boundary::Dirichlet),
             );
             let profile =
                 tracing.then(|| msc::trace::Profile::capture(format!("{} ({tier})", program.name)));
