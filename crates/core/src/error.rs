@@ -33,6 +33,14 @@ pub enum MscError {
     DimMismatch { expected: usize, got: usize },
     /// Invalid user-provided configuration (grid shape, process grid, ...).
     InvalidConfig(String),
+    /// A grid that cannot be provisioned: its padded size overflows the
+    /// address space (`bytes` is `None`), or the allocator refused its
+    /// `bytes`.
+    GridTooLarge {
+        shape: Vec<usize>,
+        halo: Vec<usize>,
+        bytes: Option<usize>,
+    },
     /// A communication-layer fault (lost/corrupt message, dead rank,
     /// poisoned world). Carries the rendered `CommError` from `msc-comm`,
     /// which owns the typed representation.
@@ -67,6 +75,13 @@ impl fmt::Display for MscError {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
             MscError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            MscError::GridTooLarge { shape, halo, bytes } => {
+                write!(f, "a grid of {shape:?} with halo {halo:?} ")?;
+                match bytes {
+                    Some(bytes) => write!(f, "needs {bytes} bytes, which could not be allocated"),
+                    None => write!(f, "is larger than the address space"),
+                }
+            }
             MscError::Comm(msg) => write!(f, "communication failure: {msg}"),
         }
     }

@@ -47,11 +47,26 @@ impl SpNode {
                 "SpNode `{name}` needs a time window of at least 1"
             )));
         }
+        let halo = vec![halo_width; shape.len()];
+        // Then every size derived from the node (padded cells, their
+        // bytes, a window of them) fits in `usize`.
+        let padded_bytes = |window_bytes| {
+            shape.iter().try_fold(window_bytes, |bytes: usize, &n| {
+                halo_width.checked_mul(2)?.checked_add(n)?.checked_mul(bytes)
+            })
+        };
+        if time_window.checked_mul(dtype.size_bytes()).and_then(padded_bytes).is_none() {
+            return Err(MscError::GridTooLarge {
+                shape: shape.to_vec(),
+                halo,
+                bytes: None,
+            });
+        }
         Ok(SpNode {
             name: name.to_string(),
             dtype,
             shape: shape.to_vec(),
-            halo: vec![halo_width; shape.len()],
+            halo,
             time_window,
         })
     }
@@ -171,6 +186,18 @@ mod tests {
 
     fn b3d() -> SpNode {
         SpNode::new("B", DType::F64, &[256, 256, 256], 1, 2).unwrap()
+    }
+
+    #[test]
+    fn a_node_whose_size_overflows_is_refused() {
+        let big = u32::MAX as usize + 1;
+        let err = SpNode::new("B", DType::F64, &[big, big], 1, 2).unwrap_err();
+        let halo = vec![1, 1];
+        assert_eq!(err, MscError::GridTooLarge { shape: vec![big, big], halo, bytes: None });
+        // Cells that fit, a window of their bytes that does not.
+        assert!(SpNode::new("B", DType::F64, &[big, big / 8 - 1], 0, 1).is_ok());
+        assert!(SpNode::new("B", DType::F64, &[big, big / 8 - 1], 0, 2).is_err());
+        assert!(SpNode::new("B", DType::F64, &[1], 0, usize::MAX / 4).is_err());
     }
 
     #[test]

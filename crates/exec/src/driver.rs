@@ -4,7 +4,7 @@
 
 use crate::boundary::{self, Boundary};
 use crate::compiled::CompiledTerm;
-use crate::grid::{Grid, Scalar};
+use crate::grid::{Grid, GridLayout, Scalar};
 use crate::tier::{ExecTier, TieredStencil};
 use crate::sweep::Shared;
 use crate::tiled::ImageOf;
@@ -17,8 +17,7 @@ use msc_lint::Gate;
 use msc_trace::{Counter, CounterSet, Hist, HistSet, Profile};
 use std::any::{Any, TypeId};
 use std::borrow::Cow;
-use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which execution strategy to use for each timestep.
@@ -154,34 +153,39 @@ enum Slot<T> {
 pub(crate) struct Ring<'a, T: Scalar> {
     seed: Cow<'a, Grid<T>>,
     slots: Vec<Slot<T>>,
+    /// Cold slots that found no retired grid and allocated one.
+    fresh: u64,
 }
 
-/// This thread's *retired slots* (DESIGN.md §17.4): the populated grids
-/// the last ring to end here did not hand back, and the state it did once
-/// dropped — at most `window` (`like`: window, scalar type, shape, halo).
-#[derive(Default)]
+/// The process's *retired slots* (DESIGN.md §17.4): the grids the last
+/// ring to end did not hand back, and the state it did once dropped — at
+/// most `window` (`like`: window, scalar type, shape, halo).
 struct Retired {
     like: Option<(usize, TypeId, Vec<usize>, Vec<usize>)>,
-    grids: Vec<Box<dyn Any>>,
+    grids: Vec<Box<dyn Any + Send>>,
 }
 
-thread_local! {
-    static RETIRED: RefCell<Retired> = RefCell::default();
+static RETIRED: Mutex<Retired> = Mutex::new(Retired { like: None, grids: Vec::new() });
+
+/// The retired slots, locked. Every change to them is one push, pop,
+/// take or swap, so a poisoned lock still guards a whole set: it is taken
+/// as it is, and a drop never panics on it. Callers free grids only after
+/// the guard is gone.
+fn retired() -> MutexGuard<'static, Retired> {
+    RETIRED.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The state a ring handed out, dropped: it joins the retired slots if it
-/// is like them and they are fewer than a window; else, or while the
-/// thread is torn down, it is freed.
+/// is like them and they are fewer than a window; else it is freed on
+/// return, after the lock.
 fn give_back<T: Scalar>(grid: Grid<T>) {
-    let _ = RETIRED.try_with(|retired| match retired.try_borrow_mut().as_deref_mut() {
-        Ok(Retired { like: Some((window, ty, shape, halo)), grids })
-            if (*ty, &grid.shape, &grid.halo) == (TypeId::of::<T>(), shape, halo)
-                && grids.len() < *window =>
-        {
-            grids.push(Box::new(grid))
-        }
-        _ => {}
-    });
+    let mut set = retired();
+    let Retired { like, grids } = &mut *set;
+    if like.as_ref().is_some_and(|(window, ty, shape, halo)| {
+        (*ty, shape, halo) == (TypeId::of::<T>(), &grid.shape, &grid.halo) && grids.len() < *window
+    }) {
+        grids.push(Box::new(grid));
+    }
 }
 
 impl<'a, T: Scalar> Ring<'a, T> {
@@ -197,6 +201,7 @@ impl<'a, T: Scalar> Ring<'a, T> {
         Ring {
             seed,
             slots: vec![Slot::Cold; window],
+            fresh: 0,
         }
     }
 
@@ -219,47 +224,53 @@ impl<'a, T: Scalar> Ring<'a, T> {
 
     /// Take `slot`'s grid out to be overwritten by a step; [`Ring::put`]
     /// brings the result back. A slot never written before yields a grid
-    /// carrying the seed's halo and an interior nothing reads: one of this
-    /// thread's retired slots, or else a zero-backed halo shell. Every
+    /// carrying the seed's halo and an interior nothing reads: one of the
+    /// retired slots, or else a zero-backed halo shell. Every
     /// executor overwrites the whole interior, and Dirichlet halos must
     /// keep their initial values. Under Periodic the re-wrap after the step
     /// overwrites the halo again; copying it there too (two cells per row)
     /// is the price of one path.
-    pub(crate) fn take_output(&mut self, slot: usize) -> Grid<T> {
-        let (mut grid, cold) = self.take_raw(slot);
+    pub(crate) fn take_output(&mut self, slot: usize) -> Result<Grid<T>> {
+        let (mut grid, cold) = self.take_raw(slot)?;
         if cold {
             self.seed.copy_halo_into(&mut grid);
         }
-        grid
+        Ok(grid)
     }
 
     /// [`Ring::take_output`] without the halo: the grid, and whether the
     /// slot was cold (the grid retired or blank, its halo not the seed's).
-    fn take_raw(&mut self, slot: usize) -> (Grid<T>, bool) {
-        match std::mem::replace(&mut self.slots[slot], Slot::Cold) {
-            Slot::Cold => (self.reuse_retired().unwrap_or_else(|| self.seed.blank()), true),
-            Slot::State(grid) | Slot::Image(grid) => (grid, false),
-        }
+    /// A typed error when a blank grid cannot be allocated.
+    fn take_raw(&mut self, slot: usize) -> Result<(Grid<T>, bool)> {
+        let grid = match std::mem::replace(&mut self.slots[slot], Slot::Cold) {
+            Slot::State(grid) | Slot::Image(grid) => return Ok((grid, false)),
+            Slot::Cold => match self.reuse_retired() {
+                Some(grid) => grid,
+                None => {
+                    self.fresh += 1;
+                    self.seed.blank()?
+                }
+            },
+        };
+        Ok((grid, true))
     }
 
-    /// One of this thread's retired slots, if the seed's layout is
-    /// populated and a slot of it is left. Retired slots of another layout
-    /// or scalar type are dropped here, before the caller allocates a
+    /// One of the retired slots, if one is left and it is of the seed's
+    /// layout and scalar type. Retired slots of another layout or type
+    /// are dropped here, after the lock, before the caller allocates a
     /// fresh one in their place.
     fn reuse_retired(&self) -> Option<Grid<T>> {
-        if !self.seed.is_populated() {
-            return None;
-        }
-        RETIRED.with_borrow_mut(|Retired { grids: retired, .. }| {
-            let seed = &*self.seed;
-            match retired.pop()?.downcast::<Grid<T>>() {
-                Ok(grid) if grid.shape == seed.shape && grid.halo == seed.halo => Some(*grid),
-                _ => {
-                    retired.clear();
-                    None
-                }
+        let mut set = retired();
+        let seed = &*self.seed;
+        match set.grids.pop()?.downcast::<Grid<T>>() {
+            Ok(grid) if grid.shape == seed.shape && grid.halo == seed.halo => Some(*grid),
+            _ => {
+                let stale = std::mem::take(&mut set.grids);
+                drop(set);
+                drop(stale);
+                None
             }
-        })
+        }
     }
 
     /// The grids of two slots at once, for a step that writes an image and
@@ -270,7 +281,7 @@ impl<'a, T: Scalar> Ring<'a, T> {
                 "window slot {image} cannot take a kernel image and the new state in one step"
             )));
         }
-        Ok((self.take_output(image), self.take_output(state)))
+        Ok((self.take_output(image)?, self.take_output(state)?))
     }
 
     pub(crate) fn put(&mut self, slot: usize, grid: Grid<T>) {
@@ -282,32 +293,29 @@ impl<'a, T: Scalar> Ring<'a, T> {
     }
 
     /// Move the state of `slot` out (a copy of the seed if no step ever
-    /// wrote it). The other slots' grids, if populated ones, replace this
-    /// thread's retired slots; the grids these replace are freed. A
-    /// populated state joins them when its caller drops it.
+    /// wrote it). The other slots' grids replace the retired slots; the
+    /// grids these replace are freed, after the lock. A state joins them
+    /// when its caller drops it. How many slots the ring allocated goes to
+    /// the tracer as `fresh_slots`.
     pub(crate) fn into_state(self, slot: usize) -> Grid<T> {
-        let Ring { seed, mut slots } = self;
-        let window = slots.len();
-        let like = seed
-            .is_populated()
-            .then(|| (window, TypeId::of::<T>(), seed.shape.clone(), seed.halo.clone()));
+        let Ring { seed, mut slots, fresh } = self;
+        msc_trace::record(Counter::FreshSlots, fresh);
+        let like = (slots.len(), TypeId::of::<T>(), seed.shape.clone(), seed.halo.clone());
         let state = match std::mem::replace(&mut slots[slot], Slot::Cold) {
             Slot::Cold => seed.into_owned(),
             Slot::State(mut grid) => {
-                if like.is_some() {
-                    grid.on_drop.0 = Some(give_back::<T>);
-                }
+                grid.on_drop.0 = Some(give_back::<T>);
                 grid
             }
             Slot::Image(_) => unreachable!("window slot {slot} holds a kernel image, not a state"),
         };
-        let retired = slots.into_iter().filter_map(|slot| match slot {
-            Slot::State(grid) | Slot::Image(grid) if grid.is_populated() => {
-                Some(Box::new(grid) as Box<dyn Any>)
-            }
-            _ => None,
+        let grids = slots.into_iter().filter_map(|slot| match slot {
+            Slot::State(grid) | Slot::Image(grid) => Some(Box::new(grid) as Box<dyn Any + Send>),
+            Slot::Cold => None,
         });
-        RETIRED.set(Retired { like, grids: retired.collect() });
+        let retiring = Retired { like: Some(like), grids: grids.collect() };
+        let ended = std::mem::replace(&mut *retired(), retiring);
+        drop(ended);
         state
     }
 }
@@ -410,6 +418,9 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         tier: ExecTier,
     ) -> Result<Arc<TieredStencil<T>>> {
         let program = program.gate(None)?;
+        // Every grid of a run is a part of the program's: one whose size
+        // overflows is refused before anything of it is allocated.
+        GridLayout::new(&program.grid.shape, &program.grid.halo)?;
         let _s = msc_trace::span("stencil_compile");
         let compiled = TieredStencil::compile(&program, seed, tier)?;
         // Compile time goes to the tracer only, outside any step's account:
@@ -585,13 +596,14 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
     /// counted as `depth` steps of their own count. Each writes the slot
     /// a step of its own would; a slot that was cold gets a grid whose
     /// halo the pass writes.
-    fn pass_of(&mut self, plan: &ExecPlan, depth: usize) -> CounterSet {
+    fn pass_of(&mut self, plan: &ExecPlan, depth: usize) -> Result<CounterSet> {
         let _span = msc_trace::span_arg("wavefront_pass", self.steps as u64);
         let (max_dt, window) = (self.compiled.max_dt, self.window.window);
         let t = max_dt + self.steps;
         let slots: Vec<usize> = (t..t + depth.min(window)).map(|u| u % window).collect();
-        let (mut grids, cold): (Vec<Grid<T>>, Vec<bool>) =
-            slots.iter().map(|&slot| self.ring.take_raw(slot)).unzip();
+        let taken: Vec<(Grid<T>, bool)> =
+            slots.iter().map(|&slot| self.ring.take_raw(slot)).collect::<Result<_>>()?;
+        let (mut grids, cold): (Vec<Grid<T>>, Vec<bool>) = taken.into_iter().unzip();
         let outputs: Vec<Shared<'_, T>> =
             grids.iter_mut().map(|grid| Shared::of(grid.as_mut_slice())).collect();
         let seed = Shared::read_only(self.ring.seed.as_slice());
@@ -623,7 +635,7 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         step.counted.set(Counter::TilesExecuted, self.tiles.len() as u64);
         let mut counters = CounterSet::new();
         (0..depth).for_each(|_| counters.merge(&step.counted));
-        counters
+        Ok(counters)
     }
 
     /// Every term evaluated from its state: `max_dt` states in, the slot
@@ -643,7 +655,7 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         let out_slot = self.window.output_slot(t);
         // The output slot's grid leaves the ring while the step writes it,
         // so the input slots can stay borrowed.
-        let mut out = self.ring.take_output(out_slot);
+        let mut out = self.ring.take_output(out_slot)?;
         let inputs: Vec<&Grid<T>> = (1..=self.compiled.max_dt)
             .map(|dt| self.ring.input(input_slot(dt)))
             .collect();
@@ -782,7 +794,7 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
             match self.executor {
                 Executor::Tiled(plan) if depth > 1 => {
                     let t0 = Instant::now();
-                    let swept = self.pass_of(plan, depth);
+                    let swept = self.pass_of(plan, depth)?;
                     counters.merge(&self.account(swept, depth, t0).0);
                 }
                 _ => counters.merge(&self.step()?.counters),
@@ -793,8 +805,8 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
     }
 
     /// The newest state (a copy of the seed if no step was taken). The
-    /// window's other slots become this thread's retired slots, for the
-    /// next loop of their layout (DESIGN.md §17.4).
+    /// window's other slots become the retired slots, for the next loop of
+    /// their layout on any thread (DESIGN.md §17.4).
     pub fn into_state(self) -> Grid<T> {
         self.ring.into_state(self.newest)
     }
@@ -967,7 +979,7 @@ mod tests {
         let mut ring = Ring::new(Cow::Borrowed(&init), Boundary::Dirichlet, 3);
         // Dirichlet: no copy at all, every cold slot *is* the caller's grid.
         assert!((0..3).all(|s| std::ptr::eq(ring.input(s), &init)));
-        let mut out = ring.take_output(1);
+        let mut out = ring.take_output(1).unwrap();
         assert_eq!(halo_bits(&out), halo_bits(&init));
         out.for_each_interior(|pos| assert_eq!(out.get(pos), 0.0));
         out.set(&[0, 0], 7.0);
@@ -975,7 +987,7 @@ mod tests {
         assert_eq!(ring.input(1).get(&[0, 0]), 7.0);
         assert!(std::ptr::eq(ring.input(0), &init));
         // A written slot is recycled as it is, not re-seeded.
-        assert_eq!(ring.take_output(1).get(&[0, 0]), 7.0);
+        assert_eq!(ring.take_output(1).unwrap().get(&[0, 0]), 7.0);
 
         // Periodic: one wrapped copy, shared by every cold slot.
         let ring = Ring::new(Cow::Borrowed(&init), Boundary::Periodic, 2);
@@ -986,175 +998,9 @@ mod tests {
         assert_eq!(bits(&ring.into_state(1)), bits(&wrapped));
     }
 
-    /// This thread's retired slots that are `Grid<T>`, handed to `f` with
-    /// the count of those that are not.
-    fn with_retired<T: Scalar, R>(f: impl FnOnce(Vec<&mut Grid<T>>, usize) -> R) -> R {
-        RETIRED.with_borrow_mut(|retired| {
-            let grids: Vec<Option<&mut Grid<T>>> =
-                retired.grids.iter_mut().map(|grid| grid.downcast_mut()).collect();
-            let others = grids.iter().filter(|grid| grid.is_none()).count();
-            f(grids.into_iter().flatten().collect(), others)
-        })
-    }
-
-    /// The shapes of this thread's retired `Grid<T>`s, and how many
-    /// retired slots are of another scalar type.
-    fn retired<T: Scalar>() -> (Vec<Vec<usize>>, usize) {
-        with_retired::<T, _>(|grids, others| {
-            (grids.iter().map(|g| g.shape.clone()).collect(), others)
-        })
-    }
-
-    /// Just over the populate gate: 3 x 3 x 466 035 padded f64 are
-    /// 33.55 MB. Eight of its nine rows are halo, so a debug build gets
-    /// through a run: the interior is a ninth of a 2048² grid's.
-    const OVER_GATE: [usize; 3] = [1, 1, 466_033];
-
-    /// `kernel` at `t-1` alone (`max_dt` 1), or `0.6*K[t-1] + 0.4*K[t-2]`
-    /// (`max_dt` 2), on a 3-D grid with halo 1.
-    fn program_over(
-        kernel: Kernel,
-        dtype: DType,
-        shape: [usize; 3],
-        max_dt: usize,
-        steps: usize,
-    ) -> StencilProgram {
-        let name = kernel.name.clone();
-        let terms = match max_dt {
-            1 => vec![(1, 1.0, name.as_str())],
-            _ => vec![(1, 0.6, name.as_str()), (2, 0.4, name.as_str())],
-        };
-        let mut p = StencilProgram::builder("retired")
-            .grid_3d("B", dtype, shape, 1, max_dt + 1)
-            .kernel(kernel)
-            .combine(&terms)
-            .timesteps(1)
-            .build()
-            .unwrap();
-        // `build()` refuses a zero-step program; the driver takes one.
-        p.timesteps = steps;
-        p
-    }
-
     fn halved_plan(p: &StencilProgram) -> Executor {
         let tile: Vec<usize> = p.grid.shape.iter().map(|&n| (n / 2).max(1)).collect();
         Executor::Tiled(tiled_plan(p, &tile, 2))
-    }
-
-    /// A Dirichlet run of `p` on this thread from the grid seeded `seed`.
-    fn run_seeded<T: Scalar>(p: &StencilProgram, seed: u64) -> Grid<T> {
-        let init = Grid::random(&p.grid.shape, &p.grid.halo, seed);
-        let exec = halved_plan(p);
-        run_program_tier(p, &exec, &init, Boundary::Dirichlet, ExecTier::Auto)
-            .unwrap()
-            .0
-    }
-
-    /// `f` on a thread of its own, whose retired set starts empty.
-    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-        std::thread::scope(|s| s.spawn(f).join().unwrap())
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // 34 MB slots
-    fn a_reused_slot_leaves_no_trace() {
-        // stream3d's 7-tap star streams 101 MB a step here and recomputes;
-        // a 27-tap box reuses kernel images. Program A, the star under
-        // Dirichlet from `s1`, leaves the slots program B finds.
-        let star = program_over(
-            Kernel::star_normalized("K", 3, 1),
-            DType::F64,
-            OVER_GATE,
-            2,
-            3,
-        );
-        let boxed = program_over(
-            Kernel::boxed("K", 3, 1, 0.5).unwrap(),
-            DType::F64,
-            OVER_GATE,
-            2,
-            3,
-        );
-        let exec = halved_plan(&star);
-        let s1: Grid<f64> = Grid::random(&OVER_GATE, &star.grid.halo, 1);
-        let s2: Grid<f64> = Grid::random(&OVER_GATE, &star.grid.halo, 2);
-        assert!(halo_bits(&s1) != halo_bits(&s2));
-        for (b, layout) in [(&star, RingLayout::States), (&boxed, RingLayout::Images)] {
-            for bc in [Boundary::Dirichlet, Boundary::Periodic] {
-                let run_b = || TimeLoop::admit(b, &exec, Cow::Borrowed(&s2), bc, ExecTier::Auto);
-                let expect = on_fresh_thread(|| run_b().unwrap().run(b.timesteps).unwrap().0);
-                let got = on_fresh_thread(|| {
-                    run_program_tier(&star, &exec, &s1, Boundary::Dirichlet, ExecTier::Auto)
-                        .unwrap();
-                    // Every cell of a retired slot, halo included, a NaN
-                    // payload no step computes.
-                    let stale: Vec<usize> = with_retired::<f64, _>(|grids, others| {
-                        assert_eq!((grids.len(), others), (3, 0));
-                        let poison = |g: &mut Grid<f64>| {
-                            g.as_mut_slice().fill(f64::from_bits(0x7ff8_dead_beef_0001));
-                            g.as_slice().as_ptr().addr()
-                        };
-                        grids.into_iter().map(poison).collect()
-                    });
-                    let mut run = run_b().unwrap();
-                    assert_eq!(run.layout(), layout);
-                    for _ in 0..b.timesteps {
-                        run.step().unwrap();
-                    }
-                    assert_eq!(retired::<f64>(), (vec![], 0), "{bc:?}: the set was drained");
-                    let held: Vec<usize> = run
-                        .slots()
-                        .iter()
-                        .map(|g| g.as_slice().as_ptr().addr())
-                        .collect();
-                    assert!(
-                        stale.iter().all(|p| held.contains(p)),
-                        "{bc:?}: all three were reused"
-                    );
-                    run.into_state()
-                });
-                assert!(bits(&got) == bits(&expect), "{layout:?}, {bc:?}");
-                if bc == Boundary::Dirichlet {
-                    assert!(halo_bits(&got) == halo_bits(&s2), "{layout:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // 34-67 MB slots
-    fn a_thread_retires_at_most_the_last_rings_slots_of_its_layout_and_type() {
-        let star = || Kernel::star_normalized("K", 3, 1);
-        let longer = [1, 1, 466_041];
-        on_fresh_thread(|| {
-            // Window 3, so at most 3 retired slots, the dropped state's
-            // among them: L1's, then L2's alone.
-            run_seeded::<f64>(&program_over(star(), DType::F64, OVER_GATE, 2, 3), 1);
-            assert_eq!(retired::<f64>(), (vec![OVER_GATE.to_vec(); 3], 0));
-            let l2 = program_over(star(), DType::F64, longer, 2, 3);
-            run_seeded::<f64>(&l2, 2);
-            assert_eq!(retired::<f64>(), (vec![longer.to_vec(); 3], 0));
-            // A ring that ends replaces the set: a 0-step run and a
-            // sub-gate run retire nothing.
-            run_seeded::<f64>(&program_over(star(), DType::F64, longer, 2, 0), 3);
-            assert_eq!(retired::<f64>(), (vec![], 0));
-            run_seeded::<f64>(&l2, 4);
-            run_seeded::<f64>(&program_over(star(), DType::F64, [8, 8, 8], 2, 5), 5);
-            assert_eq!(retired::<f64>(), (vec![], 0));
-            // One shape over the gate in both scalar types (33.6 and 67.1
-            // MB), window 2: each run finds the other type's slots, drops
-            // them, and retires two of its own (one the state it handed
-            // out, once dropped).
-            let shape = [1, 1, 932_067];
-            let f32s = program_over(star(), DType::F32, shape, 1, 2);
-            let f64s = program_over(star(), DType::F64, shape, 1, 2);
-            run_seeded::<f32>(&f32s, 6);
-            assert_eq!(retired::<f32>(), (vec![shape.to_vec(); 2], 0));
-            run_seeded::<f64>(&f64s, 7);
-            assert_eq!(retired::<f64>(), (vec![shape.to_vec(); 2], 0));
-            run_seeded::<f32>(&f32s, 8);
-            assert_eq!(retired::<f32>(), (vec![shape.to_vec(); 2], 0));
-        });
     }
 
     /// `0.6*K[t-1] + 0.4*K[t-dt]` for the second `dt` of `dts` (`K[t-1]`
@@ -1212,86 +1058,6 @@ mod tests {
         }
     }
 
-    /// The addresses of this thread's retired `Grid<f64>`s.
-    fn retired_at() -> Vec<usize> {
-        with_retired::<f64, _>(|grids, _| grids.iter().map(|g| g.as_slice().as_ptr().addr()).collect())
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // 34 MB slots
-    fn a_second_run_on_one_thread_provisions_no_fresh_slot() {
-        let p = program_over(Kernel::star_normalized("K", 3, 1), DType::F64, OVER_GATE, 2, 3);
-        let exec = halved_plan(&p);
-        let init: Grid<f64> = Grid::random(&OVER_GATE, &p.grid.halo, 3);
-        on_fresh_thread(|| {
-            let admit = || TimeLoop::admit(&p, &exec, Cow::Borrowed(&init), Boundary::Dirichlet, ExecTier::Auto);
-            let first = admit().unwrap().run(p.timesteps).unwrap().0;
-            let handed = first.as_slice().as_ptr().addr();
-            assert_eq!(retired_at().len(), 2);
-            drop(first);
-            let retired = retired_at();
-            assert!(retired.len() == 3 && retired.contains(&handed), "the state came back");
-            let mut second = admit().unwrap();
-            for _ in 0..p.timesteps {
-                second.step().unwrap();
-            }
-            let held: Vec<usize> = second.slots().iter().map(|g| g.as_slice().as_ptr().addr()).collect();
-            assert!(retired.iter().all(|at| held.contains(at)), "every slot was a retired one");
-            assert!(retired_at().is_empty());
-        });
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // 34-67 MB slots
-    fn a_dropped_state_of_another_layout_or_type_is_freed() {
-        let star = || Kernel::star_normalized("K", 3, 1);
-        let longer = [1, 1, 466_041];
-        on_fresh_thread(|| {
-            let kept: Grid<f64> = run_seeded(&program_over(star(), DType::F64, OVER_GATE, 2, 3), 1);
-            run_seeded::<f64>(&program_over(star(), DType::F64, longer, 2, 3), 2);
-            drop(kept);
-            assert_eq!(retired::<f64>(), (vec![longer.to_vec(); 3], 0), "another layout");
-            // Over the gate as f32 too (33.6 MB), window 2.
-            let wide = [1, 1, 932_067];
-            let kept: Grid<f64> = run_seeded(&program_over(star(), DType::F64, wide, 1, 2), 3);
-            run_seeded::<f32>(&program_over(star(), DType::F32, wide, 1, 2), 4);
-            drop(kept);
-            assert_eq!(retired::<f32>(), (vec![wide.to_vec(); 2], 0), "another type");
-        });
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // 34 MB slots
-    fn the_retired_set_never_holds_more_than_one_window() {
-        let p = program_over(Kernel::star_normalized("K", 3, 1), DType::F64, OVER_GATE, 2, 3);
-        on_fresh_thread(|| {
-            let states: Vec<Grid<f64>> = (0..3).map(|seed| run_seeded(&p, seed)).collect();
-            assert_eq!(retired::<f64>().0.len(), 2);
-            drop(states);
-            assert_eq!(retired::<f64>().0.len(), 3);
-        });
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // 34 MB slots
-    fn a_state_dropped_while_its_thread_is_torn_down_does_not_panic() {
-        thread_local! {
-            static KEPT: RefCell<Option<Grid<f64>>> = RefCell::default();
-        }
-        let p = program_over(Kernel::star_normalized("K", 3, 1), DType::F64, OVER_GATE, 2, 3);
-        // Thread-local destructors run in either order: the state is
-        // dropped before or after the retired set.
-        for kept_first in [true, false] {
-            on_fresh_thread(|| {
-                if kept_first {
-                    KEPT.with(|_| ());
-                }
-                let state: Grid<f64> = run_seeded(&p, 1);
-                KEPT.set(Some(state));
-            });
-        }
-    }
-
     #[test]
     fn one_slot_cannot_take_the_image_and_the_state_of_a_step() {
         // Two `&mut Grid` are two grids, so the sweep cannot be handed one
@@ -1311,7 +1077,7 @@ mod tests {
         assert_eq!(halo_bits(ring.input(2)), halo_bits(&init));
         assert!(std::ptr::eq(ring.input(1), &init));
         // A recycled image slot comes back as it is, like a state's.
-        assert_eq!(ring.take_output(0).get(&[0, 0]), 3.0);
+        assert_eq!(ring.take_output(0).unwrap().get(&[0, 0]), 3.0);
     }
 
     /// Random programs for the image step: a 1-D or 2-D kernel of 1-6
@@ -1512,6 +1278,23 @@ mod tests {
         let fits =
             TimeLoop::admit_compiled(shared, &exec, Cow::Borrowed(&init), Boundary::Dirichlet);
         assert!(fits.is_ok());
+    }
+
+    #[test]
+    fn a_program_whose_grid_overflows_is_refused_before_anything_is_allocated() {
+        // The padded size of 4294967296² with halo 1 wraps to 17 G cells in
+        // unchecked arithmetic; the run has a small seed, so only the
+        // program's own grid can refuse it.
+        let mut p = benchmark(BenchmarkId::S2d9ptStar)
+            .program(&[16, 16], DType::F64, 2)
+            .unwrap();
+        p.grid.shape = vec![u32::MAX as usize + 1; 2];
+        let init: Grid<f64> = Grid::random(&[16, 16], &p.grid.halo, 1);
+        for exec in [Executor::Reference, halved_plan(&p)] {
+            let err = run_program_tier(&p, &exec, &init, Boundary::Dirichlet, ExecTier::Auto)
+                .unwrap_err();
+            assert!(matches!(err, MscError::GridTooLarge { bytes: None, .. }), "{err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Padded grid storage: an `SpNode`-shaped buffer with halo cells, generic
 //! over the element type so fp32 runs really do arithmetic in `f32`.
 
+use msc_core::error::{MscError, Result};
 use msc_core::tensor::SpNode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,25 +17,24 @@ pub trait Scalar: msc_vm::VmScalar + std::fmt::Debug {}
 impl Scalar for f64 {}
 impl Scalar for f32 {}
 
-/// Row-major strides of a dense buffer of `shape`, and its length.
-pub(crate) fn dense_strides(shape: &[usize]) -> (Vec<usize>, usize) {
+/// Row-major strides of a dense buffer of `shape`, and its length; `None`
+/// when the length overflows `usize`.
+pub(crate) fn dense_strides(shape: &[usize]) -> Option<(Vec<usize>, usize)> {
     let mut strides = vec![1usize; shape.len()];
     for d in (0..shape.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * shape[d + 1];
+        strides[d] = strides[d + 1].checked_mul(shape[d + 1])?;
     }
-    (strides, shape.iter().product())
+    let len = shape.iter().try_fold(1usize, |len, &n| len.checked_mul(n))?;
+    Some((strides, len))
 }
 
 /// A fresh buffer of at least this many bytes is populated by
-/// [`populate`], and a window slot of at least this many bytes is kept by
-/// its thread for the next run instead of being freed (DESIGN.md §17.4):
-/// both are the cost of fresh memory, so both apply where a grid gets it.
-/// 32 MiB is glibc's largest `mmap` threshold: above it a zeroed
-/// allocation is always a new anonymous mapping with no page behind it,
-/// below it the allocator may hand back memory that is already there.
+/// [`populate`]. 32 MiB is glibc's largest `mmap` threshold: above it a
+/// fresh allocation is always a new anonymous mapping with no page behind
+/// it, below it the allocator may hand back memory that is already there.
 const POPULATE_MIN_BYTES: usize = 32 << 20;
 
-/// Back the freshly allocated, still all-zero `buf` with memory in one
+/// Back the freshly allocated, not yet written `buf` with memory in one
 /// system call instead of one page fault per 4 KiB on first write
 /// (DESIGN.md §17.3). A no-op on small buffers, off Linux and under Miri;
 /// the bits of `buf` are the same either way.
@@ -79,6 +79,40 @@ pub struct GridLayout {
 }
 
 impl GridLayout {
+    /// The layout of a grid of interior `shape` with `halo` cells on each
+    /// side, or a typed error when its padded size overflows `usize`.
+    pub(crate) fn new(shape: &[usize], halo: &[usize]) -> Result<GridLayout> {
+        if shape.len() != halo.len() {
+            return Err(MscError::DimMismatch {
+                expected: shape.len(),
+                got: halo.len(),
+            });
+        }
+        let too_large = || MscError::GridTooLarge {
+            shape: shape.to_vec(),
+            halo: halo.to_vec(),
+            bytes: None,
+        };
+        let padded = shape
+            .iter()
+            .zip(halo)
+            .map(|(&s, &h)| h.checked_mul(2).and_then(|h| h.checked_add(s)))
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(too_large)?;
+        let (strides, _) = dense_strides(&padded).ok_or_else(too_large)?;
+        Ok(GridLayout {
+            shape: shape.to_vec(),
+            halo: halo.to_vec(),
+            padded,
+            strides,
+        })
+    }
+
+    /// Elements in the padded buffer.
+    pub(crate) fn padded_len(&self) -> usize {
+        self.padded.iter().product()
+    }
+
     /// Linear index of an interior coordinate.
     #[inline]
     pub fn index(&self, pos: &[usize]) -> usize {
@@ -121,7 +155,7 @@ pub struct Grid<T> {
 }
 
 /// What dropping a grid does besides freeing it: the state a time loop
-/// handed out goes back to its thread's retired slots (DESIGN.md §17.4).
+/// handed out goes back to the retired slots (DESIGN.md §17.4).
 /// A clone does not inherit it, and grids compare equal whatever it is.
 #[derive(Debug)]
 pub(crate) struct OnDrop<T>(pub(crate) Option<fn(Grid<T>)>);
@@ -154,19 +188,38 @@ impl<T> Drop for Grid<T> {
 }
 
 impl<T: Scalar> Grid<T> {
-    /// Zero-filled grid.
+    /// Zero-filled grid. Panics when its size overflows `usize`.
     pub fn zeros(shape: &[usize], halo: &[usize]) -> Grid<T> {
-        assert_eq!(shape.len(), halo.len(), "shape/halo rank mismatch");
-        let padded: Vec<usize> = shape.iter().zip(halo).map(|(&s, &h)| s + 2 * h).collect();
-        let (strides, n) = dense_strides(&padded);
+        let layout = GridLayout::new(shape, halo).unwrap_or_else(|e| panic!("{e}"));
+        let n = layout.padded_len();
+        let GridLayout { shape, halo, padded, strides } = layout;
         Grid {
-            shape: shape.to_vec(),
-            halo: halo.to_vec(),
+            shape,
+            halo,
             padded,
             strides,
             data: vec![T::default(); n],
             on_drop: OnDrop(None),
         }
+    }
+
+    /// A grid of `layout` whose padded buffer `fill` writes, given room
+    /// for all of it; a typed error, not an abort, when the allocator
+    /// refuses that room (DESIGN.md §17.6).
+    fn try_filled(layout: GridLayout, fill: impl FnOnce(&mut Vec<T>, usize)) -> Result<Grid<T>> {
+        let n = layout.padded_len();
+        let mut data = Vec::new();
+        if data.try_reserve_exact(n).is_err() {
+            let bytes = n.checked_mul(std::mem::size_of::<T>());
+            return Err(MscError::GridTooLarge {
+                bytes: bytes.filter(|&b| b <= isize::MAX as usize),
+                shape: layout.shape,
+                halo: layout.halo,
+            });
+        }
+        fill(&mut data, n);
+        let GridLayout { shape, halo, padded, strides } = layout;
+        Ok(Grid { shape, halo, padded, strides, data, on_drop: OnDrop(None) })
     }
 
     /// Grid shaped like an `SpNode` (one timestep buffer).
@@ -176,14 +229,18 @@ impl<T: Scalar> Grid<T> {
 
     /// Deterministic random fill of the whole padded buffer (including
     /// halos) in `[0, 1)` — the substitution for the paper's
-    /// `/data/rand.data` input.
+    /// `/data/rand.data` input. Panics where [`Grid::try_random`] fails.
     pub fn random(shape: &[usize], halo: &[usize], seed: u64) -> Grid<T> {
-        let mut g = Grid::zeros(shape, halo);
+        Grid::try_random(shape, halo, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Grid::random`], or a typed error when the grid's size overflows
+    /// or the allocator refuses it: how a run's seed is made.
+    pub fn try_random(shape: &[usize], halo: &[usize], seed: u64) -> Result<Grid<T>> {
         let mut rng = StdRng::seed_from_u64(seed);
-        for v in &mut g.data {
-            *v = T::from_f64(rng.gen::<f64>());
-        }
-        g
+        Grid::try_filled(GridLayout::new(shape, halo)?, |data, n| {
+            data.extend((0..n).map(|_| T::from_f64(rng.gen::<f64>())))
+        })
     }
 
     /// Fill from a function of interior coordinates (halo filled with the
@@ -223,19 +280,15 @@ impl<T: Scalar> Grid<T> {
     }
 
     /// A zero grid of this layout, populated if large (DESIGN.md §17.3):
-    /// a fresh window slot, before its halo is copied in.
-    pub(crate) fn blank(&self) -> Grid<T> {
-        let mut blank = Grid::zeros(&self.shape, &self.halo);
-        // Rows shorter than a page put a halo cell in every page, so a
-        // halo copy would fault the whole slot in, one page at a time.
-        populate(&mut blank.data);
-        blank
-    }
-
-    /// Whether a fresh grid of this layout is populated (and a window slot
-    /// of it retired for the next run, DESIGN.md §17.4).
-    pub(crate) fn is_populated(&self) -> bool {
-        std::mem::size_of_val(self.data.as_slice()) >= POPULATE_MIN_BYTES
+    /// a fresh window slot, before its halo is copied in. A typed error
+    /// when the allocator refuses it.
+    pub(crate) fn blank(&self) -> Result<Grid<T>> {
+        Grid::try_filled(self.layout(), |data, n| {
+            // Rows shorter than a page put a halo cell in every page, so a
+            // halo copy would fault the whole slot in, one page at a time.
+            populate(data.spare_capacity_mut());
+            data.resize(n, T::default());
+        })
     }
 
     /// Overwrite the halo cells of `shell`, a grid of this layout, with
@@ -371,7 +424,7 @@ mod tests {
         /// A grid of this layout holding this grid's halo cells and a zero
         /// interior: what a cold window slot starts as.
         pub(crate) fn halo_shell(&self) -> Grid<T> {
-            let mut shell = self.blank();
+            let mut shell = self.blank().unwrap();
             self.copy_halo_into(&mut shell);
             shell
         }
@@ -481,6 +534,27 @@ mod tests {
             }
         }
         populate::<f64>(&mut []);
+    }
+
+    #[test]
+    fn a_layout_whose_size_overflows_is_a_typed_error() {
+        let big = u32::MAX as usize + 1;
+        for (shape, halo) in [
+            (vec![big, big], vec![1, 1]),
+            (vec![usize::MAX - 1, 1], vec![1, 0]),
+            (vec![1, big, big], vec![0, 0, 0]),
+        ] {
+            let err = GridLayout::new(&shape, &halo).unwrap_err();
+            assert_eq!(err, MscError::GridTooLarge { shape, halo, bytes: None });
+        }
+        let err = GridLayout::new(&[4, 4], &[1]).unwrap_err();
+        assert_eq!(err, MscError::DimMismatch { expected: 2, got: 1 });
+        // Cells that fit in `usize` but whose bytes do not.
+        let err = Grid::<f64>::try_random(&[big, big / 4], &[0, 0], 1).unwrap_err();
+        assert!(matches!(err, MscError::GridTooLarge { bytes: None, .. }), "{err}");
+        let layout = GridLayout::new(&[4, 6], &[1, 2]).unwrap();
+        assert_eq!((layout.padded_len(), &layout.strides[..]), (60, &[10, 1][..]));
+        assert_eq!(layout, Grid::<f32>::zeros(&[4, 6], &[1, 2]).layout());
     }
 
     #[test]

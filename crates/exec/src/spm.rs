@@ -53,8 +53,11 @@ pub(crate) fn step_tiles<T: Scalar>(
         .zip(reach)
         .map(|(t, r)| t + 2 * r)
         .collect();
-    let (read_strides, read_len) = dense_strides(&read_shape);
-    let (write_strides, write_len) = dense_strides(&plan.tile);
+    let overflow = |shape: &[usize]| {
+        MscError::InvalidConfig(format!("an SPM buffer of {shape:?} overflows usize"))
+    };
+    let (read_strides, read_len) = dense_strides(&read_shape).ok_or_else(|| overflow(&read_shape))?;
+    let (write_strides, write_len) = dense_strides(&plan.tile).ok_or_else(|| overflow(&plan.tile))?;
     let terms = stencil.staged_terms(&read_strides);
     let layout = out.layout();
     let states: Vec<&[T]> = states.iter().map(|g| g.as_slice()).collect();

@@ -508,7 +508,7 @@ mod tests {
         let src: Grid<f64> = Grid::random(&[6, 8], &[1, 2], 3);
         let mut dst: Grid<f64> = Grid::zeros(&[6, 8], &[1, 2]);
         let plan = plan_for(&[6, 8], &[3, 4], 2);
-        let (strides, len) = crate::grid::dense_strides(&[5, 8]);
+        let (strides, len) = crate::grid::dense_strides(&[5, 8]).unwrap();
         let layout = src.layout();
         let moved = sweep(&plan, &plan.tiles(), [&mut dst], "test_worker", |work| {
             let mut local = vec![0.0; len];

@@ -118,7 +118,9 @@ pub fn run_temporal_tiled_tier<'p, T: Scalar>(
     let local_shape: Vec<usize> = (plan.tile.iter().zip(&layout.shape).zip(reach))
         .map(|((&t, &n), &r)| t.min(n) + 2 * (tt + 1) * r)
         .collect();
-    let (local_strides, local_len) = dense_strides(&local_shape);
+    let (local_strides, local_len) = dense_strides(&local_shape).ok_or_else(|| {
+        MscError::InvalidConfig(format!("a local box of {local_shape:?} overflows usize"))
+    })?;
     let stencil = TieredStencil::from_compiled(compiled.relinearized(&local_strides), tier);
 
     let tiles = plan.tiles();

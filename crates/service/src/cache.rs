@@ -72,7 +72,8 @@ impl Artifact {
             let sched = effective_schedule(&program, self.target);
             let plan = ExecPlan::lower(&sched, program.grid.ndim(), &program.grid.shape)
                 .map_err(|e| e.to_string())?;
-            let seed = Grid::random(&program.grid.shape, &program.grid.halo, 42);
+            let seed = Grid::try_random(&program.grid.shape, &program.grid.halo, 42)
+                .map_err(|e| e.to_string())?;
             let stencil = TieredStencil::compile(&program, &seed, ExecTier::Auto)
                 .map_err(|e| e.to_string())?;
             msc_trace::record(Counter::VmCompileNanos, stencil.compile_nanos);

@@ -82,6 +82,10 @@ counters! {
     HeartbeatsSent   => ("heartbeats_sent", "count", Sum),
     RankRecoveries   => ("rank_recoveries", "count", Sum),
     BuddyBytes       => ("buddy_bytes", "bytes", Sum),
+    /// Window slots a single-node run allocated because no retired slot
+    /// of its layout was left (DESIGN.md §17.4). Tracer only: it depends
+    /// on what ran before in the process, so no run's account carries it.
+    FreshSlots       => ("fresh_slots", "count", Sum),
 }
 
 /// A plain, copyable vector of counter values.

@@ -729,7 +729,7 @@ fn drive_lift(o: Opts) -> Outcome {
     }
     if o.run {
         let grid = &lifted.program.grid;
-        let init: Grid<f64> = Grid::random(&grid.shape, &grid.halo, 42);
+        let init: Grid<f64> = Grid::try_random(&grid.shape, &grid.halo, 42)?;
         let (out, stats) = run_program(&lifted.program, &Executor::Reference, &init)?;
         println!(
             "ran `{name}`: {} step(s), {} tile(s), interior sum {:.6e}",
@@ -884,7 +884,7 @@ fn drive(mut o: Opts) -> Outcome {
         || o.dist.spare_ranks > 0
         || o.dist.heartbeat.is_some();
     if distributed || run {
-        let init: Grid<f64> = Grid::random(shape, &program.grid.halo, 42);
+        let init: Grid<f64> = Grid::try_random(shape, &program.grid.halo, 42)?;
         let trace_on = |on: bool| {
             if tracing {
                 if on {

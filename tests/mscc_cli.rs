@@ -207,6 +207,10 @@ fn the_run_banner_and_profile_say_whether_kernel_images_are_reused() {
         );
         let header = stdout.lines().find(|l| l.starts_with("== profile: boxed ("));
         assert!(header.is_some_and(|l| l.ends_with(&format!(", {said}) =="))), "{stdout}");
+        // One run in the process: each window slot was allocated.
+        let fresh = stdout.lines().find(|l| l.starts_with("fresh_slots "));
+        let slots = fresh.and_then(|l| l.split_whitespace().nth(1));
+        assert_eq!(slots, Some(window.to_string().as_str()), "{stdout}");
         assert!(
             stdout.contains("verified vs serial reference: bit-identical"),
             "{stdout}"
@@ -1061,5 +1065,133 @@ fn serve_and_submit_round_trip_through_the_binaries() {
     assert!(down.status.success());
     let code = daemon.wait().expect("daemon exits");
     assert!(code.success(), "daemon must exit cleanly after shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-kernel 2-D program over `shape`.
+fn sized_source(shape: &str) -> String {
+    format!(
+        "stencil sized {{
+            grid B: f64[{shape}] halo 1 window 2;
+            kernel S = 0.5*B[0,0] + 0.125*B[-1,0] + 0.125*B[1,0] + 0.125*B[0,-1] + 0.125*B[0,1];
+            combine res[t] = 1.0*S[t-1];
+            run 2;
+            target cpu;
+        }}"
+    )
+}
+
+/// A padded size that overflows `usize`, and 8 TB, more than a capped
+/// address space (`capped_mscc`) can hold.
+const OVERFLOWING: &str = "4294967296, 4294967296";
+const EIGHT_TB: &str = "1000000, 1000000";
+
+/// `mscc ARGS` in `dir`, its address space capped at 4 GB: how an 8 TB
+/// grid is ever asked for.
+fn capped_mscc(dir: &std::path::Path, args: &[&std::ffi::OsStr]) -> Command {
+    let mut cmd = Command::new("sh");
+    cmd.current_dir(dir)
+        .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_mscc"))
+        .args(args);
+    cmd
+}
+
+#[test]
+fn a_grid_that_does_not_fit_is_a_typed_error_not_an_abort() {
+    let dir = std::env::temp_dir().join(format!("mscc_cli_too_large_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, shape: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, sized_source(shape)).unwrap();
+        path
+    };
+    let (overflowing, eight_tb) = (write("overflowing.msc", OVERFLOWING), write("8tb.msc", EIGHT_TB));
+    let check = mscc().arg("check").arg(&overflowing).output().unwrap();
+    let overflow = mscc().current_dir(&dir).arg(&overflowing).arg("--run").output().unwrap();
+    let refused = capped_mscc(&dir, &[eight_tb.as_os_str(), "--run".as_ref()]).output().unwrap();
+    for (out, why) in [
+        (check, "with halo [1, 1] is larger than the address space"),
+        (overflow, "with halo [1, 1] is larger than the address space"),
+        (refused, "needs 8000032000032 bytes, which could not be allocated"),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("a grid of [") && stderr.contains(why), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon process, killed if a test ends before it shut down.
+struct Serving(std::process::Child);
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `mscc serve` with one worker on `dir/mscd.sock`, its address space
+/// capped at 4 GB, once it listens; and `mscc submit` to it.
+fn one_worker_daemon(dir: &std::path::Path) -> (Serving, impl Fn(&[&str]) -> std::process::Output) {
+    let socket = dir.join("mscd.sock");
+    let args = ["serve".as_ref(), "--workers".as_ref(), "1".as_ref(), "--socket".as_ref(), socket.as_os_str()];
+    let daemon = Serving(capped_mscc(dir, &args).spawn().expect("mscd starts"));
+    for _ in 0..200 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    assert!(socket.exists(), "daemon never bound its socket");
+    let submit = move |args: &[&str]| {
+        mscc().arg("submit").arg("--socket").arg(&socket).args(args).output().unwrap()
+    };
+    (daemon, submit)
+}
+
+#[test]
+fn mscd_answers_a_run_it_cannot_provision_with_an_error_and_serves_the_next() {
+    let dir = std::env::temp_dir().join(format!("mscc_cli_mscd_too_large_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut daemon, submit) = one_worker_daemon(&dir);
+    for (shape, why) in [
+        (OVERFLOWING, "is larger than the address space"),
+        (EIGHT_TB, "which could not be allocated"),
+    ] {
+        let path = dir.join("sized.msc");
+        std::fs::write(&path, sized_source(shape)).unwrap();
+        let out = submit(&["--run", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success() && stderr.contains(why), "{stderr}");
+        let next = submit(&["--run", &dsl("wave2d.msc")]);
+        assert!(next.status.success(), "{}", String::from_utf8_lossy(&next.stderr));
+    }
+    assert!(submit(&["--shutdown"]).status.success());
+    assert!(daemon.0.wait().expect("daemon exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mscd_reports_the_slots_a_run_allocated_and_a_repeated_run_allocates_none() {
+    let dir = std::env::temp_dir().join(format!("mscc_cli_fresh_slots_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut daemon, submit) = one_worker_daemon(&dir);
+    let fresh = || {
+        let out = submit(&["--run", &dsl("wave2d.msc")]);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        let counter = stdout.split_whitespace().find_map(|kv| kv.strip_prefix("fresh_slots="));
+        counter.map_or(0, |n| n.parse::<u64>().unwrap())
+    };
+    // wave2d: two kernels, window 3, every slot written.
+    assert_eq!(fresh(), 3);
+    assert_eq!(fresh(), 0);
+    assert!(submit(&["--shutdown"]).status.success());
+    assert!(daemon.0.wait().expect("daemon exits").success());
     let _ = std::fs::remove_dir_all(&dir);
 }

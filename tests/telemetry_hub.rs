@@ -33,8 +33,10 @@ fn tiled_executor(p: &StencilProgram) -> Executor {
 }
 
 /// The counters a run must reproduce exactly regardless of which hub
-/// observed it. Timing counters (`ns` unit) and scheduler-dependent pool
-/// traffic vary run to run; everything else is deterministic.
+/// observed it. Timing counters (`ns` unit), scheduler-dependent pool
+/// traffic and the window slots a run allocated (none once an earlier run
+/// of its layout left its slots behind) vary run to run; everything else
+/// is deterministic.
 fn deterministic_totals(set: &CounterSet) -> Vec<(Counter, u64)> {
     set.iter()
         .filter(|(c, _)| c.unit() != "ns")
@@ -45,6 +47,7 @@ fn deterministic_totals(set: &CounterSet) -> Vec<(Counter, u64)> {
                     | Counter::PoolParks
                     | Counter::PoolUnparks
                     | Counter::HeartbeatsSent
+                    | Counter::FreshSlots
             )
         })
         .collect()
