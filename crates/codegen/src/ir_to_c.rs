@@ -3,7 +3,7 @@
 //! the design point the paper credits for beating Halide-AOT on
 //! high-order stencils, §5.5).
 
-use msc_core::error::Result;
+use msc_core::error::{MscError, Result};
 use msc_core::prelude::*;
 use std::collections::HashMap;
 
@@ -20,22 +20,40 @@ pub struct Layout {
 }
 
 impl Layout {
-    pub fn of(program: &StencilProgram) -> Layout {
+    /// The layout of the program's grid, or [`MscError::GridTooLarge`]
+    /// when a size the C spells (a stride, the padded length, the bytes of
+    /// the window) overflows `usize`. `SpNode::new` refuses such a grid,
+    /// but the program's fields are public, so a shape edited after
+    /// `build()` is checked again here.
+    pub fn of(program: &StencilProgram) -> Result<Layout> {
         let g = &program.grid;
-        let padded: Vec<usize> = g.padded_shape();
+        let window = program.stencil.time_window();
+        let too_large = || MscError::GridTooLarge {
+            shape: g.shape.clone(),
+            halo: g.halo.clone(),
+            bytes: None,
+        };
+        let padded = (g.shape.iter().zip(&g.halo))
+            .map(|(&n, &h)| h.checked_mul(2)?.checked_add(n))
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(too_large)?;
+        // Every stride divides the padded length, which divides the bytes.
+        let bytes = (window.checked_mul(g.dtype.size_bytes()))
+            .and_then(|b| padded.iter().try_fold(b, |b, &p| b.checked_mul(p)));
+        bytes.ok_or_else(too_large)?;
         let mut strides = vec![1usize; padded.len()];
         for d in (0..padded.len().saturating_sub(1)).rev() {
             strides[d] = strides[d + 1] * padded[d + 1];
         }
-        Layout {
+        Ok(Layout {
             ndim: g.ndim(),
             shape: g.shape.clone(),
             halo: g.halo.clone(),
             padded,
             strides,
-            window: program.stencil.time_window(),
+            window,
             elem_c: g.dtype.c_name(),
-        }
+        })
     }
 
     /// Total padded elements of one state buffer.
@@ -227,7 +245,7 @@ mod tests {
     #[test]
     fn layout_constants() {
         let p = program();
-        let l = Layout::of(&p);
+        let l = Layout::of(&p).unwrap();
         assert_eq!(l.padded, vec![18, 18, 18]);
         assert_eq!(l.strides, vec![324, 18, 1]);
         assert_eq!(l.window, 3);
@@ -240,7 +258,7 @@ mod tests {
     #[test]
     fn update_statement_references_both_terms() {
         let p = program();
-        let l = Layout::of(&p);
+        let l = Layout::of(&p).unwrap();
         let s = update_stmt(&p, &l).unwrap();
         assert!(s.contains("in1[idx"));
         assert!(s.contains("in2[idx"));
@@ -252,7 +270,7 @@ mod tests {
     #[test]
     fn term_expr_uses_direct_linear_offsets() {
         let p = program();
-        let l = Layout::of(&p);
+        let l = Layout::of(&p).unwrap();
         let e = &term_exprs(&p, &l, |_| "in1".into()).unwrap()[0];
         // Taps at z±1 (stride 324) and at ±1.
         assert!(e.contains("in1[idx + 324]"));
@@ -263,7 +281,7 @@ mod tests {
     #[test]
     fn tile_loops_emit_clamped_inner_bounds() {
         let p = program();
-        let l = Layout::of(&p);
+        let l = Layout::of(&p).unwrap();
         let mut s = Schedule::default();
         s.tile(&[8, 8, 8]).parallel("xo", 4);
         let plan = ExecPlan::lower(&s, 3, &[16, 16, 16]).unwrap();
@@ -277,7 +295,7 @@ mod tests {
     #[test]
     fn untiled_plan_emits_plain_loops() {
         let p = program();
-        let l = Layout::of(&p);
+        let l = Layout::of(&p).unwrap();
         let plan = ExecPlan::lower(&Schedule::default(), 3, &[16, 16, 16]).unwrap();
         let code = tile_loops(&plan, &l, "/*body*/", None, 0);
         assert!(code.contains("for (int x = 0; x < NX; x++)"));

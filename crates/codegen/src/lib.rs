@@ -66,6 +66,28 @@ mod tests {
     use msc_core::prelude::*;
 
     #[test]
+    fn a_grid_edited_past_the_address_space_is_refused_not_wrapped() {
+        // The shape passes `build()` small and is then edited, so only
+        // the emitters' own layout can refuse it. A window one deeper than
+        // the stencil reads also sends the lint gate to the grid's bytes.
+        let mut p = benchmark(BenchmarkId::S2d9ptStar)
+            .program(&[16, 16], DType::F64, 2)
+            .unwrap();
+        p.grid.shape = vec![4294967296; 2];
+        let mut deeper = p.clone();
+        deeper.grid.time_window += 1;
+        for p in [&p, &deeper] {
+            for target in [Target::SunwayCG, Target::Matrix, Target::Cpu] {
+                let err = compile_to_source(p, target).unwrap_err();
+                assert!(
+                    matches!(err, MscError::GridTooLarge { bytes: None, .. }),
+                    "{target:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn package_contains_target_files() {
         let b = benchmark(BenchmarkId::S3d7ptStar);
         let mut p = b.program(&[32, 32, 32], DType::F64, 4).unwrap();

@@ -200,7 +200,7 @@ fn buffers_and_input(elem: &str) -> String {
 /// Generate the MPI main translation unit. The kernel itself is the
 /// target's single-node `msc_step` (linked from `main.c`/`slave.c`).
 pub fn generate(program: &Checked<'_>, target: Target) -> Result<String> {
-    let layout = Layout::of(program);
+    let layout = Layout::of(program)?;
     let elem = layout.elem_c;
     let mpi = program
         .mpi_grid
@@ -436,7 +436,7 @@ static double MPI_Wtime(void) { return 0.0; }
         if !out.status.success() {
             return None;
         }
-        let layout = Layout::of(program);
+        let layout = Layout::of(program).unwrap();
         let (ndim, elem) = (layout.ndim, layout.elem_c);
         let per_dim = |prefix: &str| c_list(DIMS[..ndim].iter().map(|d| format!("{prefix}{d}")));
         let harness = format!(

@@ -300,7 +300,9 @@ impl<T: Scalar> BuddySnapshots<T> {
 /// lattices, concatenated in slot order. Every rank of a [`msc_core::halo::CartDecomp`]
 /// has the same sub-extent and halo, so the receiver can reconstruct
 /// the ring from the payload plus its own local shape.
-pub fn ring_to_wire<'g, T: Scalar>(window: impl IntoIterator<Item = &'g Grid<T>>) -> Vec<T> {
+pub(crate) fn ring_to_wire<'g, T: Scalar>(
+    window: impl IntoIterator<Item = &'g Grid<T>>,
+) -> Vec<T> {
     let window: Vec<&Grid<T>> = window.into_iter().collect();
     let mut out = Vec::with_capacity(window.iter().map(|g| g.as_slice().len()).sum());
     for grid in window {
@@ -310,7 +312,7 @@ pub fn ring_to_wire<'g, T: Scalar>(window: impl IntoIterator<Item = &'g Grid<T>>
 }
 
 /// Rebuild a window ring from a [`ring_to_wire`] payload.
-pub fn wire_to_ring<T: Scalar>(
+pub(crate) fn wire_to_ring<T: Scalar>(
     payload: &[T],
     shape: &[usize],
     halo: &[usize],

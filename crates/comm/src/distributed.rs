@@ -15,8 +15,8 @@ use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::plan;
 use crate::runtime::{
-    FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource, World,
-    WorldConfig, KEEP_GENS,
+    FailureOutcome, FailureRecord, Membership, RankCtx, RecoverySource, World, WorldConfig,
+    KEEP_GENS,
 };
 use msc_core::error::{MscError, Result};
 use msc_core::halo::{Backend, CartDecomp, HaloPlan, Region};
@@ -91,9 +91,6 @@ impl CommStats {
     }
     pub fn checkpoint_bytes(&self) -> u64 {
         self.counters.get(Counter::CheckpointBytes)
-    }
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.counters.get(Counter::HeartbeatsSent)
     }
     pub fn buddy_bytes(&self) -> u64 {
         self.counters.get(Counter::BuddyBytes)
@@ -180,14 +177,9 @@ pub struct RunOptions {
     /// membership layer declares a compute rank dead, a spare adopts its
     /// subdomain (from the buddy snapshot, the disk checkpoint, or the
     /// initial state) and the run heals online instead of restarting.
-    /// Implies the membership + heartbeat machinery.
+    /// Switches the membership layer on; with none, a dead rank fails the
+    /// attempt and the world restarts from disk.
     pub spare_ranks: usize,
-    /// Heartbeat interval and failure-detection timeout. `Some` switches
-    /// the membership layer on even without spares (detection without
-    /// adoption still falls back to a disk restart); `None` with
-    /// `spare_ranks > 0` uses [`HeartbeatConfig::default`]. Validated at
-    /// run entry — a bad configuration is a typed error, never a panic.
-    pub heartbeat: Option<HeartbeatConfig>,
     /// Telemetry hub the run should record into. `None` keeps whatever
     /// hub the calling thread already has installed (usually the
     /// process-wide default) — `Some` scopes every counter, span,
@@ -208,7 +200,6 @@ impl Default for RunOptions {
             max_restarts: 3,
             tier: msc_exec::ExecTier::Auto,
             spare_ranks: 0,
-            heartbeat: None,
             hub: None,
         }
     }
@@ -341,7 +332,7 @@ fn plan_recovery<T>(
         Some(CommError::EpochChange { .. }) => {
             m.latest_failure().map(Reaction::Rollback).ok_or(err)
         }
-        Some(CommError::RankSuspect { rank, .. }) => {
+        Some(CommError::RankSuspect { rank }) => {
             let disk = store.and_then(|s| s.latest_complete());
             match m.report_failure(rank, ctx.epoch(), disk) {
                 FailureOutcome::Recovered(rec) => Ok(Reaction::Rollback(rec)),
@@ -470,7 +461,7 @@ fn spare_standby<T>(
         // is read *before* the sweep so a report that landed in between
         // classifies ours as stale instead of opening a second epoch.
         let observed = m.epoch();
-        if let Some(CommError::RankSuspect { rank, .. }) = ctx.poll_suspects() {
+        if let Some(CommError::RankSuspect { rank }) = ctx.poll_suspects() {
             let disk = store.and_then(|s| s.latest_complete());
             let _ = m.report_failure(rank, observed, disk);
             let _ = ctx.take_fault();
@@ -659,10 +650,10 @@ fn rank_life<T: Scalar>(
         let err = match compute_steps(ctx, env, &mut run, &mut snaps, account) {
             Ok(()) => {
                 // Membership done-barrier: stand by servicing the fabric
-                // (heartbeats, buddy traffic) until every
-                // logical rank finished under the final epoch. A late
-                // failure pulls us back into compute — rollback is
-                // global, so even finished ranks replay.
+                // (late buddy traffic) until every logical rank finished
+                // under the final epoch. A late failure pulls us back
+                // into compute — rollback is global, so even finished
+                // ranks replay.
                 let mut late: Option<MscError> = None;
                 if let Some(m) = env.membership {
                     m.report_done(ctx.rank, ctx.epoch());
@@ -735,15 +726,10 @@ fn run_ranks<T: Scalar>(
         None => Executor::Tiled(plan),
         Some(spm_capacity) => Executor::Spm { plan, spm_capacity },
     };
-    if let Some(hb) = &opts.heartbeat {
-        hb.validate().map_err(MscError::InvalidConfig)?;
-    }
     let n_logical = decomp.n_ranks();
-    // Either knob switches the membership/heartbeat layer on; with both
-    // off, every recovery path below is a no-op and the runtime stays
-    // byte-for-byte on its plain code paths.
-    let resilient = opts.spare_ranks > 0 || opts.heartbeat.is_some();
-    let heartbeat = resilient.then(|| opts.heartbeat.clone().unwrap_or_default());
+    // A spare switches the membership layer on; with none, every recovery
+    // path below is a no-op and the runtime stays on its plain code paths.
+    let resilient = opts.spare_ranks > 0;
     let store = match &opts.checkpoint_dir {
         Some(dir) if opts.checkpoint_every > 0 => {
             // Every rank admits this program over this sub-grid shape, so
@@ -772,10 +758,9 @@ fn run_ranks<T: Scalar>(
         let world_cfg = WorldConfig {
             fault: opts.chaos.clone(),
             membership: membership.clone(),
-            heartbeat: heartbeat.clone(),
             ..WorldConfig::default()
         };
-        let n_phys = n_logical + if resilient { opts.spare_ranks } else { 0 };
+        let n_phys = n_logical + opts.spare_ranks;
         let env = StepEnv {
             program,
             executor: &executor,
@@ -1077,7 +1062,6 @@ mod tests {
         // No SPM in this run: DMA counters stay zero.
         assert_eq!(stats.dma_get_bytes(), 0);
         // No membership layer either: the recovery vocabulary is silent.
-        assert_eq!(stats.heartbeats_sent(), 0);
         assert_eq!(stats.buddy_bytes(), 0);
         assert_eq!(stats.rank_recoveries(), 0);
         assert_eq!(stats.recoveries, 0);
@@ -1253,27 +1237,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_heartbeat_is_a_typed_error_not_a_panic() {
-        let p = benchmark(BenchmarkId::S2d9ptStar)
-            .program(&[8, 8], DType::F64, 2)
-            .unwrap();
-        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 3);
-        let opts = RunOptions {
-            heartbeat: Some(HeartbeatConfig {
-                every: Duration::from_millis(50),
-                detect: Duration::from_millis(10), // detect < every: nonsense
-            }),
-            ..RunOptions::default()
-        };
-        let r =
-            run_distributed_resilient(&p, &[2, 2], &init, Boundary::Dirichlet, &opts, simple_plan);
-        assert!(matches!(r, Err(MscError::InvalidConfig(_))), "{r:?}");
-    }
-
-    #[test]
     fn spare_world_without_failures_is_bit_identical_and_quiet() {
-        // Spares idle, heartbeats flow, buddies replicate — none of it
-        // may perturb the numerics.
+        // Spares idle and buddies replicate — none of it may perturb the
+        // numerics.
         let p = benchmark(BenchmarkId::S2d9ptBox)
             .program(&[16, 16], DType::F64, 40)
             .unwrap();
@@ -1282,9 +1248,6 @@ mod tests {
         let opts = RunOptions {
             spare_ranks: 1,
             checkpoint_every: 2,
-            // A beacon interval far below the run length, so idle-path
-            // heartbeats demonstrably flow even on a fast machine.
-            heartbeat: Some(HeartbeatConfig::from_millis(1).unwrap()),
             ..RunOptions::default()
         };
         let (multi, stats) =
@@ -1296,6 +1259,27 @@ mod tests {
         assert_eq!(stats.rank_recoveries(), 0);
         // Diskless buddy checkpoints ran even with no checkpoint dir.
         assert!(stats.buddy_bytes() > 0, "buddy replication must run");
-        assert!(stats.heartbeats_sent() > 0, "idle heartbeats must flow");
+    }
+
+    #[test]
+    fn a_hundred_fault_free_spare_worlds_take_no_departure_for_a_death() {
+        // A rank lowers its flag in `finalize`, right after it sees the
+        // world finished; a sweep still in the done-barrier or on the
+        // bench must call that a departure, not heal it.
+        let p = benchmark(BenchmarkId::S2d9ptStar)
+            .program(&[8, 8], DType::F64, 2)
+            .unwrap();
+        let init: Grid<f64> = Grid::random(&p.grid.shape, &p.grid.halo, 5);
+        let (single, _) = run_program(&p, &Executor::Reference, &init).unwrap();
+        let opts = RunOptions {
+            spare_ranks: 1,
+            ..RunOptions::default()
+        };
+        for world in 0..100 {
+            let (multi, stats) = run(&p, &[2, 1], &init, Boundary::Dirichlet, &opts);
+            assert_eq!(single.as_slice(), multi.as_slice(), "world {world}");
+            assert_eq!(stats.recoveries, 0, "world {world}");
+            assert_eq!(stats.restarts, 0, "world {world}");
+        }
     }
 }

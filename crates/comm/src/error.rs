@@ -28,12 +28,11 @@ pub enum CommError {
     Killed { rank: usize, exchange: u64 },
     /// A rank's closure panicked; the world's results are unusable.
     WorldPoisoned { rank: usize, message: String },
-    /// The membership layer declared a peer dead: it went silent past the
-    /// detection timeout (or its endpoint hung up) *and* its thread has
-    /// actually exited. Unlike [`CommError::RankDead`] this is a
-    /// recoverable control signal — the distributed driver reacts by
-    /// promoting a hot spare instead of failing the run.
-    RankSuspect { rank: usize, silent_ms: u64 },
+    /// The membership layer declared a peer dead: its thread left the
+    /// fabric before the world finished. Unlike [`CommError::RankDead`]
+    /// this is a recoverable control signal — the distributed driver
+    /// reacts by promoting a hot spare instead of failing the run.
+    RankSuspect { rank: usize },
     /// The membership epoch advanced while this rank was mid-operation:
     /// another rank died and a recovery is in progress. The driver rolls
     /// this rank back to the agreed generation and resumes; this variant
@@ -63,8 +62,8 @@ impl fmt::Display for CommError {
             CommError::WorldPoisoned { rank, message } => {
                 write!(f, "world poisoned: rank {rank} panicked: {message}")
             }
-            CommError::RankSuspect { rank, silent_ms } => {
-                write!(f, "rank {rank} suspected dead after {silent_ms} ms of silence")
+            CommError::RankSuspect { rank } => {
+                write!(f, "rank {rank} suspected dead (left the fabric mid-run)")
             }
             CommError::EpochChange { epoch } => {
                 write!(f, "membership epoch advanced to {epoch} (online recovery in progress)")

@@ -42,14 +42,9 @@ pub mod fault;
 pub mod plan;
 pub mod runtime;
 
-pub use checkpoint::{
-    ring_to_wire, wire_to_ring, BuddySnapshots, CheckpointStore, CHECKPOINT_KEEP,
-};
+pub use checkpoint::{BuddySnapshots, CheckpointStore, CHECKPOINT_KEEP};
 pub use distributed::{run_distributed_resilient, CommStats, RunOptions};
 pub use error::CommError;
 pub use fault::{FaultPlan, KillSpec};
 pub use msc_core::halo::{Backend, CartDecomp, HaloPlan, Region};
-pub use runtime::{
-    FailureOutcome, FailureRecord, HeartbeatConfig, Membership, RankCtx, RecoverySource,
-    RecvRequest, World, WorldConfig,
-};
+pub use runtime::{RankCtx, RecoverySource, RecvRequest, World, WorldConfig};

@@ -24,18 +24,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a wait blocks on its inbox before it looks at the world
-/// again: the source's alive flag, the deadline and, in membership
-/// worlds, the heartbeat cadence.
+/// again: the source's alive flag and the deadline. A rank that left the
+/// fabric is seen at the next poll.
 const POLL: Duration = Duration::from_millis(4);
 
-/// Frame body: data, or an explicit liveness beacon (membership worlds
-/// only; never stashed — its arrival *is* its meaning).
-enum Body<T> {
-    Data(Vec<T>),
-    Heartbeat,
-}
-
-/// A point-to-point frame. `seq` numbers the `(src → dst)` data stream.
+/// A point-to-point data frame. `seq` numbers the `(src → dst)` stream.
 /// `src` is the sender's *logical* rank; `epoch` is the membership epoch
 /// the frame was sent under — receivers drop frames from older epochs
 /// (they describe a timeline that a recovery rolled back) and buffer
@@ -45,7 +38,7 @@ struct Frame<T> {
     epoch: u64,
     tag: u64,
     seq: u64,
-    body: Body<T>,
+    payload: Vec<T>,
 }
 
 /// A posted receive: resolved by [`RankCtx::wait`].
@@ -61,58 +54,6 @@ impl RecvRequest {
     }
     pub fn tag(&self) -> u64 {
         self.tag
-    }
-}
-
-/// Liveness-detection tunables for membership worlds. Liveness
-/// piggybacks on every received frame; when a rank has nothing to send
-/// it emits explicit heartbeat beacons instead.
-#[derive(Debug, Clone)]
-pub struct HeartbeatConfig {
-    /// Beacon interval while otherwise idle.
-    pub every: Duration,
-    /// Silence threshold past which a peer becomes a suspect. Suspicion
-    /// is promoted to death only if the peer's thread has actually
-    /// exited, so a slow-but-alive rank is never falsely buried.
-    pub detect: Duration,
-}
-
-impl Default for HeartbeatConfig {
-    fn default() -> HeartbeatConfig {
-        HeartbeatConfig {
-            every: Duration::from_millis(50),
-            detect: Duration::from_millis(200),
-        }
-    }
-}
-
-impl HeartbeatConfig {
-    /// Flag-validated constructor for `--heartbeat-ms`: a zero interval
-    /// is a configuration error, never a panic. Detection defaults to
-    /// 4x the beacon interval.
-    pub fn from_millis(every_ms: u64) -> Result<HeartbeatConfig, String> {
-        if every_ms == 0 {
-            return Err("heartbeat interval must be at least 1 ms".into());
-        }
-        Ok(HeartbeatConfig {
-            every: Duration::from_millis(every_ms),
-            detect: Duration::from_millis(every_ms.saturating_mul(4)),
-        })
-    }
-
-    /// Validate hand-built configs (driver entry points call this so a
-    /// bad `RunOptions` surfaces as a typed error).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.every.is_zero() {
-            return Err("heartbeat interval must be nonzero".into());
-        }
-        if self.detect < self.every {
-            return Err(format!(
-                "detection timeout {:?} is shorter than the heartbeat interval {:?}",
-                self.detect, self.every
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -203,7 +144,7 @@ pub(crate) const KEEP_GENS: usize = 4;
 impl Membership {
     /// A membership over `n_logical` compute ranks plus `spares` extra
     /// physical slots (numbered `n_logical..n_logical + spares`).
-    pub fn new(n_logical: usize, spares: usize) -> Membership {
+    pub(crate) fn new(n_logical: usize, spares: usize) -> Membership {
         Membership {
             n_logical,
             epoch: AtomicU64::new(0),
@@ -221,29 +162,29 @@ impl Membership {
         }
     }
 
-    pub fn n_logical(&self) -> usize {
+    pub(crate) fn n_logical(&self) -> usize {
         self.n_logical
     }
 
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
     /// Physical slot currently carrying a logical rank.
-    pub fn phys_of(&self, logical: usize) -> usize {
+    pub(crate) fn phys_of(&self, logical: usize) -> usize {
         self.assign[logical].load(Ordering::Acquire)
     }
 
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.finished.load(Ordering::Acquire)
     }
 
-    pub fn is_unrecoverable(&self) -> bool {
+    pub(crate) fn is_unrecoverable(&self) -> bool {
         self.unrecoverable.load(Ordering::Acquire)
     }
 
     /// Successful online recoveries so far (distinct from disk restarts).
-    pub fn recoveries(&self) -> u64 {
+    pub(crate) fn recoveries(&self) -> u64 {
         self.state.lock().unwrap().recoveries
     }
 
@@ -255,7 +196,7 @@ impl Membership {
     }
 
     /// Record that `logical` holds its own window snapshot for `gen`.
-    pub fn note_local(&self, logical: usize, gen: u64) {
+    pub(crate) fn note_local(&self, logical: usize, gen: u64) {
         let mut st = self.lock();
         let set = &mut st.local_gens[logical];
         set.insert(gen);
@@ -266,7 +207,7 @@ impl Membership {
     }
 
     /// Record that `logical`'s buddy holds `logical`'s snapshot for `gen`.
-    pub fn note_buddy(&self, logical: usize, gen: u64) {
+    pub(crate) fn note_buddy(&self, logical: usize, gen: u64) {
         let mut st = self.lock();
         let set = &mut st.buddy_gens[logical];
         set.insert(gen);
@@ -281,7 +222,7 @@ impl Membership {
     /// epoch; concurrent reporters observe [`FailureOutcome::Stale`] and
     /// re-sync from the latest record. `disk_gen` is the newest complete
     /// disk checkpoint, if the run keeps one.
-    pub fn report_failure(
+    pub(crate) fn report_failure(
         &self,
         logical: usize,
         reporter_epoch: u64,
@@ -338,12 +279,12 @@ impl Membership {
     }
 
     /// The most recent recovery event, if any.
-    pub fn latest_failure(&self) -> Option<FailureRecord> {
+    pub(crate) fn latest_failure(&self) -> Option<FailureRecord> {
         self.lock().failures.last().cloned()
     }
 
     /// The adoption duty assigned to a physical spare slot, if any.
-    pub fn duty_of(&self, slot: usize) -> Option<FailureRecord> {
+    pub(crate) fn duty_of(&self, slot: usize) -> Option<FailureRecord> {
         self.lock()
             .failures
             .iter()
@@ -354,7 +295,7 @@ impl Membership {
 
     /// A logical rank finished its final step under `epoch`. When every
     /// logical rank has, the world is finished and spares stand down.
-    pub fn report_done(&self, logical: usize, epoch: u64) {
+    pub(crate) fn report_done(&self, logical: usize, epoch: u64) {
         let mut st = self.lock();
         if st.failures.len() as u64 != epoch {
             return; // stale: the rank will re-enter compute and re-report
@@ -379,8 +320,6 @@ pub struct WorldConfig {
     /// Hot-spare membership: present iff the run can heal dead ranks
     /// online. `None` keeps the runtime on its plain paths.
     pub membership: Option<Arc<Membership>>,
-    /// Liveness beacons + detection timeout (membership worlds only).
-    pub heartbeat: Option<HeartbeatConfig>,
 }
 
 impl Default for WorldConfig {
@@ -389,7 +328,6 @@ impl Default for WorldConfig {
             fault: None,
             deadline: Duration::from_secs(60),
             membership: None,
-            heartbeat: None,
         }
     }
 }
@@ -405,28 +343,20 @@ impl std::fmt::Debug for Membership {
 }
 
 /// Shared world state: how many ranks have left the communication fabric
-/// (finished, errored, or panicked). [`RankCtx::finalize`] polls it so
-/// finished ranks keep their endpoint open until everyone is done, and
-/// departure is also counted on drop so a dead rank never wedges its
-/// peers.
+/// (finished, errored, or panicked), and when each did. [`RankCtx::finalize`]
+/// polls the count so finished ranks keep their endpoint open until
+/// everyone is done, and departure is also counted on drop so a dead rank
+/// never wedges its peers.
 struct WorldShared {
     departed: AtomicUsize,
-    /// Per physical slot: false once that thread has left the fabric. A
-    /// wait stalled on a source reads it, and so does the membership
-    /// layer's suspicion check, so silence from a slow-but-alive rank is
-    /// never taken for death.
-    alive: Vec<AtomicBool>,
-}
-
-/// What a membership world adds to an endpoint: the shared layer, and the
-/// liveness clocks only it reads.
-struct Member {
-    layer: Arc<Membership>,
-    hb: Option<HeartbeatConfig>,
-    /// Last time anything (data, heartbeat) arrived per logical src.
-    last_heard: Vec<Instant>,
-    /// Last time we broadcast heartbeat beacons.
-    last_beat: Instant,
+    /// The clock `left` counts from.
+    start: Instant,
+    /// Per physical slot: 0 while that thread is in the fabric, else the
+    /// nanoseconds after `start` at which it left. Ranks are threads of
+    /// one process, so this flag is exact: a wait stalled on a source
+    /// reads it, and so does the membership layer's suspicion check, and
+    /// the time it holds is where a detection latency starts.
+    left: Vec<AtomicU64>,
 }
 
 /// Per-rank endpoint handed to each rank's closure. In membership
@@ -460,14 +390,13 @@ pub struct RankCtx<T> {
     epoch: u64,
     /// Frames from a newer epoch than ours, replayed by `enter_epoch`.
     future: Vec<Frame<T>>,
-    /// Membership and liveness: `None` outside resilient worlds.
-    member: Option<Member>,
+    /// The membership layer: `None` outside resilient worlds.
+    member: Option<Arc<Membership>>,
     /// Last recoverable control fault this endpoint originated (kill,
     /// suspect, epoch change). Intermediate layers flatten errors into
     /// strings; the driver reads the typed event back via `take_fault`.
     fault_note: Option<CommError>,
-    /// Messages sent (diagnostics): data frames only — heartbeats are
-    /// control traffic, not messages.
+    /// Messages sent (diagnostics): every frame `isend` was handed.
     pub sent_msgs: u64,
     /// The rank's account since it was last published to the run's hub:
     /// protocol events, halo messages, bytes and pack/unpack time, and
@@ -514,10 +443,11 @@ impl<T> RankCtx<T> {
     fn mark_departed(&mut self) {
         if !self.departed_marked {
             self.departed_marked = true;
-            // Alive goes false after every frame this rank sent is in its
-            // peer's channel and before the departed count rises, so a
+            // The flag goes down after every frame this rank sent is in
+            // its peer's channel and before the departed count rises, so a
             // peer that sees the flag down finds all of them in its inbox.
-            self.shared.alive[self.slot].store(false, Ordering::Release);
+            let at = self.shared.start.elapsed().as_nanos().max(1);
+            self.shared.left[self.slot].store(at as u64, Ordering::Release);
             self.shared.departed.fetch_add(1, Ordering::AcqRel);
         }
     }
@@ -534,7 +464,7 @@ impl<T> RankCtx<T> {
             epoch: self.epoch,
             tag,
             seq,
-            body: Body::Data(payload),
+            payload,
         };
         msc_trace::flight(FlightKind::Send, self.rank as u32, dst as u32, tag, seq);
         msc_trace::flow_send(
@@ -592,7 +522,7 @@ impl<T> RankCtx<T> {
     /// signal. A single atomic load; a no-op outside membership worlds.
     fn poll_epoch(&mut self) -> Result<(), CommError> {
         if let Some(m) = &self.member {
-            let e = m.layer.epoch();
+            let e = m.epoch();
             if e > self.epoch {
                 let err = CommError::EpochChange { epoch: e };
                 self.note_control_fault(&err);
@@ -613,10 +543,6 @@ impl<T> RankCtx<T> {
         self.stash.clear();
         self.delayed.clear();
         self.next_seq.fill(0);
-        if let Some(m) = &mut self.member {
-            // A fresh grace period for everyone.
-            m.last_heard.fill(Instant::now());
-        }
         let early = std::mem::take(&mut self.future);
         for frame in early {
             // Screening in process_frame re-buffers anything from an
@@ -637,57 +563,35 @@ impl<T> RankCtx<T> {
         self.epoch
     }
 
-    /// Broadcast liveness beacons if the heartbeat interval elapsed.
-    /// Only logical ranks beat (nobody monitors idle spares), and only
-    /// in membership worlds — everywhere else this is free.
-    fn maybe_heartbeat(&mut self) {
-        let n_logical = match &mut self.member {
-            Some(Member {
-                layer,
-                hb: Some(hb),
-                last_beat,
-                ..
-            }) if self.rank < layer.n_logical() && last_beat.elapsed() >= hb.every => {
-                *last_beat = Instant::now();
-                layer.n_logical()
-            }
-            _ => return,
-        };
-        for dst in (0..n_logical).filter(|&dst| dst != self.rank) {
-            let beacon = Frame {
-                src: self.rank,
-                epoch: self.epoch,
-                tag: 0,
-                seq: 0,
-                body: Body::Heartbeat,
-            };
-            // A dead destination is the detector's business, not ours.
-            let _ = self.raw_send(dst, beacon);
-            self.counters.bump(Counter::HeartbeatsSent, 1);
-        }
-    }
-
-    /// Suspicion check for a peer: silence past the detection timeout
-    /// *and* a departed thread make it a suspect. A slow-but-alive rank
-    /// never qualifies.
+    /// Suspicion check for a peer: a logical peer whose flag is down is a
+    /// suspect, unless it left after the world finished.
     fn check_suspect(&mut self, src: usize) -> Option<CommError> {
         let m = self.member.as_ref()?;
-        let detect = m.hb.as_ref()?.detect;
-        if src >= m.layer.n_logical() || src == self.rank {
+        if src >= m.n_logical() || src == self.rank {
             return None;
         }
-        let silence = m.last_heard[src].elapsed();
-        if silence < detect || self.is_alive(src) {
+        // The flag first, then `finished`. A rank lowers its flag in
+        // `finalize` only after it read `finished` as set (Acquire), and
+        // lowers it with a Release store that our Acquire load reads. So a
+        // flag that went down for a departure after the finish comes with
+        // `finished` visible to the load below: a normal departure is never
+        // taken for a death. Read the other way round, a sweep that saw
+        // `finished` clear and then the flag down would bury a rank that
+        // simply finished.
+        let left = self.left_at(src)?;
+        if m.is_finished() {
             return None;
         }
-        Some(self.note_suspect(src, silence))
+        Some(self.note_suspect(src, left))
     }
 
-    /// Record a suspect event: detection latency into the log2 histogram,
-    /// a flight-recorder entry, and the typed control error.
-    fn note_suspect(&mut self, src: usize, silence: Duration) -> CommError {
+    /// Record a suspect event: the time from its flag going down to now
+    /// into the detection-latency histogram, a flight-recorder entry, and
+    /// the typed control error.
+    fn note_suspect(&mut self, src: usize, left: u64) -> CommError {
+        let now = self.shared.start.elapsed().as_nanos() as u64;
         self.hists
-            .add(Hist::DetectLatencyNanos, silence.as_nanos() as u64);
+            .add(Hist::DetectLatencyNanos, now.saturating_sub(left));
         msc_trace::flight(
             FlightKind::Recover,
             src as u32,
@@ -695,21 +599,16 @@ impl<T> RankCtx<T> {
             0,
             self.epoch,
         );
-        let e = CommError::RankSuspect {
-            rank: src,
-            silent_ms: silence.as_millis() as u64,
-        };
+        let e = CommError::RankSuspect { rank: src };
         self.note_control_fault(&e);
         e
     }
 
     /// Sweep every logical peer through the suspicion check — used by
     /// finished ranks and idle spares, which have no posted receive to
-    /// stall on. (An idle spare hears from nobody, so its silence clocks
-    /// run from spawn; the `alive` flag keeps that from ever flagging a
-    /// live rank.)
-    pub fn poll_suspects(&mut self) -> Option<CommError> {
-        let n = self.member.as_ref()?.layer.n_logical();
+    /// stall on.
+    pub(crate) fn poll_suspects(&mut self) -> Option<CommError> {
+        let n = self.member.as_ref()?.n_logical();
         (0..n).find_map(|src| self.check_suspect(src))
     }
 
@@ -718,9 +617,11 @@ impl<T> RankCtx<T> {
     fn promote_dead(&mut self, e: CommError) -> CommError {
         let Some(m) = &self.member else { return e };
         match e {
-            CommError::RankDead { rank } if rank < m.layer.n_logical() && rank != self.rank => {
-                let silence = m.last_heard[rank].elapsed();
-                self.note_suspect(rank, silence)
+            CommError::RankDead { rank } if rank < m.n_logical() && rank != self.rank => {
+                // A send finds the endpoint gone only after its flag went
+                // down; a flag not seen down yet books a zero latency.
+                let left = self.left_at(rank).unwrap_or(u64::MAX);
+                self.note_suspect(rank, left)
             }
             other => other,
         }
@@ -728,15 +629,14 @@ impl<T> RankCtx<T> {
 
     /// Service the fabric for `dur` without expecting any payload: release
     /// held frames, drain inbound ones (late buddy snapshots, early
-    /// frames of a new epoch), keep heartbeating, and surface epoch
-    /// changes. Finished ranks of a membership world park here until the
-    /// whole world completes, so a late failure can still pull them back.
+    /// frames of a new epoch), and surface epoch changes. Finished ranks
+    /// of a membership world park here until the whole world completes,
+    /// so a late failure can still pull them back.
     pub fn service_for(&mut self, dur: Duration) -> Result<(), CommError> {
         self.flush_delayed();
         let deadline = Instant::now() + dur;
         loop {
             self.poll_epoch()?;
-            self.maybe_heartbeat();
             match self.inbox.recv_timeout(Duration::from_millis(1)) {
                 Ok(frame) => self.process_frame(frame),
                 Err(RecvTimeoutError::Timeout) => {}
@@ -745,19 +645,6 @@ impl<T> RankCtx<T> {
             if Instant::now() >= deadline {
                 return Ok(());
             }
-        }
-    }
-
-    /// Receive-poll interval: [`POLL`], no later than the deadline, and
-    /// capped so heartbeat and detection deadlines are honored in
-    /// membership worlds.
-    fn poll_step(&self, start: Instant) -> Duration {
-        let step = POLL.min(self.deadline.saturating_sub(start.elapsed()));
-        match self.member.as_ref().and_then(|m| m.hb.as_ref()) {
-            Some(hb) => step
-                .min(hb.every.min(hb.detect) / 2)
-                .max(Duration::from_millis(1)),
-            None => step,
         }
     }
 
@@ -796,7 +683,9 @@ impl<T> RankCtx<T> {
         let start = Instant::now();
         loop {
             self.poll_epoch()?;
-            let got = self.inbox.recv_timeout(self.poll_step(start));
+            let got = self
+                .inbox
+                .recv_timeout(POLL.min(self.deadline.saturating_sub(start.elapsed())));
             // The wait ends when the frame leaves the inbox, so sorting
             // it is not booked as waiting.
             let waited = start.elapsed();
@@ -804,7 +693,6 @@ impl<T> RankCtx<T> {
                 Ok(frame) => self.process_frame(frame),
                 Err(RecvTimeoutError::Timeout) if self.is_alive(req.src) => {
                     self.counters.bump(Counter::TimeoutCount, 1);
-                    self.maybe_heartbeat();
                     if waited >= self.deadline {
                         return Err(self.note_timeout(req.src, req.tag));
                     }
@@ -838,7 +726,14 @@ impl<T> RankCtx<T> {
 
     /// Is the thread carrying logical rank `rank` still in the fabric?
     fn is_alive(&self, rank: usize) -> bool {
-        self.shared.alive[self.phys(rank)].load(Ordering::Acquire)
+        self.left_at(rank).is_none()
+    }
+
+    /// When the thread carrying logical rank `rank` left the fabric, in
+    /// nanoseconds after the world started; `None` while it is in.
+    fn left_at(&self, rank: usize) -> Option<u64> {
+        let at = self.shared.left[self.phys(rank)].load(Ordering::Acquire);
+        (at != 0).then_some(at)
     }
 
     /// The physical slot carrying logical rank `rank`: in membership
@@ -846,7 +741,7 @@ impl<T> RankCtx<T> {
     /// adoption), elsewhere the rank itself.
     fn phys(&self, rank: usize) -> usize {
         match &self.member {
-            Some(m) if rank < m.layer.n_logical() => m.layer.phys_of(rank),
+            Some(m) if rank < m.n_logical() => m.phys_of(rank),
             _ => rank,
         }
     }
@@ -859,33 +754,18 @@ impl<T> RankCtx<T> {
             .stash
             .iter()
             .position(|m| m.src == src && m.tag == tag)?;
-        let m = self.stash.remove(pos);
-        let Body::Data(payload) = m.body else {
-            unreachable!("stash holds data")
-        };
-        Some(payload)
+        Some(self.stash.remove(pos).payload)
     }
 
     /// Handle one inbound frame. Membership epochs screen first — a frame
     /// from the rolled-back past is dropped, one from a future epoch
-    /// buffered for `enter_epoch` — every on-epoch arrival refreshes the
-    /// sender's liveness, and data is stashed for its wait.
+    /// buffered for `enter_epoch` — and data is stashed for its wait.
     fn process_frame(&mut self, frame: Frame<T>) {
         if frame.epoch < self.epoch {
             return; // stale timeline; recovery replay resends
         }
         if frame.epoch > self.epoch {
             self.future.push(frame);
-            return;
-        }
-        if let Some(heard) = self
-            .member
-            .as_mut()
-            .and_then(|m| m.last_heard.get_mut(frame.src))
-        {
-            *heard = Instant::now();
-        }
-        if let Body::Heartbeat = frame.body {
             return;
         }
         msc_trace::flight(
@@ -1024,7 +904,8 @@ impl World {
         let senders = Arc::new(senders);
         let shared = Arc::new(WorldShared {
             departed: AtomicUsize::new(0),
-            alive: (0..n_ranks).map(|_| AtomicBool::new(true)).collect(),
+            start: Instant::now(),
+            left: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
         });
 
         let mut results: HashMap<usize, R> = HashMap::new();
@@ -1035,8 +916,7 @@ impl World {
                 let senders = Arc::clone(&senders);
                 let shared = Arc::clone(&shared);
                 let fault = cfg.fault.clone();
-                let membership = cfg.membership.clone();
-                let heartbeat = cfg.heartbeat.clone();
+                let member = cfg.membership.clone();
                 let deadline = cfg.deadline;
                 let f = &f;
                 // Rank threads inherit the launching thread's telemetry
@@ -1048,13 +928,6 @@ impl World {
                     // with the rank id so cross-rank traces stitch.
                     msc_trace::set_current_rank(rank as u32);
                     let _span = msc_trace::span("rank");
-                    let now = Instant::now();
-                    let member = membership.map(|layer| Member {
-                        layer,
-                        hb: heartbeat,
-                        last_heard: vec![now; n_ranks],
-                        last_beat: now,
-                    });
                     let ctx = RankCtx {
                         rank,
                         n_ranks,
@@ -1386,7 +1259,7 @@ mod tests {
     #[test]
     fn a_wait_on_a_killed_rank_is_rank_dead_within_a_second() {
         // A 2x2 world, rank 1 killed as it enters its first exchange; no
-        // spare, no heartbeat. Its neighbours' waits find its alive flag
+        // spare. Its neighbours' waits find its alive flag
         // down at their next poll, long before the world's deadline.
         let decomp = CartDecomp::new(&[8, 8], &[2, 2], &[1, 1]).unwrap();
         let cfg = WorldConfig {
@@ -1509,50 +1382,66 @@ mod tests {
     }
 
     #[test]
-    fn a_dead_peer_is_a_suspect_to_a_wait_at_once_and_to_a_sweep_after_its_silence() {
+    fn a_dead_peer_is_a_suspect_to_a_wait_at_once_and_to_a_sweep_at_the_next_poll() {
         let membership = Arc::new(Membership::new(2, 0));
         let cfg = WorldConfig {
             membership: Some(Arc::clone(&membership)),
-            heartbeat: Some(HeartbeatConfig {
-                every: Duration::from_millis(5),
-                detect: Duration::from_millis(40),
-            }),
             ..Default::default()
         };
-        let results: Vec<Option<(CommError, CommError)>> =
-            World::try_run_with(2, cfg, |mut ctx: RankCtx<f64>| {
-                if ctx.rank == 1 {
-                    return None; // dies silently; endpoint drops
-                }
-                // A wait stalled on rank 1 finds its alive flag down.
-                let req = ctx.irecv(1, 0);
-                let waited = ctx.wait(req).unwrap_err();
-                // A standby sweep has no wait to stall: it also needs the
-                // detection timeout's worth of silence.
-                let swept = loop {
-                    if let Some(e) = ctx.poll_suspects() {
-                        break e;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                };
-                Some((waited, swept))
-            })
-            .unwrap();
-        let (waited, swept) = results[0].clone().unwrap();
-        assert!(
-            matches!(waited, CommError::RankSuspect { rank: 1, .. }),
-            "{waited:?}"
-        );
-        match swept {
-            CommError::RankSuspect { rank, silent_ms } => {
-                assert_eq!(rank, 1);
-                assert!(
-                    silent_ms >= 40,
-                    "detected before the timeout: {silent_ms} ms"
-                );
+        let results = World::try_run_with(2, cfg, |mut ctx: RankCtx<f64>| {
+            if ctx.rank == 1 {
+                return None; // dies silently; endpoint drops
             }
-            other => panic!("expected RankSuspect, got {other:?}"),
-        }
+            while ctx.is_alive(1) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // A wait posted after the flag went down: its first poll
+            // finds it, so no poll ever timed out on a live source.
+            let req = ctx.irecv(1, 0);
+            let waited = ctx.wait(req).unwrap_err();
+            let live_polls = ctx.counters.get(Counter::TimeoutCount);
+            // A standby sweep has no wait to stall: one look is enough.
+            let swept = ctx.poll_suspects();
+            Some((waited, live_polls, swept, ctx.hists))
+        })
+        .unwrap();
+        let (waited, live_polls, swept, hists) = results[0].clone().unwrap();
+        assert_eq!(waited, CommError::RankSuspect { rank: 1 });
+        assert_eq!(live_polls, 0, "the wait saw the flag at its first poll");
+        assert_eq!(swept, Some(CommError::RankSuspect { rank: 1 }));
+        // Each observation booked its time since the flag went down.
+        assert_eq!(hists.get(Hist::DetectLatencyNanos).count(), 2);
+    }
+
+    #[test]
+    fn a_peer_that_leaves_after_the_world_finished_is_no_suspect() {
+        // Both ranks report done, so the world is finished; rank 1 then
+        // departs as a finished rank does. Rank 0's sweep reads its flag
+        // down and must call that a departure.
+        let membership = Arc::new(Membership::new(2, 0));
+        let cfg = WorldConfig {
+            membership: Some(Arc::clone(&membership)),
+            ..Default::default()
+        };
+        let m = Arc::clone(&membership);
+        let swept = World::try_run_with(2, cfg, move |mut ctx: RankCtx<f64>| {
+            m.report_done(ctx.rank, 0);
+            if ctx.rank == 1 {
+                while !m.is_finished() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ctx.finalize();
+                return None;
+            }
+            while ctx.is_alive(1) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let swept = ctx.poll_suspects();
+            ctx.finalize();
+            Some(swept)
+        })
+        .unwrap();
+        assert_eq!(swept[0], Some(None));
     }
 
     #[test]

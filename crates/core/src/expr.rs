@@ -509,6 +509,58 @@ impl std::ops::Neg for Expr {
     }
 }
 
+/// The most nodes a front end builds for one expression. Every later
+/// pass (`visit`, `linearize`, the lint passes, the emitters, evaluation,
+/// lift validation, `Drop`) recurses over the tree, and a chain of `+`
+/// terms is as deep as it is long, so this also bounds their depth: the
+/// deepest tree it admits runs all of them on a 2 MiB stack in a debug
+/// build (`tests/expression_caps.rs`), and one twice as deep overflows
+/// there in the lifter. The largest catalog kernel, `2d121pt`, has 483
+/// nodes.
+pub const MAX_EXPR_NODES: usize = 1024;
+
+/// The deepest a front end lets one expression nest: each parenthesis and
+/// each unary minus is one level, entered by recursion in the parser.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+/// What a front end counts while it parses one expression, so that one
+/// too large for a thread's stack is refused with a typed error before
+/// any recursive pass runs. Both the `.msc` parser and the C lifter use
+/// it; each wraps the message in its own error.
+#[derive(Debug, Default)]
+pub struct ExprBudget {
+    nodes: usize,
+    depth: usize,
+}
+
+impl ExprBudget {
+    /// Count one node built.
+    pub fn node(&mut self) -> std::result::Result<(), String> {
+        self.nodes += 1;
+        if self.nodes > MAX_EXPR_NODES {
+            return Err(format!(
+                "expression has more than {MAX_EXPR_NODES} nodes; split the kernel"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Enter one nesting level; pair with [`ExprBudget::leave`].
+    pub fn enter(&mut self) -> std::result::Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(format!(
+                "expression nesting exceeds the depth cap of {MAX_EXPR_DEPTH}"
+            ));
+        }
+        Ok(())
+    }
+
+    pub fn leave(&mut self) {
+        self.depth -= 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@
 use crate::dsl::StencilProgram;
 use crate::dtype::DType;
 use crate::error::{MscError, Result};
-use crate::expr::Expr;
+use crate::expr::{Expr, ExprBudget};
 use crate::kernel::Kernel;
 use crate::schedule::{BufferScope, Target};
 use crate::stencil::TimeTerm;
@@ -266,6 +266,8 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>> {
 struct Parser<'a> {
     toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
+    /// Nodes and nesting of the kernel expression being parsed.
+    budget: ExprBudget,
 }
 
 #[derive(Debug, Default)]
@@ -283,6 +285,7 @@ impl<'a> Parser<'a> {
         Ok(Parser {
             toks: lex(src)?,
             pos: 0,
+            budget: ExprBudget::default(),
         })
     }
 
@@ -514,6 +517,7 @@ impl<'a> Parser<'a> {
         self.expect_keyword("kernel")?;
         let name = self.expect_ident()?;
         self.expect_sym('=')?;
+        self.budget = ExprBudget::default();
         let expr = self.expr()?;
         self.expect_sym(';')?;
         let ndim = grid
@@ -523,6 +527,16 @@ impl<'a> Parser<'a> {
         Kernel::new(name, ndim, expr)
     }
 
+    /// Charge one node, or one nesting level, of the kernel expression
+    /// against its [`ExprBudget`].
+    fn charge(&mut self, nesting: bool) -> Result<()> {
+        let charged = match nesting {
+            true => self.budget.enter(),
+            false => self.budget.node(),
+        };
+        charged.map_err(|why| MscError::InvalidConfig(format!("line {}: {why}", self.line())))
+    }
+
     // expr := term (("+" | "-") term)*
     fn expr(&mut self) -> Result<Expr> {
         let mut e = self.term()?;
@@ -530,10 +544,12 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Tok::Sym('+') => {
                     self.next();
+                    self.charge(false)?;
                     e = e + self.term()?;
                 }
                 Tok::Sym('-') => {
                     self.next();
+                    self.charge(false)?;
                     e = e - self.term()?;
                 }
                 _ => return Ok(e),
@@ -546,6 +562,7 @@ impl<'a> Parser<'a> {
         let mut e = self.factor()?;
         while matches!(self.peek(), Tok::Sym('*')) {
             self.next();
+            self.charge(false)?;
             e = e * self.factor()?;
         }
         Ok(e)
@@ -553,13 +570,21 @@ impl<'a> Parser<'a> {
 
     // factor := NUMBER | INT | IDENT "[" off,* "]" | "(" expr ")" | "-" factor
     fn factor(&mut self) -> Result<Expr> {
+        self.charge(false)?;
         match self.next() {
             Tok::Num(v) => Ok(Expr::c(v)),
             Tok::Int(v) => Ok(Expr::c(v as f64)),
-            Tok::Sym('-') => Ok(-self.factor()?),
+            Tok::Sym('-') => {
+                self.charge(true)?;
+                let e = -self.factor()?;
+                self.budget.leave();
+                Ok(e)
+            }
             Tok::Sym('(') => {
+                self.charge(true)?;
                 let e = self.expr()?;
                 self.expect_sym(')')?;
+                self.budget.leave();
                 Ok(e)
             }
             Tok::Ident(tensor) => {

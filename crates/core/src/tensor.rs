@@ -81,18 +81,25 @@ impl SpNode {
         self.shape
             .iter()
             .zip(&self.halo)
-            .map(|(&s, &h)| s + 2 * h)
+            .map(|(&s, &h)| s.saturating_add(h.saturating_mul(2)))
             .collect()
     }
 
-    /// Element count of one padded timestep buffer.
+    /// Element count of one padded timestep buffer. The fields are
+    /// public, so a shape edited after [`SpNode::new`] may overflow: such
+    /// a count saturates at `usize::MAX`, which no allocation meets.
     pub fn padded_elems(&self) -> usize {
-        self.padded_shape().iter().product()
+        self.padded_shape()
+            .iter()
+            .fold(1, |n: usize, &p| n.saturating_mul(p))
     }
 
-    /// Total bytes allocated: padded buffer × time window.
+    /// Total bytes allocated: padded buffer × time window (saturating,
+    /// like [`SpNode::padded_elems`]).
     pub fn alloc_bytes(&self) -> usize {
-        self.padded_elems() * self.time_window * self.dtype.size_bytes()
+        self.padded_elems()
+            .saturating_mul(self.time_window)
+            .saturating_mul(self.dtype.size_bytes())
     }
 
     /// Bytes the *sliding window* saves versus storing every timestep of a

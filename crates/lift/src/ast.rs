@@ -16,17 +16,20 @@
 //! factor := NUMBER | "-" factor | "(" expr ")" | IDENT ("[" iexpr "]")+
 //! ```
 //!
-//! Parenthesized expressions (and bracketed index expressions) are
-//! capped at [`MAX_EXPR_DEPTH`] levels; beyond that the parser returns
-//! `MSC-L507` instead of risking a stack overflow on hostile input —
-//! the same hardening the PR 9 JSON parser got.
+//! The statement is held to the caps the `.msc` parser keeps too
+//! ([`ExprBudget`]): at most [`MAX_EXPR_NODES`] nodes, value and index
+//! expressions together, and at most [`MAX_EXPR_DEPTH`] levels of
+//! parentheses, brackets and unary minus. Beyond either the parser
+//! returns `MSC-L507` instead of risking a stack overflow on hostile
+//! input in itself or in any later pass.
+//!
+//! [`MAX_EXPR_NODES`]: msc_core::expr::MAX_EXPR_NODES
+//! [`MAX_EXPR_DEPTH`]: msc_core::expr::MAX_EXPR_DEPTH
 
 use crate::lex::{lex, Span, Tok, Token};
 use crate::LiftError;
+use msc_core::expr::ExprBudget;
 use msc_lint::LintCode;
-
-/// Maximum nesting depth of parenthesized/bracketed expressions.
-pub const MAX_EXPR_DEPTH: usize = 64;
 
 /// `double NAME[e0][e1]...;` — a global array declaration (or a
 /// function parameter of the same shape).
@@ -100,7 +103,7 @@ pub struct CFile {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
-    depth: usize,
+    budget: ExprBudget,
 }
 
 type PResult<T> = Result<T, LiftError>;
@@ -190,21 +193,21 @@ impl Parser {
         }
     }
 
-    fn enter(&mut self) -> PResult<()> {
-        self.depth += 1;
-        if self.depth > MAX_EXPR_DEPTH {
-            return Err(self.err(
+    /// Charge one node, or one nesting level, against the statement's
+    /// [`ExprBudget`].
+    fn charge(&mut self, nesting: bool) -> PResult<()> {
+        let charged = match nesting {
+            true => self.budget.enter(),
+            false => self.budget.node(),
+        };
+        charged.map_err(|why| {
+            self.err(
                 LintCode::LiftNestTooDeep,
-                format!("expression nesting exceeds the depth cap of {MAX_EXPR_DEPTH}"),
-                "flatten the expression; deeply nested parentheses are not \
-                 something a stencil kernel needs",
-            ));
-        }
-        Ok(())
-    }
-
-    fn leave(&mut self) {
-        self.depth -= 1;
+                why,
+                "flatten or split the expression; a stencil kernel needs \
+                 neither deep nesting nor thousands of terms",
+            )
+        })
     }
 
     // ---- declarations -------------------------------------------------
@@ -375,11 +378,11 @@ impl Parser {
         let (array, span) = self.expect_ident("array name")?;
         let mut indices = Vec::new();
         while self.peek() == Some(&Tok::LBracket) {
-            self.enter()?;
+            self.charge(true)?;
             self.bump();
             let ix = self.iexpr()?;
             self.expect(&Tok::RBracket)?;
-            self.leave();
+            self.budget.leave();
             indices.push(ix);
         }
         Ok(RawAccess {
@@ -395,10 +398,12 @@ impl Parser {
             match self.peek() {
                 Some(Tok::Plus) => {
                     self.bump();
+                    self.charge(false)?;
                     lhs = CExpr::Add(Box::new(lhs), Box::new(self.term()?));
                 }
                 Some(Tok::Minus) => {
                     self.bump();
+                    self.charge(false)?;
                     lhs = CExpr::Sub(Box::new(lhs), Box::new(self.term()?));
                 }
                 _ => return Ok(lhs),
@@ -410,12 +415,14 @@ impl Parser {
         let mut lhs = self.factor()?;
         while self.peek() == Some(&Tok::Star) {
             self.bump();
+            self.charge(false)?;
             lhs = CExpr::Mul(Box::new(lhs), Box::new(self.factor()?));
         }
         Ok(lhs)
     }
 
     fn factor(&mut self) -> PResult<CExpr> {
+        self.charge(false)?;
         match self.peek() {
             Some(Tok::Float(_)) | Some(Tok::Int(_)) => {
                 let t = self.bump().expect("peeked");
@@ -427,14 +434,17 @@ impl Parser {
             }
             Some(Tok::Minus) => {
                 self.bump();
-                Ok(CExpr::Neg(Box::new(self.factor()?)))
+                self.charge(true)?;
+                let e = CExpr::Neg(Box::new(self.factor()?));
+                self.budget.leave();
+                Ok(e)
             }
             Some(Tok::LParen) => {
-                self.enter()?;
+                self.charge(true)?;
                 self.bump();
                 let e = self.expr()?;
                 self.expect(&Tok::RParen)?;
-                self.leave();
+                self.budget.leave();
                 Ok(e)
             }
             Some(Tok::Ident(_)) => Ok(CExpr::Access(self.access()?)),
@@ -449,10 +459,12 @@ impl Parser {
             match self.peek() {
                 Some(Tok::Plus) => {
                     self.bump();
+                    self.charge(false)?;
                     lhs = IExpr::Add(Box::new(lhs), Box::new(self.iterm()?));
                 }
                 Some(Tok::Minus) => {
                     self.bump();
+                    self.charge(false)?;
                     lhs = IExpr::Sub(Box::new(lhs), Box::new(self.iterm()?));
                 }
                 _ => return Ok(lhs),
@@ -464,12 +476,14 @@ impl Parser {
         let mut lhs = self.ifactor()?;
         while self.peek() == Some(&Tok::Star) {
             self.bump();
+            self.charge(false)?;
             lhs = IExpr::Mul(Box::new(lhs), Box::new(self.ifactor()?));
         }
         Ok(lhs)
     }
 
     fn ifactor(&mut self) -> PResult<IExpr> {
+        self.charge(false)?;
         match self.bump() {
             Some(Token {
                 tok: Tok::Int(v), ..
@@ -480,14 +494,19 @@ impl Parser {
             }) => Ok(IExpr::Var(s, span)),
             Some(Token {
                 tok: Tok::Minus, ..
-            }) => Ok(IExpr::Neg(Box::new(self.ifactor()?))),
+            }) => {
+                self.charge(true)?;
+                let e = IExpr::Neg(Box::new(self.ifactor()?));
+                self.budget.leave();
+                Ok(e)
+            }
             Some(Token {
                 tok: Tok::LParen, ..
             }) => {
-                self.enter()?;
+                self.charge(true)?;
                 let e = self.iexpr()?;
                 self.expect(&Tok::RParen)?;
-                self.leave();
+                self.budget.leave();
                 Ok(e)
             }
             Some(t) => Err(LiftError::new(
@@ -589,7 +608,7 @@ pub fn parse(src: &str) -> Result<CFile, LiftError> {
     let mut p = Parser {
         toks,
         pos: 0,
-        depth: 0,
+        budget: ExprBudget::default(),
     };
     p.file()
 }
@@ -597,6 +616,7 @@ pub fn parse(src: &str) -> Result<CFile, LiftError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msc_core::expr::MAX_EXPR_DEPTH;
 
     const JACOBI: &str = "
         double A[10][10];

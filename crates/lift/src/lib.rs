@@ -31,7 +31,8 @@ pub mod recover;
 pub mod validate;
 
 pub use affine::{analyze, AffineNest, LinTap, RExpr};
-pub use ast::{parse, CFile, MAX_EXPR_DEPTH};
+pub use ast::{parse, CFile};
+pub use msc_core::expr::{MAX_EXPR_DEPTH, MAX_EXPR_NODES};
 pub use recover::{recover, Lifted, LIFT_TIMESTEPS};
 pub use validate::{validate, ValidationOutcome, DEFAULT_SEEDS};
 

@@ -56,8 +56,8 @@ pub enum LintCode {
     /// MSC-L506: interior margins are asymmetric, non-uniform across
     /// dimensions, or narrower than the stencil's reach.
     LiftMarginMismatch,
-    /// MSC-L507: parenthesized expressions nested beyond the parser's
-    /// depth cap (hostile or generated input).
+    /// MSC-L507: an expression nested or sized beyond the caps every
+    /// front end keeps (hostile or generated input).
     LiftNestTooDeep,
     /// MSC-L508: translation validation failed — the lifted program
     /// is not bit-identical to direct interpretation of the loop nest.

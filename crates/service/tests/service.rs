@@ -495,3 +495,44 @@ fn a_line_over_the_cap_gets_an_error_and_the_daemon_still_answers() {
     daemon.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_kernel_over_the_expression_caps_gets_an_error_and_the_next_job_runs() {
+    // A 20 000-term chain is a quarter of the request cap; its tree would
+    // be as deep as it is long. It is refused at parse, before any pass
+    // could recurse over it.
+    let dir = temp_dir("deep-expr");
+    let daemon = Daemon::start(ServiceConfig {
+        socket: dir.join("mscd.sock"),
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let chain = vec!["0.5*B[0,0]"; 20_000].join(" + ");
+    let source = format!(
+        "stencil deep {{\n    grid B: f64[16, 16] halo 1 window 2;\n    kernel S = {chain};\n    \
+         combine res[t] = 1.0*S[t-1];\n    run 2;\n}}\n"
+    );
+    assert!(source.len() < MAX_REQUEST_BYTES);
+    let mut client = Client::connect(daemon.socket()).unwrap();
+    let resp = client
+        .call(&submit(Submission {
+            source,
+            ..Submission::default()
+        }))
+        .unwrap();
+    assert!(
+        matches!(&resp, Response::Error { message } if message.contains("nodes")),
+        "got {resp:?}"
+    );
+    let resp = client
+        .call(&submit(Submission {
+            source: COMPILE_SRC.to_string(),
+            ..Submission::default()
+        }))
+        .unwrap();
+    assert!(matches!(resp, Response::Done(_)), "got {resp:?}");
+    daemon.stop();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

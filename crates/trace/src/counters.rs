@@ -79,7 +79,6 @@ counters! {
     VmCompileNanos   => ("vm_compile_time", "ns", Sum),
     VmDispatches     => ("vm_dispatches", "count", Sum),
     SpecializedHits  => ("specialized_hits", "count", Sum),
-    HeartbeatsSent   => ("heartbeats_sent", "count", Sum),
     RankRecoveries   => ("rank_recoveries", "count", Sum),
     BuddyBytes       => ("buddy_bytes", "bytes", Sum),
     /// Window slots a single-node run allocated because no retired slot

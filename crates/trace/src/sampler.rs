@@ -31,8 +31,7 @@ use std::time::Duration;
 /// change to the line layout.
 pub const METRICS_SCHEMA: &str = "msc-metrics-v1";
 
-/// Interval bounds, validated like `--heartbeat-ms`: a typed error,
-/// never a panic.
+/// Interval bounds: one outside them is a typed error, never a panic.
 const MIN_INTERVAL_MS: u64 = 1;
 const MAX_INTERVAL_MS: u64 = 3_600_000;
 

@@ -35,6 +35,14 @@ if grep -rnE 'ReliabilityConfig|Body::Ack|Body::Resend|fn checksum|flip_bit|Deli
   echo "the message-fault layer is back in msc-comm" >&2
   exit 1
 fi
+# Death is a flag (DESIGN.md §13.1): a rank's departure is its death
+# notice, so the liveness beacons, their interval flag and the silence
+# clock were deleted. (Each pattern carries a bracket so this line does
+# not find itself.)
+if grep -rniE '[h]eartbeat|silent_[m]s|last_[h]eard|enum [B]ody' crates src tests examples; then
+  echo "the beacon layer is back" >&2
+  exit 1
+fi
 # msc-comm feeds the hub only through RankCtx::publish; msc-exec only
 # through the step's and the temporal block's publish, plus the counts no
 # account carries (the worker pool's, compile time, and the window slots a
@@ -253,15 +261,17 @@ echo "== chaos suite (fixed seeds) =="
 # seeds are fixed so failures reproduce exactly. crates/comm/tests/
 # {chaos,recovery,counter_audit}.rs are the pin for the channel: a PR that
 # claims the wire is unchanged must not edit them. By name: a wait on a
-# killed rank fails as RankDead within a second (no spare, no heartbeat);
-# delayed frames are still matched by (source, tag); a dead peer is a
-# suspect to a wait at once and to a standby sweep after its silence; a
-# chaos spec naming a message fault is refused by that name; a wait past
-# the world's deadline dumps the flight recorder.
+# killed rank fails as RankDead within a second (no spare); delayed frames
+# are still matched by (source, tag); a dead peer is a suspect to a wait
+# and to a standby sweep at the next poll; a hundred fault-free spare
+# worlds take no finished rank's departure for a death; a chaos spec
+# naming a message fault is refused by that name; a wait past the world's
+# deadline dumps the flight recorder.
 cargo test -q -p msc-comm --test chaos --offline
 for t in "--lib runtime::tests::a_wait_on_a_killed_rank_is_rank_dead_within_a_second" \
     "--lib runtime::tests::delayed_frames_are_matched_by_source_and_tag" \
-    "--lib runtime::tests::a_dead_peer_is_a_suspect_to_a_wait_at_once_and_to_a_sweep_after_its_silence" \
+    "--lib runtime::tests::a_dead_peer_is_a_suspect_to_a_wait_at_once_and_to_a_sweep_at_the_next_poll" \
+    "--lib distributed::tests::a_hundred_fault_free_spare_worlds_take_no_departure_for_a_death" \
     "--lib fault::tests::parse_refuses_message_faults_by_name" \
     "--test chaos a_wait_past_its_deadline_dumps_the_flight_recorder_as_json"; do
   # A filter that matches nothing passes too: require the one test.

@@ -34,9 +34,7 @@
 //! is accepted, validated and documented in one place; run options land
 //! directly in [`RunOptions`]. `mscc --help` is the flag reference.
 
-use msc::comm::{
-    run_distributed_resilient, FaultPlan, HeartbeatConfig, RunOptions, CHECKPOINT_KEEP,
-};
+use msc::comm::{run_distributed_resilient, FaultPlan, RunOptions, CHECKPOINT_KEEP};
 use msc::core::analysis::StencilStats;
 use msc::core::schedule::{effective_schedule, ExecPlan, Schedule};
 use msc::exec::verify::same_bits;
@@ -73,7 +71,7 @@ struct Opts {
     metrics_file: Option<PathBuf>,
     metrics_interval_ms: Option<u64>,
     /// The run options themselves: the tier (serial runs read it too),
-    /// fault plan, checkpointing, spares and heartbeat.
+    /// fault plan, checkpointing and spares.
     dist: RunOptions,
     emit_msc: bool,
     once: bool,
@@ -248,13 +246,6 @@ static COMPILE: Sub = Sub {
                  "launch N hot-spare ranks; a dead rank is healed online (spare adopts its \
                   subdomain from the buddy snapshot) instead of restarting the world; implies \
                   distributed"),
-            flag("--heartbeat-ms MS",
-                 K::Millis(1, |o, ms| {
-                     let hb = HeartbeatConfig::from_millis(ms);
-                     o.dist.heartbeat = Some(hb.expect("an interval of at least 1 ms is valid"));
-                 }),
-                 "liveness beacon interval in ms, at least 1 (failure detection timeout is 4x MS; \
-                  default 50); implies distributed and the membership layer"),
         ] },
         Group { title: "observability", flags: &[
             flag("--profile", K::Switch(|o| o.profile = true),
@@ -881,8 +872,7 @@ fn drive(mut o: Opts) -> Outcome {
         || (run && program.mpi_grid.is_some())
         || o.dist.chaos.is_some()
         || o.dist.checkpoint_every > 0
-        || o.dist.spare_ranks > 0
-        || o.dist.heartbeat.is_some();
+        || o.dist.spare_ranks > 0;
     if distributed || run {
         let init: Grid<f64> = Grid::try_random(shape, &program.grid.halo, 42)?;
         let trace_on = |on: bool| {
@@ -922,15 +912,10 @@ fn drive(mut o: Opts) -> Outcome {
                 // Nor may snapshots from an earlier invocation ever be resumed.
                 let _ = std::fs::remove_dir_all(dir);
             }
-            if o.dist.spare_ranks > 0 || o.dist.heartbeat.is_some() {
-                let hb = o.dist.heartbeat.clone().unwrap_or_default();
+            if o.dist.spare_ranks > 0 {
                 println!(
-                    "resilience policy: {} spare rank(s), heartbeat every {} ms, \
-                     failure detection after {} ms, keeping {} checkpoint generation(s)",
-                    o.dist.spare_ranks,
-                    hb.every.as_millis(),
-                    hb.detect.as_millis(),
-                    CHECKPOINT_KEEP,
+                    "resilience policy: {} spare rank(s), keeping {} checkpoint generation(s)",
+                    o.dist.spare_ranks, CHECKPOINT_KEEP,
                 );
             }
             trace_on(true);
@@ -1304,8 +1289,6 @@ mod tests {
             "ck",
             "--spare-ranks",
             "1",
-            "--heartbeat-ms",
-            "5",
             "--exec-tier",
             "vm",
             "--pool-threads",
@@ -1320,8 +1303,6 @@ mod tests {
         assert_eq!(o.dist.checkpoint_every, 2);
         assert_eq!(o.dist.checkpoint_dir, Some(PathBuf::from("ck")));
         assert_eq!(o.dist.spare_ranks, 1);
-        let hb = o.dist.heartbeat.expect("--heartbeat-ms sets the heartbeat");
-        assert_eq!((hb.every.as_millis(), hb.detect.as_millis()), (5, 20));
         assert_eq!(o.dist.tier, msc::exec::ExecTier::Vm);
         assert_eq!(o.pool_threads, NonZeroUsize::new(3));
         // Both spellings are one flag; the later one wins.

@@ -436,10 +436,10 @@ fn concurrent_runs_of_one_program_keep_their_checkpoints_apart() {
 
 #[test]
 fn killed_rank_heals_online_with_a_spare_via_cli() {
-    // The online-recovery path end to end: with a hot spare and a
-    // heartbeat the same kill that forces a restart above is instead
-    // healed in place — zero restarts, one recovery, and the resolved
-    // resilience policy echoed before the run banner.
+    // The online-recovery path end to end: with a hot spare the same
+    // kill that forces a restart above is instead healed in place — zero
+    // restarts, one recovery, and the resolved resilience policy echoed
+    // before the run banner.
     let dir = std::env::temp_dir().join("mscc_cli_spare");
     let _ = std::fs::remove_dir_all(&dir);
     let out = mscc()
@@ -455,8 +455,6 @@ fn killed_rank_heals_online_with_a_spare_via_cli() {
             "2",
             "--spare-ranks",
             "1",
-            "--heartbeat-ms",
-            "5",
             "--profile",
         ])
         .output()
@@ -467,7 +465,6 @@ fn killed_rank_heals_online_with_a_spare_via_cli() {
         stdout.contains("resilience policy: 1 spare rank(s)"),
         "{stdout}"
     );
-    assert!(stdout.contains("heartbeat every 5 ms"), "{stdout}");
     // 4 logical + 1 spare physical ranks; the banner reports logical.
     assert!(stdout.contains("distributed run over 4 ranks"), "{stdout}");
     assert!(stdout.contains("0 restarts"), "{stdout}");
@@ -481,18 +478,6 @@ fn killed_rank_heals_online_with_a_spare_via_cli() {
     assert!(stdout.contains("buddy_bytes"), "{stdout}");
     assert!(stdout.contains("detect_latency"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bad_heartbeat_interval_is_a_clean_error() {
-    let out = mscc()
-        .arg(dsl("wave2d.msc"))
-        .args(["--heartbeat-ms", "0"])
-        .output()
-        .expect("mscc runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--heartbeat-ms"), "{err}");
 }
 
 #[test]
@@ -580,10 +565,12 @@ fn help_flag_set_is_the_one_before_the_table_minus_the_retired_recorder() {
     // The `--flags` of `mscc --help` at the commit before the table
     // (PR 18), minus the six only the retired trajectory recorder had
     // (--quick --validate --diff --threshold --counts-only --doctor; its
-    // seventh, --out, lives on as the compile flag). A flag that appears
-    // or disappears fails here, whichever row it came from.
+    // seventh, --out, lives on as the compile flag) and minus the beacon
+    // interval, which went when a rank's exit became its death notice. A
+    // flag that appears or disappears fails here, whichever row it came
+    // from.
     let before = "--autoschedule --chaos --checkpoint-dir --checkpoint-every --dump --emit-msc \
-                  --exec-tier --flight-dir --heartbeat-ms --help --interval-ms --json --max-queue \
+                  --exec-tier --flight-dir --help --interval-ms --json --max-queue \
                   --metrics-dir --metrics-file --metrics-interval-ms --once --out --ping \
                   --pool-threads --procs --profile --run --shutdown --simulate --sleep-ms --socket \
                   --spare-ranks --stats --strict --target --tenant --tenant-quota --trace --workers";

@@ -46,7 +46,6 @@ fn deterministic_totals(set: &CounterSet) -> Vec<(Counter, u64)> {
                 Counter::PoolSteals
                     | Counter::PoolParks
                     | Counter::PoolUnparks
-                    | Counter::HeartbeatsSent
                     | Counter::FreshSlots
             )
         })

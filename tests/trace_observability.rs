@@ -135,7 +135,7 @@ fn lints_during(run: impl FnOnce()) -> usize {
 
 #[test]
 fn a_run_lints_its_program_once() {
-    use msc::comm::{FaultPlan, HeartbeatConfig};
+    use msc::comm::FaultPlan;
     use std::sync::Arc;
 
     let _g = TRACE_LOCK.lock().unwrap();
@@ -155,7 +155,6 @@ fn a_run_lints_its_program_once() {
         checkpoint_every: 2,
         checkpoint_dir: Some(dir.clone()),
         spare_ranks: 1,
-        heartbeat: Some(HeartbeatConfig::from_millis(5).unwrap()),
         ..RunOptions::default()
     };
     let halves = |sub: &[usize]| {
