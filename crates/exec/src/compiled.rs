@@ -39,11 +39,6 @@ pub struct CompiledStencil<T> {
     pub reach: Vec<usize>,
     pub max_dt: usize,
     pub terms: Vec<CompiledTerm<T>>,
-    /// Distinct points read per output point, from the footprint analysis
-    /// (`StencilStats::of`'s `Footprint::of_stencil`) — the one tap count
-    /// the interpreter, the VM tier, and roofline placement in msc-tune
-    /// all agree on.
-    taps_distinct: usize,
     /// Flops per output point from `StencilStats::of` (same dtype-aware
     /// counting msc-tune's perf model uses).
     flops: usize,
@@ -83,7 +78,6 @@ impl<T: Scalar> CompiledStencil<T> {
             reach: stencil.reach(),
             max_dt: stencil.max_dt(),
             terms,
-            taps_distinct: stats.points,
             flops: stats.flops_per_point().round() as usize,
         };
         Ok(unplaced.relinearized(&grid.strides))
@@ -92,7 +86,7 @@ impl<T: Scalar> CompiledStencil<T> {
     /// The same stencil against a row-major buffer with `strides`: every
     /// term's `taps` are its `taps_nd` linearized for that layout. This is
     /// how a staged sweep retargets the taps to its tile-local buffers.
-    pub fn relinearized(&self, strides: &[usize]) -> CompiledStencil<T> {
+    pub(crate) fn relinearized(&self, strides: &[usize]) -> CompiledStencil<T> {
         let mut placed = self.clone();
         for term in &mut placed.terms {
             term.taps = term
@@ -147,28 +141,6 @@ impl<T: Scalar> CompiledStencil<T> {
         })
     }
 
-    /// The temporal combination as a stencil over kernel images: term `k`
-    /// keeps its weight and reads `states[k]`, the image of the state it
-    /// named, through the one tap `1.0 * image[0]`. Its rows are the
-    /// interpreter's `out = out + weight * acc` with `acc` read back from
-    /// memory (DESIGN.md §12.6), evaluated like any other row.
-    pub(crate) fn image_mix(&self) -> CompiledStencil<T> {
-        let one = T::from_f64(1.0);
-        let image_of = |(k, term): (usize, &CompiledTerm<T>)| CompiledTerm {
-            dt: k + 1,
-            weight: term.weight,
-            taps: vec![(0, one)],
-            lead: 0,
-            taps_nd: vec![(vec![0; self.ndim], one)],
-        };
-        CompiledStencil {
-            max_dt: self.terms.len(),
-            terms: self.terms.iter().enumerate().map(image_of).collect(),
-            reach: vec![0; self.ndim],
-            ..*self
-        }
-    }
-
     /// A stencil over a flat 1D buffer made of `terms` alone, for tests
     /// that drive the row evaluators with arbitrary tap lists (`taps_nd`
     /// and the footprint-derived counts are left empty).
@@ -179,7 +151,6 @@ impl<T: Scalar> CompiledStencil<T> {
             reach: Vec::new(),
             max_dt: terms.iter().map(|t| t.dt).max().unwrap_or(0),
             terms,
-            taps_distinct: 0,
             flops: 0,
         }
     }
@@ -193,7 +164,7 @@ impl<T: Scalar> CompiledStencil<T> {
     /// stencil was compiled for; every `base + tap offset` then lands in
     /// bounds (halo included), enforced here with slice indexing.
     #[inline]
-    pub fn apply_at(&self, states: &[&[T]], base: usize) -> T {
+    pub(crate) fn apply_at(&self, states: &[&[T]], base: usize) -> T {
         let mut out = T::default();
         for term in &self.terms {
             let src = states[term.dt - 1];
@@ -204,13 +175,6 @@ impl<T: Scalar> CompiledStencil<T> {
             out = out + term.weight * acc;
         }
         out
-    }
-
-    /// Distinct points read per output point, derived from the footprint
-    /// machinery (reads of the same point by different terms of the same
-    /// state slot count once — unlike a naive sum of per-term tap lists).
-    pub fn total_taps(&self) -> usize {
-        self.taps_distinct
     }
 
     /// Flops per output point, derived from `StencilStats` so the value
@@ -239,7 +203,6 @@ mod tests {
         assert_eq!(c.terms.len(), 2);
         assert_eq!(c.terms[0].dt, 1);
         assert_eq!(c.terms[1].dt, 2);
-        assert_eq!(c.total_taps(), 14);
         assert_eq!(c.max_dt, 2);
     }
 
@@ -313,16 +276,13 @@ mod tests {
 
     #[test]
     fn stats_agree_with_footprint_machinery_across_catalog() {
-        // Satellite of ISSUE 6: the executor, the VM tier, and the
-        // roofline placement in msc-tune must quote one flop/tap count —
-        // the footprint-derived one.
+        // The executor and the roofline placement in msc-tune must quote
+        // one flop count: the footprint-derived one.
         for b in all_benchmarks() {
             let p = b.program(&b.test_grid(), DType::F64, 2).unwrap();
             let g: Grid<f64> = Grid::for_tensor(&p.grid);
             let c = CompiledStencil::compile(&p, &g).unwrap();
-            let fp = Footprint::of_stencil(&p.stencil).unwrap();
             let ss = StencilStats::of(&p.stencil, DType::F64).unwrap();
-            assert_eq!(c.total_taps(), fp.distinct_points(), "{}", b.name);
             assert_eq!(
                 c.flops_per_point() as f64,
                 ss.flops_per_point(),
@@ -330,26 +290,5 @@ mod tests {
                 b.name
             );
         }
-    }
-
-    #[test]
-    fn overlapping_terms_count_shared_taps_once() {
-        // Two kernels at the same dt sharing the point at offset 0: a
-        // naive per-term sum says 4 taps, the footprint says 3.
-        let k1 = Kernel::new("a", 1, Expr::at("B", &[-1]) + Expr::at("B", &[0])).unwrap();
-        let k2 = Kernel::new("b", 1, Expr::at("B", &[0]) + Expr::at("B", &[1])).unwrap();
-        let p = StencilProgram::builder("overlap")
-            .grid(SpNode::new("B", DType::F64, &[16], 1, 2).unwrap())
-            .kernel(k1)
-            .kernel(k2)
-            .combine(&[(1, 0.5, "a"), (1, 0.5, "b")])
-            .timesteps(2)
-            .build()
-            .unwrap();
-        let g: Grid<f64> = Grid::for_tensor(&p.grid);
-        let c = CompiledStencil::compile(&p, &g).unwrap();
-        assert_eq!(c.total_taps(), 3);
-        let ss = StencilStats::of(&p.stencil, DType::F64).unwrap();
-        assert_eq!(c.flops_per_point() as f64, ss.flops_per_point());
     }
 }

@@ -12,22 +12,13 @@ use msc_core::prelude::*;
 use std::borrow::Cow;
 
 /// Norms over the interior difference of two grids.
-pub fn l2_diff<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
+pub(crate) fn l2_diff<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
     let mut s = 0.0;
     a.for_each_interior(|pos| {
         let d = a.get(pos).to_f64() - b.get(pos).to_f64();
         s += d * d;
     });
     (s / a.interior_len() as f64).sqrt()
-}
-
-/// Max-norm of the interior difference.
-pub fn max_diff<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
-    let mut m = 0.0f64;
-    a.for_each_interior(|pos| {
-        m = m.max((a.get(pos).to_f64() - b.get(pos).to_f64()).abs());
-    });
-    m
 }
 
 /// Outcome of an iterate-until-converged run.
@@ -86,6 +77,15 @@ mod tests {
     fn smoothing_program(steps_hint: usize) -> StencilProgram {
         let b = benchmark(BenchmarkId::S2d9ptBox);
         b.program(&[24, 24], DType::F64, steps_hint).unwrap()
+    }
+
+    /// Max-norm of the interior difference.
+    fn max_diff<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
+        let mut m = 0.0f64;
+        a.for_each_interior(|pos| {
+            m = m.max((a.get(pos).to_f64() - b.get(pos).to_f64()).abs());
+        });
+        m
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::compiled::CompiledTerm;
 use crate::grid::{Grid, GridLayout, Scalar};
 use crate::tier::{ExecTier, TieredStencil};
 use crate::sweep::Shared;
-use crate::tiled::ImageOf;
+use crate::specialized::ImageOf;
 use crate::wavefront::{self, Home, Pass};
 use crate::{reference, spm, tiled};
 use msc_core::error::{MscError, Result};
@@ -694,7 +694,7 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         front: usize,
         hook: StepHook<'_, T>,
     ) -> Result<(CounterSet, usize)> {
-        let image = self
+        let kernel = self
             .compiled
             .kernel_image()
             .expect("the caller saw a kernel image");
@@ -703,12 +703,16 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
         let (mut fresh, mut next) = self.ring.take_outputs(image_slot, state_slot)?;
         let counters = {
             let ring = &self.ring;
-            let image_of = |term: &CompiledTerm<T>| match self.slot_of_image(t + 1 - term.dt) {
-                slot if slot == image_slot => ImageOf::Fresh,
-                slot if slot == state_slot => ImageOf::Dying,
-                slot => ImageOf::Held(ring.image(slot).as_slice()),
+            let image_of = |term: &CompiledTerm<T>| {
+                let of = match self.slot_of_image(t + 1 - term.dt) {
+                    slot if slot == image_slot => ImageOf::Fresh,
+                    slot if slot == state_slot => ImageOf::Dying,
+                    slot => ImageOf::Held(ring.image(slot).as_slice()),
+                };
+                (term.weight, of)
             };
-            let terms: Vec<ImageOf<'_, T>> = self.compiled.terms.iter().map(image_of).collect();
+            let images: Vec<(T, ImageOf<'_, T>)> =
+                self.compiled.terms.iter().map(image_of).collect();
             let prev = ring.input(prev_slot);
             in_two_parts(
                 (&mut next, state_slot),
@@ -717,7 +721,7 @@ impl<'a, T: Scalar> TimeLoop<'a, T> {
                 |next, tiles| {
                     let _span = msc_trace::span("tiled_step");
                     let mut counters = tiled::step_tiles_reusing(
-                        image, &terms, plan, prev, &mut fresh, next, tiles,
+                        kernel, &images, plan, prev, &mut fresh, next, tiles,
                     )?;
                     counters.set(Counter::TilesExecuted, tiles.len() as u64);
                     Ok(counters)

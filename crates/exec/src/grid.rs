@@ -125,7 +125,7 @@ impl GridLayout {
 
     /// Linear index of a *padded* coordinate (halo included).
     #[inline]
-    pub fn padded_index(&self, pos: &[usize]) -> usize {
+    pub(crate) fn padded_index(&self, pos: &[usize]) -> usize {
         pos.iter().zip(&self.strides).map(|(&p, &s)| p * s).sum()
     }
 
@@ -384,7 +384,7 @@ impl<T: Scalar> Grid<T> {
     }
 
     /// Total interior points.
-    pub fn interior_len(&self) -> usize {
+    pub(crate) fn interior_len(&self) -> usize {
         self.shape.iter().product()
     }
 

@@ -55,8 +55,8 @@
 //!
 //! Nothing about a run is ambient: [`run_program_tier`] is the full form
 //! (executor, boundary, tier as arguments) and [`run_program`] its
-//! Dirichlet / `Auto` default; [`run_temporal_tiled_tier`] and
-//! [`run_temporal_tiled`] pair up the same way, and
+//! Dirichlet / `Auto` default; [`run_temporal_tiled`] is the `Auto` form
+//! of the crate's `run_temporal_tiled_tier`, and
 //! [`run_until_converged`] runs on `Auto`. Each checks a bare program
 //! once (`msc_lint::check`). The one process-wide setting is the
 //! worker-count cap of [`pool`] (`mscc --pool-threads`). The one thing a
@@ -88,11 +88,11 @@ pub mod wavefront;
 
 pub use compiled::CompiledStencil;
 pub use boundary::Boundary;
-pub use convergence::{l2_diff, max_diff, run_until_converged, ConvergenceReport};
+pub use convergence::{run_until_converged, ConvergenceReport};
 pub use driver::{run_program, run_program_tier, Executor, RingLayout, RunStats, TimeLoop};
 pub use tier::{ActiveTier, ExecTier, TieredStencil};
 pub use grid::{Grid, Scalar};
-pub use temporal::{run_temporal_tiled, run_temporal_tiled_tier, TemporalStats};
+pub use temporal::{run_temporal_tiled, TemporalStats};
 pub use varcoeff::CompiledVarStencil;
 pub use verify::{max_rel_error, verify_against_reference};
 pub use wavefront::Pass;

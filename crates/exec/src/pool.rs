@@ -44,7 +44,7 @@ impl<T> SendPtr<T> {
 
 /// The worker-count clamp every executor applies: never more workers
 /// than tasks, never zero, and never beyond the configured pool width.
-pub fn worker_count(plan_threads: usize, n_tasks: usize) -> usize {
+pub(crate) fn worker_count(plan_threads: usize, n_tasks: usize) -> usize {
     plan_threads.min(n_tasks).max(1).min(max_threads())
 }
 
@@ -114,7 +114,7 @@ pub struct TileQueue<'a> {
 
 impl TileQueue<'_> {
     /// Stable worker slot in `0..worker_count` (slot 0 is the caller).
-    pub fn worker_id(&self) -> usize {
+    pub(crate) fn worker_id(&self) -> usize {
         self.worker
     }
 }
@@ -176,7 +176,7 @@ impl Iterator for TileQueue<'_> {
 /// mid-step can no longer pair a zero finish-stamp with an enabled
 /// aggregation, which used to record bogus multi-second
 /// `BarrierWaitNanos`).
-pub fn run_tile_job(plan_threads: usize, n_tasks: usize, body: &(dyn Fn(&mut TileQueue) + Sync)) {
+pub(crate) fn run_tile_job(plan_threads: usize, n_tasks: usize, body: &(dyn Fn(&mut TileQueue) + Sync)) {
     let n = worker_count(plan_threads, n_tasks);
     if n == 1 {
         let mut q = TileQueue {
@@ -291,12 +291,12 @@ impl WorkerPool {
         }
     }
 
-    pub fn helpers(&self) -> usize {
+    pub(crate) fn helpers(&self) -> usize {
         self.handles.len()
     }
 
     /// Grow to at least `n` parked helper threads.
-    pub fn ensure_helpers(&mut self, n: usize) {
+    pub(crate) fn ensure_helpers(&mut self, n: usize) {
         // Only the owning thread submits jobs, so the epoch cannot move
         // between this read and the spawns below.
         let epoch_now = self.shared.state.lock().unwrap().epoch;
@@ -445,15 +445,15 @@ pub fn warm_local_pool(helpers: usize) -> usize {
     with_local_pool(helpers, |p| p.helpers())
 }
 
-/// Helper-thread count of the calling thread's persistent pool (0 when
-/// the pool has not been created yet — probing does not create it).
-pub fn local_pool_helpers() -> usize {
-    LOCAL_POOL.with(|cell| cell.borrow().as_ref().map_or(0, |p| p.helpers()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Helper-thread count of the calling thread's persistent pool (0 when
+    /// the pool has not been created yet — probing does not create it).
+    fn local_pool_helpers() -> usize {
+        LOCAL_POOL.with(|cell| cell.borrow().as_ref().map_or(0, |p| p.helpers()))
+    }
 
     #[test]
     fn pool_executes_every_task_exactly_once() {

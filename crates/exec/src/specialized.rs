@@ -32,7 +32,9 @@
 //! ([`RowKernel::run_rows`]): neighbouring rows read mostly the same
 //! vectors, so a [`RowBlock`] merges the rows' tap lists into one list of
 //! loads, and each loaded vector is multiplied into every row that reads
-//! it. Each row still meets its own taps in its own order.
+//! it. Each row still meets its own taps in its own order. A kernel-image
+//! step (DESIGN.md §12.6) goes through a third entry,
+//! [`RowKernel::run_image_rows`]: the kernel, then an elementwise pass.
 //!
 //! The kernel body is safe code. The two `unsafe` in this module are the
 //! call through the `#[target_feature]` wrapper in `RowKernel::call` and
@@ -47,6 +49,16 @@ use std::mem::size_of;
 /// 8 and 16 on every ISA and both element types (table in DESIGN.md
 /// §12.1); a row's tail goes through blocks of `W/2`, `W/4`, … 1.
 const BLOCK_VECTORS: usize = 8;
+
+/// Vectors per chunk of a combination of kernel images. A chunk of
+/// `BLOCK_VECTORS` is more accumulators than LLVM keeps in registers
+/// across the run-time term loop: it spilled them and ran slower than
+/// the row copy it replaced; 4 vectors beat 2 (DESIGN.md §12.6).
+const COMBINE_VECTORS: usize = 4;
+
+/// The most terms a combination of kernel images may have: what a step
+/// reads per row is gathered on the stack.
+pub(crate) const MAX_IMAGE_TERMS: usize = 8;
 
 /// Output rows one [`RowKernel::run_rows`] call evaluates. The rows share
 /// the `BLOCK_VECTORS` accumulator vectors, two per row, and every vector
@@ -108,6 +120,7 @@ fn prefetch_block<T, const W: usize>(block: *const T) {
 
 type RowFn<T> = unsafe fn(&[CompiledTerm<T>], &[&[T]], usize, &mut [T]);
 type RowsFn<T> = unsafe fn(&RowBlock<T>, &[&[T]], usize, &mut [&mut [T]]);
+type ImageFn<T> = unsafe fn(&ImageStep<'_, T>, usize, &mut [&mut [T]], &mut [&mut [T]]);
 
 /// What one call through a [`RowKernel`] evaluates.
 enum Call<'a, 'b, T> {
@@ -124,6 +137,13 @@ enum Call<'a, 'b, T> {
         states: &'a [&'a [T]],
         base: usize,
         outs: &'a mut [&'b mut [T]],
+    },
+    /// One to [`ROWS`] rows of a kernel-image step.
+    Image {
+        step: &'a ImageStep<'a, T>,
+        base: usize,
+        fresh: &'a mut [&'b mut [T]],
+        next: &'a mut [&'b mut [T]],
     },
 }
 
@@ -201,6 +221,118 @@ fn row<T: Scalar, const VECTOR_BYTES: usize, const PREFETCH: bool>(
     i = blocks::<T, 4, PREFETCH>(terms, states, base, out, i);
     i = blocks::<T, 2, PREFETCH>(terms, states, base, out, i);
     blocks::<T, 1, PREFETCH>(terms, states, base, out, i);
+}
+
+/// One term of a combined row: its weight and the image row it reads,
+/// `None` for the output row itself.
+type ImageTerm<'a, T> = (T, Option<&'a [T]>);
+
+/// All whole `W`-point chunks of `out[i..]` combined from `terms`; returns
+/// where it stopped. Per lane `o = o + weight * (0 + 1 * image)` from
+/// `o = 0`, in term order: `apply_at` over 1-tap terms. The output row's
+/// own chunk is read as the dying image before it is stored.
+#[inline(always)]
+fn combine_blocks<T: Scalar, const W: usize>(terms: &[ImageTerm<'_, T>], out: &mut [T], i: usize) -> usize {
+    let (one, len) = (T::from_f64(1.0), out.len());
+    let mut chunks = out[i..].chunks_exact_mut(W);
+    for (at, chunk) in (i..).step_by(W).zip(&mut chunks) {
+        let chunk: &mut [T; W] = chunk.try_into().expect("chunk has the block's length");
+        let mut o = [T::default(); W];
+        for &(weight, image) in terms {
+            let lanes: &[T; W] = match image {
+                Some(image) => image[at..at + W].try_into().expect("slice has the block's length"),
+                None => chunk,
+            };
+            for (o, &x) in o.iter_mut().zip(lanes) {
+                *o = *o + weight * (T::default() + one * x);
+            }
+        }
+        *chunk = o;
+    }
+    len - chunks.into_remainder().len()
+}
+
+/// One combined row through chunks of `COMBINE_VECTORS` vectors (8 to 64
+/// points), then narrower ones and single points for the tail.
+#[inline(always)]
+fn combine<T: Scalar, const VECTOR_BYTES: usize>(terms: &[ImageTerm<'_, T>], out: &mut [T]) {
+    let w = VECTOR_BYTES * COMBINE_VECTORS / size_of::<T>();
+    let mut i = 0;
+    if w >= 64 {
+        i = combine_blocks::<T, 64>(terms, out, i);
+    }
+    if w >= 32 {
+        i = combine_blocks::<T, 32>(terms, out, i);
+    }
+    if w >= 16 {
+        i = combine_blocks::<T, 16>(terms, out, i);
+    }
+    i = combine_blocks::<T, 8>(terms, out, i);
+    combine_blocks::<T, 1>(terms, out, i);
+}
+
+/// Where a combination of kernel images finds the image a term reads
+/// (DESIGN.md §12.6).
+pub(crate) enum ImageOf<'a, T> {
+    /// The image this step computes: the row the kernel just evaluated.
+    Fresh,
+    /// The oldest image, which the new state overwrites in place.
+    Dying,
+    /// The image held by another window slot.
+    Held(&'a [T]),
+}
+
+/// The kernel a kernel-image step sweeps before it combines.
+pub(crate) enum ImageKernel<'a, T> {
+    /// One row at a time, of these terms.
+    Row(&'a [CompiledTerm<T>]),
+    /// [`ROWS`] rows at a time, through this block.
+    Rows(&'a RowBlock<T>),
+    /// Another tier has evaluated it already.
+    Done,
+}
+
+/// One kernel-image step over a group of rows `stride` apart: the kernel
+/// over `states` into the rows of the fresh image, then each row of the
+/// new state combined from `images`, weights in the program's term order.
+pub(crate) struct ImageStep<'a, T> {
+    pub kernel: ImageKernel<'a, T>,
+    pub states: &'a [&'a [T]],
+    pub stride: usize,
+    pub images: &'a [(T, ImageOf<'a, T>)],
+}
+
+/// [`ImageStep`] over the rows at `base`, `base + stride`, …: `fresh[r]`
+/// gets the kernel's row, `next[r]` the combination. A dying image is
+/// read from `next[r]` itself, chunk by chunk, before it is overwritten.
+#[inline(always)]
+fn image_rows<T: Scalar, const VECTOR_BYTES: usize, const PREFETCH: bool>(
+    step: &ImageStep<'_, T>,
+    base: usize,
+    fresh: &mut [&mut [T]],
+    next: &mut [&mut [T]],
+) {
+    match step.kernel {
+        ImageKernel::Row(terms) => {
+            for (r, out) in fresh.iter_mut().enumerate() {
+                row::<T, VECTOR_BYTES, PREFETCH>(terms, step.states, base + r * step.stride, out);
+            }
+        }
+        ImageKernel::Rows(block) => rows::<T, VECTOR_BYTES>(block, step.states, base, fresh),
+        ImageKernel::Done => {}
+    }
+    for (r, (fresh, next)) in fresh.iter().zip(next.iter_mut()).enumerate() {
+        let at = base + r * step.stride;
+        let mut terms: [ImageTerm<'_, T>; MAX_IMAGE_TERMS] = [(T::default(), None); MAX_IMAGE_TERMS];
+        for (term, (weight, of)) in terms.iter_mut().zip(step.images) {
+            *term = match of {
+                ImageOf::Fresh => (*weight, Some(&**fresh)),
+                ImageOf::Dying => (*weight, None),
+                ImageOf::Held(grid) => (*weight, Some(&grid[at..at + next.len()])),
+            };
+        }
+        combine::<T, VECTOR_BYTES>(&terms[..step.images.len()], next);
+    }
 }
 
 /// One vector load of a [`RowBlock`]: the `W` points `off` past the
@@ -447,6 +579,15 @@ fn rows_baseline<T: Scalar>(
     rows::<T, 16>(block, states, base, outs)
 }
 
+fn image_rows_baseline<T: Scalar, const PREFETCH: bool>(
+    step: &ImageStep<'_, T>,
+    base: usize,
+    fresh: &mut [&mut [T]],
+    next: &mut [&mut [T]],
+) {
+    image_rows::<T, 16, PREFETCH>(step, base, fresh, next)
+}
+
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
 fn row_avx2<T: Scalar, const PREFETCH: bool>(
@@ -462,6 +603,17 @@ fn row_avx2<T: Scalar, const PREFETCH: bool>(
 #[target_feature(enable = "avx2")]
 fn rows_avx2<T: Scalar>(block: &RowBlock<T>, states: &[&[T]], base: usize, outs: &mut [&mut [T]]) {
     rows::<T, 32>(block, states, base, outs)
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+fn image_rows_avx2<T: Scalar, const PREFETCH: bool>(
+    step: &ImageStep<'_, T>,
+    base: usize,
+    fresh: &mut [&mut [T]],
+    next: &mut [&mut [T]],
+) {
+    image_rows::<T, 32, PREFETCH>(step, base, fresh, next)
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -486,20 +638,42 @@ fn rows_avx512<T: Scalar>(
     rows::<T, 64>(block, states, base, outs)
 }
 
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+fn image_rows_avx512<T: Scalar, const PREFETCH: bool>(
+    step: &ImageStep<'_, T>,
+    base: usize,
+    fresh: &mut [&mut [T]],
+    next: &mut [&mut [T]],
+) {
+    image_rows::<T, 64, PREFETCH>(step, base, fresh, next)
+}
+
 /// Every instantiation the running CPU can execute, narrowest first.
 /// Baseline is whatever the crate is built for (SSE2 on x86-64) and the
 /// only one under Miri and on other architectures.
-fn detected_kernels<T: Scalar, const PREFETCH: bool>() -> Vec<(&'static str, RowFn<T>, RowsFn<T>)> {
+#[allow(clippy::type_complexity)]
+fn detected_kernels<T: Scalar, const PREFETCH: bool>(
+) -> Vec<(&'static str, RowFn<T>, RowsFn<T>, ImageFn<T>)> {
     #[allow(unused_mut)]
-    let mut kernels: Vec<(&str, RowFn<T>, RowsFn<T>)> =
-        vec![("baseline", row_baseline::<T, PREFETCH>, rows_baseline::<T>)];
+    let mut kernels: Vec<(&str, RowFn<T>, RowsFn<T>, ImageFn<T>)> = vec![(
+        "baseline",
+        row_baseline::<T, PREFETCH>,
+        rows_baseline::<T>,
+        image_rows_baseline::<T, PREFETCH>,
+    )];
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         if is_x86_feature_detected!("avx2") {
-            kernels.push(("avx2", row_avx2::<T, PREFETCH>, rows_avx2::<T>));
+            kernels.push(("avx2", row_avx2::<T, PREFETCH>, rows_avx2::<T>, image_rows_avx2::<T, PREFETCH>));
         }
         if is_x86_feature_detected!("avx512f") {
-            kernels.push(("avx512f", row_avx512::<T, PREFETCH>, rows_avx512::<T>));
+            kernels.push((
+                "avx512f",
+                row_avx512::<T, PREFETCH>,
+                rows_avx512::<T>,
+                image_rows_avx512::<T, PREFETCH>,
+            ));
         }
     }
     kernels
@@ -507,11 +681,12 @@ fn detected_kernels<T: Scalar, const PREFETCH: bool>() -> Vec<(&'static str, Row
 
 /// The blocked row kernel of one ISA, with or without prefetch.
 pub struct RowKernel<T> {
-    /// Invariant: the two functions of the element of
+    /// Invariant: the three functions of the element of
     /// [`detected_kernels`] named `isa`. Private, and only this module's
     /// tests ever pick anything but the widest.
     row: RowFn<T>,
     rows: RowsFn<T>,
+    image: ImageFn<T>,
     isa: &'static str,
     prefetch: bool,
 }
@@ -519,16 +694,17 @@ pub struct RowKernel<T> {
 impl<T: Scalar> RowKernel<T> {
     /// The kernel of the widest ISA the running CPU has; `prefetch` is
     /// what `prefetch_pays` said about the buffers it will read.
-    pub fn widest(prefetch: bool) -> RowKernel<T> {
+    pub(crate) fn widest(prefetch: bool) -> RowKernel<T> {
         let mut kernels = if prefetch {
             detected_kernels::<T, true>()
         } else {
             detected_kernels::<T, false>()
         };
-        let (isa, row, rows) = kernels.pop().expect("baseline is always there");
+        let (isa, row, rows, image) = kernels.pop().expect("baseline is always there");
         RowKernel {
             row,
             rows,
+            image,
             isa,
             prefetch,
         }
@@ -537,13 +713,14 @@ impl<T: Scalar> RowKernel<T> {
     /// The baseline instantiation, whatever the CPU has.
     #[cfg(test)]
     pub(crate) fn baseline(prefetch: bool) -> RowKernel<T> {
-        let (isa, row, rows) = match prefetch {
+        let (isa, row, rows, image) = match prefetch {
             true => detected_kernels::<T, true>().swap_remove(0),
             false => detected_kernels::<T, false>().swap_remove(0),
         };
         RowKernel {
             row,
             rows,
+            image,
             isa,
             prefetch,
         }
@@ -551,12 +728,12 @@ impl<T: Scalar> RowKernel<T> {
 
     /// The vector ISA the kernel was instantiated for: `baseline`, `avx2`
     /// or `avx512f`.
-    pub fn isa(&self) -> &'static str {
+    pub(crate) fn isa(&self) -> &'static str {
         self.isa
     }
 
     /// Whether this is the prefetching instantiation.
-    pub fn prefetch(&self) -> bool {
+    pub(crate) fn prefetch(&self) -> bool {
         self.prefetch
     }
 
@@ -576,7 +753,7 @@ impl<T: Scalar> RowKernel<T> {
     /// `states[dt - 1]` is the state `dt` steps back. Bit-identical to
     /// calling `CompiledStencil::apply_at` per point.
     #[inline]
-    pub fn run_row(&self, terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
+    pub(crate) fn run_row(&self, terms: &[CompiledTerm<T>], states: &[&[T]], base: usize, out: &mut [T]) {
         self.call(Call::Row {
             terms,
             states,
@@ -610,11 +787,40 @@ impl<T: Scalar> RowKernel<T> {
         })
     }
 
+    /// One to [`ROWS`] rows of one length of a kernel-image step, the rows
+    /// of `fresh` and `next` at flat index `base + r * step.stride`:
+    /// `next[r][i]` gets `apply_at` of the stencil whose term `k` has
+    /// weight `step.images[k].0` and the one tap `1 * image[i]`, a dying
+    /// image being `next[r]` as it was before the call (DESIGN.md §12.6).
+    #[inline]
+    pub(crate) fn run_image_rows<'r>(
+        &self,
+        step: &ImageStep<'_, T>,
+        base: usize,
+        fresh: &mut [&'r mut [T]],
+        next: &mut [&'r mut [T]],
+    ) {
+        let len = fresh[0].len();
+        assert!(
+            fresh.len() <= ROWS
+                && next.len() == fresh.len()
+                && step.images.len() <= MAX_IMAGE_TERMS
+                && fresh.iter().chain(next.iter()).all(|row| row.len() == len),
+            "a step evaluates 1 to {ROWS} rows of one length, of at most {MAX_IMAGE_TERMS} terms"
+        );
+        self.call(Call::Image {
+            step,
+            base,
+            fresh,
+            next,
+        })
+    }
+
     #[inline(always)]
     fn call(&self, call: Call<'_, '_, T>) {
         // SAFETY: the kernels are safe functions whose only obligation is
-        // that the CPU supports their `#[target_feature]`; `row` and
-        // `rows` only ever hold the functions of an element of
+        // that the CPU supports their `#[target_feature]`; `row`, `rows`
+        // and `image` only ever hold the functions of an element of
         // `detected_kernels`, which lists them after detecting exactly
         // that feature.
         unsafe {
@@ -631,6 +837,12 @@ impl<T: Scalar> RowKernel<T> {
                     base,
                     outs,
                 } => (self.rows)(block, states, base, outs),
+                Call::Image {
+                    step,
+                    base,
+                    fresh,
+                    next,
+                } => (self.image)(step, base, fresh, next),
             }
         }
     }
@@ -679,9 +891,10 @@ mod tests {
             assert_eq!(detected[0].0, "baseline");
             let n = if baseline_only { 1 } else { detected.len() };
             let picked = detected.into_iter().take(n);
-            kernels.extend(picked.map(|(isa, row, rows)| RowKernel {
+            kernels.extend(picked.map(|(isa, row, rows, image)| RowKernel {
                 row,
                 rows,
+                image,
                 isa,
                 prefetch,
             }));
@@ -890,6 +1103,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Row lengths of a combination test: a tail alone, a tail under one
+    /// vector, whole chunks, many chunks and a tail.
+    const COMBINED_LENS: [usize; 5] = [1, 7, 8, 64, 1000];
+
+    /// A value a combination must carry bit for bit, `special` being what
+    /// the point holds besides ordinary values. Per point one kind of
+    /// special: two different NaNs never meet in an add (x86 keeps the
+    /// payload of the first operand and Rust lets the compiler order them,
+    /// DESIGN.md §12.6), and the NaN that `inf - inf` makes meets no
+    /// payload. Ordinary values stay far from overflow, so no add makes a
+    /// NaN of its own.
+    fn combined_value<T: Scalar>(special: u64, draw: u64) -> T {
+        let sign = if draw & 1 == 0 { 1.0 } else { -1.0 };
+        let v = match (special, draw >> 1 & 7) {
+            (1, 0..=2) => sign * f64::INFINITY,
+            (2, 0..=2) => f64::from_bits(0x7ffc_a000_0000_0abc),
+            (3, 0..=2) => f64::from_bits(0xfffa_5000_00de_f000),
+            (_, 3) => sign * 0.0,
+            // Subnormal in f64, and in f32 (a normal f64).
+            (_, 4) => sign * f64::from_bits(draw >> 12),
+            (_, 5) => sign * 1e-40 * (draw >> 40) as f64 / (1u64 << 24) as f64,
+            _ => sign * 1e3 * (draw >> 11) as f64 / (1u64 << 53) as f64,
+        };
+        T::from_f64(v)
+    }
+
+    /// `weights.len()` image rows of every length in [`COMBINED_LENS`]
+    /// combined on each kernel under test, the dying image at every
+    /// position and absent, the first other term reading the fresh row and
+    /// the rest held in buffers of their own: every point compared bit for
+    /// bit with `apply_at` over 1-tap terms of those weights. Rows start
+    /// one element into their buffers: nothing may depend on alignment.
+    fn check_combination<T: Scalar>(weights: &[f64], seed: u64, baseline_only: bool) {
+        let mut state = seed;
+        let mut draw = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ state >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ z >> 31
+        };
+        let unit = |(k, &w): (usize, &f64)| (k + 1, w, vec![(0, 1.0)]);
+        let oracle = stencil_1d::<T>(weights.iter().enumerate().map(unit).collect());
+        for len in COMBINED_LENS {
+            let specials: Vec<u64> = (0..len).map(|_| draw() % 4).collect();
+            let buffers: Vec<Vec<T>> = (0..weights.len())
+                .map(|_| {
+                    let row = specials.iter().map(|&special| combined_value(special, draw()));
+                    std::iter::once(T::default()).chain(row).collect()
+                })
+                .collect();
+            let states: Vec<&[T]> = buffers.iter().map(|buffer| &buffer[1..]).collect();
+            for dying in (0..weights.len()).map(Some).chain([None]) {
+                let fresh = (0..weights.len()).find(|&k| Some(k) != dying);
+                let images: Vec<(T, ImageOf<'_, T>)> = (0..weights.len())
+                    .map(|k| match k {
+                        _ if Some(k) == dying => ImageOf::Dying,
+                        _ if Some(k) == fresh => ImageOf::Fresh,
+                        _ => ImageOf::Held(&buffers[k]),
+                    })
+                    .enumerate()
+                    .map(|(k, of)| (T::from_f64(weights[k]), of))
+                    .collect();
+                let step = ImageStep {
+                    kernel: ImageKernel::Done,
+                    states: &[],
+                    stride: 0,
+                    images: &images,
+                };
+                for kernel in kernels::<T>(baseline_only) {
+                    let mut rows = [fresh, dying].map(|k| match k {
+                        Some(k) => buffers[k].clone(),
+                        None => vec![T::from_f64(f64::NAN); len + 1],
+                    });
+                    let [fresh_row, out] = &mut rows;
+                    kernel.run_image_rows(&step, 1, &mut [&mut fresh_row[1..]], &mut [&mut out[1..]]);
+                    for (i, got) in out[1..].iter().enumerate() {
+                        let want = oracle.apply_at(&states, i);
+                        assert_eq!(
+                            got.to_f64().to_bits(),
+                            want.to_f64().to_bits(),
+                            "{} prefetch {}: {} terms, dying {dying:?}, row of {len}, point {i}",
+                            kernel.isa(),
+                            kernel.prefetch(),
+                            weights.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn combination_matches_apply_at(baseline_only: bool, test_path: &str) {
+        let weights = prop::collection::vec(-2.0f64..2.0, 1..=MAX_IMAGE_TERMS);
+        let random = (weights, 0u64..1 << 32);
+        let config = ProptestConfig::with_cases(16);
+        proptest::run_cases(test_path, &config, &random, |(weights, seed)| {
+            check_combination::<f64>(&weights, seed, baseline_only);
+            check_combination::<f32>(&weights, seed, baseline_only);
+        });
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // thousands of points per case
+    fn combination_matches_apply_at_on_every_detected_isa() {
+        combination_matches_apply_at(false, "specialized::combination_every_detected_isa");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn combination_matches_apply_at_forced_baseline() {
+        combination_matches_apply_at(true, "specialized::combination_forced_baseline");
     }
 
     /// The first term of `p` compiled against its grid, and the grid's

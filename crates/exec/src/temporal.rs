@@ -94,7 +94,7 @@ pub fn run_temporal_tiled<'p, T: Scalar>(
 }
 
 /// Like [`run_temporal_tiled`] with an explicit execution tier.
-pub fn run_temporal_tiled_tier<'p, T: Scalar>(
+pub(crate) fn run_temporal_tiled_tier<'p, T: Scalar>(
     program: impl Gate<'p>,
     plan: &ExecPlan,
     tt: usize,

@@ -28,10 +28,10 @@ use msc_vm::{LinearTerm, VmProgram, VmScratch};
 use crate::compiled::CompiledStencil;
 use crate::grid::{Grid, GridLayout, Scalar};
 use crate::specialized::{
-    prefetch_pays, step_bytes, RowBlock, RowKernel, PREFETCH_MIN_STEP_BYTES, ROWS,
+    prefetch_pays, step_bytes, ImageKernel, ImageOf, ImageStep, RowBlock, RowKernel,
+    MAX_IMAGE_TERMS, PREFETCH_MIN_STEP_BYTES, ROWS,
 };
 use crate::sweep::group_stride;
-use crate::tiled::MAX_IMAGE_TERMS;
 
 /// Requested execution tier (CLI `--exec-tier`, `RunOptions::tier`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -139,15 +139,6 @@ impl std::fmt::Display for Recomputed {
     }
 }
 
-/// What a time loop that reuses kernel images evaluates per row
-/// (DESIGN.md §12.6), on the stencil's own tier.
-pub(crate) struct KernelImage<T> {
-    /// The kernel alone: one term, weight 1, reading `states[0]`.
-    pub kernel: TieredStencil<T>,
-    /// The temporal combination over images: term `k` reads `states[k]`.
-    pub mix: TieredStencil<T>,
-}
-
 /// The kernel of `interp` as a stencil of its own when a step should
 /// reuse its image, or why not. Decided from the terms and the bytes a
 /// step streams alone.
@@ -252,9 +243,9 @@ pub struct TieredStencil<T> {
     /// The schedule that evaluates `ROWS` rows per call, or why rows go
     /// one at a time.
     rows: std::result::Result<RowBlock<T>, OneRow>,
-    /// The kernel alone on the same tier, when the time loop should keep
-    /// its images instead of the older states; else why it does not.
-    image: std::result::Result<Box<KernelImage<T>>, Recomputed>,
+    /// The kernel alone (one term, weight 1, reading `states[0]`) on the
+    /// same tier, when the time loop should keep its images; else why not.
+    image: std::result::Result<Box<TieredStencil<T>>, Recomputed>,
     /// Wall time spent attaching the tier — bytecode lowering under
     /// `ExecTier::Vm`, ISA detection otherwise (feeds the
     /// `VmCompileNanos` counter).
@@ -313,16 +304,11 @@ impl<T: Scalar> TieredStencil<T> {
         let padded_len = grid.as_slice().len();
         let prefetch = prefetch_pays::<T>(interp.max_dt, padded_len);
         let stride = Some(group_stride(&grid.strides));
-        let image =
-            reusable_kernel(&interp, step_bytes::<T>(interp.max_dt, padded_len)).map(|kernel| {
-                Box::new(KernelImage {
-                    kernel: Self::attach(kernel, tier, prefetch, stride),
-                    mix: Self::attach(interp.image_mix(), tier, false, stride),
-                })
-            });
+        let image = reusable_kernel(&interp, step_bytes::<T>(interp.max_dt, padded_len))
+            .map(|kernel| Box::new(Self::attach(kernel, tier, prefetch, stride)));
         let mut stencil = Self::attach(interp, tier, prefetch, stride);
         if let Ok(image) = &image {
-            stencil.compile_nanos += image.kernel.compile_nanos + image.mix.compile_nanos;
+            stencil.compile_nanos += image.compile_nanos;
         }
         stencil.image = image;
         stencil.grid = Some(grid.layout());
@@ -332,7 +318,7 @@ impl<T: Scalar> TieredStencil<T> {
     /// Attach a tier to a stencil relinearized for tile-local buffers:
     /// those are sized to stay in cache, so the row kernel never
     /// prefetches, and rows go one at a time.
-    pub fn from_compiled(interp: CompiledStencil<T>, tier: ExecTier) -> TieredStencil<T> {
+    pub(crate) fn from_compiled(interp: CompiledStencil<T>, tier: ExecTier) -> TieredStencil<T> {
         Self::attach(interp, tier, false, None)
     }
 
@@ -373,10 +359,6 @@ impl<T: Scalar> TieredStencil<T> {
         }
     }
 
-    pub fn active(&self) -> ActiveTier {
-        self.active
-    }
-
     /// The layout of the grids the stencil was compiled to sweep whole,
     /// `None` when it was compiled for tile-local buffers.
     pub(crate) fn grid_layout(&self) -> Option<&GridLayout> {
@@ -396,7 +378,7 @@ impl<T: Scalar> TieredStencil<T> {
         let tier = match self.active {
             ActiveTier::Specialized => {
                 let prefetch = if kernel.prefetch() { "on" } else { "off" };
-                let swept = self.kernel_image().map_or(self, |image| &image.kernel);
+                let swept = self.kernel_image().unwrap_or(self);
                 let rows = match &swept.rows {
                     Ok(_) => format!("rows {ROWS} at a time"),
                     Err(why) => format!("rows one at a time ({why})"),
@@ -414,9 +396,9 @@ impl<T: Scalar> TieredStencil<T> {
         }
     }
 
-    /// What a step evaluates when it should compute the kernel's image
+    /// The kernel a step sweeps when it should compute the kernel's image
     /// once and combine images, `None` when it evaluates every term.
-    pub(crate) fn kernel_image(&self) -> Option<&KernelImage<T>> {
+    pub(crate) fn kernel_image(&self) -> Option<&TieredStencil<T>> {
         self.image.as_deref().ok()
     }
 
@@ -441,7 +423,7 @@ impl<T: Scalar> TieredStencil<T> {
         }
         force(&mut self, stride);
         if let Ok(image) = &mut self.image {
-            force(&mut image.kernel, stride);
+            force(image, stride);
         }
         self
     }
@@ -464,7 +446,7 @@ impl<T: Scalar> TieredStencil<T> {
     }
 
     /// Per-worker scratch; allocate once per worker, not per row.
-    pub fn scratch(&self) -> TierScratch<T> {
+    pub(crate) fn scratch(&self) -> TierScratch<T> {
         TierScratch {
             vm: match self.active {
                 ActiveTier::Vm => self.vm.as_ref().map(|p| p.scratch()),
@@ -478,7 +460,7 @@ impl<T: Scalar> TieredStencil<T> {
     /// update of the point at flat index `base + i`, where
     /// `states[dt - 1]` is the state `dt` steps back.
     #[inline]
-    pub fn run_row(&self, states: &[&[T]], base: usize, out: &mut [T], scratch: &mut TierScratch<T>) {
+    pub(crate) fn run_row(&self, states: &[&[T]], base: usize, out: &mut [T], scratch: &mut TierScratch<T>) {
         match self.active {
             ActiveTier::Interp => {
                 for (i, o) in out.iter_mut().enumerate() {
@@ -495,6 +477,50 @@ impl<T: Scalar> TieredStencil<T> {
                     .run_row(&self.interp.terms, states, base, out)
             }
         }
+    }
+
+    /// A kernel-image step (DESIGN.md §12.6) over rows of `states`
+    /// `stride` apart, `self` being the kernel alone: on the specialized
+    /// tier its rows are evaluated in the same call as their combination.
+    pub(crate) fn image_step<'a>(
+        &'a self,
+        images: &'a [(T, ImageOf<'a, T>)],
+        states: &'a [&'a [T]],
+        stride: usize,
+    ) -> ImageStep<'a, T> {
+        let kernel = match (self.active, &self.rows) {
+            (ActiveTier::Specialized, Ok(block)) => {
+                assert_eq!(stride, block.stride(), "rows apart by another stride");
+                ImageKernel::Rows(block)
+            }
+            (ActiveTier::Specialized, Err(_)) => ImageKernel::Row(&self.interp.terms),
+            _ => ImageKernel::Done,
+        };
+        ImageStep {
+            kernel,
+            states,
+            stride,
+            images,
+        }
+    }
+
+    /// Up to [`ROWS`] rows of `step` at flat index `base`: the kernel's
+    /// rows into `fresh`, as [`TieredStencil::run_rows`] would, then the
+    /// new state's into `next`, combined in one elementwise pass on the row
+    /// kernel's ISA whatever the tier.
+    #[inline]
+    pub(crate) fn run_image_rows<'r>(
+        &self,
+        step: &ImageStep<'_, T>,
+        base: usize,
+        fresh: &mut [&'r mut [T]],
+        next: &mut [&'r mut [T]],
+        scratch: &mut TierScratch<T>,
+    ) {
+        if let ImageKernel::Done = step.kernel {
+            self.run_rows(step.states, base, step.stride, fresh, scratch);
+        }
+        self.specialized.run_image_rows(step, base, fresh, next)
     }
 
     /// How many rows one [`TieredStencil::run_rows`] call evaluates at
@@ -535,7 +561,7 @@ impl<T: Scalar> TieredStencil<T> {
     /// Count `n_rows` rows of `row_len` executed on the active tier into
     /// the worker's `scratch` (`VmDispatches` or `SpecializedHits`), once
     /// per tile; the sweep returns the count with the worker's share.
-    pub fn note_rows(&self, scratch: &mut TierScratch<T>, n_rows: u64, row_len: usize) {
+    pub(crate) fn note_rows(&self, scratch: &mut TierScratch<T>, n_rows: u64, row_len: usize) {
         match self.active {
             ActiveTier::Interp => {}
             ActiveTier::Vm => {
@@ -570,11 +596,11 @@ mod tests {
     #[test]
     fn auto_resolves_to_specialized_for_catalog_shapes() {
         let (c, _, _) = tiered(ExecTier::Auto);
-        assert_eq!(c.active(), ActiveTier::Specialized);
+        assert_eq!(c.active, ActiveTier::Specialized);
         let (c, _, _) = tiered(ExecTier::Vm);
-        assert_eq!(c.active(), ActiveTier::Vm);
+        assert_eq!(c.active, ActiveTier::Vm);
         let (c, _, _) = tiered(ExecTier::Interp);
-        assert_eq!(c.active(), ActiveTier::Interp);
+        assert_eq!(c.active, ActiveTier::Interp);
     }
 
     #[test]
@@ -602,7 +628,7 @@ mod tests {
             (ExecTier::Interp, ActiveTier::Interp),
         ] {
             let c = TieredStencil::compile(&p, &g, tier).unwrap();
-            assert_eq!(c.active(), active, "{tier:?}");
+            assert_eq!(c.active, active, "{tier:?}");
             let mut row = vec![0.0f64; 32];
             let mut scratch = c.scratch();
             c.run_row(&states, base, &mut row, &mut scratch);
@@ -778,8 +804,7 @@ mod tests {
         assert_eq!(c.rows_per_call(), 1, "two terms");
         let image = c.kernel_image().unwrap();
         let rows = if blocks { ROWS } else { 1 };
-        assert_eq!(image.kernel.rows_per_call(), rows);
-        assert_eq!(image.mix.rows_per_call(), 1);
+        assert_eq!(image.rows_per_call(), rows);
         assert_eq!(
             c.describe()
                 .contains(", rows 4 at a time, kernel image reused"),
@@ -798,7 +823,7 @@ mod tests {
             assert_eq!(c.rows_per_call(), rows, "{tier:?}");
         }
         let local =
-            TieredStencil::from_compiled(image.kernel.relinearized(&g.strides), ExecTier::Auto);
+            TieredStencil::from_compiled(image.relinearized(&g.strides), ExecTier::Auto);
         assert_eq!(local.rows.as_ref().err(), Some(&OneRow::Staged));
     }
 
@@ -858,7 +883,7 @@ mod tests {
             reusable_kernel(&single, 0).unwrap_err(),
             Recomputed::OneDependency
         );
-        // More terms than a mix gathers rows for.
+        // More terms than a combination gathers rows for.
         let mut many = seven.clone();
         many.terms = (0..=MAX_IMAGE_TERMS)
             .map(|k| many.terms[k % 2].clone())
@@ -883,10 +908,7 @@ mod tests {
         for tier in [ExecTier::Interp, ExecTier::Vm, ExecTier::Specialized] {
             let (c, a, _) = tiered(tier);
             let image = c.kernel_image().unwrap();
-            assert_eq!(
-                (image.kernel.active(), image.mix.active()),
-                (c.active(), c.active())
-            );
+            assert_eq!(image.active, c.active);
             assert!(c.recomputing().kernel_image().is_none());
             let (c, _, _) = tiered(tier);
             let local = TieredStencil::from_compiled(c.relinearized(&a.strides), tier);
@@ -922,7 +944,7 @@ mod tests {
             let c = TieredStencil::<f64>::compile(&p, &Grid::for_tensor(&p.grid), ExecTier::Vm)
                 .unwrap();
             let image = c.kernel_image().expect("one kernel at two distances");
-            assert_eq!((size(&c), size(&image.kernel)), (program, kernel), "{id:?}");
+            assert_eq!((size(&c), size(image)), (program, kernel), "{id:?}");
         }
     }
 

@@ -25,7 +25,7 @@
 
 use crate::driver::TimeLoop;
 use crate::{
-    run_program, run_program_tier, run_temporal_tiled_tier, Boundary, ExecTier, Executor, Grid,
+    run_program, run_program_tier, temporal::run_temporal_tiled_tier, Boundary, ExecTier, Executor, Grid,
     RunStats, Scalar, TieredStencil,
 };
 use msc_core::catalog::{all_benchmarks, benchmark, Benchmark, BenchmarkId};

@@ -10,7 +10,8 @@
 
 use crate::grid::{Grid, Scalar};
 use crate::sweep::{group_stride, merged, sweep};
-use crate::tier::{KernelImage, TierScratch, TieredStencil};
+use crate::specialized::{ImageOf, ROWS};
+use crate::tier::TieredStencil;
 use msc_core::error::Result;
 use msc_core::schedule::plan::{ExecPlan, TileRange};
 use msc_trace::CounterSet;
@@ -46,93 +47,38 @@ pub(crate) fn step_tiles<T: Scalar>(
     Ok(merged(&shares))
 }
 
-/// Where the combination finds the kernel image a term reads
-/// (DESIGN.md §12.6).
-pub(crate) enum ImageOf<'a, T> {
-    /// The image this step computes: the row just evaluated.
-    Fresh,
-    /// The oldest image, which the new state overwrites in place.
-    Dying,
-    /// The image held by another window slot.
-    Held(&'a [T]),
-}
-
-/// The most terms a combination of kernel images may have: what a step
-/// reads per row is gathered on the stack.
-pub(crate) const MAX_IMAGE_TERMS: usize = 8;
-
 /// The kernel-image step (DESIGN.md §12.6) over `tiles`. Per group of
-/// tile rows, one `run_rows` of `image.kernel` — the stencil's kernel
-/// alone, weight 1 — writes the image of `prev` (the state one step back)
-/// into `fresh`, then per row one `run_row` of `image.mix` combines the
-/// images `terms` name, in the program's term order, into the same row of
-/// `next`. Where a term reads the dying image that row of `next` *is* its
-/// image, so the mix reads a copy of it.
+/// [`ROWS`] tile rows, one `run_image_rows` of `kernel` — the stencil's
+/// kernel alone, weight 1 — writes the image of `prev` (the state one step
+/// back) into `fresh` and combines the weighted images `images` names, in
+/// the program's term order, into the same rows of `next`. Where a term
+/// reads the dying image a row of `next` *is* its image, read in place
+/// before it is overwritten.
 pub(crate) fn step_tiles_reusing<T: Scalar>(
-    image: &KernelImage<T>,
-    terms: &[ImageOf<'_, T>],
+    kernel: &TieredStencil<T>,
+    images: &[(T, ImageOf<'_, T>)],
     plan: &ExecPlan,
     prev: &Grid<T>,
     fresh: &mut Grid<T>,
     next: &mut Grid<T>,
     tiles: &[TileRange],
 ) -> Result<CounterSet> {
-    assert!(
-        terms.len() <= MAX_IMAGE_TERMS,
-        "the rule admits no more terms"
-    );
-    let KernelImage { kernel, mix } = image;
     let stride = group_stride(&prev.strides);
     let prev = [prev.as_slice()];
+    let step = kernel.image_step(images, &prev, stride);
     let shares = sweep(plan, tiles, [fresh, next], "tile_worker", |work| {
-        let (mut scratch, mut mix_scratch) = (kernel.scratch(), mix.scratch());
-        let mut dying = vec![T::default(); plan.tile[plan.ndim - 1]];
+        let mut scratch = kernel.scratch();
         for (_, mut rows) in work {
-            // One closure per visit shape, as in `step_tiles`.
-            let n = match kernel.rows_per_call() {
-                1 => rows.for_each(|_, base, [fresh, next]| {
-                    kernel.run_rows(&prev, base, stride, &mut [&mut *fresh], &mut scratch);
-                    mix_row(mix, terms, base, fresh, next, &mut dying, &mut mix_scratch);
-                }),
-                k => rows.for_each_group(k, |_, base, [fresh, next]| {
-                    kernel.run_rows(&prev, base, stride, fresh, &mut scratch);
-                    for (r, (fresh, next)) in fresh.iter().zip(next.iter_mut()).enumerate() {
-                        let base = base + r * stride;
-                        mix_row(mix, terms, base, fresh, next, &mut dying, &mut mix_scratch);
-                    }
-                }),
-            };
+            // `ROWS` rows a call, blocked kernel or not: one call per group
+            // beat one per row on `halo2r` (DESIGN.md §12.6).
+            let n = rows.for_each_group(ROWS, |_, base, [fresh, next]| {
+                kernel.run_image_rows(&step, base, fresh, next, &mut scratch)
+            });
             kernel.note_rows(&mut scratch, n, rows.row_len());
         }
         scratch.counted
     })?;
     Ok(merged(&shares))
-}
-
-/// One row of the combination (DESIGN.md §12.6): `next` from the images
-/// `terms` name, the row at flat index `base`, `fresh` being the image
-/// this step computed for it and `dying` room for a copy of `next`.
-#[inline(always)]
-fn mix_row<T: Scalar>(
-    mix: &TieredStencil<T>,
-    terms: &[ImageOf<'_, T>],
-    base: usize,
-    fresh: &[T],
-    next: &mut [T],
-    dying: &mut [T],
-    scratch: &mut TierScratch<T>,
-) {
-    let dying = &mut dying[..next.len()];
-    dying.copy_from_slice(next);
-    let mut images: [&[T]; MAX_IMAGE_TERMS] = [&[]; MAX_IMAGE_TERMS];
-    for (image, of) in images.iter_mut().zip(terms) {
-        *image = match of {
-            ImageOf::Fresh => fresh,
-            ImageOf::Dying => dying,
-            ImageOf::Held(grid) => &grid[base..base + next.len()],
-        };
-    }
-    mix.run_row(&images[..terms.len()], 0, next, scratch);
 }
 
 #[cfg(test)]

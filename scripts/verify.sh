@@ -348,7 +348,9 @@ cargo test -q -p msc-exec --lib --offline tier_differential::
 # kernels; signed zeros, infinities and NaN payloads through an image;
 # thread counts; a window snapshotted after any step count and restored
 # into another loop; the property test over random programs; the decision
-# rule; the ring's typed refusal; the sweep's second output grid.
+# rule; the ring's typed refusal; the sweep's second output grid; the
+# combination's elementwise pass against apply_at over 1-tap terms, on
+# every detected ISA and pinned to the baseline instantiation.
 for t in tier_differential::kernel_image_reuse_matches_recomputing_on_hand_programs \
     tier_differential::a_window_restored_from_its_slots_at_any_step_continues_bit_for_bit \
     tier_differential::terms_naming_different_kernels_decline_kernel_images \
@@ -357,7 +359,9 @@ for t in tier_differential::kernel_image_reuse_matches_recomputing_on_hand_progr
     driver::tests::reference_recomputed_and_reused_runs_agree_bit_for_bit \
     driver::tests::one_slot_cannot_take_the_image_and_the_state_of_a_step \
     tier::tests::kernel_images_are_decided_from_the_terms_and_the_bytes_a_step_streams \
-    sweep::tests::a_tile_gets_its_rows_in_every_output_grid_of_the_one_layout; do
+    sweep::tests::a_tile_gets_its_rows_in_every_output_grid_of_the_one_layout \
+    specialized::tests::combination_matches_apply_at_on_every_detected_isa \
+    specialized::tests::combination_matches_apply_at_forced_baseline; do
   # A filter that matches nothing passes too: require the one test.
   out=$(cargo test -q -p msc-exec --lib --offline "$t" -- --exact)
   grep -q '1 passed' <<<"$out"
